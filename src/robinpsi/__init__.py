@@ -38,13 +38,11 @@ from .multiplicative import (
     BridgeReport,
     Factorization,
     factorize,
-    factorize_with_spf,
     is_t_free,
     psi_over_n,
     psi_t,
     psi_t_parts,
     sigma,
-    smallest_prime_factors,
     verify_sigma_le_psi,
 )
 from .primes import PrimeTable, build_table, nth_prime, theta

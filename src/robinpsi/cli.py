@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import bounds, primorial, robin
 from .errors import CoverageError, ResourceError
-from .multiplicative import factorize_with_spf, psi_over_n, smallest_prime_factors
+from .multiplicative import factorize, psi_over_n
 from .primes import PrimeTable, build_table, nth_prime
 from .tabular import rows_to_csv, rows_to_json
 
@@ -24,31 +23,6 @@ EXIT_USAGE = 64
 
 _TABLE1_START_LIMIT = 1 << 17
 _TABLE1_DEFAULT_CAP = 1 << 25
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance per CLI run."""
-
-    command: str
-    t_min: int = 2
-    t_max: int = 2
-    limit: int = 1
-    output_format: str = "csv"
-    output_path: str | None = None
-    sieve_limit: int | None = None
-    floor_mode: bool = False
-    scan_start: int = 3
-    scan_stop: int = 5041
-    n_max: int = 2
-    weak: bool = False
-    n_values: list[int] = field(default_factory=list)
-
-    def validate(self) -> None:
-        if not 2 <= self.t_min <= self.t_max <= 64:
-            raise ValueError(f"need 2 <= t_min <= t_max <= 64, got [{self.t_min}, {self.t_max}]")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,6 +60,13 @@ def _positive(text: str) -> int:
     return v
 
 
+def _sieve_size(text: str) -> int:
+    v = int(text)
+    if v < 2:
+        raise argparse.ArgumentTypeError(f"sieve size must be >= 2, got {v}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="robinpsi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=_t_value, default=3)
     p.add_argument("--t-max", type=_t_value, default=7)
     p.add_argument("--floor-n0", action="store_true", help="search only from index 2263 up")
-    p.add_argument("--sieve-limit", type=_positive, default=None, help="starting sieve size")
+    p.add_argument("--sieve-limit", type=_sieve_size, default=None, help="starting sieve size")
     p.add_argument(
-        "--sieve-cap", type=_positive, default=_TABLE1_DEFAULT_CAP,
+        "--sieve-cap", type=_sieve_size, default=_TABLE1_DEFAULT_CAP,
         help="auto-grow limit for the sieve",
     )
     common(p)
@@ -141,15 +122,15 @@ def _prime_reach(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 16
 
 
-def cmd_table1(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]:
-    limit = cfg.sieve_limit or _TABLE1_START_LIMIT
-    cap = max(cfg.limit, _TABLE1_DEFAULT_CAP) if cfg.sieve_limit is None else cfg.limit
+def cmd_table1(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+    cap = args.sieve_cap
+    limit = args.sieve_limit or min(_TABLE1_START_LIMIT, cap)
     while True:
         table = build_table(limit)
         try:
             rows = []
-            for t in range(cfg.t_min, cfg.t_max + 1):
-                n1 = bounds.find_crossover_index(t, table, floored=cfg.floor_mode)
+            for t in range(args.t_min, args.t_max + 1):
+                n1 = bounds.find_crossover_index(t, table, floored=args.floor_n0)
                 mant, exp10 = bounds.primorial_magnitude(n1, table)
                 report = bounds.criterion(t, n1, table)
                 rows.append(
@@ -169,40 +150,40 @@ def cmd_table1(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]:
             limit = min(limit * 4, cap)
 
 
-def cmd_champions(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]:
-    mode = "weak" if cfg.weak else "strict"
-    champs = primorial.champion_scan(cfg.limit, cfg.t_min, mode)
-    spf = smallest_prime_factors(max(cfg.limit, 1)).tolist()
+def cmd_champions(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+    mode = "weak" if args.weak else "strict"
+    champs = primorial.champion_scan(args.limit, args.t, mode)
+    table = build_table(math.isqrt(args.limit) + 1)
     rows = []
     for m in champs:
-        ratio = psi_over_n(factorize_with_spf(m, spf), cfg.t_min)
+        ratio = psi_over_n(factorize(m, table), args.t)
         rows.append({"m": m, "ratio": f"{ratio.numerator}/{ratio.denominator}"})
     return rows, ("m", "ratio"), EXIT_OK
 
 
-def cmd_robin_scan(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]:
-    table = build_table(max(math.isqrt(cfg.scan_stop) + 1, 2))
-    violators = robin.robin_scan(cfg.scan_start, cfg.scan_stop, table)
+def cmd_robin_scan(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+    table = build_table(max(math.isqrt(args.scan_stop) + 1, 2))
+    violators = robin.robin_scan(args.scan_start, args.scan_stop, table)
     rows = robin.violators_to_rows(violators)
     code = EXIT_FALSIFIED if any(v.n > 5040 for v in violators) else EXIT_OK
     return rows, robin.VERDICT_FIELDS, code
 
 
-def cmd_ratio(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]:
-    table = build_table(cfg.sieve_limit or _prime_reach(cfg.n_max))
+def cmd_ratio(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+    table = build_table(_prime_reach(args.n_max))
     rows = [
         {"n": n, "p_n": p, "ratio": r, "limit_value": lim, "deviation": dev}
-        for n, p, r, lim, dev in bounds.ratio_curve(table, cfg.t_min, cfg.n_max)
+        for n, p, r, lim, dev in bounds.ratio_curve(table, args.t, args.n_max)
     ]
     return rows, ("n", "p_n", "ratio", "limit_value", "deviation"), EXIT_OK
 
 
-def cmd_verify_bounds(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]:
-    n_max = cfg.n_max
+def cmd_verify_bounds(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+    n_max = args.n_max
     table = build_table(max(_prime_reach(n_max), 2 * 10**6))
     results = [
         bounds.mertens_bound_suite(table),
-        bounds.zeta_tail_bound_suite(table, range(2, cfg.t_max + 1), min(n_max, 10**4)),
+        bounds.zeta_tail_bound_suite(table, range(2, args.t_max + 1), min(n_max, 10**4)),
     ]
     if n_max >= bounds.CRITERION_FLOOR:
         results.append(bounds.log_substitution_suite(table, n_max=n_max))
@@ -235,10 +216,10 @@ def cmd_verify_bounds(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]
     return rows, fields, EXIT_FALSIFIED if failed else EXIT_OK
 
 
-def cmd_admissible_t(cfg: RunConfig) -> tuple[list[dict], tuple[str, ...], int]:
-    table = build_table(cfg.sieve_limit or _prime_reach(max(cfg.n_values)))
+def cmd_admissible_t(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+    table = build_table(_prime_reach(max(args.n_values)))
     rows = []
-    for n in sorted(cfg.n_values):
+    for n in sorted(args.n_values):
         t = bounds.admissible_t(n, table)
         rows.append({"n": n, "p_n": nth_prime(table, n), "t_max": t})
     return rows, ("n", "p_n", "t_max"), EXIT_OK
@@ -254,55 +235,30 @@ _DISPATCH = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.output_format = args.format
-    cfg.output_path = args.output
-    if args.command == "table1":
-        cfg.t_min, cfg.t_max = args.t_min, args.t_max
-        cfg.floor_mode = args.floor_n0
-        cfg.sieve_limit = args.sieve_limit
-        cfg.limit = args.sieve_cap
-    elif args.command == "champions":
-        cfg.t_min = cfg.t_max = args.t
-        cfg.limit = args.limit
-        cfg.weak = args.weak
-    elif args.command == "robin-scan":
-        cfg.scan_start, cfg.scan_stop = args.scan_start, args.scan_stop
-        if cfg.scan_stop < cfg.scan_start:
-            raise ValueError(f"empty scan range [{cfg.scan_start}, {cfg.scan_stop}]")
-    elif args.command == "ratio":
-        cfg.t_min = cfg.t_max = args.t
-        cfg.n_max = args.n_max
-    elif args.command == "verify-bounds":
-        cfg.n_max = args.n_max
-        cfg.t_max = args.t_max
-    elif args.command == "admissible-t":
-        cfg.n_values = list(args.n_values)
-    cfg.validate()
-    return cfg
+def _usage_problem(args: argparse.Namespace) -> str | None:
+    """Checks across options that argparse cannot make on its own."""
+    if args.command == "table1" and args.t_min > args.t_max:
+        return f"need 2 <= t_min <= t_max <= 64, got [{args.t_min}, {args.t_max}]"
+    if args.command == "robin-scan" and args.scan_stop < args.scan_start:
+        return f"empty scan range [{args.scan_start}, {args.scan_stop}]"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"robinpsi: error: {exc}", file=sys.stderr)
+    problem = _usage_problem(args)
+    if problem:
+        print(f"robinpsi: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        rows, fields, code = _DISPATCH[cfg.command](cfg)
+        rows, fields, code = _DISPATCH[args.command](args)
     except (CoverageError, ResourceError) as exc:
         print(f"robinpsi: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    text = (
-        rows_to_csv(rows, fields)
-        if cfg.output_format == "csv"
-        else rows_to_json(rows, fields)
-    )
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    text = rows_to_csv(rows, fields) if args.format == "csv" else rows_to_json(rows, fields)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -4,19 +4,25 @@ psi_t(n) = n * prod_{p | n} (1 + 1/p + ... + 1/p^(t-1)).  On prime powers
 psi_t(p^a) = p^a + ... + p + 1 + 1/p + ... + 1/p^(t-1-a), which is not an
 integer for a < t - 1, so everything here stays in exact integer or Fraction
 arithmetic.  Floats only appear downstream in the log-space modules.
+
+Every sweep over a range of integers factors it with one kernel,
+`prime_power_events`, which peels prime powers from a whole window in numpy;
+each consumer folds its events into what it needs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CoverageError
-from .primes import PrimeTable
+from .primes import PrimeTable, build_table
+
+SEGMENT_SIZE = 1 << 22  # integers per window of a range sweep
 
 
 @dataclass(frozen=True)
@@ -53,39 +59,40 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     return Factorization(value=n, factors=tuple(out))
 
 
-def factorize_with_spf(m: int, spf: list[int]) -> Factorization:
-    """Decompose m by walking a smallest-prime-factor array (m <= len(spf) - 1)."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    x = m
-    out: list[tuple[int, int]] = []
-    while x > 1:
-        p = spf[x]
-        e = 0
-        while x > 1 and spf[x] == p:
-            x //= p
-            e += 1
-        out.append((p, e))
-    return Factorization(value=m, factors=tuple(out))
+def prime_power_events(
+    lo: int, hi: int, base_primes: list[int]
+) -> Iterator[tuple[int | np.ndarray, np.ndarray, np.ndarray]]:
+    """Peel every n in [lo, hi) into its prime powers, one prime at a time.
 
-
-@lru_cache(maxsize=4)
-def smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[m] = smallest prime factor of m for 2 <= m <= limit (spf[1] = 1).
-
-    Cached; callers must not mutate the returned array.
+    For each prime p <= sqrt(hi - 1) that divides some n in the window, yields
+    (p, offsets, exponents): p^exponents[i] exactly divides lo + offsets[i].
+    A last event (cofactors, offsets, ones) covers what is left of each
+    lo + offsets[i] once those primes are divided out: the prime cofactors[i]
+    (an int64 array), to the first power.  base_primes must hold every prime
+    up to sqrt(hi - 1), ascending.  Offsets are int64, exponents int8.
     """
-    if limit < 1:
-        raise ValueError(f"need limit >= 1, got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[1] = 1
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest  # untouched entries are primes (index 0 stays 0)
-    return spf
+    size = hi - lo
+    rem = np.arange(lo, hi, dtype=np.int64)
+    root = math.isqrt(hi - 1)
+    for p in base_primes:
+        if p > root:
+            break
+        idx = np.arange((-lo) % p, size, p, dtype=np.int64)
+        if idx.size == 0:
+            continue
+        val = rem[idx] // p
+        exp = np.ones(idx.size, dtype=np.int8)
+        sel = np.flatnonzero(val % p == 0)
+        while sel.size:
+            val[sel] //= p
+            exp[sel] += 1
+            sel = sel[val[sel] % p == 0]
+        rem[idx] = val
+        yield p, idx, exp
+    left = np.flatnonzero(rem > 1)
+    cofactors = rem[left]
+    del rem  # free the window before the last event is folded
+    yield cofactors, left, np.ones(left.size, dtype=np.int8)
 
 
 def sigma(f: Factorization) -> int:
@@ -151,67 +158,66 @@ class BridgeReport:
         return self.violation is None and self.equality_mismatch is None
 
 
-def verify_sigma_le_psi(limit: int, t: int) -> BridgeReport:
-    """Exact-integer sweep of sigma(n) <= psi_t(n) over every t-free n <= limit.
+def _bridge_failure(p: int, e: int, t: int) -> str | None:
+    """The BridgeReport field the local pair (p, e) fails, or None."""
+    lhs = (p ** (e + 1) - 1) // (p - 1) * p ** (t - 1) * (p - 1)
+    rhs = p**e * (p**t - 1)
+    if lhs > rhs:
+        return "violation"
+    if (lhs == rhs) != (e == t - 1):
+        return "equality_mismatch"
+    return None
 
-    Cross-multiplied comparison, no rationals reduced, no floats.  Also
-    confirms equality occurs exactly when every exponent equals t - 1.
+
+def verify_sigma_le_psi(limit: int, t: int) -> BridgeReport:
+    """Exact sweep of sigma(n) <= psi_t(n) over every t-free n <= limit.
+
+    Both sides are products over the prime powers p^e exactly dividing n, so
+    the inequality holds on n when it holds on each local pair (p, e), and is
+    an equality on n iff it is one on every pair.  Each distinct pair with
+    e <= t - 1 is decided once in exact integers: sigma(p^e) p^(t-1) (p - 1)
+    <= p^e (p^t - 1), with equality iff e = t - 1.  Per-n exponent extremes
+    from the peeling kernel then give t-freeness and equality.  Every pair
+    occurs alone at n = p^e, so the least failing n is the least p^e of a
+    failing pair, and the counts stop there.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    spf = smallest_prime_factors(limit).tolist()
-    local: dict[int, tuple[int, int]] = {}
     top = t - 1
+    primes = build_table(math.isqrt(limit) + 1).primes
+    decided: dict[int, int] = {}  # base prime -> largest exponent decided
+    failure: tuple[int, str] | None = None  # (p^e, field) of the least failing pair
     checked = 0
     equalities = 0
-    violation: int | None = None
-    mismatch: int | None = None
-    for n in range(1, limit + 1):
-        m = n
-        num = 1
-        den = 1
-        sig = 1
-        all_top = True
-        tfree = True
-        while m > 1:
-            p = spf[m]
-            e = 1
-            m //= p
-            while m > 1 and spf[m] == p:
-                e += 1
-                m //= p
-            if e > top:
-                tfree = False
-                break
-            if e != top:
-                all_top = False
-            loc = local.get(p)
-            if loc is None:
-                loc = (p**t - 1, p ** (t - 1) * (p - 1))
-                local[p] = loc
-            pe1 = p ** (e + 1)
-            sig *= (pe1 - 1) // (p - 1)
-            num *= (pe1 // p) * loc[0]
-            den *= loc[1]
-        if not tfree:
-            continue
-        checked += 1
-        lhs = sig * den
-        if lhs > num:
-            violation = n
+    for lo in range(1, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
+        high = np.zeros(hi - lo, dtype=np.int8)  # largest exponent of n
+        low = np.full(hi - lo, top, dtype=np.int8)  # smallest exponent of n, capped at t - 1
+        for p, off, exp in prime_power_events(lo, hi, primes):
+            high[off] = np.maximum(high[off], exp)
+            low[off] = np.minimum(low[off], exp)
+            if np.ndim(p):  # a cofactor prime is new to the sweep where n is that prime
+                pairs = [(q, 1) for q in p[p == lo + off].tolist()]
+            else:
+                e_max = min(int(exp.max()), top)
+                pairs = [(p, e) for e in range(decided.get(p, 0) + 1, e_max + 1)]
+                decided[p] = max(decided.get(p, 0), e_max)
+            for q, e in pairs:
+                field = _bridge_failure(q, e, t)
+                if field and (failure is None or q**e < failure[0]):
+                    failure = (q**e, field)
+        free = high <= top
+        equal = free & (low == top)
+        if failure:
+            stop = failure[0] - lo
+            checked += int(np.count_nonzero(free[: stop + 1]))
+            equalities += int(np.count_nonzero(equal[:stop]))
             break
-        if (lhs == num) != all_top:
-            mismatch = n
-            break
-        if lhs == num:
-            equalities += 1
-    return BridgeReport(
-        t=t,
-        limit=limit,
-        checked=checked,
-        equalities=equalities,
-        violation=violation,
-        equality_mismatch=mismatch,
-    )
+        checked += int(np.count_nonzero(free))
+        equalities += int(np.count_nonzero(equal))
+    found: dict[str, int | None] = {"violation": None, "equality_mismatch": None}
+    if failure:
+        found[failure[1]] = failure[0]
+    return BridgeReport(t=t, limit=limit, checked=checked, equalities=equalities, **found)

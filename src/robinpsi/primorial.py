@@ -2,19 +2,30 @@
 
 N_n = p_1 p_2 ... p_n.  The cursor carries log N_n and log(psi_t(N_n)/N_n)
 for a fixed set of exponents t, each with its own Neumaier compensation term
-so a 10^4-step march keeps ~1e-12 absolute accuracy.  Champion scans stay in
-exact integer arithmetic throughout.
+so a 10^4-step march keeps ~1e-12 absolute accuracy.  Champion scans and the
+reduction check screen whole ranges with a float log psi_t(n)/n from the
+peeling kernel, then re-decide every n within LOG_RATIO_BAND of the line
+exactly (champions) or at 60 digits (reduction).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import mpmath
+import numpy as np
 
 from .errors import CoverageError
-from .multiplicative import smallest_prime_factors
-from .primes import PrimeTable
+from .multiplicative import SEGMENT_SIZE, factorize, prime_power_events, psi_over_n
+from .primes import PrimeTable, build_table
+
+# log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
+# terms below log 2, each within a few ulp, and the sum stays below 2: its float
+# error is under 1e-14, as is that of log log log n.  Anything a screen puts
+# within this band of the line is re-decided, never trusted.
+LOG_RATIO_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,12 +123,23 @@ def robin_ratio(point: PrimorialPoint, t: int) -> float:
     return math.exp(ratio) / math.log(point.log_N)
 
 
+def _log_psi_ratios(lo: int, hi: int, t: int, primes: list[int]) -> np.ndarray:
+    """log(psi_t(n)/n) for lo <= n < hi in float64: the sum over primes p | n
+    of log(1 + 1/p + ... + 1/p^(t-1)) = log1p((1 - p^(1-t)) / (p - 1))."""
+    out = np.zeros(hi - lo)
+    for p, off, _ in prime_power_events(lo, hi, primes):
+        q = np.asarray(p, dtype=np.float64)
+        out[off] += np.log1p((1.0 - q ** (1 - t)) / (q - 1.0))
+    return out
+
+
 def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
-    """Left-to-right maxima of m -> psi_t(m)/m on [1, limit], exact rationals.
+    """Left-to-right maxima of m -> psi_t(m)/m on [1, limit], decided exactly.
 
     strict: a champion must exceed every earlier value; weak: ties count too.
-    Comparisons cross-multiply unreduced integer pairs, so no precision is
-    lost and no Fraction normalization cost is paid.
+    A float screen keeps every m within LOG_RATIO_BAND of the maximum so far
+    in its window, which includes every m attaining the exact maximum so far;
+    each is compared as an exact rational against the last champion.
     """
     if limit < 1:
         raise ValueError(f"scan needs limit >= 1, got {limit}")
@@ -126,108 +148,67 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     if mode not in ("strict", "weak"):
         raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
     strict = mode == "strict"
-    out = [1]
-    if limit == 1:
-        return out
-    spf = smallest_prime_factors(limit).tolist()
-    local: dict[int, tuple[int, int]] = {}
-    best_num = 1
-    best_den = 1
-    for m in range(2, limit + 1):
-        x = m
-        num = 1
-        den = 1
-        while x > 1:
-            p = spf[x]
-            loc = local.get(p)
-            if loc is None:
-                loc = (p**t - 1, p ** (t - 1) * (p - 1))
-                local[p] = loc
-            num *= loc[0]
-            den *= loc[1]
-            x //= p
-            while x > 1 and spf[x] == p:
-                x //= p
-        d = num * best_den - best_num * den
-        if d > 0:
-            out.append(m)
-            best_num = num
-            best_den = den
-        elif d == 0 and not strict:
-            out.append(m)
+    table = build_table(math.isqrt(limit) + 1)
+    out: list[int] = []
+    best = Fraction(0)
+    for lo in range(1, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
+        logs = _log_psi_ratios(lo, hi, t, table.primes)
+        near = logs >= np.maximum.accumulate(logs) - LOG_RATIO_BAND
+        for i in np.flatnonzero(near).tolist():
+            m = lo + i
+            r = psi_over_n(factorize(m, table), t)
+            if r > best or (r == best and not strict):
+                out.append(m)
+                best = r
     return out
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while True:
-        for d in range(2, math.isqrt(q) + 1):
-            if q % d == 0:
-                break
-        else:
-            return q
-        q += 1
 
 
 def primorials_up_to(limit: int) -> list[int]:
     """[1, 2, 6, 30, ...] up to limit."""
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
+    # theta(p) >= p log(2) / 2 for every prime p, so the largest prime factor
+    # of a primorial <= limit is at most 2 log2(limit), and by Bertrand the
+    # next prime is at most twice that.
+    primes = build_table(4 * limit.bit_length() + 4).primes
     out = [1]
-    val = 1
-    p = 2
-    while val * p <= limit:
-        val *= p
-        out.append(val)
-        p = _next_prime(p)
+    for p in primes:
+        if out[-1] * p > limit:
+            break
+        out.append(out[-1] * p)
     return out
 
 
 def reduction_check(limit: int, t: int) -> bool:
     """True iff R_t(m) < R_t(N_k) for every non-primorial m in [6, limit],
-    where N_k is the largest primorial <= m.
+    where N_k is the largest primorial <= m and R_t(m) = psi_t(m)/(m log log m).
 
-    Ratios psi_t(m)/m are formed as exact integer pairs and rounded once;
-    only log log enters in floating point.
+    A float screen in log space clears every m below log R_t(N_k) by more
+    than LOG_RATIO_BAND; the rest are re-decided at 60 digits from the exact
+    rational psi_t(m)/m.
     """
     if limit < 6:
         raise ValueError(f"reduction check needs limit >= 6, got {limit}")
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    spf = smallest_prime_factors(limit).tolist()
-    local: dict[int, tuple[int, int]] = {}
+    table = build_table(math.isqrt(limit) + 1)
 
-    def ratio_parts(m: int) -> tuple[int, int]:
-        x = m
-        num = 1
-        den = 1
-        while x > 1:
-            p = spf[x]
-            loc = local.get(p)
-            if loc is None:
-                loc = (p**t - 1, p ** (t - 1) * (p - 1))
-                local[p] = loc
-            num *= loc[0]
-            den *= loc[1]
-            x //= p
-            while x > 1 and spf[x] == p:
-                x //= p
-        return num, den
+    def log_r(lo: int, hi: int) -> np.ndarray:
+        ns = np.arange(lo, hi, dtype=np.float64)
+        return _log_psi_ratios(lo, hi, t, table.primes) - np.log(np.log(np.log(ns)))
+
+    def ratio_60(m: int) -> mpmath.mpf:
+        r = psi_over_n(factorize(m, table), t)
+        with mpmath.workdps(60):
+            return mpmath.mpf(r.numerator) / r.denominator / mpmath.log(mpmath.log(m))
 
     prims = primorials_up_to(limit)
-    prim_r = []
-    for v in prims:
-        if v < 6:
-            prim_r.append(math.nan)  # never compared: m >= 6 lands at index >= 2
-            continue
-        num, den = ratio_parts(v)
-        prim_r.append((num / den) / math.log(math.log(v)))
-    for m in range(6, limit + 1):
-        i = bisect_right(prims, m) - 1
-        if prims[i] == m:
-            continue
-        num, den = ratio_parts(m)
-        r_m = (num / den) / math.log(math.log(m))
-        if r_m >= prim_r[i]:
-            return False
+    for n_k, n_next in zip(prims[2:], prims[3:] + [limit + 1]):
+        line = log_r(n_k, n_k + 1)[0] - LOG_RATIO_BAND
+        for lo in range(n_k + 1, n_next, SEGMENT_SIZE):
+            hi = min(lo + SEGMENT_SIZE, n_next)
+            for i in np.flatnonzero(log_r(lo, hi) >= line).tolist():
+                if ratio_60(lo + i) >= ratio_60(n_k):
+                    return False
     return True

@@ -1,7 +1,7 @@
 """Per-integer Robin verdicts, segmented range scans, and the t-free pipeline.
 
 The inequality under test is sigma(n) < e^gamma * n * log log n for n >= 5041.
-sigma over a scan range comes from a batched smallest-prime-factor sieve on
+sigma over a scan range is folded from the prime-power peeling kernel on
 fixed-size segments, never from per-integer factorization.  Any verdict whose
 float margin is within n * 1e-9 of zero is recomputed at 60 significant
 digits before being trusted.
@@ -17,13 +17,20 @@ import numpy as np
 
 from .bounds import EXP_GAMMA, find_crossover_index
 from .errors import CoverageError, ResourceError
-from .multiplicative import BridgeReport, factorize, is_t_free, sigma, verify_sigma_le_psi
+from .multiplicative import (
+    SEGMENT_SIZE,
+    BridgeReport,
+    factorize,
+    is_t_free,
+    prime_power_events,
+    sigma,
+    verify_sigma_le_psi,
+)
 from .primes import PrimeTable
 from . import primorial
 from .tabular import rows_to_csv, rows_to_json
 
 RELATIVE_BAND = 1e-9
-SEGMENT_SIZE = 1 << 22  # integers per scan segment
 DEFAULT_MAX_SPAN = 10**9
 
 VERDICT_FIELDS = ("n", "sigma", "threshold", "margin")
@@ -66,33 +73,15 @@ def robin_verdict(n: int, table: PrimeTable) -> RobinVerdict:
     return _verdict_from_sigma(n, sigma(factorize(n, table)))
 
 
-def _sigma_block(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
-    """Exact sigma(n) for lo <= n < hi by multiplicative peeling of primes
-    up to sqrt(hi - 1); any residue left over is a single large prime."""
-    size = hi - lo
-    sig = np.ones(size, dtype=np.int64)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    root = math.isqrt(hi - 1)
-    for p in base_primes:
-        if p > root:
-            break
-        first = (-lo) % p
-        idx = np.arange(first, size, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        val = rem[idx] // p
-        local = np.full(idx.size, 1 + p, dtype=np.int64)
-        q = p * p
-        sel = np.flatnonzero(val % p == 0)
-        while sel.size:
-            val[sel] //= p
-            local[sel] += q
-            q *= p
-            sel = sel[val[sel] % p == 0]
-        sig[idx] *= local
-        rem[idx] = val
-    left = rem > 1
-    sig[left] *= rem[left] + 1
+def _sigma_segment(lo: int, hi: int, primes: list[int]) -> np.ndarray:
+    """Exact sigma(n) for lo <= n < hi as int64, folded from the peeling kernel."""
+    sig = np.ones(hi - lo, dtype=np.int64)
+    for p, off, exp in prime_power_events(lo, hi, primes):
+        if np.ndim(p):  # cofactor primes, exponent 1
+            sig[off] *= p + 1
+        else:
+            local = [(p ** (e + 1) - 1) // (p - 1) for e in range(int(exp.max()) + 1)]
+            sig[off] *= np.array(local, dtype=np.int64)[exp]
     return sig
 
 
@@ -119,7 +108,7 @@ def robin_scan(
     out: list[RobinVerdict] = []
     for lo in range(start, stop + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, stop + 1)
-        sig = _sigma_block(lo, hi, table.primes)
+        sig = _sigma_segment(lo, hi, table.primes)
         ns = np.arange(lo, hi, dtype=np.float64)
         thresholds = EXP_GAMMA * ns * np.log(np.log(ns))
         margins = thresholds - sig

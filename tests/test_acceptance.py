@@ -78,13 +78,14 @@ def test_criterion_3_robin_scan(table, capsys):
         _verdict(3, "exhaustive scan to 1e7", ok)
 
 
-def _squarefree(m):
+def _squarefree_flags(limit):
+    # flags[m] is False once some square d^2 > 1 is crossed off at m
+    flags = [True] * (limit + 1)
     d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
+    while d * d <= limit:
+        flags[d * d :: d * d] = [False] * len(range(d * d, limit + 1, d * d))
         d += 1
-    return True
+    return flags
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
@@ -94,8 +95,9 @@ def test_criterion_4_bridge_inequality(t, capsys):
     # equality cases are exactly the (t-1)-th powers of squarefree integers
     expected_eq = 0
     m = 1
+    squarefree = _squarefree_flags(10**6)
     while m ** (t - 1) <= 10**6:
-        if _squarefree(m):
+        if squarefree[m]:
             expected_eq += 1
         m += 1
     ok = ok and report.equalities == expected_eq

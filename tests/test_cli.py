@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import runpy
 
 import pytest
 
@@ -59,6 +60,8 @@ def test_table1_usage_error(capsys):
     assert code == 64
     code, _ = _run(["table1", "--t-min", "5", "--t-max", "3"], capsys)
     assert code == 64
+    code, _ = _run(["table1", "--sieve-cap", "1"], capsys)
+    assert code == 64
 
 
 def test_table1_sieve_cap_exhaustion(capsys):
@@ -66,6 +69,11 @@ def test_table1_sieve_cap_exhaustion(capsys):
         ["table1", "--t-min", "7", "--t-max", "7", "--sieve-limit", "1024", "--sieve-cap", "2048"],
         capsys,
     )
+    assert code == 2
+
+
+def test_table1_sieve_cap_bounds_the_default_start(capsys):
+    code, _ = _run(["table1", "--t-min", "7", "--t-max", "7", "--sieve-cap", "2048"], capsys)
     assert code == 2
 
 
@@ -193,4 +201,12 @@ def test_run_raises_system_exit(monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         cli.run()
     assert info.value.code == 0
+    capsys.readouterr()
+
+
+def test_python_dash_m(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["robinpsi"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("robinpsi", run_name="__main__")
+    assert info.value.code == 64
     capsys.readouterr()

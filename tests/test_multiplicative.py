@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robinpsi import (
@@ -11,15 +12,15 @@ from robinpsi import (
     Factorization,
     build_table,
     factorize,
-    factorize_with_spf,
     is_t_free,
     psi_over_n,
     psi_t,
     psi_t_parts,
     sigma,
-    smallest_prime_factors,
     verify_sigma_le_psi,
 )
+from robinpsi import multiplicative
+from robinpsi.multiplicative import prime_power_events
 
 
 def _sigma_by_enumeration(n):
@@ -76,10 +77,14 @@ def test_factorize_large_prime_cofactor_is_fine():
     assert factorize(2 * 9973, table).factors == ((2, 1), (9973, 1))
 
 
-def test_spf_factorization_matches(small_table):
-    spf = smallest_prime_factors(10_000)
+def test_kernel_factorization_matches(small_table):
+    folded = {n: [] for n in range(1, 10_001)}
+    for p, off, exp in prime_power_events(1, 10_001, small_table.primes):
+        ps = p.tolist() if isinstance(p, np.ndarray) else [p] * len(off)
+        for q, i, e in zip(ps, off.tolist(), exp.tolist()):
+            folded[1 + i].append((q, e))
     for n in range(1, 10_001):
-        assert factorize_with_spf(n, spf).factors == factorize(n, small_table).factors
+        assert tuple(folded[n]) == factorize(n, small_table).factors
 
 
 def test_sigma_against_divisor_enumeration(small_table):
@@ -137,13 +142,12 @@ def test_psi_monotone_in_t(small_table):
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_is_t_free():
-    spf = smallest_prime_factors(10_000)
-    assert is_t_free(factorize_with_spf(6, spf), 2)
-    assert not is_t_free(factorize_with_spf(4, spf), 2)
-    assert is_t_free(factorize_with_spf(4, spf), 3)
-    assert not is_t_free(factorize_with_spf(864, spf), 5)  # 864 = 2^5 * 27
-    assert is_t_free(factorize_with_spf(1, spf), 2)
+def test_is_t_free(small_table):
+    assert is_t_free(factorize(6, small_table), 2)
+    assert not is_t_free(factorize(4, small_table), 2)
+    assert is_t_free(factorize(4, small_table), 3)
+    assert not is_t_free(factorize(864, small_table), 5)  # 864 = 2^5 * 27
+    assert is_t_free(factorize(1, small_table), 2)
 
 
 def test_sigma_bounded_by_psi_on_tfree_samples(small_table):
@@ -179,6 +183,30 @@ def test_bridge_sweep_counts_tfree_only():
     assert report.equalities == len(
         [n for n in range(1, 1001) if _is_full_square(n)]
     )
+
+
+@pytest.mark.parametrize(
+    "t, failing, field, checked, equalities",
+    [
+        (3, 9, "violation", 8, 2),  # cube-free n <= 9: all but 8; equalities 1, 4
+        (2, 2, "equality_mismatch", 2, 1),
+        (2, 11, "violation", 8, 7),  # 11 is a cofactor prime: above sqrt(100)
+    ],
+)
+def test_bridge_sweep_stops_at_least_failing_pair(
+    monkeypatch, t, failing, field, checked, equalities
+):
+    # sigma <= psi_t holds on every local pair, so a failure has to be forced
+    real = multiplicative._bridge_failure
+    monkeypatch.setattr(
+        multiplicative,
+        "_bridge_failure",
+        lambda p, e, t: field if p**e in (failing, 25) else real(p, e, t),
+    )
+    report = verify_sigma_le_psi(100, t)
+    assert not report.passed
+    assert getattr(report, field) == failing
+    assert (report.checked, report.equalities) == (checked, equalities)
 
 
 def _is_full_square(n):

@@ -17,7 +17,7 @@ from robinpsi import (
     robin_ratio,
     start_point,
 )
-from robinpsi.multiplicative import factorize, smallest_prime_factors, factorize_with_spf
+from robinpsi.multiplicative import factorize
 
 
 def _advance_times(table, ts, steps):
@@ -138,13 +138,12 @@ def test_weak_champions_match_bruteforce(small_table):
 
 def test_weak_champions_have_primorial_radical(small_table):
     # a weak champion's squarefree kernel must be the largest primorial below it
-    spf = smallest_prime_factors(10_000)
     marks = primorials_up_to(10_000)
     for m in champion_scan(10_000, 2, mode="weak"):
         if m == 1:
             continue
         radical = 1
-        for p, _ in factorize_with_spf(m, spf).factors:
+        for p, _ in factorize(m, small_table).factors:
             radical *= p
         floor = max(v for v in marks if v <= m)
         assert radical == floor

@@ -102,11 +102,11 @@ def test_scan_domain_checks(small_table):
 
 def test_sigma_block_across_segment_edge(small_table):
     # the scanner splits at multiples of 2^22; sigma must stay exact there
-    from robinpsi.robin import _sigma_block
+    from robinpsi.robin import _sigma_segment
 
     edge = 1 << 22
     lo, hi = edge - 5, edge + 5
-    block = _sigma_block(lo, hi, small_table.primes)
+    block = _sigma_segment(lo, hi, small_table.primes)
     for i, n in enumerate(range(lo, hi)):
         sig, m, d = 0, n, 1
         while d * d <= m:
