@@ -45,15 +45,13 @@ from .multiplicative import (
     sigma,
     verify_sigma_le_psi,
 )
-from .primes import PrimeTable, build_table, nth_prime, theta
+from .primes import PrimeTable, build_table, compensated_prefix, nth_prime, theta
 from .primorial import (
-    PrimorialPoint,
     champion_scan,
     cursor_advance,
+    log_psi_ratio_prefix,
     primorials_up_to,
     reduction_check,
-    robin_ratio,
-    start_point,
 )
 from .robin import (
     RobinVerdict,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import primorial
 from .errors import CoverageError
-from .primes import PrimeTable, nth_prime, theta
+from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime, theta
 
 # Compiled-in constants, 18 significant digits.
 EULER_GAMMA = 0.577215664901532861
@@ -187,27 +187,16 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
     return mant, exp10
 
 
-_mertens_prefix_cache: "weakref.WeakKeyDictionary[PrimeTable, list[float]]" = (
+_mertens_prefix_cache: "weakref.WeakKeyDictionary[PrimeTable, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _mertens_prefix(table: PrimeTable) -> list[float]:
+def _mertens_prefix(table: PrimeTable) -> np.ndarray:
     pre = _mertens_prefix_cache.get(table)
     if pre is None:
-        pre = [0.0]
-        total = 0.0
-        carry = 0.0
-        for p in table.primes:
-            x = -math.log1p(-1.0 / p)
-            s = total + x
-            if abs(total) >= abs(x):
-                carry += (total - s) + x
-            else:
-                carry += (x - s) + total
-            total = s
-            pre.append(total + carry)
-        _mertens_prefix_cache[table] = pre
+        terms = libm_map(lambda p: -math.log1p(-1.0 / p), table.primes)
+        pre = _mertens_prefix_cache[table] = compensated_prefix(terms)
     return pre
 
 
@@ -286,18 +275,12 @@ def ratio_curve(
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
-    if n_max > len(table.primes):
-        raise CoverageError(
-            f"table holds {len(table.primes)} primes, need {n_max}; enlarge the sieve"
-        )
     limit_value = EXP_GAMMA / zeta(t).value
-    point = primorial.start_point((t,))
+    logs = primorial.log_psi_ratio_prefix(table, t, n_max).tolist()
     rows = []
-    for n in range(1, n_max + 1):
-        point = primorial.cursor_advance(point, table)
-        if n >= 2:
-            r = primorial.robin_ratio(point, t)
-            rows.append((n, point.p, r, limit_value, r / limit_value - 1.0))
+    for n in range(2, n_max + 1):
+        r = math.exp(logs[n]) / math.log(table.theta_prefix[n])
+        rows.append((n, table.primes[n - 1], r, limit_value, r / limit_value - 1.0))
     return rows
 
 
@@ -477,32 +460,28 @@ def psi_ratio_bound_suite(
         raise CoverageError(
             f"table holds {len(table.primes)} primes, need {n_max}; enlarge the sieve"
         )
+    primes = table.primes[n_min - 1 : n_max]
+    lln = libm_map(math.log, table.theta_prefix[n_min : n_max + 1])
+    lp = libm_map(math.log, primes)
+    scale = libm_map(lambda p: math.exp(EULER_GAMMA + 2.0 / p), primes) * (
+        lln + MERTENS_SHIFT / lp
+    )
     worst = math.inf
     worst_at = ""
-    points = 0
     rechecked = 0
-    point = primorial.start_point(tuple(ts))
-    for n in range(1, n_max + 1):
-        point = primorial.cursor_advance(point, table)
-        if n < n_min:
-            continue
-        p = point.p
-        lp = math.log(p)
-        lln = math.log(point.log_N)
-        scale = math.exp(EULER_GAMMA + 2.0 / p) * (lln + MERTENS_SHIFT / lp)
-        for t in ts:
-            points += 1
-            actual = math.exp(point.ratio_sums[t] + point.ratio_carries[t])
-            margin = scale / zeta(t).value - actual
-            if abs(margin) < PRECISION_BAND:
-                rechecked += 1
-                margin = _psi_ratio_margin_mp(t, n, table)
-            if margin < worst:
-                worst = margin
-                worst_at = f"t={t},n={n}"
+    for t in ts if primes else ():  # an empty range has no margins to take the minimum of
+        logs = primorial.log_psi_ratio_prefix(table, t, n_max)[n_min:]
+        margins = scale / zeta(t).value - libm_map(math.exp, logs.tolist())
+        for i in np.flatnonzero(np.abs(margins) < PRECISION_BAND).tolist():
+            rechecked += 1
+            margins[i] = _psi_ratio_margin_mp(t, n_min + i, table)
+        i = int(np.argmin(margins))
+        if margins[i] < worst:
+            worst = float(margins[i])
+            worst_at = f"t={t},n={n_min + i}"
     return SuiteResult(
         name="psi_ratio_bound",
-        points=points,
+        points=len(ts) * len(primes),
         worst_margin=worst,
         worst_at=worst_at,
         rechecked=rechecked,
@@ -511,18 +490,20 @@ def psi_ratio_bound_suite(
 
 
 def _psi_ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
+    # psi_t(N_n)/N_n = prod (p^t - 1) / ((p - 1) p^(t-1)) and N_n itself, each
+    # a 60-digit product of exact integers: one rounding per prime, no logs
     with mpmath.workdps(60):
-        ratio = mpmath.mpf(1)
-        th = mpmath.mpf(0)
+        num = den = primorial_n = mpmath.mpf(1)
         for p in table.primes[:n]:
-            q = mpmath.mpf(p) ** (t - 1)
-            ratio *= 1 + (q - 1) / (q * (p - 1))
-            th += mpmath.log(p)
+            q = p ** (t - 1)
+            num *= p * q - 1
+            den *= (p - 1) * q
+            primorial_n *= p
         p_n = table.primes[n - 1]
         lp = mpmath.log(p_n)
         bound = (
             mpmath.exp(mpmath.euler + mpmath.mpf(2) / p_n)
             / mpmath.zeta(t)
-            * (mpmath.log(th) + mpmath.mpf("1.1253") / lp)
+            * (mpmath.log(mpmath.log(primorial_n)) + mpmath.mpf("1.1253") / lp)
         )
-        return float(bound - ratio)
+        return float(bound - num / den)

@@ -239,6 +239,8 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
     """Checks across options that argparse cannot make on its own."""
     if args.command == "table1" and args.t_min > args.t_max:
         return f"need 2 <= t_min <= t_max <= 64, got [{args.t_min}, {args.t_max}]"
+    if args.command == "table1" and (args.sieve_limit or 0) > args.sieve_cap:
+        return f"--sieve-limit {args.sieve_limit} exceeds --sieve-cap {args.sieve_cap}"
     if args.command == "robin-scan" and args.scan_stop < args.scan_start:
         return f"empty scan range [{args.scan_start}, {args.scan_stop}]"
     return None

@@ -2,15 +2,17 @@
 
 theta(x) = sum of log p over primes p <= x, so theta(p_n) = log(N_n) for the
 n-th primorial N_n.  Prefix sums are accumulated with Neumaier compensated
-summation: the absolute error stays within a few ulps instead of growing
-linearly, which keeps log log N_n good to ~1e-12 near n = 10^4 where the
-crossover margins downstream are only ~1e-6.
+summation (compensated_prefix): the absolute error stays within a few ulps
+instead of growing linearly, which keeps log log N_n good to ~1e-12 near
+n = 10^4 where the crossover margins downstream are only ~1e-6.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _SEGMENT_ODDS = 1 << 17  # odd candidates per sieve segment
 
@@ -73,25 +75,46 @@ def _segmented_primes(limit: int) -> list[int]:
     return primes
 
 
+def libm_map(fn, xs) -> np.ndarray:
+    """fn over xs as a float64 array.  fn calls math, not numpy: numpy's exp
+    and log differ from libm's in the last bit, and the prefix sums and
+    margins must match the scalar formulas bit for bit."""
+    return np.fromiter(map(fn, xs), dtype=np.float64, count=len(xs))
+
+
+def compensated_prefix(xs: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated prefix sums: out[0] = 0, out[k] = xs[0] + ... + xs[k-1].
+
+    Bit for bit the scalar loop `s = total + x; carry += error of that
+    addition; out[k] = s + carry`: both cumsums run left to right like the
+    loop, and TwoSum (Ogita, Rump and Oishi 2005) yields the same exact
+    rounding error as Neumaier's branch on the larger addend.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    s = np.concatenate(([0.0], x))
+    np.cumsum(s, out=s)
+    prev, cur = s[:-1], s[1:]
+    # err = (prev - (cur - bb)) + (x - bb) with bb = cur - prev, written behind
+    # carry's leading zero: two temporaries instead of eight
+    bb = cur - prev
+    carry = np.zeros_like(s)
+    err = carry[1:]
+    np.subtract(cur, bb, out=err)
+    np.subtract(prev, err, out=err)
+    np.subtract(x, bb, out=bb)
+    err += bb
+    np.cumsum(carry, out=carry)
+    s += carry
+    return s
+
+
 def build_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit and accumulate compensated theta prefix sums."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     primes = _segmented_primes(limit)
-    prefix = [0.0]
-    total = 0.0
-    carry = 0.0
-    for p in primes:
-        x = math.log(p)
-        s = total + x
-        # Neumaier update: the branch keeps the low-order bits of the larger addend
-        if abs(total) >= abs(x):
-            carry += (total - s) + x
-        else:
-            carry += (x - s) + total
-        total = s
-        prefix.append(total + carry)
-    return PrimeTable(limit=limit, primes=primes, theta_prefix=prefix)
+    theta_prefix = compensated_prefix(libm_map(math.log, primes)).tolist()
+    return PrimeTable(limit=limit, primes=primes, theta_prefix=theta_prefix)
 
 
 def nth_prime(table: PrimeTable, n: int) -> int:

@@ -171,10 +171,8 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
     branch_a = not above
 
     n1 = find_crossover_index(t, table)
-    point = primorial.start_point((t,))
-    for _ in range(n1):
-        point = primorial.cursor_advance(point, table)
-    ratio = primorial.robin_ratio(point, t)
+    log_ratio = primorial.log_psi_ratio_prefix(table, t, n1)[n1]
+    ratio = math.exp(log_ratio) / math.log(table.theta_prefix[n1])
     branch_b = ratio < EXP_GAMMA
 
     bridge = verify_sigma_le_psi(scan_limit, t)

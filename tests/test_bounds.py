@@ -13,6 +13,7 @@ from robinpsi import (
     correction_factor,
     criterion,
     find_crossover_index,
+    log_psi_ratio_prefix,
     log_substitution_check,
     log_substitution_suite,
     mertens_bound_suite,
@@ -26,8 +27,8 @@ from robinpsi import (
     zeta_tail_bound_suite,
     zeta_tail_product,
 )
+from robinpsi import bounds
 from robinpsi.bounds import CRITERION_FLOOR, EULER_GAMMA, EXP_GAMMA, MERTENS_SHIFT
-from robinpsi.primorial import cursor_advance, start_point
 
 CROSSOVERS = [(3, 10), (4, 24), (5, 79), (6, 509), (7, 10596)]
 
@@ -205,10 +206,7 @@ def test_log_substitution_check(small_table):
 
 
 def test_psi_ratio_upper_bound_dominates(small_table):
-    point = start_point((3,))
-    for _ in range(CRITERION_FLOOR):
-        point = cursor_advance(point, small_table)
-    true_ratio = math.exp(point.log_psi_ratio[3])
+    true_ratio = math.exp(log_psi_ratio_prefix(small_table, 3, CRITERION_FLOOR)[-1])
     assert psi_ratio_upper_bound(3, CRITERION_FLOOR, small_table) > true_ratio
     with pytest.raises(ValueError):
         psi_ratio_upper_bound(3, CRITERION_FLOOR - 1, small_table)
@@ -279,6 +277,19 @@ def test_psi_ratio_suite_reduced(small_table):
     assert result.passed
     assert result.points == 2 * (4000 - CRITERION_FLOOR + 1)
     assert result.worst_margin > 0
+
+
+def test_psi_ratio_suite_rechecks_every_point_in_the_band(small_table, monkeypatch):
+    plain = psi_ratio_bound_suite(small_table, ts=(3, 4), n_max=2400)
+    recheck = bounds._psi_ratio_margin_mp
+    calls = []
+    monkeypatch.setattr(bounds, "_psi_ratio_margin_mp", lambda *a: calls.append(a) or recheck(*a))
+    monkeypatch.setattr(bounds, "PRECISION_BAND", 1.0)  # every margin here is below 1
+    forced = psi_ratio_bound_suite(small_table, ts=(3, 4), n_max=2400)
+    assert plain.rechecked == 0
+    assert forced.rechecked == forced.points == plain.points == len(set(calls))
+    assert forced.worst_at == plain.worst_at
+    assert forced.worst_margin == pytest.approx(plain.worst_margin, abs=1e-12)
 
 
 def test_suite_coverage_errors(small_table):

@@ -1,8 +1,10 @@
 """End-to-end CLI checks: parsing, exit codes, and byte-stable output."""
 
 import csv
+import hashlib
 import io
 import json
+import pathlib
 import runpy
 
 import pytest
@@ -77,6 +79,12 @@ def test_table1_sieve_cap_bounds_the_default_start(capsys):
     assert code == 2
 
 
+def test_table1_sieve_limit_above_cap(capsys):
+    argv = ["table1", "--t-min", "7", "--t-max", "7", "--sieve-limit", "200000", "--sieve-cap", "2048"]
+    assert cli.main(argv) == 64
+    assert "exceeds --sieve-cap 2048" in capsys.readouterr().err
+
+
 def test_champions_output(capsys):
     code, out = _run(["champions", "--limit", "100", "--t", "2"], capsys)
     assert code == 0
@@ -133,6 +141,9 @@ def test_ratio_curve_output(capsys):
     last = rows[-1]
     assert int(last["n"]) == 10596
     assert float(last["ratio"]) < 1.78107
+    # pins every byte of the curve, which rests on the compensated prefix sums
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "c7cd3c1425259cc3f82a9f42a3e6f2a62c0c2108444d480431963c20d4c8b114"
 
 
 def test_ratio_usage(capsys):
@@ -161,6 +172,20 @@ def test_verify_bounds_full_floor(capsys):
     for r in rows:
         if r["status"] == "PASS":
             assert float(r["worst_margin"]) > 0
+
+
+def _readme_example(command):
+    """The output lines under `$ robinpsi <command>` in the README's example block."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split(f"$ robinpsi {command}\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def test_verify_bounds_golden(capsys):
+    # pins every digit of the worst margins, as the README shows them
+    code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
+    assert code == 0
+    assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
 
 
 def test_admissible_t_output(capsys):

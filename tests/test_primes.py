@@ -4,9 +4,13 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from robinpsi import CoverageError, build_table, nth_prime, theta
+from robinpsi import CoverageError, build_table, compensated_prefix, nth_prime, theta
+from robinpsi.bounds import _mertens_prefix
 from robinpsi.primes import PrimeTable
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -116,3 +120,52 @@ def test_segmented_agrees_with_simple():
     reference = build_table(2000)
     assert table.primes[: len(reference.primes)] == reference.primes
     assert len(table.primes) == 49098  # count of primes below 600000
+
+
+def _neumaier_prefix(xs):
+    """Scalar oracle: the branchy Neumaier loop, one addend at a time."""
+    out = [0.0]
+    total = carry = 0.0
+    for x in xs:
+        s = total + x
+        if abs(total) >= abs(x):
+            carry += (total - s) + x
+        else:
+            carry += (x - s) + total
+        total = s
+        out.append(total + carry)
+    return np.array(out)
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=np.float64).view(np.uint64).tolist()
+
+
+# magnitudes 1e-300 .. 1e300 of either sign; at most 60 addends keep every sum finite
+spread = st.builds(
+    lambda m, e, neg: -m * 10.0**e if neg else m * 10.0**e,
+    st.floats(1.0, 9.999), st.integers(-300, 299), st.booleans(),
+)
+plain = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+cancelling = st.lists(spread, max_size=30).flatmap(
+    lambda xs: st.permutations(xs + [-x for x in xs])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.one_of(spread, plain), max_size=60), cancelling))
+@example([])
+@example([1e300])
+@example([1.0, 1e-300, -1.0])
+@example([1e300, 1.0, -1e300, 1e-16])
+def test_compensated_prefix_matches_scalar_neumaier(xs):
+    got = compensated_prefix(np.array(xs, dtype=np.float64))
+    assert len(got) == len(xs) + 1
+    assert _bits(got) == _bits(_neumaier_prefix(xs))
+
+
+def test_table_prefixes_match_scalar_neumaier(small_table):
+    primes = small_table.primes
+    assert _bits(small_table.theta_prefix) == _bits(_neumaier_prefix(map(math.log, primes)))
+    mertens = _neumaier_prefix(-math.log1p(-1.0 / p) for p in primes)
+    assert _bits(_mertens_prefix(small_table)) == _bits(mertens)

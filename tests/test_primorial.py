@@ -1,6 +1,5 @@
-"""Cursor accumulators, champion enumeration, and primorial reduction checks."""
+"""Primorial prefix arrays, champion enumeration, and primorial reduction checks."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,95 +8,76 @@ import pytest
 
 from robinpsi import (
     CoverageError,
+    build_table,
     champion_scan,
-    cursor_advance,
+    log_psi_ratio_prefix,
     primorials_up_to,
     psi_over_n,
+    ratio_curve,
     reduction_check,
-    robin_ratio,
-    start_point,
 )
 from robinpsi.multiplicative import factorize
 
 
-def _advance_times(table, ts, steps):
-    pt = start_point(ts)
-    for _ in range(steps):
-        pt = cursor_advance(pt, table)
-    return pt
+def test_start_point_is_empty_product(small_table):
+    assert small_table.theta_prefix[0] == 0.0
+    for t in (2, 3):
+        assert log_psi_ratio_prefix(small_table, t, 0).tolist() == [0.0]
 
 
-def test_start_point_is_empty_product():
-    pt = start_point((2, 3))
-    assert pt.n == 0
-    assert pt.p == 1
-    assert pt.log_N == 0.0
-    assert pt.log_psi_ratio == {2: 0.0, 3: 0.0}
-
-
-def test_cursor_reaches_fourth_primorial(small_table):
-    pt = _advance_times(small_table, (2,), 4)
-    assert pt.n == 4
-    assert pt.p == 7
-    assert pt.log_N == pytest.approx(math.log(210), abs=1e-13)
+def test_prefix_reaches_fourth_primorial(small_table):
+    assert small_table.primes[3] == 7
+    assert small_table.theta_prefix[4] == pytest.approx(math.log(210), abs=1e-13)
     # product of (1 + 1/p) over 2, 3, 5, 7 is 576/210
-    assert pt.log_psi_ratio[2] == pytest.approx(math.log(Fraction(576, 210)), abs=1e-13)
+    log_ratio = log_psi_ratio_prefix(small_table, 2, 4)[4]
+    assert log_ratio == pytest.approx(math.log(Fraction(576, 210)), abs=1e-13)
 
 
-def test_cursor_matches_high_precision_products(small_table):
+def test_prefix_matches_high_precision_products(small_table):
     # fifty-digit reference for the log of the ratio product at n = 100
     for t in (2, 5):
-        pt = _advance_times(small_table, (t,), 100)
+        log_ratio = log_psi_ratio_prefix(small_table, t, 100)[100]
         with mpmath.workdps(50):
             ref = mpmath.fsum(
                 mpmath.log(mpmath.mpf(p**t - 1) / ((p - 1) * p ** (t - 1)))
                 for p in small_table.primes[:100]
             )
             logn = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:100])
-        assert pt.log_psi_ratio[t] == pytest.approx(float(ref), abs=1e-11)
-        assert pt.log_N == pytest.approx(float(logn), rel=1e-13)
+        assert log_ratio == pytest.approx(float(ref), abs=1e-11)
+        assert small_table.theta_prefix[100] == pytest.approx(float(logn), rel=1e-13)
 
 
-def test_cursor_point_is_immutable(small_table):
-    pt = _advance_times(small_table, (2,), 3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        pt.n = 5
-    before = dict(pt.log_psi_ratio)
-    cursor_advance(pt, small_table)
-    assert pt.log_psi_ratio == before
+def test_prefix_is_stable_in_n(small_table):
+    # a longer march never changes the earlier entries
+    short = log_psi_ratio_prefix(small_table, 3, 50)
+    long = log_psi_ratio_prefix(small_table, 3, 500)
+    assert long[:51].tolist() == short.tolist()
 
 
-def test_cursor_rejects_new_tracks_midway(small_table):
-    pt = _advance_times(small_table, (2,), 2)
-    with pytest.raises(ValueError):
-        cursor_advance(pt, small_table, ts=(3,))
-
-
-def test_cursor_needs_table_coverage():
-    from robinpsi import build_table
-
+def test_prefix_needs_table_coverage():
     table = build_table(10)
-    pt = start_point((2,))
-    for _ in range(4):  # 2, 3, 5, 7 all fit
-        pt = cursor_advance(pt, table)
+    assert len(log_psi_ratio_prefix(table, 2, 4)) == 5  # 2, 3, 5, 7 all fit
     with pytest.raises(CoverageError):
-        cursor_advance(pt, table)
+        log_psi_ratio_prefix(table, 2, 5)
 
 
 def test_robin_ratio_value(small_table):
-    pt = _advance_times(small_table, (2,), 4)
+    # R_2(N_4) = psi_2(210) / (210 log log 210), from the prefix arrays
+    log_ratio = log_psi_ratio_prefix(small_table, 2, 4)[4]
+    ratio = math.exp(log_ratio) / math.log(small_table.theta_prefix[4])
     expect = (576 / 210) / math.log(math.log(210))
-    assert robin_ratio(pt, 2) == pytest.approx(expect, rel=1e-12)
-    assert robin_ratio(pt, 2) == pytest.approx(1.6360071034244228, rel=1e-12)
+    assert ratio == pytest.approx(expect, rel=1e-12)
+    assert ratio == pytest.approx(1.6360071034244228, rel=1e-12)
+    assert ratio_curve(small_table, 2, 4)[-1][2] == ratio
 
 
 def test_robin_ratio_domain(small_table):
-    pt = _advance_times(small_table, (2,), 1)
     with pytest.raises(ValueError):
-        robin_ratio(pt, 2)  # log log 2 is negative, ratio undefined
-    pt = _advance_times(small_table, (2,), 3)
-    with pytest.raises(KeyError):
-        robin_ratio(pt, 4)  # t = 4 was never tracked
+        ratio_curve(small_table, 2, 1)  # log log 2 is negative, ratio undefined
+    with pytest.raises(ValueError):
+        log_psi_ratio_prefix(small_table, 1, 3)  # psi_1 is not defined
+    with pytest.raises(ValueError):
+        log_psi_ratio_prefix(small_table, 2, -1)
 
 
 def test_primorials_up_to():
