@@ -9,9 +9,11 @@ log log N_n, turning the 1/log p_n slack into (1 + 0.1253)/log p_n.  The
 resulting crossover criterion reads exp(2/p_n) * f(n) < zeta(t) with
 f(n) = 1 + 1.1253 / (log p_n * log log N_n).
 
-Margins of strict float comparisons are always reported; any |margin| below
-1e-9 is flagged precision-critical and rechecked at 60 significant digits
-before it is trusted.
+Each bound's float formula is one array function, read by both its public
+scalar and its suite.  The four suites hand their margin arrays to one sweep,
+_sweep: any |margin| below 1e-9 is precision-critical and is re-derived at
+60 significant digits, from products of exact integers with one rounding per
+factor, before it is trusted; a range without points reports SKIPPED.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import random
 import sys
 import weakref
 from bisect import bisect_right
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import primorial
 from .errors import CoverageError
-from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime, theta
+from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime, require_primes, theta
 
 # Compiled-in constants, 18 significant digits.
 EULER_GAMMA = 0.577215664901532861
@@ -200,34 +203,62 @@ def _mertens_prefix(table: PrimeTable) -> np.ndarray:
     return pre
 
 
+def _mertens_products(xs: list[int], table: PrimeTable) -> np.ndarray:
+    """prod_{p <= x} (1 - 1/p)^-1 for each x in xs, accumulated in log space."""
+    prefix = _mertens_prefix(table)
+    return libm_map(lambda x: math.exp(prefix[bisect_right(table.primes, x)]), xs)
+
+
 def mertens_partial_product(x: int, table: PrimeTable) -> float:
     """prod_{p <= x} (1 - 1/p)^-1, accumulated in log space."""
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     if x > table.limit:
         raise CoverageError(f"x = {x} beyond sieve limit {table.limit}; enlarge the sieve")
-    k = bisect_right(table.primes, x)
-    return math.exp(_mertens_prefix(table)[k])
+    return float(_mertens_products([x], table)[0])
+
+
+def _zeta_tail_products(t: int, n: int, table: PrimeTable) -> np.ndarray:
+    """zeta(t) * prod_{p <= p_k} (1 - p^-t) for 1 <= k <= n.  The log1p terms
+    are summed left to right without compensation, bit for bit the scalar
+    loop `acc += log1p(-p^-t)`."""
+    zv = zeta(t).value
+    acc = np.cumsum(libm_map(lambda p: math.log1p(-float(p) ** (-t)), table.primes[:n]))
+    return zv * libm_map(math.exp, acc.tolist())
 
 
 def zeta_tail_product(t: int, n: int, table: PrimeTable) -> float:
     """prod_{p > p_n} (1 - p^-t)^-1 = zeta(t) * prod_{p <= p_n} (1 - p^-t)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    z = zeta(t)
+    zeta(t)  # validate t before the range check
     nth_prime(table, n)  # range check
-    acc = 0.0
-    for p in table.primes[:n]:
-        acc += math.log1p(-float(p) ** (-t))
-    return z.value * math.exp(acc)
+    return float(_zeta_tail_products(t, n, table)[-1])
+
+
+def _log_substitution_margins(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
+    """log log N_n + 0.1253 / log p_n - log p_n for n_min <= n <= n_max."""
+    lp = libm_map(math.log, table.primes[n_min - 1 : n_max])
+    return libm_map(math.log, table.theta_prefix[n_min : n_max + 1]) + LOG_SHIFT / lp - lp
 
 
 def log_substitution_check(n: int, table: PrimeTable) -> bool:
     """log p_n < log log N_n + 0.1253 / log p_n; hypothesis needs n >= 2263."""
     if n < CRITERION_FLOOR:
         raise ValueError(f"inequality is stated for n >= {CRITERION_FLOOR}, got {n}")
-    lp = math.log(nth_prime(table, n))
-    return lp < math.log(theta(table, n)) + LOG_SHIFT / lp
+    nth_prime(table, n)  # range check
+    return bool(_log_substitution_margins(table, n, n)[0] > 0.0)
+
+
+def _psi_ratio_scales(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
+    """exp(gamma + 2/p_n) (log log N_n + 1.1253 / log p_n) for n_min <= n <= n_max,
+    which divided by zeta(t) bounds psi_t(N_n)/N_n."""
+    primes = table.primes[n_min - 1 : n_max]
+    lln = libm_map(math.log, table.theta_prefix[n_min : n_max + 1])
+    lp = libm_map(math.log, primes)
+    return libm_map(lambda p: math.exp(EULER_GAMMA + 2.0 / p), primes) * (
+        lln + MERTENS_SHIFT / lp
+    )
 
 
 def psi_ratio_upper_bound(t: int, n: int, table: PrimeTable) -> float:
@@ -236,10 +267,8 @@ def psi_ratio_upper_bound(t: int, n: int, table: PrimeTable) -> float:
     z = zeta(t)
     if n < CRITERION_FLOOR:
         raise ValueError(f"bound is stated for n >= {CRITERION_FLOOR}, got {n}")
-    p = nth_prime(table, n)
-    lp = math.log(p)
-    lln = math.log(theta(table, n))
-    return math.exp(EULER_GAMMA + 2.0 / p) / z.value * (lln + MERTENS_SHIFT / lp)
+    nth_prime(table, n)  # range check
+    return float(_psi_ratio_scales(table, n, n)[0] / z.value)
 
 
 def admissible_t(n: int, table: PrimeTable) -> int | None:
@@ -298,7 +327,43 @@ class SuiteResult:
     rechecked: int
     passed: bool
     skipped: bool = False
-    note: str = ""
+
+
+def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> SuiteResult:
+    """Worst margin over `columns`, pairs (key, float margins) taken one at a time.
+
+    Every margin inside PRECISION_BAND is replaced by recheck(key, i), its
+    60-digit value, before it is trusted.  The worst point is the first
+    minimum in column order, as a scalar `if margin < worst` loop picks it;
+    where(key, i) names it.  A sweep without points reports skipped.
+    """
+    worst = math.inf
+    worst_at = ""
+    points = rechecked = 0
+    for key, margins in columns:
+        band = np.flatnonzero(np.abs(margins) < PRECISION_BAND).tolist()
+        for i in band:
+            margins[i] = recheck(key, i)
+        if margins.size:
+            i = int(np.argmin(margins))
+            if margins[i] < worst:
+                worst = float(margins[i])
+                worst_at = where(key, i)
+        points += margins.size
+        rechecked += len(band)
+    return SuiteResult(
+        name=name, points=points, worst_margin=worst, worst_at=worst_at,
+        rechecked=rechecked, passed=worst > 0.0, skipped=points == 0,
+    )
+
+
+def _mp_product(factors: Iterable[int]) -> mpmath.mpf:
+    """Product of exact integers at the working precision, one rounding per
+    factor; call it inside the recheck's workdps context."""
+    out = mpmath.mpf(1)
+    for k in factors:
+        out *= k
+    return out
 
 
 _SAMPLE_SEED = 20011
@@ -308,43 +373,24 @@ def mertens_bound_suite(table: PrimeTable, x_cap: int = 10**6, samples: int = 50
     """Margin sweep of e^gamma (log x + 1/log x) - prod_{p<=x} (1-1/p)^-1 > 0
     over a geometric grid plus seeded random x values up to x_cap."""
     cap = min(x_cap, table.limit)
-    xs = set()
-    x = 2
-    while x <= cap:
-        xs.add(x)
-        x *= 2
+    xs = {1 << k for k in range(1, cap.bit_length())}
     rng = random.Random(_SAMPLE_SEED)
     xs.update(rng.randint(2, cap) for _ in range(samples))
-    prefix = _mertens_prefix(table)
-    worst = math.inf
-    worst_x = 0
-    rechecked = 0
-    for x in sorted(xs):
-        lx = math.log(x)
-        margin = EXP_GAMMA * (lx + 1.0 / lx) - math.exp(prefix[bisect_right(table.primes, x)])
-        if abs(margin) < PRECISION_BAND:
-            rechecked += 1
-            margin = _mertens_margin_mp(x, table)
-        if margin < worst:
-            worst = margin
-            worst_x = x
-    return SuiteResult(
-        name="mertens_product",
-        points=len(xs),
-        worst_margin=worst,
-        worst_at=f"x={worst_x}",
-        rechecked=rechecked,
-        passed=worst > 0.0,
+    xs = sorted(xs)
+    lx = libm_map(math.log, xs)
+    margins = EXP_GAMMA * (lx + 1.0 / lx) - _mertens_products(xs, table)
+    return _sweep(
+        "mertens_product",
+        [(None, margins)],
+        lambda _, i: _mertens_margin_mp(xs[i], table),
+        lambda _, i: f"x={xs[i]}",
     )
 
 
 def _mertens_margin_mp(x: int, table: PrimeTable) -> float:
+    primes = table.primes[: bisect_right(table.primes, x)]
     with mpmath.workdps(60):
-        prod = mpmath.mpf(1)
-        for p in table.primes:
-            if p > x:
-                break
-            prod /= 1 - mpmath.mpf(1) / p
+        prod = _mp_product(primes) / _mp_product(p - 1 for p in primes)
         lx = mpmath.log(x)
         return float(mpmath.exp(mpmath.euler) * (lx + 1 / lx) - prod)
 
@@ -354,46 +400,22 @@ def zeta_tail_bound_suite(
 ) -> SuiteResult:
     """Margin sweep of exp(2/p_n) - prod_{p > p_n} (1 - p^-t)^-1 > 0
     for each t and every 2 <= n <= n_max."""
-    if n_max > len(table.primes):
-        raise CoverageError(
-            f"table holds {len(table.primes)} primes, need {n_max}; enlarge the sieve"
-        )
-    worst = math.inf
-    worst_at = ""
-    points = 0
-    rechecked = 0
-    for t in ts:
-        zv = zeta(t).value
-        acc = 0.0
-        for n, p in enumerate(table.primes[:n_max], start=1):
-            acc += math.log1p(-float(p) ** (-t))
-            if n < 2:
-                continue
-            points += 1
-            margin = math.exp(2.0 / p) - zv * math.exp(acc)
-            if abs(margin) < PRECISION_BAND:
-                rechecked += 1
-                margin = _zeta_tail_margin_mp(t, n, table)
-            if margin < worst:
-                worst = margin
-                worst_at = f"t={t},n={n}"
-    return SuiteResult(
-        name="zeta_tail_product",
-        points=points,
-        worst_margin=worst,
-        worst_at=worst_at,
-        rechecked=rechecked,
-        passed=worst > 0.0,
+    require_primes(table, n_max)
+    growth = libm_map(lambda p: math.exp(2.0 / p), table.primes[1:n_max])
+    return _sweep(
+        "zeta_tail_product",
+        ((t, growth - _zeta_tail_products(t, n_max, table)[1:]) for t in ts),
+        lambda t, i: _zeta_tail_margin_mp(t, i + 2, table),
+        lambda t, i: f"t={t},n={i + 2}",
     )
 
 
 def _zeta_tail_margin_mp(t: int, n: int, table: PrimeTable) -> float:
+    # prod_{p <= p_n} (1 - p^-t) = prod (p^t - 1) / prod p^t
+    primes = table.primes[:n]
     with mpmath.workdps(60):
-        acc = mpmath.mpf(0)
-        for p in table.primes[:n]:
-            acc += mpmath.log(1 - mpmath.mpf(p) ** (-t))
-        p_n = table.primes[n - 1]
-        return float(mpmath.exp(mpmath.mpf(2) / p_n) - mpmath.zeta(t) * mpmath.exp(acc))
+        head = _mp_product(p**t - 1 for p in primes) / _mp_product(p**t for p in primes)
+        return float(mpmath.exp(mpmath.mpf(2) / primes[-1]) - mpmath.zeta(t) * head)
 
 
 def log_substitution_suite(
@@ -402,48 +424,20 @@ def log_substitution_suite(
     """Margin sweep of log log N_n + 0.1253/log p_n - log p_n > 0 on [n_min, n_max]."""
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"hypothesis needs n >= {CRITERION_FLOOR}, got {n_min}")
-    if n_max > len(table.primes):
-        raise CoverageError(
-            f"table holds {len(table.primes)} primes, need {n_max}; enlarge the sieve"
-        )
-    if n_max < n_min:
-        return SuiteResult(
-            name="log_substitution",
-            points=0,
-            worst_margin=math.inf,
-            worst_at="",
-            rechecked=0,
-            passed=True,
-            skipped=True,
-            note=f"range empty below n = {n_min}",
-        )
-    worst = math.inf
-    worst_at = ""
-    rechecked = 0
-    for n in range(n_min, n_max + 1):
-        lp = math.log(table.primes[n - 1])
-        margin = math.log(table.theta_prefix[n]) + LOG_SHIFT / lp - lp
-        if abs(margin) < PRECISION_BAND:
-            rechecked += 1
-            margin = _log_substitution_margin_mp(n, table)
-        if margin < worst:
-            worst = margin
-            worst_at = f"n={n}"
-    return SuiteResult(
-        name="log_substitution",
-        points=n_max - n_min + 1,
-        worst_margin=worst,
-        worst_at=worst_at,
-        rechecked=rechecked,
-        passed=worst > 0.0,
+    require_primes(table, n_max)
+    return _sweep(
+        "log_substitution",
+        [(None, _log_substitution_margins(table, n_min, n_max))],
+        lambda _, i: _log_substitution_margin_mp(n_min + i, table),
+        lambda _, i: f"n={n_min + i}",
     )
 
 
 def _log_substitution_margin_mp(n: int, table: PrimeTable) -> float:
     with mpmath.workdps(60):
-        th = mpmath.fsum(mpmath.log(p) for p in table.primes[:n])
+        lln = mpmath.log(mpmath.log(_mp_product(table.primes[:n])))
         lp = mpmath.log(table.primes[n - 1])
-        return float(mpmath.log(th) + mpmath.mpf("0.1253") / lp - lp)
+        return float(lln + mpmath.mpf("0.1253") / lp - lp)
 
 
 def psi_ratio_bound_suite(
@@ -456,54 +450,34 @@ def psi_ratio_bound_suite(
     exp(log psi_t(N_n)/N_n), per t, over [n_min, n_max]."""
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"bound needs n >= {CRITERION_FLOOR}, got {n_min}")
-    if n_max > len(table.primes):
-        raise CoverageError(
-            f"table holds {len(table.primes)} primes, need {n_max}; enlarge the sieve"
-        )
-    primes = table.primes[n_min - 1 : n_max]
-    lln = libm_map(math.log, table.theta_prefix[n_min : n_max + 1])
-    lp = libm_map(math.log, primes)
-    scale = libm_map(lambda p: math.exp(EULER_GAMMA + 2.0 / p), primes) * (
-        lln + MERTENS_SHIFT / lp
-    )
-    worst = math.inf
-    worst_at = ""
-    rechecked = 0
-    for t in ts if primes else ():  # an empty range has no margins to take the minimum of
+    require_primes(table, n_max)
+    scales = _psi_ratio_scales(table, n_min, n_max)
+
+    def margins(t: int) -> np.ndarray:
         logs = primorial.log_psi_ratio_prefix(table, t, n_max)[n_min:]
-        margins = scale / zeta(t).value - libm_map(math.exp, logs.tolist())
-        for i in np.flatnonzero(np.abs(margins) < PRECISION_BAND).tolist():
-            rechecked += 1
-            margins[i] = _psi_ratio_margin_mp(t, n_min + i, table)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst = float(margins[i])
-            worst_at = f"t={t},n={n_min + i}"
-    return SuiteResult(
-        name="psi_ratio_bound",
-        points=len(ts) * len(primes),
-        worst_margin=worst,
-        worst_at=worst_at,
-        rechecked=rechecked,
-        passed=worst > 0.0,
+        return scales / zeta(t).value - libm_map(math.exp, logs.tolist())
+
+    return _sweep(
+        "psi_ratio_bound",
+        ((t, margins(t)) for t in ts),
+        lambda t, i: _psi_ratio_margin_mp(t, n_min + i, table),
+        lambda t, i: f"t={t},n={n_min + i}",
     )
 
 
 def _psi_ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
-    # psi_t(N_n)/N_n = prod (p^t - 1) / ((p - 1) p^(t-1)) and N_n itself, each
-    # a 60-digit product of exact integers: one rounding per prime, no logs
+    # psi_t(N_n)/N_n = prod (p^t - 1) / prod ((p - 1) p^(t-1))
+    primes = table.primes[:n]
+    qs = [p ** (t - 1) for p in primes]
     with mpmath.workdps(60):
-        num = den = primorial_n = mpmath.mpf(1)
-        for p in table.primes[:n]:
-            q = p ** (t - 1)
-            num *= p * q - 1
-            den *= (p - 1) * q
-            primorial_n *= p
-        p_n = table.primes[n - 1]
-        lp = mpmath.log(p_n)
-        bound = (
-            mpmath.exp(mpmath.euler + mpmath.mpf(2) / p_n)
-            / mpmath.zeta(t)
-            * (mpmath.log(mpmath.log(primorial_n)) + mpmath.mpf("1.1253") / lp)
+        ratio = _mp_product(p * q - 1 for p, q in zip(primes, qs)) / _mp_product(
+            (p - 1) * q for p, q in zip(primes, qs)
         )
-        return float(bound - num / den)
+        lln = mpmath.log(mpmath.log(_mp_product(primes)))
+        lp = mpmath.log(primes[-1])
+        bound = (
+            mpmath.exp(mpmath.euler + mpmath.mpf(2) / primes[-1])
+            / mpmath.zeta(t)
+            * (lln + mpmath.mpf("1.1253") / lp)
+        )
+        return float(bound - ratio)

@@ -162,6 +162,7 @@ def cmd_champions(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...]
 
 
 def cmd_robin_scan(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+    robin.check_scan_stop(args.scan_stop)  # before the sieve to sqrt(stop)
     table = build_table(max(math.isqrt(args.scan_stop) + 1, 2))
     violators = robin.robin_scan(args.scan_start, args.scan_stop, table)
     rows = robin.violators_to_rows(violators)
@@ -184,19 +185,9 @@ def cmd_verify_bounds(args: argparse.Namespace) -> tuple[list[dict], tuple[str, 
     results = [
         bounds.mertens_bound_suite(table),
         bounds.zeta_tail_bound_suite(table, range(2, args.t_max + 1), min(n_max, 10**4)),
+        bounds.log_substitution_suite(table, n_max=n_max),
+        bounds.psi_ratio_bound_suite(table, n_max=n_max),
     ]
-    if n_max >= bounds.CRITERION_FLOOR:
-        results.append(bounds.log_substitution_suite(table, n_max=n_max))
-        results.append(bounds.psi_ratio_bound_suite(table, n_max=n_max))
-    else:
-        for name in ("log_substitution", "psi_ratio_bound"):
-            results.append(
-                bounds.SuiteResult(
-                    name=name, points=0, worst_margin=math.inf, worst_at="",
-                    rechecked=0, passed=True, skipped=True,
-                    note=f"hypothesis needs n >= {bounds.CRITERION_FLOOR}",
-                )
-            )
     rows = []
     failed = False
     for r in results:

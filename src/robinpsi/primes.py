@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CoverageError
+
 _SEGMENT_ODDS = 1 << 17  # odd candidates per sieve segment
 
 
@@ -124,6 +126,14 @@ def nth_prime(table: PrimeTable, n: int) -> int:
             f"prime index {n} outside table of {len(table.primes)} primes; enlarge the sieve"
         )
     return table.primes[n - 1]
+
+
+def require_primes(table: PrimeTable, n: int) -> None:
+    """Raise CoverageError unless the table holds at least n primes."""
+    if n > len(table.primes):
+        raise CoverageError(
+            f"table holds {len(table.primes)} primes, need {n}; enlarge the sieve"
+        )
 
 
 def theta(table: PrimeTable, n: int) -> float:

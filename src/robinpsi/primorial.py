@@ -16,9 +16,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .errors import CoverageError
 from .multiplicative import SEGMENT_SIZE, factorize, prime_power_events, psi_over_n
-from .primes import PrimeTable, build_table, compensated_prefix, libm_map
+from .primes import PrimeTable, build_table, compensated_prefix, libm_map, require_primes
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
 # terms below log 2, each within a few ulp, and the sum stays below 2: its float
@@ -37,10 +36,7 @@ def log_psi_ratio_prefix(table: PrimeTable, t: int, n: int) -> np.ndarray:
     """
     if t < 2 or n < 0:
         raise ValueError(f"need t >= 2 and n >= 0, got t = {t}, n = {n}")
-    if n > len(table.primes):
-        raise CoverageError(
-            f"table holds {len(table.primes)} primes, need {n}; enlarge the sieve"
-        )
+    require_primes(table, n)
 
     def term(p: int) -> float:
         q = p ** (t - 1)

@@ -32,6 +32,9 @@ from .tabular import rows_to_csv, rows_to_json
 
 RELATIVE_BAND = 1e-9
 DEFAULT_MAX_SPAN = 10**9
+# Up to 2^50, n and sigma(n) < 8n stay below 2^53, exact in float64 and int64,
+# and the sigma sieve needs primes only to 2^25.
+MAX_SCAN_STOP = 2**50
 
 VERDICT_FIELDS = ("n", "sigma", "threshold", "margin")
 
@@ -85,6 +88,15 @@ def _sigma_segment(lo: int, hi: int, primes: list[int]) -> np.ndarray:
     return sig
 
 
+def check_scan_stop(stop: int) -> None:
+    """Raise ResourceError for a scan ending past MAX_SCAN_STOP."""
+    if stop > MAX_SCAN_STOP:
+        raise ResourceError(
+            f"scan stop {stop} exceeds the limit 2^50 = {MAX_SCAN_STOP}, "
+            "past which sigma(n) is no longer exact in float64"
+        )
+
+
 def robin_scan(
     start: int, stop: int, table: PrimeTable, max_span: int = DEFAULT_MAX_SPAN
 ) -> list[RobinVerdict]:
@@ -93,6 +105,7 @@ def robin_scan(
         raise ValueError(f"scan domain starts at 3, got {start}")
     if stop < start:
         raise ValueError(f"empty scan range [{start}, {stop}]")
+    check_scan_stop(stop)
     span = stop - start + 1
     if span > max_span:
         raise ResourceError(

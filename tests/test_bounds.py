@@ -1,6 +1,8 @@
 """Zeta machinery, crossover search, and the explicit-inequality sweeps."""
 
 import math
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
@@ -279,17 +281,101 @@ def test_psi_ratio_suite_reduced(small_table):
     assert result.worst_margin > 0
 
 
-def test_psi_ratio_suite_rechecks_every_point_in_the_band(small_table, monkeypatch):
-    plain = psi_ratio_bound_suite(small_table, ts=(3, 4), n_max=2400)
-    recheck = bounds._psi_ratio_margin_mp
+# reduced ranges for every suite, and the 60-digit recheck each one calls;
+# all of their margins lie below 10 (Mertens reaches about 1.8 near x = 2)
+REDUCED_SUITES = {
+    "mertens_product": (
+        lambda tab: mertens_bound_suite(tab, x_cap=10**4, samples=20), "_mertens_margin_mp"),
+    "zeta_tail_product": (
+        lambda tab: zeta_tail_bound_suite(tab, ts=(5, 2, 3), n_max=150), "_zeta_tail_margin_mp"),
+    "log_substitution": (
+        lambda tab: log_substitution_suite(tab, n_max=2400), "_log_substitution_margin_mp"),
+    "psi_ratio_bound": (
+        lambda tab: psi_ratio_bound_suite(tab, ts=(4, 3), n_max=2400), "_psi_ratio_margin_mp"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REDUCED_SUITES))
+def test_suite_rechecks_every_point_in_the_band(small_table, monkeypatch, suite):
+    run, recheck_name = REDUCED_SUITES[suite]
+    plain = run(small_table)
+    recheck = getattr(bounds, recheck_name)
     calls = []
-    monkeypatch.setattr(bounds, "_psi_ratio_margin_mp", lambda *a: calls.append(a) or recheck(*a))
-    monkeypatch.setattr(bounds, "PRECISION_BAND", 1.0)  # every margin here is below 1
-    forced = psi_ratio_bound_suite(small_table, ts=(3, 4), n_max=2400)
+    monkeypatch.setattr(bounds, recheck_name, lambda *a: calls.append(a) or recheck(*a))
+    monkeypatch.setattr(bounds, "PRECISION_BAND", 10.0)
+    forced = run(small_table)
     assert plain.rechecked == 0
-    assert forced.rechecked == forced.points == plain.points == len(set(calls))
+    assert forced.rechecked == forced.points == plain.points == len(calls) == len(set(calls))
     assert forced.worst_at == plain.worst_at
     assert forced.worst_margin == pytest.approx(plain.worst_margin, abs=1e-12)
+
+
+# The scalar margin loops the suites had before they formed whole arrays, kept
+# as oracles: each returns (worst margin, where) with the first minimum winning.
+def _mertens_oracle(table, x_cap, samples):
+    cap = min(x_cap, table.limit)
+    xs = set()
+    x = 2
+    while x <= cap:
+        xs.add(x)
+        x *= 2
+    rng = random.Random(20011)
+    xs.update(rng.randint(2, cap) for _ in range(samples))
+    prefix = bounds._mertens_prefix(table)
+    worst, worst_at = math.inf, ""
+    for x in sorted(xs):
+        lx = math.log(x)
+        margin = EXP_GAMMA * (lx + 1.0 / lx) - math.exp(prefix[bisect_right(table.primes, x)])
+        if margin < worst:
+            worst, worst_at = margin, f"x={x}"
+    return worst, worst_at
+
+
+def _zeta_tail_oracle(table, ts, n_max):
+    worst, worst_at = math.inf, ""
+    for t in ts:
+        zv = zeta(t).value
+        acc = 0.0
+        for n, p in enumerate(table.primes[:n_max], start=1):
+            acc += math.log1p(-float(p) ** (-t))
+            if n < 2:
+                continue
+            margin = math.exp(2.0 / p) - zv * math.exp(acc)
+            if margin < worst:
+                worst, worst_at = margin, f"t={t},n={n}"
+    return worst, worst_at
+
+
+def _log_substitution_oracle(table, n_min, n_max):
+    worst, worst_at = math.inf, ""
+    for n in range(n_min, n_max + 1):
+        lp = math.log(table.primes[n - 1])
+        margin = math.log(table.theta_prefix[n]) + 0.1253 / lp - lp
+        if margin < worst:
+            worst, worst_at = margin, f"n={n}"
+    return worst, worst_at
+
+
+@pytest.mark.parametrize(
+    "suite,oracle",
+    [
+        (lambda tab: mertens_bound_suite(tab, x_cap=10**5, samples=300),
+         lambda tab: _mertens_oracle(tab, 10**5, 300)),
+        (lambda tab: zeta_tail_bound_suite(tab, ts=(7, 2, 10, 3), n_max=3000),
+         lambda tab: _zeta_tail_oracle(tab, (7, 2, 10, 3), 3000)),
+        (lambda tab: zeta_tail_bound_suite(tab, ts=(64, 40), n_max=300),
+         lambda tab: _zeta_tail_oracle(tab, (64, 40), 300)),
+        (lambda tab: log_substitution_suite(tab, n_min=2300, n_max=10596),
+         lambda tab: _log_substitution_oracle(tab, 2300, 10596)),
+    ],
+    ids=["mertens", "zeta_tail", "zeta_tail_large_t", "log_substitution"],
+)
+def test_suite_matches_scalar_loop_bit_for_bit(small_table, suite, oracle):
+    result = suite(small_table)
+    worst, worst_at = oracle(small_table)
+    assert result.rechecked == 0
+    assert result.worst_margin.hex() == worst.hex()
+    assert result.worst_at == worst_at
 
 
 def test_suite_coverage_errors(small_table):
@@ -300,7 +386,8 @@ def test_suite_coverage_errors(small_table):
 
 
 def test_extended_precision_rechecks_agree(small_table):
-    # the slow path used when a float margin lands inside the 1e-9 band
+    # the slow path used when a float margin lands inside the 1e-9 band, against
+    # 60-digit references that take a logarithm of every prime
     from robinpsi.bounds import (
         _log_substitution_margin_mp,
         _mertens_margin_mp,
@@ -308,7 +395,27 @@ def test_extended_precision_rechecks_agree(small_table):
         _zeta_tail_margin_mp,
     )
 
-    assert _mertens_margin_mp(1000, small_table) > 0
-    assert _zeta_tail_margin_mp(3, 100, small_table) > 0
-    assert _log_substitution_margin_mp(CRITERION_FLOOR, small_table) > 0
-    assert _psi_ratio_margin_mp(3, CRITERION_FLOOR, small_table) > 0
+    primes = small_table.primes
+    with mpmath.workdps(60):
+        prod = mpmath.exp(-mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / p) for p in primes[:168]))
+        lx = mpmath.log(1000)
+        mertens = mpmath.exp(mpmath.euler) * (lx + 1 / lx) - prod
+        head = mpmath.exp(mpmath.fsum(mpmath.log(1 - mpmath.mpf(p) ** -3) for p in primes[:100]))
+        zeta_tail = mpmath.exp(mpmath.mpf(2) / primes[99]) - mpmath.zeta(3) * head
+        lln = mpmath.log(mpmath.fsum(mpmath.log(p) for p in primes[:CRITERION_FLOOR]))
+        lp = mpmath.log(primes[CRITERION_FLOOR - 1])
+        log_sub = lln + mpmath.mpf("0.1253") / lp - lp
+        ratio = mpmath.exp(mpmath.fsum(
+            mpmath.log(1 + mpmath.mpf(1) / p + mpmath.mpf(1) / p**2) for p in primes[:CRITERION_FLOOR]
+        ))
+        bound = mpmath.exp(mpmath.euler + mpmath.mpf(2) / primes[CRITERION_FLOOR - 1]) / mpmath.zeta(3)
+        psi = bound * (lln + mpmath.mpf("1.1253") / lp) - ratio
+    assert _mertens_margin_mp(1000, small_table) == pytest.approx(float(mertens), rel=1e-15)
+    assert _zeta_tail_margin_mp(3, 100, small_table) == pytest.approx(float(zeta_tail), rel=1e-15)
+    assert _log_substitution_margin_mp(CRITERION_FLOOR, small_table) == pytest.approx(
+        float(log_sub), rel=1e-15
+    )
+    assert _psi_ratio_margin_mp(3, CRITERION_FLOOR, small_table) == pytest.approx(
+        float(psi), rel=1e-15
+    )
+    assert min(mertens, zeta_tail, log_sub, psi) > 0

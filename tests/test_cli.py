@@ -6,6 +6,7 @@ import io
 import json
 import pathlib
 import runpy
+import time
 
 import pytest
 
@@ -133,6 +134,22 @@ def test_robin_scan_falsification_exit(capsys, monkeypatch):
     assert _csv_rows(out)[0]["n"] == "5042"
 
 
+def test_robin_scan_stop_limit(capsys):
+    # a window near 2^63 would first sieve primes to 3e9; the limit check
+    # comes before the sieve, so the exit is immediate
+    start = time.perf_counter()
+    code, out = _run(["robin-scan", "--from", str(2**63 - 11), "--to", str(2**63 - 1)], capsys)
+    assert code == 2
+    assert out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_robin_scan_below_limit(capsys):
+    code, out = _run(["robin-scan", "--from", str(10**14 - 10), "--to", str(10**14)], capsys)
+    assert code == 0
+    assert _csv_rows(out) == []
+
+
 def test_ratio_curve_output(capsys):
     code, out = _run(["ratio", "--t", "7", "--n-max", "10596"], capsys)
     assert code == 0
@@ -186,6 +203,26 @@ def test_verify_bounds_golden(capsys):
     code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
     assert code == 0
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
+
+
+def test_verify_bounds_skipped_golden(capsys):
+    # both sweeps hypothesized on n >= 2263 report SKIPPED below the floor
+    code, out = _run(
+        ["verify-bounds", "--n-max", "2262", "--t-max", "3", "--format", "json"], capsys
+    )
+    assert code == 0
+    assert out == (
+        '[\n'
+        '  {"suite": "mertens_product", "points": 518, "worst_margin": 0.12715610668, '
+        '"worst_at": "x=926303", "rechecked": 0, "status": "PASS"},\n'
+        '  {"suite": "zeta_tail_product", "points": 4522, "worst_margin": 9.54071383028e-05, '
+        '"worst_at": "t=2,n=2262", "rechecked": 0, "status": "PASS"},\n'
+        '  {"suite": "log_substitution", "points": 0, "worst_margin": null, '
+        '"worst_at": "", "rechecked": 0, "status": "SKIPPED"},\n'
+        '  {"suite": "psi_ratio_bound", "points": 0, "worst_margin": null, '
+        '"worst_at": "", "rechecked": 0, "status": "SKIPPED"}\n'
+        ']\n'
+    )
 
 
 def test_admissible_t_output(capsys):

@@ -100,6 +100,19 @@ def test_scan_domain_checks(small_table):
         robin_scan(3, 10_000, tiny)
 
 
+def test_scan_stop_limit(small_table):
+    from robinpsi.robin import MAX_SCAN_STOP
+
+    tiny = build_table(50)
+    # past the limit the budget error comes first, before any coverage check
+    with pytest.raises(ResourceError, match="2\\^50"):
+        robin_scan(MAX_SCAN_STOP - 9, MAX_SCAN_STOP + 1, tiny)
+    with pytest.raises(ResourceError):
+        robin_scan(2**63 - 11, 2**63 - 1, small_table)
+    with pytest.raises(CoverageError):  # the limit itself is in the domain
+        robin_scan(MAX_SCAN_STOP - 9, MAX_SCAN_STOP, tiny)
+
+
 def test_sigma_block_across_segment_edge(small_table):
     # the scanner splits at multiples of 2^22; sigma must stay exact there
     from robinpsi.robin import _sigma_segment
