@@ -79,7 +79,8 @@ def zeta(t: int) -> ZetaValue:
     while lo <= m:
         hi = min(lo + _ZETA_CHUNK, m + 1)
         block = np.arange(lo, hi, dtype=np.float64)
-        parts.append(float(np.power(block, -float(t)).sum()))
+        parts.append(float(np.power(block, -float(t), out=block).sum()))
+        del block  # one chunk alive at a time
         lo = hi
     partial = math.fsum(parts)
     tail_hi = float(m) ** (1 - t) / (t - 1)

@@ -12,7 +12,7 @@ import sys
 
 from . import bounds, primorial, robin
 from .errors import CoverageError, ResourceError
-from .multiplicative import factorize, psi_over_n
+from .multiplicative import check_sweep, factorize, psi_over_n
 from .primes import PrimeTable, build_table, nth_prime
 from .tabular import rows_to_csv, rows_to_json
 
@@ -162,7 +162,7 @@ def cmd_champions(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...]
 
 
 def cmd_robin_scan(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
-    robin.check_scan_stop(args.scan_stop)  # before the sieve to sqrt(stop)
+    check_sweep(args.scan_start, args.scan_stop)  # before the sieve to sqrt(stop)
     table = build_table(max(math.isqrt(args.scan_stop) + 1, 2))
     violators = robin.robin_scan(args.scan_start, args.scan_stop, table)
     rows = robin.violators_to_rows(violators)

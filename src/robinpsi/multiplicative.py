@@ -6,8 +6,11 @@ integer for a < t - 1, so everything here stays in exact integer or Fraction
 arithmetic.  Floats only appear downstream in the log-space modules.
 
 Every sweep over a range of integers factors it with one kernel,
-`prime_power_events`, which peels prime powers from a whole window in numpy;
-each consumer folds its events into what it needs.
+`prime_power_events`, which peels prime powers from a whole window in numpy
+through strided views: a base prime's event addresses the window by a slice
+of its multiples, the leftover cofactors by an index array, and each consumer
+folds the events into what it needs.  `check_sweep` bounds every sweep by
+MAX_SCAN_STOP and a span budget before any sieving.
 """
 
 from __future__ import annotations
@@ -19,10 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import CoverageError, ResourceError
 from .primes import PrimeTable, build_table
 
 SEGMENT_SIZE = 1 << 22  # integers per window of a range sweep
+DEFAULT_MAX_SPAN = 10**9
+# Up to 2^50, n and sigma(n) < 8n stay below 2^53, exact in float64 and int64,
+# and a sweep needs base primes only to 2^25.
+MAX_SCAN_STOP = 2**50
 
 
 @dataclass(frozen=True)
@@ -59,39 +66,64 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     return Factorization(value=n, factors=tuple(out))
 
 
+def check_sweep(start: int, stop: int, max_span: int = DEFAULT_MAX_SPAN) -> None:
+    """Raise ResourceError for a range sweep over [start, stop] that ends past
+    MAX_SCAN_STOP or covers more than max_span integers."""
+    if stop > MAX_SCAN_STOP:
+        raise ResourceError(
+            f"sweep stop {stop} exceeds the limit 2^50 = {MAX_SCAN_STOP}, "
+            "past which sigma(n) is no longer exact in float64"
+        )
+    span = stop - start + 1
+    if span > max_span:
+        raise ResourceError(
+            f"span {span} exceeds the budget of {max_span}; "
+            f"sweeps work in segments of {SEGMENT_SIZE} integers"
+        )
+
+
 def prime_power_events(
     lo: int, hi: int, base_primes: list[int]
-) -> Iterator[tuple[int | np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int | np.ndarray, slice | np.ndarray, np.ndarray]]:
     """Peel every n in [lo, hi) into its prime powers, one prime at a time.
 
     For each prime p <= sqrt(hi - 1) that divides some n in the window, yields
-    (p, offsets, exponents): p^exponents[i] exactly divides lo + offsets[i].
-    A last event (cofactors, offsets, ones) covers what is left of each
-    lo + offsets[i] once those primes are divided out: the prime cofactors[i]
-    (an int64 array), to the first power.  base_primes must hold every prime
-    up to sqrt(hi - 1), ascending.  Offsets are int64, exponents int8.
+    (p, where, exponents) with where = slice(s, None, p), the offsets of the
+    multiples of p: p^exponents[i] exactly divides lo + s + i p.  A last event
+    (cofactors, where, ones) covers what is left of each n once those primes
+    are divided out: where is an int64 index array and the prime cofactors[i]
+    (int64) divides lo + where[i] to the first power.  numpy indexes a window
+    the same way with either kind of where.  base_primes must hold every prime
+    up to sqrt(hi - 1), ascending; exponents are int8.
     """
     size = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
+    # Every entry of a view urem[s_k::p^k] below is a multiple of p, so dividing
+    # it by p is exact: a shift for p = 2, else a product with the inverse of p
+    # modulo 2^64, which wraps on the unsigned view and never divides.
+    urem = rem.view(np.uint64)
     root = math.isqrt(hi - 1)
     for p in base_primes:
         if p > root:
             break
-        idx = np.arange((-lo) % p, size, p, dtype=np.int64)
-        if idx.size == 0:
+        s = (-lo) % p
+        if s >= size:
             continue
-        val = rem[idx] // p
-        exp = np.ones(idx.size, dtype=np.int8)
-        sel = np.flatnonzero(val % p == 0)
-        while sel.size:
-            val[sel] //= p
-            exp[sel] += 1
-            sel = sel[val[sel] % p == 0]
-        rem[idx] = val
-        yield p, idx, exp
+        inverse = np.uint64(pow(p, -1, 1 << 64)) if p > 2 else None
+        exp = np.zeros((size - s + p - 1) // p, dtype=np.int8)
+        pk = p
+        while (sk := (-lo) % pk) < size:  # p^k has a multiple in the window
+            view = urem[sk::pk]
+            if inverse is None:
+                view >>= 1
+            else:
+                view *= inverse
+            exp[(sk - s) // p :: pk // p] += 1
+            pk *= p
+        yield p, slice(s, None, p), exp
     left = np.flatnonzero(rem > 1)
     cofactors = rem[left]
-    del rem  # free the window before the last event is folded
+    del rem, urem  # free the window before the last event is folded
     yield cofactors, left, np.ones(left.size, dtype=np.int8)
 
 
@@ -185,6 +217,7 @@ def verify_sigma_le_psi(limit: int, t: int) -> BridgeReport:
         raise ValueError(f"need t >= 2, got {t}")
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
+    check_sweep(1, limit)
     top = t - 1
     primes = build_table(math.isqrt(limit) + 1).primes
     decided: dict[int, int] = {}  # base prime -> largest exponent decided

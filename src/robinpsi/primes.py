@@ -72,7 +72,7 @@ def _segmented_primes(limit: int) -> list[int]:
             i0 = (start - lo) // 2
             if i0 < count:
                 seg[i0::p] = b"\x00" * ((count - i0 + p - 1) // p)
-        primes.extend(lo + 2 * i for i in range(count) if seg[i])
+        primes.extend((np.flatnonzero(np.frombuffer(seg, np.uint8)) * 2 + lo).tolist())
         lo += 2 * count
     return primes
 

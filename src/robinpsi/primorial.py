@@ -16,7 +16,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .multiplicative import SEGMENT_SIZE, factorize, prime_power_events, psi_over_n
+from .multiplicative import (
+    SEGMENT_SIZE,
+    check_sweep,
+    factorize,
+    prime_power_events,
+    psi_over_n,
+)
 from .primes import PrimeTable, build_table, compensated_prefix, libm_map, require_primes
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
@@ -78,6 +84,7 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
         raise ValueError(f"scan needs t >= 2, got {t}")
     if mode not in ("strict", "weak"):
         raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
+    check_sweep(1, limit)
     strict = mode == "strict"
     table = build_table(math.isqrt(limit) + 1)
     out: list[int] = []
@@ -123,6 +130,7 @@ def reduction_check(limit: int, t: int) -> bool:
         raise ValueError(f"reduction check needs limit >= 6, got {limit}")
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
+    check_sweep(6, limit)
     table = build_table(math.isqrt(limit) + 1)
 
     def log_r(lo: int, hi: int) -> np.ndarray:

@@ -16,10 +16,12 @@ import mpmath
 import numpy as np
 
 from .bounds import EXP_GAMMA, find_crossover_index
-from .errors import CoverageError, ResourceError
+from .errors import CoverageError
 from .multiplicative import (
+    DEFAULT_MAX_SPAN,
     SEGMENT_SIZE,
     BridgeReport,
+    check_sweep,
     factorize,
     is_t_free,
     prime_power_events,
@@ -31,10 +33,6 @@ from . import primorial
 from .tabular import rows_to_csv, rows_to_json
 
 RELATIVE_BAND = 1e-9
-DEFAULT_MAX_SPAN = 10**9
-# Up to 2^50, n and sigma(n) < 8n stay below 2^53, exact in float64 and int64,
-# and the sigma sieve needs primes only to 2^25.
-MAX_SCAN_STOP = 2**50
 
 VERDICT_FIELDS = ("n", "sigma", "threshold", "margin")
 
@@ -88,15 +86,6 @@ def _sigma_segment(lo: int, hi: int, primes: list[int]) -> np.ndarray:
     return sig
 
 
-def check_scan_stop(stop: int) -> None:
-    """Raise ResourceError for a scan ending past MAX_SCAN_STOP."""
-    if stop > MAX_SCAN_STOP:
-        raise ResourceError(
-            f"scan stop {stop} exceeds the limit 2^50 = {MAX_SCAN_STOP}, "
-            "past which sigma(n) is no longer exact in float64"
-        )
-
-
 def robin_scan(
     start: int, stop: int, table: PrimeTable, max_span: int = DEFAULT_MAX_SPAN
 ) -> list[RobinVerdict]:
@@ -105,13 +94,7 @@ def robin_scan(
         raise ValueError(f"scan domain starts at 3, got {start}")
     if stop < start:
         raise ValueError(f"empty scan range [{start}, {stop}]")
-    check_scan_stop(stop)
-    span = stop - start + 1
-    if span > max_span:
-        raise ResourceError(
-            f"span {span} exceeds the budget of {max_span}; "
-            f"the scan works in segments of {SEGMENT_SIZE} integers"
-        )
+    check_sweep(start, stop, max_span)
     root = math.isqrt(stop)
     if table.limit < root:
         raise CoverageError(
@@ -130,6 +113,7 @@ def robin_scan(
             verdict = _verdict_from_sigma(lo + i, int(sig[i]))
             if not verdict.holds:
                 out.append(verdict)
+        del sig, ns, thresholds, margins, flagged  # free this window before the next
     return out
 
 

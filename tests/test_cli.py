@@ -144,6 +144,18 @@ def test_robin_scan_stop_limit(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_champions_stop_limit(capsys):
+    # the guard comes before champion_scan sieves to sqrt(limit) = 3e9
+    start = time.perf_counter()
+    code = cli.main(["champions", "--limit", str(10**19), "--t", "2"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert f"sweep stop {10**19} exceeds the limit 2^50" in out.err
+    assert elapsed < 1.0
+
+
 def test_robin_scan_below_limit(capsys):
     code, out = _run(["robin-scan", "--from", str(10**14 - 10), "--to", str(10**14)], capsys)
     assert code == 0

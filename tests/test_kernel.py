@@ -1,16 +1,32 @@
 """Differential checks of the prime-power peeling kernel and its folds
-against per-integer factorize, sigma and psi_over_n."""
+against per-integer factorize, sigma and psi_over_n, against the division
+kernel it replaced, and against a library-free oracle just below 2^50."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robinpsi import champion_scan, reduction_check, robin_scan, verify_sigma_le_psi
+from robinpsi import (
+    ResourceError,
+    champion_scan,
+    reduction_check,
+    robin_scan,
+    verify_sigma_le_psi,
+)
 from robinpsi import multiplicative, primorial, robin
-from robinpsi.multiplicative import factorize, prime_power_events, psi_over_n, sigma
+from robinpsi.multiplicative import (
+    DEFAULT_MAX_SPAN,
+    MAX_SCAN_STOP,
+    factorize,
+    prime_power_events,
+    psi_over_n,
+    sigma,
+)
+from robinpsi.primes import _segmented_primes
 from robinpsi.primorial import _log_psi_ratios
 from robinpsi.robin import _sigma_segment
 
@@ -18,6 +34,7 @@ EDGE = 1 << 22
 
 windows = st.tuples(
     st.one_of(
+        st.just(1),
         st.integers(1, 10**9),
         st.integers(EDGE - 3000, EDGE + 10),  # windows across the segment edge
     ),
@@ -25,13 +42,56 @@ windows = st.tuples(
 )
 
 
+def _expanded(events, lo, hi):
+    """Each event as (p, offsets, exponents) lists, a slice expanded to offsets."""
+    return [
+        (p.tolist() if np.ndim(p) else p, np.arange(hi - lo)[where].tolist(), exp.tolist())
+        for p, where, exp in events
+    ]
+
+
 def _fold_factors(lo, hi, primes):
     folded = [[] for _ in range(hi - lo)]
-    for p, off, exp in prime_power_events(lo, hi, primes):
-        ps = p.tolist() if isinstance(p, np.ndarray) else [p] * len(off)
-        for q, i, e in zip(ps, off.tolist(), exp.tolist()):
+    for p, off, exp in _expanded(prime_power_events(lo, hi, primes), lo, hi):
+        ps = p if isinstance(p, list) else [p] * len(off)
+        for q, i, e in zip(ps, off, exp):
             folded[i].append((q, e))
     return [tuple(f) for f in folded]
+
+
+def _division_kernel(lo, hi, base_primes):
+    """The gather, divide and scatter kernel the strided one replaced: the oracle."""
+    size = hi - lo
+    rem = np.arange(lo, hi, dtype=np.int64)
+    root = math.isqrt(hi - 1)
+    for p in base_primes:
+        if p > root:
+            break
+        idx = np.arange((-lo) % p, size, p, dtype=np.int64)
+        if idx.size == 0:
+            continue
+        val = rem[idx] // p
+        exp = np.ones(idx.size, dtype=np.int8)
+        sel = np.flatnonzero(val % p == 0)
+        while sel.size:
+            val[sel] //= p
+            exp[sel] += 1
+            sel = sel[val[sel] % p == 0]
+        rem[idx] = val
+        yield p, idx, exp
+    left = np.flatnonzero(rem > 1)
+    yield rem[left], left, np.ones(left.size, dtype=np.int8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows)
+def test_kernel_matches_division_kernel(small_table, window):
+    lo, width = window
+    hi = lo + width
+    got = list(prime_power_events(lo, hi, small_table.primes))
+    assert _expanded(got, lo, hi) == _expanded(_division_kernel(lo, hi, small_table.primes), lo, hi)
+    assert all(exp.dtype == np.int8 for _, _, exp in got)
+    assert got[-1][0].dtype == np.int64
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,6 +135,26 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
     assert reduction_check(20_000, 3)
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda limit: champion_scan(limit, 2),
+        lambda limit: verify_sigma_le_psi(limit, 3),
+        lambda limit: reduction_check(limit, 2),
+    ],
+    ids=["champion_scan", "verify_sigma_le_psi", "reduction_check"],
+)
+def test_sweep_limits(sweep):
+    # both guards come before any sieving, so each call returns at once
+    start = time.perf_counter()
+    for limit in (MAX_SCAN_STOP + 1, 2**63 + 5):
+        with pytest.raises(ResourceError, match="2\\^50"):
+            sweep(limit)
+    with pytest.raises(ResourceError, match="budget"):
+        sweep(DEFAULT_MAX_SPAN + 6)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("t", [2, 7])
 def test_screens_agree_with_deciding_every_point(monkeypatch, t):
     # a band wide enough to send every n to the exact or 60-digit decision
@@ -82,3 +162,61 @@ def test_screens_agree_with_deciding_every_point(monkeypatch, t):
     monkeypatch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
     assert [champion_scan(3000, t, mode) for mode in ("strict", "weak")] == expected
     assert reduction_check(3000, t)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve primes as bases decide
+    every n below 3.18e23 (Sorenson and Webster 2015)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def primes_to_2_25():
+    return _segmented_primes(1 << 25)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (MAX_SCAN_STOP - 999, MAX_SCAN_STOP + 1),  # the last window a sweep may reach
+        (2**49 - 500, 2**49 + 500),
+        (3**31 - 500, 3**31 + 500),
+    ],
+)
+def test_kernel_below_scan_limit(primes_to_2_25, lo, hi):
+    # every check is plain integer arithmetic on the events themselves
+    factors = [[] for _ in range(hi - lo)]
+    root = math.isqrt(hi - 1)
+    events = list(prime_power_events(lo, hi, primes_to_2_25))
+    for p, off, exp in _expanded(events[:-1], lo, hi):
+        assert p <= root and _is_prime(p)
+        for i, e in zip(off, exp):
+            n = lo + i
+            assert e >= 1 and n % p**e == 0 and n % p ** (e + 1) != 0
+            factors[i].append((p, e))
+    for q, i, e in zip(*_expanded(events[-1:], lo, hi)[0]):
+        assert e == 1 and q > root and _is_prime(q)
+        factors[i].append((q, 1))
+    sig = _sigma_segment(lo, hi, primes_to_2_25)
+    for i, n in enumerate(range(lo, hi)):
+        assert math.prod(p**e for p, e in factors[i]) == n
+        assert int(sig[i]) == math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factors[i])

@@ -79,7 +79,8 @@ def test_factorize_large_prime_cofactor_is_fine():
 
 def test_kernel_factorization_matches(small_table):
     folded = {n: [] for n in range(1, 10_001)}
-    for p, off, exp in prime_power_events(1, 10_001, small_table.primes):
+    for p, where, exp in prime_power_events(1, 10_001, small_table.primes):
+        off = np.arange(10_000)[where]
         ps = p.tolist() if isinstance(p, np.ndarray) else [p] * len(off)
         for q, i, e in zip(ps, off.tolist(), exp.tolist()):
             folded[1 + i].append((q, e))

@@ -101,7 +101,7 @@ def test_scan_domain_checks(small_table):
 
 
 def test_scan_stop_limit(small_table):
-    from robinpsi.robin import MAX_SCAN_STOP
+    from robinpsi.multiplicative import MAX_SCAN_STOP
 
     tiny = build_table(50)
     # past the limit the budget error comes first, before any coverage check
