@@ -59,8 +59,6 @@ from .robin import (
     robin_scan,
     robin_verdict,
     verify_tfree_robin,
-    violators_to_csv,
-    violators_to_json,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 
 _TABLE1_START_LIMIT = 1 << 17
-_TABLE1_DEFAULT_CAP = 1 << 25
+_SIEVE_CAP = 1 << 25  # table1's default --sieve-cap; the budget of every index command
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-n0", action="store_true", help="search only from index 2263 up")
     p.add_argument("--sieve-limit", type=_sieve_size, default=None, help="starting sieve size")
     p.add_argument(
-        "--sieve-cap", type=_sieve_size, default=_TABLE1_DEFAULT_CAP,
+        "--sieve-cap", type=_sieve_size, default=_SIEVE_CAP,
         help="auto-grow limit for the sieve",
     )
     common(p)
@@ -115,11 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prime_reach(n: int) -> int:
-    """Sieve bound guaranteed to cover p_n: n (log n + log log n) for n >= 6."""
+    """Sieve bound guaranteed to cover p_n: n (log n + log log n) for n >= 6.
+    Raises ResourceError, before any sieving, when it exceeds _SIEVE_CAP."""
     if n < 6:
         return 16
     x = float(n)
-    return int(x * (math.log(x) + math.log(math.log(x)))) + 16
+    reach = int(x * (math.log(x) + math.log(math.log(x)))) + 16
+    if reach > _SIEVE_CAP:
+        raise ResourceError(
+            f"index {n} needs primes to {reach}, past the sieve budget "
+            f"2^25 = {_SIEVE_CAP}; lower --n-max or --n"
+        )
+    return reach
 
 
 def cmd_table1(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:

@@ -8,9 +8,10 @@ arithmetic.  Floats only appear downstream in the log-space modules.
 Every sweep over a range of integers factors it with one kernel,
 `prime_power_events`, which peels prime powers from a whole window in numpy
 through strided views: a base prime's event addresses the window by a slice
-of its multiples, the leftover cofactors by an index array, and each consumer
-folds the events into what it needs.  `check_sweep` bounds every sweep by
-MAX_SCAN_STOP and a span budget before any sieving.
+of its multiples, the leftover cofactors by an index array.  `sweep` is the
+one window loop: it bounds the range with `check_sweep` before any sieving
+and hands each window's events to one or more folds, such as the sigma fold
+of `robin` and `BridgeFold` here, which may stop it early.
 """
 
 from __future__ import annotations
@@ -123,8 +124,46 @@ def prime_power_events(
         yield p, slice(s, None, p), exp
     left = np.flatnonzero(rem > 1)
     cofactors = rem[left]
-    del rem, urem  # free the window before the last event is folded
+    rem = urem = view = None  # free the window (the last view held it too) before the last event
     yield cofactors, left, np.ones(left.size, dtype=np.int8)
+
+
+def sweep(
+    start: int,
+    stop: int,
+    folds: list,
+    table: PrimeTable | None = None,
+    max_span: int = DEFAULT_MAX_SPAN,
+) -> None:
+    """Fold every n in [start, stop] into each fold, one window of
+    SEGMENT_SIZE integers at a time, once check_sweep has passed.
+
+    Base primes come from table, which must reach sqrt(stop), or from a new
+    table when it is None.  On each window [lo, hi) every fold gets open(lo,
+    hi), add(p, where, exponents) per kernel event, then close(lo, hi), in
+    list order; a fold whose close returns True is done, and the sweep stops
+    once every fold is done.
+    """
+    check_sweep(start, stop, max_span)
+    root = math.isqrt(stop)
+    if table is None:
+        table = build_table(root + 1)
+    elif table.limit < root:
+        raise CoverageError(
+            f"sweep needs primes to sqrt({stop}) = {root}, "
+            f"table stops at {table.limit}; enlarge the sieve"
+        )
+    for lo in range(start, stop + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, stop + 1)
+        for fold in folds:
+            fold.open(lo, hi)
+        for event in prime_power_events(lo, hi, table.primes):
+            for fold in folds:
+                fold.add(*event)
+        del event  # free the last event's arrays before any fold closes the window
+        folds = [fold for fold in folds if not fold.close(lo, hi)]
+        if not folds:
+            break
 
 
 def sigma(f: Factorization) -> int:
@@ -182,8 +221,8 @@ class BridgeReport:
     limit: int
     checked: int
     equalities: int
-    violation: int | None
-    equality_mismatch: int | None
+    violation: int | None = None
+    equality_mismatch: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -201,56 +240,73 @@ def _bridge_failure(p: int, e: int, t: int) -> str | None:
     return None
 
 
-def verify_sigma_le_psi(limit: int, t: int) -> BridgeReport:
-    """Exact sweep of sigma(n) <= psi_t(n) over every t-free n <= limit.
+class BridgeFold:
+    """The sweep fold of sigma(n) <= psi_t(n) over t-free n: per-n exponent
+    extremes and local pair decisions, counted up to the least failing n.
 
     Both sides are products over the prime powers p^e exactly dividing n, so
     the inequality holds on n when it holds on each local pair (p, e), and is
-    an equality on n iff it is one on every pair.  Each distinct pair with
-    e <= t - 1 is decided once in exact integers: sigma(p^e) p^(t-1) (p - 1)
-    <= p^e (p^t - 1), with equality iff e = t - 1.  Per-n exponent extremes
-    from the peeling kernel then give t-freeness and equality.  Every pair
-    occurs alone at n = p^e, so the least failing n is the least p^e of a
-    failing pair, and the counts stop there.
+    an equality on n iff it is one on every pair.  A pair with e <= t - 1 is
+    decided once, in exact integers: sigma(p^e) p^(t-1) (p - 1) <= p^e (p^t - 1),
+    with equality iff e = t - 1.  Exponent extremes then give t-freeness and
+    equality.  Every pair occurs alone at n = p^e, so the least failing n is
+    the least p^e of a failing pair, and the counts stop there.
     """
+
+    def __init__(self, t: int) -> None:
+        self.t = t
+        self.decided: dict[int, int] = {}  # base prime -> largest exponent decided
+        self.cofactor_decided = False
+        self.failure: dict[str, int] = {}  # {field: p^e} of the least failing pair
+        self.checked = 0
+        self.equalities = 0
+
+    def open(self, lo: int, hi: int) -> None:
+        self.lo = lo
+        self.high = np.zeros(hi - lo, dtype=np.int8)  # largest exponent of n
+        self.low = np.full(hi - lo, self.t - 1, dtype=np.int8)  # smallest, capped at t - 1
+
+    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
+        self.high[where] = np.maximum(self.high[where], exp)
+        self.low[where] = np.minimum(self.low[where], exp)
+        if not np.ndim(p):
+            e_max = min(int(exp.max()), self.t - 1)
+            pairs = [(p, e) for e in range(self.decided.get(p, 0) + 1, e_max + 1)]
+            self.decided[p] = max(self.decided.get(p, 0), e_max)
+        elif self.cofactor_decided:
+            return
+        else:
+            # For a prime q, sigma(q) q^(t-1) (q - 1) - q (q^t - 1) = q - q^(t-1):
+            # every pair (q, 1) has one verdict, which holds for t >= 2, with
+            # equality iff t = 2.  The least cofactor prime that is n itself,
+            # the least n a failing (q, 1) could be, decides it once per sweep.
+            pairs = [(q, 1) for q in p[p == self.lo + where][:1].tolist()]
+            self.cofactor_decided = bool(pairs)
+        for q, e in pairs:
+            field = _bridge_failure(q, e, self.t)
+            if field and all(q**e < n for n in self.failure.values()):
+                self.failure = {field: q**e}
+
+    def close(self, lo: int, hi: int) -> bool:
+        """Count the window's t-free n and equalities; True once a pair failed."""
+        free = self.high <= self.t - 1
+        equal = free & (self.low == self.t - 1)
+        del self.high, self.low
+        stop = min(self.failure.values(), default=hi) - lo
+        self.checked += int(np.count_nonzero(free[: stop + 1]))
+        self.equalities += int(np.count_nonzero(equal[:stop]))
+        return bool(self.failure)
+
+    def report(self, limit: int) -> BridgeReport:
+        return BridgeReport(self.t, limit, self.checked, self.equalities, **self.failure)
+
+
+def verify_sigma_le_psi(limit: int, t: int) -> BridgeReport:
+    """Exact sweep of sigma(n) <= psi_t(n) over every t-free n <= limit."""
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    check_sweep(1, limit)
-    top = t - 1
-    primes = build_table(math.isqrt(limit) + 1).primes
-    decided: dict[int, int] = {}  # base prime -> largest exponent decided
-    failure: tuple[int, str] | None = None  # (p^e, field) of the least failing pair
-    checked = 0
-    equalities = 0
-    for lo in range(1, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        high = np.zeros(hi - lo, dtype=np.int8)  # largest exponent of n
-        low = np.full(hi - lo, top, dtype=np.int8)  # smallest exponent of n, capped at t - 1
-        for p, off, exp in prime_power_events(lo, hi, primes):
-            high[off] = np.maximum(high[off], exp)
-            low[off] = np.minimum(low[off], exp)
-            if np.ndim(p):  # a cofactor prime is new to the sweep where n is that prime
-                pairs = [(q, 1) for q in p[p == lo + off].tolist()]
-            else:
-                e_max = min(int(exp.max()), top)
-                pairs = [(p, e) for e in range(decided.get(p, 0) + 1, e_max + 1)]
-                decided[p] = max(decided.get(p, 0), e_max)
-            for q, e in pairs:
-                field = _bridge_failure(q, e, t)
-                if field and (failure is None or q**e < failure[0]):
-                    failure = (q**e, field)
-        free = high <= top
-        equal = free & (low == top)
-        if failure:
-            stop = failure[0] - lo
-            checked += int(np.count_nonzero(free[: stop + 1]))
-            equalities += int(np.count_nonzero(equal[:stop]))
-            break
-        checked += int(np.count_nonzero(free))
-        equalities += int(np.count_nonzero(equal))
-    found: dict[str, int | None] = {"violation": None, "equality_mismatch": None}
-    if failure:
-        found[failure[1]] = failure[0]
-    return BridgeReport(t=t, limit=limit, checked=checked, equalities=equalities, **found)
+    bridge = BridgeFold(t)
+    sweep(1, limit, [bridge])
+    return bridge.report(limit)

@@ -1,10 +1,12 @@
 """Per-integer Robin verdicts, segmented range scans, and the t-free pipeline.
 
 The inequality under test is sigma(n) < e^gamma * n * log log n for n >= 5041.
-sigma over a scan range is folded from the prime-power peeling kernel on
-fixed-size segments, never from per-integer factorization.  Any verdict whose
-float margin is within n * 1e-9 of zero is recomputed at 60 significant
-digits before being trusted.
+sigma over a scan range is an int64 fold of the prime-power peeling kernel,
+run by the window loop `multiplicative.sweep`, never per-integer
+factorization; the t-free pipeline hands that loop the sigma fold and the
+bridge fold together, so branches (a) and (c) share one kernel pass.  Any
+verdict whose float margin is within n * 1e-9 of zero is recomputed at 60
+significant digits before being trusted.
 """
 
 from __future__ import annotations
@@ -16,21 +18,17 @@ import mpmath
 import numpy as np
 
 from .bounds import EXP_GAMMA, find_crossover_index
-from .errors import CoverageError
 from .multiplicative import (
     DEFAULT_MAX_SPAN,
-    SEGMENT_SIZE,
+    BridgeFold,
     BridgeReport,
-    check_sweep,
     factorize,
     is_t_free,
-    prime_power_events,
     sigma,
-    verify_sigma_le_psi,
+    sweep,
 )
 from .primes import PrimeTable
 from . import primorial
-from .tabular import rows_to_csv, rows_to_json
 
 RELATIVE_BAND = 1e-9
 
@@ -74,16 +72,43 @@ def robin_verdict(n: int, table: PrimeTable) -> RobinVerdict:
     return _verdict_from_sigma(n, sigma(factorize(n, table)))
 
 
-def _sigma_segment(lo: int, hi: int, primes: list[int]) -> np.ndarray:
-    """Exact sigma(n) for lo <= n < hi as int64, folded from the peeling kernel."""
-    sig = np.ones(hi - lo, dtype=np.int64)
-    for p, off, exp in prime_power_events(lo, hi, primes):
+class _RobinFold:
+    """The sweep fold of the Robin scans: int64 sigma(n) of each window, exact
+    up to 2^50, then the violators among its n >= 3, ascending."""
+
+    def __init__(self) -> None:
+        self.violators: list[RobinVerdict] = []
+
+    def open(self, lo: int, hi: int) -> None:
+        self.sig = np.ones(hi - lo, dtype=np.int64)
+
+    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
         if np.ndim(p):  # cofactor primes, exponent 1
-            sig[off] *= p + 1
+            self.sig[where] *= p + 1
         else:
             local = [(p ** (e + 1) - 1) // (p - 1) for e in range(int(exp.max()) + 1)]
-            sig[off] *= np.array(local, dtype=np.int64)[exp]
-    return sig
+            self.sig[where] *= np.array(local, dtype=np.int64)[exp]
+
+    def close(self, lo: int, hi: int) -> bool:
+        first = max(lo, 3)  # the threshold needs log log n > 0
+        sig = self.sig[first - lo :]
+        del self.sig
+        # margins = e^gamma * n * log log n - sigma(n), formed in place in that
+        # operation order, so no full-window temporary outlives its step
+        ns = np.arange(first, hi, dtype=np.float64)
+        margins = EXP_GAMMA * ns
+        loglog = np.log(ns)
+        margins *= np.log(loglog, out=loglog)
+        del loglog
+        margins -= sig
+        flagged = margins <= 0.0
+        ns *= RELATIVE_BAND
+        flagged |= np.abs(margins, out=margins) < ns
+        for i in np.flatnonzero(flagged).tolist():
+            verdict = _verdict_from_sigma(first + i, int(sig[i]))
+            if not verdict.holds:
+                self.violators.append(verdict)
+        return False
 
 
 def robin_scan(
@@ -94,27 +119,9 @@ def robin_scan(
         raise ValueError(f"scan domain starts at 3, got {start}")
     if stop < start:
         raise ValueError(f"empty scan range [{start}, {stop}]")
-    check_sweep(start, stop, max_span)
-    root = math.isqrt(stop)
-    if table.limit < root:
-        raise CoverageError(
-            f"sigma sieve needs primes to sqrt({stop}) = {root}, "
-            f"table stops at {table.limit}; enlarge the sieve"
-        )
-    out: list[RobinVerdict] = []
-    for lo in range(start, stop + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, stop + 1)
-        sig = _sigma_segment(lo, hi, table.primes)
-        ns = np.arange(lo, hi, dtype=np.float64)
-        thresholds = EXP_GAMMA * ns * np.log(np.log(ns))
-        margins = thresholds - sig
-        flagged = np.flatnonzero((margins <= 0.0) | (np.abs(margins) < ns * RELATIVE_BAND))
-        for i in flagged.tolist():
-            verdict = _verdict_from_sigma(lo + i, int(sig[i]))
-            if not verdict.holds:
-                out.append(verdict)
-        del sig, ns, thresholds, margins, flagged  # free this window before the next
-    return out
+    robin = _RobinFold()
+    sweep(start, stop, [robin], table, max_span)
+    return robin.violators
 
 
 def violators_to_rows(verdicts: list[RobinVerdict]) -> list[dict[str, object]]:
@@ -122,14 +129,6 @@ def violators_to_rows(verdicts: list[RobinVerdict]) -> list[dict[str, object]]:
         {"n": v.n, "sigma": v.sigma, "threshold": v.threshold, "margin": v.margin}
         for v in verdicts
     ]
-
-
-def violators_to_csv(verdicts: list[RobinVerdict]) -> str:
-    return rows_to_csv(violators_to_rows(verdicts), VERDICT_FIELDS)
-
-
-def violators_to_json(verdicts: list[RobinVerdict]) -> str:
-    return rows_to_json(violators_to_rows(verdicts), VERDICT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -155,13 +154,16 @@ class TfreeTheoremReport:
 
 
 def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheoremReport:
-    """Run all three branches; any falsification is reported with a witness
+    """Run all three branches, (a) and (c) in one sweep over [1, scan_limit]
+    with primes from table; any falsification is reported with a witness
     integer rather than raised."""
     if t not in (6, 7):
         raise ValueError(f"the pipeline is stated for t in {{6, 7}}, got {t}")
     if scan_limit < 5041:
         raise ValueError(f"scan limit must reach past 5040, got {scan_limit}")
-    violators = robin_scan(3, scan_limit, table)
+    bridge_fold, robin = BridgeFold(t), _RobinFold()
+    sweep(1, scan_limit, [bridge_fold, robin], table)  # one kernel pass for (a) and (c)
+    violators = robin.violators
     above = tuple(
         v.n for v in violators if v.n > 5040 and is_t_free(factorize(v.n, table), t)
     )
@@ -172,7 +174,7 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
     ratio = math.exp(log_ratio) / math.log(table.theta_prefix[n1])
     branch_b = ratio < EXP_GAMMA
 
-    bridge = verify_sigma_le_psi(scan_limit, t)
+    bridge = bridge_fold.report(scan_limit)
     branch_c = bridge.violation is None
 
     witness: int | None = None

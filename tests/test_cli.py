@@ -180,6 +180,27 @@ def test_ratio_usage(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-bounds", "--n-max", "100000000", "--t-max", "3"],
+        ["ratio", "--t", "3", "--n-max", "100000000"],
+        ["admissible-t", "--n", "9", "100000000"],
+    ],
+    ids=["verify-bounds", "ratio", "admissible-t"],
+)
+def test_index_commands_budget(capsys, argv):
+    # the index is checked against the sieve budget before any sieving
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "sieve budget 2^25" in out.err
+    assert elapsed < 1.0
+
+
 def test_verify_bounds_reduced(capsys):
     code, out = _run(["verify-bounds", "--n-max", "2000", "--t-max", "4"], capsys)
     assert code == 0

@@ -16,19 +16,20 @@ from robinpsi import (
     reduction_check,
     robin_scan,
     verify_sigma_le_psi,
+    verify_tfree_robin,
 )
 from robinpsi import multiplicative, primorial, robin
 from robinpsi.multiplicative import (
     DEFAULT_MAX_SPAN,
     MAX_SCAN_STOP,
     factorize,
+    is_t_free,
     prime_power_events,
     psi_over_n,
     sigma,
 )
 from robinpsi.primes import _segmented_primes
 from robinpsi.primorial import _log_psi_ratios
-from robinpsi.robin import _sigma_segment
 
 EDGE = 1 << 22
 
@@ -48,6 +49,15 @@ def _expanded(events, lo, hi):
         (p.tolist() if np.ndim(p) else p, np.arange(hi - lo)[where].tolist(), exp.tolist())
         for p, where, exp in events
     ]
+
+
+def _sigma_segment(lo, hi, primes):
+    """The sigma fold of the Robin scans on one window, before its margins."""
+    fold = robin._RobinFold()
+    fold.open(lo, hi)
+    for event in prime_power_events(lo, hi, primes):
+        fold.add(*event)
+    return fold.sig
 
 
 def _fold_factors(lo, hi, primes):
@@ -123,16 +133,32 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
         [champion_scan(20_000, t, mode) for t in (2, 5) for mode in ("strict", "weak")],
         [verify_sigma_le_psi(20_000, t) for t in (2, 3, 4)],
         robin_scan(3, 20_000, small_table),
+        [verify_tfree_robin(t, 20_000, small_table) for t in (6, 7)],
     )
-    for module in (multiplicative, primorial, robin):
+    for module in (multiplicative, primorial):
         monkeypatch.setattr(module, "SEGMENT_SIZE", 997)
     got = (
         [champion_scan(20_000, t, mode) for t in (2, 5) for mode in ("strict", "weak")],
         [verify_sigma_le_psi(20_000, t) for t in (2, 3, 4)],
         robin_scan(3, 20_000, small_table),
+        [verify_tfree_robin(t, 20_000, small_table) for t in (6, 7)],
     )
     assert got == expected
     assert reduction_check(20_000, 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(5041, 30_000), st.sampled_from([6, 7]))
+def test_tfree_pass_matches_separate_sweeps(small_table, limit, t):
+    # one fused sweep against the sigma scan and the bridge sweep run apart
+    report = verify_tfree_robin(t, limit, small_table)
+    violators = robin_scan(3, limit, small_table)
+    assert report.violators_found == len(violators)
+    assert report.max_violator == max(v.n for v in violators)
+    assert report.tfree_violators_above_5040 == tuple(
+        v.n for v in violators if v.n > 5040 and is_t_free(factorize(v.n, small_table), t)
+    )
+    assert report.bridge == verify_sigma_le_psi(limit, t)
 
 
 @pytest.mark.parametrize(

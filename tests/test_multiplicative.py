@@ -210,6 +210,16 @@ def test_bridge_sweep_stops_at_least_failing_pair(
     assert (report.checked, report.equalities) == (checked, equalities)
 
 
+def test_cofactor_pair_verdict_is_uniform():
+    # sigma(q) q^(t-1) (q - 1) - q (q^t - 1) = q - q^(t-1) for a prime q, so the
+    # bridge may decide (q, 1) once per sweep: every prime gets the verdict of 2
+    primes = build_table(10**5).primes
+    for t in range(2, 65):
+        verdict = multiplicative._bridge_failure(2, 1, t)
+        assert verdict is None
+        assert all(multiplicative._bridge_failure(q, 1, t) == verdict for q in primes)
+
+
 def _is_full_square(n):
     # all exponents equal to exactly 2
     return all(e == 2 for _, e in _factor_by_division(n))

@@ -12,10 +12,12 @@ from robinpsi import (
     robin_scan,
     robin_verdict,
     verify_tfree_robin,
-    violators_to_csv,
-    violators_to_json,
 )
+from robinpsi import robin
 from robinpsi.bounds import EXP_GAMMA
+from robinpsi.multiplicative import prime_power_events
+from robinpsi.robin import VERDICT_FIELDS, violators_to_rows
+from robinpsi.tabular import rows_to_csv, rows_to_json
 
 # every n in [3, 5040] where sigma(n) >= e^gamma n log log n, found by the
 # additive oracle below and frozen here for direct comparison
@@ -115,11 +117,13 @@ def test_scan_stop_limit(small_table):
 
 def test_sigma_block_across_segment_edge(small_table):
     # the scanner splits at multiples of 2^22; sigma must stay exact there
-    from robinpsi.robin import _sigma_segment
-
     edge = 1 << 22
     lo, hi = edge - 5, edge + 5
-    block = _sigma_segment(lo, hi, small_table.primes)
+    fold = robin._RobinFold()
+    fold.open(lo, hi)
+    for event in prime_power_events(lo, hi, small_table.primes):
+        fold.add(*event)
+    block = fold.sig
     for i, n in enumerate(range(lo, hi)):
         sig, m, d = 0, n, 1
         while d * d <= m:
@@ -131,15 +135,15 @@ def test_sigma_block_across_segment_edge(small_table):
 
 def test_serialization_golden(small_table):
     found = robin_scan(3, 10, small_table)
-    csv_text = violators_to_csv(found)
+    csv_text = rows_to_csv(violators_to_rows(found), VERDICT_FIELDS)
     lines = csv_text.splitlines()
     assert lines[0] == "n,sigma,threshold,margin"
     assert lines[1].startswith("3,4,0.50251797522")
-    json_text = violators_to_json(found)
+    json_text = rows_to_json(violators_to_rows(found), VERDICT_FIELDS)
     assert '"n": 3' in json_text
     assert json_text.endswith("\n")
-    assert violators_to_csv([]) == "n,sigma,threshold,margin\n"
-    assert violators_to_json([]) == "[]\n"
+    assert rows_to_csv(violators_to_rows([]), VERDICT_FIELDS) == "n,sigma,threshold,margin\n"
+    assert rows_to_json(violators_to_rows([]), VERDICT_FIELDS) == "[]\n"
 
 
 @pytest.mark.parametrize("t", [6, 7])
