@@ -17,7 +17,6 @@ from .bounds import (
     SuiteResult,
     ZetaValue,
     admissible_t,
-    correction_factor,
     criterion,
     find_crossover_index,
     log_substitution_check,

@@ -9,8 +9,9 @@ log log N_n, turning the 1/log p_n slack into (1 + 0.1253)/log p_n.  The
 resulting crossover criterion reads exp(2/p_n) * f(n) < zeta(t) with
 f(n) = 1 + 1.1253 / (log p_n * log log N_n).
 
-Each bound's float formula is one array function, read by both its public
-scalar and its suite.  The four suites hand their margin arrays to one sweep,
+The criterion's left side, less 1, is one array per prime table, read by
+criterion, find_crossover_index and admissible_t.  Each bound's float formula
+is likewise one array function, read by both its public scalar and its suite.  The four suites hand their margin arrays to one sweep,
 _sweep: any |margin| below 1e-9 is precision-critical and is re-derived at
 60 significant digits, from products of exact integers with one rounding per
 factor, before it is trusted; a range without points reports SKIPPED.
@@ -42,6 +43,7 @@ CRITERION_FLOOR = 2263  # least n with p_n >= 20000 (p_2263 = 20011)
 LOG_SHIFT = 0.1253
 MERTENS_SHIFT = 1.1253  # 1 + LOG_SHIFT, see module docstring
 PRECISION_BAND = 1e-9
+CONFIRM = 100  # indices past n1 that must satisfy the criterion too
 
 _ZETA_TAIL_TARGET = 1e-15
 _ZETA_CHUNK = 1 << 22
@@ -96,13 +98,29 @@ def zeta(t: int) -> ZetaValue:
     return ZetaValue(t=t, value=1.0 + excess, abs_error_bound=err, excess=excess)
 
 
-def correction_factor(n: int, table: PrimeTable) -> float:
-    """f(n) = 1 + 1.1253 / (log p_n * log log N_n); decreases toward 1."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 so that log log N_n > 0, got {n}")
-    lp = math.log(nth_prime(table, n))
-    lln = math.log(theta(table, n))
-    return 1.0 + MERTENS_SHIFT / (lp * lln)
+def _per_table(build: Callable[[PrimeTable], np.ndarray]) -> Callable[[PrimeTable], np.ndarray]:
+    """build(table), computed once per table and dropped with the table."""
+    cache: "weakref.WeakKeyDictionary[PrimeTable, np.ndarray]" = weakref.WeakKeyDictionary()
+
+    def cached(table: PrimeTable) -> np.ndarray:
+        if table not in cache:
+            cache[table] = build(table)
+        return cache[table]
+
+    return cached
+
+
+@_per_table
+def _criterion_lhs(table: PrimeTable) -> np.ndarray:
+    """exp(2/p_n) * f(n) - 1 = expm1(2/p_n) * (1 + c) + c at index n - 1, with
+    c = 1.1253 / (log p_n * log log N_n), in the scalar operation order."""
+    c = libm_map(math.log, table.primes)
+    c *= libm_map(math.log, table.theta_prefix[1:])
+    np.divide(MERTENS_SHIFT, c, out=c)
+    lhs = libm_map(lambda p: math.expm1(2.0 / p), table.primes)
+    lhs *= 1.0 + c
+    lhs += c
+    return lhs
 
 
 @dataclass(frozen=True)
@@ -120,18 +138,15 @@ class CriterionReport:
 def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
     """Crossover test exp(2/p_n) * f(n) < zeta(t), reported with its margin.
 
-    Both sides are reduced by 1 before subtraction (expm1 on the left,
-    the excess field on the right), so the margin keeps full significance
-    even when the two sides agree to many digits.
+    Both sides are reduced by 1 before subtraction (_criterion_lhs on the
+    left, the excess field on the right), so the margin keeps full
+    significance even when the two sides agree to many digits.
     """
     z = zeta(t)
     if n < 2:
         raise ValueError(f"criterion needs n >= 2, got {n}")
     p = nth_prime(table, n)
-    lp = math.log(p)
-    lln = math.log(theta(table, n))
-    c = MERTENS_SHIFT / (lp * lln)
-    lhs_excess = math.expm1(2.0 / p) * (1.0 + c) + c
+    lhs_excess = float(_criterion_lhs(table)[n - 1])
     margin = z.excess - lhs_excess
     return CriterionReport(
         t=t,
@@ -145,36 +160,32 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
     )
 
 
-def find_crossover_index(
-    t: int, table: PrimeTable, floored: bool = False, confirm: int = 100
-) -> int:
+def find_crossover_index(t: int, table: PrimeTable, floored: bool = False) -> int:
     """Least index n where the criterion holds (search floor 2263 if floored).
 
-    Confirms the criterion stays satisfied for the next `confirm` indices;
+    Confirms the criterion stays satisfied for the next CONFIRM indices;
     running off the table either way raises CoverageError.
     """
-    zeta(t)  # validate t before any scanning
+    excess = zeta(t).excess  # validates t
     start = CRITERION_FLOOR if floored else 2
     size = len(table.primes)
-    hit = 0
-    for n in range(start, size + 1):
-        if criterion(t, n, table).satisfied:
-            hit = n
-            break
-    if not hit:
+    # margin > 0 exactly when lhs < excess: float subtraction is 0 only on equality
+    satisfied = _criterion_lhs(table)[start - 1 :] < excess
+    if not satisfied.any():
         raise CoverageError(
             f"criterion for t={t} unsatisfied through index {size}; enlarge the sieve"
         )
-    if hit + confirm > size:
+    i = int(np.argmax(satisfied))
+    hit = start + i
+    if hit + CONFIRM > size:
         raise CoverageError(
-            f"cannot confirm stability through index {hit + confirm} "
+            f"cannot confirm stability through index {hit + CONFIRM} "
             f"(table ends at {size}); enlarge the sieve"
         )
-    for k in range(hit + 1, hit + confirm + 1):
-        if not criterion(t, k, table).satisfied:
-            raise RuntimeError(
-                f"criterion for t={t} holds at {hit} but fails again at {k}"
-            )
+    after = satisfied[i + 1 : i + CONFIRM + 1]
+    if not after.all():
+        k = hit + 1 + int(np.argmin(after))
+        raise RuntimeError(f"criterion for t={t} holds at {hit} but fails again at {k}")
     return hit
 
 
@@ -191,17 +202,9 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
     return mant, exp10
 
 
-_mertens_prefix_cache: "weakref.WeakKeyDictionary[PrimeTable, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
+@_per_table
 def _mertens_prefix(table: PrimeTable) -> np.ndarray:
-    pre = _mertens_prefix_cache.get(table)
-    if pre is None:
-        terms = libm_map(lambda p: -math.log1p(-1.0 / p), table.primes)
-        pre = _mertens_prefix_cache[table] = compensated_prefix(terms)
-    return pre
+    return compensated_prefix(libm_map(lambda p: -math.log1p(-1.0 / p), table.primes))
 
 
 def _mertens_products(xs: list[int], table: PrimeTable) -> np.ndarray:
@@ -280,12 +283,12 @@ def admissible_t(n: int, table: PrimeTable) -> int | None:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    best: int | None = None
+    nth_prime(table, n)  # range check
+    lhs = _criterion_lhs(table)[n - 1]
     t = 2
-    while criterion(t, n, table).satisfied:
-        best = t
+    while zeta(t).excess > lhs:
         t += 1
-    return best
+    return t - 1 if t > 2 else None
 
 
 def zeta_excess_scaled(t_max: int) -> list[tuple[int, float]]:

@@ -132,6 +132,7 @@ def _prime_reach(n: int) -> int:
 def cmd_table1(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
     cap = args.sieve_cap
     limit = args.sieve_limit or min(_TABLE1_START_LIMIT, cap)
+    fields = ("t", "n1", "p_n1", "mantissa", "exponent10", "margin")
     while True:
         table = build_table(limit)
         try:
@@ -140,17 +141,8 @@ def cmd_table1(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], i
                 n1 = bounds.find_crossover_index(t, table, floored=args.floor_n0)
                 mant, exp10 = bounds.primorial_magnitude(n1, table)
                 report = bounds.criterion(t, n1, table)
-                rows.append(
-                    {
-                        "t": t,
-                        "n1": n1,
-                        "p_n1": report.p_n,
-                        "mantissa": mant,
-                        "exponent10": exp10,
-                        "margin": report.margin,
-                    }
-                )
-            return rows, ("t", "n1", "p_n1", "mantissa", "exponent10", "margin"), EXIT_OK
+                rows.append(dict(zip(fields, (t, n1, report.p_n, mant, exp10, report.margin))))
+            return rows, fields, EXIT_OK
         except CoverageError:
             if limit >= cap:
                 raise

@@ -12,7 +12,6 @@ from robinpsi import (
     CoverageError,
     admissible_t,
     build_table,
-    correction_factor,
     criterion,
     find_crossover_index,
     log_psi_ratio_prefix,
@@ -68,21 +67,25 @@ def test_zeta_domain():
         zeta(1)
 
 
-def test_correction_factor_values(small_table):
+def test_criterion_lhs_values(small_table):
+    # lhs = exp(2/p_n) * f(n) with f(n) = 1 + 1.1253 / (log p_n * log log N_n)
     with mpmath.workdps(40):
         for n in (2, 10, 100, 2263):
             primes = small_table.primes[:n]
             theta = mpmath.fsum(mpmath.log(q) for q in primes)
-            ref = 1 + mpmath.mpf("1.1253") / (mpmath.log(primes[-1]) * mpmath.log(theta))
-            assert correction_factor(n, small_table) == pytest.approx(float(ref), rel=1e-13)
-    assert correction_factor(10, small_table) == pytest.approx(1.1071956421011722, rel=1e-13)
+            f = 1 + mpmath.mpf("1.1253") / (mpmath.log(primes[-1]) * mpmath.log(theta))
+            ref = mpmath.exp(mpmath.mpf(2) / primes[-1]) * f
+            assert criterion(3, n, small_table).lhs == pytest.approx(float(ref), rel=1e-13)
+    rep = criterion(3, 10, small_table)
+    assert rep.lhs / math.exp(2.0 / 29) == pytest.approx(1.1071956421011722, rel=1e-13)
 
 
-def test_correction_factor_decreases(small_table):
-    values = [correction_factor(n, small_table) for n in range(2, 2000)]
-    assert all(a > b > 1.0 for a, b in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        correction_factor(1, small_table)
+def test_criterion_lhs_decreases(small_table):
+    reports = [criterion(3, n, small_table) for n in range(2, 2000)]
+    lhs = [r.lhs for r in reports]
+    f = [r.lhs / math.exp(2.0 / r.p_n) for r in reports]
+    assert all(a > b > 1.0 for a, b in zip(lhs, lhs[1:]))
+    assert all(a > b > 1.0 for a, b in zip(f, f[1:]))
 
 
 def test_criterion_flips_between_9_and_10(small_table):
@@ -142,6 +145,94 @@ def test_crossover_needs_coverage():
     tiny = build_table(1000)
     with pytest.raises(CoverageError):
         find_crossover_index(7, tiny)
+    # 168 primes, none at or past the floor: an empty search, not a ValueError
+    assert len(tiny) < CRITERION_FLOOR
+    with pytest.raises(CoverageError, match="through index 168"):
+        find_crossover_index(2, tiny, floored=True)
+    # a hit without CONFIRM indices after it
+    short = build_table(113)  # p_30 = 113, the t = 3 crossover is n = 10
+    with pytest.raises(CoverageError, match="through index 110"):
+        find_crossover_index(3, short)
+
+
+# The scalar criterion formula and search loop that the per-table array
+# replaced, kept as the oracle.
+def _scalar_lhs_excess(n, table):
+    p = table.primes[n - 1]
+    lp = math.log(p)
+    lln = math.log(table.theta_prefix[n])
+    c = MERTENS_SHIFT / (lp * lln)
+    return math.expm1(2.0 / p) * (1.0 + c) + c
+
+
+def _scalar_margin(t, n, table):
+    return zeta(t).excess - _scalar_lhs_excess(n, table)
+
+
+def _scalar_crossover(t, table, floored, margin):
+    start = CRITERION_FLOOR if floored else 2
+    size = len(table.primes)
+    hit = 0
+    for n in range(start, size + 1):
+        if margin(n) > 0.0:
+            hit = n
+            break
+    if not hit:
+        raise CoverageError(
+            f"criterion for t={t} unsatisfied through index {size}; enlarge the sieve"
+        )
+    if hit + 100 > size:
+        raise CoverageError(
+            f"cannot confirm stability through index {hit + 100} "
+            f"(table ends at {size}); enlarge the sieve"
+        )
+    for k in range(hit + 1, hit + 101):
+        if not margin(k) > 0.0:
+            raise RuntimeError(f"criterion for t={t} holds at {hit} but fails again at {k}")
+    return hit
+
+
+def _outcome(search):
+    try:
+        return search()
+    except CoverageError as exc:
+        return str(exc)
+
+
+def _scalar_admissible_t(n, table):
+    t = 2
+    while _scalar_margin(t, n, table) > 0.0:
+        t += 1
+    return t - 1 if t > 2 else None
+
+
+def test_criterion_matches_scalar_oracle():
+    table = build_table(1 << 21)
+    size = len(table)
+    lhs = bounds._criterion_lhs(table)
+    oracle_lhs = [None, None] + [_scalar_lhs_excess(n, table) for n in range(2, size + 1)]
+    spots = [2, 3, 9, 10, CRITERION_FLOOR, size] + list(range(5, size, 997))
+    for t in range(2, 11):
+        excess = zeta(t).excess
+        oracle = [None, None] + [excess - v for v in oracle_lhs[2:]]
+        got = (excess - lhs[1:]).tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, oracle[2:]))
+        for n in spots:
+            assert criterion(t, n, table).margin.hex() == oracle[n].hex()
+        for floored in (False, True):
+            expected = _outcome(lambda: _scalar_crossover(t, table, floored, oracle.__getitem__))
+            assert _outcome(lambda: find_crossover_index(t, table, floored)) == expected
+    assert [admissible_t(n, table) for n in spots] == [_scalar_admissible_t(n, table) for n in spots]
+
+
+def test_criterion_matches_scalar_oracle_at_t8():
+    table = build_table(1 << 25)
+    n1 = find_crossover_index(8, table)
+    assert n1 == 1055642
+    assert find_crossover_index(8, table, floored=True) == n1
+    for n in range(n1 - 1000, n1 + 101):
+        assert criterion(8, n, table).margin.hex() == _scalar_margin(8, n, table).hex()
+    assert _scalar_margin(8, n1 - 1, table) <= 0.0 < _scalar_margin(8, n1, table)
 
 
 def test_primorial_magnitude(small_table):

@@ -238,6 +238,22 @@ def test_verify_bounds_golden(capsys):
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
 
 
+def test_table1_golden(capsys):
+    code, out = _run(["table1", "--t-min", "3", "--t-max", "7"], capsys)
+    assert code == 0
+    assert out == _readme_example("table1 --t-min 3 --t-max 7")
+    code, out = _run(["table1", "--t-min", "3", "--t-max", "7", "--floor-n0"], capsys)
+    assert code == 0
+    assert out == (
+        "t,n1,p_n1,mantissa,exponent10,margin\n"
+        "3,2263,20011,4.34461216837,8605,0.190472282738\n"
+        "4,2263,20011,4.34461216837,8605,0.07073861329\n"
+        "5,2263,20011,4.34461216837,8605,0.0253431347223\n"
+        "6,2263,20011,4.34461216837,8605,0.00575844156334\n"
+        "7,10596,111751,2.47733980971,48337,6.53243426157e-08\n"
+    )
+
+
 def test_verify_bounds_skipped_golden(capsys):
     # both sweeps hypothesized on n >= 2263 report SKIPPED below the floor
     code, out = _run(

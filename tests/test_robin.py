@@ -81,6 +81,18 @@ def test_scan_clean_above_5040(small_table):
     assert robin_scan(5041, 200_000, small_table) == []
 
 
+def test_scan_rechecks_every_point_in_the_band(small_table, monkeypatch):
+    plain = robin_scan(3, 6000, small_table)
+    verdict = robin._verdict_from_sigma
+    seen = []
+    monkeypatch.setattr(robin, "_verdict_from_sigma", lambda n, sig: seen.append(n) or verdict(n, sig))
+    monkeypatch.setattr(robin, "RELATIVE_BAND", 10.0)  # every margin is within 10 n of 0
+    forced = robin_scan(3, 6000, small_table)
+    assert seen == list(range(3, 6001))
+    assert [(v.n, v.sigma) for v in forced] == [(v.n, v.sigma) for v in plain]
+    assert all(v.precision_critical and not v.holds for v in forced)
+
+
 def test_scan_agrees_with_verdict_pointwise(small_table):
     rng = random.Random(5041)
     ns = [rng.randrange(3, 100_000) for _ in range(40)]
