@@ -28,7 +28,6 @@ from .bounds import (
     psi_ratio_upper_bound,
     ratio_curve,
     zeta,
-    zeta_excess_scaled,
     zeta_tail_bound_suite,
     zeta_tail_product,
 )
@@ -40,7 +39,6 @@ from .multiplicative import (
     is_t_free,
     psi_over_n,
     psi_t,
-    psi_t_parts,
     sigma,
     verify_sigma_le_psi,
 )

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import primorial
 from .errors import CoverageError
-from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime, require_primes, theta
+from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime, nth_prime_bound
+from .primes import require_primes, theta
 
 # Compiled-in constants, 18 significant digits.
 EULER_GAMMA = 0.577215664901532861
@@ -110,17 +111,49 @@ def _per_table(build: Callable[[PrimeTable], np.ndarray]) -> Callable[[PrimeTabl
     return cached
 
 
+def _lhs_excess(expm1_2p, log_p, log_theta):
+    """exp(2/p) * f - 1 = expm1(2/p) * (1 + c) + c, c = 1.1253 / (log p *
+    log theta(p)), from expm1(2/p), log p and log theta(p) as floats or arrays."""
+    c = MERTENS_SHIFT / (log_p * log_theta)
+    return expm1_2p * (1.0 + c) + c
+
+
 @_per_table
 def _criterion_lhs(table: PrimeTable) -> np.ndarray:
-    """exp(2/p_n) * f(n) - 1 = expm1(2/p_n) * (1 + c) + c at index n - 1, with
-    c = 1.1253 / (log p_n * log log N_n), in the scalar operation order."""
-    c = libm_map(math.log, table.primes)
-    c *= libm_map(math.log, table.theta_prefix[1:])
-    np.divide(MERTENS_SHIFT, c, out=c)
-    lhs = libm_map(lambda p: math.expm1(2.0 / p), table.primes)
-    lhs *= 1.0 + c
-    lhs += c
-    return lhs
+    """exp(2/p_n) * f(n) - 1 at index n - 1, in the scalar operation order."""
+    return _lhs_excess(
+        libm_map(lambda p: math.expm1(2.0 / p), table.primes),
+        libm_map(math.log, table.primes),
+        libm_map(math.log, table.theta_prefix[1:]),
+    )
+
+
+def _criterion_lhs_bound(x):
+    """Upper bound on _criterion_lhs at a prime x >= 41, floats or arrays:
+    theta(x) at its lower bound x (1 - 1/log x)."""
+    lx = np.log(x)
+    return _lhs_excess(np.expm1(2.0 / x), lx, np.log(x - x / lx))
+
+
+def crossover_reach(t: int) -> float:
+    """Sieve limit covering index n1(t) + CONFIRM, with or without the search
+    floor, and so for every t' <= t; math.inf once x overflows a float.
+
+    Rosser and Schoenfeld (Illinois J. Math. 6, 1962): theta(x) > x (1 -
+    1/log x) for x >= 41, pi(x) < 1.25506 x / log x for x > 1.  The left side
+    falls as p and theta(p) grow, so every prime p >= x passes once
+    _criterion_lhs_bound(x) is below zeta(t) - 1 by a relative 1e-9 that
+    absorbs float rounding; then n1 <= pi(x) + 1.  x is bisected geometrically.
+    """
+    target = zeta(t).excess / (1.0 + 1e-9)
+    lo, x = 41.0, sys.float_info.max
+    if _criterion_lhs_bound(x) >= target:
+        return math.inf
+    for _ in range(64):
+        mid = math.sqrt(lo) * math.sqrt(x)
+        lo, x = (lo, mid) if _criterion_lhs_bound(mid) < target else (mid, x)
+    pi_x = int(1.25506 * x / math.log(x)) + 1  # + 1 absorbs rounding below an integer
+    return nth_prime_bound(max(pi_x + 1, CRITERION_FLOOR) + CONFIRM)
 
 
 @dataclass(frozen=True)
@@ -289,13 +322,6 @@ def admissible_t(n: int, table: PrimeTable) -> int | None:
     while zeta(t).excess > lhs:
         t += 1
     return t - 1 if t > 2 else None
-
-
-def zeta_excess_scaled(t_max: int) -> list[tuple[int, float]]:
-    """(t, (zeta(t) - 1) * 2^t) for t in [4, t_max]; decreases toward 1."""
-    if t_max < 4:
-        raise ValueError(f"need t_max >= 4, got {t_max}")
-    return [(t, zeta(t).excess * 2.0**t) for t in range(4, t_max + 1)]
 
 
 def ratio_curve(

@@ -13,7 +13,7 @@ import sys
 from . import bounds, primorial, robin
 from .errors import CoverageError, ResourceError
 from .multiplicative import check_sweep, factorize, psi_over_n
-from .primes import PrimeTable, build_table, nth_prime
+from .primes import build_table, nth_prime, nth_prime_bound
 from .tabular import rows_to_csv, rows_to_json
 
 EXIT_OK = 0
@@ -21,7 +21,6 @@ EXIT_FALSIFIED = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 
-_TABLE1_START_LIMIT = 1 << 17
 _SIEVE_CAP = 1 << 25  # table1's default --sieve-cap; the budget of every index command
 
 
@@ -79,10 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=_t_value, default=3)
     p.add_argument("--t-max", type=_t_value, default=7)
     p.add_argument("--floor-n0", action="store_true", help="search only from index 2263 up")
-    p.add_argument("--sieve-limit", type=_sieve_size, default=None, help="starting sieve size")
+    p.add_argument("--sieve-limit", type=_sieve_size, default=None, help="least sieve size")
     p.add_argument(
         "--sieve-cap", type=_sieve_size, default=_SIEVE_CAP,
-        help="auto-grow limit for the sieve",
+        help="largest sieve size; the sieve bound on p_n1 is clamped to it",
     )
     common(p)
 
@@ -115,12 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prime_reach(n: int) -> int:
-    """Sieve bound guaranteed to cover p_n: n (log n + log log n) for n >= 6.
-    Raises ResourceError, before any sieving, when it exceeds _SIEVE_CAP."""
-    if n < 6:
-        return 16
-    x = float(n)
-    reach = int(x * (math.log(x) + math.log(math.log(x)))) + 16
+    """nth_prime_bound(n), or ResourceError before any sieving past _SIEVE_CAP."""
+    reach = nth_prime_bound(n)
     if reach > _SIEVE_CAP:
         raise ResourceError(
             f"index {n} needs primes to {reach}, past the sieve budget "
@@ -130,23 +125,17 @@ def _prime_reach(n: int) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
-    cap = args.sieve_cap
-    limit = args.sieve_limit or min(_TABLE1_START_LIMIT, cap)
+    # a cap below the reach may still do; if not, the search raises CoverageError
+    reach = bounds.crossover_reach(args.t_max)
+    table = build_table(int(min(max(reach, args.sieve_limit or 2), args.sieve_cap)))
     fields = ("t", "n1", "p_n1", "mantissa", "exponent10", "margin")
-    while True:
-        table = build_table(limit)
-        try:
-            rows = []
-            for t in range(args.t_min, args.t_max + 1):
-                n1 = bounds.find_crossover_index(t, table, floored=args.floor_n0)
-                mant, exp10 = bounds.primorial_magnitude(n1, table)
-                report = bounds.criterion(t, n1, table)
-                rows.append(dict(zip(fields, (t, n1, report.p_n, mant, exp10, report.margin))))
-            return rows, fields, EXIT_OK
-        except CoverageError:
-            if limit >= cap:
-                raise
-            limit = min(limit * 4, cap)
+    rows = []
+    for t in range(args.t_min, args.t_max + 1):
+        n1 = bounds.find_crossover_index(t, table, floored=args.floor_n0)
+        mant, exp10 = bounds.primorial_magnitude(n1, table)
+        report = bounds.criterion(t, n1, table)
+        rows.append(dict(zip(fields, (t, n1, report.p_n, mant, exp10, report.margin))))
+    return rows, fields, EXIT_OK
 
 
 def cmd_champions(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:

@@ -174,11 +174,8 @@ def sigma(f: Factorization) -> int:
     return out
 
 
-def psi_t_parts(f: Factorization, t: int) -> tuple[int, int]:
-    """Unreduced (numerator, denominator) of psi_t(n) as exact integers.
-
-    numerator = prod p^e (p^t - 1), denominator = prod p^(t-1) (p - 1).
-    """
+def psi_t(f: Factorization, t: int) -> Fraction:
+    """psi_t(n) as an exact rational: prod p^e (p^t - 1) / prod p^(t-1) (p - 1)."""
     if t < 2:
         raise ValueError(f"psi_t needs t >= 2, got {t}")
     num = 1
@@ -186,12 +183,7 @@ def psi_t_parts(f: Factorization, t: int) -> tuple[int, int]:
     for p, e in f.factors:
         num *= p**e * (p**t - 1)
         den *= p ** (t - 1) * (p - 1)
-    return num, den
-
-
-def psi_t(f: Factorization, t: int) -> Fraction:
-    """psi_t(n) as an exact rational."""
-    return Fraction(*psi_t_parts(f, t))
+    return Fraction(num, den)
 
 
 def psi_over_n(f: Factorization, t: int) -> Fraction:

@@ -36,26 +36,12 @@ class PrimeTable:
         return len(self.primes)
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    """Plain sieve of Eratosthenes, used for the base primes up to sqrt(limit)."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            step = i
-            start = i * i
-            flags[start :: step] = b"\x00" * ((limit - start) // step + 1)
-    return [i for i in range(2, limit + 1) if flags[i]]
-
-
 def _segmented_primes(limit: int) -> list[int]:
-    """Segmented odd-only sieve; memory stays O(sqrt(limit) + segment)."""
+    """Segmented odd-only sieve, base primes to sqrt(limit) by recursion;
+    memory stays O(sqrt(limit) + segment)."""
     if limit < 2:
         return []
-    base = _simple_sieve(math.isqrt(limit))
-    odd_base = [p for p in base if p > 2]
+    odd_base = _segmented_primes(math.isqrt(limit))[1:]
     primes = [2]
     last = limit if limit % 2 else limit - 1
     lo = 3
@@ -126,6 +112,14 @@ def nth_prime(table: PrimeTable, n: int) -> int:
             f"prime index {n} outside table of {len(table.primes)} primes; enlarge the sieve"
         )
     return table.primes[n - 1]
+
+
+def nth_prime_bound(n: int) -> int:
+    """A sieve limit covering p_n: n (log n + log log n), above p_n for n >= 6
+    (Rosser and Schoenfeld, Illinois J. Math. 6, 1962), plus 16 for rounding."""
+    if n < 6:
+        return 16
+    return int(n * (math.log(n) + math.log(math.log(n)))) + 16
 
 
 def require_primes(table: PrimeTable, n: int) -> None:

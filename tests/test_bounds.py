@@ -6,6 +6,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from robinpsi import (
@@ -24,12 +25,11 @@ from robinpsi import (
     psi_ratio_upper_bound,
     ratio_curve,
     zeta,
-    zeta_excess_scaled,
     zeta_tail_bound_suite,
     zeta_tail_product,
 )
 from robinpsi import bounds
-from robinpsi.bounds import CRITERION_FLOOR, EULER_GAMMA, EXP_GAMMA, MERTENS_SHIFT
+from robinpsi.bounds import CONFIRM, CRITERION_FLOOR, EULER_GAMMA, EXP_GAMMA, MERTENS_SHIFT
 
 CROSSOVERS = [(3, 10), (4, 24), (5, 79), (6, 509), (7, 10596)]
 
@@ -225,8 +225,31 @@ def test_criterion_matches_scalar_oracle():
     assert [admissible_t(n, table) for n in spots] == [_scalar_admissible_t(n, table) for n in spots]
 
 
-def test_criterion_matches_scalar_oracle_at_t8():
-    table = build_table(1 << 25)
+@pytest.fixture(scope="module")
+def t8_table():
+    """The one table `table1 --t-min 8 --t-max 8` sieves."""
+    return build_table(bounds.crossover_reach(8))
+
+
+def test_crossover_reach_is_certified(t8_table):
+    table = t8_table
+    primes = np.array(table.primes, dtype=np.float64)
+    big = primes >= 41
+    p = primes[big]
+    assert (np.array(table.theta_prefix[1:])[big] > p * (1.0 - 1.0 / np.log(p))).all()
+    assert (bounds._criterion_lhs(table)[big] <= bounds._criterion_lhs_bound(p)).all()
+    assert bounds.crossover_reach(8) <= 2.2e7
+    for t in range(2, 9):
+        reach = bounds.crossover_reach(t)
+        for floored in (False, True):
+            n1 = find_crossover_index(t, table, floored)
+            assert reach >= table.primes[n1 + CONFIRM - 1]
+    ts = range(2, 65)  # the CLI's t range; past t = 18 the crossover prime overflows a float
+    assert [bounds.crossover_reach(t) == math.inf for t in ts] == [t > 18 for t in ts]
+
+
+def test_criterion_matches_scalar_oracle_at_t8(t8_table):
+    table = t8_table
     n1 = find_crossover_index(8, table)
     assert n1 == 1055642
     assert find_crossover_index(8, table, floored=True) == n1
@@ -314,17 +337,13 @@ def test_admissible_t_values(small_table):
 
 
 def test_zeta_excess_scaled_tail():
-    pairs = zeta_excess_scaled(10)
-    assert [t for t, _ in pairs] == list(range(4, 11))
     with mpmath.workdps(40):
         ref = float((mpmath.zeta(10) - 1) * 2**10)
-        assert pairs[-1][1] == pytest.approx(ref, rel=1e-12)
-    with pytest.raises(ValueError):
-        zeta_excess_scaled(3)
+        assert zeta(10).excess * 2.0**10 == pytest.approx(ref, rel=1e-12)
 
 
 def test_zeta_excess_scaled_decreases_toward_one():
-    values = [v for _, v in zeta_excess_scaled(40)]
+    values = [zeta(t).excess * 2.0**t for t in range(4, 41)]
     assert all(a > b > 1.0 for a, b in zip(values, values[1:]))
     assert values[-1] < 1.0 + 1e-6
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from robinpsi import cli, robin
+from robinpsi import build_table, cli, robin
 from robinpsi.robin import RobinVerdict
 
 
@@ -84,6 +84,33 @@ def test_table1_sieve_limit_above_cap(capsys):
     argv = ["table1", "--t-min", "7", "--t-max", "7", "--sieve-limit", "200000", "--sieve-cap", "2048"]
     assert cli.main(argv) == 64
     assert "exceeds --sieve-cap 2048" in capsys.readouterr().err
+
+
+T8_ROW = "8,1055642,16408319,2.75811932927,7123574,6.46222372488e-11\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (["--t-min", "3", "--t-max", "7"], 0, None),
+        (["--t-min", "8", "--t-max", "8"], 0, "t,n1,p_n1,mantissa,exponent10,margin\n" + T8_ROW),
+        (["--t-min", "3", "--t-max", "8", "--floor-n0"], 0, None),
+        (["--t-min", "7", "--t-max", "7", "--sieve-cap", "2048"], 2, None),
+    ],
+    ids=["t3-7", "t8", "t3-8-floored", "cap-2048"],
+)
+def test_table1_sieves_once(argv, code, out, capsys, monkeypatch):
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return build_table(limit)
+
+    monkeypatch.setattr(cli, "build_table", spy)
+    got_code, got_out = _run(["table1", *argv], capsys)
+    assert (got_code, len(limits)) == (code, 1)
+    if out is not None:
+        assert got_out == out
 
 
 def test_champions_output(capsys):

@@ -15,7 +15,6 @@ from robinpsi import (
     is_t_free,
     psi_over_n,
     psi_t,
-    psi_t_parts,
     sigma,
     verify_sigma_le_psi,
 )
@@ -124,8 +123,8 @@ def test_psi_parts_are_consistent(small_table):
     for _ in range(200):
         n = rng.randrange(1, 100_000)
         t = rng.randrange(2, 9)
-        num, den = psi_t_parts(factorize(n, small_table), t)
-        assert Fraction(num, den) == psi_t(factorize(n, small_table), t)
+        f = factorize(n, small_table)
+        assert psi_t(f, t) == n * psi_over_n(f, t)
 
 
 def test_psi_over_n_depends_only_on_radical(small_table):

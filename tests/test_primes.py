@@ -35,8 +35,10 @@ def _trial_division_primes(limit):
 
 
 def test_small_table_matches_trial_division():
-    table = build_table(2000)
-    assert table.primes == _trial_division_primes(2000)
+    reference = _trial_division_primes(2000)
+    assert build_table(2000).primes == reference
+    for limit in range(2, 400):
+        assert build_table(limit).primes == [p for p in reference if p <= limit]
 
 
 def test_prime_count_at_20011():
