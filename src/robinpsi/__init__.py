@@ -19,17 +19,13 @@ from .bounds import (
     admissible_t,
     criterion,
     find_crossover_index,
-    log_substitution_check,
     log_substitution_suite,
     mertens_bound_suite,
-    mertens_partial_product,
     primorial_magnitude,
     psi_ratio_bound_suite,
-    psi_ratio_upper_bound,
     ratio_curve,
     zeta,
     zeta_tail_bound_suite,
-    zeta_tail_product,
 )
 from .errors import CoverageError, ResourceError
 from .multiplicative import (
@@ -42,7 +38,7 @@ from .multiplicative import (
     sigma,
     verify_sigma_le_psi,
 )
-from .primes import PrimeTable, build_table, compensated_prefix, nth_prime, theta
+from .primes import PrimeTable, build_table, compensated_prefix
 from .primorial import (
     champion_scan,
     cursor_advance,
@@ -54,7 +50,6 @@ from .robin import (
     RobinVerdict,
     TfreeTheoremReport,
     robin_scan,
-    robin_verdict,
     verify_tfree_robin,
 )
 

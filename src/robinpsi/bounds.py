@@ -10,11 +10,13 @@ resulting crossover criterion reads exp(2/p_n) * f(n) < zeta(t) with
 f(n) = 1 + 1.1253 / (log p_n * log log N_n).
 
 The criterion's left side, less 1, is one array per prime table, read by
-criterion, find_crossover_index and admissible_t.  Each bound's float formula
-is likewise one array function, read by both its public scalar and its suite.  The four suites hand their margin arrays to one sweep,
-_sweep: any |margin| below 1e-9 is precision-critical and is re-derived at
-60 significant digits, from products of exact integers with one rounding per
-factor, before it is trusted; a range without points reports SKIPPED.
+find_crossover_index; criterion and admissible_t form the same value at one
+index from the same scalar formula.  Each bound's float formula is likewise
+one array function, read by its suite.  The four suites hand their margin
+arrays to one sweep, _sweep: any |margin| below 1e-9 is precision-critical and
+is re-derived at 60 significant digits, from products of exact integers with
+one rounding per factor, before it is trusted; a range without points reports
+SKIPPED.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import numpy as np
 
 from . import primorial
 from .errors import CoverageError
-from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime, nth_prime_bound
-from .primes import require_primes, theta
+from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime_bound, require_primes
 
 # Compiled-in constants, 18 significant digits.
 EULER_GAMMA = 0.577215664901532861
@@ -45,6 +46,7 @@ LOG_SHIFT = 0.1253
 MERTENS_SHIFT = 1.1253  # 1 + LOG_SHIFT, see module docstring
 PRECISION_BAND = 1e-9
 CONFIRM = 100  # indices past n1 that must satisfy the criterion too
+MERTENS_CAP = 10**6  # largest x of the Mertens product sweep
 
 _ZETA_TAIL_TARGET = 1e-15
 _ZETA_CHUNK = 1 << 22
@@ -118,6 +120,13 @@ def _lhs_excess(expm1_2p, log_p, log_theta):
     return expm1_2p * (1.0 + c) + c
 
 
+def _criterion_lhs_at(n: int, table: PrimeTable) -> float:
+    """_criterion_lhs(table)[n - 1] from scalars, without building the array."""
+    require_primes(table, n)
+    p = table.primes[n - 1]
+    return _lhs_excess(math.expm1(2.0 / p), math.log(p), math.log(table.theta_prefix[n]))
+
+
 @_per_table
 def _criterion_lhs(table: PrimeTable) -> np.ndarray:
     """exp(2/p_n) * f(n) - 1 at index n - 1, in the scalar operation order."""
@@ -171,20 +180,19 @@ class CriterionReport:
 def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
     """Crossover test exp(2/p_n) * f(n) < zeta(t), reported with its margin.
 
-    Both sides are reduced by 1 before subtraction (_criterion_lhs on the
+    Both sides are reduced by 1 before subtraction (_criterion_lhs_at on the
     left, the excess field on the right), so the margin keeps full
     significance even when the two sides agree to many digits.
     """
     z = zeta(t)
     if n < 2:
         raise ValueError(f"criterion needs n >= 2, got {n}")
-    p = nth_prime(table, n)
-    lhs_excess = float(_criterion_lhs(table)[n - 1])
+    lhs_excess = _criterion_lhs_at(n, table)
     margin = z.excess - lhs_excess
     return CriterionReport(
         t=t,
         n=n,
-        p_n=p,
+        p_n=table.primes[n - 1],
         lhs=1.0 + lhs_excess,
         rhs=z.value,
         margin=margin,
@@ -226,7 +234,8 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
     """N_n as (mantissa, exponent10) with mantissa in [1, 10), via theta."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    log10 = theta(table, n) / math.log(10.0)
+    require_primes(table, n)
+    log10 = table.theta_prefix[n] / math.log(10.0)
     exp10 = math.floor(log10)
     mant = 10.0 ** (log10 - exp10)
     if mant >= 10.0:  # guard the floor/pow rounding edge
@@ -246,15 +255,6 @@ def _mertens_products(xs: list[int], table: PrimeTable) -> np.ndarray:
     return libm_map(lambda x: math.exp(prefix[bisect_right(table.primes, x)]), xs)
 
 
-def mertens_partial_product(x: int, table: PrimeTable) -> float:
-    """prod_{p <= x} (1 - 1/p)^-1, accumulated in log space."""
-    if x < 2:
-        raise ValueError(f"need x >= 2, got {x}")
-    if x > table.limit:
-        raise CoverageError(f"x = {x} beyond sieve limit {table.limit}; enlarge the sieve")
-    return float(_mertens_products([x], table)[0])
-
-
 def _zeta_tail_products(t: int, n: int, table: PrimeTable) -> np.ndarray:
     """zeta(t) * prod_{p <= p_k} (1 - p^-t) for 1 <= k <= n.  The log1p terms
     are summed left to right without compensation, bit for bit the scalar
@@ -264,27 +264,10 @@ def _zeta_tail_products(t: int, n: int, table: PrimeTable) -> np.ndarray:
     return zv * libm_map(math.exp, acc.tolist())
 
 
-def zeta_tail_product(t: int, n: int, table: PrimeTable) -> float:
-    """prod_{p > p_n} (1 - p^-t)^-1 = zeta(t) * prod_{p <= p_n} (1 - p^-t)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    zeta(t)  # validate t before the range check
-    nth_prime(table, n)  # range check
-    return float(_zeta_tail_products(t, n, table)[-1])
-
-
 def _log_substitution_margins(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
     """log log N_n + 0.1253 / log p_n - log p_n for n_min <= n <= n_max."""
     lp = libm_map(math.log, table.primes[n_min - 1 : n_max])
     return libm_map(math.log, table.theta_prefix[n_min : n_max + 1]) + LOG_SHIFT / lp - lp
-
-
-def log_substitution_check(n: int, table: PrimeTable) -> bool:
-    """log p_n < log log N_n + 0.1253 / log p_n; hypothesis needs n >= 2263."""
-    if n < CRITERION_FLOOR:
-        raise ValueError(f"inequality is stated for n >= {CRITERION_FLOOR}, got {n}")
-    nth_prime(table, n)  # range check
-    return bool(_log_substitution_margins(table, n, n)[0] > 0.0)
 
 
 def _psi_ratio_scales(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
@@ -298,16 +281,6 @@ def _psi_ratio_scales(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
     )
 
 
-def psi_ratio_upper_bound(t: int, n: int, table: PrimeTable) -> float:
-    """Certified bound psi_t(N_n)/N_n <= exp(gamma + 2/p_n) / zeta(t)
-    * (log log N_n + 1.1253 / log p_n), valid for n >= 2263."""
-    z = zeta(t)
-    if n < CRITERION_FLOOR:
-        raise ValueError(f"bound is stated for n >= {CRITERION_FLOOR}, got {n}")
-    nth_prime(table, n)  # range check
-    return float(_psi_ratio_scales(table, n, n)[0] / z.value)
-
-
 def admissible_t(n: int, table: PrimeTable) -> int | None:
     """Largest t >= 2 whose criterion holds at index n; None if even t = 2 fails.
 
@@ -316,8 +289,7 @@ def admissible_t(n: int, table: PrimeTable) -> int | None:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    nth_prime(table, n)  # range check
-    lhs = _criterion_lhs(table)[n - 1]
+    lhs = _criterion_lhs_at(n, table)
     t = 2
     while zeta(t).excess > lhs:
         t += 1
@@ -399,7 +371,9 @@ def _mp_product(factors: Iterable[int]) -> mpmath.mpf:
 _SAMPLE_SEED = 20011
 
 
-def mertens_bound_suite(table: PrimeTable, x_cap: int = 10**6, samples: int = 500) -> SuiteResult:
+def mertens_bound_suite(
+    table: PrimeTable, x_cap: int = MERTENS_CAP, samples: int = 500
+) -> SuiteResult:
     """Margin sweep of e^gamma (log x + 1/log x) - prod_{p<=x} (1-1/p)^-1 > 0
     over a geometric grid plus seeded random x values up to x_cap."""
     cap = min(x_cap, table.limit)

@@ -13,7 +13,7 @@ import sys
 from . import bounds, primorial, robin
 from .errors import CoverageError, ResourceError
 from .multiplicative import check_sweep, factorize, psi_over_n
-from .primes import build_table, nth_prime, nth_prime_bound
+from .primes import build_table, nth_prime_bound
 from .tabular import rows_to_csv, rows_to_json
 
 EXIT_OK = 0
@@ -169,7 +169,7 @@ def cmd_ratio(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], in
 
 def cmd_verify_bounds(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
     n_max = args.n_max
-    table = build_table(max(_prime_reach(n_max), 2 * 10**6))
+    table = build_table(max(_prime_reach(n_max), bounds.MERTENS_CAP))
     results = [
         bounds.mertens_bound_suite(table),
         bounds.zeta_tail_bound_suite(table, range(2, args.t_max + 1), min(n_max, 10**4)),
@@ -200,7 +200,7 @@ def cmd_admissible_t(args: argparse.Namespace) -> tuple[list[dict], tuple[str, .
     rows = []
     for n in sorted(args.n_values):
         t = bounds.admissible_t(n, table)
-        rows.append({"n": n, "p_n": nth_prime(table, n), "t_max": t})
+        rows.append({"n": n, "p_n": table.primes[n - 1], "t_max": t})
     return rows, ("n", "p_n", "t_max"), EXIT_OK
 
 

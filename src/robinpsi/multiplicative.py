@@ -27,7 +27,7 @@ from .errors import CoverageError, ResourceError
 from .primes import PrimeTable, build_table
 
 SEGMENT_SIZE = 1 << 22  # integers per window of a range sweep
-DEFAULT_MAX_SPAN = 10**9
+MAX_SPAN = 10**9  # most integers one sweep may cover
 # Up to 2^50, n and sigma(n) < 8n stay below 2^53, exact in float64 and int64,
 # and a sweep needs base primes only to 2^25.
 MAX_SCAN_STOP = 2**50
@@ -67,18 +67,18 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     return Factorization(value=n, factors=tuple(out))
 
 
-def check_sweep(start: int, stop: int, max_span: int = DEFAULT_MAX_SPAN) -> None:
+def check_sweep(start: int, stop: int) -> None:
     """Raise ResourceError for a range sweep over [start, stop] that ends past
-    MAX_SCAN_STOP or covers more than max_span integers."""
+    MAX_SCAN_STOP or covers more than MAX_SPAN integers."""
     if stop > MAX_SCAN_STOP:
         raise ResourceError(
             f"sweep stop {stop} exceeds the limit 2^50 = {MAX_SCAN_STOP}, "
             "past which sigma(n) is no longer exact in float64"
         )
     span = stop - start + 1
-    if span > max_span:
+    if span > MAX_SPAN:
         raise ResourceError(
-            f"span {span} exceeds the budget of {max_span}; "
+            f"span {span} exceeds the budget of {MAX_SPAN}; "
             f"sweeps work in segments of {SEGMENT_SIZE} integers"
         )
 
@@ -128,13 +128,7 @@ def prime_power_events(
     yield cofactors, left, np.ones(left.size, dtype=np.int8)
 
 
-def sweep(
-    start: int,
-    stop: int,
-    folds: list,
-    table: PrimeTable | None = None,
-    max_span: int = DEFAULT_MAX_SPAN,
-) -> None:
+def sweep(start: int, stop: int, folds: list, table: PrimeTable | None = None) -> None:
     """Fold every n in [start, stop] into each fold, one window of
     SEGMENT_SIZE integers at a time, once check_sweep has passed.
 
@@ -144,7 +138,7 @@ def sweep(
     list order; a fold whose close returns True is done, and the sweep stops
     once every fold is done.
     """
-    check_sweep(start, stop, max_span)
+    check_sweep(start, stop)
     root = math.isqrt(stop)
     if table is None:
         table = build_table(root + 1)

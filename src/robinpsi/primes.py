@@ -1,4 +1,5 @@
-"""Prime generation, nth-prime lookup, and Chebyshev theta prefix sums.
+"""Prime tables: a segmented sieve, the table coverage check, a p_n bound,
+and Chebyshev theta prefix sums.
 
 theta(x) = sum of log p over primes p <= x, so theta(p_n) = log(N_n) for the
 n-th primorial N_n.  Prefix sums are accumulated with Neumaier compensated
@@ -105,15 +106,6 @@ def build_table(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, theta_prefix=theta_prefix)
 
 
-def nth_prime(table: PrimeTable, n: int) -> int:
-    """p_n with 1-based indexing, p_1 = 2."""
-    if n < 1 or n > len(table.primes):
-        raise IndexError(
-            f"prime index {n} outside table of {len(table.primes)} primes; enlarge the sieve"
-        )
-    return table.primes[n - 1]
-
-
 def nth_prime_bound(n: int) -> int:
     """A sieve limit covering p_n: n (log n + log log n), above p_n for n >= 6
     (Rosser and Schoenfeld, Illinois J. Math. 6, 1962), plus 16 for rounding."""
@@ -129,11 +121,3 @@ def require_primes(table: PrimeTable, n: int) -> None:
             f"table holds {len(table.primes)} primes, need {n}; enlarge the sieve"
         )
 
-
-def theta(table: PrimeTable, n: int) -> float:
-    """theta(p_n) = log(N_n); n = 0 gives 0.0 for the empty product."""
-    if n < 0 or n > len(table.primes):
-        raise IndexError(
-            f"theta index {n} outside table of {len(table.primes)} primes; enlarge the sieve"
-        )
-    return table.theta_prefix[n]

@@ -19,12 +19,10 @@ import numpy as np
 
 from .bounds import EXP_GAMMA, find_crossover_index
 from .multiplicative import (
-    DEFAULT_MAX_SPAN,
     BridgeFold,
     BridgeReport,
     factorize,
     is_t_free,
-    sigma,
     sweep,
 )
 from .primes import PrimeTable
@@ -63,13 +61,6 @@ def _verdict_from_sigma(n: int, sig: int) -> RobinVerdict:
         margin=margin,
         precision_critical=critical,
     )
-
-
-def robin_verdict(n: int, table: PrimeTable) -> RobinVerdict:
-    """Exact sigma(n) against the threshold; defined for n >= 3 (log log n > 0)."""
-    if n < 3:
-        raise ValueError(f"threshold needs log log n > 0, so n >= 3; got {n}")
-    return _verdict_from_sigma(n, sigma(factorize(n, table)))
 
 
 class _RobinFold:
@@ -111,16 +102,14 @@ class _RobinFold:
         return False
 
 
-def robin_scan(
-    start: int, stop: int, table: PrimeTable, max_span: int = DEFAULT_MAX_SPAN
-) -> list[RobinVerdict]:
+def robin_scan(start: int, stop: int, table: PrimeTable) -> list[RobinVerdict]:
     """Every violator of the inequality in [start, stop], ascending."""
     if start < 3:
         raise ValueError(f"scan domain starts at 3, got {start}")
     if stop < start:
         raise ValueError(f"empty scan range [{start}, {stop}]")
     robin = _RobinFold()
-    sweep(start, stop, [robin], table, max_span)
+    sweep(start, stop, [robin], table)
     return robin.violators
 
 

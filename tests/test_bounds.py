@@ -16,17 +16,13 @@ from robinpsi import (
     criterion,
     find_crossover_index,
     log_psi_ratio_prefix,
-    log_substitution_check,
     log_substitution_suite,
     mertens_bound_suite,
-    mertens_partial_product,
     primorial_magnitude,
     psi_ratio_bound_suite,
-    psi_ratio_upper_bound,
     ratio_curve,
     zeta,
     zeta_tail_bound_suite,
-    zeta_tail_product,
 )
 from robinpsi import bounds
 from robinpsi.bounds import CONFIRM, CRITERION_FLOOR, EULER_GAMMA, EXP_GAMMA, MERTENS_SHIFT
@@ -118,6 +114,19 @@ def test_criterion_margin_sign_near_crossover(small_table):
 def test_criterion_domain(small_table):
     with pytest.raises(ValueError):
         criterion(3, 1, small_table)
+
+
+def test_index_readers_raise_coverage_error_past_the_table(small_table):
+    size = len(small_table)
+    criterion(3, size, small_table)
+    primorial_magnitude(size, small_table)
+    admissible_t(size, small_table)
+    with pytest.raises(CoverageError):
+        criterion(3, size + 1, small_table)
+    with pytest.raises(CoverageError):
+        primorial_magnitude(size + 1, small_table)
+    with pytest.raises(CoverageError):
+        admissible_t(size + 1, small_table)
 
 
 @pytest.mark.parametrize("t,expected", CROSSOVERS)
@@ -248,6 +257,13 @@ def test_crossover_reach_is_certified(t8_table):
     assert [bounds.crossover_reach(t) == math.inf for t in ts] == [t > 18 for t in ts]
 
 
+def test_crossover_reach_covers_confirm(monkeypatch):
+    # with a long confirmation run the reach must cover it, not only n1
+    monkeypatch.setattr(bounds, "CONFIRM", 10**5)
+    table = build_table(int(bounds.crossover_reach(3)))
+    assert find_crossover_index(3, table) == 10
+
+
 def test_criterion_matches_scalar_oracle_at_t8(t8_table):
     table = t8_table
     n1 = find_crossover_index(8, table)
@@ -274,58 +290,54 @@ def test_primorial_magnitude_large(small_table):
 
 
 def test_mertens_partial_product_exact_prefix(small_table):
-    assert mertens_partial_product(2, small_table) == pytest.approx(2.0, rel=1e-14)
+    at2, at29, at30 = bounds._mertens_products([2, 29, 30], small_table).tolist()
+    assert at2 == pytest.approx(2.0, rel=1e-14)
     # prod over p <= 29 as an exact rational: 6469693230 / 1021870080
     ref = Fraction(6469693230, 1021870080)
-    assert mertens_partial_product(29, small_table) == pytest.approx(float(ref), rel=1e-12)
+    assert at29 == pytest.approx(float(ref), rel=1e-12)
     # constant between consecutive primes
-    assert mertens_partial_product(30, small_table) == mertens_partial_product(29, small_table)
+    assert at30 == at29
 
 
 def test_mertens_partial_product_growth(table):
-    values = [mertens_partial_product(10**k, table) for k in range(1, 7)]
+    values = bounds._mertens_products([10**k for k in range(1, 7)], table).tolist()
     assert all(a < b for a, b in zip(values, values[1:]))
     # third Mertens theorem: the ratio to e^gamma log x is near 1 from above
     ratio = values[-1] / (math.exp(EULER_GAMMA) * math.log(10**6))
     assert 1.0 < ratio < 1.0005
 
 
-def test_mertens_domain(small_table):
-    with pytest.raises(ValueError):
-        mertens_partial_product(1, small_table)
-    with pytest.raises(CoverageError):
-        mertens_partial_product(small_table.limit + 1, small_table)
-
-
 def test_zeta_tail_product_values(small_table):
-    assert zeta_tail_product(2, 2, small_table) == pytest.approx(math.pi**2 / 9, rel=1e-13)
+    at2 = bounds._zeta_tail_products(2, 2, small_table)[-1]
+    assert at2 == pytest.approx(math.pi**2 / 9, rel=1e-13)
     with mpmath.workdps(40):
         for t, n in ((2, 7), (3, 50)):
             ref = mpmath.zeta(t)
             for p in small_table.primes[:n]:
                 ref *= 1 - mpmath.mpf(p) ** -t
-            assert zeta_tail_product(t, n, small_table) == pytest.approx(float(ref), rel=1e-12)
+            got = bounds._zeta_tail_products(t, n, small_table)[-1]
+            assert got == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_zeta_tail_product_decreases_to_one(small_table):
-    values = [zeta_tail_product(3, n, small_table) for n in (2, 10, 100, 1000)]
+    products = bounds._zeta_tail_products(3, 1000, small_table)
+    values = [products[n - 1] for n in (2, 10, 100, 1000)]
     assert all(a > b > 1.0 for a, b in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        zeta_tail_product(3, 1, small_table)
 
 
 def test_log_substitution_check(small_table):
-    assert log_substitution_check(CRITERION_FLOOR, small_table)
-    assert log_substitution_check(3000, small_table)
+    margins = bounds._log_substitution_margins(small_table, CRITERION_FLOOR, 3000)
+    assert margins[0] > 0.0 and margins[-1] > 0.0
     with pytest.raises(ValueError):
-        log_substitution_check(CRITERION_FLOOR - 1, small_table)
+        log_substitution_suite(small_table, n_min=CRITERION_FLOOR - 1, n_max=3000)
 
 
 def test_psi_ratio_upper_bound_dominates(small_table):
     true_ratio = math.exp(log_psi_ratio_prefix(small_table, 3, CRITERION_FLOOR)[-1])
-    assert psi_ratio_upper_bound(3, CRITERION_FLOOR, small_table) > true_ratio
+    scale = bounds._psi_ratio_scales(small_table, CRITERION_FLOOR, CRITERION_FLOOR)[0]
+    assert scale / zeta(3).value > true_ratio
     with pytest.raises(ValueError):
-        psi_ratio_upper_bound(3, CRITERION_FLOOR - 1, small_table)
+        psi_ratio_bound_suite(small_table, n_min=CRITERION_FLOOR - 1, n_max=3000)
 
 
 def test_admissible_t_values(small_table):

@@ -308,6 +308,20 @@ def test_admissible_t_output(capsys):
     assert [(r["n"], r["t_max"]) for r in rows] == [("9", "2"), ("10596", "7")]
 
 
+def test_admissible_t_golden(capsys):
+    code, out = _run(["admissible-t", "--n", "2", "3", "100", "2263", "100000", "1000000"], capsys)
+    assert code == 0
+    assert out == (
+        "n,p_n,t_max\n"
+        "2,3,\n"
+        "3,5,\n"
+        "100,541,5\n"
+        "2263,20011,6\n"
+        "100000,1299709,7\n"
+        "1000000,15485863,7\n"
+    )
+
+
 def test_unknown_subcommand(capsys):
     code, _ = _run(["frobnicate"], capsys)
     assert code == 64

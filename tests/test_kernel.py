@@ -20,8 +20,8 @@ from robinpsi import (
 )
 from robinpsi import multiplicative, primorial, robin
 from robinpsi.multiplicative import (
-    DEFAULT_MAX_SPAN,
     MAX_SCAN_STOP,
+    MAX_SPAN,
     factorize,
     is_t_free,
     prime_power_events,
@@ -177,7 +177,7 @@ def test_sweep_limits(sweep):
         with pytest.raises(ResourceError, match="2\\^50"):
             sweep(limit)
     with pytest.raises(ResourceError, match="budget"):
-        sweep(DEFAULT_MAX_SPAN + 6)
+        sweep(MAX_SPAN + 6)
     assert time.perf_counter() - start < 1.0
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robinpsi import CoverageError, build_table, compensated_prefix, nth_prime, theta
+from robinpsi import CoverageError, build_table, compensated_prefix
 from robinpsi.bounds import _mertens_prefix
-from robinpsi.primes import PrimeTable
+from robinpsi.primes import PrimeTable, require_primes
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -54,35 +54,36 @@ def test_limit_below_two_rejected():
 
 
 def test_nth_prime_is_one_indexed(small_table):
-    assert nth_prime(small_table, 1) == 2
-    assert nth_prime(small_table, 15) == 47
-    assert nth_prime(small_table, 2263) == 20011
-    assert nth_prime(small_table, 10596) == 111751
+    # p_n is table.primes[n - 1]
+    assert small_table.primes[1 - 1] == 2
+    assert small_table.primes[15 - 1] == 47
+    assert small_table.primes[2263 - 1] == 20011
+    assert small_table.primes[10596 - 1] == 111751
 
 
 def test_nth_prime_out_of_range(small_table):
-    with pytest.raises(IndexError):
-        nth_prime(small_table, len(small_table.primes) + 1)
-    with pytest.raises(IndexError):
-        nth_prime(small_table, 0)
+    size = len(small_table.primes)
+    require_primes(small_table, size)
+    with pytest.raises(CoverageError, match=f"holds {size} primes, need {size + 1}"):
+        require_primes(small_table, size + 1)
 
 
 def test_theta_zero_is_zero(small_table):
-    assert theta(small_table, 0) == 0.0
+    assert small_table.theta_prefix[0] == 0.0
 
 
 def test_theta_equals_log_primorial(small_table):
     # the prefix sum of log p over the first k primes is exactly log of
     # the k-th primorial; exact integers give the reference values
     for k, value in enumerate(PRIMORIALS, start=1):
-        assert theta(small_table, k) == pytest.approx(math.log(value), rel=1e-12)
+        assert small_table.theta_prefix[k] == pytest.approx(math.log(value), rel=1e-12)
 
 
 def test_theta_increments_are_log_p(small_table):
     rng = random.Random(4021)
     for _ in range(200):
         k = rng.randrange(1, len(small_table.primes))
-        step = theta(small_table, k + 1) - theta(small_table, k)
+        step = small_table.theta_prefix[k + 1] - small_table.theta_prefix[k]
         p = small_table.primes[k]
         assert step == pytest.approx(math.log(p), rel=1e-9)
 
@@ -92,15 +93,15 @@ def test_theta_against_high_precision(small_table):
     with mpmath.workdps(50):
         for k in (100, 2263, 10000):
             exact = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:k])
-            err = abs(theta(small_table, k) - float(exact))
+            err = abs(small_table.theta_prefix[k] - float(exact))
             assert err < 1e-10 * float(exact)
 
 
 def test_theta_tracks_prime_size(small_table):
     # Chebyshev's function stays close to its argument at this scale
     for k in (1000, 10000):
-        p = nth_prime(small_table, k)
-        assert abs(theta(small_table, k) / p - 1.0) < 0.02
+        p = small_table.primes[k - 1]
+        assert abs(small_table.theta_prefix[k] / p - 1.0) < 0.02
 
 
 def test_prefix_stable_across_limits():
@@ -108,7 +109,7 @@ def test_prefix_stable_across_limits():
     b = build_table(40_000)
     assert b.primes[: len(a.primes)] == a.primes
     for k in (10, 100, len(a.primes)):
-        assert theta(a, k) == theta(b, k)
+        assert a.theta_prefix[k] == b.theta_prefix[k]
 
 
 def test_table_reports_length(small_table):

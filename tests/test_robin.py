@@ -10,12 +10,11 @@ from robinpsi import (
     ResourceError,
     build_table,
     robin_scan,
-    robin_verdict,
     verify_tfree_robin,
 )
 from robinpsi import robin
 from robinpsi.bounds import EXP_GAMMA
-from robinpsi.multiplicative import prime_power_events
+from robinpsi.multiplicative import factorize, prime_power_events, sigma
 from robinpsi.robin import VERDICT_FIELDS, violators_to_rows
 from robinpsi.tabular import rows_to_csv, rows_to_json
 
@@ -37,28 +36,27 @@ def _sigma_table_oracle(limit):
     return sig
 
 
+def _verdict(n, table):
+    return robin._verdict_from_sigma(n, sigma(factorize(n, table)))
+
+
 def test_verdict_examples(small_table):
-    v = robin_verdict(3, small_table)
+    v = _verdict(3, small_table)
     assert v.sigma == 4
     assert not v.holds
     assert v.threshold == pytest.approx(EXP_GAMMA * 3 * math.log(math.log(3)), rel=1e-12)
 
-    v = robin_verdict(5040, small_table)
+    v = _verdict(5040, small_table)
     assert v.sigma == 19344
     assert not v.holds
     # forty-digit reference 19237.06153166369786...
     assert v.threshold == pytest.approx(19237.061531663698, rel=1e-12)
     assert v.margin == pytest.approx(v.threshold - 19344, abs=1e-8)
 
-    v = robin_verdict(5041, small_table)
+    v = _verdict(5041, small_table)
     assert v.sigma == 5113
     assert v.holds
     assert v.margin > 0
-
-
-def test_verdict_domain(small_table):
-    with pytest.raises(ValueError):
-        robin_verdict(2, small_table)
 
 
 def test_scan_matches_oracle_on_classical_range(small_table):
@@ -99,7 +97,7 @@ def test_scan_agrees_with_verdict_pointwise(small_table):
     lo, hi = min(ns), max(ns)
     flagged = {v.n for v in robin_scan(lo, hi, small_table)}
     for n in ns:
-        assert (n in flagged) == (not robin_verdict(n, small_table).holds)
+        assert (n in flagged) == (not _verdict(n, small_table).holds)
 
 
 def test_scan_domain_checks(small_table):
@@ -108,7 +106,7 @@ def test_scan_domain_checks(small_table):
     with pytest.raises(ValueError):
         robin_scan(50, 40, small_table)
     with pytest.raises(ResourceError):
-        robin_scan(3, 10**10, small_table, max_span=10**6)
+        robin_scan(3, 10**10, small_table)
     tiny = build_table(50)
     with pytest.raises(CoverageError):
         robin_scan(3, 10_000, tiny)
