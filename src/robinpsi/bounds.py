@@ -15,8 +15,8 @@ index from the same scalar formula.  Each bound's float formula is likewise
 one array function, read by its suite.  The four suites hand their margin
 arrays to one sweep, _sweep: any |margin| below 1e-9 is precision-critical and
 is re-derived at 60 significant digits, from products of exact integers with
-one rounding per factor, before it is trusted; a range without points reports
-SKIPPED.
+one rounding per factor, kept per table and extended from one recheck to the
+next, before it is trusted; a range without points reports SKIPPED.
 """
 
 from __future__ import annotations
@@ -359,13 +359,29 @@ def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> 
     )
 
 
-def _mp_product(factors: Iterable[int]) -> mpmath.mpf:
-    """Product of exact integers at the working precision, one rounding per
-    factor; call it inside the recheck's workdps context."""
-    out = mpmath.mpf(1)
-    for k in factors:
-        out *= k
-    return out
+_PRODUCTS: "weakref.WeakKeyDictionary[PrimeTable, dict]" = weakref.WeakKeyDictionary()
+
+
+def _prefix_products(
+    table: PrimeTable, key: object, n: int, factors: Callable[[int], tuple[int, ...]]
+) -> list[mpmath.mpf]:
+    """For each slot of factors(p), the product of that exact integer over
+    p_1..p_n at the working precision, one rounding per factor; call it inside
+    the recheck's workdps context.
+
+    The products are kept per table, key and precision.  A call with n at or
+    past the kept index extends them; an earlier n rebuilds them from p_1.
+    The same factors in the same order round to the same bits either way.
+    """
+    kept = _PRODUCTS.setdefault(table, {})
+    slot = (key, mpmath.mp.prec)
+    k, prods = kept.get(slot, (0, None))
+    if prods is None or k > n:
+        k, prods = 0, [mpmath.mpf(1) for _ in factors(2)]
+    for p in table.primes[k:n]:
+        prods = [out * f for out, f in zip(prods, factors(p))]
+    kept[slot] = (n, prods)
+    return prods
 
 
 _SAMPLE_SEED = 20011
@@ -392,9 +408,10 @@ def mertens_bound_suite(
 
 
 def _mertens_margin_mp(x: int, table: PrimeTable) -> float:
-    primes = table.primes[: bisect_right(table.primes, x)]
+    n = bisect_right(table.primes, x)
     with mpmath.workdps(60):
-        prod = _mp_product(primes) / _mp_product(p - 1 for p in primes)
+        num, den = _prefix_products(table, "mertens", n, lambda p: (p, p - 1))
+        prod = num / den
         lx = mpmath.log(x)
         return float(mpmath.exp(mpmath.euler) * (lx + 1 / lx) - prod)
 
@@ -416,10 +433,10 @@ def zeta_tail_bound_suite(
 
 def _zeta_tail_margin_mp(t: int, n: int, table: PrimeTable) -> float:
     # prod_{p <= p_n} (1 - p^-t) = prod (p^t - 1) / prod p^t
-    primes = table.primes[:n]
     with mpmath.workdps(60):
-        head = _mp_product(p**t - 1 for p in primes) / _mp_product(p**t for p in primes)
-        return float(mpmath.exp(mpmath.mpf(2) / primes[-1]) - mpmath.zeta(t) * head)
+        num, den = _prefix_products(table, ("zeta_tail", t), n, lambda p: (p**t - 1, p**t))
+        head = num / den
+        return float(mpmath.exp(mpmath.mpf(2) / table.primes[n - 1]) - mpmath.zeta(t) * head)
 
 
 def log_substitution_suite(
@@ -439,7 +456,8 @@ def log_substitution_suite(
 
 def _log_substitution_margin_mp(n: int, table: PrimeTable) -> float:
     with mpmath.workdps(60):
-        lln = mpmath.log(mpmath.log(_mp_product(table.primes[:n])))
+        (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
+        lln = mpmath.log(mpmath.log(primorial_n))
         lp = mpmath.log(table.primes[n - 1])
         return float(lln + mpmath.mpf("0.1253") / lp - lp)
 
@@ -469,18 +487,22 @@ def psi_ratio_bound_suite(
     )
 
 
+def psi_ratio_mp(t: int, n: int, table: PrimeTable) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """psi_t(N_n)/N_n and log log N_n at the working precision, from products
+    of exact integers: psi_t(N_n)/N_n = prod (p^t - 1) / prod ((p - 1) p^(t-1))."""
+    num, den, primorial_n = _prefix_products(
+        table, ("psi_ratio", t), n, lambda p: (p**t - 1, (p - 1) * p ** (t - 1), p)
+    )
+    return num / den, mpmath.log(mpmath.log(primorial_n))
+
+
 def _psi_ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
-    # psi_t(N_n)/N_n = prod (p^t - 1) / prod ((p - 1) p^(t-1))
-    primes = table.primes[:n]
-    qs = [p ** (t - 1) for p in primes]
     with mpmath.workdps(60):
-        ratio = _mp_product(p * q - 1 for p, q in zip(primes, qs)) / _mp_product(
-            (p - 1) * q for p, q in zip(primes, qs)
-        )
-        lln = mpmath.log(mpmath.log(_mp_product(primes)))
-        lp = mpmath.log(primes[-1])
+        ratio, lln = psi_ratio_mp(t, n, table)
+        p_n = table.primes[n - 1]
+        lp = mpmath.log(p_n)
         bound = (
-            mpmath.exp(mpmath.euler + mpmath.mpf(2) / primes[-1])
+            mpmath.exp(mpmath.euler + mpmath.mpf(2) / p_n)
             / mpmath.zeta(t)
             * (lln + mpmath.mpf("1.1253") / lp)
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .bounds import EXP_GAMMA, find_crossover_index
+from .bounds import EXP_GAMMA, PRECISION_BAND, find_crossover_index, psi_ratio_mp
 from .multiplicative import (
     BridgeFold,
     BridgeReport,
@@ -126,7 +126,9 @@ class TfreeTheoremReport:
 
     (a) every t-free violator found in [3, scan_limit] is <= 5040, the range
         settled by exhaustive verification;
-    (b) the crossover index exists and R_t at that primorial is < e^gamma;
+    (b) the crossover index exists and R_t at that primorial is < e^gamma,
+        the float ratio (within ~1e-12) re-decided at 60 digits when it lies
+        within PRECISION_BAND of e^gamma;
     (c) sigma(n) <= psi_t(n) exactly on every t-free n in range.
     """
 
@@ -140,6 +142,13 @@ class TfreeTheoremReport:
     crossover_index: int
     ratio_at_crossover: float
     bridge: BridgeReport
+
+
+def _ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
+    """e^gamma - R_t(N_n) at 60 digits, R_t(N_n) = (psi_t(N_n)/N_n) / log log N_n."""
+    with mpmath.workdps(60):
+        ratio, lln = psi_ratio_mp(t, n, table)
+        return float(mpmath.exp(mpmath.euler) - ratio / lln)
 
 
 def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheoremReport:
@@ -161,7 +170,10 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
     n1 = find_crossover_index(t, table)
     log_ratio = primorial.log_psi_ratio_prefix(table, t, n1)[n1]
     ratio = math.exp(log_ratio) / math.log(table.theta_prefix[n1])
-    branch_b = ratio < EXP_GAMMA
+    margin = EXP_GAMMA - ratio
+    if abs(margin) < PRECISION_BAND:
+        margin = _ratio_margin_mp(t, n1, table)
+    branch_b = margin > 0.0
 
     bridge = bridge_fold.report(scan_limit)
     branch_c = bridge.violation is None

@@ -202,6 +202,21 @@ def test_ratio_curve_output(capsys):
     assert digest == "c7cd3c1425259cc3f82a9f42a3e6f2a62c0c2108444d480431963c20d4c8b114"
 
 
+@pytest.mark.parametrize(
+    "t,digest",
+    [
+        ("2", "73d3d1a918aff93480846a0fce23dbf65ab3eab9587949f4b002ecd669f5b350"),
+        ("4", "474f9eaf591cd539988db018096f396c3351d89f3e01eb41bcd7b1af81a89cbf"),
+    ],
+)
+def test_ratio_golden(capsys, t, digest):
+    # every row is printed to 12 digits, so these pin the bits of each psi_t term,
+    # including those at t = 2 and 4 that only the exact fallback rounds right
+    code, out = _run(["ratio", "--t", t, "--n-max", "20000"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ratio_usage(capsys):
     code, _ = _run(["ratio", "--t", "2", "--n-max", "1"], capsys)
     assert code == 64

@@ -17,6 +17,8 @@ from robinpsi import (
     reduction_check,
 )
 from robinpsi.multiplicative import factorize
+from robinpsi.primes import PrimeTable, compensated_prefix
+from robinpsi.primorial import _psi_ratio_terms
 
 
 def test_start_point_is_empty_product(small_table):
@@ -45,6 +47,38 @@ def test_prefix_matches_high_precision_products(small_table):
             logn = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:100])
         assert log_ratio == pytest.approx(float(ref), abs=1e-11)
         assert small_table.theta_prefix[100] == pytest.approx(float(logn), rel=1e-13)
+
+
+def _int_quotients(primes, t):
+    # Python's int true division rounds the exact rational correctly
+    return [(p ** (t - 1) - 1) / (p ** (t - 1) * (p - 1)) for p in primes]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 7, 10, 64])
+def test_psi_ratio_terms_match_int_quotients(small_table, t):
+    primes = small_table.primes
+    terms, exact = _psi_ratio_terms(primes, t)
+    assert [x.hex() for x in terms.tolist()] == [x.hex() for x in _int_quotients(primes, t)]
+    # the float form rounds the wrong way at p = 3 for t = 2 and 4, so only the
+    # int fallback gets those terms right
+    if t in (2, 4):
+        assert 1 in exact
+    assert len(exact) < len(primes) // 50  # numpy decides nearly every term
+
+
+def test_psi_ratio_terms_fall_back_above_the_split_limit():
+    big = (1 << 26) + 15
+    assert all(big % d for d in range(2, math.isqrt(big) + 1))  # prime
+    primes = [2, 3, 5, 7, big]
+    theta = compensated_prefix([math.log(p) for p in primes]).tolist()
+    table = PrimeTable(limit=big, primes=primes, theta_prefix=theta)
+    for t in (3, 7):
+        terms, exact = _psi_ratio_terms(table.primes, t)
+        assert 4 in exact
+        quotients = _int_quotients(primes, t)
+        assert terms.tolist() == quotients
+        expect = compensated_prefix([math.log1p(x) for x in quotients])
+        assert log_psi_ratio_prefix(table, t, 5).tolist() == expect.tolist()
 
 
 def test_prefix_is_stable_in_n(small_table):

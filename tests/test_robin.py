@@ -170,6 +170,21 @@ def test_theorem_pipeline_reduced(small_table, t):
         assert report.crossover_index == 10596
 
 
+def test_theorem_pipeline_rechecks_the_ratio_in_the_band(small_table, monkeypatch):
+    plain = verify_tfree_robin(7, 20_000, small_table)
+    recheck = robin._ratio_margin_mp
+    calls = []
+    monkeypatch.setattr(robin, "_ratio_margin_mp", lambda *a: calls.append(a) or recheck(*a))
+    monkeypatch.setattr(robin, "PRECISION_BAND", 10.0)
+    forced = verify_tfree_robin(7, 20_000, small_table)
+    assert calls == [(7, 10596, small_table)]
+    assert forced.passed and plain.passed
+    assert forced == plain
+    margin = recheck(7, 10596, small_table)
+    assert margin == pytest.approx(EXP_GAMMA - plain.ratio_at_crossover, abs=1e-12)
+    assert margin > 0
+
+
 def test_theorem_pipeline_domain(small_table):
     with pytest.raises(ValueError):
         verify_tfree_robin(5, 100_000, small_table)
