@@ -12,11 +12,16 @@ f(n) = 1 + 1.1253 / (log p_n * log log N_n).
 The criterion's left side, less 1, is one array per prime table, read by
 find_crossover_index; criterion and admissible_t form the same value at one
 index from the same scalar formula.  Each bound's float formula is likewise
-one array function, read by its suite.  The four suites hand their margin
-arrays to one sweep, _sweep: any |margin| below 1e-9 is precision-critical and
-is re-derived at 60 significant digits, from products of exact integers with
-one rounding per factor, kept per table and extended from one recheck to the
-next, before it is trusted; a range without points reports SKIPPED.
+one array function of libm calls, read by its suite.  The four suites hand
+their margin columns, one per t, to one sweep, _sweep: any |margin| below 1e-9
+is precision-critical and is re-derived at 60 significant digits, from
+products of exact integers with one rounding per factor, kept per table and
+extended from one recheck to the next, before it is trusted; a range without
+points reports SKIPPED.  In the two suites with a column per t, each column
+after the first has a numpy screen with a stated bound on its distance to the
+libm margins, and the libm column is built only where the screen cannot rule
+out the worst point or a point in the band.  zeta(2) is pinned to its series'
+output rather than summed on each run.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import random
 import sys
 import weakref
 from bisect import bisect_right
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -68,8 +73,25 @@ class ZetaValue:
     excess: float
 
 
+# What _zeta_series(2) returns, as float.hex.  Its 2.2e7 terms take about
+# 0.2 s and 32 MB; no closed form has these bits (numpy's power, which the
+# series sums, is not correctly rounded), and printed digits of `ratio --t 2`
+# and the zeta tail suite depend on them.  A test re-runs the series.
+_ZETA_2 = ZetaValue(
+    t=2,
+    value=float.fromhex("0x1.a51a6625307d4p+0"),
+    abs_error_bound=float.fromhex("0x1.f4a3ef04b4024p-49"),
+    excess=float.fromhex("0x1.4a34cc4a60fa7p-1"),
+)
+
+
 @lru_cache(maxsize=None)
 def zeta(t: int) -> ZetaValue:
+    """zeta(t) from _zeta_series(t); for t = 2, that series' pinned output."""
+    return _ZETA_2 if t == 2 else _zeta_series(t)
+
+
+def _zeta_series(t: int) -> ZetaValue:
     """zeta(t) by direct series with an integral-bracketed tail.
 
     sum_{n > M} n^-t lies between the integrals of u^-t over [M+1, inf) and
@@ -144,6 +166,18 @@ def _criterion_lhs_bound(x):
     return _lhs_excess(np.expm1(2.0 / x), lx, np.log(x - x / lx))
 
 
+def _dusart_reach(x: float, k: int) -> float:
+    """An upper bound on the k-th prime above x: k steps y -> y (1 + 1/(25
+    log^2 y)) from y = max(x, 396738).  Dusart (2010): for y >= 396738 there
+    is a prime in (y, y (1 + 1/(25 log^2 y))], so the k intervals hold k
+    distinct primes above x.  The factor 1 + 2^-20 on each step's length
+    absorbs its float rounding up to the largest float."""
+    y = max(x, 396738.0)
+    for _ in range(k):
+        y *= 1.0 + (1.0 + 2.0**-20) / (25.0 * math.log(y) ** 2)
+    return y
+
+
 def crossover_reach(t: int) -> float:
     """Sieve limit covering index n1(t) + CONFIRM, with or without the search
     floor, and so for every t' <= t; math.inf once x overflows a float.
@@ -153,6 +187,9 @@ def crossover_reach(t: int) -> float:
     falls as p and theta(p) grow, so every prime p >= x passes once
     _criterion_lhs_bound(x) is below zeta(t) - 1 by a relative 1e-9 that
     absorbs float rounding; then n1 <= pi(x) + 1.  x is bisected geometrically.
+    The limit is the smaller of two bounds on p_{n1 + CONFIRM}: one from pi(x)
+    and nth_prime_bound, and _dusart_reach(x, CONFIRM + 1), which also covers
+    the floor, as p_2263 = 20011 lies below its start.
     """
     target = zeta(t).excess / (1.0 + 1e-9)
     lo, x = 41.0, sys.float_info.max
@@ -162,7 +199,8 @@ def crossover_reach(t: int) -> float:
         mid = math.sqrt(lo) * math.sqrt(x)
         lo, x = (lo, mid) if _criterion_lhs_bound(mid) < target else (mid, x)
     pi_x = int(1.25506 * x / math.log(x)) + 1  # + 1 absorbs rounding below an integer
-    return nth_prime_bound(max(pi_x + 1, CRITERION_FLOOR) + CONFIRM)
+    by_count = nth_prime_bound(max(pi_x + 1, CRITERION_FLOOR) + CONFIRM)
+    return min(by_count, math.ceil(_dusart_reach(x, CONFIRM + 1)))
 
 
 @dataclass(frozen=True)
@@ -264,6 +302,40 @@ def _zeta_tail_products(t: int, n: int, table: PrimeTable) -> np.ndarray:
     return zv * libm_map(math.exp, acc.tolist())
 
 
+# The column screens: numpy estimates of a suite's libm margins with a bound
+# beta on their distance.  Error model: numpy's power, log1p and exp are within
+# 16 ulp of the exact value per call, libm's within 1; u = 2^-53.  On samples
+# of the suites' inputs, against 200-bit values, numpy was within 0.63 ulp and
+# libm within 0.51 (measured).
+
+
+def _zeta_tail_screen(
+    t: int, primes: np.ndarray, growth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of growth - _zeta_tail_products(t, n, table)[1:], n =
+    len(primes), primes as float64, and beta >= |estimate - margin| at each
+    index.
+
+    Each term log1p(-p^-t), p^-t <= 1/4, moves by at most 4/3 of the relative
+    error of p^-t, so the two columns' terms, all negative, differ by under
+    (16 (4/3 + 1) + 4/3 + 1) 2^-52 < 2^-46.4 of their size.  With A_k = |S_k|,
+    S the compensated sums here (each within 2u A_k of its terms' exact sum),
+    the libm column's plain cumsum is within u (1 + 2^-20) sum_{j <= k} A_j of
+    its terms' exact sum, so the sums differ by at most delta_k = 2^-46 A_k +
+    u (1 + 2^-20) sum_{j <= k} A_j + 2^-1000, the last for a p^-t that
+    underflows.  The two exps and products with zeta(t) add under 2^-47 of
+    P = zeta(t) exp(S), and both subtractions from the shared growth and the
+    sweep's comparisons with beta under 4u |estimate|:
+    beta = P (1.0002 delta + 2^-47) + 2^-51 |estimate|.
+    """
+    acc = compensated_prefix(np.log1p(-(primes ** -float(t))))[1:]
+    size = np.abs(acc)
+    delta = 2.0**-46 * size + 2.0**-53 * (1.0 + 2.0**-20) * np.cumsum(size) + 2.0**-1000
+    prod = zeta(t).value * np.exp(acc[1:])
+    est = growth - prod
+    return est, prod * (1.0002 * delta[1:] + 2.0**-47) + 2.0**-51 * np.abs(est)
+
+
 def _log_substitution_margins(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
     """log log N_n + 0.1253 / log p_n - log p_n for n_min <= n <= n_max."""
     lp = libm_map(math.log, table.primes[n_min - 1 : n_max])
@@ -279,6 +351,33 @@ def _psi_ratio_scales(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
     return libm_map(lambda p: math.exp(EULER_GAMMA + 2.0 / p), primes) * (
         lln + MERTENS_SHIFT / lp
     )
+
+
+def _psi_ratio_margins(terms: np.ndarray, bound: np.ndarray, n_min: int) -> np.ndarray:
+    """bound - psi_t(N_n)/N_n for n_min <= n <= len(terms), from the
+    _psi_ratio_terms of p_1..p_n, bit for bit the exp of log_psi_ratio_prefix."""
+    logs = compensated_prefix(libm_map(math.log1p, terms.tolist()))[n_min:]
+    return bound - libm_map(math.exp, logs.tolist())
+
+
+def _psi_ratio_screen(
+    terms: np.ndarray, bound: np.ndarray, n_min: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of _psi_ratio_margins(terms, bound, n_min) and beta >=
+    |estimate - margin|, under the error model of _zeta_tail_screen.
+
+    Both columns read the same terms and bound.  Their log1p terms, all
+    positive, differ by at most 17 2^-52 of their size, and each compensated
+    sum is within 2u of its terms' exact sum, so the sums L (here) and the
+    libm column's differ by under 19.01 2^-52 L.  The two exps add under
+    17.01 2^-52 of R = exp(L), and the subtractions from bound and the sweep's
+    comparisons with beta under 4u |estimate|:
+    beta = 2^-47 R (L + 1) + 2^-51 |estimate|.
+    """
+    logs = compensated_prefix(np.log1p(terms))[n_min:]
+    ratio = np.exp(logs)
+    est = bound - ratio
+    return est, 2.0**-47 * ratio * (logs + 1.0) + 2.0**-51 * np.abs(est)
 
 
 def admissible_t(n: int, table: PrimeTable) -> int | None:
@@ -332,17 +431,31 @@ class SuiteResult:
 
 
 def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> SuiteResult:
-    """Worst margin over `columns`, pairs (key, float margins) taken one at a time.
+    """Worst margin over `columns`, triples (key, screen, margins) taken one at a time.
 
-    Every margin inside PRECISION_BAND is replaced by recheck(key, i), its
-    60-digit value, before it is trusted.  The worst point is the first
-    minimum in column order, as a scalar `if margin < worst` loop picks it;
-    where(key, i) names it.  A sweep without points reports skipped.
+    margins() builds a column's float margins.  Every margin inside
+    PRECISION_BAND is replaced by recheck(key, i), its 60-digit value, before
+    it is trusted.  The worst point is the first minimum in column order, as a
+    scalar `if margin < worst` loop picks it; where(key, i) names it.
+
+    screen() gives cheaper estimates of the same margins and beta, a bound on
+    |estimate - margin| at each index.  Once a column has set the worst, a
+    later one is built only where its screen leaves room for a margin below
+    that worst or inside the band; else it adds only its point count, which
+    leaves every field as building it would.  A suite's first column is always
+    built, so a one-column suite passes screen=None.  A sweep without points
+    reports skipped.
     """
     worst = math.inf
     worst_at = ""
     points = rechecked = 0
-    for key, margins in columns:
+    for key, screen, build in columns:
+        if worst < math.inf:
+            est, beta = screen()
+            if not ((est - beta < worst).any() or (np.abs(est) < PRECISION_BAND + beta).any()):
+                points += est.size
+                continue
+        margins = build()
         band = np.flatnonzero(np.abs(margins) < PRECISION_BAND).tolist()
         for i in band:
             margins[i] = recheck(key, i)
@@ -395,13 +508,13 @@ def mertens_bound_suite(
     cap = min(x_cap, table.limit)
     xs = {1 << k for k in range(1, cap.bit_length())}
     rng = random.Random(_SAMPLE_SEED)
-    xs.update(rng.randint(2, cap) for _ in range(samples))
+    xs.update(rng.randint(2, cap) for _ in range(samples if cap >= 2 else 0))
     xs = sorted(xs)
     lx = libm_map(math.log, xs)
     margins = EXP_GAMMA * (lx + 1.0 / lx) - _mertens_products(xs, table)
     return _sweep(
         "mertens_product",
-        [(None, margins)],
+        [(None, None, lambda: margins)],
         lambda _, i: _mertens_margin_mp(xs[i], table),
         lambda _, i: f"x={xs[i]}",
     )
@@ -422,13 +535,24 @@ def zeta_tail_bound_suite(
     """Margin sweep of exp(2/p_n) - prod_{p > p_n} (1 - p^-t)^-1 > 0
     for each t and every 2 <= n <= n_max."""
     require_primes(table, n_max)
-    growth = libm_map(lambda p: math.exp(2.0 / p), table.primes[1:n_max])
     return _sweep(
         "zeta_tail_product",
-        ((t, growth - _zeta_tail_products(t, n_max, table)[1:]) for t in ts),
+        _zeta_tail_columns(table, ts, n_max),
         lambda t, i: _zeta_tail_margin_mp(t, i + 2, table),
         lambda t, i: f"t={t},n={i + 2}",
     )
+
+
+def _zeta_tail_columns(table: PrimeTable, ts: Iterable[int], n_max: int) -> Iterator[tuple]:
+    """_sweep's (t, screen, margins) for each t, 2 <= n <= n_max."""
+    primes = np.array(table.primes[:n_max], dtype=np.float64)  # once per suite
+    growth = libm_map(lambda p: math.exp(2.0 / p), table.primes[1:n_max])
+    for t in ts:
+        yield (
+            t,
+            partial(_zeta_tail_screen, t, primes, growth),
+            lambda t=t: growth - _zeta_tail_products(t, n_max, table)[1:],
+        )
 
 
 def _zeta_tail_margin_mp(t: int, n: int, table: PrimeTable) -> float:
@@ -448,7 +572,7 @@ def log_substitution_suite(
     require_primes(table, n_max)
     return _sweep(
         "log_substitution",
-        [(None, _log_substitution_margins(table, n_min, n_max))],
+        [(None, None, lambda: _log_substitution_margins(table, n_min, n_max))],
         lambda _, i: _log_substitution_margin_mp(n_min + i, table),
         lambda _, i: f"n={n_min + i}",
     )
@@ -473,18 +597,28 @@ def psi_ratio_bound_suite(
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"bound needs n >= {CRITERION_FLOOR}, got {n_min}")
     require_primes(table, n_max)
-    scales = _psi_ratio_scales(table, n_min, n_max)
-
-    def margins(t: int) -> np.ndarray:
-        logs = primorial.log_psi_ratio_prefix(table, t, n_max)[n_min:]
-        return scales / zeta(t).value - libm_map(math.exp, logs.tolist())
-
     return _sweep(
         "psi_ratio_bound",
-        ((t, margins(t)) for t in ts),
+        _psi_ratio_columns(table, ts, n_min, n_max),
         lambda t, i: _psi_ratio_margin_mp(t, n_min + i, table),
         lambda t, i: f"t={t},n={n_min + i}",
     )
+
+
+def _psi_ratio_columns(
+    table: PrimeTable, ts: Iterable[int], n_min: int, n_max: int
+) -> Iterator[tuple]:
+    """_sweep's (t, screen, margins) for each t, n_min <= n <= n_max."""
+    scales = _psi_ratio_scales(table, n_min, n_max)
+    primes = np.array(table.primes[:n_max], dtype=np.float64)  # once per suite
+    for t in ts:
+        terms, _ = primorial._psi_ratio_terms(primes, t)
+        bound = scales / zeta(t).value
+        yield (
+            t,
+            partial(_psi_ratio_screen, terms, bound, n_min),
+            partial(_psi_ratio_margins, terms, bound, n_min),
+        )
 
 
 def psi_ratio_mp(t: int, n: int, table: PrimeTable) -> tuple[mpmath.mpf, mpmath.mpf]:

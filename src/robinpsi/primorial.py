@@ -35,10 +35,11 @@ LOG_RATIO_BAND = 1e-9
 _SPLIT_LIMIT = 1 << 26  # below it, p - 1 and half of a split double multiply exactly
 
 
-def _psi_ratio_terms(primes: list[int], t: int) -> tuple[np.ndarray, list[int]]:
+def _psi_ratio_terms(primes: list[int] | np.ndarray, t: int) -> tuple[np.ndarray, list[int]]:
     """x[k] = (q - 1) / (q (p - 1)) with q = p^(t-1), p = primes[k], correctly
     rounded, bit for bit Python's int true division; and the indices that
-    took that int division.
+    took that int division.  primes is a list of ints or a float64 array
+    (exact, as every prime below 2^53 is); the division takes int(primes[k]).
 
     With d = p - 1 < 2^26 and r = RN(1/d), Veltkamp's split r = hi + lo makes
     e = (1 - hi d) - lo d exact, so x = r + c with c = (e - p^(1-t)) / d
@@ -49,7 +50,7 @@ def _psi_ratio_terms(primes: list[int], t: int) -> tuple[np.ndarray, list[int]]:
     exactly; s is x's rounding wherever |err| + beta is below half the float
     gap under s.  Every other index, and every p >= 2^26, takes the int quotient.
     """
-    p = np.array(primes, dtype=np.float64)
+    p = np.asarray(primes, dtype=np.float64)
     d = p - 1.0
     r = 1.0 / d
     big = r * (2.0**27 + 1.0)
@@ -64,8 +65,9 @@ def _psi_ratio_terms(primes: list[int], t: int) -> tuple[np.ndarray, list[int]]:
     sure = np.abs(err) + beta < 0.5 * np.spacing(np.nextafter(s, 0.0))
     exact = np.flatnonzero(~(sure & (p < _SPLIT_LIMIT))).tolist()
     for k in exact:
-        q = primes[k] ** (t - 1)
-        s[k] = (q - 1) / (q * (primes[k] - 1))
+        pk = int(primes[k])
+        q = pk ** (t - 1)
+        s[k] = (q - 1) / (q * (pk - 1))
     return s, exact
 
 

@@ -26,6 +26,7 @@ from robinpsi import (
 )
 from robinpsi import bounds
 from robinpsi.bounds import CONFIRM, CRITERION_FLOOR, EULER_GAMMA, EXP_GAMMA, MERTENS_SHIFT
+from robinpsi.primes import nth_prime_bound
 
 CROSSOVERS = [(3, 10), (4, 24), (5, 79), (6, 509), (7, 10596)]
 
@@ -61,6 +62,14 @@ def test_zeta_excess_decreases():
 def test_zeta_domain():
     with pytest.raises(ValueError):
         zeta(1)
+
+
+def test_zeta_2_is_the_series_output():
+    # zeta(2) returns pinned bits; the series it stands for must still give them
+    pinned, series = zeta(2), bounds._zeta_series(2)
+    assert pinned.t == series.t == 2
+    for field in ("value", "abs_error_bound", "excess"):
+        assert getattr(pinned, field).hex() == getattr(series, field).hex()
 
 
 def test_criterion_lhs_values(small_table):
@@ -247,7 +256,7 @@ def test_crossover_reach_is_certified(t8_table):
     p = primes[big]
     assert (np.array(table.theta_prefix[1:])[big] > p * (1.0 - 1.0 / np.log(p))).all()
     assert (bounds._criterion_lhs(table)[big] <= bounds._criterion_lhs_bound(p)).all()
-    assert bounds.crossover_reach(8) <= 2.2e7
+    assert bounds.crossover_reach(8) <= 1.75e7
     for t in range(2, 9):
         reach = bounds.crossover_reach(t)
         for floored in (False, True):
@@ -255,6 +264,14 @@ def test_crossover_reach_is_certified(t8_table):
             assert reach >= table.primes[n1 + CONFIRM - 1]
     ts = range(2, 65)  # the CLI's t range; past t = 18 the crossover prime overflows a float
     assert [bounds.crossover_reach(t) == math.inf for t in ts] == [t > 18 for t in ts]
+
+
+def test_dusart_reach_bounds_the_kth_prime_above_x(t8_table):
+    primes = t8_table.primes
+    for x in (41, 396738, 10**6, 16_000_000, 16_408_319):
+        i = bisect_right(primes, x)
+        for k in (1, 2, 10, CONFIRM, CONFIRM + 1, 1000, 10**4):
+            assert primes[i + k - 1] <= bounds._dusart_reach(x, k)
 
 
 def test_crossover_reach_covers_confirm(monkeypatch):
@@ -382,6 +399,14 @@ def test_mertens_suite_reduced(small_table):
     assert result.worst_margin > 0
 
 
+def test_mertens_suite_skips_without_points(small_table):
+    for cap in (0, 1):
+        result = mertens_bound_suite(small_table, x_cap=cap)
+        assert (result.skipped, result.points, result.rechecked) == (True, 0, 0)
+    result = mertens_bound_suite(small_table, x_cap=2, samples=3)
+    assert (result.skipped, result.points, result.worst_at) == (False, 1, "x=2")
+
+
 def test_zeta_tail_suite_reduced(small_table):
     result = zeta_tail_bound_suite(small_table, ts=range(2, 5), n_max=500)
     assert result.passed
@@ -432,6 +457,46 @@ def test_suite_rechecks_every_point_in_the_band(small_table, monkeypatch, suite)
     assert forced.worst_margin == pytest.approx(plain.worst_margin, abs=1e-12)
 
 
+def test_forced_band_builds_every_column(small_table, monkeypatch, built_columns):
+    runs = [REDUCED_SUITES[name][0] for name in ("zeta_tail_product", "psi_ratio_bound")]
+    for run in runs:
+        run(small_table)
+    # t = 3 cannot beat the t = 2 minimum, nor lie in the band
+    assert built_columns == [
+        ("zeta_tail_product", 5), ("zeta_tail_product", 2), ("psi_ratio_bound", 4),
+        ("psi_ratio_bound", 3),
+    ]
+    built_columns.clear()
+    monkeypatch.setattr(bounds, "PRECISION_BAND", 10.0)
+    for run in runs:
+        run(small_table)
+    assert built_columns == [
+        ("zeta_tail_product", 5), ("zeta_tail_product", 2), ("zeta_tail_product", 3),
+        ("psi_ratio_bound", 4), ("psi_ratio_bound", 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "columns,ts",
+    [
+        (lambda tab: bounds._zeta_tail_columns(tab, range(2, 11), 10**4), range(2, 11)),
+        (lambda tab: bounds._psi_ratio_columns(tab, range(3, 8), CRITERION_FLOOR, 10**5),
+         range(3, 8)),
+    ],
+    ids=["zeta_tail", "psi_ratio"],
+)
+def test_column_screens_stay_within_beta(columns, ts):
+    # the columns of `verify-bounds --n-max 100000 --t-max 10`, on the table it sieves
+    table = build_table(max(nth_prime_bound(10**5), bounds.MERTENS_CAP))
+    keys = []
+    for t, screen, margins in columns(table):
+        keys.append(t)
+        est, beta = screen()
+        assert (np.abs(est - margins()) <= beta).all()
+        assert beta.max() <= 1e-12
+    assert keys == list(ts)
+
+
 # The scalar margin loops the suites had before they formed whole arrays, kept
 # as oracles: each returns (worst margin, where) with the first minimum winning.
 def _mertens_oracle(table, x_cap, samples):
@@ -478,6 +543,29 @@ def _log_substitution_oracle(table, n_min, n_max):
     return worst, worst_at
 
 
+def _psi_ratio_oracle(table, ts, n_min, n_max):
+    worst, worst_at = math.inf, ""
+    for t in ts:
+        zv = zeta(t).value
+        total = carry = 0.0
+        for n, p in enumerate(table.primes[:n_max], start=1):
+            q = p ** (t - 1)
+            x = math.log1p((q - 1) / (q * (p - 1)))
+            s = total + x
+            carry += (total - s) + x if abs(total) >= abs(x) else (x - s) + total
+            total = s
+            if n < n_min:
+                continue
+            lp = math.log(p)
+            scale = math.exp(EULER_GAMMA + 2.0 / p) * (
+                math.log(table.theta_prefix[n]) + MERTENS_SHIFT / lp
+            )
+            margin = scale / zv - math.exp(total + carry)
+            if margin < worst:
+                worst, worst_at = margin, f"t={t},n={n}"
+    return worst, worst_at
+
+
 @pytest.mark.parametrize(
     "suite,oracle",
     [
@@ -489,8 +577,11 @@ def _log_substitution_oracle(table, n_min, n_max):
          lambda tab: _zeta_tail_oracle(tab, (64, 40), 300)),
         (lambda tab: log_substitution_suite(tab, n_min=2300, n_max=10596),
          lambda tab: _log_substitution_oracle(tab, 2300, 10596)),
+        # the worst point lies in the second column, the screens skip the third
+        (lambda tab: psi_ratio_bound_suite(tab, ts=(7, 3, 5), n_max=10596),
+         lambda tab: _psi_ratio_oracle(tab, (7, 3, 5), CRITERION_FLOOR, 10596)),
     ],
-    ids=["mertens", "zeta_tail", "zeta_tail_large_t", "log_substitution"],
+    ids=["mertens", "zeta_tail", "zeta_tail_large_t", "log_substitution", "psi_ratio"],
 )
 def test_suite_matches_scalar_loop_bit_for_bit(small_table, suite, oracle):
     result = suite(small_table)

@@ -280,6 +280,19 @@ def test_verify_bounds_golden(capsys):
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
 
 
+def test_verify_bounds_builds_one_libm_column_per_suite(capsys, built_columns):
+    # the column screens leave zeta tail t = 3..10 and psi ratio t = 4..7 unbuilt
+    code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
+    assert code == 0
+    assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
+    assert built_columns == [
+        ("mertens_product", None),
+        ("zeta_tail_product", 2),
+        ("log_substitution", None),
+        ("psi_ratio_bound", 3),
+    ]
+
+
 def test_table1_golden(capsys):
     code, out = _run(["table1", "--t-min", "3", "--t-max", "7"], capsys)
     assert code == 0
