@@ -9,19 +9,20 @@ log log N_n, turning the 1/log p_n slack into (1 + 0.1253)/log p_n.  The
 resulting crossover criterion reads exp(2/p_n) * f(n) < zeta(t) with
 f(n) = 1 + 1.1253 / (log p_n * log log N_n).
 
-The criterion's left side, less 1, is one array per prime table, read by
-find_crossover_index; criterion and admissible_t form the same value at one
-index from the same scalar formula.  Each bound's float formula is likewise
-one array function of libm calls, read by its suite.  The four suites hand
-their margin columns, one per t, to one sweep, _sweep: any |margin| below 1e-9
-is precision-critical and is re-derived at 60 significant digits, from
-products of exact integers with one rounding per factor, kept per table and
-extended from one recheck to the next, before it is trusted; a range without
-points reports SKIPPED.  In the two suites with a column per t, each column
-after the first has a numpy screen with a stated bound on its distance to the
-libm margins, and the libm column is built only where the screen cannot rule
-out the worst point or a point in the band.  zeta(2) is pinned to its series'
-output rather than summed on each run.
+Each float formula, the criterion's left side less 1 and every bound's margin,
+is written once over m = math or numpy: libm scalars where a value is printed
+or decided, numpy over a whole range to screen it.  A screen states beta, a
+bound on its distance to the libm value at each index, and libm runs only at
+the indices that the estimate +- beta cannot decide.  find_crossover_index
+screens the criterion with one numpy array per prime table; criterion and
+admissible_t take libm at their one index; a libm criterion margin within its
+own error bound of zero is re-decided at 60 digits.  The four suites hand
+their columns, one per t, to one sweep, _sweep: any |margin| below 1e-9 is
+precision-critical and is re-derived at 60 significant digits, from products
+of exact integers with one rounding per factor, kept per table and extended
+from one recheck to the next, before it is trusted; a range without points
+reports SKIPPED.  zeta(2) is pinned to its series' output rather than summed
+on each run.
 """
 
 from __future__ import annotations
@@ -135,35 +136,58 @@ def _per_table(build: Callable[[PrimeTable], np.ndarray]) -> Callable[[PrimeTabl
     return cached
 
 
-def _lhs_excess(expm1_2p, log_p, log_theta):
+def _lhs_excess(m, p, theta):
     """exp(2/p) * f - 1 = expm1(2/p) * (1 + c) + c, c = 1.1253 / (log p *
-    log theta(p)), from expm1(2/p), log p and log theta(p) as floats or arrays."""
-    c = MERTENS_SHIFT / (log_p * log_theta)
-    return expm1_2p * (1.0 + c) + c
+    log theta), from a prime p and theta = theta(p) = log N_n, with m = math
+    for floats or m = numpy for arrays."""
+    c = MERTENS_SHIFT / (m.log(p) * m.log(theta))
+    return m.expm1(2.0 / p) * (1.0 + c) + c
 
 
 def _criterion_lhs_at(n: int, table: PrimeTable) -> float:
-    """_criterion_lhs(table)[n - 1] from scalars, without building the array."""
+    """exp(2/p_n) * f(n) - 1 from libm scalars."""
     require_primes(table, n)
-    p = table.primes[n - 1]
-    return _lhs_excess(math.expm1(2.0 / p), math.log(p), math.log(table.theta_prefix[n]))
+    return _lhs_excess(math, table.primes[n - 1], table.theta_prefix[n])
+
+
+# |_criterion_lhs_at - exact left side less 1| <= _LHS_ERROR * _criterion_lhs_at
+# for n >= 2, with libm within 1 ulp per call.  The compensated theta(p_n) is
+# within 2 2^-52 of itself, so log theta is within 2 2^-52 + 1 ulp, under
+# 4.5 2^-52 of itself as log theta >= log log 6 > 0.58; log p adds 1 ulp,
+# 1.0 + 0.1253 lies 2u from 1.1253, and the product and quotient 2u, so c is
+# within 8 2^-52; expm1(2/p) within 2.4 2^-52.  Every term is positive, so
+# with the last three roundings the left side is within 13 2^-52; 64 allowed.
+_LHS_ERROR = 2.0**-46
+# |_criterion_screen - _criterion_lhs_at| <= _CRITERION_BETA * _criterion_screen,
+# under the error model of the column screens below: numpy's expm1 and two
+# logs are within 17 ulp of libm's, so c differs by under 36 2^-52 of itself
+# (two roundings a side), 1 + c by 37, the product by 55 and the sum by 56;
+# 128 allowed.
+_CRITERION_BETA = 2.0**-45
+_CRITERION_CHUNK = 1 << 16
 
 
 @_per_table
-def _criterion_lhs(table: PrimeTable) -> np.ndarray:
-    """exp(2/p_n) * f(n) - 1 at index n - 1, in the scalar operation order."""
-    return _lhs_excess(
-        libm_map(lambda p: math.expm1(2.0 / p), table.primes),
-        libm_map(math.log, table.primes),
-        libm_map(math.log, table.theta_prefix[1:]),
-    )
+def _criterion_screen(table: PrimeTable) -> np.ndarray:
+    """numpy estimate of exp(2/p_n) * f(n) - 1 at index n - 1, the one float
+    array kept per table; see _CRITERION_BETA.  Formed in chunks of the
+    table's lists, so no other array of the table's length is alive."""
+    out = np.empty(len(table.primes))
+    for a in range(0, out.size, _CRITERION_CHUNK):
+        p = table.primes[a : a + _CRITERION_CHUNK]
+        theta = table.theta_prefix[a + 1 : a + 1 + len(p)]
+        out[a : a + len(p)] = _lhs_excess(
+            np,
+            np.fromiter(p, dtype=np.float64, count=len(p)),
+            np.fromiter(theta, dtype=np.float64, count=len(p)),
+        )
+    return out
 
 
 def _criterion_lhs_bound(x):
-    """Upper bound on _criterion_lhs at a prime x >= 41, floats or arrays:
-    theta(x) at its lower bound x (1 - 1/log x)."""
-    lx = np.log(x)
-    return _lhs_excess(np.expm1(2.0 / x), lx, np.log(x - x / lx))
+    """Upper bound on the left side less 1 at a prime x >= 41, floats or
+    arrays: theta(x) at its lower bound x (1 - 1/log x)."""
+    return _lhs_excess(np, x, x - x / np.log(x))
 
 
 def _dusart_reach(x: float, k: int) -> float:
@@ -239,17 +263,45 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
     )
 
 
+def _criterion_holds(t: int, n: int, table: PrimeTable) -> bool:
+    """Whether exp(2/p_n) * f(n) < zeta(t): the sign of the libm margin, or
+    of the 60-digit one where the libm margin lies within its error bound,
+    _LHS_ERROR and the zeta error, of zero."""
+    z = zeta(t)
+    lhs = _criterion_lhs_at(n, table)
+    margin = z.excess - lhs
+    if abs(margin) <= _LHS_ERROR * lhs + z.abs_error_bound:
+        return _criterion_margin_mp(t, n, table) > 0.0
+    return margin > 0.0
+
+
+def _criterion_margin_mp(t: int, n: int, table: PrimeTable) -> float:
+    """zeta(t) - exp(2/p_n) * f(n) at 60 digits, log N_n from the primorial."""
+    with mpmath.workdps(60):
+        (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
+        p_n = table.primes[n - 1]
+        lp = mpmath.log(p_n)
+        f = 1 + mpmath.mpf("1.1253") / (lp * mpmath.log(mpmath.log(primorial_n)))
+        return float(mpmath.zeta(t) - mpmath.exp(mpmath.mpf(2) / p_n) * f)
+
+
 def find_crossover_index(t: int, table: PrimeTable, floored: bool = False) -> int:
     """Least index n where the criterion holds (search floor 2263 if floored).
 
     Confirms the criterion stays satisfied for the next CONFIRM indices;
-    running off the table either way raises CoverageError.
+    running off the table either way raises CoverageError.  The numpy screen
+    decides every index whose estimate lies further than beta from zeta(t) -
+    1; the rest are decided by _criterion_holds.
     """
     excess = zeta(t).excess  # validates t
     start = CRITERION_FLOOR if floored else 2
     size = len(table.primes)
-    # margin > 0 exactly when lhs < excess: float subtraction is 0 only on equality
-    satisfied = _criterion_lhs(table)[start - 1 :] < excess
+    lhs = _criterion_screen(table)[start - 1 :]
+    # lhs + beta < excess, and lhs - beta > excess, with room for the roundings
+    satisfied = lhs < excess * (1.0 - 2.0 * _CRITERION_BETA)
+    undecided = ~satisfied & (lhs <= excess * (1.0 + 2.0 * _CRITERION_BETA))
+    for i in np.flatnonzero(undecided).tolist():
+        satisfied[i] = _criterion_holds(t, start + i, table)
     if not satisfied.any():
         raise CoverageError(
             f"criterion for t={t} unsatisfied through index {size}; enlarge the sieve"
@@ -282,39 +334,64 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
     return mant, exp10
 
 
-@_per_table
-def _mertens_prefix(table: PrimeTable) -> np.ndarray:
-    return compensated_prefix(libm_map(lambda p: -math.log1p(-1.0 / p), table.primes))
+# Each suite's margin is one formula of (m, ...) with m = math or numpy.  Its
+# screen evaluates it in numpy over the whole range and states beta, a bound on
+# the distance to the libm margin at each index; _sweep takes libm, m = math,
+# only where the screen cannot decide.  Error model: numpy's power, expm1,
+# log1p, log and exp are within 16 ulp of the exact value per call, libm's
+# within 1; u = 2^-53.  On samples of the suites' inputs, against 200-bit
+# values, numpy was within 0.63 ulp and libm within 0.51 (measured).  Where a
+# margin reads a prefix sum, the screen sums numpy terms and adds that sum's
+# error to beta; the libm prefix sums all terms up to the last index taken.
 
 
-def _mertens_products(xs: list[int], table: PrimeTable) -> np.ndarray:
-    """prod_{p <= x} (1 - 1/p)^-1 for each x in xs, accumulated in log space."""
-    prefix = _mertens_prefix(table)
-    return libm_map(lambda x: math.exp(prefix[bisect_right(table.primes, x)]), xs)
+def _libm_at(formula, *columns) -> Callable[[np.ndarray], np.ndarray]:
+    """_sweep's margins(idx): formula(math, columns[0][i], ...) at each i in idx."""
+    return lambda idx: np.array([formula(math, *(c[i] for c in columns)) for i in idx.tolist()])
 
 
-def _zeta_tail_products(t: int, n: int, table: PrimeTable) -> np.ndarray:
-    """zeta(t) * prod_{p <= p_k} (1 - p^-t) for 1 <= k <= n.  The log1p terms
-    are summed left to right without compensation, bit for bit the scalar
-    loop `acc += log1p(-p^-t)`."""
-    zv = zeta(t).value
-    acc = np.cumsum(libm_map(lambda p: math.log1p(-float(p) ** (-t)), table.primes[:n]))
-    return zv * libm_map(math.exp, acc.tolist())
+def _mertens_prefix(primes: list[int]) -> np.ndarray:
+    """Compensated prefix sums of -log(1 - 1/p) over primes, libm terms."""
+    return compensated_prefix(libm_map(lambda p: -math.log1p(-1.0 / p), primes))
 
 
-# The column screens: numpy estimates of a suite's libm margins with a bound
-# beta on their distance.  Error model: numpy's power, log1p and exp are within
-# 16 ulp of the exact value per call, libm's within 1; u = 2^-53.  On samples
-# of the suites' inputs, against 200-bit values, numpy was within 0.63 ulp and
-# libm within 0.51 (measured).
+def _mertens_margin(m, x, log_product):
+    """e^gamma (log x + 1/log x) - prod_{p <= x} (1 - 1/p)^-1 from the log of
+    that product."""
+    lx = m.log(x)
+    return EXP_GAMMA * (lx + 1.0 / lx) - m.exp(log_product)
+
+
+def _mertens_screen(x: np.ndarray, log_product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of _mertens_margin at each x and beta.  log x differs from
+    libm's by 17 ulp, 1/log x by 18, their sum and product with e^gamma by a
+    few u more, under 2^-47 of G = e^gamma (log x + 1/log x); the exps of the
+    shared libm log_product by 17 ulp of P; the subtraction and the sweep's
+    comparisons with beta add under 4u |estimate|:
+    beta = 2^-47 (G + P) + 2^-51 |estimate|."""
+    est = _mertens_margin(np, x, log_product)
+    lx = np.log(x)
+    return est, 2.0**-47 * (EXP_GAMMA * (lx + 1.0 / lx) + np.exp(log_product)) + 2.0**-51 * np.abs(est)
+
+
+def _zeta_tail_logs(t: int, n: int, table: PrimeTable) -> np.ndarray:
+    """log prod_{p <= p_k} (1 - p^-t) for 1 <= k <= n, the libm log1p terms
+    summed left to right without compensation, bit for bit the scalar loop
+    `acc += log1p(-p^-t)`."""
+    return np.cumsum(libm_map(lambda p: math.log1p(-float(p) ** (-t)), table.primes[:n]))
+
+
+def _zeta_tail_margin(m, p, zeta_value, log_head):
+    """exp(2/p_n) - zeta(t) prod_{p <= p_n} (1 - p^-t) from the log of that
+    product, log_head."""
+    return m.exp(2.0 / p) - zeta_value * m.exp(log_head)
 
 
 def _zeta_tail_screen(
     t: int, primes: np.ndarray, growth: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of growth - _zeta_tail_products(t, n, table)[1:], n =
-    len(primes), primes as float64, and beta >= |estimate - margin| at each
-    index.
+    """Estimates of _zeta_tail_margin for 2 <= n <= len(primes), primes as
+    float64 and growth = numpy exp(2/p_n), and beta.
 
     Each term log1p(-p^-t), p^-t <= 1/4, moves by at most 4/3 of the relative
     error of p^-t, so the two columns' terms, all negative, differ by under
@@ -324,60 +401,70 @@ def _zeta_tail_screen(
     its terms' exact sum, so the sums differ by at most delta_k = 2^-46 A_k +
     u (1 + 2^-20) sum_{j <= k} A_j + 2^-1000, the last for a p^-t that
     underflows.  The two exps and products with zeta(t) add under 2^-47 of
-    P = zeta(t) exp(S), and both subtractions from the shared growth and the
-    sweep's comparisons with beta under 4u |estimate|:
-    beta = P (1.0002 delta + 2^-47) + 2^-51 |estimate|.
+    P = zeta(t) exp(S), growth is within 17 ulp of libm's exp(2/p_n), and the
+    subtraction and the sweep's comparisons with beta add under 4u |estimate|:
+    beta = P (1.0002 delta + 2^-47) + 2^-47 growth + 2^-51 |estimate|.
     """
     acc = compensated_prefix(np.log1p(-(primes ** -float(t))))[1:]
     size = np.abs(acc)
     delta = 2.0**-46 * size + 2.0**-53 * (1.0 + 2.0**-20) * np.cumsum(size) + 2.0**-1000
     prod = zeta(t).value * np.exp(acc[1:])
     est = growth - prod
-    return est, prod * (1.0002 * delta[1:] + 2.0**-47) + 2.0**-51 * np.abs(est)
+    beta = prod * (1.0002 * delta[1:] + 2.0**-47) + 2.0**-47 * growth + 2.0**-51 * np.abs(est)
+    return est, beta
 
 
-def _log_substitution_margins(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
-    """log log N_n + 0.1253 / log p_n - log p_n for n_min <= n <= n_max."""
-    lp = libm_map(math.log, table.primes[n_min - 1 : n_max])
-    return libm_map(math.log, table.theta_prefix[n_min : n_max + 1]) + LOG_SHIFT / lp - lp
+def _log_substitution_margin(m, p, theta):
+    """log log N_n + 0.1253 / log p_n - log p_n from p_n and theta = log N_n."""
+    lp = m.log(p)
+    return m.log(theta) + LOG_SHIFT / lp - lp
 
 
-def _psi_ratio_scales(table: PrimeTable, n_min: int, n_max: int) -> np.ndarray:
-    """exp(gamma + 2/p_n) (log log N_n + 1.1253 / log p_n) for n_min <= n <= n_max,
-    which divided by zeta(t) bounds psi_t(N_n)/N_n."""
-    primes = table.primes[n_min - 1 : n_max]
-    lln = libm_map(math.log, table.theta_prefix[n_min : n_max + 1])
-    lp = libm_map(math.log, primes)
-    return libm_map(lambda p: math.exp(EULER_GAMMA + 2.0 / p), primes) * (
-        lln + MERTENS_SHIFT / lp
-    )
+def _log_substitution_screen(p: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of _log_substitution_margin and beta.  The logs differ from
+    libm's by 17 ulp each and 0.1253 / log p_n by 18 ulp of itself, below log
+    log N_n; with the sums' roundings that is under 2^-46 (log log N_n +
+    log p_n), and log log N_n <= log p_n + |estimate|:
+    beta = 2^-45 (log p_n + |estimate|)."""
+    est = _log_substitution_margin(np, p, theta)
+    return est, 2.0**-45 * (np.log(p) + np.abs(est))
 
 
-def _psi_ratio_margins(terms: np.ndarray, bound: np.ndarray, n_min: int) -> np.ndarray:
-    """bound - psi_t(N_n)/N_n for n_min <= n <= len(terms), from the
-    _psi_ratio_terms of p_1..p_n, bit for bit the exp of log_psi_ratio_prefix."""
-    logs = compensated_prefix(libm_map(math.log1p, terms.tolist()))[n_min:]
-    return bound - libm_map(math.exp, logs.tolist())
+def _psi_ratio_scale(m, p, theta):
+    """exp(gamma + 2/p_n) (log log N_n + 1.1253 / log p_n) from p_n and theta =
+    log N_n, which divided by zeta(t) bounds psi_t(N_n)/N_n."""
+    return m.exp(EULER_GAMMA + 2.0 / p) * (m.log(theta) + MERTENS_SHIFT / m.log(p))
+
+
+def _psi_ratio_margin(m, p, theta, zeta_value, log_ratio):
+    """The psi ratio bound less psi_t(N_n)/N_n, from log_ratio = log psi_t(N_n)/N_n."""
+    return _psi_ratio_scale(m, p, theta) / zeta_value - m.exp(log_ratio)
 
 
 def _psi_ratio_screen(
-    terms: np.ndarray, bound: np.ndarray, n_min: int
+    t: int, primes: np.ndarray, scale: np.ndarray, n_min: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of _psi_ratio_margins(terms, bound, n_min) and beta >=
-    |estimate - margin|, under the error model of _zeta_tail_screen.
+    """Estimates of _psi_ratio_margin for n_min <= n <= len(primes), primes
+    as float64 and scale = numpy _psi_ratio_scale at p_n_min.., and beta.
 
-    Both columns read the same terms and bound.  Their log1p terms, all
-    positive, differ by at most 17 2^-52 of their size, and each compensated
-    sum is within 2u of its terms' exact sum, so the sums L (here) and the
-    libm column's differ by under 19.01 2^-52 L.  The two exps add under
-    17.01 2^-52 of R = exp(L), and the subtractions from bound and the sweep's
-    comparisons with beta under 4u |estimate|:
-    beta = 2^-47 R (L + 1) + 2^-51 |estimate|.
+    The terms here are plain numpy (1 - p^(1-t)) / (p - 1): p^(1-t) <= 1/2 is
+    within 16 ulp, so 1 - p^(1-t) and the quotient are within 17 2^-52 of
+    the exact term, and 17.5 2^-52 of the libm column's correctly rounded
+    one.  log1p keeps that relative error and adds 17 ulp, and each
+    compensated sum is within 2u of its terms' exact sum, so the sums L
+    (here) and the libm column's differ by under 36.5 2^-52 L; the two exps
+    add 17 ulp of R = exp(L).  The scales differ by under 37 2^-52 of
+    themselves (17 ulp for the exp, 19 for log log N_n + 1.1253 / log p_n,
+    and the product's rounding), and the bounds B by 38.  The subtraction
+    and the sweep's comparisons with beta add under 4u |estimate|:
+    beta = 2^-52 (42 B + R (37 L + 17)) + 2^-51 |estimate|.
     """
+    terms = (1.0 - primes ** (1.0 - t)) / (primes - 1.0)
     logs = compensated_prefix(np.log1p(terms))[n_min:]
+    bound = scale / zeta(t).value
     ratio = np.exp(logs)
     est = bound - ratio
-    return est, 2.0**-47 * ratio * (logs + 1.0) + 2.0**-51 * np.abs(est)
+    return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
 
 
 def admissible_t(n: int, table: PrimeTable) -> int | None:
@@ -388,9 +475,8 @@ def admissible_t(n: int, table: PrimeTable) -> int | None:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    lhs = _criterion_lhs_at(n, table)
     t = 2
-    while zeta(t).excess > lhs:
+    while _criterion_holds(t, n, table):
         t += 1
     return t - 1 if t > 2 else None
 
@@ -433,39 +519,48 @@ class SuiteResult:
 def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> SuiteResult:
     """Worst margin over `columns`, triples (key, screen, margins) taken one at a time.
 
-    margins() builds a column's float margins.  Every margin inside
-    PRECISION_BAND is replaced by recheck(key, i), its 60-digit value, before
-    it is trusted.  The worst point is the first minimum in column order, as a
-    scalar `if margin < worst` loop picks it; where(key, i) names it.
+    screen() gives numpy estimates of a column's float margins and beta, a
+    bound on |estimate - margin| at each index; margins(idx) gives the float
+    margins at the indices idx.  Every margin inside PRECISION_BAND is
+    replaced by recheck(key, i), its 60-digit value, before it is trusted.
+    The worst point is the first minimum in column order, as a scalar `if
+    margin < worst` loop picks it; where(key, i) names it.
 
-    screen() gives cheaper estimates of the same margins and beta, a bound on
-    |estimate - margin| at each index.  Once a column has set the worst, a
-    later one is built only where its screen leaves room for a margin below
-    that worst or inside the band; else it adds only its point count, which
-    leaves every field as building it would.  A suite's first column is always
-    built, so a one-column suite passes screen=None.  A sweep without points
-    reports skipped.
+    The margins are taken only where the screen cannot decide: wherever the
+    estimate is within PRECISION_BAND + beta of zero, and wherever the
+    estimate less beta lies below the worst so far and at or below every
+    estimate plus beta.  Once taken, any index whose estimate less beta is
+    at or below the least margin taken is taken too, until none is left; so
+    every other index holds a margin above that least one, or at or above
+    the worst so far, and is neither in the band nor the first minimum.  A
+    column without such indices adds only its point count.  A sweep without
+    points reports skipped.
     """
     worst = math.inf
     worst_at = ""
     points = rechecked = 0
     for key, screen, build in columns:
-        if worst < math.inf:
-            est, beta = screen()
-            if not ((est - beta < worst).any() or (np.abs(est) < PRECISION_BAND + beta).any()):
-                points += est.size
-                continue
-        margins = build()
-        band = np.flatnonzero(np.abs(margins) < PRECISION_BAND).tolist()
-        for i in band:
-            margins[i] = recheck(key, i)
+        est, beta = screen()
+        lo = est - beta
+        take = np.abs(est) < PRECISION_BAND + beta
+        take |= (lo < worst) & (lo <= np.min(est + beta, initial=math.inf))
+        taken = take.copy()
+        margins = np.full(est.size, math.inf)
+        while take.any():
+            idx = np.flatnonzero(take)
+            margins[idx] = build(idx)
+            band = idx[np.abs(margins[idx]) < PRECISION_BAND].tolist()
+            for i in band:
+                margins[i] = recheck(key, i)
+            rechecked += len(band)
+            take = ~taken & (lo <= np.min(margins, initial=math.inf)) & (lo < worst)
+            taken |= take
         if margins.size:
             i = int(np.argmin(margins))
             if margins[i] < worst:
                 worst = float(margins[i])
                 worst_at = where(key, i)
         points += margins.size
-        rechecked += len(band)
     return SuiteResult(
         name=name, points=points, worst_margin=worst, worst_at=worst_at,
         rechecked=rechecked, passed=worst > 0.0, skipped=points == 0,
@@ -510,11 +605,15 @@ def mertens_bound_suite(
     rng = random.Random(_SAMPLE_SEED)
     xs.update(rng.randint(2, cap) for _ in range(samples if cap >= 2 else 0))
     xs = sorted(xs)
-    lx = libm_map(math.log, xs)
-    margins = EXP_GAMMA * (lx + 1.0 / lx) - _mertens_products(xs, table)
+    prefix = _mertens_prefix(table.primes[: bisect_right(table.primes, cap)])
+    logs = prefix[[bisect_right(table.primes, x) for x in xs]]
     return _sweep(
         "mertens_product",
-        [(None, None, lambda: margins)],
+        [(
+            None,
+            partial(_mertens_screen, np.array(xs, dtype=np.float64), logs),
+            _libm_at(_mertens_margin, xs, logs),
+        )],
         lambda _, i: _mertens_margin_mp(xs[i], table),
         lambda _, i: f"x={xs[i]}",
     )
@@ -546,13 +645,20 @@ def zeta_tail_bound_suite(
 def _zeta_tail_columns(table: PrimeTable, ts: Iterable[int], n_max: int) -> Iterator[tuple]:
     """_sweep's (t, screen, margins) for each t, 2 <= n <= n_max."""
     primes = np.array(table.primes[:n_max], dtype=np.float64)  # once per suite
-    growth = libm_map(lambda p: math.exp(2.0 / p), table.primes[1:n_max])
+    growth = np.exp(2.0 / primes[1:])
     for t in ts:
         yield (
             t,
             partial(_zeta_tail_screen, t, primes, growth),
-            lambda t=t: growth - _zeta_tail_products(t, n_max, table)[1:],
+            partial(_zeta_tail_margins, t, table, primes[1:]),
         )
+
+
+def _zeta_tail_margins(t: int, table: PrimeTable, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """_zeta_tail_margin at p = p[idx] from libm, the log1p terms summed up to there."""
+    zv = zeta(t).value
+    logs = _zeta_tail_logs(t, int(idx[-1]) + 2, table)[1:]
+    return _libm_at(lambda m, p_n, log_head: _zeta_tail_margin(m, p_n, zv, log_head), p, logs)(idx)
 
 
 def _zeta_tail_margin_mp(t: int, n: int, table: PrimeTable) -> float:
@@ -570,9 +676,15 @@ def log_substitution_suite(
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"hypothesis needs n >= {CRITERION_FLOOR}, got {n_min}")
     require_primes(table, n_max)
+    p = np.array(table.primes[n_min - 1 : n_max], dtype=np.float64)
+    theta = np.array(table.theta_prefix[n_min : n_max + 1])
     return _sweep(
         "log_substitution",
-        [(None, None, lambda: _log_substitution_margins(table, n_min, n_max))],
+        [(
+            None,
+            partial(_log_substitution_screen, p, theta),
+            _libm_at(_log_substitution_margin, p, theta),
+        )],
         lambda _, i: _log_substitution_margin_mp(n_min + i, table),
         lambda _, i: f"n={n_min + i}",
     )
@@ -609,16 +721,26 @@ def _psi_ratio_columns(
     table: PrimeTable, ts: Iterable[int], n_min: int, n_max: int
 ) -> Iterator[tuple]:
     """_sweep's (t, screen, margins) for each t, n_min <= n <= n_max."""
-    scales = _psi_ratio_scales(table, n_min, n_max)
     primes = np.array(table.primes[:n_max], dtype=np.float64)  # once per suite
+    p = primes[n_min - 1 :]
+    theta = np.array(table.theta_prefix[n_min : n_max + 1])
+    scale = _psi_ratio_scale(np, p, theta)  # shared by every t
     for t in ts:
-        terms, _ = primorial._psi_ratio_terms(primes, t)
-        bound = scales / zeta(t).value
         yield (
             t,
-            partial(_psi_ratio_screen, terms, bound, n_min),
-            partial(_psi_ratio_margins, terms, bound, n_min),
+            partial(_psi_ratio_screen, t, primes, scale, n_min),
+            partial(_psi_ratio_margins, t, table, p, theta, n_min),
         )
+
+
+def _psi_ratio_margins(
+    t: int, table: PrimeTable, p: np.ndarray, theta: np.ndarray, n_min: int, idx: np.ndarray
+) -> np.ndarray:
+    """_psi_ratio_margin at n = n_min + idx from libm and log_psi_ratio_prefix
+    up to there: its correctly rounded terms, libm log1p and compensated sum."""
+    zv = zeta(t).value
+    logs = primorial.log_psi_ratio_prefix(table, t, n_min + int(idx[-1]))[n_min:]
+    return _libm_at(lambda m, p_n, th, lr: _psi_ratio_margin(m, p_n, th, zv, lr), p, theta, logs)(idx)
 
 
 def psi_ratio_mp(t: int, n: int, table: PrimeTable) -> tuple[mpmath.mpf, mpmath.mpf]:

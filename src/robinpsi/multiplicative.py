@@ -226,17 +226,29 @@ def _bridge_failure(p: int, e: int, t: int) -> str | None:
     return None
 
 
+def _iroot(n: int, k: int) -> int:
+    """The largest m >= 0 with m^k <= n, for n >= 0."""
+    m = round(n ** (1.0 / k))
+    while m**k > n:
+        m -= 1
+    while (m + 1) ** k <= n:
+        m += 1
+    return m
+
+
 class BridgeFold:
-    """The sweep fold of sigma(n) <= psi_t(n) over t-free n: per-n exponent
-    extremes and local pair decisions, counted up to the least failing n.
+    """The sweep fold of sigma(n) <= psi_t(n) over t-free n: one t-free flag
+    per n and local pair decisions, counted up to the least failing n.
 
     Both sides are products over the prime powers p^e exactly dividing n, so
     the inequality holds on n when it holds on each local pair (p, e), and is
     an equality on n iff it is one on every pair.  A pair with e <= t - 1 is
     decided once, in exact integers: sigma(p^e) p^(t-1) (p - 1) <= p^e (p^t - 1),
-    with equality iff e = t - 1.  Exponent extremes then give t-freeness and
-    equality.  Every pair occurs alone at n = p^e, so the least failing n is
-    the least p^e of a failing pair, and the counts stop there.
+    with equality iff e = t - 1.  The multiples of each p^t clear the flags;
+    n is then an equality iff every exponent is t - 1, that is n = m^(t-1)
+    with m squarefree, which holds iff m^(t-1) is t-free (for t = 2, iff n is).
+    Every pair occurs alone at n = p^e, so the least failing n is the least
+    p^e of a failing pair, and the counts stop there.
     """
 
     def __init__(self, t: int) -> None:
@@ -249,14 +261,15 @@ class BridgeFold:
 
     def open(self, lo: int, hi: int) -> None:
         self.lo = lo
-        self.high = np.zeros(hi - lo, dtype=np.int8)  # largest exponent of n
-        self.low = np.full(hi - lo, self.t - 1, dtype=np.int8)  # smallest, capped at t - 1
+        self.free = np.ones(hi - lo, dtype=bool)
 
     def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
-        self.high[where] = np.maximum(self.high[where], exp)
-        self.low[where] = np.minimum(self.low[where], exp)
         if not np.ndim(p):
-            e_max = min(int(exp.max()), self.t - 1)
+            e_max = int(exp.max())
+            if e_max >= self.t:  # a multiple of p^t lies in the window
+                pt = p**self.t
+                self.free[(-self.lo) % pt :: pt] = False
+            e_max = min(e_max, self.t - 1)
             pairs = [(p, e) for e in range(self.decided.get(p, 0) + 1, e_max + 1)]
             self.decided[p] = max(self.decided.get(p, 0), e_max)
         elif self.cofactor_decided:
@@ -275,12 +288,16 @@ class BridgeFold:
 
     def close(self, lo: int, hi: int) -> bool:
         """Count the window's t-free n and equalities; True once a pair failed."""
-        free = self.high <= self.t - 1
-        equal = free & (self.low == self.t - 1)
-        del self.high, self.low
+        free = self.free
+        del self.free
         stop = min(self.failure.values(), default=hi) - lo
         self.checked += int(np.count_nonzero(free[: stop + 1]))
-        self.equalities += int(np.count_nonzero(equal[:stop]))
+        k = self.t - 1
+        if k == 1:
+            self.equalities += int(np.count_nonzero(free[:stop]))
+        else:  # the m^k in [lo, lo + stop)
+            ms = np.arange(_iroot(lo - 1, k) + 1, _iroot(lo + min(stop, hi - lo) - 1, k) + 1)
+            self.equalities += int(np.count_nonzero(free[ms**k - lo]))
         return bool(self.failure)
 
     def report(self, limit: int) -> BridgeReport:

@@ -21,13 +21,15 @@ def small_table():
 
 @pytest.fixture
 def built_columns(monkeypatch):
-    """(suite, key) of every column whose float margins bounds._sweep builds."""
+    """(suite, key) of every column where bounds._sweep takes float margins at
+    some index, once per column."""
     built = []
     sweep = bounds._sweep
 
-    def build(name, key, margins):
-        built.append((name, key))
-        return margins()
+    def build(name, key, margins, idx):
+        if not built or built[-1] != (name, key):
+            built.append((name, key))
+        return margins(idx)
 
     def spy(name, columns, *rest):
         logged = ((key, screen, partial(build, name, key, m)) for key, screen, m in columns)

@@ -4,6 +4,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -173,7 +174,7 @@ def test_crossover_needs_coverage():
         find_crossover_index(3, short)
 
 
-# The scalar criterion formula and search loop that the per-table array
+# The scalar criterion formula and search loop that the per-table screen
 # replaced, kept as the oracle.
 def _scalar_lhs_excess(n, table):
     p = table.primes[n - 1]
@@ -224,17 +225,25 @@ def _scalar_admissible_t(n, table):
     return t - 1 if t > 2 else None
 
 
-def test_criterion_matches_scalar_oracle():
+def _libm_lhs(table):
+    """The scalar oracle's left side less 1 at every index n - 1, n >= 1."""
+    return np.array([_scalar_lhs_excess(n, table) for n in range(1, len(table) + 1)])
+
+
+@pytest.fixture(scope="module")
+def table_2_21():
     table = build_table(1 << 21)
+    return table, _libm_lhs(table)
+
+
+def test_criterion_matches_scalar_oracle(table_2_21):
+    table, libm = table_2_21
     size = len(table)
-    lhs = bounds._criterion_lhs(table)
-    oracle_lhs = [None, None] + [_scalar_lhs_excess(n, table) for n in range(2, size + 1)]
+    oracle_lhs = [None] + libm.tolist()
     spots = [2, 3, 9, 10, CRITERION_FLOOR, size] + list(range(5, size, 997))
     for t in range(2, 11):
         excess = zeta(t).excess
         oracle = [None, None] + [excess - v for v in oracle_lhs[2:]]
-        got = (excess - lhs[1:]).tolist()
-        assert list(map(float.hex, got)) == list(map(float.hex, oracle[2:]))
         for n in spots:
             assert criterion(t, n, table).margin.hex() == oracle[n].hex()
         for floored in (False, True):
@@ -249,13 +258,18 @@ def t8_table():
     return build_table(bounds.crossover_reach(8))
 
 
-def test_crossover_reach_is_certified(t8_table):
-    table = t8_table
+@pytest.fixture(scope="module")
+def t8_libm_lhs(t8_table):
+    return t8_table, _libm_lhs(t8_table)
+
+
+def test_crossover_reach_is_certified(t8_libm_lhs):
+    table, libm = t8_libm_lhs
     primes = np.array(table.primes, dtype=np.float64)
     big = primes >= 41
     p = primes[big]
     assert (np.array(table.theta_prefix[1:])[big] > p * (1.0 - 1.0 / np.log(p))).all()
-    assert (bounds._criterion_lhs(table)[big] <= bounds._criterion_lhs_bound(p)).all()
+    assert (libm[big] <= bounds._criterion_lhs_bound(p)).all()
     assert bounds.crossover_reach(8) <= 1.75e7
     for t in range(2, 9):
         reach = bounds.crossover_reach(t)
@@ -306,8 +320,14 @@ def test_primorial_magnitude_large(small_table):
     assert mant == pytest.approx(2.4773, abs=5e-4)
 
 
+def _mertens_products(xs, table):
+    """prod_{p <= x} (1 - 1/p)^-1 for each x in xs, from the Mertens prefix up to max(xs)."""
+    prefix = bounds._mertens_prefix(table.primes[: bisect_right(table.primes, max(xs))])
+    return [math.exp(prefix[bisect_right(table.primes, x)]) for x in xs]
+
+
 def test_mertens_partial_product_exact_prefix(small_table):
-    at2, at29, at30 = bounds._mertens_products([2, 29, 30], small_table).tolist()
+    at2, at29, at30 = _mertens_products([2, 29, 30], small_table)
     assert at2 == pytest.approx(2.0, rel=1e-14)
     # prod over p <= 29 as an exact rational: 6469693230 / 1021870080
     ref = Fraction(6469693230, 1021870080)
@@ -317,41 +337,48 @@ def test_mertens_partial_product_exact_prefix(small_table):
 
 
 def test_mertens_partial_product_growth(table):
-    values = bounds._mertens_products([10**k for k in range(1, 7)], table).tolist()
+    values = _mertens_products([10**k for k in range(1, 7)], table)
     assert all(a < b for a, b in zip(values, values[1:]))
     # third Mertens theorem: the ratio to e^gamma log x is near 1 from above
     ratio = values[-1] / (math.exp(EULER_GAMMA) * math.log(10**6))
     assert 1.0 < ratio < 1.0005
 
 
+def _zeta_tail_products(t, n, table):
+    """zeta(t) * prod_{p <= p_k} (1 - p^-t) for 1 <= k <= n."""
+    return [zeta(t).value * math.exp(x) for x in bounds._zeta_tail_logs(t, n, table)]
+
+
 def test_zeta_tail_product_values(small_table):
-    at2 = bounds._zeta_tail_products(2, 2, small_table)[-1]
+    at2 = _zeta_tail_products(2, 2, small_table)[-1]
     assert at2 == pytest.approx(math.pi**2 / 9, rel=1e-13)
     with mpmath.workdps(40):
         for t, n in ((2, 7), (3, 50)):
             ref = mpmath.zeta(t)
             for p in small_table.primes[:n]:
                 ref *= 1 - mpmath.mpf(p) ** -t
-            got = bounds._zeta_tail_products(t, n, small_table)[-1]
+            got = _zeta_tail_products(t, n, small_table)[-1]
             assert got == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_zeta_tail_product_decreases_to_one(small_table):
-    products = bounds._zeta_tail_products(3, 1000, small_table)
+    products = _zeta_tail_products(3, 1000, small_table)
     values = [products[n - 1] for n in (2, 10, 100, 1000)]
     assert all(a > b > 1.0 for a, b in zip(values, values[1:]))
 
 
 def test_log_substitution_check(small_table):
-    margins = bounds._log_substitution_margins(small_table, CRITERION_FLOOR, 3000)
-    assert margins[0] > 0.0 and margins[-1] > 0.0
+    for n in (CRITERION_FLOOR, 3000):
+        p, theta = small_table.primes[n - 1], small_table.theta_prefix[n]
+        assert bounds._log_substitution_margin(math, p, theta) > 0.0
     with pytest.raises(ValueError):
         log_substitution_suite(small_table, n_min=CRITERION_FLOOR - 1, n_max=3000)
 
 
 def test_psi_ratio_upper_bound_dominates(small_table):
     true_ratio = math.exp(log_psi_ratio_prefix(small_table, 3, CRITERION_FLOOR)[-1])
-    scale = bounds._psi_ratio_scales(small_table, CRITERION_FLOOR, CRITERION_FLOOR)[0]
+    p, theta = small_table.primes[CRITERION_FLOOR - 1], small_table.theta_prefix[CRITERION_FLOOR]
+    scale = bounds._psi_ratio_scale(math, p, theta)
     assert scale / zeta(3).value > true_ratio
     with pytest.raises(ValueError):
         psi_ratio_bound_suite(small_table, n_min=CRITERION_FLOOR - 1, n_max=3000)
@@ -476,25 +503,143 @@ def test_forced_band_builds_every_column(small_table, monkeypatch, built_columns
     ]
 
 
-@pytest.mark.parametrize(
-    "columns,ts",
-    [
-        (lambda tab: bounds._zeta_tail_columns(tab, range(2, 11), 10**4), range(2, 11)),
-        (lambda tab: bounds._psi_ratio_columns(tab, range(3, 8), CRITERION_FLOOR, 10**5),
-         range(3, 8)),
-    ],
-    ids=["zeta_tail", "psi_ratio"],
-)
-def test_column_screens_stay_within_beta(columns, ts):
-    # the columns of `verify-bounds --n-max 100000 --t-max 10`, on the table it sieves
-    table = build_table(max(nth_prime_bound(10**5), bounds.MERTENS_CAP))
-    keys = []
-    for t, screen, margins in columns(table):
-        keys.append(t)
+@pytest.fixture(scope="module")
+def verify_bounds_table():
+    """The table `verify-bounds --n-max 100000` sieves."""
+    return build_table(max(nth_prime_bound(10**5), bounds.MERTENS_CAP))
+
+
+# the suites of `verify-bounds --n-max 100000 --t-max 10`, and their column keys
+VERIFY_BOUNDS_SUITES = {
+    "mertens": (mertens_bound_suite, [None]),
+    "zeta_tail": (lambda tab: zeta_tail_bound_suite(tab, range(2, 11), 10**4), range(2, 11)),
+    "log_substitution": (log_substitution_suite, [None]),
+    "psi_ratio": (psi_ratio_bound_suite, range(3, 8)),
+}
+
+
+@pytest.mark.parametrize("suite", ["zeta_tail", "psi_ratio", "mertens", "log_substitution"])
+def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite):
+    table = verify_bounds_table
+    run, keys = VERIFY_BOUNDS_SUITES[suite]
+    seen = []
+
+    def check(name, columns, *_):
+        for key, screen, margins in columns:
+            est, beta = screen()
+            libm = margins(np.arange(est.size))
+            assert (np.abs(est - libm) <= beta).all()
+            assert beta.max() <= 1e-12
+            seen.append(key)
+
+    monkeypatch.setattr(bounds, "_sweep", check)
+    run(table)
+    assert seen == list(keys)
+    if suite == "psi_ratio":
+        # the scales shared by every t, within 2^-46 of themselves as the screen assumes
+        n = np.arange(CRITERION_FLOOR, 10**5 + 1)
+        p = np.array(table.primes, dtype=np.float64)[n - 1]
+        est = bounds._psi_ratio_scale(np, p, np.array(table.theta_prefix)[n])
+        libm = [bounds._psi_ratio_scale(math, table.primes[k - 1], table.theta_prefix[k]) for k in n]
+        assert (np.abs(est - libm) <= 2.0**-46 * est).all()
+
+
+@pytest.mark.parametrize("name", ["table_2_21", "t8_libm_lhs"])
+def test_criterion_screen_stays_within_beta(request, name):
+    table, libm = request.getfixturevalue(name)
+    est = bounds._criterion_screen(table)[1:]
+    assert (np.abs(est - libm[1:]) <= bounds._CRITERION_BETA * est).all()
+
+
+def test_criterion_libm_error_bound(small_table):
+    # the libm margin against its 60-digit value, within the bound that
+    # decides when the 60-digit value is taken instead
+    for t in (2, 3, 7, 10):
+        z = zeta(t)
+        for n in (2, 3, 9, 10, 100, CRITERION_FLOOR, 10596, len(small_table)):
+            lhs = bounds._criterion_lhs_at(n, small_table)
+            exact = bounds._criterion_margin_mp(t, n, small_table)
+            assert abs(z.excess - lhs - exact) <= bounds._LHS_ERROR * lhs + z.abs_error_bound
+
+
+@pytest.mark.parametrize("suite", sorted(REDUCED_SUITES))
+def test_unscreened_suites_give_the_same_result(small_table, monkeypatch, suite):
+    # with an infinite beta the sweep takes every libm margin; the result must not move
+    run = REDUCED_SUITES[suite][0]
+    plain = run(small_table)
+    taken = []
+    sweep = bounds._sweep
+
+    def blind(screen):
         est, beta = screen()
-        assert (np.abs(est - margins()) <= beta).all()
-        assert beta.max() <= 1e-12
-    assert keys == list(ts)
+        return est, np.full_like(beta, np.inf)
+
+    def margins(build, idx):
+        taken.append(idx.size)
+        return build(idx)
+
+    def spy(name, columns, *rest):
+        columns = ((key, partial(blind, s), partial(margins, m)) for key, s, m in columns)
+        return sweep(name, columns, *rest)
+
+    monkeypatch.setattr(bounds, "_sweep", spy)
+    assert run(small_table) == plain
+    assert sum(taken) == plain.points
+
+
+def test_sweep_takes_more_margins_after_a_recheck_rises():
+    # index 0 sets the least estimate plus beta but rechecks to 5; indices 1
+    # and 2, left out at first, must then be taken; index 1 is the worst point
+    est, beta = np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.1, 0.1])
+    taken = []
+
+    def margins(idx):
+        taken.append(idx.tolist())
+        return est[idx]
+
+    result = bounds._sweep(
+        "synthetic", [(None, lambda: (est, beta), margins)], lambda *_: 5.0, lambda _, i: f"i={i}"
+    )
+    assert taken == [[0], [1, 2]]
+    assert (result.worst_margin, result.worst_at, result.rechecked) == (1.0, "i=1", 1)
+
+
+def test_unscreened_crossover_search_gives_the_same_n1(monkeypatch):
+    table = build_table(1 << 15)
+    searches = [(t, floored) for t in range(2, 11) for floored in (False, True)]
+    plain = [_outcome(lambda: find_crossover_index(t, table, f)) for t, f in searches]
+    calls = []
+    holds = bounds._criterion_holds
+    monkeypatch.setattr(bounds, "_criterion_holds", lambda *a: calls.append(a) or holds(*a))
+    monkeypatch.setattr(bounds, "_CRITERION_BETA", math.inf)
+    assert [_outcome(lambda: find_crossover_index(t, table, f)) for t, f in searches] == plain
+    assert len(calls) == sum(len(table) - (CRITERION_FLOOR if f else 2) + 1 for _, f in searches)
+
+
+def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, small_table):
+    calls = []
+    margin_mp = bounds._criterion_margin_mp
+    monkeypatch.setattr(bounds, "_criterion_margin_mp", lambda *a: calls.append(a) or margin_mp(*a))
+    monkeypatch.setattr(bounds, "_LHS_ERROR", math.inf)
+    for n in (9, 10):
+        libm = criterion(3, n, small_table).margin
+        assert bounds._criterion_holds(3, n, small_table) == (libm > 0.0)
+        assert margin_mp(3, n, small_table) == pytest.approx(libm, rel=1e-12)
+    assert calls == [(3, 9, small_table), (3, 10, small_table)]
+    # the whole search through the 60-digit path, every index unscreened
+    monkeypatch.setattr(bounds, "_CRITERION_BETA", math.inf)
+    tiny = build_table(1000)
+    assert find_crossover_index(3, tiny) == 10
+    assert len(calls) == 2 + len(tiny) - 1
+
+
+def test_empty_ranges_report_skipped(small_table):
+    for result in (
+        zeta_tail_bound_suite(small_table, ts=(2, 3), n_max=1),
+        log_substitution_suite(small_table, n_max=CRITERION_FLOOR - 1),
+        psi_ratio_bound_suite(small_table, n_max=CRITERION_FLOOR - 1),
+    ):
+        assert (result.skipped, result.points, result.worst_at) == (True, 0, "")
 
 
 # The scalar margin loops the suites had before they formed whole arrays, kept
@@ -508,7 +653,7 @@ def _mertens_oracle(table, x_cap, samples):
         x *= 2
     rng = random.Random(20011)
     xs.update(rng.randint(2, cap) for _ in range(samples))
-    prefix = bounds._mertens_prefix(table)
+    prefix = bounds._mertens_prefix(table.primes[: bisect_right(table.primes, cap)])
     worst, worst_at = math.inf, ""
     for x in sorted(xs):
         lx = math.log(x)

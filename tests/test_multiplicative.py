@@ -185,6 +185,20 @@ def test_bridge_sweep_counts_tfree_only():
     )
 
 
+@pytest.mark.parametrize("segment", [None, 997])
+def test_bridge_counts_match_factorization_oracle(monkeypatch, segment):
+    # t-free n and equality cases (every exponent t - 1) counted by trial division
+    if segment:
+        monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", segment)
+    limit = 5000
+    exponents = [[e for _, e in _factor_by_division(n)] for n in range(1, limit + 1)]
+    for t in (2, 3, 4, 6, 7):
+        report = verify_sigma_le_psi(limit, t)
+        assert report.passed
+        assert report.checked == sum(all(e < t for e in es) for es in exponents)
+        assert report.equalities == sum(all(e == t - 1 for e in es) for es in exponents)
+
+
 @pytest.mark.parametrize(
     "t, failing, field, checked, equalities",
     [

@@ -171,4 +171,4 @@ def test_table_prefixes_match_scalar_neumaier(small_table):
     primes = small_table.primes
     assert _bits(small_table.theta_prefix) == _bits(_neumaier_prefix(map(math.log, primes)))
     mertens = _neumaier_prefix(-math.log1p(-1.0 / p) for p in primes)
-    assert _bits(_mertens_prefix(small_table)) == _bits(mertens)
+    assert _bits(_mertens_prefix(primes)) == _bits(mertens)
