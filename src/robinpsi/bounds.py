@@ -31,7 +31,6 @@ import math
 import random
 import sys
 import weakref
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -147,7 +146,7 @@ def _lhs_excess(m, p, theta):
 def _criterion_lhs_at(n: int, table: PrimeTable) -> float:
     """exp(2/p_n) * f(n) - 1 from libm scalars."""
     require_primes(table, n)
-    return _lhs_excess(math, table.primes[n - 1], table.theta_prefix[n])
+    return _lhs_excess(math, int(table.primes[n - 1]), table.theta_prefix[n])
 
 
 # |_criterion_lhs_at - exact left side less 1| <= _LHS_ERROR * _criterion_lhs_at
@@ -164,24 +163,13 @@ _LHS_ERROR = 2.0**-46
 # (two roundings a side), 1 + c by 37, the product by 55 and the sum by 56;
 # 128 allowed.
 _CRITERION_BETA = 2.0**-45
-_CRITERION_CHUNK = 1 << 16
 
 
 @_per_table
 def _criterion_screen(table: PrimeTable) -> np.ndarray:
     """numpy estimate of exp(2/p_n) * f(n) - 1 at index n - 1, the one float
-    array kept per table; see _CRITERION_BETA.  Formed in chunks of the
-    table's lists, so no other array of the table's length is alive."""
-    out = np.empty(len(table.primes))
-    for a in range(0, out.size, _CRITERION_CHUNK):
-        p = table.primes[a : a + _CRITERION_CHUNK]
-        theta = table.theta_prefix[a + 1 : a + 1 + len(p)]
-        out[a : a + len(p)] = _lhs_excess(
-            np,
-            np.fromiter(p, dtype=np.float64, count=len(p)),
-            np.fromiter(theta, dtype=np.float64, count=len(p)),
-        )
-    return out
+    array kept per table; see _CRITERION_BETA."""
+    return _lhs_excess(np, table.primes.astype(np.float64), table.theta_prefix[1:])
 
 
 def _criterion_lhs_bound(x):
@@ -254,7 +242,7 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
     return CriterionReport(
         t=t,
         n=n,
-        p_n=table.primes[n - 1],
+        p_n=int(table.primes[n - 1]),
         lhs=1.0 + lhs_excess,
         rhs=z.value,
         margin=margin,
@@ -279,7 +267,7 @@ def _criterion_margin_mp(t: int, n: int, table: PrimeTable) -> float:
     """zeta(t) - exp(2/p_n) * f(n) at 60 digits, log N_n from the primorial."""
     with mpmath.workdps(60):
         (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
-        p_n = table.primes[n - 1]
+        p_n = int(table.primes[n - 1])
         lp = mpmath.log(p_n)
         f = 1 + mpmath.mpf("1.1253") / (lp * mpmath.log(mpmath.log(primorial_n)))
         return float(mpmath.zeta(t) - mpmath.exp(mpmath.mpf(2) / p_n) * f)
@@ -325,7 +313,7 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     require_primes(table, n)
-    log10 = table.theta_prefix[n] / math.log(10.0)
+    log10 = float(table.theta_prefix[n]) / math.log(10.0)
     exp10 = math.floor(log10)
     mant = 10.0 ** (log10 - exp10)
     if mant >= 10.0:  # guard the floor/pow rounding edge
@@ -350,7 +338,7 @@ def _libm_at(formula, *columns) -> Callable[[np.ndarray], np.ndarray]:
     return lambda idx: np.array([formula(math, *(c[i] for c in columns)) for i in idx.tolist()])
 
 
-def _mertens_prefix(primes: list[int]) -> np.ndarray:
+def _mertens_prefix(primes: np.ndarray) -> np.ndarray:
     """Compensated prefix sums of -log(1 - 1/p) over primes, libm terms."""
     return compensated_prefix(libm_map(lambda p: -math.log1p(-1.0 / p), primes))
 
@@ -496,7 +484,7 @@ def ratio_curve(
     rows = []
     for n in range(2, n_max + 1):
         r = math.exp(logs[n]) / math.log(table.theta_prefix[n])
-        rows.append((n, table.primes[n - 1], r, limit_value, r / limit_value - 1.0))
+        rows.append((n, int(table.primes[n - 1]), r, limit_value, r / limit_value - 1.0))
     return rows
 
 
@@ -586,7 +574,7 @@ def _prefix_products(
     k, prods = kept.get(slot, (0, None))
     if prods is None or k > n:
         k, prods = 0, [mpmath.mpf(1) for _ in factors(2)]
-    for p in table.primes[k:n]:
+    for p in table.primes[k:n].tolist():
         prods = [out * f for out, f in zip(prods, factors(p))]
     kept[slot] = (n, prods)
     return prods
@@ -605,8 +593,8 @@ def mertens_bound_suite(
     rng = random.Random(_SAMPLE_SEED)
     xs.update(rng.randint(2, cap) for _ in range(samples if cap >= 2 else 0))
     xs = sorted(xs)
-    prefix = _mertens_prefix(table.primes[: bisect_right(table.primes, cap)])
-    logs = prefix[[bisect_right(table.primes, x) for x in xs]]
+    prefix = _mertens_prefix(table.primes[: np.searchsorted(table.primes, cap, side="right")])
+    logs = prefix[np.searchsorted(table.primes, xs, side="right")]
     return _sweep(
         "mertens_product",
         [(
@@ -620,7 +608,7 @@ def mertens_bound_suite(
 
 
 def _mertens_margin_mp(x: int, table: PrimeTable) -> float:
-    n = bisect_right(table.primes, x)
+    n = int(np.searchsorted(table.primes, x, side="right"))
     with mpmath.workdps(60):
         num, den = _prefix_products(table, "mertens", n, lambda p: (p, p - 1))
         prod = num / den
@@ -644,7 +632,7 @@ def zeta_tail_bound_suite(
 
 def _zeta_tail_columns(table: PrimeTable, ts: Iterable[int], n_max: int) -> Iterator[tuple]:
     """_sweep's (t, screen, margins) for each t, 2 <= n <= n_max."""
-    primes = np.array(table.primes[:n_max], dtype=np.float64)  # once per suite
+    primes = table.primes[:n_max].astype(np.float64)  # once per suite
     growth = np.exp(2.0 / primes[1:])
     for t in ts:
         yield (
@@ -666,7 +654,7 @@ def _zeta_tail_margin_mp(t: int, n: int, table: PrimeTable) -> float:
     with mpmath.workdps(60):
         num, den = _prefix_products(table, ("zeta_tail", t), n, lambda p: (p**t - 1, p**t))
         head = num / den
-        return float(mpmath.exp(mpmath.mpf(2) / table.primes[n - 1]) - mpmath.zeta(t) * head)
+        return float(mpmath.exp(mpmath.mpf(2) / int(table.primes[n - 1])) - mpmath.zeta(t) * head)
 
 
 def log_substitution_suite(
@@ -676,8 +664,8 @@ def log_substitution_suite(
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"hypothesis needs n >= {CRITERION_FLOOR}, got {n_min}")
     require_primes(table, n_max)
-    p = np.array(table.primes[n_min - 1 : n_max], dtype=np.float64)
-    theta = np.array(table.theta_prefix[n_min : n_max + 1])
+    p = table.primes[n_min - 1 : n_max].astype(np.float64)
+    theta = table.theta_prefix[n_min : n_max + 1]
     return _sweep(
         "log_substitution",
         [(
@@ -694,7 +682,7 @@ def _log_substitution_margin_mp(n: int, table: PrimeTable) -> float:
     with mpmath.workdps(60):
         (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
         lln = mpmath.log(mpmath.log(primorial_n))
-        lp = mpmath.log(table.primes[n - 1])
+        lp = mpmath.log(int(table.primes[n - 1]))
         return float(lln + mpmath.mpf("0.1253") / lp - lp)
 
 
@@ -721,9 +709,9 @@ def _psi_ratio_columns(
     table: PrimeTable, ts: Iterable[int], n_min: int, n_max: int
 ) -> Iterator[tuple]:
     """_sweep's (t, screen, margins) for each t, n_min <= n <= n_max."""
-    primes = np.array(table.primes[:n_max], dtype=np.float64)  # once per suite
+    primes = table.primes[:n_max].astype(np.float64)  # once per suite
     p = primes[n_min - 1 :]
-    theta = np.array(table.theta_prefix[n_min : n_max + 1])
+    theta = table.theta_prefix[n_min : n_max + 1]
     scale = _psi_ratio_scale(np, p, theta)  # shared by every t
     for t in ts:
         yield (
@@ -755,7 +743,7 @@ def psi_ratio_mp(t: int, n: int, table: PrimeTable) -> tuple[mpmath.mpf, mpmath.
 def _psi_ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
     with mpmath.workdps(60):
         ratio, lln = psi_ratio_mp(t, n, table)
-        p_n = table.primes[n - 1]
+        p_n = int(table.primes[n - 1])
         lp = mpmath.log(p_n)
         bound = (
             mpmath.exp(mpmath.euler + mpmath.mpf(2) / p_n)

@@ -200,7 +200,7 @@ def cmd_admissible_t(args: argparse.Namespace) -> tuple[list[dict], tuple[str, .
     rows = []
     for n in sorted(args.n_values):
         t = bounds.admissible_t(n, table)
-        rows.append({"n": n, "p_n": table.primes[n - 1], "t_max": t})
+        rows.append({"n": n, "p_n": int(table.primes[n - 1]), "t_max": t})
     return rows, ("n", "p_n", "t_max"), EXIT_OK
 
 

@@ -48,7 +48,8 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     m = n
     out: list[tuple[int, int]] = []
-    for p in table.primes:
+    root = min(math.isqrt(n), table.limit)
+    for p in table.primes[: np.searchsorted(table.primes, root, side="right")].tolist():
         if p * p > m:
             break
         if m % p == 0:
@@ -147,11 +148,12 @@ def sweep(start: int, stop: int, folds: list, table: PrimeTable | None = None) -
             f"sweep needs primes to sqrt({stop}) = {root}, "
             f"table stops at {table.limit}; enlarge the sieve"
         )
+    base_primes = table.primes[: np.searchsorted(table.primes, root, side="right")].tolist()
     for lo in range(start, stop + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, stop + 1)
         for fold in folds:
             fold.open(lo, hi)
-        for event in prime_power_events(lo, hi, table.primes):
+        for event in prime_power_events(lo, hi, base_primes):
             for fold in folds:
                 fold.add(*event)
         del event  # free the last event's arrays before any fold closes the window
@@ -169,15 +171,8 @@ def sigma(f: Factorization) -> int:
 
 
 def psi_t(f: Factorization, t: int) -> Fraction:
-    """psi_t(n) as an exact rational: prod p^e (p^t - 1) / prod p^(t-1) (p - 1)."""
-    if t < 2:
-        raise ValueError(f"psi_t needs t >= 2, got {t}")
-    num = 1
-    den = 1
-    for p, e in f.factors:
-        num *= p**e * (p**t - 1)
-        den *= p ** (t - 1) * (p - 1)
-    return Fraction(num, den)
+    """psi_t(n) as an exact rational: n * psi_over_n(f, t)."""
+    return f.value * psi_over_n(f, t)
 
 
 def psi_over_n(f: Factorization, t: int) -> Fraction:

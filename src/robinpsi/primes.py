@@ -1,6 +1,11 @@
 """Prime tables: a segmented sieve, the table coverage check, a p_n bound,
 and Chebyshev theta prefix sums.
 
+A table holds numpy arrays: the primes as int64 and their theta prefix sums
+as float64.  Exact arithmetic takes Python ints from them, by .tolist() of a
+slice or int() of one entry: an int64 p**t wraps without a warning past 2^63,
+and mpmath and pow(p, -1, 2**64) reject numpy integers.
+
 theta(x) = sum of log p over primes p <= x, so theta(p_n) = log(N_n) for the
 n-th primorial N_n.  Prefix sums are accumulated with Neumaier compensated
 summation (compensated_prefix): the absolute error stays within a few ulps
@@ -24,26 +29,28 @@ _SEGMENT_ODDS = 1 << 17  # odd candidates per sieve segment
 class PrimeTable:
     """Sieve output: every prime <= limit plus theta prefix sums.
 
-    theta_prefix[k] = log(p_1) + ... + log(p_k); theta_prefix[0] = 0.
-    Treat instances as immutable; rebuilding with a larger limit never
-    changes earlier entries.
+    primes is an int64 array, p_n = primes[n - 1]; theta_prefix a float64
+    array, theta_prefix[k] = log(p_1) + ... + log(p_k), theta_prefix[0] = 0.
+    Exact arithmetic takes primes[a:b].tolist() or int(primes[k]).  Treat
+    instances as immutable; rebuilding with a larger limit never changes
+    earlier entries.
     """
 
     limit: int
-    primes: list[int]
-    theta_prefix: list[float]
+    primes: np.ndarray
+    theta_prefix: np.ndarray
 
     def __len__(self) -> int:
         return len(self.primes)
 
 
-def _segmented_primes(limit: int) -> list[int]:
-    """Segmented odd-only sieve, base primes to sqrt(limit) by recursion;
-    memory stays O(sqrt(limit) + segment)."""
+def _segmented_primes(limit: int) -> np.ndarray:
+    """Segmented odd-only sieve as an int64 array, base primes to sqrt(limit)
+    by recursion; the working memory is O(sqrt(limit) + segment)."""
     if limit < 2:
-        return []
-    odd_base = _segmented_primes(math.isqrt(limit))[1:]
-    primes = [2]
+        return np.zeros(0, dtype=np.int64)
+    odd_base = _segmented_primes(math.isqrt(limit))[1:].tolist()
+    segments = [np.array([2], dtype=np.int64)]
     last = limit if limit % 2 else limit - 1
     lo = 3
     while lo <= last:
@@ -59,17 +66,18 @@ def _segmented_primes(limit: int) -> list[int]:
             i0 = (start - lo) // 2
             if i0 < count:
                 seg[i0::p] = b"\x00" * ((count - i0 + p - 1) // p)
-        primes.extend((np.flatnonzero(np.frombuffer(seg, np.uint8)) * 2 + lo).tolist())
+        segments.append(np.flatnonzero(np.frombuffer(seg, np.uint8)) * 2 + lo)
         lo += 2 * count
-    return primes
+    return np.concatenate(segments)
 
 
-def libm_map(fn, xs) -> np.ndarray:
-    """fn over xs as a float64 array.  fn calls math, not numpy: numpy's exp
-    and log differ from libm's in the last bit, and the prefix sums and
-    margins must match the scalar formulas bit for bit.  So does its log1p:
-    on the 1e5 psi-ratio terms of t = 3 it differs from math.log1p on 23."""
-    return np.fromiter(map(fn, xs), dtype=np.float64, count=len(xs))
+def libm_map(fn, xs: np.ndarray) -> np.ndarray:
+    """fn over the array xs as a float64 array.  fn gets Python ints or
+    floats and calls math, not numpy: numpy's exp and log differ from libm's
+    in the last bit, and the prefix sums and margins must match the scalar
+    formulas bit for bit.  So does its log1p: on the 1e5 psi-ratio terms of
+    t = 3 it differs from math.log1p on 23."""
+    return np.fromiter(map(fn, xs.tolist()), dtype=np.float64, count=len(xs))
 
 
 def compensated_prefix(xs: np.ndarray) -> np.ndarray:
@@ -103,7 +111,7 @@ def build_table(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     primes = _segmented_primes(limit)
-    theta_prefix = compensated_prefix(libm_map(math.log, primes)).tolist()
+    theta_prefix = compensated_prefix(libm_map(math.log, primes))
     return PrimeTable(limit=limit, primes=primes, theta_prefix=theta_prefix)
 
 

@@ -35,11 +35,11 @@ LOG_RATIO_BAND = 1e-9
 _SPLIT_LIMIT = 1 << 26  # below it, p - 1 and half of a split double multiply exactly
 
 
-def _psi_ratio_terms(primes: list[int] | np.ndarray, t: int) -> tuple[np.ndarray, list[int]]:
+def _psi_ratio_terms(primes: np.ndarray, t: int) -> tuple[np.ndarray, list[int]]:
     """x[k] = (q - 1) / (q (p - 1)) with q = p^(t-1), p = primes[k], correctly
     rounded, bit for bit Python's int true division; and the indices that
-    took that int division.  primes is a list of ints or a float64 array
-    (exact, as every prime below 2^53 is); the division takes int(primes[k]).
+    took that int division.  primes is an int64 or float64 array (exact, as
+    every prime below 2^53 is); the division takes int(primes[k]).
 
     With d = p - 1 < 2^26 and r = RN(1/d), Veltkamp's split r = hi + lo makes
     e = (1 - hi d) - lo d exact, so x = r + c with c = (e - p^(1-t)) / d
@@ -85,7 +85,7 @@ def log_psi_ratio_prefix(table: PrimeTable, t: int, n: int) -> np.ndarray:
         raise ValueError(f"need t >= 2 and n >= 0, got t = {t}, n = {n}")
     require_primes(table, n)
     terms, _ = _psi_ratio_terms(table.primes[:n], t)
-    return compensated_prefix(libm_map(math.log1p, terms.tolist()))
+    return compensated_prefix(libm_map(math.log1p, terms))
 
 
 def cursor_advance(*_args: object, **_kwargs: object) -> None:
@@ -124,11 +124,12 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     check_sweep(1, limit)
     strict = mode == "strict"
     table = build_table(math.isqrt(limit) + 1)
+    base_primes = table.primes.tolist()
     out: list[int] = []
     best = Fraction(0)
     for lo in range(1, limit + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, limit + 1)
-        logs = _log_psi_ratios(lo, hi, t, table.primes)
+        logs = _log_psi_ratios(lo, hi, t, base_primes)
         near = logs >= np.maximum.accumulate(logs) - LOG_RATIO_BAND
         for i in np.flatnonzero(near).tolist():
             m = lo + i
@@ -146,7 +147,7 @@ def primorials_up_to(limit: int) -> list[int]:
     # theta(p) >= p log(2) / 2 for every prime p, so the largest prime factor
     # of a primorial <= limit is at most 2 log2(limit), and by Bertrand the
     # next prime is at most twice that.
-    primes = build_table(4 * limit.bit_length() + 4).primes
+    primes = build_table(4 * limit.bit_length() + 4).primes.tolist()
     out = [1]
     for p in primes:
         if out[-1] * p > limit:
@@ -169,10 +170,11 @@ def reduction_check(limit: int, t: int) -> bool:
         raise ValueError(f"need t >= 2, got {t}")
     check_sweep(6, limit)
     table = build_table(math.isqrt(limit) + 1)
+    base_primes = table.primes.tolist()
 
     def log_r(lo: int, hi: int) -> np.ndarray:
         ns = np.arange(lo, hi, dtype=np.float64)
-        return _log_psi_ratios(lo, hi, t, table.primes) - np.log(np.log(np.log(ns)))
+        return _log_psi_ratios(lo, hi, t, base_primes) - np.log(np.log(np.log(ns)))
 
     def ratio_60(m: int) -> mpmath.mpf:
         r = psi_over_n(factorize(m, table), t)

@@ -77,7 +77,7 @@ def test_criterion_lhs_values(small_table):
     # lhs = exp(2/p_n) * f(n) with f(n) = 1 + 1.1253 / (log p_n * log log N_n)
     with mpmath.workdps(40):
         for n in (2, 10, 100, 2263):
-            primes = small_table.primes[:n]
+            primes = small_table.primes[:n].tolist()
             theta = mpmath.fsum(mpmath.log(q) for q in primes)
             f = 1 + mpmath.mpf("1.1253") / (mpmath.log(primes[-1]) * mpmath.log(theta))
             ref = mpmath.exp(mpmath.mpf(2) / primes[-1]) * f
@@ -113,8 +113,9 @@ def test_criterion_margin_sign_near_crossover(small_table):
     assert rep.satisfied
     assert not rep.precision_critical
     with mpmath.workdps(40):
-        theta = mpmath.fsum(mpmath.log(q) for q in small_table.primes[:10596])
-        p = mpmath.mpf(small_table.primes[10595])
+        primes = small_table.primes[:10596].tolist()
+        theta = mpmath.fsum(mpmath.log(q) for q in primes)
+        p = mpmath.mpf(primes[-1])
         c = mpmath.mpf("1.1253") / (mpmath.log(p) * mpmath.log(theta))
         ref = mpmath.zeta(7) - mpmath.exp(2 / p) * (1 + c)
         assert ref > 0
@@ -177,7 +178,7 @@ def test_crossover_needs_coverage():
 # The scalar criterion formula and search loop that the per-table screen
 # replaced, kept as the oracle.
 def _scalar_lhs_excess(n, table):
-    p = table.primes[n - 1]
+    p = int(table.primes[n - 1])
     lp = math.log(p)
     lln = math.log(table.theta_prefix[n])
     c = MERTENS_SHIFT / (lp * lln)
@@ -265,10 +266,10 @@ def t8_libm_lhs(t8_table):
 
 def test_crossover_reach_is_certified(t8_libm_lhs):
     table, libm = t8_libm_lhs
-    primes = np.array(table.primes, dtype=np.float64)
+    primes = table.primes.astype(np.float64)
     big = primes >= 41
     p = primes[big]
-    assert (np.array(table.theta_prefix[1:])[big] > p * (1.0 - 1.0 / np.log(p))).all()
+    assert (table.theta_prefix[1:][big] > p * (1.0 - 1.0 / np.log(p))).all()
     assert (libm[big] <= bounds._criterion_lhs_bound(p)).all()
     assert bounds.crossover_reach(8) <= 1.75e7
     for t in range(2, 9):
@@ -355,7 +356,7 @@ def test_zeta_tail_product_values(small_table):
     with mpmath.workdps(40):
         for t, n in ((2, 7), (3, 50)):
             ref = mpmath.zeta(t)
-            for p in small_table.primes[:n]:
+            for p in small_table.primes[:n].tolist():
                 ref *= 1 - mpmath.mpf(p) ** -t
             got = _zeta_tail_products(t, n, small_table)[-1]
             assert got == pytest.approx(float(ref), rel=1e-12)
@@ -538,9 +539,10 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
     if suite == "psi_ratio":
         # the scales shared by every t, within 2^-46 of themselves as the screen assumes
         n = np.arange(CRITERION_FLOOR, 10**5 + 1)
-        p = np.array(table.primes, dtype=np.float64)[n - 1]
-        est = bounds._psi_ratio_scale(np, p, np.array(table.theta_prefix)[n])
-        libm = [bounds._psi_ratio_scale(math, table.primes[k - 1], table.theta_prefix[k]) for k in n]
+        p = table.primes[n - 1].astype(np.float64)
+        est = bounds._psi_ratio_scale(np, p, table.theta_prefix[n])
+        primes, theta = table.primes.tolist(), table.theta_prefix.tolist()
+        libm = [bounds._psi_ratio_scale(math, primes[k - 1], theta[k]) for k in n.tolist()]
         assert (np.abs(est - libm) <= 2.0**-46 * est).all()
 
 
@@ -668,7 +670,7 @@ def _zeta_tail_oracle(table, ts, n_max):
     for t in ts:
         zv = zeta(t).value
         acc = 0.0
-        for n, p in enumerate(table.primes[:n_max], start=1):
+        for n, p in enumerate(table.primes[:n_max].tolist(), start=1):
             acc += math.log1p(-float(p) ** (-t))
             if n < 2:
                 continue
@@ -681,7 +683,7 @@ def _zeta_tail_oracle(table, ts, n_max):
 def _log_substitution_oracle(table, n_min, n_max):
     worst, worst_at = math.inf, ""
     for n in range(n_min, n_max + 1):
-        lp = math.log(table.primes[n - 1])
+        lp = math.log(int(table.primes[n - 1]))
         margin = math.log(table.theta_prefix[n]) + 0.1253 / lp - lp
         if margin < worst:
             worst, worst_at = margin, f"n={n}"
@@ -693,7 +695,7 @@ def _psi_ratio_oracle(table, ts, n_min, n_max):
     for t in ts:
         zv = zeta(t).value
         total = carry = 0.0
-        for n, p in enumerate(table.primes[:n_max], start=1):
+        for n, p in enumerate(table.primes[:n_max].tolist(), start=1):
             q = p ** (t - 1)
             x = math.log1p((q - 1) / (q * (p - 1)))
             s = total + x
@@ -753,27 +755,39 @@ def test_extended_precision_rechecks_agree(small_table):
         _zeta_tail_margin_mp,
     )
 
-    primes = small_table.primes
+    primes = small_table.primes.tolist()
+
+    def zeta_tail(t, n):
+        head = mpmath.exp(mpmath.fsum(mpmath.log(1 - mpmath.mpf(p) ** -t) for p in primes[:n]))
+        return mpmath.exp(mpmath.mpf(2) / primes[n - 1]) - mpmath.zeta(t) * head
+
+    def psi(t, n):
+        lln = mpmath.log(mpmath.fsum(mpmath.log(p) for p in primes[:n]))
+        lp = mpmath.log(primes[n - 1])
+        ratio = mpmath.exp(mpmath.fsum(
+            mpmath.log(mpmath.fsum(mpmath.mpf(1) / p**j for j in range(t))) for p in primes[:n]
+        ))
+        bound = mpmath.exp(mpmath.euler + mpmath.mpf(2) / primes[n - 1]) / mpmath.zeta(t)
+        return bound * (lln + mpmath.mpf("1.1253") / lp) - ratio
+
     with mpmath.workdps(60):
         prod = mpmath.exp(-mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / p) for p in primes[:168]))
         lx = mpmath.log(1000)
         mertens = mpmath.exp(mpmath.euler) * (lx + 1 / lx) - prod
-        head = mpmath.exp(mpmath.fsum(mpmath.log(1 - mpmath.mpf(p) ** -3) for p in primes[:100]))
-        zeta_tail = mpmath.exp(mpmath.mpf(2) / primes[99]) - mpmath.zeta(3) * head
         lln = mpmath.log(mpmath.fsum(mpmath.log(p) for p in primes[:CRITERION_FLOOR]))
         lp = mpmath.log(primes[CRITERION_FLOOR - 1])
         log_sub = lln + mpmath.mpf("0.1253") / lp - lp
-        ratio = mpmath.exp(mpmath.fsum(
-            mpmath.log(1 + mpmath.mpf(1) / p + mpmath.mpf(1) / p**2) for p in primes[:CRITERION_FLOOR]
-        ))
-        bound = mpmath.exp(mpmath.euler + mpmath.mpf(2) / primes[CRITERION_FLOOR - 1]) / mpmath.zeta(3)
-        psi = bound * (lln + mpmath.mpf("1.1253") / lp) - ratio
+        # p^t passes 2^63 in the second case of each (541^10 and 20011^7)
+        tails = [zeta_tail(3, 100), zeta_tail(10, 100)]
+        psis = [psi(3, CRITERION_FLOOR), psi(7, CRITERION_FLOOR)]
     assert _mertens_margin_mp(1000, small_table) == pytest.approx(float(mertens), rel=1e-15)
-    assert _zeta_tail_margin_mp(3, 100, small_table) == pytest.approx(float(zeta_tail), rel=1e-15)
+    for t, ref in zip((3, 10), tails):
+        assert _zeta_tail_margin_mp(t, 100, small_table) == pytest.approx(float(ref), rel=1e-15)
     assert _log_substitution_margin_mp(CRITERION_FLOOR, small_table) == pytest.approx(
         float(log_sub), rel=1e-15
     )
-    assert _psi_ratio_margin_mp(3, CRITERION_FLOOR, small_table) == pytest.approx(
-        float(psi), rel=1e-15
-    )
-    assert min(mertens, zeta_tail, log_sub, psi) > 0
+    for t, ref in zip((3, 7), psis):
+        assert _psi_ratio_margin_mp(t, CRITERION_FLOOR, small_table) == pytest.approx(
+            float(ref), rel=1e-15
+        )
+    assert min(mertens, log_sub, *tails, *psis) > 0

@@ -49,6 +49,17 @@ def test_table1_magnitudes(capsys):
     assert by_t[3]["mantissa"] == pytest.approx(6.4697, abs=0.01)
     assert by_t[7]["exponent10"] == 48337
     assert by_t[7]["mantissa"] == pytest.approx(2.4773, abs=0.01)
+    assert [type(r["p_n1"]) for r in rows] == [int] * 5
+    # p_n read from the prime table is printed as a JSON integer
+    code, out = _run(["admissible-t", "--n", "2", "2263", "--format", "json"], capsys)
+    assert code == 0
+    assert [(r["n"], r["p_n"], type(r["p_n"])) for r in json.loads(out)] == [
+        (2, 3, int), (2263, 20011, int)
+    ]
+    code, out = _run(["ratio", "--t", "3", "--n-max", "5", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["p_n"], type(r["p_n"])) for r in rows] == [(p, int) for p in (3, 5, 7, 11)]
 
 
 def test_table1_floor_mode(capsys):

@@ -98,8 +98,9 @@ def _division_kernel(lo, hi, base_primes):
 def test_kernel_matches_division_kernel(small_table, window):
     lo, width = window
     hi = lo + width
-    got = list(prime_power_events(lo, hi, small_table.primes))
-    assert _expanded(got, lo, hi) == _expanded(_division_kernel(lo, hi, small_table.primes), lo, hi)
+    primes = small_table.primes.tolist()
+    got = list(prime_power_events(lo, hi, primes))
+    assert _expanded(got, lo, hi) == _expanded(_division_kernel(lo, hi, primes), lo, hi)
     assert all(exp.dtype == np.int8 for _, _, exp in got)
     assert got[-1][0].dtype == np.int64
 
@@ -109,8 +110,9 @@ def test_kernel_matches_division_kernel(small_table, window):
 def test_kernel_exponents_and_sigma(small_table, window):
     lo, width = window
     hi = lo + width
-    folded = _fold_factors(lo, hi, small_table.primes)
-    sig = _sigma_segment(lo, hi, small_table.primes)
+    primes = small_table.primes.tolist()
+    folded = _fold_factors(lo, hi, primes)
+    sig = _sigma_segment(lo, hi, primes)
     for i, n in enumerate(range(lo, hi)):
         f = factorize(n, small_table)
         assert folded[i] == f.factors
@@ -121,7 +123,7 @@ def test_kernel_exponents_and_sigma(small_table, window):
 @given(windows, st.integers(2, 64))
 def test_kernel_log_ratio(small_table, window, t):
     lo, width = window
-    logs = _log_psi_ratios(lo, lo + width, t, small_table.primes)
+    logs = _log_psi_ratios(lo, lo + width, t, small_table.primes.tolist())
     for i, n in enumerate(range(lo, lo + width)):
         exact = math.log(psi_over_n(factorize(n, small_table), t))
         assert logs[i] == pytest.approx(exact, abs=1e-13)
@@ -217,7 +219,7 @@ def _is_prime(n):
 
 @pytest.fixture(scope="module")
 def primes_to_2_25():
-    return _segmented_primes(1 << 25)
+    return _segmented_primes(1 << 25).tolist()
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,11 @@ def test_factorize_random_roundtrip(small_table):
         for p, e in f.factors:
             rebuilt *= p**e
         assert rebuilt == n
+    # above 2^64, with every prime factor in the table
+    factors = ((2, 30), (3, 15), (5, 10), (7, 5), (111751, 2))
+    n = math.prod(p**e for p, e in factors)
+    assert n > 2**64
+    assert factorize(n, small_table).factors == factors
 
 
 def test_factorize_beyond_table_coverage():
@@ -78,7 +83,7 @@ def test_factorize_large_prime_cofactor_is_fine():
 
 def test_kernel_factorization_matches(small_table):
     folded = {n: [] for n in range(1, 10_001)}
-    for p, where, exp in prime_power_events(1, 10_001, small_table.primes):
+    for p, where, exp in prime_power_events(1, 10_001, small_table.primes.tolist()):
         off = np.arange(10_000)[where]
         ps = p.tolist() if isinstance(p, np.ndarray) else [p] * len(off)
         for q, i, e in zip(ps, off.tolist(), exp.tolist()):
@@ -226,7 +231,7 @@ def test_bridge_sweep_stops_at_least_failing_pair(
 def test_cofactor_pair_verdict_is_uniform():
     # sigma(q) q^(t-1) (q - 1) - q (q^t - 1) = q - q^(t-1) for a prime q, so the
     # bridge may decide (q, 1) once per sweep: every prime gets the verdict of 2
-    primes = build_table(10**5).primes
+    primes = build_table(10**5).primes.tolist()
     for t in range(2, 65):
         verdict = multiplicative._bridge_failure(2, 1, t)
         assert verdict is None

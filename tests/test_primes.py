@@ -36,9 +36,9 @@ def _trial_division_primes(limit):
 
 def test_small_table_matches_trial_division():
     reference = _trial_division_primes(2000)
-    assert build_table(2000).primes == reference
+    assert build_table(2000).primes.tolist() == reference
     for limit in range(2, 400):
-        assert build_table(limit).primes == [p for p in reference if p <= limit]
+        assert build_table(limit).primes.tolist() == [p for p in reference if p <= limit]
 
 
 def test_prime_count_at_20011():
@@ -92,7 +92,7 @@ def test_theta_against_high_precision(small_table):
     # compensated summation should stay within a few ulp of a 50-digit sum
     with mpmath.workdps(50):
         for k in (100, 2263, 10000):
-            exact = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:k])
+            exact = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:k].tolist())
             err = abs(small_table.theta_prefix[k] - float(exact))
             assert err < 1e-10 * float(exact)
 
@@ -107,7 +107,7 @@ def test_theta_tracks_prime_size(small_table):
 def test_prefix_stable_across_limits():
     a = build_table(10_000)
     b = build_table(40_000)
-    assert b.primes[: len(a.primes)] == a.primes
+    assert b.primes[: len(a.primes)].tolist() == a.primes.tolist()
     for k in (10, 100, len(a.primes)):
         assert a.theta_prefix[k] == b.theta_prefix[k]
 
@@ -115,13 +115,16 @@ def test_prefix_stable_across_limits():
 def test_table_reports_length(small_table):
     assert len(small_table) == len(small_table.primes)
     assert isinstance(small_table, PrimeTable)
+    assert small_table.primes.dtype == np.int64
+    assert small_table.theta_prefix.dtype == np.float64
+    assert len(small_table.theta_prefix) == len(small_table) + 1
 
 
 def test_segmented_agrees_with_simple():
     # the segment size is 1 << 17 odds; straddle several boundaries
     table = build_table(600_000)
     reference = build_table(2000)
-    assert table.primes[: len(reference.primes)] == reference.primes
+    assert table.primes[: len(reference.primes)].tolist() == reference.primes.tolist()
     assert len(table.primes) == 49098  # count of primes below 600000
 
 
@@ -168,7 +171,7 @@ def test_compensated_prefix_matches_scalar_neumaier(xs):
 
 
 def test_table_prefixes_match_scalar_neumaier(small_table):
-    primes = small_table.primes
+    primes = small_table.primes.tolist()
     assert _bits(small_table.theta_prefix) == _bits(_neumaier_prefix(map(math.log, primes)))
     mertens = _neumaier_prefix(-math.log1p(-1.0 / p) for p in primes)
-    assert _bits(_mertens_prefix(primes)) == _bits(mertens)
+    assert _bits(_mertens_prefix(small_table.primes)) == _bits(mertens)

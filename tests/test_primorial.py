@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from robinpsi import (
@@ -42,9 +43,9 @@ def test_prefix_matches_high_precision_products(small_table):
         with mpmath.workdps(50):
             ref = mpmath.fsum(
                 mpmath.log(mpmath.mpf(p**t - 1) / ((p - 1) * p ** (t - 1)))
-                for p in small_table.primes[:100]
+                for p in small_table.primes[:100].tolist()
             )
-            logn = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:100])
+            logn = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:100].tolist())
         assert log_ratio == pytest.approx(float(ref), abs=1e-11)
         assert small_table.theta_prefix[100] == pytest.approx(float(logn), rel=1e-13)
 
@@ -56,8 +57,8 @@ def _int_quotients(primes, t):
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 7, 10, 64])
 def test_psi_ratio_terms_match_int_quotients(small_table, t):
-    primes = small_table.primes
-    terms, exact = _psi_ratio_terms(primes, t)
+    primes = small_table.primes.tolist()
+    terms, exact = _psi_ratio_terms(small_table.primes, t)
     assert [x.hex() for x in terms.tolist()] == [x.hex() for x in _int_quotients(primes, t)]
     # the float form rounds the wrong way at p = 3 for t = 2 and 4, so only the
     # int fallback gets those terms right
@@ -70,8 +71,8 @@ def test_psi_ratio_terms_fall_back_above_the_split_limit():
     big = (1 << 26) + 15
     assert all(big % d for d in range(2, math.isqrt(big) + 1))  # prime
     primes = [2, 3, 5, 7, big]
-    theta = compensated_prefix([math.log(p) for p in primes]).tolist()
-    table = PrimeTable(limit=big, primes=primes, theta_prefix=theta)
+    theta = compensated_prefix([math.log(p) for p in primes])
+    table = PrimeTable(limit=big, primes=np.array(primes, dtype=np.int64), theta_prefix=theta)
     for t in (3, 7):
         terms, exact = _psi_ratio_terms(table.primes, t)
         assert 4 in exact

@@ -131,7 +131,7 @@ def test_sigma_block_across_segment_edge(small_table):
     lo, hi = edge - 5, edge + 5
     fold = robin._RobinFold()
     fold.open(lo, hi)
-    for event in prime_power_events(lo, hi, small_table.primes):
+    for event in prime_power_events(lo, hi, small_table.primes.tolist()):
         fold.add(*event)
     block = fold.sig
     for i, n in enumerate(range(lo, hi)):
