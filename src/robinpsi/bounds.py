@@ -13,10 +13,10 @@ Each float formula, the criterion's left side less 1 and every bound's margin,
 is written once over m = math or numpy: libm scalars where a value is printed
 or decided, numpy over a whole range to screen it.  A screen states beta, a
 bound on its distance to the libm value at each index, and libm runs only at
-the indices that the estimate +- beta cannot decide.  find_crossover_index
-screens the criterion with one numpy array per prime table; criterion and
-admissible_t take libm at their one index; a libm criterion margin within its
-own error bound of zero is re-decided at 60 digits.  The four suites hand
+the indices that the estimate +- beta cannot decide.  criterion decides one
+index from libm, re-deciding at 60 digits a margin within its own error bound
+of zero; find_crossover_index bisects these certified decisions, as the left
+side falls with n, and admissible_t scans them over t.  The four suites hand
 their columns, one per t, to one sweep, _sweep: any |margin| below 1e-9 is
 precision-critical and is re-derived at 60 significant digits, from products
 of exact integers with one rounding per factor, kept per table and extended
@@ -123,18 +123,6 @@ def _zeta_series(t: int) -> ZetaValue:
     return ZetaValue(t=t, value=1.0 + excess, abs_error_bound=err, excess=excess)
 
 
-def _per_table(build: Callable[[PrimeTable], np.ndarray]) -> Callable[[PrimeTable], np.ndarray]:
-    """build(table), computed once per table and dropped with the table."""
-    cache: "weakref.WeakKeyDictionary[PrimeTable, np.ndarray]" = weakref.WeakKeyDictionary()
-
-    def cached(table: PrimeTable) -> np.ndarray:
-        if table not in cache:
-            cache[table] = build(table)
-        return cache[table]
-
-    return cached
-
-
 def _lhs_excess(m, p, theta):
     """exp(2/p) * f - 1 = expm1(2/p) * (1 + c) + c, c = 1.1253 / (log p *
     log theta), from a prime p and theta = theta(p) = log N_n, with m = math
@@ -157,19 +145,6 @@ def _criterion_lhs_at(n: int, table: PrimeTable) -> float:
 # within 8 2^-52; expm1(2/p) within 2.4 2^-52.  Every term is positive, so
 # with the last three roundings the left side is within 13 2^-52; 64 allowed.
 _LHS_ERROR = 2.0**-46
-# |_criterion_screen - _criterion_lhs_at| <= _CRITERION_BETA * _criterion_screen,
-# under the error model of the column screens below: numpy's expm1 and two
-# logs are within 17 ulp of libm's, so c differs by under 36 2^-52 of itself
-# (two roundings a side), 1 + c by 37, the product by 55 and the sum by 56;
-# 128 allowed.
-_CRITERION_BETA = 2.0**-45
-
-
-@_per_table
-def _criterion_screen(table: PrimeTable) -> np.ndarray:
-    """numpy estimate of exp(2/p_n) * f(n) - 1 at index n - 1, the one float
-    array kept per table; see _CRITERION_BETA."""
-    return _lhs_excess(np, table.primes.astype(np.float64), table.theta_prefix[1:])
 
 
 def _criterion_lhs_bound(x):
@@ -232,13 +207,19 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
 
     Both sides are reduced by 1 before subtraction (_criterion_lhs_at on the
     left, the excess field on the right), so the margin keeps full
-    significance even when the two sides agree to many digits.
+    significance even when the two sides agree to many digits.  satisfied is
+    certified: the sign of the libm margin, or of the 60-digit one where the
+    libm margin lies within its error bound, _LHS_ERROR and the zeta error, of
+    zero.
     """
     z = zeta(t)
     if n < 2:
         raise ValueError(f"criterion needs n >= 2, got {n}")
     lhs_excess = _criterion_lhs_at(n, table)
     margin = z.excess - lhs_excess
+    satisfied = margin > 0.0
+    if abs(margin) <= _LHS_ERROR * lhs_excess + z.abs_error_bound:
+        satisfied = _criterion_margin_mp(t, n, table) > 0.0
     return CriterionReport(
         t=t,
         n=n,
@@ -246,65 +227,52 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
         lhs=1.0 + lhs_excess,
         rhs=z.value,
         margin=margin,
-        satisfied=margin > 0.0,
+        satisfied=satisfied,
         precision_critical=abs(margin) < PRECISION_BAND,
     )
-
-
-def _criterion_holds(t: int, n: int, table: PrimeTable) -> bool:
-    """Whether exp(2/p_n) * f(n) < zeta(t): the sign of the libm margin, or
-    of the 60-digit one where the libm margin lies within its error bound,
-    _LHS_ERROR and the zeta error, of zero."""
-    z = zeta(t)
-    lhs = _criterion_lhs_at(n, table)
-    margin = z.excess - lhs
-    if abs(margin) <= _LHS_ERROR * lhs + z.abs_error_bound:
-        return _criterion_margin_mp(t, n, table) > 0.0
-    return margin > 0.0
 
 
 def _criterion_margin_mp(t: int, n: int, table: PrimeTable) -> float:
     """zeta(t) - exp(2/p_n) * f(n) at 60 digits, log N_n from the primorial."""
     with mpmath.workdps(60):
-        (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
         p_n = int(table.primes[n - 1])
         lp = mpmath.log(p_n)
-        f = 1 + mpmath.mpf("1.1253") / (lp * mpmath.log(mpmath.log(primorial_n)))
+        f = 1 + mpmath.mpf("1.1253") / (lp * _log_log_primorial(n, table))
         return float(mpmath.zeta(t) - mpmath.exp(mpmath.mpf(2) / p_n) * f)
 
 
 def find_crossover_index(t: int, table: PrimeTable, floored: bool = False) -> int:
     """Least index n where the criterion holds (search floor 2263 if floored).
 
-    Confirms the criterion stays satisfied for the next CONFIRM indices;
-    running off the table either way raises CoverageError.  The numpy screen
-    decides every index whose estimate lies further than beta from zeta(t) -
-    1; the rest are decided by _criterion_holds.
+    The left side exp(2/p_n) * f(n) falls strictly with n: p_n and theta(p_n)
+    = log N_n both grow, and log p_n and log theta(p_n) >= log log 6 stay
+    positive.  So the indices where the criterion holds are a tail of the
+    table, and once it holds at the last index, bisection over criterion's
+    certified decisions finds the least one.  The next CONFIRM indices are
+    confirmed too; running off the table either way raises CoverageError.
     """
-    excess = zeta(t).excess  # validates t
+    zeta(t)  # validates t, also when the table ends before the search starts
     start = CRITERION_FLOOR if floored else 2
     size = len(table.primes)
-    lhs = _criterion_screen(table)[start - 1 :]
-    # lhs + beta < excess, and lhs - beta > excess, with room for the roundings
-    satisfied = lhs < excess * (1.0 - 2.0 * _CRITERION_BETA)
-    undecided = ~satisfied & (lhs <= excess * (1.0 + 2.0 * _CRITERION_BETA))
-    for i in np.flatnonzero(undecided).tolist():
-        satisfied[i] = _criterion_holds(t, start + i, table)
-    if not satisfied.any():
+    if start > size or not criterion(t, size, table).satisfied:
         raise CoverageError(
             f"criterion for t={t} unsatisfied through index {size}; enlarge the sieve"
         )
-    i = int(np.argmax(satisfied))
-    hit = start + i
+    lo, hit = start, size
+    while lo < hit:
+        mid = (lo + hit) // 2
+        if criterion(t, mid, table).satisfied:
+            hit = mid
+        else:
+            lo = mid + 1
     if hit + CONFIRM > size:
         raise CoverageError(
             f"cannot confirm stability through index {hit + CONFIRM} "
             f"(table ends at {size}); enlarge the sieve"
         )
-    after = satisfied[i + 1 : i + CONFIRM + 1]
-    if not after.all():
-        k = hit + 1 + int(np.argmin(after))
-        raise RuntimeError(f"criterion for t={t} holds at {hit} but fails again at {k}")
+    for k in range(hit + 1, hit + CONFIRM + 1):
+        if not criterion(t, k, table).satisfied:
+            raise RuntimeError(f"criterion for t={t} holds at {hit} but fails again at {k}")
     return hit
 
 
@@ -464,7 +432,7 @@ def admissible_t(n: int, table: PrimeTable) -> int | None:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     t = 2
-    while _criterion_holds(t, n, table):
+    while criterion(t, n, table).satisfied:
         t += 1
     return t - 1 if t > 2 else None
 
@@ -580,6 +548,13 @@ def _prefix_products(
     return prods
 
 
+def _log_log_primorial(n: int, table: PrimeTable) -> mpmath.mpf:
+    """log log N_n at the working precision, from the one primorial product
+    kept per table."""
+    (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
+    return mpmath.log(mpmath.log(primorial_n))
+
+
 _SAMPLE_SEED = 20011
 
 
@@ -680,8 +655,7 @@ def log_substitution_suite(
 
 def _log_substitution_margin_mp(n: int, table: PrimeTable) -> float:
     with mpmath.workdps(60):
-        (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
-        lln = mpmath.log(mpmath.log(primorial_n))
+        lln = _log_log_primorial(n, table)
         lp = mpmath.log(int(table.primes[n - 1]))
         return float(lln + mpmath.mpf("0.1253") / lp - lp)
 
@@ -734,10 +708,10 @@ def _psi_ratio_margins(
 def psi_ratio_mp(t: int, n: int, table: PrimeTable) -> tuple[mpmath.mpf, mpmath.mpf]:
     """psi_t(N_n)/N_n and log log N_n at the working precision, from products
     of exact integers: psi_t(N_n)/N_n = prod (p^t - 1) / prod ((p - 1) p^(t-1))."""
-    num, den, primorial_n = _prefix_products(
-        table, ("psi_ratio", t), n, lambda p: (p**t - 1, (p - 1) * p ** (t - 1), p)
+    num, den = _prefix_products(
+        table, ("psi_ratio", t), n, lambda p: (p**t - 1, (p - 1) * p ** (t - 1))
     )
-    return num / den, mpmath.log(mpmath.log(primorial_n))
+    return num / den, _log_log_primorial(n, table)
 
 
 def _psi_ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:

@@ -1,5 +1,6 @@
 """Zeta machinery, crossover search, and the explicit-inequality sweeps."""
 
+import dataclasses
 import math
 import random
 from bisect import bisect_right
@@ -175,8 +176,7 @@ def test_crossover_needs_coverage():
         find_crossover_index(3, short)
 
 
-# The scalar criterion formula and search loop that the per-table screen
-# replaced, kept as the oracle.
+# The scalar criterion formula and the linear search loop, kept as the oracle.
 def _scalar_lhs_excess(n, table):
     p = int(table.primes[n - 1])
     lp = math.log(p)
@@ -546,13 +546,6 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
         assert (np.abs(est - libm) <= 2.0**-46 * est).all()
 
 
-@pytest.mark.parametrize("name", ["table_2_21", "t8_libm_lhs"])
-def test_criterion_screen_stays_within_beta(request, name):
-    table, libm = request.getfixturevalue(name)
-    est = bounds._criterion_screen(table)[1:]
-    assert (np.abs(est - libm[1:]) <= bounds._CRITERION_BETA * est).all()
-
-
 def test_criterion_libm_error_bound(small_table):
     # the libm margin against its 60-digit value, within the bound that
     # decides when the 60-digit value is taken instead
@@ -607,15 +600,24 @@ def test_sweep_takes_more_margins_after_a_recheck_rises():
 
 
 def test_unscreened_crossover_search_gives_the_same_n1(monkeypatch):
+    # the bisection against a linear scan of the certified decision at every index
     table = build_table(1 << 15)
-    searches = [(t, floored) for t in range(2, 11) for floored in (False, True)]
-    plain = [_outcome(lambda: find_crossover_index(t, table, f)) for t, f in searches]
+    size = len(table)
+
+    def scan(t, floored):
+        return _scalar_crossover(
+            t, table, floored, lambda n: float(criterion(t, n, table).satisfied)
+        )
+
     calls = []
-    holds = bounds._criterion_holds
-    monkeypatch.setattr(bounds, "_criterion_holds", lambda *a: calls.append(a) or holds(*a))
-    monkeypatch.setattr(bounds, "_CRITERION_BETA", math.inf)
-    assert [_outcome(lambda: find_crossover_index(t, table, f)) for t, f in searches] == plain
-    assert len(calls) == sum(len(table) - (CRITERION_FLOOR if f else 2) + 1 for _, f in searches)
+    decide = bounds.criterion
+    monkeypatch.setattr(bounds, "criterion", lambda *a: calls.append(a) or decide(*a))
+    for t in range(2, 11):
+        for floored in (False, True):
+            expected = _outcome(lambda: scan(t, floored))
+            calls.clear()
+            assert _outcome(lambda: find_crossover_index(t, table, floored)) == expected
+            assert len(calls) <= 1 + math.ceil(math.log2(size)) + CONFIRM
 
 
 def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, small_table):
@@ -624,15 +626,30 @@ def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, smal
     monkeypatch.setattr(bounds, "_criterion_margin_mp", lambda *a: calls.append(a) or margin_mp(*a))
     monkeypatch.setattr(bounds, "_LHS_ERROR", math.inf)
     for n in (9, 10):
-        libm = criterion(3, n, small_table).margin
-        assert bounds._criterion_holds(3, n, small_table) == (libm > 0.0)
-        assert margin_mp(3, n, small_table) == pytest.approx(libm, rel=1e-12)
+        report = criterion(3, n, small_table)
+        assert report.satisfied == (report.margin > 0.0)
+        assert margin_mp(3, n, small_table) == pytest.approx(report.margin, rel=1e-12)
     assert calls == [(3, 9, small_table), (3, 10, small_table)]
-    # the whole search through the 60-digit path, every index unscreened
-    monkeypatch.setattr(bounds, "_CRITERION_BETA", math.inf)
+    # the whole search through the 60-digit path: the last index, 7 steps
+    # bisecting [2, 168] and the CONFIRM indices after n1 = 10
     tiny = build_table(1000)
+    calls.clear()
     assert find_crossover_index(3, tiny) == 10
-    assert len(calls) == 2 + len(tiny) - 1
+    assert len(calls) == 1 + 7 + CONFIRM
+
+
+def test_crossover_search_raises_when_the_criterion_fails_again(monkeypatch, small_table):
+    decide = bounds.criterion
+
+    def flaky(t, n, table):
+        report = decide(t, n, table)
+        # 47 lies in the CONFIRM window after n1 = 10, and the bisection does not probe it
+        return dataclasses.replace(report, satisfied=False) if n == 47 else report
+
+    monkeypatch.setattr(bounds, "criterion", flaky)
+    with pytest.raises(RuntimeError) as err:
+        find_crossover_index(3, small_table)
+    assert str(err.value) == "criterion for t=3 holds at 10 but fails again at 47"
 
 
 def test_empty_ranges_report_skipped(small_table):
