@@ -6,12 +6,18 @@ integer for a < t - 1, so everything here stays in exact integer or Fraction
 arithmetic.  Floats only appear downstream in the log-space modules.
 
 Every sweep over a range of integers factors it with one kernel,
-`prime_power_events`, which peels prime powers from a whole window in numpy
-through strided views: a base prime's event addresses the window by a slice
-of its multiples, the leftover cofactors by an index array.  `sweep` is the
-one window loop: it bounds the range with `check_sweep` before any sieving
-and hands each window's events to one or more folds, such as the sigma fold
-of `robin` and `BridgeFold` here, which may stop it early.
+`prime_power_events`, which peels prime powers from a window of SEGMENT_SIZE
+integers in numpy.  A base prime with many multiples in the window has its
+own event, a slice of its multiples, and divides them out through strided
+views.  The base primes with at most BATCH_MULTIPLES multiples share a few
+batched events of index arrays, their offsets from one vectorised modulo
+(after the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
+83, 2014), and the leftover cofactors come last, by an index array too.
+`sweep` is the one window loop: it bounds the range with `check_sweep`
+before any sieving, forms the kernel's plan of the base primes once, and
+hands each window's events to one or more folds, such as the sigma fold of
+`robin`, the log-ratio fold of `primorial` and `BridgeFold` here, which may
+stop it early.
 """
 
 from __future__ import annotations
@@ -26,7 +32,11 @@ import numpy as np
 from .errors import CoverageError, ResourceError
 from .primes import PrimeTable, build_table
 
-SEGMENT_SIZE = 1 << 22  # integers per window of a range sweep
+# Integers per window of a range sweep.  A window's int64 array takes 1 MB, so
+# the kernel's strided passes stay in a core's L2 cache, and a few such arrays
+# are a sweep's peak memory however long its range.
+SEGMENT_SIZE = 1 << 17
+BATCH_MULTIPLES = 16  # base primes with at most this many multiples in a window are batched
 MAX_SPAN = 10**9  # most integers one sweep may cover
 # Up to 2^50, n and sigma(n) < 8n stay below 2^53, exact in float64 and int64,
 # and a sweep needs base primes only to 2^25.
@@ -84,19 +94,46 @@ def check_sweep(start: int, stop: int) -> None:
         )
 
 
-def prime_power_events(
-    lo: int, hi: int, base_primes: list[int]
-) -> Iterator[tuple[int | np.ndarray, slice | np.ndarray, np.ndarray]]:
-    """Peel every n in [lo, hi) into its prime powers, one prime at a time.
+class KernelPlan:
+    """What the kernel needs of the base primes, formed once per sweep.
 
-    For each prime p <= sqrt(hi - 1) that divides some n in the window, yields
-    (p, where, exponents) with where = slice(s, None, p), the offsets of the
-    multiples of p: p^exponents[i] exactly divides lo + s + i p.  A last event
-    (cofactors, where, ones) covers what is left of each n once those primes
-    are divided out: where is an int64 index array and the prime cofactors[i]
-    (int64) divides lo + where[i] to the first power.  numpy indexes a window
-    the same way with either kind of where.  base_primes must hold every prime
-    up to sqrt(hi - 1), ascending; exponents are int8.
+    primes holds the base primes, ascending, as int64.  A window of up to
+    width integers peels those up to width // BATCH_MULTIPLES one at a time:
+    for them the plan keeps small, the primes as ints, and inverses, each
+    one's inverse modulo 2^64 (None for 2).
+    """
+
+    def __init__(self, primes: np.ndarray, width: int) -> None:
+        self.primes = np.asarray(primes, dtype=np.int64)
+        count = np.searchsorted(self.primes, width // BATCH_MULTIPLES, side="right")
+        self.small = self.primes[:count].tolist()
+        self.inverses = [pow(p, -1, 1 << 64) if p > 2 else None for p in self.small]
+        # Freeing one untouched block of four windows' int64 arrays raises
+        # glibc's mmap and trim thresholds past a window's arrays, so each window
+        # reuses the heap the last one freed instead of mapping and faulting in
+        # its pages again: on a 1e6 sweep that cuts page faults 25-fold.
+        np.empty(32 * width, dtype=np.uint8)
+
+
+def prime_power_events(
+    lo: int, hi: int, plan: KernelPlan
+) -> Iterator[tuple[int | np.ndarray, slice | np.ndarray, np.ndarray]]:
+    """Peel every n in [lo, hi) into its prime powers.
+
+    Each event (p, where, exponents) says that p^exponents[i] exactly divides
+    the n at the i-th offset of where; exponents are int8.  The base primes
+    p <= sqrt(hi - 1) up to (hi - lo) // BATCH_MULTIPLES, each with at least
+    BATCH_MULTIPLES multiples in the window, come first, ascending, one event
+    each: p is an int and where = slice(s, None, p), the offsets of its
+    multiples.  The larger base primes, with at most BATCH_MULTIPLES
+    multiples each, follow in batched events: p is an int64 array of primes
+    and where an int64 array of ascending, unique offsets; the k-th batched
+    event holds the k-th smallest of these primes of each n that has k.  A
+    last event (cofactors, where, ones) covers what is left of each n once
+    the base primes are divided out: the prime cofactors[i] divides
+    lo + where[i] to the first power.  numpy indexes a window the same way
+    with either kind of where.  plan must hold every prime up to
+    sqrt(hi - 1).
     """
     size = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
@@ -105,13 +142,10 @@ def prime_power_events(
     # modulo 2^64, which wraps on the unsigned view and never divides.
     urem = rem.view(np.uint64)
     root = math.isqrt(hi - 1)
-    for p in base_primes:
-        if p > root:
-            break
-        s = (-lo) % p
-        if s >= size:
-            continue
-        inverse = np.uint64(pow(p, -1, 1 << 64)) if p > 2 else None
+    primes = plan.primes[: np.searchsorted(plan.primes, root, side="right")]
+    count = min(len(plan.small), np.searchsorted(primes, size // BATCH_MULTIPLES, side="right"))
+    for p, inverse in zip(plan.small[:count], plan.inverses):
+        s = (-lo) % p  # p <= size, so p has a multiple in the window
         exp = np.zeros((size - s + p - 1) // p, dtype=np.int8)
         pk = p
         while (sk := (-lo) % pk) < size:  # p^k has a multiple in the window
@@ -123,10 +157,48 @@ def prime_power_events(
             exp[(sk - s) // p :: pk // p] += 1
             pk *= p
         yield p, slice(s, None, p), exp
+    view = None  # the last view held the window too; rem alone keeps it now
+    for p, off, exp in _batched_events(lo, hi, primes[count:]):
+        rem[off] //= p**exp  # p^e <= n, and the offsets are unique
+        yield p, off, exp
     left = np.flatnonzero(rem > 1)
     cofactors = rem[left]
-    rem = urem = view = None  # free the window (the last view held it too) before the last event
+    rem = urem = None  # free the window before the last event
     yield cofactors, left, np.ones(left.size, dtype=np.int8)
+
+
+def _batched_events(
+    lo: int, hi: int, primes: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The batched events of prime_power_events for these base primes, each
+    at most sqrt(hi - 1) and with at most a few multiples in [lo, hi)."""
+    size = hi - lo
+    s = (-lo) % primes  # the offset of each prime's first multiple
+    hit = s < size
+    p, s = primes[hit], s[hit]
+    counts = (size - 1 - s) // p + 1
+    # every multiple of every prime, prime by prime: p[i] divides lo + off[i]
+    p = np.repeat(p, counts)
+    first = np.cumsum(counts) - counts
+    off = np.repeat(s, counts)
+    off += p * (np.arange(p.size) - np.repeat(first, counts))
+    exp = np.ones(p.size, dtype=np.int8)
+    # exact passes over p^k, formed only where p^k <= hi - 1: no int64 overflow
+    deep = np.arange(p.size)
+    k = 2
+    while deep.size:
+        deep = deep[p[deep] <= _iroot(hi - 1, k)]
+        deep = deep[(lo + off[deep]) % p[deep] ** k == 0]
+        exp[deep] += 1
+        k += 1
+    order = np.argsort(off, kind="stable")  # by offset, then by prime
+    p, off, exp = p[order], off[order], exp[order]
+    while p.size:
+        head = np.ones(p.size, dtype=bool)  # the least remaining prime of each n
+        np.not_equal(off[1:], off[:-1], out=head[1:])
+        yield p[head], off[head], exp[head]
+        head = ~head
+        p, off, exp = p[head], off[head], exp[head]
 
 
 def sweep(start: int, stop: int, folds: list, table: PrimeTable | None = None) -> None:
@@ -134,10 +206,10 @@ def sweep(start: int, stop: int, folds: list, table: PrimeTable | None = None) -
     SEGMENT_SIZE integers at a time, once check_sweep has passed.
 
     Base primes come from table, which must reach sqrt(stop), or from a new
-    table when it is None.  On each window [lo, hi) every fold gets open(lo,
-    hi), add(p, where, exponents) per kernel event, then close(lo, hi), in
-    list order; a fold whose close returns True is done, and the sweep stops
-    once every fold is done.
+    table when it is None; the kernel's plan of them is formed once.  On each
+    window [lo, hi) every fold gets open(lo, hi), add(p, where, exponents) per
+    kernel event, then close(lo, hi), in list order; a fold whose close
+    returns True is done, and the sweep stops once every fold is done.
     """
     check_sweep(start, stop)
     root = math.isqrt(stop)
@@ -148,12 +220,13 @@ def sweep(start: int, stop: int, folds: list, table: PrimeTable | None = None) -
             f"sweep needs primes to sqrt({stop}) = {root}, "
             f"table stops at {table.limit}; enlarge the sieve"
         )
-    base_primes = table.primes[: np.searchsorted(table.primes, root, side="right")].tolist()
+    base_primes = table.primes[: np.searchsorted(table.primes, root, side="right")]
+    plan = KernelPlan(base_primes, min(SEGMENT_SIZE, stop - start + 1))
     for lo in range(start, stop + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, stop + 1)
         for fold in folds:
             fold.open(lo, hi)
-        for event in prime_power_events(lo, hi, base_primes):
+        for event in prime_power_events(lo, hi, plan):
             for fold in folds:
                 fold.add(*event)
         del event  # free the last event's arrays before any fold closes the window
@@ -239,8 +312,10 @@ class BridgeFold:
     the inequality holds on n when it holds on each local pair (p, e), and is
     an equality on n iff it is one on every pair.  A pair with e <= t - 1 is
     decided once, in exact integers: sigma(p^e) p^(t-1) (p - 1) <= p^e (p^t - 1),
-    with equality iff e = t - 1.  The multiples of each p^t clear the flags;
-    n is then an equality iff every exponent is t - 1, that is n = m^(t-1)
+    with equality iff e = t - 1.  Every n with an exponent >= t has its flag
+    cleared: the multiples of p^t for a base prime with its own event, the
+    entries with exponent >= t in a batched event (t = 2 included).  n is
+    then an equality iff every exponent is t - 1, that is n = m^(t-1)
     with m squarefree, which holds iff m^(t-1) is t-free (for t = 2, iff n is).
     Every pair occurs alone at n = p^e, so the least failing n is the least
     p^e of a failing pair, and the counts stop there.
@@ -256,30 +331,45 @@ class BridgeFold:
 
     def open(self, lo: int, hi: int) -> None:
         self.lo = lo
+        self.root = math.isqrt(hi - 1)  # base primes are at most root, cofactors above
         self.free = np.ones(hi - lo, dtype=bool)
 
     def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
-        if not np.ndim(p):
+        if isinstance(p, int):
             e_max = int(exp.max())
             if e_max >= self.t:  # a multiple of p^t lies in the window
                 pt = p**self.t
                 self.free[(-self.lo) % pt :: pt] = False
-            e_max = min(e_max, self.t - 1)
-            pairs = [(p, e) for e in range(self.decided.get(p, 0) + 1, e_max + 1)]
-            self.decided[p] = max(self.decided.get(p, 0), e_max)
-        elif self.cofactor_decided:
-            return
-        else:
+            self._decide(p, e_max)
+        elif p.size and p[0] <= self.root:  # batched base primes
+            # A batched prime q is at most sqrt(hi - 1), so q^2 lies in any
+            # window that holds q: deciding the pairs up to each exponent >= 2
+            # decides (q, 1) in the window of its n = q too.
+            deep = np.flatnonzero(exp >= 2)
+            self.free[where[deep[exp[deep] >= self.t]]] = False  # p^t divides these n
+            for q, e in zip(p[deep].tolist(), exp[deep].tolist()):
+                self._decide(q, e)
+        elif not self.cofactor_decided:
             # For a prime q, sigma(q) q^(t-1) (q - 1) - q (q^t - 1) = q - q^(t-1):
             # every pair (q, 1) has one verdict, which holds for t >= 2, with
             # equality iff t = 2.  The least cofactor prime that is n itself,
-            # the least n a failing (q, 1) could be, decides it once per sweep.
-            pairs = [(q, 1) for q in p[p == self.lo + where][:1].tolist()]
-            self.cofactor_decided = bool(pairs)
-        for q, e in pairs:
-            field = _bridge_failure(q, e, self.t)
-            if field and all(q**e < n for n in self.failure.values()):
-                self.failure = {field: q**e}
+            # the least n a failing (q, 1) could be, decides it once per sweep;
+            # the cofactor offsets ascend, so it is the first such.
+            prime = p == self.lo + where
+            first = int(prime.argmax())
+            if prime[first]:
+                self._decide(int(p[first]), 1)
+                self.cofactor_decided = True
+
+    def _decide(self, q: int, e: int) -> None:
+        """Decide each pair (q, k), k <= min(e, t - 1), not decided yet."""
+        done = self.decided.get(q, 0)
+        top = min(e, self.t - 1)
+        for k in range(done + 1, top + 1):
+            field = _bridge_failure(q, k, self.t)
+            if field and all(q**k < n for n in self.failure.values()):
+                self.failure = {field: q**k}
+        self.decided[q] = max(done, top)
 
     def close(self, lo: int, hi: int) -> bool:
         """Count the window's t-free n and equalities; True once a pair failed."""

@@ -2,10 +2,10 @@
 
 N_n = p_1 p_2 ... p_n.  log N_n is the table's theta prefix and
 log(psi_t(N_n)/N_n) comes from log_psi_ratio_prefix, both compensated prefix
-sums over the primes.  Champion scans and the reduction check screen whole
-ranges with a float log psi_t(n)/n from the peeling kernel, then re-decide
-every n within LOG_RATIO_BAND of the line exactly (champions) or at 60 digits
-(reduction).
+sums over the primes.  Champion scans and the reduction check are sweeps of
+multiplicative.sweep: they screen each window with a float log psi_t(n)/n
+folded from the peeling kernel's events, then re-decide every n within
+LOG_RATIO_BAND of the line exactly (champions) or at 60 digits (reduction).
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .multiplicative import (
-    SEGMENT_SIZE,
-    check_sweep,
-    factorize,
-    prime_power_events,
-    psi_over_n,
-)
+from .multiplicative import check_sweep, factorize, psi_over_n, sweep
 from .primes import PrimeTable, build_table, compensated_prefix, libm_map, require_primes
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
@@ -97,23 +91,47 @@ def cursor_advance(*_args: object, **_kwargs: object) -> None:
     )
 
 
-def _log_psi_ratios(lo: int, hi: int, t: int, primes: list[int]) -> np.ndarray:
-    """log(psi_t(n)/n) for lo <= n < hi in float64: the sum over primes p | n
-    of log(1 + 1/p + ... + 1/p^(t-1)) = log1p((1 - p^(1-t)) / (p - 1))."""
-    out = np.zeros(hi - lo)
-    for p, off, _ in prime_power_events(lo, hi, primes):
-        q = np.asarray(p, dtype=np.float64)
-        out[off] += np.log1p((1.0 - q ** (1 - t)) / (q - 1.0))
-    return out
+def _log_terms(p: int | np.ndarray, t: int) -> np.floating | np.ndarray:
+    """log(1 + 1/p + ... + 1/p^(t-1)) = log1p((1 - p^(1-t)) / (p - 1)) in float64."""
+    q = np.asarray(p, dtype=np.float64)
+    return np.log1p((1.0 - q ** (1 - t)) / (q - 1.0))
+
+
+class _LogRatioFold:
+    """The sweep fold of the champion and reduction screens: log(psi_t(n)/n)
+    of each window in float64, the sum of _log_terms over the primes p | n,
+    handed to screen(lo, logs) as the window closes; screen's return value
+    is close's."""
+
+    def __init__(self, t: int, screen) -> None:
+        self.t = t
+        self.screen = screen
+        self.terms: dict[int, np.floating] = {}  # base prime -> its term, once per sweep
+
+    def open(self, lo: int, hi: int) -> None:
+        self.logs = np.zeros(hi - lo)
+
+    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
+        if not isinstance(p, int):
+            self.logs[where] += _log_terms(p, self.t)
+            return
+        if p not in self.terms:
+            self.terms[p] = _log_terms(p, self.t)
+        self.logs[where] += self.terms[p]
+
+    def close(self, lo: int, hi: int) -> bool:
+        logs = self.logs
+        del self.logs
+        return self.screen(lo, logs)
 
 
 def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     """Left-to-right maxima of m -> psi_t(m)/m on [1, limit], decided exactly.
 
     strict: a champion must exceed every earlier value; weak: ties count too.
-    A float screen keeps every m within LOG_RATIO_BAND of the maximum so far
-    in its window, which includes every m attaining the exact maximum so far;
-    each is compared as an exact rational against the last champion.
+    A float screen keeps every m within LOG_RATIO_BAND of the largest float
+    so far, which includes every m attaining the exact maximum so far; each
+    is compared as an exact rational against the last champion.
     """
     if limit < 1:
         raise ValueError(f"scan needs limit >= 1, got {limit}")
@@ -124,19 +142,23 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     check_sweep(1, limit)
     strict = mode == "strict"
     table = build_table(math.isqrt(limit) + 1)
-    base_primes = table.primes.tolist()
     out: list[int] = []
     best = Fraction(0)
-    for lo in range(1, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        logs = _log_psi_ratios(lo, hi, t, base_primes)
-        near = logs >= np.maximum.accumulate(logs) - LOG_RATIO_BAND
-        for i in np.flatnonzero(near).tolist():
+    top = -math.inf  # the largest float so far
+
+    def screen(lo: int, logs: np.ndarray) -> bool:
+        nonlocal best, top
+        running = np.maximum(np.maximum.accumulate(logs), top)
+        for i in np.flatnonzero(logs >= running - LOG_RATIO_BAND).tolist():
             m = lo + i
             r = psi_over_n(factorize(m, table), t)
             if r > best or (r == best and not strict):
                 out.append(m)
                 best = r
+        top = running[-1]
+        return False
+
+    sweep(1, limit, [_LogRatioFold(t, screen)], table)
     return out
 
 
@@ -170,23 +192,28 @@ def reduction_check(limit: int, t: int) -> bool:
         raise ValueError(f"need t >= 2, got {t}")
     check_sweep(6, limit)
     table = build_table(math.isqrt(limit) + 1)
-    base_primes = table.primes.tolist()
-
-    def log_r(lo: int, hi: int) -> np.ndarray:
-        ns = np.arange(lo, hi, dtype=np.float64)
-        return _log_psi_ratios(lo, hi, t, base_primes) - np.log(np.log(np.log(ns)))
 
     def ratio_60(m: int) -> mpmath.mpf:
         r = psi_over_n(factorize(m, table), t)
         with mpmath.workdps(60):
             return mpmath.mpf(r.numerator) / r.denominator / mpmath.log(mpmath.log(m))
 
-    prims = primorials_up_to(limit)
-    for n_k, n_next in zip(prims[2:], prims[3:] + [limit + 1]):
-        line = log_r(n_k, n_k + 1)[0] - LOG_RATIO_BAND
-        for lo in range(n_k + 1, n_next, SEGMENT_SIZE):
-            hi = min(lo + SEGMENT_SIZE, n_next)
-            for i in np.flatnonzero(log_r(lo, hi) >= line).tolist():
-                if ratio_60(lo + i) >= ratio_60(n_k):
-                    return False
-    return True
+    prims = primorials_up_to(limit)[2:]  # 6, 30, 210, ...
+    lines = np.full(len(prims), math.inf)  # log R_t(N_k) less the band, once N_k is swept
+    failed = False
+
+    def screen(lo: int, logs: np.ndarray) -> bool:
+        nonlocal failed
+        ns = np.arange(lo, lo + logs.size)
+        log_r = logs - np.log(np.log(np.log(ns)))
+        k = np.searchsorted(prims, ns, side="right") - 1  # N_k, the largest primorial <= n
+        at = ns == np.array(prims)[k]
+        lines[k[at]] = log_r[at] - LOG_RATIO_BAND
+        for i in np.flatnonzero((log_r >= lines[k]) & ~at).tolist():
+            if ratio_60(lo + i) >= ratio_60(prims[k[i]]):
+                failed = True
+                return True
+        return False
+
+    sweep(6, limit, [_LogRatioFold(t, screen)], table)
+    return not failed

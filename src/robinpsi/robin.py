@@ -19,6 +19,7 @@ import numpy as np
 
 from .bounds import EXP_GAMMA, PRECISION_BAND, find_crossover_index, psi_ratio_mp
 from .multiplicative import (
+    MAX_SCAN_STOP,
     BridgeFold,
     BridgeReport,
     factorize,
@@ -63,22 +64,43 @@ def _verdict_from_sigma(n: int, sig: int) -> RobinVerdict:
     )
 
 
+def _sigma_powers(p: int) -> np.ndarray:
+    """sigma(p^e) for e = 0, 1, ... while p^e <= 2^50, as int64."""
+    out = [1]
+    pe = p
+    while pe <= MAX_SCAN_STOP:
+        out.append(out[-1] + pe)
+        pe *= p
+    return np.array(out, dtype=np.int64)
+
+
 class _RobinFold:
     """The sweep fold of the Robin scans: int64 sigma(n) of each window, exact
     up to 2^50, then the violators among its n >= 3, ascending."""
 
     def __init__(self) -> None:
         self.violators: list[RobinVerdict] = []
+        self.local: dict[int, np.ndarray] = {}  # p -> sigma(p^e) for p^e <= 2^50, once per sweep
 
     def open(self, lo: int, hi: int) -> None:
         self.sig = np.ones(hi - lo, dtype=np.int64)
 
     def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
-        if np.ndim(p):  # cofactor primes, exponent 1
-            self.sig[where] *= p + 1
-        else:
-            local = [(p ** (e + 1) - 1) // (p - 1) for e in range(int(exp.max()) + 1)]
-            self.sig[where] *= np.array(local, dtype=np.int64)[exp]
+        if isinstance(p, int):
+            if p not in self.local:
+                self.local[p] = _sigma_powers(p)
+            self.sig[where] *= self.local[p][exp]
+            return
+        # sigma(p^e) = (...(p + 1) p + 1 ...) p + 1 for batched primes and
+        # cofactors; every step stays below sigma(n) < 2^53
+        local = p + 1
+        deep = np.flatnonzero(exp >= 2)
+        k = 2
+        while deep.size:
+            local[deep] = local[deep] * p[deep] + 1
+            k += 1
+            deep = deep[exp[deep] >= k]
+        self.sig[where] *= local
 
     def close(self, lo: int, hi: int) -> bool:
         first = max(lo, 3)  # the threshold needs log log n > 0

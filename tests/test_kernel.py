@@ -20,8 +20,10 @@ from robinpsi import (
 )
 from robinpsi import multiplicative, primorial, robin
 from robinpsi.multiplicative import (
+    BATCH_MULTIPLES,
     MAX_SCAN_STOP,
     MAX_SPAN,
+    KernelPlan,
     factorize,
     is_t_free,
     prime_power_events,
@@ -29,17 +31,34 @@ from robinpsi.multiplicative import (
     sigma,
 )
 from robinpsi.primes import _segmented_primes
-from robinpsi.primorial import _log_psi_ratios
 
-EDGE = 1 << 22
+EDGE = multiplicative.SEGMENT_SIZE
 
-windows = st.tuples(
-    st.one_of(
-        st.just(1),
-        st.integers(1, 10**9),
-        st.integers(EDGE - 3000, EDGE + 10),  # windows across the segment edge
+PRIMES_TO_1000 = _segmented_primes(1000).tolist()
+
+
+@st.composite
+def batched_windows(draw):
+    """Windows holding an n = p q r or n = p^2 q with p, q, r batched base
+    primes of the window: each above its threshold, none above sqrt(n)."""
+    width = draw(st.integers(1, 3000))
+    low = max(width // BATCH_MULTIPLES + 1, 50)  # then p q >= 53 * 59 > 1000 >= r
+    pool = [p for p in PRIMES_TO_1000 if p >= low]
+    p, q, r = sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3, unique=True)))
+    n = p * p * q if draw(st.booleans()) else p * q * r
+    return n - draw(st.integers(0, width - 1)), width
+
+
+windows = st.one_of(
+    st.tuples(
+        st.one_of(
+            st.just(1),
+            st.integers(1, 10**9),
+            st.integers(EDGE - 3000, EDGE + 10),  # windows across the segment edge
+        ),
+        st.integers(1, 3000),
     ),
-    st.integers(1, 3000),
+    batched_windows(),
 )
 
 
@@ -51,18 +70,33 @@ def _expanded(events, lo, hi):
     ]
 
 
+def _events(lo, hi, primes):
+    return list(prime_power_events(lo, hi, KernelPlan(primes, hi - lo)))
+
+
 def _sigma_segment(lo, hi, primes):
     """The sigma fold of the Robin scans on one window, before its margins."""
     fold = robin._RobinFold()
     fold.open(lo, hi)
-    for event in prime_power_events(lo, hi, primes):
+    for event in _events(lo, hi, primes):
         fold.add(*event)
     return fold.sig
 
 
-def _fold_factors(lo, hi, primes):
+def _log_ratio_segment(lo, hi, t, primes):
+    """The log(psi_t(n)/n) fold of the champion and reduction screens on one window."""
+    logs = []
+    fold = primorial._LogRatioFold(t, lambda lo, window: logs.append(window))
+    fold.open(lo, hi)
+    for event in _events(lo, hi, primes):
+        fold.add(*event)
+    fold.close(lo, hi)
+    return logs[0]
+
+
+def _fold_factors(events, lo, hi):
     folded = [[] for _ in range(hi - lo)]
-    for p, off, exp in _expanded(prime_power_events(lo, hi, primes), lo, hi):
+    for p, off, exp in _expanded(events, lo, hi):
         ps = p if isinstance(p, list) else [p] * len(off)
         for q, i, e in zip(ps, off, exp):
             folded[i].append((q, e))
@@ -98,11 +132,29 @@ def _division_kernel(lo, hi, base_primes):
 def test_kernel_matches_division_kernel(small_table, window):
     lo, width = window
     hi = lo + width
-    primes = small_table.primes.tolist()
-    got = list(prime_power_events(lo, hi, primes))
-    assert _expanded(got, lo, hi) == _expanded(_division_kernel(lo, hi, primes), lo, hi)
-    assert all(exp.dtype == np.int8 for _, _, exp in got)
+    got = _events(lo, hi, small_table.primes)
+    expected = list(_division_kernel(lo, hi, small_table.primes.tolist()))
+    # the primes peeled one at a time are the division kernel's below the threshold
+    threshold = width // BATCH_MULTIPLES
+    scalar = [event for event in got if not np.ndim(event[0])]
+    peeled = [event for event in expected[:-1] if event[0] <= threshold]
+    assert _expanded(scalar, lo, hi) == _expanded(peeled, lo, hi)
+    assert _fold_factors(got, lo, hi) == _fold_factors(expected, lo, hi)
+    assert _expanded(got[-1:], lo, hi) == _expanded(expected[-1:], lo, hi)
+    for p, where, exp in got:
+        assert exp.dtype == np.int8
+        if np.ndim(p):
+            assert p.dtype == where.dtype == np.int64
+            assert (np.diff(where) > 0).all()  # unique offsets, ascending
     assert got[-1][0].dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(batched_windows())
+def test_kernel_batches_three_primes_or_a_square(small_table, window):
+    lo, width = window
+    batched = [exp for p, _, exp in _events(lo, lo + width, small_table.primes)[:-1] if np.ndim(p)]
+    assert len(batched) >= 3 or max(exp.max() for exp in batched) >= 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,9 +162,8 @@ def test_kernel_matches_division_kernel(small_table, window):
 def test_kernel_exponents_and_sigma(small_table, window):
     lo, width = window
     hi = lo + width
-    primes = small_table.primes.tolist()
-    folded = _fold_factors(lo, hi, primes)
-    sig = _sigma_segment(lo, hi, primes)
+    folded = _fold_factors(_events(lo, hi, small_table.primes), lo, hi)
+    sig = _sigma_segment(lo, hi, small_table.primes)
     for i, n in enumerate(range(lo, hi)):
         f = factorize(n, small_table)
         assert folded[i] == f.factors
@@ -123,7 +174,7 @@ def test_kernel_exponents_and_sigma(small_table, window):
 @given(windows, st.integers(2, 64))
 def test_kernel_log_ratio(small_table, window, t):
     lo, width = window
-    logs = _log_psi_ratios(lo, lo + width, t, small_table.primes.tolist())
+    logs = _log_ratio_segment(lo, lo + width, t, small_table.primes)
     for i, n in enumerate(range(lo, lo + width)):
         exact = math.log(psi_over_n(factorize(n, small_table), t))
         assert logs[i] == pytest.approx(exact, abs=1e-13)
@@ -131,22 +182,30 @@ def test_kernel_log_ratio(small_table, window, t):
 
 def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
     # every range sweep carries state from one window to the next
-    expected = (
-        [champion_scan(20_000, t, mode) for t in (2, 5) for mode in ("strict", "weak")],
-        [verify_sigma_le_psi(20_000, t) for t in (2, 3, 4)],
-        robin_scan(3, 20_000, small_table),
-        [verify_tfree_robin(t, 20_000, small_table) for t in (6, 7)],
-    )
-    for module in (multiplicative, primorial):
-        monkeypatch.setattr(module, "SEGMENT_SIZE", 997)
-    got = (
-        [champion_scan(20_000, t, mode) for t in (2, 5) for mode in ("strict", "weak")],
-        [verify_sigma_le_psi(20_000, t) for t in (2, 3, 4)],
-        robin_scan(3, 20_000, small_table),
-        [verify_tfree_robin(t, 20_000, small_table) for t in (6, 7)],
-    )
-    assert got == expected
-    assert reduction_check(20_000, 3)
+    def run():
+        return (
+            [champion_scan(20_000, t, mode) for t in (2, 5) for mode in ("strict", "weak")],
+            [verify_sigma_le_psi(20_000, t) for t in (2, 3, 4)],
+            robin_scan(3, 20_000, small_table),
+            [verify_tfree_robin(t, 20_000, small_table) for t in (6, 7)],
+            reduction_check(20_000, 3),
+        )
+
+    expected = run()
+    batched = []
+    kernel = multiplicative.prime_power_events
+
+    def spy(lo, hi, plan):
+        events = list(kernel(lo, hi, plan))
+        batched.append(sum(np.ndim(p) for p, _, _ in events[:-1]))
+        yield from events
+
+    monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", 997)
+    monkeypatch.setattr(multiplicative, "prime_power_events", spy)
+    assert run() == expected
+    assert expected[-1]
+    # most windows batch some base primes above 997 // BATCH_MULTIPLES
+    assert sum(count > 0 for count in batched) > len(batched) // 2
 
 
 @settings(max_examples=15, deadline=None)
@@ -219,7 +278,7 @@ def _is_prime(n):
 
 @pytest.fixture(scope="module")
 def primes_to_2_25():
-    return _segmented_primes(1 << 25).tolist()
+    return _segmented_primes(1 << 25)
 
 
 @pytest.mark.parametrize(
@@ -228,20 +287,24 @@ def primes_to_2_25():
         (MAX_SCAN_STOP - 999, MAX_SCAN_STOP + 1),  # the last window a sweep may reach
         (2**49 - 500, 2**49 + 500),
         (3**31 - 500, 3**31 + 500),
+        # p^2 for the largest prime p below 2^25, whose p^3 would pass 2^63
+        ((2**25 - 39) ** 2 - 500, (2**25 - 39) ** 2 + 500),
     ],
 )
 def test_kernel_below_scan_limit(primes_to_2_25, lo, hi):
     # every check is plain integer arithmetic on the events themselves
     factors = [[] for _ in range(hi - lo)]
     root = math.isqrt(hi - 1)
-    events = list(prime_power_events(lo, hi, primes_to_2_25))
-    for p, off, exp in _expanded(events[:-1], lo, hi):
-        assert p <= root and _is_prime(p)
-        for i, e in zip(off, exp):
+    events = _expanded(_events(lo, hi, primes_to_2_25), lo, hi)
+    assert any(isinstance(p, list) for p, _, _ in events[:-1])  # some base primes are batched
+    for p, off, exp in events[:-1]:
+        assert len(set(off)) == len(off)
+        for q, i, e in zip(p if isinstance(p, list) else [p] * len(off), off, exp):
+            assert q <= root and _is_prime(q)
             n = lo + i
-            assert e >= 1 and n % p**e == 0 and n % p ** (e + 1) != 0
-            factors[i].append((p, e))
-    for q, i, e in zip(*_expanded(events[-1:], lo, hi)[0]):
+            assert e >= 1 and n % q**e == 0 and n % q ** (e + 1) != 0
+            factors[i].append((q, e))
+    for q, i, e in zip(*events[-1]):
         assert e == 1 and q > root and _is_prime(q)
         factors[i].append((q, 1))
     sig = _sigma_segment(lo, hi, primes_to_2_25)

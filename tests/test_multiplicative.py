@@ -19,7 +19,7 @@ from robinpsi import (
     verify_sigma_le_psi,
 )
 from robinpsi import multiplicative
-from robinpsi.multiplicative import prime_power_events
+from robinpsi.multiplicative import KernelPlan, prime_power_events
 
 
 def _sigma_by_enumeration(n):
@@ -83,7 +83,7 @@ def test_factorize_large_prime_cofactor_is_fine():
 
 def test_kernel_factorization_matches(small_table):
     folded = {n: [] for n in range(1, 10_001)}
-    for p, where, exp in prime_power_events(1, 10_001, small_table.primes.tolist()):
+    for p, where, exp in prime_power_events(1, 10_001, KernelPlan(small_table.primes, 10_000)):
         off = np.arange(10_000)[where]
         ps = p.tolist() if isinstance(p, np.ndarray) else [p] * len(off)
         for q, i, e in zip(ps, off.tolist(), exp.tolist()):
@@ -226,6 +226,26 @@ def test_bridge_sweep_stops_at_least_failing_pair(
     assert not report.passed
     assert getattr(report, field) == failing
     assert (report.checked, report.equalities) == (checked, equalities)
+
+
+@pytest.mark.parametrize("segment, failing", [(None, 7), (20, 49)])
+def test_bridge_decides_the_pairs_of_batched_primes(monkeypatch, segment, failing):
+    # 7 has at most BATCH_MULTIPLES multiples in the window [1, 100], and in the
+    # window [41, 60] of a sweep in windows of 20, so its pairs (7, 1) and (7, 2)
+    # come from batched events there; each is decided in the window of its n
+    if segment:
+        monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", segment)
+    assert min(multiplicative.SEGMENT_SIZE, 100) // multiplicative.BATCH_MULTIPLES < 7
+    real = multiplicative._bridge_failure
+    monkeypatch.setattr(
+        multiplicative,
+        "_bridge_failure",
+        lambda p, e, t: "violation" if p**e == failing else real(p, e, t),
+    )
+    report = verify_sigma_le_psi(100, 3)
+    assert report.violation == failing
+    cube_free = [n for n in range(1, failing + 1) if all(e < 3 for _, e in _factor_by_division(n))]
+    assert report.checked == len(cube_free)
 
 
 def test_cofactor_pair_verdict_is_uniform():

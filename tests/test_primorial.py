@@ -17,6 +17,7 @@ from robinpsi import (
     ratio_curve,
     reduction_check,
 )
+from robinpsi import multiplicative, primorial
 from robinpsi.multiplicative import factorize
 from robinpsi.primes import PrimeTable, compensated_prefix
 from robinpsi.primorial import _psi_ratio_terms
@@ -175,6 +176,22 @@ def test_champion_mode_validation():
 def test_reduction_to_primorials(t):
     # the running maximum of psi_t(m) / (m log log m) sits on primorials
     assert reduction_check(100_000, t)
+
+
+@pytest.mark.parametrize(
+    "raised, holds", [(211, False), (1009, False), (2731, False), (2310, True)]
+)
+def test_reduction_check_fails_where_a_non_primorial_rises(monkeypatch, raised, holds):
+    # a forced psi_t(m)/m above every line must fail the check, unless m is a
+    # primorial, which only sets the line of the n after it; in windows of 997
+    # from 6, the line of 1009 is carried over from 210's window
+    real = primorial.psi_over_n
+    monkeypatch.setattr(
+        primorial, "psi_over_n", lambda f, t: Fraction(100) if f.value == raised else real(f, t)
+    )
+    monkeypatch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
+    monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", 997)
+    assert reduction_check(3000, 3) == holds
 
 
 def test_reduction_limit_domain():

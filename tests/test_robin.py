@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,9 +13,9 @@ from robinpsi import (
     robin_scan,
     verify_tfree_robin,
 )
-from robinpsi import robin
+from robinpsi import multiplicative, robin
 from robinpsi.bounds import EXP_GAMMA
-from robinpsi.multiplicative import factorize, prime_power_events, sigma
+from robinpsi.multiplicative import factorize, sigma
 from robinpsi.robin import VERDICT_FIELDS, violators_to_rows
 from robinpsi.tabular import rows_to_csv, rows_to_json
 
@@ -126,21 +127,38 @@ def test_scan_stop_limit(small_table):
 
 
 def test_sigma_block_across_segment_edge(small_table):
-    # the scanner splits at multiples of 2^22; sigma must stay exact there
-    edge = 1 << 22
-    lo, hi = edge - 5, edge + 5
-    fold = robin._RobinFold()
-    fold.open(lo, hi)
-    for event in prime_power_events(lo, hi, small_table.primes.tolist()):
-        fold.add(*event)
-    block = fold.sig
-    for i, n in enumerate(range(lo, hi)):
+    # a sweep from a multiple of SEGMENT_SIZE splits at the next one; sigma
+    # must stay exact on both sides of that edge
+    edge = 2 * multiplicative.SEGMENT_SIZE
+    sigmas = {}
+
+    class Recorder(robin._RobinFold):
+        def close(self, lo, hi):
+            for n in range(max(lo, edge - 5), min(hi, edge + 5)):
+                sigmas[n] = int(self.sig[n - lo])
+            return super().close(lo, hi)
+
+    multiplicative.sweep(edge // 2, edge + 4, [Recorder()], small_table)
+    assert sorted(sigmas) == list(range(edge - 5, edge + 5))
+    for n, block in sigmas.items():
         sig, m, d = 0, n, 1
         while d * d <= m:
             if m % d == 0:
                 sig += d + (m // d if d != m // d else 0)
             d += 1
-        assert block[i] == sig
+        assert block == sig
+
+
+def test_robin_scan_memory_stays_window_sized(table):
+    # every temporary of the scan is a window's, so its peak is a few int64
+    # arrays of SEGMENT_SIZE integers however long the range is
+    tracemalloc.start()
+    try:
+        robin_scan(5041, 2_000_000, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * multiplicative.SEGMENT_SIZE * 8
 
 
 def test_serialization_golden(small_table):
