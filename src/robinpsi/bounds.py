@@ -35,12 +35,18 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-import mpmath
 import numpy as np
 
 from . import primorial
 from .errors import CoverageError
-from .primes import PrimeTable, compensated_prefix, libm_map, nth_prime_bound, require_primes
+from .primes import (
+    PrimeTable,
+    compensated_prefix,
+    libm_map,
+    mpmath,
+    nth_prime_bound,
+    require_primes,
+)
 
 # Compiled-in constants, 18 significant digits.
 EULER_GAMMA = 0.577215664901532861
@@ -308,7 +314,7 @@ def _libm_at(formula, *columns) -> Callable[[np.ndarray], np.ndarray]:
 
 def _mertens_prefix(primes: np.ndarray) -> np.ndarray:
     """Compensated prefix sums of -log(1 - 1/p) over primes, libm terms."""
-    return compensated_prefix(libm_map(lambda p: -math.log1p(-1.0 / p), primes))
+    return compensated_prefix(-libm_map(math.log1p, -1.0 / primes))
 
 
 def _mertens_margin(m, x, log_product):

@@ -11,10 +11,15 @@ n-th primorial N_n.  Prefix sums are accumulated with Neumaier compensated
 summation (compensated_prefix): the absolute error stays within a few ulps
 instead of growing linearly, which keeps log log N_n good to ~1e-12 near
 n = 10^4 where the crossover margins downstream are only ~1e-6.
+
+mpmath is the one shared handle through which bounds, robin and primorial
+reach mpmath: it imports the module on the first 60-digit recheck, so a run
+that rechecks nothing never loads it.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -23,6 +28,21 @@ import numpy as np
 from .errors import CoverageError
 
 _SEGMENT_ODDS = 1 << 17  # odd candidates per sieve segment
+
+
+class _LazyModule:
+    """A module imported on its first attribute access, then delegated to.
+    An attribute set on the handle itself, such as a patched workdps, is found
+    before __getattr__ runs, so every module holding the handle sees it."""
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+mpmath = _LazyModule("mpmath")
 
 
 @dataclass(eq=False)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .multiplicative import check_sweep, factorize, psi_over_n, sweep
-from .primes import PrimeTable, build_table, compensated_prefix, libm_map, require_primes
+from .primes import PrimeTable, build_table, compensated_prefix, libm_map, mpmath, require_primes
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
 # terms below log 2, each within a few ulp, and the sum stays below 2: its float

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .bounds import EXP_GAMMA, PRECISION_BAND, find_crossover_index, psi_ratio_mp
@@ -26,7 +25,7 @@ from .multiplicative import (
     is_t_free,
     sweep,
 )
-from .primes import PrimeTable
+from .primes import PrimeTable, mpmath
 from . import primorial
 
 RELATIVE_BAND = 1e-9

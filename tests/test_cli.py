@@ -4,12 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 import time
 
 import pytest
 
+import robinpsi
 from robinpsi import build_table, cli, robin
 from robinpsi.robin import RobinVerdict
 
@@ -401,3 +405,37 @@ def test_python_dash_m(monkeypatch, capsys):
         runpy.run_module("robinpsi", run_name="__main__")
     assert info.value.code == 64
     capsys.readouterr()
+
+
+# Small runs of the commands and the theorem pipeline, none of which reaches
+# the 60-digit band, then one forced recheck; prints the loaded flag before
+# and after it and the recheck's bits.
+_COLD_RUN = """
+import contextlib, io, sys
+import robinpsi, robinpsi.cli
+from robinpsi import build_table, cli, robin
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["table1", "--t-min", "3", "--t-max", "8"],
+                 ["robin-scan", "--from", "5041", "--to", "100000"],
+                 ["verify-bounds", "--n-max", "2300", "--t-max", "4"]):
+        assert cli.main(argv) == 0, argv
+table = build_table(1 << 17)
+assert robin.verify_tfree_robin(7, 20_000, table).passed
+print("mpmath" in sys.modules)
+margin = robin._ratio_margin_mp(7, 10596, table)
+print("mpmath" in sys.modules, margin.hex())
+"""
+
+
+def test_mpmath_loads_on_the_first_recheck_only(small_table):
+    # the test modules import mpmath themselves, so only a fresh interpreter
+    # shows what a run loads
+    src = str(pathlib.Path(robinpsi.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    margin = robin._ratio_margin_mp(7, 10596, small_table)
+    assert done.stdout.split() == ["False", "True", margin.hex()]

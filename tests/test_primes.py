@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robinpsi import CoverageError, build_table, compensated_prefix
+from robinpsi import CoverageError, bounds, build_table, compensated_prefix, primorial, robin
 from robinpsi.bounds import _mertens_prefix
 from robinpsi.primes import PrimeTable, require_primes
+from robinpsi.primes import mpmath as mpmath_handle
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -173,5 +174,31 @@ def test_compensated_prefix_matches_scalar_neumaier(xs):
 def test_table_prefixes_match_scalar_neumaier(small_table):
     primes = small_table.primes.tolist()
     assert _bits(small_table.theta_prefix) == _bits(_neumaier_prefix(map(math.log, primes)))
-    mertens = _neumaier_prefix(-math.log1p(-1.0 / p) for p in primes)
-    assert _bits(_mertens_prefix(small_table.primes)) == _bits(mertens)
+
+
+def test_mertens_prefix_matches_scalar_formula(table):
+    # numpy's float64 division and negation round as Python's do, so the
+    # vectorised terms leave every prefix bit of the per-prime formula intact
+    primes = table.primes[: np.searchsorted(table.primes, 10**6, side="right")]
+    assert len(primes) == 78498
+    mertens = _neumaier_prefix(-math.log1p(-1.0 / p) for p in primes.tolist())
+    assert _bits(_mertens_prefix(primes)) == _bits(mertens)
+
+
+def test_one_mpmath_handle_serves_every_recheck(small_table, monkeypatch):
+    # a workdps set on the shared handle is entered by the 60-digit rechecks
+    # of bounds, robin and primorial, so one stand-in counts every recheck
+    assert bounds.mpmath is robin.mpmath is primorial.mpmath is mpmath_handle
+    entered = []
+    workdps = mpmath_handle.workdps
+    monkeypatch.setattr(mpmath_handle, "workdps", lambda dps: entered.append(dps) or workdps(dps))
+    assert bounds._mertens_margin_mp(1000, small_table) > 0
+    assert entered == [60]
+    assert robin._ratio_margin_mp(7, 10596, small_table) > 0
+    assert entered == [60, 60]
+    monkeypatch.setattr(robin, "RELATIVE_BAND", 10.0)  # every margin is within 10 n of 0
+    assert robin.robin_scan(5041, 5100, small_table) == []  # no violator
+    assert len(entered) == 2 + 60  # one recheck per n of 5041..5100
+    monkeypatch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
+    assert primorial.reduction_check(300, 3)
+    assert len(entered) > 62 and set(entered) == {60}
