@@ -409,10 +409,10 @@ def _psi_ratio_screen(
     """Estimates of _psi_ratio_margin for n_min <= n <= len(primes), primes
     as float64 and scale = numpy _psi_ratio_scale at p_n_min.., and beta.
 
-    The terms here are plain numpy (1 - p^(1-t)) / (p - 1): p^(1-t) <= 1/2 is
-    within 16 ulp, so 1 - p^(1-t) and the quotient are within 17 2^-52 of
-    the exact term, and 17.5 2^-52 of the libm column's correctly rounded
-    one.  log1p keeps that relative error and adds 17 ulp, and each
+    The terms here are primorial.log_terms, plain numpy
+    log1p((1 - p^(1-t)) / (p - 1)): p^(1-t) <= 1/2 is within 16 ulp, so
+    1 - p^(1-t) and the quotient are within 17 2^-52 of the exact term, and
+    17.5 2^-52 of the libm column's correctly rounded one.  log1p keeps that relative error and adds 17 ulp, and each
     compensated sum is within 2u of its terms' exact sum, so the sums L
     (here) and the libm column's differ by under 36.5 2^-52 L; the two exps
     add 17 ulp of R = exp(L).  The scales differ by under 37 2^-52 of
@@ -421,8 +421,7 @@ def _psi_ratio_screen(
     and the sweep's comparisons with beta add under 4u |estimate|:
     beta = 2^-52 (42 B + R (37 L + 17)) + 2^-51 |estimate|.
     """
-    terms = (1.0 - primes ** (1.0 - t)) / (primes - 1.0)
-    logs = compensated_prefix(np.log1p(terms))[n_min:]
+    logs = compensated_prefix(primorial.log_terms(primes, t))[n_min:]
     bound = scale / zeta(t).value
     ratio = np.exp(logs)
     est = bound - ratio

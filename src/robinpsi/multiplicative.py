@@ -15,9 +15,12 @@ batched events of index arrays, their offsets from one vectorised modulo
 83, 2014), and the leftover cofactors come last, by an index array too.
 `sweep` is the one window loop: it bounds the range with `check_sweep`
 before any sieving, forms the kernel's plan of the base primes once, and
-hands each window's events to one or more folds, such as the sigma fold of
-`robin`, the log-ratio fold of `primorial` and `BridgeFold` here, which may
-stop it early.
+hands each window's events to one fold, such as the sigma fold of `robin` or
+the log-ratio fold of `primorial`, which may stop it early.
+
+The bridge sigma(n) <= psi_t(n) on t-free n needs no sweep: both sides are
+multiplicative, so `verify_sigma_le_psi` decides it on the local pairs
+(p, e), and counts the t-free n and the equality cases by Moebius sums.
 """
 
 from __future__ import annotations
@@ -201,15 +204,14 @@ def _batched_events(
         p, off, exp = p[head], off[head], exp[head]
 
 
-def sweep(start: int, stop: int, folds: list, table: PrimeTable | None = None) -> None:
-    """Fold every n in [start, stop] into each fold, one window of
-    SEGMENT_SIZE integers at a time, once check_sweep has passed.
+def sweep(start: int, stop: int, fold, table: PrimeTable | None = None) -> None:
+    """Fold every n in [start, stop] into fold, one window of SEGMENT_SIZE
+    integers at a time, once check_sweep has passed.
 
     Base primes come from table, which must reach sqrt(stop), or from a new
     table when it is None; the kernel's plan of them is formed once.  On each
-    window [lo, hi) every fold gets open(lo, hi), add(p, where, exponents) per
-    kernel event, then close(lo, hi), in list order; a fold whose close
-    returns True is done, and the sweep stops once every fold is done.
+    window [lo, hi) the fold gets open(lo, hi), add(p, where, exponents) per
+    kernel event, then close(lo, hi); the sweep stops once close returns True.
     """
     check_sweep(start, stop)
     root = math.isqrt(stop)
@@ -224,14 +226,11 @@ def sweep(start: int, stop: int, folds: list, table: PrimeTable | None = None) -
     plan = KernelPlan(base_primes, min(SEGMENT_SIZE, stop - start + 1))
     for lo in range(start, stop + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, stop + 1)
-        for fold in folds:
-            fold.open(lo, hi)
+        fold.open(lo, hi)
         for event in prime_power_events(lo, hi, plan):
-            for fold in folds:
-                fold.add(*event)
-        del event  # free the last event's arrays before any fold closes the window
-        folds = [fold for fold in folds if not fold.close(lo, hi)]
-        if not folds:
+            fold.add(*event)
+        del event  # free the last event's arrays before the fold closes the window
+        if fold.close(lo, hi):
             break
 
 
@@ -304,97 +303,52 @@ def _iroot(n: int, k: int) -> int:
     return m
 
 
-class BridgeFold:
-    """The sweep fold of sigma(n) <= psi_t(n) over t-free n: one t-free flag
-    per n and local pair decisions, counted up to the least failing n.
-
-    Both sides are products over the prime powers p^e exactly dividing n, so
-    the inequality holds on n when it holds on each local pair (p, e), and is
-    an equality on n iff it is one on every pair.  A pair with e <= t - 1 is
-    decided once, in exact integers: sigma(p^e) p^(t-1) (p - 1) <= p^e (p^t - 1),
-    with equality iff e = t - 1.  Every n with an exponent >= t has its flag
-    cleared: the multiples of p^t for a base prime with its own event, the
-    entries with exponent >= t in a batched event (t = 2 included).  n is
-    then an equality iff every exponent is t - 1, that is n = m^(t-1)
-    with m squarefree, which holds iff m^(t-1) is t-free (for t = 2, iff n is).
-    Every pair occurs alone at n = p^e, so the least failing n is the least
-    p^e of a failing pair, and the counts stop there.
-    """
-
-    def __init__(self, t: int) -> None:
-        self.t = t
-        self.decided: dict[int, int] = {}  # base prime -> largest exponent decided
-        self.cofactor_decided = False
-        self.failure: dict[str, int] = {}  # {field: p^e} of the least failing pair
-        self.checked = 0
-        self.equalities = 0
-
-    def open(self, lo: int, hi: int) -> None:
-        self.lo = lo
-        self.root = math.isqrt(hi - 1)  # base primes are at most root, cofactors above
-        self.free = np.ones(hi - lo, dtype=bool)
-
-    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
-        if isinstance(p, int):
-            e_max = int(exp.max())
-            if e_max >= self.t:  # a multiple of p^t lies in the window
-                pt = p**self.t
-                self.free[(-self.lo) % pt :: pt] = False
-            self._decide(p, e_max)
-        elif p.size and p[0] <= self.root:  # batched base primes
-            # A batched prime q is at most sqrt(hi - 1), so q^2 lies in any
-            # window that holds q: deciding the pairs up to each exponent >= 2
-            # decides (q, 1) in the window of its n = q too.
-            deep = np.flatnonzero(exp >= 2)
-            self.free[where[deep[exp[deep] >= self.t]]] = False  # p^t divides these n
-            for q, e in zip(p[deep].tolist(), exp[deep].tolist()):
-                self._decide(q, e)
-        elif not self.cofactor_decided:
-            # For a prime q, sigma(q) q^(t-1) (q - 1) - q (q^t - 1) = q - q^(t-1):
-            # every pair (q, 1) has one verdict, which holds for t >= 2, with
-            # equality iff t = 2.  The least cofactor prime that is n itself,
-            # the least n a failing (q, 1) could be, decides it once per sweep;
-            # the cofactor offsets ascend, so it is the first such.
-            prime = p == self.lo + where
-            first = int(prime.argmax())
-            if prime[first]:
-                self._decide(int(p[first]), 1)
-                self.cofactor_decided = True
-
-    def _decide(self, q: int, e: int) -> None:
-        """Decide each pair (q, k), k <= min(e, t - 1), not decided yet."""
-        done = self.decided.get(q, 0)
-        top = min(e, self.t - 1)
-        for k in range(done + 1, top + 1):
-            field = _bridge_failure(q, k, self.t)
-            if field and all(q**k < n for n in self.failure.values()):
-                self.failure = {field: q**k}
-        self.decided[q] = max(done, top)
-
-    def close(self, lo: int, hi: int) -> bool:
-        """Count the window's t-free n and equalities; True once a pair failed."""
-        free = self.free
-        del self.free
-        stop = min(self.failure.values(), default=hi) - lo
-        self.checked += int(np.count_nonzero(free[: stop + 1]))
-        k = self.t - 1
-        if k == 1:
-            self.equalities += int(np.count_nonzero(free[:stop]))
-        else:  # the m^k in [lo, lo + stop)
-            ms = np.arange(_iroot(lo - 1, k) + 1, _iroot(lo + min(stop, hi - lo) - 1, k) + 1)
-            self.equalities += int(np.count_nonzero(free[ms**k - lo]))
-        return bool(self.failure)
-
-    def report(self, limit: int) -> BridgeReport:
-        return BridgeReport(self.t, limit, self.checked, self.equalities, **self.failure)
+def _tfree_count(x: int, t: int, primes: np.ndarray) -> int:
+    """The number of t-free n in [1, x], sum over d <= x^(1/t) of
+    mu(d) floor(x / d^t), with primes holding every prime up to x^(1/t)."""
+    top = _iroot(x, t)
+    mu = np.ones(top + 1, dtype=np.int64)
+    for p in primes[: np.searchsorted(primes, top, side="right")].tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    d = np.arange(1, top + 1, dtype=np.int64)
+    return int(mu[1:] @ (x // d**t))
 
 
 def verify_sigma_le_psi(limit: int, t: int) -> BridgeReport:
-    """Exact sweep of sigma(n) <= psi_t(n) over every t-free n <= limit."""
+    """Exact check of sigma(n) <= psi_t(n) over every t-free n <= limit.
+
+    Both sides are products over the prime powers p^e exactly dividing n, so
+    the inequality holds on n when it holds on each local pair (p, e), and is
+    an equality on n iff it is one on every pair.  _bridge_failure decides
+    a pair in exact integers: sigma(p^e) p^(t-1) (p - 1) <= p^e (p^t - 1),
+    with equality iff e = t - 1.  It gets every pair with p <= sqrt(limit),
+    e <= t - 1 and p^e <= limit, and one pair (q, 1) for the larger primes.
+    Every pair occurs alone at n = p^e, so the least failing n is the least
+    p^e of a failing pair.  Up to it the t-free n are counted in closed form,
+    and so are the equalities: n = m^(t-1) with m squarefree.
+    """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    bridge = BridgeFold(t)
-    sweep(1, limit, [bridge])
-    return bridge.report(limit)
+    check_sweep(1, limit)
+    root = math.isqrt(limit)
+    primes = build_table(2 * root + 2).primes  # by Bertrand, a prime lies in (root, 2 root]
+    above = np.searchsorted(primes, root, side="right")
+    failures = []  # (p^e, field) of each failing pair
+    for p in primes[:above].tolist():
+        e, pe = 1, p
+        while e < t and pe <= limit:
+            if field := _bridge_failure(p, e, t):
+                failures.append((pe, field))
+            e, pe = e + 1, pe * p
+    # For a prime q, sigma(q) q^(t-1) (q - 1) - q (q^t - 1) = q - q^(t-1): every
+    # pair (q, 1) has one verdict, so the least prime above root decides them
+    q = int(primes[above])
+    if q <= limit and (field := _bridge_failure(q, 1, t)):
+        failures.append((q, field))
+    failing, field = min(failures, default=(None, None))
+    checked = _tfree_count(failing or limit, t, primes)
+    equalities = _tfree_count(_iroot(failing - 1 if failing else limit, t - 1), 2, primes)
+    return BridgeReport(t, limit, checked, equalities, **({field: failing} if failing else {}))

@@ -90,7 +90,7 @@ def cursor_advance(*_args: object, **_kwargs: object) -> None:
     )
 
 
-def _log_terms(p: int | np.ndarray, t: int) -> np.floating | np.ndarray:
+def log_terms(p: int | np.ndarray, t: int) -> np.floating | np.ndarray:
     """log(1 + 1/p + ... + 1/p^(t-1)) = log1p((1 - p^(1-t)) / (p - 1)) in float64."""
     q = np.asarray(p, dtype=np.float64)
     return np.log1p((1.0 - q ** (1 - t)) / (q - 1.0))
@@ -98,7 +98,7 @@ def _log_terms(p: int | np.ndarray, t: int) -> np.floating | np.ndarray:
 
 class _LogRatioFold:
     """The sweep fold of the champion and reduction screens: log(psi_t(n)/n)
-    of each window in float64, the sum of _log_terms over the primes p | n,
+    of each window in float64, the sum of log_terms over the primes p | n,
     handed to screen(lo, logs) as the window closes; screen's return value
     is close's."""
 
@@ -112,10 +112,10 @@ class _LogRatioFold:
 
     def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
         if not isinstance(p, int):
-            self.logs[where] += _log_terms(p, self.t)
+            self.logs[where] += log_terms(p, self.t)
             return
         if p not in self.terms:
-            self.terms[p] = _log_terms(p, self.t)
+            self.terms[p] = log_terms(p, self.t)
         self.logs[where] += self.terms[p]
 
     def close(self, lo: int, hi: int) -> bool:
@@ -157,7 +157,7 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
         top = running[-1]
         return False
 
-    sweep(1, limit, [_LogRatioFold(t, screen)], table)
+    sweep(1, limit, _LogRatioFold(t, screen), table)
     return out
 
 
@@ -214,5 +214,5 @@ def reduction_check(limit: int, t: int) -> bool:
                 return True
         return False
 
-    sweep(6, limit, [_LogRatioFold(t, screen)], table)
+    sweep(6, limit, _LogRatioFold(t, screen), table)
     return not failed

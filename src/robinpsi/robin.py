@@ -3,9 +3,9 @@
 The inequality under test is sigma(n) < e^gamma * n * log log n for n >= 5041.
 sigma over a scan range is an int64 fold of the prime-power peeling kernel,
 run by the window loop `multiplicative.sweep`, never per-integer
-factorization; the t-free pipeline hands that loop the sigma fold and the
-bridge fold together, so branches (a) and (c) share one kernel pass.  Any
-verdict whose float margin is within n * 1e-9 of zero is recomputed at 60
+factorization.  The t-free pipeline checks the bridge (c) first, which
+needs no sweep and bounds the range before any sieving, then scans for (a).
+Any verdict whose float margin is within n * 1e-9 of zero is recomputed at 60
 significant digits before being trusted.
 """
 
@@ -19,11 +19,11 @@ import numpy as np
 from .bounds import EXP_GAMMA, PRECISION_BAND, find_crossover_index, psi_ratio_mp
 from .multiplicative import (
     MAX_SCAN_STOP,
-    BridgeFold,
     BridgeReport,
     factorize,
     is_t_free,
     sweep,
+    verify_sigma_le_psi,
 )
 from .primes import PrimeTable, mpmath
 from . import primorial
@@ -130,7 +130,7 @@ def robin_scan(start: int, stop: int, table: PrimeTable) -> list[RobinVerdict]:
     if stop < start:
         raise ValueError(f"empty scan range [{start}, {stop}]")
     robin = _RobinFold()
-    sweep(start, stop, [robin], table)
+    sweep(start, stop, robin, table)
     return robin.violators
 
 
@@ -173,16 +173,18 @@ def _ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
 
 
 def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheoremReport:
-    """Run all three branches, (a) and (c) in one sweep over [1, scan_limit]
-    with primes from table; any falsification is reported with a witness
-    integer rather than raised."""
+    """Run all three branches: (c) first, whose budget check raises before
+    any sieving, then (a), a scan of [3, scan_limit] with primes from table,
+    then (b); any falsification is reported with a witness integer rather
+    than raised."""
     if t not in (6, 7):
         raise ValueError(f"the pipeline is stated for t in {{6, 7}}, got {t}")
     if scan_limit < 5041:
         raise ValueError(f"scan limit must reach past 5040, got {scan_limit}")
-    bridge_fold, robin = BridgeFold(t), _RobinFold()
-    sweep(1, scan_limit, [bridge_fold, robin], table)  # one kernel pass for (a) and (c)
-    violators = robin.violators
+    bridge = verify_sigma_le_psi(scan_limit, t)
+    branch_c = bridge.violation is None
+
+    violators = robin_scan(3, scan_limit, table)
     above = tuple(
         v.n for v in violators if v.n > 5040 and is_t_free(factorize(v.n, table), t)
     )
@@ -195,9 +197,6 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
     if abs(margin) < PRECISION_BAND:
         margin = _ratio_margin_mp(t, n1, table)
     branch_b = margin > 0.0
-
-    bridge = bridge_fold.report(scan_limit)
-    branch_c = bridge.violation is None
 
     witness: int | None = None
     if above:

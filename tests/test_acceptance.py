@@ -8,6 +8,7 @@ sweeps reuse one sieve build.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robinpsi import (
@@ -77,12 +78,12 @@ def test_criterion_3_robin_scan(table, capsys):
         _verdict(3, "exhaustive scan to 1e7", ok)
 
 
-def _squarefree_flags(limit):
-    # flags[m] is False once some square d^2 > 1 is crossed off at m
-    flags = [True] * (limit + 1)
+def _tfree_flags(limit, t):
+    # flags[m] is False where some d^t > 1 divides m, that is some p^t
+    flags = np.ones(limit + 1, dtype=bool)
     d = 2
-    while d * d <= limit:
-        flags[d * d :: d * d] = [False] * len(range(d * d, limit + 1, d * d))
+    while d**t <= limit:
+        flags[d**t :: d**t] = False
         d += 1
     return flags
 
@@ -94,12 +95,13 @@ def test_criterion_4_bridge_inequality(t, capsys):
     # equality cases are exactly the (t-1)-th powers of squarefree integers
     expected_eq = 0
     m = 1
-    squarefree = _squarefree_flags(10**6)
+    squarefree = _tfree_flags(10**6, 2)
     while m ** (t - 1) <= 10**6:
         if squarefree[m]:
             expected_eq += 1
         m += 1
     ok = ok and report.equalities == expected_eq
+    ok = ok and report.checked == np.count_nonzero(_tfree_flags(10**6, t)[1:])
     with capsys.disabled():
         _verdict(4, f"sigma <= psi bridge at 1e6, t={t}", ok)
 

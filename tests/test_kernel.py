@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from robinpsi import (
     ResourceError,
+    build_table,
     champion_scan,
     reduction_check,
     robin_scan,
@@ -211,7 +212,7 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(5041, 30_000), st.sampled_from([6, 7]))
 def test_tfree_pass_matches_separate_sweeps(small_table, limit, t):
-    # one fused sweep against the sigma scan and the bridge sweep run apart
+    # the pipeline's branches (a) and (c) against robin_scan and the bridge
     report = verify_tfree_robin(t, limit, small_table)
     violators = robin_scan(3, limit, small_table)
     assert report.violators_found == len(violators)
@@ -228,8 +229,9 @@ def test_tfree_pass_matches_separate_sweeps(small_table, limit, t):
         lambda limit: champion_scan(limit, 2),
         lambda limit: verify_sigma_le_psi(limit, 3),
         lambda limit: reduction_check(limit, 2),
+        lambda limit: verify_tfree_robin(6, limit, build_table(100)),
     ],
-    ids=["champion_scan", "verify_sigma_le_psi", "reduction_check"],
+    ids=["champion_scan", "verify_sigma_le_psi", "reduction_check", "verify_tfree_robin"],
 )
 def test_sweep_limits(sweep):
     # both guards come before any sieving, so each call returns at once
@@ -240,6 +242,14 @@ def test_sweep_limits(sweep):
     with pytest.raises(ResourceError, match="budget"):
         sweep(MAX_SPAN + 6)
     assert time.perf_counter() - start < 1.0
+
+
+def test_tfree_budget_check_comes_before_the_scan(monkeypatch):
+    # robin_scan(3, MAX_SPAN + 1) spans MAX_SPAN - 1 integers and would pass
+    # its own check; the bridge's check over [1, MAX_SPAN + 1] must raise first
+    monkeypatch.setattr(robin, "robin_scan", lambda *args: pytest.fail("scanned first"))
+    with pytest.raises(ResourceError, match="budget"):
+        verify_tfree_robin(6, MAX_SPAN + 1, build_table(100))
 
 
 @pytest.mark.parametrize("t", [2, 7])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import accumulate
 from fractions import Fraction
 
 import numpy as np
@@ -190,18 +191,18 @@ def test_bridge_sweep_counts_tfree_only():
     )
 
 
-@pytest.mark.parametrize("segment", [None, 997])
-def test_bridge_counts_match_factorization_oracle(monkeypatch, segment):
-    # t-free n and equality cases (every exponent t - 1) counted by trial division
-    if segment:
-        monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", segment)
-    limit = 5000
-    exponents = [[e for _, e in _factor_by_division(n)] for n in range(1, limit + 1)]
-    for t in (2, 3, 4, 6, 7):
-        report = verify_sigma_le_psi(limit, t)
-        assert report.passed
-        assert report.checked == sum(all(e < t for e in es) for es in exponents)
-        assert report.equalities == sum(all(e == t - 1 for e in es) for es in exponents)
+def test_bridge_counts_match_factorization_oracle():
+    # t-free n and equality cases (every exponent t - 1) counted by trial
+    # division, at every limit up to 200 and at 5000
+    exponents = [[e for _, e in _factor_by_division(n)] for n in range(1, 5001)]
+    for t in range(2, 9):
+        checked = list(accumulate(all(e < t for e in es) for es in exponents))
+        equalities = list(accumulate(all(e == t - 1 for e in es) for es in exponents))
+        for limit in [*range(1, 201), 5000]:
+            report = verify_sigma_le_psi(limit, t)
+            assert report.passed
+            assert report.checked == checked[limit - 1]
+            assert report.equalities == equalities[limit - 1]
 
 
 @pytest.mark.parametrize(
@@ -231,8 +232,9 @@ def test_bridge_sweep_stops_at_least_failing_pair(
 @pytest.mark.parametrize("segment, failing", [(None, 7), (20, 49)])
 def test_bridge_decides_the_pairs_of_batched_primes(monkeypatch, segment, failing):
     # 7 has at most BATCH_MULTIPLES multiples in the window [1, 100], and in the
-    # window [41, 60] of a sweep in windows of 20, so its pairs (7, 1) and (7, 2)
-    # come from batched events there; each is decided in the window of its n
+    # window [41, 60] of a sweep in windows of 20, so a sweep would see its
+    # pairs (7, 1) and (7, 2) only in batched events; the bridge decides every
+    # pair without a sweep, whatever the window size
     if segment:
         monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", segment)
     assert min(multiplicative.SEGMENT_SIZE, 100) // multiplicative.BATCH_MULTIPLES < 7

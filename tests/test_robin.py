@@ -138,7 +138,7 @@ def test_sigma_block_across_segment_edge(small_table):
                 sigmas[n] = int(self.sig[n - lo])
             return super().close(lo, hi)
 
-    multiplicative.sweep(edge // 2, edge + 4, [Recorder()], small_table)
+    multiplicative.sweep(edge // 2, edge + 4, Recorder(), small_table)
     assert sorted(sigmas) == list(range(edge - 5, edge + 5))
     for n, block in sigmas.items():
         sig, m, d = 0, n, 1
