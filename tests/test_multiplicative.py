@@ -191,9 +191,13 @@ def test_bridge_sweep_counts_tfree_only():
     )
 
 
-def test_bridge_counts_match_factorization_oracle():
+@pytest.mark.parametrize("segment", [None, 997])
+def test_bridge_counts_match_factorization_oracle(monkeypatch, segment):
     # t-free n and equality cases (every exponent t - 1) counted by trial
-    # division, at every limit up to 200 and at 5000
+    # division, at every limit up to 200 and at 5000; the bridge does not
+    # sweep, so its counts must not depend on the window size
+    if segment:
+        monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", segment)
     exponents = [[e for _, e in _factor_by_division(n)] for n in range(1, 5001)]
     for t in range(2, 9):
         checked = list(accumulate(all(e < t for e in es) for es in exponents))
