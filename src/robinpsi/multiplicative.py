@@ -7,12 +7,13 @@ arithmetic.  Floats only appear downstream in the log-space modules.
 
 Every sweep over a range of integers factors it with one kernel,
 `prime_power_events`, which peels prime powers from a window of SEGMENT_SIZE
-integers in numpy.  A base prime with many multiples in the window has its
-own event, a slice of its multiples, and divides them out through strided
-views.  The base primes with at most BATCH_MULTIPLES multiples share a few
-batched events of index arrays, their offsets from one vectorised modulo
+integers in numpy.  A base prime with many multiples in the window has one
+strided event per power p^k, a slice of its multiples, and divides them out
+through strided views.  The base primes with at most BATCH_MULTIPLES
+multiples share one array event, their offsets from one vectorised modulo
 (after the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
-83, 2014), and the leftover cofactors come last, by an index array too.
+83, 2014), an offset once per such prime of its n; the leftover cofactors
+come last, by an index array too.  Folds apply array events with ufunc.at.
 `sweep` is the one window loop: it bounds the range with `check_sweep`
 before any sieving, forms the kernel's plan of the base primes once, and
 hands each window's events to one fold, such as the sigma fold of `robin` or
@@ -33,13 +34,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CoverageError, ResourceError
-from .primes import PrimeTable, build_table
+from .primes import PrimeTable, _segmented_primes, build_table
 
 # Integers per window of a range sweep.  A window's int64 array takes 1 MB, so
 # the kernel's strided passes stay in a core's L2 cache, and a few such arrays
 # are a sweep's peak memory however long its range.
 SEGMENT_SIZE = 1 << 17
-BATCH_MULTIPLES = 16  # base primes with at most this many multiples in a window are batched
+BATCH_MULTIPLES = 64  # base primes with at most this many multiples in a window are batched
 MAX_SPAN = 10**9  # most integers one sweep may cover
 # Up to 2^50, n and sigma(n) < 8n stay below 2^53, exact in float64 and int64,
 # and a sweep needs base primes only to 2^25.
@@ -120,23 +121,25 @@ class KernelPlan:
 
 def prime_power_events(
     lo: int, hi: int, plan: KernelPlan
-) -> Iterator[tuple[int | np.ndarray, slice | np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int | np.ndarray, slice | np.ndarray, int | np.ndarray]]:
     """Peel every n in [lo, hi) into its prime powers.
 
-    Each event (p, where, exponents) says that p^exponents[i] exactly divides
-    the n at the i-th offset of where; exponents are int8.  The base primes
-    p <= sqrt(hi - 1) up to (hi - lo) // BATCH_MULTIPLES, each with at least
-    BATCH_MULTIPLES multiples in the window, come first, ascending, one event
-    each: p is an int and where = slice(s, None, p), the offsets of its
-    multiples.  The larger base primes, with at most BATCH_MULTIPLES
-    multiples each, follow in batched events: p is an int64 array of primes
-    and where an int64 array of ascending, unique offsets; the k-th batched
-    event holds the k-th smallest of these primes of each n that has k.  A
-    last event (cofactors, where, ones) covers what is left of each n once
-    the base primes are divided out: the prime cofactors[i] divides
-    lo + where[i] to the first power.  numpy indexes a window the same way
-    with either kind of where.  plan must hold every prime up to
-    sqrt(hi - 1).
+    The base primes p <= sqrt(hi - 1) up to (hi - lo) // BATCH_MULTIPLES,
+    each with at least BATCH_MULTIPLES multiples in the window, come first,
+    ascending, one strided event per power: (p, slice(s, None, p^k), k) for
+    k = 1, 2, ... while p^k has a multiple in the window, s its offset.  So
+    p^k divides the n at each offset of the k-th event, and the exponent of
+    p in n is the number of p's events that reach it.  The larger base
+    primes, with at most BATCH_MULTIPLES multiples each, share one array
+    event (primes, offsets, exponents), prime by prime, ascending: the prime
+    primes[i] exactly divides lo + offsets[i] to the power exponents[i], an
+    int8, and an offset repeats where several of them divide one n.  A last
+    array event (cofactors, offsets, ones) covers what is left of each n once
+    the base primes are divided out, each offset once: the prime cofactors[i]
+    divides lo + offsets[i] to the first power.  numpy indexes a window the
+    same way with either kind of where; a fold applies an array event with
+    ufunc.at, which takes repeated offsets one after the other in index
+    order.  plan must hold every prime up to sqrt(hi - 1).
     """
     size = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
@@ -148,21 +151,19 @@ def prime_power_events(
     primes = plan.primes[: np.searchsorted(plan.primes, root, side="right")]
     count = min(len(plan.small), np.searchsorted(primes, size // BATCH_MULTIPLES, side="right"))
     for p, inverse in zip(plan.small[:count], plan.inverses):
-        s = (-lo) % p  # p <= size, so p has a multiple in the window
-        exp = np.zeros((size - s + p - 1) // p, dtype=np.int8)
-        pk = p
+        pk, k = p, 1
         while (sk := (-lo) % pk) < size:  # p^k has a multiple in the window
             view = urem[sk::pk]
             if inverse is None:
                 view >>= 1
             else:
                 view *= inverse
-            exp[(sk - s) // p :: pk // p] += 1
-            pk *= p
-        yield p, slice(s, None, p), exp
+            yield p, slice(sk, None, pk), k
+            pk, k = pk * p, k + 1
     view = None  # the last view held the window too; rem alone keeps it now
-    for p, off, exp in _batched_events(lo, hi, primes[count:]):
-        rem[off] //= p**exp  # p^e <= n, and the offsets are unique
+    p, off, exp = _batched_event(lo, hi, primes[count:])
+    if p.size:
+        np.floor_divide.at(rem, off, p**exp)  # p^e <= n
         yield p, off, exp
     left = np.flatnonzero(rem > 1)
     cofactors = rem[left]
@@ -170,10 +171,10 @@ def prime_power_events(
     yield cofactors, left, np.ones(left.size, dtype=np.int8)
 
 
-def _batched_events(
+def _batched_event(
     lo: int, hi: int, primes: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The batched events of prime_power_events for these base primes, each
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batched event of prime_power_events for these base primes, each
     at most sqrt(hi - 1) and with at most a few multiples in [lo, hi)."""
     size = hi - lo
     s = (-lo) % primes  # the offset of each prime's first multiple
@@ -194,14 +195,7 @@ def _batched_events(
         deep = deep[(lo + off[deep]) % p[deep] ** k == 0]
         exp[deep] += 1
         k += 1
-    order = np.argsort(off, kind="stable")  # by offset, then by prime
-    p, off, exp = p[order], off[order], exp[order]
-    while p.size:
-        head = np.ones(p.size, dtype=bool)  # the least remaining prime of each n
-        np.not_equal(off[1:], off[:-1], out=head[1:])
-        yield p[head], off[head], exp[head]
-        head = ~head
-        p, off, exp = p[head], off[head], exp[head]
+    return p, off, exp
 
 
 def sweep(start: int, stop: int, fold, table: PrimeTable | None = None) -> None:
@@ -210,8 +204,8 @@ def sweep(start: int, stop: int, fold, table: PrimeTable | None = None) -> None:
 
     Base primes come from table, which must reach sqrt(stop), or from a new
     table when it is None; the kernel's plan of them is formed once.  On each
-    window [lo, hi) the fold gets open(lo, hi), add(p, where, exponents) per
-    kernel event, then close(lo, hi); the sweep stops once close returns True.
+    window [lo, hi) the fold gets open(lo, hi), add(p, where, exp) per kernel
+    event, then close(lo, hi); the sweep stops once close returns True.
     """
     check_sweep(start, stop)
     root = math.isqrt(stop)
@@ -334,7 +328,7 @@ def verify_sigma_le_psi(limit: int, t: int) -> BridgeReport:
         raise ValueError(f"need limit >= 1, got {limit}")
     check_sweep(1, limit)
     root = math.isqrt(limit)
-    primes = build_table(2 * root + 2).primes  # by Bertrand, a prime lies in (root, 2 root]
+    primes = _segmented_primes(2 * root + 2)  # by Bertrand, a prime lies in (root, 2 root]
     above = np.searchsorted(primes, root, side="right")
     failures = []  # (p^e, field) of each failing pair
     for p in primes[:above].tolist():

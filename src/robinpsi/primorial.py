@@ -100,7 +100,11 @@ class _LogRatioFold:
     """The sweep fold of the champion and reduction screens: log(psi_t(n)/n)
     of each window in float64, the sum of log_terms over the primes p | n,
     handed to screen(lo, logs) as the window closes; screen's return value
-    is close's."""
+    is close's.
+
+    A base prime adds its term on its first strided event only, the one of
+    p^1.  Array events add theirs with np.add.at, in index order, so each n
+    sums its terms in ascending order of its primes."""
 
     def __init__(self, t: int, screen) -> None:
         self.t = t
@@ -110,13 +114,13 @@ class _LogRatioFold:
     def open(self, lo: int, hi: int) -> None:
         self.logs = np.zeros(hi - lo)
 
-    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
+    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: int | np.ndarray) -> None:
         if not isinstance(p, int):
-            self.logs[where] += log_terms(p, self.t)
-            return
-        if p not in self.terms:
-            self.terms[p] = log_terms(p, self.t)
-        self.logs[where] += self.terms[p]
+            np.add.at(self.logs, where, log_terms(p, self.t))
+        elif exp == 1:
+            if p not in self.terms:
+                self.terms[p] = log_terms(p, self.t)
+            self.logs[where] += self.terms[p]
 
     def close(self, lo: int, hi: int) -> bool:
         logs = self.logs
@@ -147,14 +151,18 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
 
     def screen(lo: int, logs: np.ndarray) -> bool:
         nonlocal best, top
-        running = np.maximum(np.maximum.accumulate(logs), top)
-        for i in np.flatnonzero(logs >= running - LOG_RATIO_BAND).tolist():
+        # a value below top - LOG_RATIO_BAND is never kept and never lifts the
+        # running maximum past top, so the maxima of the rest decide the same
+        near = np.flatnonzero(logs >= top - LOG_RATIO_BAND)
+        running = np.maximum(np.maximum.accumulate(logs[near]), top)
+        for i in near[logs[near] >= running - LOG_RATIO_BAND].tolist():
             m = lo + i
             r = psi_over_n(factorize(m, table), t)
             if r > best or (r == best and not strict):
                 out.append(m)
                 best = r
-        top = running[-1]
+        if near.size:
+            top = running[-1]
         return False
 
     sweep(1, limit, _LogRatioFold(t, screen), table)

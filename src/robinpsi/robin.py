@@ -18,7 +18,6 @@ import numpy as np
 
 from .bounds import EXP_GAMMA, PRECISION_BAND, find_crossover_index, psi_ratio_mp
 from .multiplicative import (
-    MAX_SCAN_STOP,
     BridgeReport,
     factorize,
     is_t_free,
@@ -63,32 +62,31 @@ def _verdict_from_sigma(n: int, sig: int) -> RobinVerdict:
     )
 
 
-def _sigma_powers(p: int) -> np.ndarray:
-    """sigma(p^e) for e = 0, 1, ... while p^e <= 2^50, as int64."""
-    out = [1]
-    pe = p
-    while pe <= MAX_SCAN_STOP:
-        out.append(out[-1] + pe)
-        pe *= p
-    return np.array(out, dtype=np.int64)
-
-
 class _RobinFold:
     """The sweep fold of the Robin scans: int64 sigma(n) of each window, exact
-    up to 2^50, then the violators among its n >= 3, ascending."""
+    up to 2^50, then the violators among its n >= 3, ascending.
+
+    The k-th strided event of a base prime p turns the factor sigma(p^(k-1))
+    of each n it reaches into sigma(p^k), Python ints, by an exact division
+    and a product; array events multiply in with np.multiply.at, so an n hit
+    by several batched primes takes each factor in turn."""
 
     def __init__(self) -> None:
         self.violators: list[RobinVerdict] = []
-        self.local: dict[int, np.ndarray] = {}  # p -> sigma(p^e) for p^e <= 2^50, once per sweep
 
     def open(self, lo: int, hi: int) -> None:
         self.sig = np.ones(hi - lo, dtype=np.int64)
 
-    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: np.ndarray) -> None:
+    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: int | np.ndarray) -> None:
         if isinstance(p, int):
-            if p not in self.local:
-                self.local[p] = _sigma_powers(p)
-            self.sig[where] *= self.local[p][exp]
+            if exp == 1:
+                self.sig[where] *= p + 1
+                return
+            # sigma(p^k) = p sigma(p^(k-1)) + 1, and both factors divide sigma(n) < 2^53
+            below = (p**exp - 1) // (p - 1)
+            view = self.sig[where]
+            view //= below
+            view *= below * p + 1
             return
         # sigma(p^e) = (...(p + 1) p + 1 ...) p + 1 for batched primes and
         # cofactors; every step stays below sigma(n) < 2^53
@@ -99,15 +97,25 @@ class _RobinFold:
             local[deep] = local[deep] * p[deep] + 1
             k += 1
             deep = deep[exp[deep] >= k]
-        self.sig[where] *= local
+        np.multiply.at(self.sig, where, local)
 
     def close(self, lo: int, hi: int) -> bool:
         first = max(lo, 3)  # the threshold needs log log n > 0
         sig = self.sig[first - lo :]
         del self.sig
+        # Every n here has log log n >= log log first.  So an n with sigma(n) < c n
+        # has a true margin above 2 RELATIVE_BAND n, and its float margin, within
+        # 1e-14 n of that, is never flagged: only the other n take the formula.
+        c = EXP_GAMMA * math.log(math.log(first)) - 2.0 * RELATIVE_BAND
+        # As sigma(n) > n, a c <= 1 clears nothing, and the window stays whole.
+        ns = np.arange(first, hi, dtype=np.float64)  # exact below 2^53
+        keep = None
+        if c > 1.0:
+            keep = np.flatnonzero(sig >= c * ns)
+            sig = sig[keep]  # frees the window's sigma before ns is gathered
+            ns = ns[keep]
         # margins = e^gamma * n * log log n - sigma(n), formed in place in that
-        # operation order, so no full-window temporary outlives its step
-        ns = np.arange(first, hi, dtype=np.float64)
+        # operation order, so no temporary outlives its step
         margins = EXP_GAMMA * ns
         loglog = np.log(ns)
         margins *= np.log(loglog, out=loglog)
@@ -117,7 +125,8 @@ class _RobinFold:
         ns *= RELATIVE_BAND
         flagged |= np.abs(margins, out=margins) < ns
         for i in np.flatnonzero(flagged).tolist():
-            verdict = _verdict_from_sigma(first + i, int(sig[i]))
+            n = first + (i if keep is None else int(keep[i]))
+            verdict = _verdict_from_sigma(n, int(sig[i]))
             if not verdict.holds:
                 self.violators.append(verdict)
         return False

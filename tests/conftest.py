@@ -1,4 +1,5 @@
-"""Shared fixtures. Prime tables are the only expensive setup, so build them once."""
+"""Shared fixtures and the trial-division oracle. Prime tables are the only
+expensive setup, so build them once."""
 
 from functools import partial
 
@@ -37,3 +38,21 @@ def built_columns(monkeypatch):
 
     monkeypatch.setattr(bounds, "_sweep", spy)
     return built
+
+
+def factor_by_division(n):
+    """(p, e) of each prime power exactly dividing n, primes increasing, by
+    trial division over every d: independent of the package's primes."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)

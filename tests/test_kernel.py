@@ -1,6 +1,7 @@
 """Differential checks of the prime-power peeling kernel and its folds
 against per-integer factorize, sigma and psi_over_n, against the division
-kernel it replaced, and against a library-free oracle just below 2^50."""
+kernel it replaced, against a library-free oracle just below 2^50, and of
+the t-free pipeline against a divisor-sum sieve."""
 
 import math
 import time
@@ -26,12 +27,13 @@ from robinpsi.multiplicative import (
     MAX_SPAN,
     KernelPlan,
     factorize,
-    is_t_free,
     prime_power_events,
     psi_over_n,
     sigma,
 )
 from robinpsi.primes import _segmented_primes
+
+from conftest import factor_by_division
 
 EDGE = multiplicative.SEGMENT_SIZE
 
@@ -64,11 +66,25 @@ windows = st.one_of(
 
 
 def _expanded(events, lo, hi):
-    """Each event as (p, offsets, exponents) lists, a slice expanded to offsets."""
-    return [
-        (p.tolist() if np.ndim(p) else p, np.arange(hi - lo)[where].tolist(), exp.tolist())
-        for p, where, exp in events
-    ]
+    """Each event as (p, offsets, exponents) lists, a slice expanded to
+    offsets; a base prime's strided events, one per power, folded into one
+    with its exponent at each multiple, after checking their contract."""
+    out = []
+    for p, where, exp in events:
+        offsets = np.arange(hi - lo)[where].tolist()
+        if not isinstance(where, slice):  # an array event, or the division kernel's
+            out.append((p.tolist() if np.ndim(p) else p, offsets, exp.tolist()))
+            continue
+        assert type(p) is int and type(exp) is int
+        assert where == slice((-lo) % p**exp, None, p**exp)
+        if exp == 1:
+            out.append((p, offsets, [1] * len(offsets)))
+            continue
+        q, multiples, exps = out[-1]
+        assert q == p and max(exps) == exp - 1  # p^(exp-1) came just before
+        for i in offsets:
+            exps[(i - multiples[0]) // p] += 1
+    return out
 
 
 def _events(lo, hi, primes):
@@ -142,20 +158,22 @@ def test_kernel_matches_division_kernel(small_table, window):
     assert _expanded(scalar, lo, hi) == _expanded(peeled, lo, hi)
     assert _fold_factors(got, lo, hi) == _fold_factors(expected, lo, hi)
     assert _expanded(got[-1:], lo, hi) == _expanded(expected[-1:], lo, hi)
-    for p, where, exp in got:
-        assert exp.dtype == np.int8
-        if np.ndim(p):
-            assert p.dtype == where.dtype == np.int64
-            assert (np.diff(where) > 0).all()  # unique offsets, ascending
-    assert got[-1][0].dtype == np.int64
+    *batched, cofactors = [event for event in got if np.ndim(event[0])]
+    assert len(batched) <= 1
+    for p, where, exp in batched + [cofactors]:
+        assert p.dtype == where.dtype == np.int64 and exp.dtype == np.int8
+    for p, where, _ in batched:  # prime by prime, ascending, each one's offsets ascending
+        assert ((np.diff(p) > 0) | ((np.diff(p) == 0) & (np.diff(where) > 0))).all()
+    assert (np.diff(cofactors[1]) > 0).all()  # each cofactor's offset once, ascending
 
 
 @settings(max_examples=60, deadline=None)
 @given(batched_windows())
 def test_kernel_batches_three_primes_or_a_square(small_table, window):
     lo, width = window
-    batched = [exp for p, _, exp in _events(lo, lo + width, small_table.primes)[:-1] if np.ndim(p)]
-    assert len(batched) >= 3 or max(exp.max() for exp in batched) >= 2
+    events = _events(lo, lo + width, small_table.primes)[:-1]
+    (where, exp), = [(where, exp) for p, where, exp in events if np.ndim(p)]
+    assert np.bincount(where).max() >= 3 or exp.max() >= 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,18 +227,42 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
     assert sum(count > 0 for count in batched) > len(batched) // 2
 
 
+@pytest.fixture(scope="module")
+def scan_oracle():
+    """The Robin violators n <= 30000, sigma(n) from a divisor-sum sieve and
+    each verdict from _verdict_from_sigma, and every n's factors by trial
+    division, factors[n]."""
+    top = 30_000
+    sig = np.zeros(top + 1, dtype=np.int64)
+    for d in range(1, top + 1):
+        sig[d::d] += d
+    verdicts = (robin._verdict_from_sigma(n, int(sig[n])) for n in range(3, top + 1))
+    factors = [None] + [factor_by_division(n) for n in range(1, top + 1)]
+    return [v for v in verdicts if not v.holds], factors
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(5041, 30_000), st.sampled_from([6, 7]))
-def test_tfree_pass_matches_separate_sweeps(small_table, limit, t):
-    # the pipeline's branches (a) and (c) against robin_scan and the bridge
-    report = verify_tfree_robin(t, limit, small_table)
-    violators = robin_scan(3, limit, small_table)
-    assert report.violators_found == len(violators)
-    assert report.max_violator == max(v.n for v in violators)
-    assert report.tfree_violators_above_5040 == tuple(
-        v.n for v in violators if v.n > 5040 and is_t_free(factorize(v.n, small_table), t)
-    )
-    assert report.bridge == verify_sigma_le_psi(limit, t)
+def test_tfree_pass_matches_separate_sweeps(small_table, scan_oracle, limit, t):
+    # the pipeline's branches (a) and (c) against the slow oracle, in one
+    # window and in windows of 997, where later windows clear most n by the
+    # screen before any margin is formed
+    violators, factors = scan_oracle
+    expected = [v for v in violators if v.n <= limit]
+    exponents = [[e for _, e in f] for f in factors[1 : limit + 1]]
+    for segment in (multiplicative.SEGMENT_SIZE, 997):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multiplicative, "SEGMENT_SIZE", segment)
+            assert robin_scan(3, limit, small_table) == expected
+            report = verify_tfree_robin(t, limit, small_table)
+        assert report.violators_found == len(expected)
+        assert report.max_violator == expected[-1].n
+        assert report.tfree_violators_above_5040 == tuple(
+            v.n for v in expected if v.n > 5040 and all(e < t for _, e in factors[v.n])
+        )
+        assert report.bridge.passed
+        assert report.bridge.checked == sum(all(e < t for e in es) for es in exponents)
+        assert report.bridge.equalities == sum(all(e == t - 1 for e in es) for es in exponents)
 
 
 @pytest.mark.parametrize(
@@ -308,8 +350,9 @@ def test_kernel_below_scan_limit(primes_to_2_25, lo, hi):
     events = _expanded(_events(lo, hi, primes_to_2_25), lo, hi)
     assert any(isinstance(p, list) for p, _, _ in events[:-1])  # some base primes are batched
     for p, off, exp in events[:-1]:
-        assert len(set(off)) == len(off)
-        for q, i, e in zip(p if isinstance(p, list) else [p] * len(off), off, exp):
+        ps = p if isinstance(p, list) else [p] * len(off)
+        assert len(set(zip(ps, off))) == len(off)
+        for q, i, e in zip(ps, off, exp):
             assert q <= root and _is_prime(q)
             n = lo + i
             assert e >= 1 and n % q**e == 0 and n % q ** (e + 1) != 0

@@ -22,25 +22,11 @@ from robinpsi import (
 from robinpsi import multiplicative
 from robinpsi.multiplicative import KernelPlan, prime_power_events
 
+from conftest import factor_by_division
+
 
 def _sigma_by_enumeration(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
-def _factor_by_division(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
 
 
 def test_factorize_examples(small_table):
@@ -57,7 +43,7 @@ def test_factorize_random_roundtrip(small_table):
     for _ in range(300):
         n = rng.randrange(1, 10**7)
         f = factorize(n, small_table)
-        assert f.factors == _factor_by_division(n)
+        assert f.factors == factor_by_division(n)
         rebuilt = 1
         for p, e in f.factors:
             rebuilt *= p**e
@@ -85,10 +71,17 @@ def test_factorize_large_prime_cofactor_is_fine():
 def test_kernel_factorization_matches(small_table):
     folded = {n: [] for n in range(1, 10_001)}
     for p, where, exp in prime_power_events(1, 10_001, KernelPlan(small_table.primes, 10_000)):
-        off = np.arange(10_000)[where]
-        ps = p.tolist() if isinstance(p, np.ndarray) else [p] * len(off)
-        for q, i, e in zip(ps, off.tolist(), exp.tolist()):
-            folded[1 + i].append((q, e))
+        off = np.arange(10_000)[where].tolist()
+        if isinstance(p, np.ndarray):
+            for q, i, e in zip(p.tolist(), off, exp.tolist()):
+                folded[1 + i].append((q, e))
+            continue
+        for i in off:  # the event of p^exp: n's entry for p^(exp - 1) came before
+            if exp == 1:
+                folded[1 + i].append((p, 1))
+            else:
+                assert folded[1 + i][-1] == (p, exp - 1)
+                folded[1 + i][-1] = (p, exp)
     for n in range(1, 10_001):
         assert tuple(folded[n]) == factorize(n, small_table).factors
 
@@ -198,7 +191,7 @@ def test_bridge_counts_match_factorization_oracle(monkeypatch, segment):
     # sweep, so its counts must not depend on the window size
     if segment:
         monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", segment)
-    exponents = [[e for _, e in _factor_by_division(n)] for n in range(1, 5001)]
+    exponents = [[e for _, e in factor_by_division(n)] for n in range(1, 5001)]
     for t in range(2, 9):
         checked = list(accumulate(all(e < t for e in es) for es in exponents))
         equalities = list(accumulate(all(e == t - 1 for e in es) for es in exponents))
@@ -233,15 +226,9 @@ def test_bridge_sweep_stops_at_least_failing_pair(
     assert (report.checked, report.equalities) == (checked, equalities)
 
 
-@pytest.mark.parametrize("segment, failing", [(None, 7), (20, 49)])
-def test_bridge_decides_the_pairs_of_batched_primes(monkeypatch, segment, failing):
-    # 7 has at most BATCH_MULTIPLES multiples in the window [1, 100], and in the
-    # window [41, 60] of a sweep in windows of 20, so a sweep would see its
-    # pairs (7, 1) and (7, 2) only in batched events; the bridge decides every
-    # pair without a sweep, whatever the window size
-    if segment:
-        monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", segment)
-    assert min(multiplicative.SEGMENT_SIZE, 100) // multiplicative.BATCH_MULTIPLES < 7
+@pytest.mark.parametrize("failing", [7, 49])
+def test_bridge_finds_a_failing_pair_below_and_above_the_root(monkeypatch, failing):
+    # the pairs (7, 1) and (7, 2) of limit 100: p^e below and above isqrt(100)
     real = multiplicative._bridge_failure
     monkeypatch.setattr(
         multiplicative,
@@ -250,7 +237,7 @@ def test_bridge_decides_the_pairs_of_batched_primes(monkeypatch, segment, failin
     )
     report = verify_sigma_le_psi(100, 3)
     assert report.violation == failing
-    cube_free = [n for n in range(1, failing + 1) if all(e < 3 for _, e in _factor_by_division(n))]
+    cube_free = [n for n in range(1, failing + 1) if all(e < 3 for _, e in factor_by_division(n))]
     assert report.checked == len(cube_free)
 
 
@@ -266,4 +253,4 @@ def test_cofactor_pair_verdict_is_uniform():
 
 def _is_full_square(n):
     # all exponents equal to exactly 2
-    return all(e == 2 for _, e in _factor_by_division(n))
+    return all(e == 2 for _, e in factor_by_division(n))

@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinpsi import (
     CoverageError,
@@ -170,6 +172,52 @@ def test_champion_mode_validation():
         champion_scan(100, 2, mode="loose")
     with pytest.raises(ValueError):
         champion_scan(0, 2)
+
+
+def _flagged_by_full_window(windows):
+    """The m the champion screen flagged without its cut: the running maximum
+    of every value of each window, carried from window to window."""
+    top, lo, out = -math.inf, 1, []
+    for logs in windows:
+        running = np.maximum(np.maximum.accumulate(logs), top)
+        out += [lo + i for i in np.flatnonzero(logs >= running - primorial.LOG_RATIO_BAND).tolist()]
+        top, lo = running[-1], lo + logs.size
+    return out
+
+
+# ties, and steps of half the band around them
+_levels = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2e-9, 1.0 - 1e-9, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.0 + 1e-9, 2.0]),
+    st.floats(-1.0, 3.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _levels,
+    st.lists(st.lists(_levels, min_size=1, max_size=40), min_size=1, max_size=5),
+    st.sampled_from(["strict", "weak"]),
+)
+def test_screened_champions_match_full_window_maxima(top, windows, mode):
+    # champion_scan's screen over given float windows, the first of which
+    # sets top; each m it keeps is decided by psi_over_n, stubbed to its value
+    windows = [np.array([top])] + [np.array(w) for w in windows]
+    values = np.concatenate(windows)
+    seen = []
+
+    def sweep(start, stop, fold, table):
+        for logs in windows:
+            fold.screen(start, logs)
+            start += logs.size
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primorial, "sweep", sweep)
+        patch.setattr(primorial, "factorize", lambda m, table: m)
+        patch.setattr(
+            primorial, "psi_over_n", lambda m, t: seen.append(m) or Fraction(values[m - 1])
+        )
+        primorial.champion_scan(values.size, 2, mode)
+    assert seen == _flagged_by_full_window(windows)
 
 
 @pytest.mark.parametrize("t", [2, 7])

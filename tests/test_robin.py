@@ -4,7 +4,10 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinpsi import (
     CoverageError,
@@ -15,7 +18,7 @@ from robinpsi import (
 )
 from robinpsi import multiplicative, robin
 from robinpsi.bounds import EXP_GAMMA
-from robinpsi.multiplicative import factorize, sigma
+from robinpsi.multiplicative import MAX_SCAN_STOP, factorize, sigma
 from robinpsi.robin import VERDICT_FIELDS, violators_to_rows
 from robinpsi.tabular import rows_to_csv, rows_to_json
 
@@ -147,6 +150,60 @@ def test_sigma_block_across_segment_edge(small_table):
                 sig += d + (m // d if d != m // d else 0)
             d += 1
         assert block == sig
+
+
+def _flagged_by_full_window(lo, hi, sig):
+    """The n >= 3 of the window [lo, hi) that the close without a screen
+    flagged: the margin of every n, then the band rule."""
+    first = max(lo, 3)
+    ns = np.arange(first, hi, dtype=np.float64)
+    margins = EXP_GAMMA * ns
+    margins *= np.log(np.log(ns))
+    margins -= sig[first - lo :]
+    flagged = (margins <= 0.0) | (np.abs(margins) < ns * robin.RELATIVE_BAND)
+    return [first + i for i in np.flatnonzero(flagged).tolist()]
+
+
+@st.composite
+def robin_windows(draw):
+    """A window and its sigma values, each a relative step from the line
+    e^gamma n log log n, many of them inside or at the edge of any band."""
+    lo = draw(
+        st.one_of(
+            st.integers(3, 10),
+            st.integers(5040 - 200, 5040 + 100),
+            st.integers(10**6 - 200, 10**6 + 200),
+            st.integers(MAX_SCAN_STOP - 1000, MAX_SCAN_STOP - 64),
+        )
+    )
+    hi = lo + draw(st.integers(1, 64))
+    steps = st.one_of(
+        st.sampled_from([-0.5, -1e-3, -3e-9, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1e-3]),
+        st.floats(-0.9, 0.2),
+    )
+    line = [EXP_GAMMA * n * math.log(math.log(n)) for n in range(lo, hi)]
+    return lo, hi, np.array([max(1, int(x * (1 + draw(steps)))) for x in line], dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(robin_windows(), st.sampled_from([1e-9, 1e-3, 10.0]))
+def test_screened_close_matches_full_window_margins(window, band):
+    # the screen may pass more n to the verdicts than the full-window margins
+    # flagged, never fewer, and the violators stay the same
+    lo, hi, sig = window
+    verdict = robin._verdict_from_sigma
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(robin, "RELATIVE_BAND", band)
+        flagged = _flagged_by_full_window(lo, hi, sig)
+        expected = [v for v in (verdict(n, int(sig[n - lo])) for n in flagged) if not v.holds]
+        patch.setattr(robin, "_verdict_from_sigma", lambda n, s: seen.append(n) or verdict(n, s))
+        fold = robin._RobinFold()
+        fold.open(lo, hi)
+        fold.sig[:] = sig
+        fold.close(lo, hi)
+    assert set(flagged) <= set(seen)
+    assert fold.violators == expected
 
 
 def test_robin_scan_memory_stays_window_sized(table):
