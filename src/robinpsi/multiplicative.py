@@ -13,11 +13,11 @@ through strided views.  The base primes with at most BATCH_MULTIPLES
 multiples share one array event, their offsets from one vectorised modulo
 (after the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
 83, 2014), an offset once per such prime of its n; the leftover cofactors
-come last, by an index array too.  Folds apply array events with ufunc.at.
-`sweep` is the one window loop: it bounds the range with `check_sweep`
-before any sieving, forms the kernel's plan of the base primes once, and
-hands each window's events to one fold, such as the sigma fold of `robin` or
-the log-ratio fold of `primorial`, which may stop it early.
+come last, by an index array too.  Callers apply array events with
+ufunc.at.  `sweep` is the one window loop: it bounds the range with
+`check_sweep` before any sieving, forms the kernel's plan of the base primes
+once, and yields each window with its events; `robin` sums sigma from them,
+`primorial` log psi_t(n)/n, each with a plain function per window.
 
 The bridge sigma(n) <= psi_t(n) on t-free n needs no sweep: both sides are
 multiplicative, so `verify_sigma_le_psi` decides it on the local pairs
@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CoverageError, ResourceError
-from .primes import PrimeTable, _segmented_primes, build_table
+from .primes import PrimeTable, _segmented_primes
 
 # Integers per window of a range sweep.  A window's int64 array takes 1 MB, so
 # the kernel's strided passes stay in a core's L2 cache, and a few such arrays
@@ -137,7 +137,7 @@ def prime_power_events(
     array event (cofactors, offsets, ones) covers what is left of each n once
     the base primes are divided out, each offset once: the prime cofactors[i]
     divides lo + offsets[i] to the first power.  numpy indexes a window the
-    same way with either kind of where; a fold applies an array event with
+    same way with either kind of where; an array event is applied with
     ufunc.at, which takes repeated offsets one after the other in index
     order.  plan must hold every prime up to sqrt(hi - 1).
     """
@@ -198,20 +198,14 @@ def _batched_event(
     return p, off, exp
 
 
-def sweep(start: int, stop: int, fold, table: PrimeTable | None = None) -> None:
-    """Fold every n in [start, stop] into fold, one window of SEGMENT_SIZE
-    integers at a time, once check_sweep has passed.
-
-    Base primes come from table, which must reach sqrt(stop), or from a new
-    table when it is None; the kernel's plan of them is formed once.  On each
-    window [lo, hi) the fold gets open(lo, hi), add(p, where, exp) per kernel
-    event, then close(lo, hi); the sweep stops once close returns True.
-    """
+def sweep(start: int, stop: int, table: PrimeTable) -> Iterator[tuple[int, int, Iterator]]:
+    """Yield (lo, hi, events) for each window [lo, hi) of SEGMENT_SIZE
+    integers in [start, stop], events the window's prime_power_events, once
+    check_sweep has passed.  Base primes come from table, which must reach
+    sqrt(stop); the kernel's plan of them is formed once."""
     check_sweep(start, stop)
     root = math.isqrt(stop)
-    if table is None:
-        table = build_table(root + 1)
-    elif table.limit < root:
+    if table.limit < root:
         raise CoverageError(
             f"sweep needs primes to sqrt({stop}) = {root}, "
             f"table stops at {table.limit}; enlarge the sieve"
@@ -220,12 +214,7 @@ def sweep(start: int, stop: int, fold, table: PrimeTable | None = None) -> None:
     plan = KernelPlan(base_primes, min(SEGMENT_SIZE, stop - start + 1))
     for lo in range(start, stop + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, stop + 1)
-        fold.open(lo, hi)
-        for event in prime_power_events(lo, hi, plan):
-            fold.add(*event)
-        del event  # free the last event's arrays before the fold closes the window
-        if fold.close(lo, hi):
-            break
+        yield lo, hi, prime_power_events(lo, hi, plan)
 
 
 def sigma(f: Factorization) -> int:

@@ -2,10 +2,11 @@
 
 N_n = p_1 p_2 ... p_n.  log N_n is the table's theta prefix and
 log(psi_t(N_n)/N_n) comes from log_psi_ratio_prefix, both compensated prefix
-sums over the primes.  Champion scans and the reduction check are sweeps of
-multiplicative.sweep: they screen each window with a float log psi_t(n)/n
-folded from the peeling kernel's events, then re-decide every n within
-LOG_RATIO_BAND of the line exactly (champions) or at 60 digits (reduction).
+sums over the primes.  Champion scans and the reduction check loop over the
+windows of multiplicative.sweep: `_window_logs` sums each window's float
+log psi_t(n)/n from the peeling kernel's events, a screen keeps the n within
+LOG_RATIO_BAND of the line, and the loop re-decides each of them exactly
+(champions) or at 60 digits (reduction).
 """
 
 from __future__ import annotations
@@ -96,36 +97,34 @@ def log_terms(p: int | np.ndarray, t: int) -> np.floating | np.ndarray:
     return np.log1p((1.0 - q ** (1 - t)) / (q - 1.0))
 
 
-class _LogRatioFold:
-    """The sweep fold of the champion and reduction screens: log(psi_t(n)/n)
-    of each window in float64, the sum of log_terms over the primes p | n,
-    handed to screen(lo, logs) as the window closes; screen's return value
-    is close's.
+def _window_logs(lo: int, hi: int, events, t: int, terms: dict) -> np.ndarray:
+    """log(psi_t(n)/n) of each n in the window [lo, hi) in float64, the sum of
+    log_terms over the primes p | n, from the window's kernel events.
 
     A base prime adds its term on its first strided event only, the one of
-    p^1.  Array events add theirs with np.add.at, in index order, so each n
-    sums its terms in ascending order of its primes."""
-
-    def __init__(self, t: int, screen) -> None:
-        self.t = t
-        self.screen = screen
-        self.terms: dict[int, np.floating] = {}  # base prime -> its term, once per sweep
-
-    def open(self, lo: int, hi: int) -> None:
-        self.logs = np.zeros(hi - lo)
-
-    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: int | np.ndarray) -> None:
+    p^1, kept in terms, the sweep's dict of base prime -> term, so it is
+    formed once per sweep.  Array events add theirs with np.add.at, in index
+    order, so each n sums its terms in ascending order of its primes."""
+    logs = np.zeros(hi - lo)
+    for p, where, exp in events:
         if not isinstance(p, int):
-            np.add.at(self.logs, where, log_terms(p, self.t))
+            np.add.at(logs, where, log_terms(p, t))
         elif exp == 1:
-            if p not in self.terms:
-                self.terms[p] = log_terms(p, self.t)
-            self.logs[where] += self.terms[p]
+            if p not in terms:
+                terms[p] = log_terms(p, t)
+            logs[where] += terms[p]
+    return logs
 
-    def close(self, lo: int, hi: int) -> bool:
-        logs = self.logs
-        del self.logs
-        return self.screen(lo, logs)
+
+def _champion_screen(logs: np.ndarray, top: float) -> tuple[list[int], float]:
+    """The offsets of the values in logs within LOG_RATIO_BAND of the running
+    maximum, top being the largest value before logs; and the new top."""
+    # a value below top - LOG_RATIO_BAND is never kept and never lifts the
+    # running maximum past top, so the maxima of the rest decide the same
+    near = np.flatnonzero(logs >= top - LOG_RATIO_BAND)
+    running = np.maximum(np.maximum.accumulate(logs[near]), top)
+    offsets = near[logs[near] >= running - LOG_RATIO_BAND].tolist()
+    return offsets, float(running[-1]) if near.size else top
 
 
 def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
@@ -145,27 +144,17 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     check_sweep(1, limit)
     strict = mode == "strict"
     table = build_table(math.isqrt(limit) + 1)
+    terms: dict[int, np.floating] = {}
     out: list[int] = []
     best = Fraction(0)
     top = -math.inf  # the largest float so far
-
-    def screen(lo: int, logs: np.ndarray) -> bool:
-        nonlocal best, top
-        # a value below top - LOG_RATIO_BAND is never kept and never lifts the
-        # running maximum past top, so the maxima of the rest decide the same
-        near = np.flatnonzero(logs >= top - LOG_RATIO_BAND)
-        running = np.maximum(np.maximum.accumulate(logs[near]), top)
-        for i in near[logs[near] >= running - LOG_RATIO_BAND].tolist():
-            m = lo + i
+    for lo, hi, events in sweep(1, limit, table):
+        offsets, top = _champion_screen(_window_logs(lo, hi, events, t, terms), top)
+        for m in (lo + i for i in offsets):
             r = psi_over_n(factorize(m, table), t)
             if r > best or (r == best and not strict):
                 out.append(m)
                 best = r
-        if near.size:
-            top = running[-1]
-        return False
-
-    sweep(1, limit, _LogRatioFold(t, screen), table)
     return out
 
 
@@ -183,6 +172,21 @@ def primorials_up_to(limit: int) -> list[int]:
             break
         out.append(out[-1] * p)
     return out
+
+
+def _reduction_screen(
+    lo: int, logs: np.ndarray, prims: list[int], lines: np.ndarray
+) -> list[tuple[int, int]]:
+    """(m, k) for each non-primorial m of the window from lo, logs holding
+    log psi_t(m)/m, that the float screen does not clear below the line of
+    N_k = prims[k], the largest primorial <= m.  Each N_k in the window
+    first sets its line, lines[k]."""
+    ns = np.arange(lo, lo + logs.size)
+    log_r = logs - np.log(np.log(np.log(ns)))
+    k = np.searchsorted(prims, ns, side="right") - 1  # N_k, the largest primorial <= n
+    at = ns == np.array(prims)[k]
+    lines[k[at]] = log_r[at] - LOG_RATIO_BAND
+    return [(lo + i, int(k[i])) for i in np.flatnonzero((log_r >= lines[k]) & ~at).tolist()]
 
 
 def reduction_check(limit: int, t: int) -> bool:
@@ -207,20 +211,10 @@ def reduction_check(limit: int, t: int) -> bool:
 
     prims = primorials_up_to(limit)[2:]  # 6, 30, 210, ...
     lines = np.full(len(prims), math.inf)  # log R_t(N_k) less the band, once N_k is swept
-    failed = False
+    terms: dict[int, np.floating] = {}
+    for lo, hi, events in sweep(6, limit, table):
+        for m, k in _reduction_screen(lo, _window_logs(lo, hi, events, t, terms), prims, lines):
+            if ratio_60(m) >= ratio_60(prims[k]):
+                return False
+    return True
 
-    def screen(lo: int, logs: np.ndarray) -> bool:
-        nonlocal failed
-        ns = np.arange(lo, lo + logs.size)
-        log_r = logs - np.log(np.log(np.log(ns)))
-        k = np.searchsorted(prims, ns, side="right") - 1  # N_k, the largest primorial <= n
-        at = ns == np.array(prims)[k]
-        lines[k[at]] = log_r[at] - LOG_RATIO_BAND
-        for i in np.flatnonzero((log_r >= lines[k]) & ~at).tolist():
-            if ratio_60(lo + i) >= ratio_60(prims[k[i]]):
-                failed = True
-                return True
-        return False
-
-    sweep(6, limit, _LogRatioFold(t, screen), table)
-    return not failed

@@ -1,10 +1,12 @@
 """Per-integer Robin verdicts, segmented range scans, and the t-free pipeline.
 
 The inequality under test is sigma(n) < e^gamma * n * log log n for n >= 5041.
-sigma over a scan range is an int64 fold of the prime-power peeling kernel,
-run by the window loop `multiplicative.sweep`, never per-integer
-factorization.  The t-free pipeline checks the bridge (c) first, which
-needs no sweep and bounds the range before any sieving, then scans for (a).
+A scan takes its range window by window from `multiplicative.sweep`, never
+by per-integer factorization: `_window_sigma` multiplies each window's
+sigma up in int64 from the peeling kernel's events, and `_window_violators`
+screens it and decides what the screen keeps.  The t-free pipeline checks
+the bridge (c) first, which needs no sweep and bounds the range before any
+sieving, then scans for (a).
 Any verdict whose float margin is within n * 1e-9 of zero is recomputed at 60
 significant digits before being trusted.
 """
@@ -62,32 +64,26 @@ def _verdict_from_sigma(n: int, sig: int) -> RobinVerdict:
     )
 
 
-class _RobinFold:
-    """The sweep fold of the Robin scans: int64 sigma(n) of each window, exact
-    up to 2^50, then the violators among its n >= 3, ascending.
+def _window_sigma(lo: int, hi: int, events) -> np.ndarray:
+    """int64 sigma(n) of each n in the window [lo, hi), exact up to 2^50,
+    from the window's kernel events.
 
     The k-th strided event of a base prime p turns the factor sigma(p^(k-1))
     of each n it reaches into sigma(p^k), Python ints, by an exact division
     and a product; array events multiply in with np.multiply.at, so an n hit
     by several batched primes takes each factor in turn."""
-
-    def __init__(self) -> None:
-        self.violators: list[RobinVerdict] = []
-
-    def open(self, lo: int, hi: int) -> None:
-        self.sig = np.ones(hi - lo, dtype=np.int64)
-
-    def add(self, p: int | np.ndarray, where: slice | np.ndarray, exp: int | np.ndarray) -> None:
+    sig = np.ones(hi - lo, dtype=np.int64)
+    for p, where, exp in events:
         if isinstance(p, int):
             if exp == 1:
-                self.sig[where] *= p + 1
-                return
+                sig[where] *= p + 1
+                continue
             # sigma(p^k) = p sigma(p^(k-1)) + 1, and both factors divide sigma(n) < 2^53
             below = (p**exp - 1) // (p - 1)
-            view = self.sig[where]
+            view = sig[where]
             view //= below
             view *= below * p + 1
-            return
+            continue
         # sigma(p^e) = (...(p + 1) p + 1 ...) p + 1 for batched primes and
         # cofactors; every step stays below sigma(n) < 2^53
         local = p + 1
@@ -97,39 +93,43 @@ class _RobinFold:
             local[deep] = local[deep] * p[deep] + 1
             k += 1
             deep = deep[exp[deep] >= k]
-        np.multiply.at(self.sig, where, local)
+        np.multiply.at(sig, where, local)
+    return sig
 
-    def close(self, lo: int, hi: int) -> bool:
-        first = max(lo, 3)  # the threshold needs log log n > 0
-        sig = self.sig[first - lo :]
-        del self.sig
-        # Every n here has log log n >= log log first.  So an n with sigma(n) < c n
-        # has a true margin above 2 RELATIVE_BAND n, and its float margin, within
-        # 1e-14 n of that, is never flagged: only the other n take the formula.
-        c = EXP_GAMMA * math.log(math.log(first)) - 2.0 * RELATIVE_BAND
-        # As sigma(n) > n, a c <= 1 clears nothing, and the window stays whole.
-        ns = np.arange(first, hi, dtype=np.float64)  # exact below 2^53
-        keep = None
-        if c > 1.0:
-            keep = np.flatnonzero(sig >= c * ns)
-            sig = sig[keep]  # frees the window's sigma before ns is gathered
-            ns = ns[keep]
-        # margins = e^gamma * n * log log n - sigma(n), formed in place in that
-        # operation order, so no temporary outlives its step
-        margins = EXP_GAMMA * ns
-        loglog = np.log(ns)
-        margins *= np.log(loglog, out=loglog)
-        del loglog
-        margins -= sig
-        flagged = margins <= 0.0
-        ns *= RELATIVE_BAND
-        flagged |= np.abs(margins, out=margins) < ns
-        for i in np.flatnonzero(flagged).tolist():
-            n = first + (i if keep is None else int(keep[i]))
-            verdict = _verdict_from_sigma(n, int(sig[i]))
-            if not verdict.holds:
-                self.violators.append(verdict)
-        return False
+
+def _window_violators(lo: int, hi: int, sig: np.ndarray) -> list[RobinVerdict]:
+    """The violators among the n >= 3 of the window [lo, hi), ascending,
+    sig holding sigma(n) of each n in it."""
+    first = max(lo, 3)  # the threshold needs log log n > 0
+    sig = sig[first - lo :]
+    # Every n here has log log n >= log log first.  So an n with sigma(n) < c n
+    # has a true margin above 2 RELATIVE_BAND n, and its float margin, within
+    # 1e-14 n of that, is never flagged: only the other n take the formula.
+    c = EXP_GAMMA * math.log(math.log(first)) - 2.0 * RELATIVE_BAND
+    # As sigma(n) > n, a c <= 1 clears nothing, and the window stays whole.
+    ns = np.arange(first, hi, dtype=np.float64)  # exact below 2^53
+    keep = None
+    if c > 1.0:
+        keep = np.flatnonzero(sig >= c * ns)
+        sig = sig[keep]  # frees the window's sigma before ns is gathered
+        ns = ns[keep]
+    # margins = e^gamma * n * log log n - sigma(n), formed in place in that
+    # operation order, so no temporary outlives its step
+    margins = EXP_GAMMA * ns
+    loglog = np.log(ns)
+    margins *= np.log(loglog, out=loglog)
+    del loglog
+    margins -= sig
+    flagged = margins <= 0.0
+    ns *= RELATIVE_BAND
+    flagged |= np.abs(margins, out=margins) < ns
+    violators = []
+    for i in np.flatnonzero(flagged).tolist():
+        n = first + (i if keep is None else int(keep[i]))
+        verdict = _verdict_from_sigma(n, int(sig[i]))
+        if not verdict.holds:
+            violators.append(verdict)
+    return violators
 
 
 def robin_scan(start: int, stop: int, table: PrimeTable) -> list[RobinVerdict]:
@@ -138,9 +138,10 @@ def robin_scan(start: int, stop: int, table: PrimeTable) -> list[RobinVerdict]:
         raise ValueError(f"scan domain starts at 3, got {start}")
     if stop < start:
         raise ValueError(f"empty scan range [{start}, {stop}]")
-    robin = _RobinFold()
-    sweep(start, stop, robin, table)
-    return robin.violators
+    out: list[RobinVerdict] = []
+    for lo, hi, events in sweep(start, stop, table):
+        out += _window_violators(lo, hi, _window_sigma(lo, hi, events))
+    return out
 
 
 def violators_to_rows(verdicts: list[RobinVerdict]) -> list[dict[str, object]]:

@@ -1,7 +1,7 @@
-"""Differential checks of the prime-power peeling kernel and its folds
-against per-integer factorize, sigma and psi_over_n, against the division
-kernel it replaced, against a library-free oracle just below 2^50, and of
-the t-free pipeline against a divisor-sum sieve."""
+"""Differential checks of the prime-power peeling kernel and the window sums
+built on it against per-integer factorize, sigma and psi_over_n, against the
+division kernel it replaced, against a library-free oracle just below 2^50,
+and of the t-free pipeline against a divisor-sum sieve."""
 
 import math
 import time
@@ -92,23 +92,13 @@ def _events(lo, hi, primes):
 
 
 def _sigma_segment(lo, hi, primes):
-    """The sigma fold of the Robin scans on one window, before its margins."""
-    fold = robin._RobinFold()
-    fold.open(lo, hi)
-    for event in _events(lo, hi, primes):
-        fold.add(*event)
-    return fold.sig
+    """The Robin scans' sigma of one window, before its margins."""
+    return robin._window_sigma(lo, hi, _events(lo, hi, primes))
 
 
 def _log_ratio_segment(lo, hi, t, primes):
-    """The log(psi_t(n)/n) fold of the champion and reduction screens on one window."""
-    logs = []
-    fold = primorial._LogRatioFold(t, lambda lo, window: logs.append(window))
-    fold.open(lo, hi)
-    for event in _events(lo, hi, primes):
-        fold.add(*event)
-    fold.close(lo, hi)
-    return logs[0]
+    """The log(psi_t(n)/n) of the champion and reduction screens on one window."""
+    return primorial._window_logs(lo, hi, _events(lo, hi, primes), t, {})
 
 
 def _fold_factors(events, lo, hi):

@@ -196,28 +196,19 @@ _levels = st.one_of(
 @given(
     _levels,
     st.lists(st.lists(_levels, min_size=1, max_size=40), min_size=1, max_size=5),
-    st.sampled_from(["strict", "weak"]),
 )
-def test_screened_champions_match_full_window_maxima(top, windows, mode):
+def test_screened_champions_match_full_window_maxima(top, windows):
     # champion_scan's screen over given float windows, the first of which
-    # sets top; each m it keeps is decided by psi_over_n, stubbed to its value
+    # sets top, carried from window to window as the scan carries it
     windows = [np.array([top])] + [np.array(w) for w in windows]
-    values = np.concatenate(windows)
-    seen = []
-
-    def sweep(start, stop, fold, table):
-        for logs in windows:
-            fold.screen(start, logs)
-            start += logs.size
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(primorial, "sweep", sweep)
-        patch.setattr(primorial, "factorize", lambda m, table: m)
-        patch.setattr(
-            primorial, "psi_over_n", lambda m, t: seen.append(m) or Fraction(values[m - 1])
-        )
-        primorial.champion_scan(values.size, 2, mode)
+    top, lo, seen = -math.inf, 1, []
+    for logs in windows:
+        offsets, top = primorial._champion_screen(logs, top)
+        assert all(type(i) is int for i in offsets)
+        seen += [lo + i for i in offsets]
+        lo += logs.size
     assert seen == _flagged_by_full_window(windows)
+    assert top == max(np.concatenate(windows))
 
 
 @pytest.mark.parametrize("t", [2, 7])

@@ -13,6 +13,8 @@ from robinpsi import (
     CoverageError,
     ResourceError,
     build_table,
+    champion_scan,
+    reduction_check,
     robin_scan,
     verify_tfree_robin,
 )
@@ -134,14 +136,10 @@ def test_sigma_block_across_segment_edge(small_table):
     # must stay exact on both sides of that edge
     edge = 2 * multiplicative.SEGMENT_SIZE
     sigmas = {}
-
-    class Recorder(robin._RobinFold):
-        def close(self, lo, hi):
-            for n in range(max(lo, edge - 5), min(hi, edge + 5)):
-                sigmas[n] = int(self.sig[n - lo])
-            return super().close(lo, hi)
-
-    multiplicative.sweep(edge // 2, edge + 4, Recorder(), small_table)
+    for lo, hi, events in multiplicative.sweep(edge // 2, edge + 4, small_table):
+        sig = robin._window_sigma(lo, hi, events)
+        for n in range(max(lo, edge - 5), min(hi, edge + 5)):
+            sigmas[n] = int(sig[n - lo])
     assert sorted(sigmas) == list(range(edge - 5, edge + 5))
     for n, block in sigmas.items():
         sig, m, d = 0, n, 1
@@ -153,8 +151,8 @@ def test_sigma_block_across_segment_edge(small_table):
 
 
 def _flagged_by_full_window(lo, hi, sig):
-    """The n >= 3 of the window [lo, hi) that the close without a screen
-    flagged: the margin of every n, then the band rule."""
+    """The n >= 3 of the window [lo, hi) that _window_violators without its
+    screen flagged: the margin of every n, then the band rule."""
     first = max(lo, 3)
     ns = np.arange(first, hi, dtype=np.float64)
     margins = EXP_GAMMA * ns
@@ -198,20 +196,27 @@ def test_screened_close_matches_full_window_margins(window, band):
         flagged = _flagged_by_full_window(lo, hi, sig)
         expected = [v for v in (verdict(n, int(sig[n - lo])) for n in flagged) if not v.holds]
         patch.setattr(robin, "_verdict_from_sigma", lambda n, s: seen.append(n) or verdict(n, s))
-        fold = robin._RobinFold()
-        fold.open(lo, hi)
-        fold.sig[:] = sig
-        fold.close(lo, hi)
+        violators = robin._window_violators(lo, hi, sig)
     assert set(flagged) <= set(seen)
-    assert fold.violators == expected
+    assert violators == expected
 
 
-def test_robin_scan_memory_stays_window_sized(table):
-    # every temporary of the scan is a window's, so its peak is a few int64
-    # arrays of SEGMENT_SIZE integers however long the range is
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda table: robin_scan(5041, 2_000_000, table),
+        lambda table: champion_scan(2_000_000, 2),
+        lambda table: reduction_check(2_000_000, 2),
+    ],
+    ids=["robin_scan", "champion_scan", "reduction_check"],
+)
+def test_sweep_memory_stays_window_sized(table, scan):
+    # every temporary of a sweep is a window's, so its peak is a few int64
+    # arrays of SEGMENT_SIZE integers however long the range is; a window's
+    # arrays must be freed before the next window is peeled
     tracemalloc.start()
     try:
-        robin_scan(5041, 2_000_000, table)
+        scan(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
