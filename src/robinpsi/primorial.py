@@ -3,16 +3,19 @@
 N_n = p_1 p_2 ... p_n.  log N_n is the table's theta prefix and
 log(psi_t(N_n)/N_n) comes from log_psi_ratio_prefix, both compensated prefix
 sums over the primes.  Champion scans and the reduction check loop over the
-windows of multiplicative.sweep: `_window_logs` sums each window's float
-log psi_t(n)/n from the peeling kernel's events, a screen keeps the n within
-LOG_RATIO_BAND of the line, and the loop re-decides each of them exactly
-(champions) or at 60 digits (reduction).
+windows of multiplicative.sweep: the kernel sums each window's float
+log psi_t(n)/n over the primes up to the window's root, a lower bound, and
+the one larger prime an n may have adds at most the window's gap, so a screen
+keeps only the n whose bounds come within LOG_RATIO_BAND of the line, and
+the loop re-decides each of them exactly (champions) or at 60 digits
+(reduction).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -97,43 +100,41 @@ def log_terms(p: int | np.ndarray, t: int) -> np.floating | np.ndarray:
     return np.log1p((1.0 - q ** (1 - t)) / (q - 1.0))
 
 
-def _window_logs(lo: int, hi: int, events, t: int, terms: dict) -> np.ndarray:
-    """log(psi_t(n)/n) of each n in the window [lo, hi) in float64, the sum of
-    log_terms over the primes p | n, from the window's kernel events.
-
-    A base prime adds its term on its first strided event only, the one of
-    p^1, kept in terms, the sweep's dict of base prime -> term, so it is
-    formed once per sweep.  Array events add theirs with np.add.at, in index
-    order, so each n sums its terms in ascending order of its primes."""
-    logs = np.zeros(hi - lo)
-    for p, where, exp in events:
-        if not isinstance(p, int):
-            np.add.at(logs, where, log_terms(p, t))
-        elif exp == 1:
-            if p not in terms:
-                terms[p] = log_terms(p, t)
-            logs[where] += terms[p]
-    return logs
+def _psi_weight(p, k: int, t: int) -> np.ndarray:
+    """log(psi_t(p^k)/p^k) - log(psi_t(p^(k-1))/p^(k-1)): log_terms(p, t) for
+    k = 1, and 0 above, as psi_t(n)/n depends only on the radical of n."""
+    return log_terms(p, t) * (k == 1)
 
 
-def _champion_screen(logs: np.ndarray, top: float) -> tuple[list[int], float]:
-    """The offsets of the values in logs within LOG_RATIO_BAND of the running
-    maximum, top being the largest value before logs; and the new top."""
-    # a value below top - LOG_RATIO_BAND is never kept and never lifts the
-    # running maximum past top, so the maxima of the rest decide the same
-    near = np.flatnonzero(logs >= top - LOG_RATIO_BAND)
-    running = np.maximum(np.maximum.accumulate(logs[near]), top)
-    offsets = near[logs[near] >= running - LOG_RATIO_BAND].tolist()
-    return offsets, float(running[-1]) if near.size else top
+def _champion_screen(logs: np.ndarray, gap: float, top: float) -> tuple[list[int], float]:
+    """The offsets of the values in logs, lower bounds, whose upper bound
+    logs + gap reaches the running maximum of the lower bounds less
+    LOG_RATIO_BAND, top being the largest lower bound before logs; and the
+    new top."""
+    # a value below top - gap - LOG_RATIO_BAND is never kept and never lifts
+    # the running maximum past top, so the maxima of the rest decide the same
+    near = np.flatnonzero(logs >= top - gap - LOG_RATIO_BAND)
+    if not near.size:
+        return [], top
+    # in place: the first window keeps every value
+    bounds = logs[near]
+    running = np.maximum.accumulate(bounds)
+    top = float(np.maximum(running, top, out=running)[-1])
+    bounds += gap
+    running -= LOG_RATIO_BAND
+    return near[bounds >= running].tolist(), top
 
 
 def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     """Left-to-right maxima of m -> psi_t(m)/m on [1, limit], decided exactly.
 
     strict: a champion must exceed every earlier value; weak: ties count too.
-    A float screen keeps every m within LOG_RATIO_BAND of the largest float
-    so far, which includes every m attaining the exact maximum so far; each
-    is compared as an exact rational against the last champion.
+    The kernel bounds log psi_t(m)/m from both sides, within 1e-14 of the
+    true bounds.  A true champion's value reaches every earlier one, so its
+    upper bound reaches every earlier lower bound: a float screen keeps every
+    m whose upper bound is within LOG_RATIO_BAND of the largest lower bound
+    so far, and each m it keeps is compared as an exact rational against the
+    last champion.
     """
     if limit < 1:
         raise ValueError(f"scan needs limit >= 1, got {limit}")
@@ -144,12 +145,12 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     check_sweep(1, limit)
     strict = mode == "strict"
     table = build_table(math.isqrt(limit) + 1)
-    terms: dict[int, np.floating] = {}
     out: list[int] = []
     best = Fraction(0)
-    top = -math.inf  # the largest float so far
-    for lo, hi, events in sweep(1, limit, table):
-        offsets, top = _champion_screen(_window_logs(lo, hi, events, t, terms), top)
+    top = -math.inf  # the largest lower bound so far
+    weight, total = partial(_psi_weight, t=t), partial(log_terms, t=t)
+    for lo, acc, gap in sweep(1, limit, table, weight, total):
+        offsets, top = _champion_screen(acc, gap, top)
         for m in (lo + i for i in offsets):
             r = psi_over_n(factorize(m, table), t)
             if r > best or (r == best and not strict):
@@ -175,27 +176,31 @@ def primorials_up_to(limit: int) -> list[int]:
 
 
 def _reduction_screen(
-    lo: int, logs: np.ndarray, prims: list[int], lines: np.ndarray
+    lo: int, upper: np.ndarray, prims: np.ndarray, lines: np.ndarray
 ) -> list[tuple[int, int]]:
-    """(m, k) for each non-primorial m of the window from lo, logs holding
-    log psi_t(m)/m, that the float screen does not clear below the line of
-    N_k = prims[k], the largest primorial <= m.  Each N_k in the window
-    first sets its line, lines[k]."""
-    ns = np.arange(lo, lo + logs.size)
-    log_r = logs - np.log(np.log(np.log(ns)))
+    """(m, k) for each non-primorial m of the window from lo, upper holding an
+    upper bound on log psi_t(m)/m, that the float screen does not clear below
+    lines[k], the line of N_k = prims[k], the largest primorial <= m."""
+    # log R_t(m) <= upper - log log log lo on the window, so an m below the
+    # least line of the window's primorials is cleared before log log log m
+    # and the searchsorted are formed for it
+    k = np.searchsorted(prims, [lo, lo + upper.size - 1], side="right") - 1
+    floor = lines[k[0] : k[1] + 1].min() + math.log(math.log(math.log(lo)))
+    ns = lo + np.flatnonzero(upper >= floor)
+    log_r = upper[ns - lo] - np.log(np.log(np.log(ns)))
     k = np.searchsorted(prims, ns, side="right") - 1  # N_k, the largest primorial <= n
-    at = ns == np.array(prims)[k]
-    lines[k[at]] = log_r[at] - LOG_RATIO_BAND
-    return [(lo + i, int(k[i])) for i in np.flatnonzero((log_r >= lines[k]) & ~at).tolist()]
+    keep = (log_r >= lines[k]) & (ns != prims[k])
+    return list(zip(ns[keep].tolist(), k[keep].tolist()))
 
 
 def reduction_check(limit: int, t: int) -> bool:
     """True iff R_t(m) < R_t(N_k) for every non-primorial m in [6, limit],
     where N_k is the largest primorial <= m and R_t(m) = psi_t(m)/(m log log m).
 
-    A float screen in log space clears every m below log R_t(N_k) by more
-    than LOG_RATIO_BAND; the rest are re-decided at 60 digits from the exact
-    rational psi_t(m)/m.
+    A float screen in log space clears every m whose upper bound on
+    log R_t(m) lies below log R_t(N_k) by more than LOG_RATIO_BAND.  Each m
+    it keeps takes log R_t(m) from its exact rational psi_t(m)/m, within
+    1e-14, and the screen again; the rest are re-decided at 60 digits.
     """
     if limit < 6:
         raise ValueError(f"reduction check needs limit >= 6, got {limit}")
@@ -204,17 +209,23 @@ def reduction_check(limit: int, t: int) -> bool:
     check_sweep(6, limit)
     table = build_table(math.isqrt(limit) + 1)
 
-    def ratio_60(m: int) -> mpmath.mpf:
-        r = psi_over_n(factorize(m, table), t)
+    def ratio_60(r: Fraction, m: int) -> mpmath.mpf:
         with mpmath.workdps(60):
             return mpmath.mpf(r.numerator) / r.denominator / mpmath.log(mpmath.log(m))
 
-    prims = primorials_up_to(limit)[2:]  # 6, 30, 210, ...
-    lines = np.full(len(prims), math.inf)  # log R_t(N_k) less the band, once N_k is swept
-    terms: dict[int, np.floating] = {}
-    for lo, hi, events in sweep(6, limit, table):
-        for m, k in _reduction_screen(lo, _window_logs(lo, hi, events, t, terms), prims, lines):
-            if ratio_60(m) >= ratio_60(prims[k]):
+    prims = np.array(primorials_up_to(limit)[2:], dtype=np.int64)  # 6, 30, 210, ...
+    # log R_t(N_k) less the band; prims[k] is the product of the first k + 2
+    # primes, each at most sqrt(limit) + 1, so all in table
+    logs = log_psi_ratio_prefix(table, t, prims.size + 1)[2:]
+    lines = logs - np.log(np.log(np.log(prims))) - LOG_RATIO_BAND
+    weight, total = partial(_psi_weight, t=t), partial(log_terms, t=t)
+    for lo, acc, gap in sweep(6, limit, table, weight, total):
+        acc += gap  # the one prime above the window's root, if m has one
+        for m, k in _reduction_screen(lo, acc, prims, lines):
+            r = psi_over_n(factorize(m, table), t)
+            if math.log(r) - math.log(math.log(math.log(m))) < lines[k]:
+                continue
+            n_k = int(prims[k])
+            if ratio_60(r, m) >= ratio_60(psi_over_n(factorize(n_k, table), t), n_k):
                 return False
     return True
-

@@ -2,9 +2,9 @@
 
 The inequality under test is sigma(n) < e^gamma * n * log log n for n >= 5041.
 A scan takes its range window by window from `multiplicative.sweep`, never
-by per-integer factorization: `_window_sigma` multiplies each window's
-sigma up in int64 from the peeling kernel's events, and `_window_violators`
-screens it and decides what the screen keeps.  The t-free pipeline checks
+by per-integer factorization: the kernel sums each window's upper bounds on
+log(sigma(n)/n) from weights per prime power, and `_window_violators`
+screens them and decides each n the screen keeps from its exact sigma.  The t-free pipeline checks
 the bridge (c) first, which needs no sweep and bounds the range before any
 sieving, then scans for (a).
 Any verdict whose float margin is within n * 1e-9 of zero is recomputed at 60
@@ -23,6 +23,7 @@ from .multiplicative import (
     BridgeReport,
     factorize,
     is_t_free,
+    sigma,
     sweep,
     verify_sigma_le_psi,
 )
@@ -64,69 +65,43 @@ def _verdict_from_sigma(n: int, sig: int) -> RobinVerdict:
     )
 
 
-def _window_sigma(lo: int, hi: int, events) -> np.ndarray:
-    """int64 sigma(n) of each n in the window [lo, hi), exact up to 2^50,
-    from the window's kernel events.
-
-    The k-th strided event of a base prime p turns the factor sigma(p^(k-1))
-    of each n it reaches into sigma(p^k), Python ints, by an exact division
-    and a product; array events multiply in with np.multiply.at, so an n hit
-    by several batched primes takes each factor in turn."""
-    sig = np.ones(hi - lo, dtype=np.int64)
-    for p, where, exp in events:
-        if isinstance(p, int):
-            if exp == 1:
-                sig[where] *= p + 1
-                continue
-            # sigma(p^k) = p sigma(p^(k-1)) + 1, and both factors divide sigma(n) < 2^53
-            below = (p**exp - 1) // (p - 1)
-            view = sig[where]
-            view //= below
-            view *= below * p + 1
-            continue
-        # sigma(p^e) = (...(p + 1) p + 1 ...) p + 1 for batched primes and
-        # cofactors; every step stays below sigma(n) < 2^53
-        local = p + 1
-        deep = np.flatnonzero(exp >= 2)
-        k = 2
-        while deep.size:
-            local[deep] = local[deep] * p[deep] + 1
-            k += 1
-            deep = deep[exp[deep] >= k]
-        np.multiply.at(sig, where, local)
-    return sig
+def _sigma_weight(p, k: int) -> np.ndarray:
+    """log(sigma(p^k)/p^k) - log(sigma(p^(k-1))/p^(k-1)) = log1p(1/(p + ... + p^k))
+    of each p, in float64, within 8 ulp for p^k < 2^53."""
+    q = np.asarray(p, dtype=np.float64)
+    return np.log1p((q - 1.0) / (q * (q**k - 1.0)))
 
 
-def _window_violators(lo: int, hi: int, sig: np.ndarray) -> list[RobinVerdict]:
-    """The violators among the n >= 3 of the window [lo, hi), ascending,
-    sig holding sigma(n) of each n in it."""
+def _sigma_total(p) -> np.ndarray:
+    """log(p/(p-1)), the limit of log(sigma(p^k)/p^k) as k grows, which the
+    sum of _sigma_weight(p, k) over k = 1..e stays below for every e."""
+    return -np.log1p(-1.0 / np.asarray(p, dtype=np.float64))
+
+
+def _window_violators(lo: int, upper: np.ndarray, table: PrimeTable) -> list[RobinVerdict]:
+    """The violators among the n >= 3 of the window from lo, ascending, upper
+    holding an upper bound on log(sigma(n)/n) of each n in it, within 1e-13.
+
+    With c = e^gamma log log n, a violator has sigma(n) >= c n, and an n the
+    verdict puts in its band has sigma(n) > (c - RELATIVE_BAND) n.  So an n
+    with exp(upper) < c - 2 RELATIVE_BAND is cleared: sigma(n) < c n by more
+    than RELATIVE_BAND n, past every float error here (below 1e-13 c n).
+    The window's least c, at its first n, clears most n at once, in log
+    space; each n left is screened with its own c, and each n still left is
+    decided from its exact sigma, factorized with primes from table."""
     first = max(lo, 3)  # the threshold needs log log n > 0
-    sig = sig[first - lo :]
-    # Every n here has log log n >= log log first.  So an n with sigma(n) < c n
-    # has a true margin above 2 RELATIVE_BAND n, and its float margin, within
-    # 1e-14 n of that, is never flagged: only the other n take the formula.
-    c = EXP_GAMMA * math.log(math.log(first)) - 2.0 * RELATIVE_BAND
-    # As sigma(n) > n, a c <= 1 clears nothing, and the window stays whole.
-    ns = np.arange(first, hi, dtype=np.float64)  # exact below 2^53
-    keep = None
-    if c > 1.0:
-        keep = np.flatnonzero(sig >= c * ns)
-        sig = sig[keep]  # frees the window's sigma before ns is gathered
-        ns = ns[keep]
-    # margins = e^gamma * n * log log n - sigma(n), formed in place in that
-    # operation order, so no temporary outlives its step
-    margins = EXP_GAMMA * ns
-    loglog = np.log(ns)
-    margins *= np.log(loglog, out=loglog)
-    del loglog
-    margins -= sig
-    flagged = margins <= 0.0
-    ns *= RELATIVE_BAND
-    flagged |= np.abs(margins, out=margins) < ns
+    upper = upper[first - lo :]
+    least = EXP_GAMMA * math.log(math.log(first)) - 2.0 * RELATIVE_BAND
+    near = np.flatnonzero(upper >= (math.log(least) if least > 0.0 else -math.inf))
+    # c - 2 RELATIVE_BAND of each n left, formed in place
+    line = (first + near).astype(np.float64)  # exact below 2^53
+    line = np.log(np.log(line, out=line), out=line)
+    line *= EXP_GAMMA
+    line -= 2.0 * RELATIVE_BAND
+    near = near[np.exp(upper[near]) >= line]
     violators = []
-    for i in np.flatnonzero(flagged).tolist():
-        n = first + (i if keep is None else int(keep[i]))
-        verdict = _verdict_from_sigma(n, int(sig[i]))
+    for n in (first + near).tolist():
+        verdict = _verdict_from_sigma(n, sigma(factorize(n, table)))
         if not verdict.holds:
             violators.append(verdict)
     return violators
@@ -139,8 +114,9 @@ def robin_scan(start: int, stop: int, table: PrimeTable) -> list[RobinVerdict]:
     if stop < start:
         raise ValueError(f"empty scan range [{start}, {stop}]")
     out: list[RobinVerdict] = []
-    for lo, hi, events in sweep(start, stop, table):
-        out += _window_violators(lo, hi, _window_sigma(lo, hi, events))
+    for lo, acc, gap in sweep(start, stop, table, _sigma_weight, _sigma_total):
+        acc += gap  # the one prime above the window's root, if n has one
+        out += _window_violators(lo, acc, table)
     return out
 
 

@@ -1,11 +1,15 @@
-"""Shared fixtures and the trial-division oracle. Prime tables are the only
-expensive setup, so build them once."""
+"""Shared fixtures, the trial-division oracle, and the integer checks of the
+sweep kernel's marks. Prime tables are the only expensive setup, so build
+them once."""
 
+import math
 from functools import partial
 
+import numpy as np
 import pytest
 
 from robinpsi import bounds, build_table
+from robinpsi.multiplicative import BATCH_MULTIPLES, KernelPlan, _batched_marks, window_weights
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +60,85 @@ def factor_by_division(n):
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve primes as bases decide
+    every n below 3.18e23 (Sorenson and Webster 2015)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _zero(p, k=None):
+    return np.zeros(np.shape(p))
+
+
+def factors_from_marks(lo, hi, primes):
+    """The (p, e) of each n in [lo, hi), primes increasing, read off the
+    kernel's marks for a window plan of these primes, every mark checked by
+    integer arithmetic.
+
+    Each strided prime p0 runs the kernel alone, with weight 2^(k-1) on the
+    marks of p0^k: n then sums to 2^e - 1, and e must be the exponent of p0
+    in n.  Each batched mark must divide its n, and the kernel must add the
+    batched primes' totals at their marks.  What is left of n must be 1 or
+    one prime above the window's root."""
+    width, stop = hi - lo, hi - 1
+    root = math.isqrt(stop)
+    base = primes[: np.searchsorted(primes, root, side="right")]
+    strided = base[base <= width // BATCH_MULTIPLES]
+    ns = np.arange(lo, hi, dtype=np.int64)
+    factors = [[] for _ in range(width)]
+    for p0 in strided.tolist():
+
+        def weight(p, k):
+            return np.where(p == p0, 2.0 ** (k - 1), 0.0)
+
+        acc = window_weights(lo, hi, KernelPlan(primes, width, stop, weight, _zero))
+        marked = acc.astype(np.int64) + 1
+        assert (marked == acc + 1).all() and (marked & (marked - 1) == 0).all()
+        exps = np.array([int(m).bit_length() - 1 for m in marked.tolist()], dtype=np.int64)
+        pe = p0**exps
+        assert (ns % pe == 0).all() and (ns % (pe * p0) != 0).all()
+        for i in np.flatnonzero(exps).tolist():
+            factors[i].append((p0, int(exps[i])))
+    p, off = _batched_marks(lo, hi, base[strided.size :])
+    assert p.dtype == off.dtype == np.int64
+    # prime by prime, ascending, each one's offsets ascending
+    assert ((np.diff(p) > 0) | ((np.diff(p) == 0) & (np.diff(off) > 0))).all()
+    assert (ns[off] % p == 0).all()
+    sums = np.zeros(width)
+    for q, i in zip(p.tolist(), off.tolist()):
+        assert is_prime(q)
+        n, e = lo + i, 1
+        while n % q ** (e + 1) == 0:
+            e += 1
+        factors[i].append((q, e))
+        sums[i] += q
+    total = window_weights(lo, hi, KernelPlan(primes, width, stop, _zero, lambda q: q * 1.0))
+    assert (total == sums).all()
+    for i, n in enumerate(range(lo, hi)):
+        cofactor, rest = divmod(n, math.prod(q**e for q, e in factors[i]))
+        assert rest == 0
+        assert cofactor == 1 or (cofactor > root and is_prime(cofactor))
+        if cofactor > 1:
+            factors[i].append((cofactor, 1))
+    return [tuple(f) for f in factors]

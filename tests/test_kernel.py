@@ -1,10 +1,13 @@
-"""Differential checks of the prime-power peeling kernel and the window sums
-built on it against per-integer factorize, sigma and psi_over_n, against the
-division kernel it replaced, against a library-free oracle just below 2^50,
-and of the t-free pipeline against a divisor-sum sieve."""
+"""Checks of the division-free sweep kernel and the screens built on it: its
+marks against per-integer factorize, against the division kernel it replaced
+and by integer arithmetic just below 2^50; its window sums as bounds on the
+exact log(sigma(n)/n) and log(psi_t(n)/n); how many n the screens send to
+exact decisions; and the t-free pipeline against a divisor-sum sieve."""
 
 import math
 import time
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,31 +28,38 @@ from robinpsi.multiplicative import (
     BATCH_MULTIPLES,
     MAX_SCAN_STOP,
     MAX_SPAN,
+    Factorization,
     KernelPlan,
+    _batched_marks,
     factorize,
-    prime_power_events,
     psi_over_n,
     sigma,
+    window_weights,
 )
 from robinpsi.primes import _segmented_primes
+from robinpsi.primorial import log_terms
 
-from conftest import factor_by_division
+from conftest import factor_by_division, factors_from_marks
 
 EDGE = multiplicative.SEGMENT_SIZE
 
 PRIMES_TO_1000 = _segmented_primes(1000).tolist()
 
+# the stated float error of a window's sums, 2e-14, with room
+SUM_ERROR = 1e-13
+
 
 @st.composite
 def batched_windows(draw):
-    """Windows holding an n = p q r or n = p^2 q with p, q, r batched base
-    primes of the window: each above its threshold, none above sqrt(n)."""
+    """n = p q r or n = p^2 q with p, q, r batched base primes of a window
+    holding n: each above its threshold, none above sqrt(n); and the window,
+    (n, lo, width)."""
     width = draw(st.integers(1, 3000))
     low = max(width // BATCH_MULTIPLES + 1, 50)  # then p q >= 53 * 59 > 1000 >= r
     pool = [p for p in PRIMES_TO_1000 if p >= low]
     p, q, r = sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3, unique=True)))
     n = p * p * q if draw(st.booleans()) else p * q * r
-    return n - draw(st.integers(0, width - 1)), width
+    return n, n - draw(st.integers(0, width - 1)), width
 
 
 windows = st.one_of(
@@ -61,53 +71,54 @@ windows = st.one_of(
         ),
         st.integers(1, 3000),
     ),
-    batched_windows(),
+    batched_windows().map(lambda window: window[1:]),
 )
 
 
-def _expanded(events, lo, hi):
-    """Each event as (p, offsets, exponents) lists, a slice expanded to
-    offsets; a base prime's strided events, one per power, folded into one
-    with its exponent at each multiple, after checking their contract."""
-    out = []
-    for p, where, exp in events:
-        offsets = np.arange(hi - lo)[where].tolist()
-        if not isinstance(where, slice):  # an array event, or the division kernel's
-            out.append((p.tolist() if np.ndim(p) else p, offsets, exp.tolist()))
-            continue
-        assert type(p) is int and type(exp) is int
-        assert where == slice((-lo) % p**exp, None, p**exp)
-        if exp == 1:
-            out.append((p, offsets, [1] * len(offsets)))
-            continue
-        q, multiples, exps = out[-1]
-        assert q == p and max(exps) == exp - 1  # p^(exp-1) came just before
-        for i in offsets:
-            exps[(i - multiples[0]) // p] += 1
-    return out
+def _sums(lo, hi, primes, weight, total):
+    """The kernel's sums on [lo, hi) and the window's gap, as a sweep of
+    [lo, hi - 1] forms them."""
+    acc = window_weights(lo, hi, KernelPlan(primes, hi - lo, hi - 1, weight, total))
+    return acc, float(weight(math.isqrt(hi - 1) + 1, 1))
 
 
-def _events(lo, hi, primes):
-    return list(prime_power_events(lo, hi, KernelPlan(primes, hi - lo)))
+def _check_sigma_bounds(lo, hi, primes, factors):
+    """The Robin sums on [lo, hi) against each n's factors: acc sums the
+    weights of the contract, log(sigma(p^e)/p^e) for a strided p and
+    log(p/(p-1)) for a batched one, within the float error; with the gap it
+    bounds log(sigma(n)/n) from above, and it lies above that by no more than
+    the batched primes' excess, log(p^2/(p^2-1)) at most each."""
+    acc, gap = _sums(lo, hi, primes, robin._sigma_weight, robin._sigma_total)
+    threshold, root = (hi - lo) // BATCH_MULTIPLES, math.isqrt(hi - 1)
+    for i, n in enumerate(range(lo, hi)):
+        exact = math.log(Fraction(sigma(Factorization(n, factors[i])), n))
+        base = [(p, e) for p, e in factors[i] if p <= root]
+        batched = [p for p, _ in base if p > threshold]
+        local = [Fraction(sigma(Factorization(p**e, ((p, e),))), p**e) for p, e in base]
+        contract = sum(
+            math.log(Fraction(p, p - 1)) if p > threshold else math.log(r)
+            for (p, _), r in zip(base, local)
+        )
+        assert acc[i] == pytest.approx(contract, abs=SUM_ERROR)
+        assert exact <= acc[i] + gap + SUM_ERROR
+        excess = sum(math.log(Fraction(p * p, p * p - 1)) for p in batched)
+        assert acc[i] - excess <= exact + SUM_ERROR
 
 
-def _sigma_segment(lo, hi, primes):
-    """The Robin scans' sigma of one window, before its margins."""
-    return robin._window_sigma(lo, hi, _events(lo, hi, primes))
-
-
-def _log_ratio_segment(lo, hi, t, primes):
-    """The log(psi_t(n)/n) of the champion and reduction screens on one window."""
-    return primorial._window_logs(lo, hi, _events(lo, hi, primes), t, {})
-
-
-def _fold_factors(events, lo, hi):
-    folded = [[] for _ in range(hi - lo)]
-    for p, off, exp in _expanded(events, lo, hi):
-        ps = p if isinstance(p, list) else [p] * len(off)
-        for q, i, e in zip(ps, off, exp):
-            folded[i].append((q, e))
-    return [tuple(f) for f in folded]
+def _check_psi_bounds(lo, hi, primes, factors, t):
+    """The sums of log_terms on [lo, hi) against each n's factors: acc sums
+    log(psi_t(p)/p) over the base primes of n within the float error, a lower
+    bound on log(psi_t(n)/n), and with the gap an upper bound."""
+    weight, total = partial(primorial._psi_weight, t=t), partial(log_terms, t=t)
+    acc, gap = _sums(lo, hi, primes, weight, total)
+    root = math.isqrt(hi - 1)
+    for i, n in enumerate(range(lo, hi)):
+        exact = math.log(psi_over_n(Factorization(n, factors[i]), t))
+        contract = sum(
+            math.log(psi_over_n(Factorization(p, ((p, 1),)), t)) for p, _ in factors[i] if p <= root
+        )
+        assert acc[i] == pytest.approx(contract, abs=SUM_ERROR)
+        assert acc[i] - SUM_ERROR <= exact <= acc[i] + gap + SUM_ERROR
 
 
 def _division_kernel(lo, hi, base_primes):
@@ -134,36 +145,33 @@ def _division_kernel(lo, hi, base_primes):
     yield rem[left], left, np.ones(left.size, dtype=np.int8)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(windows)
 def test_kernel_matches_division_kernel(small_table, window):
+    # the marks give each n the prime powers the division kernel peels off it
     lo, width = window
     hi = lo + width
-    got = _events(lo, hi, small_table.primes)
-    expected = list(_division_kernel(lo, hi, small_table.primes.tolist()))
-    # the primes peeled one at a time are the division kernel's below the threshold
-    threshold = width // BATCH_MULTIPLES
-    scalar = [event for event in got if not np.ndim(event[0])]
-    peeled = [event for event in expected[:-1] if event[0] <= threshold]
-    assert _expanded(scalar, lo, hi) == _expanded(peeled, lo, hi)
-    assert _fold_factors(got, lo, hi) == _fold_factors(expected, lo, hi)
-    assert _expanded(got[-1:], lo, hi) == _expanded(expected[-1:], lo, hi)
-    *batched, cofactors = [event for event in got if np.ndim(event[0])]
-    assert len(batched) <= 1
-    for p, where, exp in batched + [cofactors]:
-        assert p.dtype == where.dtype == np.int64 and exp.dtype == np.int8
-    for p, where, _ in batched:  # prime by prime, ascending, each one's offsets ascending
-        assert ((np.diff(p) > 0) | ((np.diff(p) == 0) & (np.diff(where) > 0))).all()
-    assert (np.diff(cofactors[1]) > 0).all()  # each cofactor's offset once, ascending
+    folded = [[] for _ in range(width)]
+    for p, where, exp in _division_kernel(lo, hi, small_table.primes.tolist()):
+        ps = p.tolist() if np.ndim(p) else [p] * where.size
+        for q, i, e in zip(ps, where.tolist(), exp.tolist()):
+            folded[i].append((q, e))
+    assert factors_from_marks(lo, hi, small_table.primes) == [tuple(f) for f in folded]
 
 
 @settings(max_examples=60, deadline=None)
 @given(batched_windows())
 def test_kernel_batches_three_primes_or_a_square(small_table, window):
-    lo, width = window
-    events = _events(lo, lo + width, small_table.primes)[:-1]
-    (where, exp), = [(where, exp) for p, where, exp in events if np.ndim(p)]
-    assert np.bincount(where).max() >= 3 or exp.max() >= 2
+    # n = p q r or p^2 q takes one batched mark per prime, and its Robin bound
+    # covers the square, which the batched marks do not see
+    n, lo, width = window
+    hi = lo + width
+    primes = small_table.primes
+    base = primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")]
+    p, off = _batched_marks(lo, hi, base[base > width // BATCH_MULTIPLES])
+    assert sorted(p[off == n - lo].tolist()) == [q for q, _ in factor_by_division(n)]
+    acc, _ = _sums(lo, hi, small_table.primes, robin._sigma_weight, robin._sigma_total)
+    assert math.log(Fraction(sigma(factorize(n, small_table)), n)) <= acc[n - lo] + SUM_ERROR
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,22 +179,18 @@ def test_kernel_batches_three_primes_or_a_square(small_table, window):
 def test_kernel_exponents_and_sigma(small_table, window):
     lo, width = window
     hi = lo + width
-    folded = _fold_factors(_events(lo, hi, small_table.primes), lo, hi)
-    sig = _sigma_segment(lo, hi, small_table.primes)
-    for i, n in enumerate(range(lo, hi)):
-        f = factorize(n, small_table)
-        assert folded[i] == f.factors
-        assert int(sig[i]) == sigma(f)
+    factors = factors_from_marks(lo, hi, small_table.primes)
+    assert factors == [factorize(n, small_table).factors for n in range(lo, hi)]
+    _check_sigma_bounds(lo, hi, small_table.primes, factors)
 
 
 @settings(max_examples=60, deadline=None)
 @given(windows, st.integers(2, 64))
 def test_kernel_log_ratio(small_table, window, t):
     lo, width = window
-    logs = _log_ratio_segment(lo, lo + width, t, small_table.primes)
-    for i, n in enumerate(range(lo, lo + width)):
-        exact = math.log(psi_over_n(factorize(n, small_table), t))
-        assert logs[i] == pytest.approx(exact, abs=1e-13)
+    hi = lo + width
+    factors = [factorize(n, small_table).factors for n in range(lo, hi)]
+    _check_psi_bounds(lo, hi, small_table.primes, factors, t)
 
 
 def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
@@ -202,15 +206,14 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
 
     expected = run()
     batched = []
-    kernel = multiplicative.prime_power_events
 
-    def spy(lo, hi, plan):
-        events = list(kernel(lo, hi, plan))
-        batched.append(sum(np.ndim(p) for p, _, _ in events[:-1]))
-        yield from events
+    def spy(lo, hi, primes):
+        p, off = _batched_marks(lo, hi, primes)
+        batched.append(p.size)
+        return p, off
 
     monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", 997)
-    monkeypatch.setattr(multiplicative, "prime_power_events", spy)
+    monkeypatch.setattr(multiplicative, "_batched_marks", spy)
     assert run() == expected
     assert expected[-1]
     # most windows batch some base primes above 997 // BATCH_MULTIPLES
@@ -284,6 +287,25 @@ def test_tfree_budget_check_comes_before_the_scan(monkeypatch):
         verify_tfree_robin(6, MAX_SPAN + 1, build_table(100))
 
 
+def test_screens_send_few_n_to_exact_decisions(monkeypatch):
+    # each n a screen keeps is factorized for its exact decision; a looser
+    # bound fails here instead of only slowing the sweeps down
+    decided = []
+    for module in (robin, primorial):
+        real = module.factorize
+        monkeypatch.setattr(
+            module, "factorize", lambda n, table, real=real: decided.append(n) or real(n, table)
+        )
+    assert len(robin_scan(3, 10**6, build_table(1001))) == 26
+    assert len(decided) <= 64 and max(decided) <= 5040
+    decided.clear()
+    assert champion_scan(10**6, 2) == [1, 2, 6, 30, 210, 2310, 30030, 510510]
+    assert len(decided) <= 64
+    decided.clear()
+    assert reduction_check(10**6, 2)
+    assert len(decided) <= 64
+
+
 @pytest.mark.parametrize("t", [2, 7])
 def test_screens_agree_with_deciding_every_point(monkeypatch, t):
     # a band wide enough to send every n to the exact or 60-digit decision
@@ -291,31 +313,6 @@ def test_screens_agree_with_deciding_every_point(monkeypatch, t):
     monkeypatch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
     assert [champion_scan(3000, t, mode) for mode in ("strict", "weak")] == expected
     assert reduction_check(3000, t)
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin: the first twelve primes as bases decide
-    every n below 3.18e23 (Sorenson and Webster 2015)."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for q in bases:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @pytest.fixture(scope="module")
@@ -334,23 +331,10 @@ def primes_to_2_25():
     ],
 )
 def test_kernel_below_scan_limit(primes_to_2_25, lo, hi):
-    # every check is plain integer arithmetic on the events themselves
-    factors = [[] for _ in range(hi - lo)]
-    root = math.isqrt(hi - 1)
-    events = _expanded(_events(lo, hi, primes_to_2_25), lo, hi)
-    assert any(isinstance(p, list) for p, _, _ in events[:-1])  # some base primes are batched
-    for p, off, exp in events[:-1]:
-        ps = p if isinstance(p, list) else [p] * len(off)
-        assert len(set(zip(ps, off))) == len(off)
-        for q, i, e in zip(ps, off, exp):
-            assert q <= root and _is_prime(q)
-            n = lo + i
-            assert e >= 1 and n % q**e == 0 and n % q ** (e + 1) != 0
-            factors[i].append((q, e))
-    for q, i, e in zip(*events[-1]):
-        assert e == 1 and q > root and _is_prime(q)
-        factors[i].append((q, 1))
-    sig = _sigma_segment(lo, hi, primes_to_2_25)
-    for i, n in enumerate(range(lo, hi)):
-        assert math.prod(p**e for p, e in factors[i]) == n
-        assert int(sig[i]) == math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factors[i])
+    # every mark is checked by integer arithmetic, and the window's sums
+    # against the factors the marks give
+    factors = factors_from_marks(lo, hi, primes_to_2_25)
+    root, threshold = math.isqrt(hi - 1), (hi - lo) // BATCH_MULTIPLES
+    assert any(threshold < p <= root for f in factors for p, _ in f)  # some base primes are batched
+    _check_sigma_bounds(lo, hi, primes_to_2_25, factors)
+    _check_psi_bounds(lo, hi, primes_to_2_25, factors, 7)

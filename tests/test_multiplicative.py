@@ -5,7 +5,6 @@ import random
 from itertools import accumulate
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from robinpsi import (
@@ -20,9 +19,8 @@ from robinpsi import (
     verify_sigma_le_psi,
 )
 from robinpsi import multiplicative
-from robinpsi.multiplicative import KernelPlan, prime_power_events
 
-from conftest import factor_by_division
+from conftest import factor_by_division, factors_from_marks
 
 
 def _sigma_by_enumeration(n):
@@ -69,21 +67,9 @@ def test_factorize_large_prime_cofactor_is_fine():
 
 
 def test_kernel_factorization_matches(small_table):
-    folded = {n: [] for n in range(1, 10_001)}
-    for p, where, exp in prime_power_events(1, 10_001, KernelPlan(small_table.primes, 10_000)):
-        off = np.arange(10_000)[where].tolist()
-        if isinstance(p, np.ndarray):
-            for q, i, e in zip(p.tolist(), off, exp.tolist()):
-                folded[1 + i].append((q, e))
-            continue
-        for i in off:  # the event of p^exp: n's entry for p^(exp - 1) came before
-            if exp == 1:
-                folded[1 + i].append((p, 1))
-            else:
-                assert folded[1 + i][-1] == (p, exp - 1)
-                folded[1 + i][-1] = (p, exp)
-    for n in range(1, 10_001):
-        assert tuple(folded[n]) == factorize(n, small_table).factors
+    # the sweep kernel's marks on one window of 10000 give factorize's factors
+    factors = factors_from_marks(1, 10_001, small_table.primes)
+    assert factors == [factorize(n, small_table).factors for n in range(1, 10_001)]
 
 
 def test_sigma_against_divisor_enumeration(small_table):

@@ -174,13 +174,15 @@ def test_champion_mode_validation():
         champion_scan(0, 2)
 
 
-def _flagged_by_full_window(windows):
-    """The m the champion screen flagged without its cut: the running maximum
-    of every value of each window, carried from window to window."""
+def _flagged_by_full_window(windows, gap):
+    """The m the champion screen flagged without its cut: those whose upper
+    bound, lower bound plus gap, reaches the running maximum of every lower
+    bound of each window less the band, carried from window to window."""
     top, lo, out = -math.inf, 1, []
     for logs in windows:
         running = np.maximum(np.maximum.accumulate(logs), top)
-        out += [lo + i for i in np.flatnonzero(logs >= running - primorial.LOG_RATIO_BAND).tolist()]
+        kept = logs + gap >= running - primorial.LOG_RATIO_BAND
+        out += [lo + i for i in np.flatnonzero(kept).tolist()]
         top, lo = running[-1], lo + logs.size
     return out
 
@@ -196,19 +198,55 @@ _levels = st.one_of(
 @given(
     _levels,
     st.lists(st.lists(_levels, min_size=1, max_size=40), min_size=1, max_size=5),
+    st.sampled_from([0.0, 5e-10, 1e-3, 0.5]),
 )
-def test_screened_champions_match_full_window_maxima(top, windows):
-    # champion_scan's screen over given float windows, the first of which
-    # sets top, carried from window to window as the scan carries it
+def test_screened_champions_match_full_window_maxima(top, windows, gap):
+    # champion_scan's screen over given windows of lower bounds, the first of
+    # which sets top, carried from window to window as the scan carries it
     windows = [np.array([top])] + [np.array(w) for w in windows]
     top, lo, seen = -math.inf, 1, []
     for logs in windows:
-        offsets, top = primorial._champion_screen(logs, top)
+        offsets, top = primorial._champion_screen(logs, gap, top)
         assert all(type(i) is int for i in offsets)
         seen += [lo + i for i in offsets]
         lo += logs.size
-    assert seen == _flagged_by_full_window(windows)
+    assert seen == _flagged_by_full_window(windows, gap)
     assert top == max(np.concatenate(windows))
+
+
+_PRIMS = np.array([6, 30, 210, 2310, 30030], dtype=np.int64)
+
+
+@st.composite
+def reduction_windows(draw):
+    """A window near a primorial, lines for the primorials in any order, and
+    upper bounds each a step above or below its m's line, none at a tie."""
+    lo = draw(st.sampled_from([6, 200, 2300, 30000])) + draw(st.integers(0, 40))
+    lines = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
+    steps = st.one_of(
+        st.sampled_from([-0.5, -1e-3, -1e-10, 1e-10, 1e-3]),
+        st.floats(1e-12, 0.5),
+        st.floats(-0.5, -1e-12),
+    )
+    ms = range(lo, lo + draw(st.integers(1, 64)))
+    k = np.searchsorted(_PRIMS, ms, side="right") - 1
+    upper = lines[k] + np.log(np.log(np.log(np.array(ms, dtype=np.float64))))
+    return lo, upper + np.array([draw(steps) for _ in ms]), lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduction_windows())
+def test_reduction_screen_matches_full_window(window):
+    # the window's least line clears m before their own line is formed, and
+    # must clear none that their own line keeps
+    lo, upper, lines = window
+    expected = []
+    for i, u in enumerate(upper.tolist()):
+        m = lo + i
+        k = int(np.searchsorted(_PRIMS, m, side="right")) - 1
+        if m != _PRIMS[k] and u - math.log(math.log(math.log(m))) >= lines[k]:
+            expected.append((m, k))
+    assert primorial._reduction_screen(lo, upper, _PRIMS, lines) == expected
 
 
 @pytest.mark.parametrize("t", [2, 7])

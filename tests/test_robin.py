@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from robinpsi.bounds import EXP_GAMMA
 from robinpsi.multiplicative import MAX_SCAN_STOP, factorize, sigma
 from robinpsi.robin import VERDICT_FIELDS, violators_to_rows
 from robinpsi.tabular import rows_to_csv, rows_to_json
+
+from conftest import factor_by_division
 
 # every n in [3, 5040] where sigma(n) >= e^gamma n log log n, found by the
 # additive oracle below and frozen here for direct comparison
@@ -132,27 +135,32 @@ def test_scan_stop_limit(small_table):
 
 
 def test_sigma_block_across_segment_edge(small_table):
-    # a sweep from a multiple of SEGMENT_SIZE splits at the next one; sigma
-    # must stay exact on both sides of that edge
+    # a sweep from a multiple of SEGMENT_SIZE splits at the next one; on both
+    # sides of that edge the window sums must bound log(sigma(n)/n), and equal
+    # it where n has no prime factor above the window's root
     edge = 2 * multiplicative.SEGMENT_SIZE
-    sigmas = {}
-    for lo, hi, events in multiplicative.sweep(edge // 2, edge + 4, small_table):
-        sig = robin._window_sigma(lo, hi, events)
-        for n in range(max(lo, edge - 5), min(hi, edge + 5)):
-            sigmas[n] = int(sig[n - lo])
-    assert sorted(sigmas) == list(range(edge - 5, edge + 5))
-    for n, block in sigmas.items():
+    bounds = {}
+    weights = robin._sigma_weight, robin._sigma_total
+    for lo, acc, gap in multiplicative.sweep(edge // 2, edge + 4, small_table, *weights):
+        root = math.isqrt(lo + acc.size - 1)
+        assert root < multiplicative.SEGMENT_SIZE // multiplicative.BATCH_MULTIPLES  # none batched
+        for n in range(max(lo, edge - 5), min(lo + acc.size, edge + 5)):
+            bounds[n] = float(acc[n - lo]), gap, root
+    assert sorted(bounds) == list(range(edge - 5, edge + 5))
+    for n, (low, gap, root) in bounds.items():
         sig, m, d = 0, n, 1
         while d * d <= m:
             if m % d == 0:
                 sig += d + (m // d if d != m // d else 0)
             d += 1
-        assert block == sig
+        exact = math.log(Fraction(sig, n))
+        large = factor_by_division(n)[-1][0] > root
+        assert low - 1e-13 <= exact <= low + (gap if large else 0.0) + 1e-13
 
 
 def _flagged_by_full_window(lo, hi, sig):
-    """The n >= 3 of the window [lo, hi) that _window_violators without its
-    screen flagged: the margin of every n, then the band rule."""
+    """The n >= 3 of the window [lo, hi) whose margin from exact sigma the
+    verdicts would flag: at or below 0, or within the band."""
     first = max(lo, 3)
     ns = np.arange(first, hi, dtype=np.float64)
     margins = EXP_GAMMA * ns
@@ -184,11 +192,13 @@ def robin_windows(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(robin_windows(), st.sampled_from([1e-9, 1e-3, 10.0]))
-def test_screened_close_matches_full_window_margins(window, band):
-    # the screen may pass more n to the verdicts than the full-window margins
-    # flagged, never fewer, and the violators stay the same
+@given(robin_windows(), st.sampled_from([1e-9, 1e-3, 10.0]), st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_screened_close_matches_full_window_margins(window, band, slack):
+    # from upper bounds on log(sigma(n)/n), as tight as a float allows or
+    # looser by slack, the screen may pass more n to the verdicts than the
+    # margins from exact sigma flag, never fewer, and the violators stay the same
     lo, hi, sig = window
+    upper = np.log(sig / np.arange(lo, hi, dtype=np.float64)) + slack
     verdict = robin._verdict_from_sigma
     seen = []
     with pytest.MonkeyPatch.context() as patch:
@@ -196,7 +206,9 @@ def test_screened_close_matches_full_window_margins(window, band):
         flagged = _flagged_by_full_window(lo, hi, sig)
         expected = [v for v in (verdict(n, int(sig[n - lo])) for n in flagged) if not v.holds]
         patch.setattr(robin, "_verdict_from_sigma", lambda n, s: seen.append(n) or verdict(n, s))
-        violators = robin._window_violators(lo, hi, sig)
+        patch.setattr(robin, "factorize", lambda n, table: n)
+        patch.setattr(robin, "sigma", lambda n: int(sig[n - lo]))
+        violators = robin._window_violators(lo, upper, None)
     assert set(flagged) <= set(seen)
     assert violators == expected
 
@@ -211,9 +223,9 @@ def test_screened_close_matches_full_window_margins(window, band):
     ids=["robin_scan", "champion_scan", "reduction_check"],
 )
 def test_sweep_memory_stays_window_sized(table, scan):
-    # every temporary of a sweep is a window's, so its peak is a few int64
+    # every temporary of a sweep is a window's, so its peak is a few 8-byte
     # arrays of SEGMENT_SIZE integers however long the range is; a window's
-    # arrays must be freed before the next window is peeled
+    # arrays must be freed before the next window is summed
     tracemalloc.start()
     try:
         scan(table)
