@@ -3,7 +3,8 @@ sweep kernel's marks. Prime tables are the only expensive setup, so build
 them once."""
 
 import math
-from functools import partial
+from bisect import bisect_right
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -62,15 +63,34 @@ def factor_by_division(n):
     return tuple(out)
 
 
+# The least odd composite n that passes Miller-Rabin to each of the first k
+# primes as bases, k = 1..9 (OEIS A014233): below it those k bases decide n.
+_STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@lru_cache(maxsize=1 << 16)
 def is_prime(n):
-    """Deterministic Miller-Rabin: the first twelve primes as bases decide
-    every n below 3.18e23 (Sorenson and Webster 2015)."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Deterministic Miller-Rabin for n below 3.8e18, with the fewest of the
+    first nine primes as bases that decide n."""
     if n < 2:
         return False
-    for q in bases:
+    for q in _BASES:
         if n % q == 0:
             return n == q
+    if n >= _STRONG_PSEUDOPRIMES[-1]:
+        raise ValueError(f"{n} is past the bases' reach")
+    bases = _BASES[: 1 + bisect_right(_STRONG_PSEUDOPRIMES, n)]
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
@@ -115,7 +135,7 @@ def factors_from_marks(lo, hi, primes):
         acc = window_weights(lo, hi, KernelPlan(primes, width, stop, weight, _zero))
         marked = acc.astype(np.int64) + 1
         assert (marked == acc + 1).all() and (marked & (marked - 1) == 0).all()
-        exps = np.array([int(m).bit_length() - 1 for m in marked.tolist()], dtype=np.int64)
+        exps = np.frexp(acc + 1)[1].astype(np.int64) - 1  # 2^e = 0.5 * 2^(e + 1)
         pe = p0**exps
         assert (ns % pe == 0).all() and (ns % (pe * p0) != 0).all()
         for i in np.flatnonzero(exps).tolist():

@@ -145,7 +145,7 @@ def _division_kernel(lo, hi, base_primes):
     yield rem[left], left, np.ones(left.size, dtype=np.int8)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(windows)
 def test_kernel_matches_division_kernel(small_table, window):
     # the marks give each n the prime powers the division kernel peels off it
