@@ -9,20 +9,20 @@ log log N_n, turning the 1/log p_n slack into (1 + 0.1253)/log p_n.  The
 resulting crossover criterion reads exp(2/p_n) * f(n) < zeta(t) with
 f(n) = 1 + 1.1253 / (log p_n * log log N_n).
 
-Each float formula, the criterion's left side less 1 and every bound's margin,
-is written once over m = math or numpy: libm scalars where a value is printed
-or decided, numpy over a whole range to screen it.  A screen states beta, a
-bound on its distance to the libm value at each index, and libm runs only at
-the indices that the estimate +- beta cannot decide.  criterion decides one
-index from libm, re-deciding at 60 digits a margin within its own error bound
-of zero; find_crossover_index bisects these certified decisions, as the left
-side falls with n, and admissible_t scans them over t.  The four suites hand
-their columns, one per t, to one sweep, _sweep: any |margin| below 1e-9 is
-precision-critical and is re-derived at 60 significant digits, from products
-of exact integers with one rounding per factor, kept per table and extended
-from one recheck to the next, before it is trusted; a range without points
-reports SKIPPED.  zeta(2) is pinned to its series' output rather than summed
-on each run.
+Each formula, the criterion's left side less 1, every bound's margin and
+R_t(N_n), is written once over m = math, numpy or mpmath: libm scalars where a
+value is printed or decided, numpy over a whole range to screen it, mpmath at
+60 digits (primes.at_60_digits) where neither decides.  const gives each its
+constants: the compiled floats for math and numpy, gamma and the decimals at
+the working precision for mpmath.  A screen states beta, a bound on its
+distance to the libm value at each index, and libm runs only at the indices
+that the estimate +- beta cannot decide.  criterion decides one index from
+libm, re-deciding at 60 digits a margin within its own error bound of zero;
+find_crossover_index bisects these certified decisions, as the left side
+falls with n, and admissible_t scans them over t.  The four suites hand their
+columns, one per t, to one sweep, _sweep, which re-derives any |margin| below
+1e-9 at 60 digits, from logs of exact products (exact_log); a range without
+points reports SKIPPED.  zeta(2) is pinned to its series' output.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from . import primorial
 from .errors import CoverageError
 from .primes import (
     PrimeTable,
+    at_60_digits,
     compensated_prefix,
     libm_map,
     mpmath,
@@ -58,6 +59,20 @@ MERTENS_SHIFT = 1.1253  # 1 + LOG_SHIFT, see module docstring
 PRECISION_BAND = 1e-9
 CONFIRM = 100  # indices past n1 that must satisfy the criterion too
 MERTENS_CAP = 10**6  # largest x of the Mertens product sweep
+
+_AT_PRECISION = {  # each constant above at mpmath's working precision
+    EULER_GAMMA: lambda m: +m.euler,
+    EXP_GAMMA: lambda m: m.exp(m.euler),
+    MERTENS_SHIFT: lambda m: m.mpf("1.1253"),  # the float lies 3.3e-17 below
+    LOG_SHIFT: lambda m: m.mpf("0.1253"),
+}
+
+
+def const(m, x):
+    """The constant x above in m's arithmetic: x itself for math or numpy,
+    its _AT_PRECISION value for mpmath."""
+    return x if m is math or m is np else _AT_PRECISION[x](m)
+
 
 _ZETA_TAIL_TARGET = 1e-15
 _ZETA_CHUNK = 1 << 22
@@ -131,9 +146,8 @@ def _zeta_series(t: int) -> ZetaValue:
 
 def _lhs_excess(m, p, theta):
     """exp(2/p) * f - 1 = expm1(2/p) * (1 + c) + c, c = 1.1253 / (log p *
-    log theta), from a prime p and theta = theta(p) = log N_n, with m = math
-    for floats or m = numpy for arrays."""
-    c = MERTENS_SHIFT / (m.log(p) * m.log(theta))
+    log theta), from a prime p and theta = theta(p) = log N_n."""
+    c = const(m, MERTENS_SHIFT) / (m.log(p) * m.log(theta))
     return m.expm1(2.0 / p) * (1.0 + c) + c
 
 
@@ -224,27 +238,22 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
     lhs_excess = _criterion_lhs_at(n, table)
     margin = z.excess - lhs_excess
     satisfied = margin > 0.0
+    p_n = int(table.primes[n - 1])
     if abs(margin) <= _LHS_ERROR * lhs_excess + z.abs_error_bound:
-        satisfied = _criterion_margin_mp(t, n, table) > 0.0
+        satisfied = at_60_digits(
+            lambda m, p, theta, zeta_t: zeta_t - 1 - _lhs_excess(m, p, theta),
+            lambda: (p_n, exact_log(table, "primorial", n), mpmath.zeta(t)),
+        ) > 0.0
     return CriterionReport(
         t=t,
         n=n,
-        p_n=int(table.primes[n - 1]),
+        p_n=p_n,
         lhs=1.0 + lhs_excess,
         rhs=z.value,
         margin=margin,
         satisfied=satisfied,
         precision_critical=abs(margin) < PRECISION_BAND,
     )
-
-
-def _criterion_margin_mp(t: int, n: int, table: PrimeTable) -> float:
-    """zeta(t) - exp(2/p_n) * f(n) at 60 digits, log N_n from the primorial."""
-    with mpmath.workdps(60):
-        p_n = int(table.primes[n - 1])
-        lp = mpmath.log(p_n)
-        f = 1 + mpmath.mpf("1.1253") / (lp * _log_log_primorial(n, table))
-        return float(mpmath.zeta(t) - mpmath.exp(mpmath.mpf(2) / p_n) * f)
 
 
 def find_crossover_index(t: int, table: PrimeTable, floored: bool = False) -> int:
@@ -296,10 +305,10 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
     return mant, exp10
 
 
-# Each suite's margin is one formula of (m, ...) with m = math or numpy.  Its
-# screen evaluates it in numpy over the whole range and states beta, a bound on
-# the distance to the libm margin at each index; _sweep takes libm, m = math,
-# only where the screen cannot decide.  Error model: numpy's power, expm1,
+# Each suite's margin is one formula of (m, ...).  Its screen evaluates it in
+# numpy over the whole range and states beta, a bound on the distance to the
+# libm margin at each index; _sweep takes libm only where the screen cannot
+# decide, and mpmath in the band.  Error model: numpy's power, expm1,
 # log1p, log and exp are within 16 ulp of the exact value per call, libm's
 # within 1; u = 2^-53.  On samples of the suites' inputs, against 200-bit
 # values, numpy was within 0.63 ulp and libm within 0.51 (measured).  Where a
@@ -321,7 +330,7 @@ def _mertens_margin(m, x, log_product):
     """e^gamma (log x + 1/log x) - prod_{p <= x} (1 - 1/p)^-1 from the log of
     that product."""
     lx = m.log(x)
-    return EXP_GAMMA * (lx + 1.0 / lx) - m.exp(log_product)
+    return const(m, EXP_GAMMA) * (lx + 1.0 / lx) - m.exp(log_product)
 
 
 def _mertens_screen(x: np.ndarray, log_product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +388,7 @@ def _zeta_tail_screen(
 def _log_substitution_margin(m, p, theta):
     """log log N_n + 0.1253 / log p_n - log p_n from p_n and theta = log N_n."""
     lp = m.log(p)
-    return m.log(theta) + LOG_SHIFT / lp - lp
+    return m.log(theta) + const(m, LOG_SHIFT) / lp - lp
 
 
 def _log_substitution_screen(p: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +404,8 @@ def _log_substitution_screen(p: np.ndarray, theta: np.ndarray) -> tuple[np.ndarr
 def _psi_ratio_scale(m, p, theta):
     """exp(gamma + 2/p_n) (log log N_n + 1.1253 / log p_n) from p_n and theta =
     log N_n, which divided by zeta(t) bounds psi_t(N_n)/N_n."""
-    return m.exp(EULER_GAMMA + 2.0 / p) * (m.log(theta) + MERTENS_SHIFT / m.log(p))
+    shift = const(m, MERTENS_SHIFT)
+    return m.exp(const(m, EULER_GAMMA) + 2.0 / p) * (m.log(theta) + shift / m.log(p))
 
 
 def _psi_ratio_margin(m, p, theta, zeta_value, log_ratio):
@@ -442,6 +452,11 @@ def admissible_t(n: int, table: PrimeTable) -> int | None:
     return t - 1 if t > 2 else None
 
 
+def primorial_ratio(m, log_ratio, theta):
+    """R_t(N_n) from log_ratio = log(psi_t(N_n)/N_n) and theta = log N_n."""
+    return m.exp(log_ratio) / m.log(theta)
+
+
 def ratio_curve(
     table: PrimeTable, t: int, n_max: int
 ) -> list[tuple[int, int, float, float, float]]:
@@ -456,7 +471,7 @@ def ratio_curve(
     logs = primorial.log_psi_ratio_prefix(table, t, n_max).tolist()
     rows = []
     for n in range(2, n_max + 1):
-        r = math.exp(logs[n]) / math.log(table.theta_prefix[n])
+        r = primorial_ratio(math, logs[n], table.theta_prefix[n])
         rows.append((n, int(table.primes[n - 1]), r, limit_value, r / limit_value - 1.0))
     return rows
 
@@ -531,33 +546,34 @@ def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> 
 _PRODUCTS: "weakref.WeakKeyDictionary[PrimeTable, dict]" = weakref.WeakKeyDictionary()
 
 
-def _prefix_products(
-    table: PrimeTable, key: object, n: int, factors: Callable[[int], tuple[int, ...]]
-) -> list[mpmath.mpf]:
-    """For each slot of factors(p), the product of that exact integer over
-    p_1..p_n at the working precision, one rounding per factor; call it inside
-    the recheck's workdps context.
+# What a 60-digit recheck takes the log of: prod a(p) / prod b(p) over p_1..p_n
+_FACTORS = {
+    "primorial": lambda p, t: (p, 1),  # N_n
+    "mertens": lambda p, t: (p, p - 1),  # prod (1 - 1/p)^-1
+    "zeta_tail": lambda p, t: (p**t - 1, p**t),  # prod (1 - p^-t)
+    "psi_ratio": lambda p, t: (p**t - 1, (p - 1) * p ** (t - 1)),  # psi_t(N_n)/N_n
+}
 
-    The products are kept per table, key and precision.  A call with n at or
-    past the kept index extends them; an earlier n rebuilds them from p_1.
-    The same factors in the same order round to the same bits either way.
+
+def exact_log(table: PrimeTable, name: str, n: int, t: int = 0) -> mpmath.mpf:
+    """log of the product _FACTORS[name] over p_1..p_n at the working
+    precision, numerator and denominator each a product of exact integers
+    with one rounding per factor; call it inside at_60_digits.
+
+    The products are kept per table, name, t and precision.  A call with n
+    at or past the kept index extends them; an earlier n rebuilds them from
+    p_1.  The same factors in the same order round to the same bits either way.
     """
     kept = _PRODUCTS.setdefault(table, {})
-    slot = (key, mpmath.mp.prec)
-    k, prods = kept.get(slot, (0, None))
-    if prods is None or k > n:
-        k, prods = 0, [mpmath.mpf(1) for _ in factors(2)]
+    slot = (name, t, mpmath.mp.prec)
+    k, num, den = kept.get(slot, (0, None, None))
+    if num is None or k > n:
+        k, num, den = 0, mpmath.mpf(1), mpmath.mpf(1)
     for p in table.primes[k:n].tolist():
-        prods = [out * f for out, f in zip(prods, factors(p))]
-    kept[slot] = (n, prods)
-    return prods
-
-
-def _log_log_primorial(n: int, table: PrimeTable) -> mpmath.mpf:
-    """log log N_n at the working precision, from the one primorial product
-    kept per table."""
-    (primorial_n,) = _prefix_products(table, "primorial", n, lambda p: (p,))
-    return mpmath.log(mpmath.log(primorial_n))
+        a, b = _FACTORS[name](p, t)
+        num, den = num * a, den * b
+    kept[slot] = (n, num, den)
+    return mpmath.log(num / den)
 
 
 _SAMPLE_SEED = 20011
@@ -574,7 +590,8 @@ def mertens_bound_suite(
     xs.update(rng.randint(2, cap) for _ in range(samples if cap >= 2 else 0))
     xs = sorted(xs)
     prefix = _mertens_prefix(table.primes[: np.searchsorted(table.primes, cap, side="right")])
-    logs = prefix[np.searchsorted(table.primes, xs, side="right")]
+    counts = np.searchsorted(table.primes, xs, side="right").tolist()  # pi(x)
+    logs = prefix[counts]
     return _sweep(
         "mertens_product",
         [(
@@ -582,18 +599,11 @@ def mertens_bound_suite(
             partial(_mertens_screen, np.array(xs, dtype=np.float64), logs),
             _libm_at(_mertens_margin, xs, logs),
         )],
-        lambda _, i: _mertens_margin_mp(xs[i], table),
+        lambda _, i: at_60_digits(
+            _mertens_margin, lambda: (xs[i], exact_log(table, "mertens", counts[i]))
+        ),
         lambda _, i: f"x={xs[i]}",
     )
-
-
-def _mertens_margin_mp(x: int, table: PrimeTable) -> float:
-    n = int(np.searchsorted(table.primes, x, side="right"))
-    with mpmath.workdps(60):
-        num, den = _prefix_products(table, "mertens", n, lambda p: (p, p - 1))
-        prod = num / den
-        lx = mpmath.log(x)
-        return float(mpmath.exp(mpmath.euler) * (lx + 1 / lx) - prod)
 
 
 def zeta_tail_bound_suite(
@@ -605,7 +615,9 @@ def zeta_tail_bound_suite(
     return _sweep(
         "zeta_tail_product",
         _zeta_tail_columns(table, ts, n_max),
-        lambda t, i: _zeta_tail_margin_mp(t, i + 2, table),
+        lambda t, i: at_60_digits(_zeta_tail_margin, lambda: (
+            int(table.primes[i + 1]), mpmath.zeta(t), exact_log(table, "zeta_tail", i + 2, t)
+        )),
         lambda t, i: f"t={t},n={i + 2}",
     )
 
@@ -629,14 +641,6 @@ def _zeta_tail_margins(t: int, table: PrimeTable, p: np.ndarray, idx: np.ndarray
     return _libm_at(lambda m, p_n, log_head: _zeta_tail_margin(m, p_n, zv, log_head), p, logs)(idx)
 
 
-def _zeta_tail_margin_mp(t: int, n: int, table: PrimeTable) -> float:
-    # prod_{p <= p_n} (1 - p^-t) = prod (p^t - 1) / prod p^t
-    with mpmath.workdps(60):
-        num, den = _prefix_products(table, ("zeta_tail", t), n, lambda p: (p**t - 1, p**t))
-        head = num / den
-        return float(mpmath.exp(mpmath.mpf(2) / int(table.primes[n - 1])) - mpmath.zeta(t) * head)
-
-
 def log_substitution_suite(
     table: PrimeTable, n_min: int = CRITERION_FLOOR, n_max: int = 10**5
 ) -> SuiteResult:
@@ -653,16 +657,11 @@ def log_substitution_suite(
             partial(_log_substitution_screen, p, theta),
             _libm_at(_log_substitution_margin, p, theta),
         )],
-        lambda _, i: _log_substitution_margin_mp(n_min + i, table),
+        lambda _, i: at_60_digits(_log_substitution_margin, lambda: (
+            int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i)
+        )),
         lambda _, i: f"n={n_min + i}",
     )
-
-
-def _log_substitution_margin_mp(n: int, table: PrimeTable) -> float:
-    with mpmath.workdps(60):
-        lln = _log_log_primorial(n, table)
-        lp = mpmath.log(int(table.primes[n - 1]))
-        return float(lln + mpmath.mpf("0.1253") / lp - lp)
 
 
 def psi_ratio_bound_suite(
@@ -679,7 +678,10 @@ def psi_ratio_bound_suite(
     return _sweep(
         "psi_ratio_bound",
         _psi_ratio_columns(table, ts, n_min, n_max),
-        lambda t, i: _psi_ratio_margin_mp(t, n_min + i, table),
+        lambda t, i: at_60_digits(_psi_ratio_margin, lambda: (
+            int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i),
+            mpmath.zeta(t), exact_log(table, "psi_ratio", n_min + i, t),
+        )),
         lambda t, i: f"t={t},n={n_min + i}",
     )
 
@@ -709,24 +711,3 @@ def _psi_ratio_margins(
     logs = primorial.log_psi_ratio_prefix(table, t, n_min + int(idx[-1]))[n_min:]
     return _libm_at(lambda m, p_n, th, lr: _psi_ratio_margin(m, p_n, th, zv, lr), p, theta, logs)(idx)
 
-
-def psi_ratio_mp(t: int, n: int, table: PrimeTable) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """psi_t(N_n)/N_n and log log N_n at the working precision, from products
-    of exact integers: psi_t(N_n)/N_n = prod (p^t - 1) / prod ((p - 1) p^(t-1))."""
-    num, den = _prefix_products(
-        table, ("psi_ratio", t), n, lambda p: (p**t - 1, (p - 1) * p ** (t - 1))
-    )
-    return num / den, _log_log_primorial(n, table)
-
-
-def _psi_ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
-    with mpmath.workdps(60):
-        ratio, lln = psi_ratio_mp(t, n, table)
-        p_n = int(table.primes[n - 1])
-        lp = mpmath.log(p_n)
-        bound = (
-            mpmath.exp(mpmath.euler + mpmath.mpf(2) / p_n)
-            / mpmath.zeta(t)
-            * (lln + mpmath.mpf("1.1253") / lp)
-        )
-        return float(bound - ratio)

@@ -12,9 +12,10 @@ summation (compensated_prefix): the absolute error stays within a few ulps
 instead of growing linearly, which keeps log log N_n good to ~1e-12 near
 n = 10^4 where the crossover margins downstream are only ~1e-6.
 
-mpmath is the one shared handle through which bounds, robin and primorial
-reach mpmath: it imports the module on the first 60-digit recheck, so a run
-that rechecks nothing never loads it.
+at_60_digits runs a formula f(m, ...), written once over m = math, numpy or
+mpmath, with m = mpmath, the one shared handle, at 60 significant digits: the
+only high-precision context.  The handle imports mpmath on the first
+recheck, so a run that rechecks nothing never loads it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _SEGMENT_ODDS = 1 << 17  # odd candidates per sieve segment
 
 class _LazyModule:
     """A module imported on its first attribute access, then delegated to.
-    An attribute set on the handle itself, such as a patched workdps, is found
+    An attribute set on the handle itself, such as a patched function, is found
     before __getattr__ runs, so every module holding the handle sees it."""
 
     def __init__(self, name: str) -> None:
@@ -43,6 +44,14 @@ class _LazyModule:
 
 
 mpmath = _LazyModule("mpmath")
+
+
+def at_60_digits(formula, inputs) -> float:
+    """float(formula(mpmath, *inputs())) at 60 significant digits.  inputs()
+    runs inside the context, so the exact products it reads are formed at 60
+    digits; each value it gives enters as an mpf, an int exactly."""
+    with mpmath.workdps(60):
+        return float(formula(mpmath, *map(mpmath.mpf, inputs())))
 
 
 @dataclass(eq=False)

@@ -8,7 +8,7 @@ log psi_t(n)/n over the primes up to the window's root, a lower bound, and
 the one larger prime an n may have adds at most the window's gap, so a screen
 keeps only the n whose bounds come within LOG_RATIO_BAND of the line, and
 the loop re-decides each of them exactly (champions) or at 60 digits
-(reduction).
+(reduction, whose one formula of log R_t(n), _log_r, runs in all three).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from functools import partial
 import numpy as np
 
 from .multiplicative import check_sweep, factorize, psi_over_n, sweep
-from .primes import PrimeTable, build_table, compensated_prefix, libm_map, mpmath, require_primes
+from .primes import PrimeTable, at_60_digits, build_table, compensated_prefix, libm_map
+from .primes import require_primes
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
 # terms below log 2, each within a few ulp, and the sum stays below 2: its float
@@ -112,8 +113,9 @@ def _champion_screen(logs: np.ndarray, gap: float, top: float) -> tuple[list[int
     LOG_RATIO_BAND, top being the largest lower bound before logs; and the
     new top."""
     # a value below top - gap - LOG_RATIO_BAND is never kept and never lifts
-    # the running maximum past top, so the maxima of the rest decide the same
-    near = np.flatnonzero(logs >= top - gap - LOG_RATIO_BAND)
+    # the running maximum past top, so the maxima of the rest decide the same;
+    # the cut sits a second band lower, so its own rounding drops none of them
+    near = np.flatnonzero(logs >= top - gap - 2.0 * LOG_RATIO_BAND)
     if not near.size:
         return [], top
     # in place: the first window keeps every value
@@ -175,19 +177,24 @@ def primorials_up_to(limit: int) -> list[int]:
     return out
 
 
+def _log_r(m, log_ratio, n):
+    """log R_t(n) = log(psi_t(n)/n) - log log log n, R_t(n) = psi_t(n)/(n log log n)."""
+    return log_ratio - m.log(m.log(m.log(n)))
+
+
 def _reduction_screen(
     lo: int, upper: np.ndarray, prims: np.ndarray, lines: np.ndarray
 ) -> list[tuple[int, int]]:
     """(m, k) for each non-primorial m of the window from lo, upper holding an
     upper bound on log psi_t(m)/m, that the float screen does not clear below
     lines[k], the line of N_k = prims[k], the largest primorial <= m."""
-    # log R_t(m) <= upper - log log log lo on the window, so an m below the
-    # least line of the window's primorials is cleared before log log log m
-    # and the searchsorted are formed for it
+    # log R_t(m) <= _log_r(upper, lo) on the window, so an m below the least
+    # line of the window's primorials is cleared before log log log m and the
+    # searchsorted are formed for it; -_log_r(math, 0.0, lo) = log log log lo
     k = np.searchsorted(prims, [lo, lo + upper.size - 1], side="right") - 1
-    floor = lines[k[0] : k[1] + 1].min() + math.log(math.log(math.log(lo)))
+    floor = lines[k[0] : k[1] + 1].min() - _log_r(math, 0.0, lo)
     ns = lo + np.flatnonzero(upper >= floor)
-    log_r = upper[ns - lo] - np.log(np.log(np.log(ns)))
+    log_r = _log_r(np, upper[ns - lo], ns)
     k = np.searchsorted(prims, ns, side="right") - 1  # N_k, the largest primorial <= n
     keep = (log_r >= lines[k]) & (ns != prims[k])
     return list(zip(ns[keep].tolist(), k[keep].tolist()))
@@ -209,23 +216,24 @@ def reduction_check(limit: int, t: int) -> bool:
     check_sweep(6, limit)
     table = build_table(math.isqrt(limit) + 1)
 
-    def ratio_60(r: Fraction, m: int) -> mpmath.mpf:
-        with mpmath.workdps(60):
-            return mpmath.mpf(r.numerator) / r.denominator / mpmath.log(mpmath.log(m))
-
     prims = np.array(primorials_up_to(limit)[2:], dtype=np.int64)  # 6, 30, 210, ...
     # log R_t(N_k) less the band; prims[k] is the product of the first k + 2
     # primes, each at most sqrt(limit) + 1, so all in table
     logs = log_psi_ratio_prefix(table, t, prims.size + 1)[2:]
-    lines = logs - np.log(np.log(np.log(prims))) - LOG_RATIO_BAND
+    lines = _log_r(np, logs, prims) - LOG_RATIO_BAND
     weight, total = partial(_psi_weight, t=t), partial(log_terms, t=t)
     for lo, acc, gap in sweep(6, limit, table, weight, total):
-        acc += gap  # the one prime above the window's root, if m has one
-        for m, k in _reduction_screen(lo, acc, prims, lines):
-            r = psi_over_n(factorize(m, table), t)
-            if math.log(r) - math.log(math.log(math.log(m))) < lines[k]:
+        acc += gap  # the one prime above the window's root, if n has one
+        for n, k in _reduction_screen(lo, acc, prims, lines):
+            r = psi_over_n(factorize(n, table), t)
+            if _log_r(math, math.log(r), n) < lines[k]:
                 continue
             n_k = int(prims[k])
-            if ratio_60(r, m) >= ratio_60(psi_over_n(factorize(n_k, table), t), n_k):
+            r_k = psi_over_n(factorize(n_k, table), t)
+            # log R_t(n) - log R_t(N_k), each psi_t/n entering as its two terms
+            if at_60_digits(
+                lambda m, a, b, x, c, d, y: _log_r(m, m.log(a / b), x) - _log_r(m, m.log(c / d), y),
+                lambda: (r.numerator, r.denominator, n, r_k.numerator, r_k.denominator, n_k),
+            ) >= 0.0:
                 return False
     return True

@@ -7,8 +7,9 @@ log(sigma(n)/n) from weights per prime power, and `_window_violators`
 screens them and decides each n the screen keeps from its exact sigma.  The t-free pipeline checks
 the bridge (c) first, which needs no sweep and bounds the range before any
 sieving, then scans for (a).
-Any verdict whose float margin is within n * 1e-9 of zero is recomputed at 60
-significant digits before being trusted.
+A verdict's float margin within n * 1e-9 of zero, and R_t(N_n1) within 1e-9
+of e^gamma, are re-decided at 60 significant digits by the same formula over
+m = mpmath (_threshold, bounds.primorial_ratio) before being trusted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import EXP_GAMMA, PRECISION_BAND, find_crossover_index, psi_ratio_mp
+from .bounds import EXP_GAMMA, PRECISION_BAND, const, exact_log, find_crossover_index
+from .bounds import primorial_ratio
 from .multiplicative import (
     BridgeReport,
     factorize,
@@ -27,7 +29,7 @@ from .multiplicative import (
     sweep,
     verify_sigma_le_psi,
 )
-from .primes import PrimeTable, mpmath
+from .primes import PrimeTable, at_60_digits, mpmath  # noqa: F401, the handle bounds holds
 from . import primorial
 
 RELATIVE_BAND = 1e-9
@@ -47,14 +49,17 @@ class RobinVerdict:
     precision_critical: bool
 
 
+def _threshold(m, n):
+    """e^gamma n log log n."""
+    return const(m, EXP_GAMMA) * n * m.log(m.log(n))
+
+
 def _verdict_from_sigma(n: int, sig: int) -> RobinVerdict:
-    threshold = EXP_GAMMA * n * math.log(math.log(n))
+    threshold = _threshold(math, n)
     margin = threshold - sig
     critical = abs(margin) < n * RELATIVE_BAND
     if critical:
-        with mpmath.workdps(60):
-            hp = mpmath.exp(mpmath.euler) * n * mpmath.log(mpmath.log(n)) - sig
-            margin = float(hp)
+        margin = at_60_digits(lambda m, x, s: _threshold(m, x) - s, lambda: (n, sig))
     return RobinVerdict(
         n=n,
         sigma=sig,
@@ -151,13 +156,6 @@ class TfreeTheoremReport:
     bridge: BridgeReport
 
 
-def _ratio_margin_mp(t: int, n: int, table: PrimeTable) -> float:
-    """e^gamma - R_t(N_n) at 60 digits, R_t(N_n) = (psi_t(N_n)/N_n) / log log N_n."""
-    with mpmath.workdps(60):
-        ratio, lln = psi_ratio_mp(t, n, table)
-        return float(mpmath.exp(mpmath.euler) - ratio / lln)
-
-
 def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheoremReport:
     """Run all three branches: (c) first, whose budget check raises before
     any sieving, then (a), a scan of [3, scan_limit] with primes from table,
@@ -178,10 +176,13 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
 
     n1 = find_crossover_index(t, table)
     log_ratio = primorial.log_psi_ratio_prefix(table, t, n1)[n1]
-    ratio = math.exp(log_ratio) / math.log(table.theta_prefix[n1])
+    ratio = primorial_ratio(math, log_ratio, table.theta_prefix[n1])
     margin = EXP_GAMMA - ratio
     if abs(margin) < PRECISION_BAND:
-        margin = _ratio_margin_mp(t, n1, table)
+        margin = at_60_digits(
+            lambda m, lr, theta: const(m, EXP_GAMMA) - primorial_ratio(m, lr, theta),
+            lambda: (exact_log(table, "psi_ratio", n1, t), exact_log(table, "primorial", n1)),
+        )
     branch_b = margin > 0.0
 
     witness: int | None = None

@@ -45,6 +45,22 @@ def built_columns(monkeypatch):
     return built
 
 
+def spy_60_digits(monkeypatch, module):
+    """Every call module makes to primes.at_60_digits, as (formula, inputs,
+    result), inputs what its inputs() gave inside the context."""
+    calls = []
+    run = module.at_60_digits
+
+    def spy(formula, inputs):
+        seen = []
+        result = run(formula, lambda: seen.extend(inputs()) or seen)
+        calls.append((formula, tuple(seen), result))
+        return result
+
+    monkeypatch.setattr(module, "at_60_digits", spy)
+    return calls
+
+
 def factor_by_division(n):
     """(p, e) of each prime power exactly dividing n, primes increasing, by
     trial division over every d: independent of the package's primes."""

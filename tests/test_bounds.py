@@ -23,12 +23,23 @@ from robinpsi import (
     primorial_magnitude,
     psi_ratio_bound_suite,
     ratio_curve,
+    reduction_check,
+    verify_tfree_robin,
     zeta,
     zeta_tail_bound_suite,
 )
-from robinpsi import bounds
-from robinpsi.bounds import CONFIRM, CRITERION_FLOOR, EULER_GAMMA, EXP_GAMMA, MERTENS_SHIFT
+from robinpsi import bounds, primorial, robin
+from robinpsi.bounds import (
+    CONFIRM,
+    CRITERION_FLOOR,
+    EULER_GAMMA,
+    EXP_GAMMA,
+    LOG_SHIFT,
+    MERTENS_SHIFT,
+)
 from robinpsi.primes import nth_prime_bound
+
+from conftest import factor_by_division, spy_60_digits
 
 CROSSOVERS = [(3, 10), (4, 24), (5, 79), (6, 509), (7, 10596)]
 
@@ -456,31 +467,32 @@ def test_psi_ratio_suite_reduced(small_table):
     assert result.worst_margin > 0
 
 
-# reduced ranges for every suite, and the 60-digit recheck each one calls;
-# all of their margins lie below 10 (Mertens reaches about 1.8 near x = 2)
+# reduced ranges for every suite, and the margin formula its 60-digit
+# recheck runs; all of their margins lie below 10 (Mertens reaches about 1.8
+# near x = 2)
 REDUCED_SUITES = {
     "mertens_product": (
-        lambda tab: mertens_bound_suite(tab, x_cap=10**4, samples=20), "_mertens_margin_mp"),
+        lambda tab: mertens_bound_suite(tab, x_cap=10**4, samples=20), "_mertens_margin"),
     "zeta_tail_product": (
-        lambda tab: zeta_tail_bound_suite(tab, ts=(5, 2, 3), n_max=150), "_zeta_tail_margin_mp"),
+        lambda tab: zeta_tail_bound_suite(tab, ts=(5, 2, 3), n_max=150), "_zeta_tail_margin"),
     "log_substitution": (
-        lambda tab: log_substitution_suite(tab, n_max=2400), "_log_substitution_margin_mp"),
+        lambda tab: log_substitution_suite(tab, n_max=2400), "_log_substitution_margin"),
     "psi_ratio_bound": (
-        lambda tab: psi_ratio_bound_suite(tab, ts=(4, 3), n_max=2400), "_psi_ratio_margin_mp"),
+        lambda tab: psi_ratio_bound_suite(tab, ts=(4, 3), n_max=2400), "_psi_ratio_margin"),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(REDUCED_SUITES))
 def test_suite_rechecks_every_point_in_the_band(small_table, monkeypatch, suite):
-    run, recheck_name = REDUCED_SUITES[suite]
+    run, formula = REDUCED_SUITES[suite]
     plain = run(small_table)
-    recheck = getattr(bounds, recheck_name)
-    calls = []
-    monkeypatch.setattr(bounds, recheck_name, lambda *a: calls.append(a) or recheck(*a))
+    calls = spy_60_digits(monkeypatch, bounds)
     monkeypatch.setattr(bounds, "PRECISION_BAND", 10.0)
     forced = run(small_table)
+    points = {inputs for _, inputs, _ in calls}
     assert plain.rechecked == 0
-    assert forced.rechecked == forced.points == plain.points == len(calls) == len(set(calls))
+    assert forced.rechecked == forced.points == plain.points == len(calls) == len(points)
+    assert {f for f, _, _ in calls} == {getattr(bounds, formula)}
     assert forced.worst_at == plain.worst_at
     assert forced.worst_margin == pytest.approx(plain.worst_margin, abs=1e-12)
 
@@ -546,15 +558,22 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
         assert (np.abs(est - libm) <= 2.0**-46 * est).all()
 
 
-def test_criterion_libm_error_bound(small_table):
+def test_criterion_libm_error_bound(small_table, monkeypatch):
     # the libm margin against its 60-digit value, within the bound that
-    # decides when the 60-digit value is taken instead
+    # decides when the 60-digit value is taken instead; an infinite bound
+    # sends every index to the recheck, whose value the spy keeps
+    bound = bounds._LHS_ERROR
+    calls = spy_60_digits(monkeypatch, bounds)
+    monkeypatch.setattr(bounds, "_LHS_ERROR", math.inf)
     for t in (2, 3, 7, 10):
         z = zeta(t)
         for n in (2, 3, 9, 10, 100, CRITERION_FLOOR, 10596, len(small_table)):
             lhs = bounds._criterion_lhs_at(n, small_table)
-            exact = bounds._criterion_margin_mp(t, n, small_table)
-            assert abs(z.excess - lhs - exact) <= bounds._LHS_ERROR * lhs + z.abs_error_bound
+            report = criterion(t, n, small_table)
+            _, (p_n, *_), exact = calls[-1]
+            assert p_n == report.p_n
+            assert abs(z.excess - lhs - exact) <= bound * lhs + z.abs_error_bound
+    assert len(calls) == 4 * 8
 
 
 @pytest.mark.parametrize("suite", sorted(REDUCED_SUITES))
@@ -621,15 +640,17 @@ def test_unscreened_crossover_search_gives_the_same_n1(monkeypatch):
 
 
 def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, small_table):
-    calls = []
-    margin_mp = bounds._criterion_margin_mp
-    monkeypatch.setattr(bounds, "_criterion_margin_mp", lambda *a: calls.append(a) or margin_mp(*a))
+    calls = spy_60_digits(monkeypatch, bounds)
     monkeypatch.setattr(bounds, "_LHS_ERROR", math.inf)
     for n in (9, 10):
         report = criterion(3, n, small_table)
         assert report.satisfied == (report.margin > 0.0)
-        assert margin_mp(3, n, small_table) == pytest.approx(report.margin, rel=1e-12)
-    assert calls == [(3, 9, small_table), (3, 10, small_table)]
+        assert calls[-1][2] == pytest.approx(report.margin, rel=1e-12)
+    # (p_n, log N_n, zeta(3)) at n = 9 and 10
+    assert [tuple(map(float, inputs)) for _, inputs, _ in calls] == [
+        (23, pytest.approx(small_table.theta_prefix[9]), pytest.approx(zeta(3).value)),
+        (29, pytest.approx(small_table.theta_prefix[10]), pytest.approx(zeta(3).value)),
+    ]
     # the whole search through the 60-digit path: the last index, 7 steps
     # bisecting [2, 168] and the CONFIRM indices after n1 = 10
     tiny = build_table(1000)
@@ -762,49 +783,130 @@ def test_suite_coverage_errors(small_table):
         log_substitution_suite(small_table, n_min=100, n_max=4000)
 
 
-def test_extended_precision_rechecks_agree(small_table):
-    # the slow path used when a float margin lands inside the 1e-9 band, against
-    # 60-digit references that take a logarithm of every prime
-    from robinpsi.bounds import (
-        _log_substitution_margin_mp,
-        _mertens_margin_mp,
-        _psi_ratio_margin_mp,
-        _zeta_tail_margin_mp,
-    )
-
+def test_extended_precision_rechecks_agree(small_table, monkeypatch):
+    # every 60-digit recheck, taken where the code takes it, against 60-digit
+    # references that take a logarithm of every prime
     primes = small_table.primes.tolist()
+
+    def suite_recheck(suite):
+        """The recheck(key, i) and where(key, i) that suite hands to _sweep."""
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_sweep", lambda name, columns, recheck, where: (recheck, where))
+            return suite(small_table)
+
+    recheck, where = suite_recheck(mertens_bound_suite)
+    mertens = recheck(None, next(i for i in range(64) if where(None, i) == "x=1024"))
+    recheck, _ = suite_recheck(partial(zeta_tail_bound_suite, n_max=100))
+    tails = [recheck(t, 100 - 2) for t in (3, 10)]
+    recheck, _ = suite_recheck(partial(log_substitution_suite, n_max=CRITERION_FLOOR))
+    log_sub = recheck(None, 0)  # n = CRITERION_FLOOR
+    recheck, _ = suite_recheck(partial(psi_ratio_bound_suite, n_max=CRITERION_FLOOR))
+    psis = [recheck(t, 0) for t in (3, 7)]
+    with monkeypatch.context() as patch:
+        calls = spy_60_digits(patch, bounds)
+        patch.setattr(bounds, "_LHS_ERROR", math.inf)
+        for t, n in ((3, 10), (7, 10596)):
+            criterion(t, n, small_table)
+        criteria = [result for _, _, result in calls]
+    with monkeypatch.context() as patch:
+        calls = spy_60_digits(patch, robin)
+        patch.setattr(robin, "PRECISION_BAND", 10.0)
+        assert verify_tfree_robin(6, 5041, small_table).crossover_index == 509
+        ((_, _, ratio_margin),) = calls
+    sigmas = {n: math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factor_by_division(n))
+              for n in (5040, 10080, 55440)}
+    with monkeypatch.context() as patch:
+        patch.setattr(robin, "RELATIVE_BAND", 1e9)
+        verdicts = [robin._verdict_from_sigma(n, s).margin for n, s in sigmas.items()]
+    with monkeypatch.context() as patch:
+        calls = spy_60_digits(patch, primorial)
+        patch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
+        assert reduction_check(300, 3)
+        reductions = [(inputs[2], inputs[5], result) for _, inputs, result in calls]
+    assert len(reductions) == 300 - 5 - 3  # every non-primorial in [6, 300]
+
+    def theta(n):
+        return mpmath.fsum(mpmath.log(p) for p in primes[:n])
+
+    def log_psi(t, ps):
+        """log psi_t(n)/n for the primes ps of n."""
+        return mpmath.fsum(
+            mpmath.log(mpmath.fsum(mpmath.mpf(1) / p**j for j in range(t))) for p in ps
+        )
 
     def zeta_tail(t, n):
         head = mpmath.exp(mpmath.fsum(mpmath.log(1 - mpmath.mpf(p) ** -t) for p in primes[:n]))
         return mpmath.exp(mpmath.mpf(2) / primes[n - 1]) - mpmath.zeta(t) * head
 
     def psi(t, n):
-        lln = mpmath.log(mpmath.fsum(mpmath.log(p) for p in primes[:n]))
         lp = mpmath.log(primes[n - 1])
-        ratio = mpmath.exp(mpmath.fsum(
-            mpmath.log(mpmath.fsum(mpmath.mpf(1) / p**j for j in range(t))) for p in primes[:n]
-        ))
         bound = mpmath.exp(mpmath.euler + mpmath.mpf(2) / primes[n - 1]) / mpmath.zeta(t)
-        return bound * (lln + mpmath.mpf("1.1253") / lp) - ratio
+        return bound * (mpmath.log(theta(n)) + mpmath.mpf("1.1253") / lp) - mpmath.exp(
+            log_psi(t, primes[:n])
+        )
+
+    def criterion_margin(t, n):
+        p = mpmath.mpf(primes[n - 1])
+        c = mpmath.mpf("1.1253") / (mpmath.log(p) * mpmath.log(theta(n)))
+        return mpmath.zeta(t) - mpmath.exp(2 / p) * (1 + c)
+
+    def log_r(t, n):
+        primes_of_n = [p for p, _ in factor_by_division(n)]
+        return log_psi(t, primes_of_n) - mpmath.log(mpmath.log(mpmath.log(n)))
 
     with mpmath.workdps(60):
-        prod = mpmath.exp(-mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / p) for p in primes[:168]))
-        lx = mpmath.log(1000)
-        mertens = mpmath.exp(mpmath.euler) * (lx + 1 / lx) - prod
-        lln = mpmath.log(mpmath.fsum(mpmath.log(p) for p in primes[:CRITERION_FLOOR]))
+        prod = mpmath.exp(-mpmath.fsum(
+            mpmath.log(1 - mpmath.mpf(1) / p) for p in primes[: bisect_right(primes, 1024)]
+        ))
+        lx = mpmath.log(1024)
+        ref_mertens = mpmath.exp(mpmath.euler) * (lx + 1 / lx) - prod
         lp = mpmath.log(primes[CRITERION_FLOOR - 1])
-        log_sub = lln + mpmath.mpf("0.1253") / lp - lp
+        ref_log_sub = mpmath.log(theta(CRITERION_FLOOR)) + mpmath.mpf("0.1253") / lp - lp
         # p^t passes 2^63 in the second case of each (541^10 and 20011^7)
-        tails = [zeta_tail(3, 100), zeta_tail(10, 100)]
-        psis = [psi(3, CRITERION_FLOOR), psi(7, CRITERION_FLOOR)]
-    assert _mertens_margin_mp(1000, small_table) == pytest.approx(float(mertens), rel=1e-15)
-    for t, ref in zip((3, 10), tails):
-        assert _zeta_tail_margin_mp(t, 100, small_table) == pytest.approx(float(ref), rel=1e-15)
-    assert _log_substitution_margin_mp(CRITERION_FLOOR, small_table) == pytest.approx(
-        float(log_sub), rel=1e-15
-    )
-    for t, ref in zip((3, 7), psis):
-        assert _psi_ratio_margin_mp(t, CRITERION_FLOOR, small_table) == pytest.approx(
-            float(ref), rel=1e-15
+        ref_tails = [zeta_tail(3, 100), zeta_tail(10, 100)]
+        ref_psis = [psi(3, CRITERION_FLOOR), psi(7, CRITERION_FLOOR)]
+        ref_criteria = [criterion_margin(3, 10), criterion_margin(7, 10596)]
+        ref_ratio = mpmath.exp(mpmath.euler) - mpmath.exp(log_psi(6, primes[:509])) / mpmath.log(
+            theta(509)
         )
-    assert min(mertens, log_sub, *tails, *psis) > 0
+        ref_verdicts = [
+            mpmath.exp(mpmath.euler) * n * mpmath.log(mpmath.log(n)) - s for n, s in sigmas.items()
+        ]
+        ref_reductions = [log_r(3, n) - log_r(3, n_k) for n, n_k, _ in reductions]
+    pairs = [
+        (mertens, ref_mertens), (log_sub, ref_log_sub), (ratio_margin, ref_ratio),
+        *zip(tails, ref_tails), *zip(psis, ref_psis), *zip(criteria, ref_criteria),
+        *zip(verdicts, ref_verdicts), *zip((r for *_, r in reductions), ref_reductions),
+    ]
+    for got, ref in pairs:
+        assert got == pytest.approx(float(ref), rel=1e-15)
+    assert min(ref_mertens, ref_log_sub, ref_ratio, *ref_tails, *ref_psis, *ref_criteria) > 0
+    assert ref_verdicts[0] < 0 < ref_verdicts[1]  # 5040 violates, 10080 does not
+    assert max(ref_reductions) < 0
+
+
+def test_formula_constants_at_60_digits():
+    # every formula reads its constants from m: at 60 digits gamma, e^gamma
+    # and the decimals themselves, never the compiled floats (the float
+    # 1.1253 lies 3.3e-17 below the decimal)
+    mp = mpmath
+    floats = (EULER_GAMMA, EXP_GAMMA, MERTENS_SHIFT, LOG_SHIFT)
+    for m in (math, np):
+        assert tuple(bounds.const(m, x) for x in floats) == floats
+    with mp.workdps(60):
+        assert tuple(bounds.const(mp, x) for x in floats) == (
+            +mp.euler, mp.exp(mp.euler), mp.mpf("1.1253"), mp.mpf("0.1253")
+        )
+        p, theta, x = mp.mpf(20011), mp.mpf(20000), mp.mpf(1000)
+        lp, lt, lx = mp.log(p), mp.log(theta), mp.log(x)
+        pairs = [
+            (bounds._lhs_excess(mp, p, theta),
+             mp.exp(2 / p) * (1 + mp.mpf("1.1253") / (lp * lt)) - 1),
+            (bounds._mertens_margin(mp, x, 1), mp.exp(mp.euler) * (lx + 1 / lx) - mp.e),
+            (bounds._log_substitution_margin(mp, p, theta), lt + mp.mpf("0.1253") / lp - lp),
+            (bounds._psi_ratio_scale(mp, p, theta),
+             mp.exp(mp.euler + 2 / p) * (lt + mp.mpf("1.1253") / lp)),
+            (robin._threshold(mp, x), mp.exp(mp.euler) * x * mp.log(lx)),
+        ]
+        for got, ref in pairs:
+            assert abs(got - ref) <= mp.mpf(10) ** -55 * abs(ref)

@@ -17,6 +17,8 @@ import robinpsi
 from robinpsi import build_table, cli, robin
 from robinpsi.robin import RobinVerdict
 
+from conftest import spy_60_digits
+
 
 def _run(argv, capsys):
     try:
@@ -408,8 +410,8 @@ def test_python_dash_m(monkeypatch, capsys):
 
 
 # Small runs of the commands and the theorem pipeline, none of which reaches
-# the 60-digit band, then one forced recheck; prints the loaded flag before
-# and after it and the recheck's bits.
+# the 60-digit band, then the pipeline with its ratio forced into the band;
+# prints the loaded flag before and after its one recheck and the recheck's bits.
 _COLD_RUN = """
 import contextlib, io, sys
 import robinpsi, robinpsi.cli
@@ -422,12 +424,19 @@ with contextlib.redirect_stdout(io.StringIO()):
 table = build_table(1 << 17)
 assert robin.verify_tfree_robin(7, 20_000, table).passed
 print("mpmath" in sys.modules)
-margin = robin._ratio_margin_mp(7, 10596, table)
-print("mpmath" in sys.modules, margin.hex())
+run = robin.at_60_digits
+
+def recheck(formula, inputs):
+    margin = run(formula, inputs)
+    print("mpmath" in sys.modules, margin.hex())
+    return margin
+
+robin.at_60_digits, robin.PRECISION_BAND = recheck, 10.0
+assert robin.verify_tfree_robin(7, 20_000, table).passed
 """
 
 
-def test_mpmath_loads_on_the_first_recheck_only(small_table):
+def test_mpmath_loads_on_the_first_recheck_only(small_table, monkeypatch):
     # the test modules import mpmath themselves, so only a fresh interpreter
     # shows what a run loads
     src = str(pathlib.Path(robinpsi.__file__).parents[1])
@@ -437,5 +446,8 @@ def test_mpmath_loads_on_the_first_recheck_only(small_table):
         [sys.executable, "-c", _COLD_RUN], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    margin = robin._ratio_margin_mp(7, 10596, small_table)
+    calls = spy_60_digits(monkeypatch, robin)
+    monkeypatch.setattr(robin, "PRECISION_BAND", 10.0)
+    assert robin.verify_tfree_robin(7, 20_000, small_table).passed
+    ((*_, margin),) = calls
     assert done.stdout.split() == ["False", "True", margin.hex()]

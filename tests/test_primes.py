@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from robinpsi import CoverageError, bounds, build_table, compensated_prefix, primorial, robin
 from robinpsi.bounds import _mertens_prefix
-from robinpsi.primes import PrimeTable, require_primes
+from robinpsi.primes import PrimeTable, at_60_digits, require_primes
 from robinpsi.primes import mpmath as mpmath_handle
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -186,15 +186,21 @@ def test_mertens_prefix_matches_scalar_formula(table):
 
 
 def test_one_mpmath_handle_serves_every_recheck(small_table, monkeypatch):
-    # a workdps set on the shared handle is entered by the 60-digit rechecks
-    # of bounds, robin and primorial, so one stand-in counts every recheck
-    assert bounds.mpmath is robin.mpmath is primorial.mpmath is mpmath_handle
+    # bounds, robin and primorial recheck through the one helper, which
+    # enters the workdps set on the shared handle, so one stand-in counts
+    # every recheck
+    assert bounds.at_60_digits is robin.at_60_digits is primorial.at_60_digits is at_60_digits
+    assert bounds.mpmath is robin.mpmath is mpmath_handle
     entered = []
     workdps = mpmath_handle.workdps
     monkeypatch.setattr(mpmath_handle, "workdps", lambda dps: entered.append(dps) or workdps(dps))
-    assert bounds._mertens_margin_mp(1000, small_table) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_LHS_ERROR", math.inf)  # every criterion rechecks
+        assert bounds.criterion(3, 10, small_table).satisfied
     assert entered == [60]
-    assert robin._ratio_margin_mp(7, 10596, small_table) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(robin, "PRECISION_BAND", 10.0)  # branch (b) rechecks
+        assert robin.verify_tfree_robin(6, 5041, small_table).passed
     assert entered == [60, 60]
     monkeypatch.setattr(robin, "RELATIVE_BAND", 10.0)  # every margin is within 10 n of 0
     assert robin.robin_scan(5041, 5100, small_table) == []  # no violator

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robinpsi import (
@@ -200,6 +200,9 @@ _levels = st.one_of(
     st.lists(st.lists(_levels, min_size=1, max_size=40), min_size=1, max_size=5),
     st.sampled_from([0.0, 5e-10, 1e-3, 0.5]),
 )
+# kept by the full window, as log + gap rounds to 1.0 = top - band, while
+# top - gap - band rounds above log
+@example(top=1.000000001, windows=[[0.9999999995]], gap=5e-10)
 def test_screened_champions_match_full_window_maxima(top, windows, gap):
     # champion_scan's screen over given windows of lower bounds, the first of
     # which sets top, carried from window to window as the scan carries it

@@ -15,6 +15,7 @@ from robinpsi import (
     ResourceError,
     build_table,
     champion_scan,
+    log_psi_ratio_prefix,
     reduction_check,
     robin_scan,
     verify_tfree_robin,
@@ -25,7 +26,7 @@ from robinpsi.multiplicative import MAX_SCAN_STOP, factorize, sigma
 from robinpsi.robin import VERDICT_FIELDS, violators_to_rows
 from robinpsi.tabular import rows_to_csv, rows_to_json
 
-from conftest import factor_by_division
+from conftest import factor_by_division, spy_60_digits
 
 # every n in [3, 5040] where sigma(n) >= e^gamma n log log n, found by the
 # additive oracle below and frozen here for direct comparison
@@ -214,25 +215,40 @@ def test_screened_close_matches_full_window_margins(window, band, slack):
 
 
 @pytest.mark.parametrize(
-    "scan",
+    ("scan", "windows_after_plan"),
     [
-        lambda table: robin_scan(5041, 2_000_000, table),
-        lambda table: champion_scan(2_000_000, 2),
-        lambda table: reduction_check(2_000_000, 2),
+        (lambda table: robin_scan(5041, 2_000_000, table), 3),
+        (lambda table: champion_scan(2_000_000, 2), 6),
+        (lambda table: reduction_check(2_000_000, 2), 6),
     ],
     ids=["robin_scan", "champion_scan", "reduction_check"],
 )
-def test_sweep_memory_stays_window_sized(table, scan):
+def test_sweep_memory_stays_window_sized(table, scan, windows_after_plan, monkeypatch):
     # every temporary of a sweep is a window's, so its peak is a few 8-byte
     # arrays of SEGMENT_SIZE integers however long the range is; a window's
-    # arrays must be freed before the next window is summed
+    # arrays must be freed before the next window is summed.  The peak is
+    # read again from the moment the KernelPlan is formed, without its
+    # untouched heap block: the Robin scan's screens work within 3 windows,
+    # the others keep 6 as their first window keeps every value.
+    peaks = []
+
+    class Plan(multiplicative.KernelPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(multiplicative, "KernelPlan", Plan)
     tracemalloc.start()
     try:
         scan(table)
-        peak = tracemalloc.get_traced_memory()[1]
+        after_plan = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * multiplicative.SEGMENT_SIZE * 8
+    window = multiplicative.SEGMENT_SIZE * 8
+    assert len(peaks) == 1
+    assert max(peaks[0], after_plan) < 6 * window
+    assert after_plan < windows_after_plan * window
 
 
 def test_serialization_golden(small_table):
@@ -264,15 +280,17 @@ def test_theorem_pipeline_reduced(small_table, t):
 
 def test_theorem_pipeline_rechecks_the_ratio_in_the_band(small_table, monkeypatch):
     plain = verify_tfree_robin(7, 20_000, small_table)
-    recheck = robin._ratio_margin_mp
-    calls = []
-    monkeypatch.setattr(robin, "_ratio_margin_mp", lambda *a: calls.append(a) or recheck(*a))
+    calls = spy_60_digits(monkeypatch, robin)
     monkeypatch.setattr(robin, "PRECISION_BAND", 10.0)
     forced = verify_tfree_robin(7, 20_000, small_table)
-    assert calls == [(7, 10596, small_table)]
+    # one recheck, of (log psi_7(N_n)/N_n, log N_n) at n = 10596
+    ((_, inputs, margin),) = calls
+    assert tuple(map(float, inputs)) == (
+        pytest.approx(log_psi_ratio_prefix(small_table, 7, 10596)[10596], abs=1e-12),
+        pytest.approx(small_table.theta_prefix[10596]),
+    )
     assert forced.passed and plain.passed
     assert forced == plain
-    margin = recheck(7, 10596, small_table)
     assert margin == pytest.approx(EXP_GAMMA - plain.ratio_at_crossover, abs=1e-12)
     assert margin > 0
 
