@@ -459,21 +459,26 @@ def primorial_ratio(m, log_ratio, theta):
 
 def ratio_curve(
     table: PrimeTable, t: int, n_max: int
-) -> list[tuple[int, int, float, float, float]]:
+) -> Iterator[tuple[int, int, float, float, float]]:
     """Rows (n, p_n, R_t(N_n), e^gamma/zeta(t), deviation) for 2 <= n <= n_max.
 
     deviation = R_t(N_n) * zeta(t) / e^gamma - 1, the signed relative gap to
-    the limit value.
+    the limit value.  The checks and the prefix sums run on the call, which
+    returns a generator that forms each row as it is read.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     limit_value = EXP_GAMMA / zeta(t).value
     logs = primorial.log_psi_ratio_prefix(table, t, n_max).tolist()
-    rows = []
-    for n in range(2, n_max + 1):
-        r = primorial_ratio(math, logs[n], table.theta_prefix[n])
-        rows.append((n, int(table.primes[n - 1]), r, limit_value, r / limit_value - 1.0))
-    return rows
+    theta = table.theta_prefix[: n_max + 1].tolist()
+    primes = table.primes[:n_max].tolist()
+
+    def rows():
+        for n in range(2, n_max + 1):
+            r = primorial_ratio(math, logs[n], theta[n])
+            yield n, primes[n - 1], r, limit_value, r / limit_value - 1.0
+
+    return rows()
 
 
 # ---------------------------------------------------------------------------

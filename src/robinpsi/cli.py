@@ -1,5 +1,9 @@
 """Command-line front end emitting deterministic CSV or JSON tables.
 
+Each command returns (fields, rows, exit code), its rows tuples in field
+order; every check it makes runs before it returns, and the writer then
+streams the rows, to --output opened only at that point.
+
 Exit codes: 0 success, 1 mathematical falsification, 2 sieve or budget
 exhausted, 64 usage error.
 """
@@ -9,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 
 from . import bounds, primorial, robin
 from .errors import CoverageError, ResourceError
@@ -31,39 +36,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _t_value(text: str) -> int:
-    v = int(text)
-    if not 2 <= v <= 64:
-        raise argparse.ArgumentTypeError(f"t must be in [2, 64], got {v}")
-    return v
+def _int_type(name: str, least: int, greatest: int | None, message: str):
+    """argparse type for an integer in [least, greatest]; message takes the value.
+
+    argparse names the function (its __name__) when the text is not an integer.
+    """
+
+    def check(text: str) -> int:
+        v = int(text)
+        if v < least or (greatest is not None and v > greatest):
+            raise argparse.ArgumentTypeError(message.format(v))
+        return v
+
+    check.__name__ = name
+    return check
 
 
-def _scan_point(text: str) -> int:
-    v = int(text)
-    if v < 3:
-        raise argparse.ArgumentTypeError(f"scan domain starts at 3, got {v}")
-    return v
-
-
-def _index_value(text: str) -> int:
-    v = int(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"primorial index must be >= 2, got {v}")
-    return v
-
-
-def _positive(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {v}")
-    return v
-
-
-def _sieve_size(text: str) -> int:
-    v = int(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"sieve size must be >= 2, got {v}")
-    return v
+_t_value = _int_type("_t_value", 2, 64, "t must be in [2, 64], got {}")
+_scan_point = _int_type("_scan_point", 3, None, "scan domain starts at 3, got {}")
+_index_value = _int_type("_index_value", 2, None, "primorial index must be >= 2, got {}")
+_positive = _int_type("_positive", 1, None, "need a positive integer, got {}")
+_sieve_size = _int_type("_sieve_size", 2, None, "sieve size must be >= 2, got {}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,50 +117,47 @@ def _prime_reach(n: int) -> int:
     return reach
 
 
-def cmd_table1(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+Output = tuple[tuple[str, ...], Iterable[tuple], int]  # (fields, rows in field order, exit code)
+
+
+def cmd_table1(args: argparse.Namespace) -> Output:
     # a cap below the reach may still do; if not, the search raises CoverageError
     reach = bounds.crossover_reach(args.t_max)
     table = build_table(int(min(max(reach, args.sieve_limit or 2), args.sieve_cap)))
-    fields = ("t", "n1", "p_n1", "mantissa", "exponent10", "margin")
     rows = []
     for t in range(args.t_min, args.t_max + 1):
         n1 = bounds.find_crossover_index(t, table, floored=args.floor_n0)
         mant, exp10 = bounds.primorial_magnitude(n1, table)
         report = bounds.criterion(t, n1, table)
-        rows.append(dict(zip(fields, (t, n1, report.p_n, mant, exp10, report.margin))))
-    return rows, fields, EXIT_OK
+        rows.append((t, n1, report.p_n, mant, exp10, report.margin))
+    return ("t", "n1", "p_n1", "mantissa", "exponent10", "margin"), rows, EXIT_OK
 
 
-def cmd_champions(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+def cmd_champions(args: argparse.Namespace) -> Output:
     mode = "weak" if args.weak else "strict"
     champs = primorial.champion_scan(args.limit, args.t, mode)
     table = build_table(math.isqrt(args.limit) + 1)
-    rows = []
-    for m in champs:
-        ratio = psi_over_n(factorize(m, table), args.t)
-        rows.append({"m": m, "ratio": f"{ratio.numerator}/{ratio.denominator}"})
-    return rows, ("m", "ratio"), EXIT_OK
+    ratios = [psi_over_n(factorize(m, table), args.t) for m in champs]
+    rows = [(m, f"{r.numerator}/{r.denominator}") for m, r in zip(champs, ratios)]
+    return ("m", "ratio"), rows, EXIT_OK
 
 
-def cmd_robin_scan(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+def cmd_robin_scan(args: argparse.Namespace) -> Output:
     check_sweep(args.scan_start, args.scan_stop)  # before the sieve to sqrt(stop)
     table = build_table(max(math.isqrt(args.scan_stop) + 1, 2))
     violators = robin.robin_scan(args.scan_start, args.scan_stop, table)
-    rows = robin.violators_to_rows(violators)
+    rows = [(v.n, v.sigma, v.threshold, v.margin) for v in violators]
     code = EXIT_FALSIFIED if any(v.n > 5040 for v in violators) else EXIT_OK
-    return rows, robin.VERDICT_FIELDS, code
+    return ("n", "sigma", "threshold", "margin"), rows, code
 
 
-def cmd_ratio(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+def cmd_ratio(args: argparse.Namespace) -> Output:
     table = build_table(_prime_reach(args.n_max))
-    rows = [
-        {"n": n, "p_n": p, "ratio": r, "limit_value": lim, "deviation": dev}
-        for n, p, r, lim, dev in bounds.ratio_curve(table, args.t, args.n_max)
-    ]
-    return rows, ("n", "p_n", "ratio", "limit_value", "deviation"), EXIT_OK
+    rows = bounds.ratio_curve(table, args.t, args.n_max)
+    return ("n", "p_n", "ratio", "limit_value", "deviation"), rows, EXIT_OK
 
 
-def cmd_verify_bounds(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+def cmd_verify_bounds(args: argparse.Namespace) -> Output:
     n_max = args.n_max
     table = build_table(max(_prime_reach(n_max), bounds.MERTENS_CAP))
     results = [
@@ -176,32 +166,28 @@ def cmd_verify_bounds(args: argparse.Namespace) -> tuple[list[dict], tuple[str, 
         bounds.log_substitution_suite(table, n_max=n_max),
         bounds.psi_ratio_bound_suite(table, n_max=n_max),
     ]
-    rows = []
-    failed = False
-    for r in results:
-        status = "SKIPPED" if r.skipped else ("PASS" if r.passed else "FAIL")
-        failed = failed or (not r.passed and not r.skipped)
-        rows.append(
-            {
-                "suite": r.name,
-                "points": r.points,
-                "worst_margin": None if r.skipped else r.worst_margin,
-                "worst_at": r.worst_at,
-                "rechecked": r.rechecked,
-                "status": status,
-            }
+    rows = [
+        (
+            r.name,
+            r.points,
+            None if r.skipped else r.worst_margin,
+            r.worst_at,
+            r.rechecked,
+            "SKIPPED" if r.skipped else ("PASS" if r.passed else "FAIL"),
         )
+        for r in results
+    ]
+    failed = any(not r.passed and not r.skipped for r in results)
     fields = ("suite", "points", "worst_margin", "worst_at", "rechecked", "status")
-    return rows, fields, EXIT_FALSIFIED if failed else EXIT_OK
+    return fields, rows, EXIT_FALSIFIED if failed else EXIT_OK
 
 
-def cmd_admissible_t(args: argparse.Namespace) -> tuple[list[dict], tuple[str, ...], int]:
+def cmd_admissible_t(args: argparse.Namespace) -> Output:
     table = build_table(_prime_reach(max(args.n_values)))
-    rows = []
-    for n in sorted(args.n_values):
-        t = bounds.admissible_t(n, table)
-        rows.append({"n": n, "p_n": int(table.primes[n - 1]), "t_max": t})
-    return rows, ("n", "p_n", "t_max"), EXIT_OK
+    rows = [
+        (n, int(table.primes[n - 1]), bounds.admissible_t(n, table)) for n in sorted(args.n_values)
+    ]
+    return ("n", "p_n", "t_max"), rows, EXIT_OK
 
 
 _DISPATCH = {
@@ -233,16 +219,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"robinpsi: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        rows, fields, code = _DISPATCH[args.command](args)
+        fields, rows, code = _DISPATCH[args.command](args)
     except (CoverageError, ResourceError) as exc:
         print(f"robinpsi: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    text = rows_to_csv(rows, fields) if args.format == "csv" else rows_to_json(rows, fields)
-    if args.output:
+    write = rows_to_csv if args.format == "csv" else rows_to_json
+    if args.output:  # opened only now, when every check has passed
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh, fields, rows)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout, fields, rows)
     return code
 
 

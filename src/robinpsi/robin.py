@@ -34,8 +34,6 @@ from . import primorial
 
 RELATIVE_BAND = 1e-9
 
-VERDICT_FIELDS = ("n", "sigma", "threshold", "margin")
-
 
 @dataclass(frozen=True)
 class RobinVerdict:
@@ -123,13 +121,6 @@ def robin_scan(start: int, stop: int, table: PrimeTable) -> list[RobinVerdict]:
         acc += gap  # the one prime above the window's root, if n has one
         out += _window_violators(lo, acc, table)
     return out
-
-
-def violators_to_rows(verdicts: list[RobinVerdict]) -> list[dict[str, object]]:
-    return [
-        {"n": v.n, "sigma": v.sigma, "threshold": v.threshold, "margin": v.margin}
-        for v in verdicts
-    ]
 
 
 @dataclass(frozen=True)

@@ -1,61 +1,46 @@
-"""Deterministic CSV/JSON table emission.
+"""Deterministic CSV/JSON table emission, streamed row by row.
 
-Floats are rendered with a frozen 12-significant-digit format in both
-encodings, so identical inputs always produce byte-identical output.
+A table is a tuple of field names and an iterable of row tuples in field
+order; each writer renders a row as it reads it and writes it to a text
+stream, so no table is held as text.  Both encodings render a cell through
+one function: floats take a frozen 12-significant-digit format, so identical
+inputs always produce byte-identical output.  They differ only in None ("" in
+CSV, null in JSON) and in a str (quoted by the csv module, or by json.dumps).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
-FLOAT_FORMAT = "%.12g"
-
-
-def fmt_float(x: float) -> str:
-    return FLOAT_FORMAT % (x,)
+FLOAT_FORMAT = "%.12g"  # its output is a valid JSON number too
 
 
-def _csv_cell(v: Any) -> str:
+def _cell(v: Any, none: str, text: Callable[[str], str]) -> str:
+    if isinstance(v, float):
+        return FLOAT_FORMAT % (v,)
+    if v is None:
+        return none
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return fmt_float(v)
-    if v is None:
-        return ""
+    if isinstance(v, str):
+        return text(v)
     return str(v)
 
 
-def rows_to_csv(rows: Sequence[dict[str, Any]], fields: Sequence[str]) -> str:
+def rows_to_csv(out: TextIO, fields: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """RFC-4180-style quoting, '\\n' line endings, header row first."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(fields)
+    writer.writerows([_cell(v, "", str) for v in row] for row in rows)
+
+
+def rows_to_json(out: TextIO, fields: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """JSON array of flat objects, one to a line, with the same cells as the CSV."""
+    keys = [json.dumps(f) + ": " for f in fields]
+    sep = "[\n  {"
     for row in rows:
-        writer.writerow([_csv_cell(row[f]) for f in fields])
-    return buf.getvalue()
-
-
-def _json_token(v: Any) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return fmt_float(v)  # %.12g output is a valid JSON number
-    if v is None:
-        return "null"
-    if isinstance(v, int):
-        return str(v)
-    return json.dumps(v)
-
-
-def rows_to_json(rows: Sequence[dict[str, Any]], fields: Sequence[str]) -> str:
-    """JSON array of flat objects with the same float formatting as the CSV."""
-    if not rows:
-        return "[]\n"
-    parts = []
-    for row in rows:
-        items = ", ".join(f"{json.dumps(f)}: {_json_token(row[f])}" for f in fields)
-        parts.append("  {" + items + "}")
-    return "[\n" + ",\n".join(parts) + "\n]\n"
+        out.write(sep + ", ".join(k + _cell(v, "null", json.dumps) for k, v in zip(keys, row)))
+        sep = "},\n  {"
+    out.write("[]\n" if sep == "[\n  {" else "}\n]\n")

@@ -417,7 +417,7 @@ def test_zeta_excess_scaled_decreases_toward_one():
 
 
 def test_ratio_curve_shape(small_table):
-    rows = ratio_curve(small_table, 2, 1000)
+    rows = list(ratio_curve(small_table, 2, 1000))
     assert rows[0][0] == 2
     assert rows[-1][0] == 1000
     limit_value = EXP_GAMMA / zeta(2).value
@@ -426,8 +426,12 @@ def test_ratio_curve_shape(small_table):
         assert dev == pytest.approx(r / lim - 1.0, abs=1e-15)
     by_n = {row[0]: row[4] for row in rows}
     assert abs(by_n[1000]) < abs(by_n[100]) < abs(by_n[10])
+    assert all(type(row[1]) is int for row in rows)  # p_n prints as a JSON integer
+    # the checks run on the call, before any row is read
     with pytest.raises(ValueError):
         ratio_curve(small_table, 2, 1)
+    with pytest.raises(CoverageError):
+        ratio_curve(small_table, 2, len(small_table.primes) + 1)
 
 
 def test_mertens_suite_reduced(small_table):

@@ -10,6 +10,7 @@ import runpy
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -367,6 +368,34 @@ def test_admissible_t_golden(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["table1", "--t-min", "3", "--t-max", "8"],
+         "f215fb37a220d0ae3b2d4b8cd461ac4ea0bd6f4c9936ef83d24af4655a4de502"),
+        (["verify-bounds", "--n-max", "2262", "--t-max", "3"],
+         "19df134108775752ad4af8bb374b513d9b4272461bedc4c7b3d4e97d1c8a9355"),
+        (["verify-bounds", "--n-max", "100000", "--t-max", "10"],
+         "28c4683461bdadcd568f6db521e2b6765d097b34b905ecc50ba623ad05fd745b"),
+        (["admissible-t", "--n", "2", "3", "100", "2263", "100000"],
+         "2509b6ea6958290b96404713093251217d62bba30b3353d7d330a6bfbf0e6dda"),
+        (["champions", "--limit", "100000", "--t", "7", "--weak"],
+         "653ed55f7ded24169d3748a471aa908d17b19a022f793c9ef92c9d460faa378a"),
+        (["robin-scan", "--from", "3", "--to", "200000"],
+         "8522abd5f46a124961629cbb4dd50edc1c11b93729ba8bd3e9418c8d19633a58"),
+        (["ratio", "--t", "4", "--n-max", "20000"],
+         "f09dae4955b32843722a6f5ed3325d4b453752fa7b3b3283ab7cfce6df1f2a39"),
+    ],
+    ids=["table1", "verify-bounds-2262", "verify-bounds-1e5", "admissible-t", "champions",
+         "robin-scan", "ratio"],
+)
+def test_json_golden(capsys, argv, digest):
+    # pins every byte of the JSON encoding, as the CSV goldens pin the CSV one
+    code, out = _run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_unknown_subcommand(capsys):
     code, _ = _run(["frobnicate"], capsys)
     assert code == 64
@@ -378,6 +407,92 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "m,ratio\n1,1/1\n2,3/2\n6,2/1\n30,12/5\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["ratio", "--t", "3", "--n-max", "3000000"], 2),
+        (["robin-scan", "--from", "3", "--to", "1125899906842625"], 2),
+        (["ratio", "--t", "2", "--n-max", "1"], 64),
+    ],
+    ids=["ratio-budget", "robin-scan-limit", "ratio-usage"],
+)
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_run_leaves_output_untouched(tmp_path, capsys, argv, code, existing):
+    # every check runs before --output is opened
+    target = tmp_path / "rows"
+    if existing:
+        target.write_bytes(b"kept,1\n")
+    assert _run([*argv, "--output", str(target)], capsys) == (code, "")
+    if existing:
+        assert target.read_bytes() == b"kept,1\n"
+    else:
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--t-min", "3", "--t-max", "4"],
+        ["champions", "--limit", "1000", "--t", "3"],
+        ["robin-scan", "--from", "3", "--to", "6000"],
+        ["ratio", "--t", "3", "--n-max", "200"],
+        ["verify-bounds", "--n-max", "2262", "--t-max", "3"],
+        ["admissible-t", "--n", "2", "100", "2263"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_file_matches_stdout(tmp_path, capsys, argv, fmt):
+    code, out = _run([*argv, "--format", fmt], capsys)
+    assert code == 0 and out
+    target = tmp_path / "rows"
+    assert _run([*argv, "--format", fmt, "--output", str(target)], capsys) == (code, "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_streamed_rows_stay_small():
+    # ratio rows are formed as they are written, so no table of 2e5 rows or
+    # its text is held; a run first warms the imports and the zeta cache
+    argv = ["ratio", "--t", "3", "--format", "json", "--output", os.devnull, "--n-max"]
+    assert cli.main([*argv, "20"]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["table1", "--t-min", "1"], "argument --t-min: t must be in [2, 64], got 1"),
+        (["table1", "--t-max", "65"], "argument --t-max: t must be in [2, 64], got 65"),
+        (["table1", "--t-min", "abc"], "argument --t-min: invalid _t_value value: 'abc'"),
+        (["robin-scan", "--from", "2", "--to", "9"],
+         "argument --from: scan domain starts at 3, got 2"),
+        (["robin-scan", "--from", "z", "--to", "9"],
+         "argument --from: invalid _scan_point value: 'z'"),
+        (["ratio", "--t", "3", "--n-max", "1"],
+         "argument --n-max: primorial index must be >= 2, got 1"),
+        (["ratio", "--t", "3", "--n-max", "q"], "argument --n-max: invalid _index_value value: 'q'"),
+        (["champions", "--limit", "0", "--t", "2"],
+         "argument --limit: need a positive integer, got 0"),
+        (["champions", "--limit", "1.5", "--t", "2"],
+         "argument --limit: invalid _positive value: '1.5'"),
+        (["table1", "--sieve-cap", "1"], "argument --sieve-cap: sieve size must be >= 2, got 1"),
+        (["table1", "--sieve-limit", "x"], "argument --sieve-limit: invalid _sieve_size value: 'x'"),
+    ],
+)
+def test_integer_option_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (64, "")
+    assert out.err.splitlines()[-1] == f"robinpsi {argv[0]}: error: {message}"
 
 
 def test_deterministic_output(capsys):

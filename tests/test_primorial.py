@@ -106,7 +106,7 @@ def test_robin_ratio_value(small_table):
     expect = (576 / 210) / math.log(math.log(210))
     assert ratio == pytest.approx(expect, rel=1e-12)
     assert ratio == pytest.approx(1.6360071034244228, rel=1e-12)
-    assert ratio_curve(small_table, 2, 4)[-1][2] == ratio
+    assert list(ratio_curve(small_table, 2, 4))[-1][2] == ratio
 
 
 def test_robin_ratio_domain(small_table):

@@ -1,5 +1,6 @@
 """Divisor-sum scans against an additive sieve oracle, plus the theorem pipeline."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -20,11 +21,9 @@ from robinpsi import (
     robin_scan,
     verify_tfree_robin,
 )
-from robinpsi import multiplicative, robin
+from robinpsi import cli, multiplicative, robin
 from robinpsi.bounds import EXP_GAMMA
 from robinpsi.multiplicative import MAX_SCAN_STOP, factorize, sigma
-from robinpsi.robin import VERDICT_FIELDS, violators_to_rows
-from robinpsi.tabular import rows_to_csv, rows_to_json
 
 from conftest import factor_by_division, spy_60_digits
 
@@ -251,17 +250,23 @@ def test_sweep_memory_stays_window_sized(table, scan, windows_after_plan, monkey
     assert after_plan < windows_after_plan * window
 
 
-def test_serialization_golden(small_table):
+def test_serialization_golden(small_table, capsys):
+    # robin-scan prints one row (n, sigma, threshold, margin) per violator
     found = robin_scan(3, 10, small_table)
-    csv_text = rows_to_csv(violators_to_rows(found), VERDICT_FIELDS)
-    lines = csv_text.splitlines()
+    assert cli.main(["robin-scan", "--from", "3", "--to", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,sigma,threshold,margin"
     assert lines[1].startswith("3,4,0.50251797522")
-    json_text = rows_to_json(violators_to_rows(found), VERDICT_FIELDS)
+    assert lines[1:] == [f"{v.n},{v.sigma},{v.threshold:.12g},{v.margin:.12g}" for v in found]
+    assert cli.main(["robin-scan", "--from", "3", "--to", "10", "--format", "json"]) == 0
+    json_text = capsys.readouterr().out
     assert '"n": 3' in json_text
     assert json_text.endswith("\n")
-    assert rows_to_csv(violators_to_rows([]), VERDICT_FIELDS) == "n,sigma,threshold,margin\n"
-    assert rows_to_json(violators_to_rows([]), VERDICT_FIELDS) == "[]\n"
+    assert [(r["n"], r["sigma"]) for r in json.loads(json_text)] == [(v.n, v.sigma) for v in found]
+    assert cli.main(["robin-scan", "--from", "5041", "--to", "5100"]) == 0
+    assert capsys.readouterr().out == "n,sigma,threshold,margin\n"
+    assert cli.main(["robin-scan", "--from", "5041", "--to", "5100", "--format", "json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
 
 
 @pytest.mark.parametrize("t", [6, 7])

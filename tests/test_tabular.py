@@ -1,51 +1,81 @@
 """Deterministic table serialization: frozen float format, stable layouts."""
 
+import io
 import json
 import math
 
-from robinpsi.tabular import FLOAT_FORMAT, fmt_float, rows_to_csv, rows_to_json
+from robinpsi.tabular import FLOAT_FORMAT, rows_to_csv, rows_to_json
+
+
+def _csv(fields, rows):
+    out = io.StringIO()
+    rows_to_csv(out, fields, rows)
+    return out.getvalue()
+
+
+def _json(fields, rows):
+    out = io.StringIO()
+    rows_to_json(out, fields, rows)
+    return out.getvalue()
 
 
 def test_float_format_is_frozen():
     assert FLOAT_FORMAT == "%.12g"
-    assert fmt_float(math.pi) == "3.14159265359"
-    assert fmt_float(1e-9) == "1e-09"
-    assert fmt_float(2.0) == "2"
+    rows = [(math.pi, 1e-9, 2.0)]
+    assert _csv(("a", "b", "c"), rows) == "a,b,c\n3.14159265359,1e-09,2\n"
+    assert _json(("a", "b", "c"), rows) == '[\n  {"a": 3.14159265359, "b": 1e-09, "c": 2}\n]\n'
 
 
 def test_csv_basic_layout():
-    rows = [{"a": 1, "b": 0.5, "c": "x"}, {"a": 2, "b": 1.0 / 3.0, "c": "y"}]
-    text = rows_to_csv(rows, ("a", "b", "c"))
+    rows = [(1, 0.5, "x"), (2, 1.0 / 3.0, "y")]
+    text = _csv(("a", "b", "c"), rows)
     assert text == "a,b,c\n1,0.5,x\n2,0.333333333333,y\n"
 
 
 def test_csv_quoting_and_specials():
-    rows = [{"a": "has,comma", "b": True, "c": None}]
-    text = rows_to_csv(rows, ("a", "b", "c"))
+    text = _csv(("a", "b", "c"), [("has,comma", True, None)])
     assert text == 'a,b,c\n"has,comma",true,\n'
 
 
 def test_csv_empty():
-    assert rows_to_csv([], ("a", "b")) == "a,b\n"
+    assert _csv(("a", "b"), []) == "a,b\n"
 
 
 def test_json_layout_and_parse():
-    rows = [{"a": 1, "b": 2.5, "c": "x"}]
-    text = rows_to_json(rows, ("a", "b", "c"))
+    text = _json(("a", "b", "c"), [(1, 2.5, "x")])
     parsed = json.loads(text)
     assert parsed == [{"a": 1, "b": 2.5, "c": "x"}]
     assert text.endswith("\n")
     # floats are emitted through the same frozen format as the CSV side
     assert '"b": 2.5' in text
+    text = _json(("a", "b"), [(1, 'say "hi",\n'), (2, "y")])
+    assert text == '[\n  {"a": 1, "b": "say \\"hi\\",\\n"},\n  {"a": 2, "b": "y"}\n]\n'
+    assert json.loads(text)[0]["b"] == 'say "hi",\n'
 
 
 def test_json_empty_and_specials():
-    assert rows_to_json([], ("a",)) == "[]\n"
-    text = rows_to_json([{"a": None, "b": False}], ("a", "b"))
+    assert _json(("a",), []) == "[]\n"
+    text = _json(("a", "b"), [(None, False)])
     assert json.loads(text) == [{"a": None, "b": False}]
 
 
 def test_field_order_follows_argument():
-    rows = [{"z": 1, "a": 2}]
-    assert rows_to_csv(rows, ("z", "a")).splitlines()[0] == "z,a"
-    assert list(json.loads(rows_to_json(rows, ("z", "a")))[0]) == ["z", "a"]
+    rows = [(1, 2)]
+    assert _csv(("z", "a"), rows).splitlines()[0] == "z,a"
+    assert list(json.loads(_json(("z", "a"), rows))[0]) == ["z", "a"]
+
+
+def test_rows_are_written_as_they_are_read():
+    # each row reaches the stream before the next one is formed, so a table
+    # is never held as text
+    for write in (rows_to_csv, rows_to_json):
+        out = io.StringIO()
+        seen = []
+
+        def rows():
+            for n in range(3):
+                seen.append(len(out.getvalue()))
+                yield (n, n / 2)
+
+        write(out, ("n", "half"), rows())
+        assert seen[0] < seen[1] < seen[2] < len(out.getvalue())
