@@ -4,6 +4,9 @@ import io
 import json
 import math
 
+import pytest
+
+from robinpsi import tabular
 from robinpsi.tabular import FLOAT_FORMAT, rows_to_csv, rows_to_json
 
 
@@ -65,17 +68,30 @@ def test_field_order_follows_argument():
     assert list(json.loads(_json(("z", "a"), rows))[0]) == ["z", "a"]
 
 
-def test_rows_are_written_as_they_are_read():
-    # each row reaches the stream before the next one is formed, so a table
-    # is never held as text
-    for write in (rows_to_csv, rows_to_json):
-        out = io.StringIO()
-        seen = []
+@pytest.mark.parametrize(
+    "write,render,seen_writes",
+    [
+        # the header is the first text of the CSV; JSON's closing text follows its rows
+        (rows_to_csv, _csv, [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]),
+        (rows_to_json, _json, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]),
+    ],
+    ids=["csv", "json"],
+)
+def test_rows_are_written_as_they_are_read(monkeypatch, write, render, seen_writes):
+    # rows reach the stream a chunk at a time, each chunk in one write call,
+    # before the later rows are formed, so a table is never held as text
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", 4)
+    out = io.StringIO()
+    writes = []
+    monkeypatch.setattr(out, "write", lambda text, w=out.write: writes.append(text) or w(text))
+    seen = []
 
-        def rows():
-            for n in range(3):
-                seen.append(len(out.getvalue()))
-                yield (n, n / 2)
+    def rows():
+        for n in range(10):
+            seen.append(len(writes))
+            yield (n, n / 2)
 
-        write(out, ("n", "half"), rows())
-        assert seen[0] < seen[1] < seen[2] < len(out.getvalue())
+    write(out, ("n", "half"), rows())
+    assert seen == seen_writes
+    assert len(writes) == 3  # 11 texts
+    assert out.getvalue() == render(("n", "half"), [(n, n / 2) for n in range(10)])
