@@ -5,7 +5,7 @@ order; every check it makes runs before it returns, and the writer then
 streams the rows, to --output opened only at that point.
 
 Exit codes: 0 success, 1 mathematical falsification, 2 sieve or budget
-exhausted, 64 usage error.
+exhausted, 64 usage error or an --output that cannot be opened.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from collections.abc import Iterable
+from contextlib import nullcontext
 
 from . import bounds, primorial, robin
 from .errors import CoverageError, ResourceError
@@ -224,11 +225,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"robinpsi: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     write = rows_to_csv if args.format == "csv" else rows_to_json
-    if args.output:  # opened only now, when every check has passed
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write(fh, fields, rows)
-    else:
-        write(sys.stdout, fields, rows)
+    try:  # --output is opened only now, when every check has passed
+        out = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"robinpsi: error: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    with out as fh:
+        write(fh, fields, rows)
     return code
 
 

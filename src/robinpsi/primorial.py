@@ -2,13 +2,12 @@
 
 N_n = p_1 p_2 ... p_n.  log N_n is the table's theta prefix and
 log(psi_t(N_n)/N_n) comes from log_psi_ratio_prefix, both compensated prefix
-sums over the primes.  Champion scans and the reduction check loop over the
-windows of multiplicative.sweep: the kernel sums each window's float
-log psi_t(n)/n over the primes up to the window's root, a lower bound, and
-the one larger prime an n may have adds at most the window's gap, so a screen
-keeps only the n whose bounds come within LOG_RATIO_BAND of the line, and
-the loop re-decides each of them exactly (champions) or at 60 digits
-(reduction, whose one formula of log R_t(n), _log_r, runs in all three).
+sums over the primes.  champion_scan loops over the windows of
+multiplicative.sweep: the kernel sums each window's float log psi_t(n)/n over
+the primes up to the window's root, a lower bound, and the one larger prime
+an n may have adds at most the window's gap; a screen keeps the n whose bounds
+come within LOG_RATIO_BAND of the running maximum, and the loop re-decides
+each of them exactly.  reduction_check is the corollary of that scan.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from functools import partial
 import numpy as np
 
 from .multiplicative import check_sweep, factorize, psi_over_n, sweep
-from .primes import PrimeTable, at_60_digits, build_table, compensated_prefix, libm_map
-from .primes import require_primes
+from .primes import PrimeTable, build_table, compensated_prefix, libm_map, require_primes
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
 # terms below log 2, each within a few ulp, and the sum stays below 2: its float
@@ -177,63 +175,16 @@ def primorials_up_to(limit: int) -> list[int]:
     return out
 
 
-def _log_r(m, log_ratio, n):
-    """log R_t(n) = log(psi_t(n)/n) - log log log n, R_t(n) = psi_t(n)/(n log log n)."""
-    return log_ratio - m.log(m.log(m.log(n)))
-
-
-def _reduction_screen(
-    lo: int, upper: np.ndarray, prims: np.ndarray, lines: np.ndarray
-) -> list[tuple[int, int]]:
-    """(m, k) for each non-primorial m of the window from lo, upper holding an
-    upper bound on log psi_t(m)/m, that the float screen does not clear below
-    lines[k], the line of N_k = prims[k], the largest primorial <= m."""
-    # log R_t(m) <= _log_r(upper, lo) on the window, so an m below the least
-    # line of the window's primorials is cleared before log log log m and the
-    # searchsorted are formed for it; -_log_r(math, 0.0, lo) = log log log lo
-    k = np.searchsorted(prims, [lo, lo + upper.size - 1], side="right") - 1
-    floor = lines[k[0] : k[1] + 1].min() - _log_r(math, 0.0, lo)
-    ns = lo + np.flatnonzero(upper >= floor)
-    log_r = _log_r(np, upper[ns - lo], ns)
-    k = np.searchsorted(prims, ns, side="right") - 1  # N_k, the largest primorial <= n
-    keep = (log_r >= lines[k]) & (ns != prims[k])
-    return list(zip(ns[keep].tolist(), k[keep].tolist()))
-
-
 def reduction_check(limit: int, t: int) -> bool:
-    """True iff R_t(m) < R_t(N_k) for every non-primorial m in [6, limit],
+    """True if R_t(m) < R_t(N_k) for every non-primorial m in [6, limit],
     where N_k is the largest primorial <= m and R_t(m) = psi_t(m)/(m log log m).
 
-    A float screen in log space clears every m whose upper bound on
-    log R_t(m) lies below log R_t(N_k) by more than LOG_RATIO_BAND.  Each m
-    it keeps takes log R_t(m) from its exact rational psi_t(m)/m, within
-    1e-14, and the screen again; the rest are re-decided at 60 digits.
+    A corollary of the champion scan: when the champions of psi_t(m)/m up to
+    limit are the primorials, psi_t(m)/m <= psi_t(N_k)/N_k, the running
+    maximum before m, and log log m > log log N_k > 0, so R_t(m) < R_t(N_k).
     """
     if limit < 6:
         raise ValueError(f"reduction check needs limit >= 6, got {limit}")
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    check_sweep(6, limit)
-    table = build_table(math.isqrt(limit) + 1)
-
-    prims = np.array(primorials_up_to(limit)[2:], dtype=np.int64)  # 6, 30, 210, ...
-    # log R_t(N_k) less the band; prims[k] is the product of the first k + 2
-    # primes, each at most sqrt(limit) + 1, so all in table
-    logs = log_psi_ratio_prefix(table, t, prims.size + 1)[2:]
-    lines = _log_r(np, logs, prims) - LOG_RATIO_BAND
-    weight, total = partial(_psi_weight, t=t), partial(log_terms, t=t)
-    for lo, acc, gap in sweep(6, limit, table, weight, total):
-        acc += gap  # the one prime above the window's root, if n has one
-        for n, k in _reduction_screen(lo, acc, prims, lines):
-            r = psi_over_n(factorize(n, table), t)
-            if _log_r(math, math.log(r), n) < lines[k]:
-                continue
-            n_k = int(prims[k])
-            r_k = psi_over_n(factorize(n_k, table), t)
-            # log R_t(n) - log R_t(N_k), each psi_t/n entering as its two terms
-            if at_60_digits(
-                lambda m, a, b, x, c, d, y: _log_r(m, m.log(a / b), x) - _log_r(m, m.log(c / d), y),
-                lambda: (r.numerator, r.denominator, n, r_k.numerator, r_k.denominator, n_k),
-            ) >= 0.0:
-                return False
-    return True
+    return champion_scan(limit, t) == primorials_up_to(limit)

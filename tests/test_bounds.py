@@ -23,12 +23,11 @@ from robinpsi import (
     primorial_magnitude,
     psi_ratio_bound_suite,
     ratio_curve,
-    reduction_check,
     verify_tfree_robin,
     zeta,
     zeta_tail_bound_suite,
 )
-from robinpsi import bounds, primorial, robin
+from robinpsi import bounds, robin
 from robinpsi.bounds import (
     CONFIRM,
     CRITERION_FLOOR,
@@ -822,12 +821,6 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(robin, "RELATIVE_BAND", 1e9)
         verdicts = [robin._verdict_from_sigma(n, s).margin for n, s in sigmas.items()]
-    with monkeypatch.context() as patch:
-        calls = spy_60_digits(patch, primorial)
-        patch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
-        assert reduction_check(300, 3)
-        reductions = [(inputs[2], inputs[5], result) for _, inputs, result in calls]
-    assert len(reductions) == 300 - 5 - 3  # every non-primorial in [6, 300]
 
     def theta(n):
         return mpmath.fsum(mpmath.log(p) for p in primes[:n])
@@ -854,10 +847,6 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
         c = mpmath.mpf("1.1253") / (mpmath.log(p) * mpmath.log(theta(n)))
         return mpmath.zeta(t) - mpmath.exp(2 / p) * (1 + c)
 
-    def log_r(t, n):
-        primes_of_n = [p for p, _ in factor_by_division(n)]
-        return log_psi(t, primes_of_n) - mpmath.log(mpmath.log(mpmath.log(n)))
-
     with mpmath.workdps(60):
         prod = mpmath.exp(-mpmath.fsum(
             mpmath.log(1 - mpmath.mpf(1) / p) for p in primes[: bisect_right(primes, 1024)]
@@ -876,17 +865,15 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
         ref_verdicts = [
             mpmath.exp(mpmath.euler) * n * mpmath.log(mpmath.log(n)) - s for n, s in sigmas.items()
         ]
-        ref_reductions = [log_r(3, n) - log_r(3, n_k) for n, n_k, _ in reductions]
     pairs = [
         (mertens, ref_mertens), (log_sub, ref_log_sub), (ratio_margin, ref_ratio),
         *zip(tails, ref_tails), *zip(psis, ref_psis), *zip(criteria, ref_criteria),
-        *zip(verdicts, ref_verdicts), *zip((r for *_, r in reductions), ref_reductions),
+        *zip(verdicts, ref_verdicts),
     ]
     for got, ref in pairs:
         assert got == pytest.approx(float(ref), rel=1e-15)
     assert min(ref_mertens, ref_log_sub, ref_ratio, *ref_tails, *ref_psis, *ref_criteria) > 0
     assert ref_verdicts[0] < 0 < ref_verdicts[1]  # 5040 violates, 10080 does not
-    assert max(ref_reductions) < 0
 
 
 def test_formula_constants_at_60_digits():

@@ -431,6 +431,24 @@ def test_failed_run_leaves_output_untouched(tmp_path, capsys, argv, code, existi
         assert not target.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, kind):
+    # exit 1 would read as a falsified inequality; a fresh interpreter shows
+    # the whole of stderr, with no traceback
+    target = tmp_path / "missing" / "rows.csv" if kind == "missing-dir" else tmp_path
+    reason = "No such file or directory" if kind == "missing-dir" else "Is a directory"
+    src = str(pathlib.Path(robinpsi.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "robinpsi", "champions", "--limit", "100", "--t", "2",
+         "--output", str(target)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (64, "")
+    assert done.stderr == f"robinpsi: error: cannot write --output {target}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "argv",

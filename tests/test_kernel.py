@@ -268,14 +268,19 @@ def test_tfree_pass_matches_separate_sweeps(small_table, scan_oracle, limit, t):
     ],
     ids=["champion_scan", "verify_sigma_le_psi", "reduction_check", "verify_tfree_robin"],
 )
-def test_sweep_limits(sweep):
-    # both guards come before any sieving, so each call returns at once
+def test_sweep_limits(sweep, monkeypatch):
+    # both guards come before any sieving, so each call returns at once; each
+    # sweep covers [1, limit], reduction_check's through champion_scan, so
+    # MAX_SPAN + 1 is past the budget
+    for module, name in ((primorial, "build_table"), (multiplicative, "_segmented_primes")):
+        monkeypatch.setattr(module, name, lambda *_: pytest.fail("sieved first"))
     start = time.perf_counter()
     for limit in (MAX_SCAN_STOP + 1, 2**63 + 5):
         with pytest.raises(ResourceError, match="2\\^50"):
             sweep(limit)
-    with pytest.raises(ResourceError, match="budget"):
-        sweep(MAX_SPAN + 6)
+    for limit in (MAX_SPAN + 1, MAX_SPAN + 6):
+        with pytest.raises(ResourceError, match="budget"):
+            sweep(limit)
     assert time.perf_counter() - start < 1.0
 
 

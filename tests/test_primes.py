@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robinpsi import CoverageError, bounds, build_table, compensated_prefix, primorial, robin
+from robinpsi import CoverageError, bounds, build_table, compensated_prefix, robin
 from robinpsi.bounds import _mertens_prefix
 from robinpsi.primes import PrimeTable, at_60_digits, require_primes
 from robinpsi.primes import mpmath as mpmath_handle
@@ -186,10 +186,9 @@ def test_mertens_prefix_matches_scalar_formula(table):
 
 
 def test_one_mpmath_handle_serves_every_recheck(small_table, monkeypatch):
-    # bounds, robin and primorial recheck through the one helper, which
-    # enters the workdps set on the shared handle, so one stand-in counts
-    # every recheck
-    assert bounds.at_60_digits is robin.at_60_digits is primorial.at_60_digits is at_60_digits
+    # bounds and robin recheck through the one helper, which enters the
+    # workdps set on the shared handle, so one stand-in counts every recheck
+    assert bounds.at_60_digits is robin.at_60_digits is at_60_digits
     assert bounds.mpmath is robin.mpmath is mpmath_handle
     entered = []
     workdps = mpmath_handle.workdps
@@ -205,6 +204,3 @@ def test_one_mpmath_handle_serves_every_recheck(small_table, monkeypatch):
     monkeypatch.setattr(robin, "RELATIVE_BAND", 10.0)  # every margin is within 10 n of 0
     assert robin.robin_scan(5041, 5100, small_table) == []  # no violator
     assert len(entered) == 2 + 60  # one recheck per n of 5041..5100
-    monkeypatch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
-    assert primorial.reduction_check(300, 3)
-    assert len(entered) > 62 and set(entered) == {60}

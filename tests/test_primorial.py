@@ -1,4 +1,4 @@
-"""Primorial prefix arrays, champion enumeration, and primorial reduction checks."""
+"""Primorial prefix arrays, champion enumeration, and the reduction step."""
 
 import math
 from fractions import Fraction
@@ -23,6 +23,8 @@ from robinpsi import multiplicative, primorial
 from robinpsi.multiplicative import factorize
 from robinpsi.primes import PrimeTable, compensated_prefix
 from robinpsi.primorial import _psi_ratio_terms
+
+from conftest import factor_by_division
 
 
 def test_start_point_is_empty_product(small_table):
@@ -217,41 +219,6 @@ def test_screened_champions_match_full_window_maxima(top, windows, gap):
     assert top == max(np.concatenate(windows))
 
 
-_PRIMS = np.array([6, 30, 210, 2310, 30030], dtype=np.int64)
-
-
-@st.composite
-def reduction_windows(draw):
-    """A window near a primorial, lines for the primorials in any order, and
-    upper bounds each a step above or below its m's line, none at a tie."""
-    lo = draw(st.sampled_from([6, 200, 2300, 30000])) + draw(st.integers(0, 40))
-    lines = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
-    steps = st.one_of(
-        st.sampled_from([-0.5, -1e-3, -1e-10, 1e-10, 1e-3]),
-        st.floats(1e-12, 0.5),
-        st.floats(-0.5, -1e-12),
-    )
-    ms = range(lo, lo + draw(st.integers(1, 64)))
-    k = np.searchsorted(_PRIMS, ms, side="right") - 1
-    upper = lines[k] + np.log(np.log(np.log(np.array(ms, dtype=np.float64))))
-    return lo, upper + np.array([draw(steps) for _ in ms]), lines
-
-
-@settings(max_examples=150, deadline=None)
-@given(reduction_windows())
-def test_reduction_screen_matches_full_window(window):
-    # the window's least line clears m before their own line is formed, and
-    # must clear none that their own line keeps
-    lo, upper, lines = window
-    expected = []
-    for i, u in enumerate(upper.tolist()):
-        m = lo + i
-        k = int(np.searchsorted(_PRIMS, m, side="right")) - 1
-        if m != _PRIMS[k] and u - math.log(math.log(math.log(m))) >= lines[k]:
-            expected.append((m, k))
-    assert primorial._reduction_screen(lo, upper, _PRIMS, lines) == expected
-
-
 @pytest.mark.parametrize("t", [2, 7])
 def test_reduction_to_primorials(t):
     # the running maximum of psi_t(m) / (m log log m) sits on primorials
@@ -262,9 +229,9 @@ def test_reduction_to_primorials(t):
     "raised, holds", [(211, False), (1009, False), (2731, False), (2310, True)]
 )
 def test_reduction_check_fails_where_a_non_primorial_rises(monkeypatch, raised, holds):
-    # a forced psi_t(m)/m above every line must fail the check, unless m is a
-    # primorial, which only sets the line of the n after it; in windows of 997
-    # from 6, the line of 1009 is carried over from 210's window
+    # a forced psi_t(m)/m above every earlier value makes m a champion, which
+    # fails the check unless m is a primorial; the band sends every m to the
+    # exact decision, in windows of 997 from 1
     real = primorial.psi_over_n
     monkeypatch.setattr(
         primorial, "psi_over_n", lambda f, t: Fraction(100) if f.value == raised else real(f, t)
@@ -275,5 +242,32 @@ def test_reduction_check_fails_where_a_non_primorial_rises(monkeypatch, raised, 
 
 
 def test_reduction_limit_domain():
-    with pytest.raises(ValueError):
-        reduction_check(5, 2)
+    # the limit is checked first, then t, each with its own text
+    for limit, t, text in ((5, 2, "limit >= 6, got 5"), (5, 1, "limit >= 6"), (6, 1, "t >= 2, got 1")):
+        with pytest.raises(ValueError, match=text):
+            reduction_check(limit, t)
+
+
+@pytest.mark.parametrize("t", [2, 3, 7])
+def test_reduction_inequality_at_60_digits(t):
+    # the reduction step itself, independent of the champion scan:
+    # log R_t(m) - log R_t(N_k) < 0 for every non-primorial m in [6, 3000],
+    # N_k the largest primorial <= m, psi_t(m)/m exact from trial division
+    def log_r(m):
+        ratio = math.prod(
+            Fraction(p**t - 1, p ** (t - 1) * (p - 1)) for p, _ in factor_by_division(m)
+        )
+        return mpmath.log(mpmath.mpf(ratio.numerator) / ratio.denominator) - mpmath.log(
+            mpmath.log(mpmath.log(m))
+        )
+
+    prims = [6, 30, 210, 2310]
+    with mpmath.workdps(60):
+        lines = {n_k: log_r(n_k) for n_k in prims}
+        worst = max(
+            log_r(m) - lines[max(n_k for n_k in prims if n_k <= m)]
+            for m in range(6, 3001)
+            if m not in lines
+        )
+    assert worst < 0
+    assert reduction_check(3000, t)
