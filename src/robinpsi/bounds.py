@@ -18,11 +18,11 @@ the working precision for mpmath.  A screen states beta, a bound on its
 distance to the libm value at each index, and libm runs only at the indices
 that the estimate +- beta cannot decide.  criterion decides one index from
 libm, re-deciding at 60 digits a margin within its own error bound of zero;
-find_crossover_index bisects these certified decisions, as the left side
-falls with n, and admissible_t scans them over t.  The four suites hand their
-columns, one per t, to one sweep, _sweep, which re-derives any |margin| below
-1e-9 at 60 digits, from logs of exact products (exact_log); a range without
-points reports SKIPPED.  zeta(2) is pinned to its series' output.
+find_crossover_index gallops and then bisects over these certified
+decisions, as the left side falls with n, and admissible_t scans them over t.
+The four suites hand their columns, one per t, to one sweep, _sweep, which
+re-derives any |margin| below 1e-9 at 60 digits, from logs of exact products
+(exact_log); a range without points reports SKIPPED.  zeta(2) is pinned to its series' output.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _lhs_excess(m, p, theta):
 
 def _criterion_lhs_at(n: int, table: PrimeTable) -> float:
     """exp(2/p_n) * f(n) - 1 from libm scalars."""
-    require_primes(table, n)
-    return _lhs_excess(math, int(table.primes[n - 1]), table.theta_prefix[n])
+    theta = table.theta_upto(n)[n]  # CoverageError past the table
+    return _lhs_excess(math, int(table.primes[n - 1]), theta)
 
 
 # |_criterion_lhs_at - exact left side less 1| <= _LHS_ERROR * _criterion_lhs_at
@@ -262,18 +262,25 @@ def find_crossover_index(t: int, table: PrimeTable, floored: bool = False) -> in
     The left side exp(2/p_n) * f(n) falls strictly with n: p_n and theta(p_n)
     = log N_n both grow, and log p_n and log theta(p_n) >= log log 6 stay
     positive.  So the indices where the criterion holds are a tail of the
-    table, and once it holds at the last index, bisection over criterion's
-    certified decisions finds the least one.  The next CONFIRM indices are
+    table.  The search gallops over criterion's certified decisions, at
+    start, 2 start, 4 start, ... and the table's last index, to the first
+    that holds, then bisects the bracket above the last that failed; so it
+    reads theta no further than about 2 n1.  The next CONFIRM indices are
     confirmed too; running off the table either way raises CoverageError.
     """
     zeta(t)  # validates t, also when the table ends before the search starts
     start = CRITERION_FLOOR if floored else 2
     size = len(table.primes)
-    if start > size or not criterion(t, size, table).satisfied:
-        raise CoverageError(
-            f"criterion for t={t} unsatisfied through index {size}; enlarge the sieve"
-        )
-    lo, hit = start, size
+    unsatisfied = CoverageError(
+        f"criterion for t={t} unsatisfied through index {size}; enlarge the sieve"
+    )
+    if start > size:
+        raise unsatisfied
+    lo, hit = start, start
+    while not criterion(t, hit, table).satisfied:
+        if hit == size:
+            raise unsatisfied
+        lo, hit = hit + 1, min(2 * hit, size)
     while lo < hit:
         mid = (lo + hit) // 2
         if criterion(t, mid, table).satisfied:
@@ -295,8 +302,7 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
     """N_n as (mantissa, exponent10) with mantissa in [1, 10), via theta."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    require_primes(table, n)
-    log10 = float(table.theta_prefix[n]) / math.log(10.0)
+    log10 = float(table.theta_upto(n)[n]) / math.log(10.0)
     exp10 = math.floor(log10)
     mant = 10.0 ** (log10 - exp10)
     if mant >= 10.0:  # guard the floor/pow rounding edge
@@ -470,7 +476,7 @@ def ratio_curve(
         raise ValueError(f"need n_max >= 2, got {n_max}")
     limit_value = EXP_GAMMA / zeta(t).value
     logs = primorial.log_psi_ratio_prefix(table, t, n_max).tolist()
-    theta = table.theta_prefix[: n_max + 1].tolist()
+    theta = table.theta_upto(n_max).tolist()
     primes = table.primes[:n_max].tolist()
 
     def rows():
@@ -654,7 +660,7 @@ def log_substitution_suite(
         raise ValueError(f"hypothesis needs n >= {CRITERION_FLOOR}, got {n_min}")
     require_primes(table, n_max)
     p = table.primes[n_min - 1 : n_max].astype(np.float64)
-    theta = table.theta_prefix[n_min : n_max + 1]
+    theta = table.theta_upto(n_max)[n_min:]
     return _sweep(
         "log_substitution",
         [(
@@ -697,7 +703,7 @@ def _psi_ratio_columns(
     """_sweep's (t, screen, margins) for each t, n_min <= n <= n_max."""
     primes = table.primes[:n_max].astype(np.float64)  # once per suite
     p = primes[n_min - 1 :]
-    theta = table.theta_prefix[n_min : n_max + 1]
+    theta = table.theta_upto(n_max)[n_min:]
     scale = _psi_ratio_scale(np, p, theta)  # shared by every t
     for t in ts:
         yield (

@@ -5,16 +5,18 @@ order; every check it makes runs before it returns, and the writer then
 streams the rows, to --output opened only at that point.
 
 Exit codes: 0 success, 1 mathematical falsification, 2 sieve or budget
-exhausted, 64 usage error or an --output that cannot be opened.
+exhausted, 64 usage error or an --output or stdout that cannot be opened or
+written, such as a full disk or a pipe closed by `head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Iterable
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from . import bounds, primorial, robin
 from .errors import CoverageError, ResourceError
@@ -161,6 +163,7 @@ def cmd_ratio(args: argparse.Namespace) -> Output:
 def cmd_verify_bounds(args: argparse.Namespace) -> Output:
     n_max = args.n_max
     table = build_table(max(_prime_reach(n_max), bounds.MERTENS_CAP))
+    table.theta_upto(n_max)  # formed before the suites' arrays, not among them
     results = [
         bounds.mertens_bound_suite(table),
         bounds.zeta_tail_bound_suite(table, range(2, args.t_max + 1), min(n_max, 10**4)),
@@ -227,11 +230,16 @@ def main(argv: list[str] | None = None) -> int:
     write = rows_to_csv if args.format == "csv" else rows_to_json
     try:  # --output is opened only now, when every check has passed
         out = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+        with out as fh:
+            write(fh, fields, rows)
+            fh.flush()  # a stdout that cannot take the rows fails here, not at exit
     except OSError as exc:
-        print(f"robinpsi: error: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
+        if not args.output:  # the interpreter's last flush of stdout would fail again
+            with suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        dest = f"--output {args.output}" if args.output else "stdout"
+        print(f"robinpsi: error: cannot write {dest}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    with out as fh:
-        write(fh, fields, rows)
     return code
 
 

@@ -2,7 +2,10 @@
 and Chebyshev theta prefix sums.
 
 A table holds numpy arrays: the primes as int64 and their theta prefix sums
-as float64.  Exact arithmetic takes Python ints from them, by .tolist() of a
+as float64.  build_table only sieves; theta is formed on demand, through the
+largest index a reader has asked for (PrimeTable.theta_upto), so a run that
+reads theta near p_10^4 never takes the log of every prime of a 10^5-prime
+table.  Exact arithmetic takes Python ints from the arrays, by .tolist() of a
 slice or int() of one entry: an int64 p**t wraps without a warning past 2^63,
 and mpmath and pow(p, -1, 2**64) reject numpy integers.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,21 +59,45 @@ def at_60_digits(formula, inputs) -> float:
 
 @dataclass(eq=False)
 class PrimeTable:
-    """Sieve output: every prime <= limit plus theta prefix sums.
+    """Sieve output: every prime <= limit, and theta prefix sums on demand.
 
-    primes is an int64 array, p_n = primes[n - 1]; theta_prefix a float64
-    array, theta_prefix[k] = log(p_1) + ... + log(p_k), theta_prefix[0] = 0.
-    Exact arithmetic takes primes[a:b].tolist() or int(primes[k]).  Treat
-    instances as immutable; rebuilding with a larger limit never changes
-    earlier entries.
+    primes is an int64 array, p_n = primes[n - 1].  theta_upto(n) is the
+    float64 array theta_prefix[: n + 1], theta_prefix[k] = log(p_1) + ... +
+    log(p_k), theta_prefix[0] = 0; theta_prefix reads all of it.  Exact
+    arithmetic takes primes[a:b].tolist() or int(primes[k]).  Treat
+    instances and the arrays they give as immutable; rebuilding with a
+    larger limit never changes earlier entries.
     """
 
     limit: int
     primes: np.ndarray
-    theta_prefix: np.ndarray
+    _theta: np.ndarray = field(init=False, repr=False)
+    _theta_state: list[float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._theta = np.zeros(1)  # theta_prefix through the largest index read
+        self._theta_state = [0.0, 0.0]  # compensated_prefix's state after it
 
     def __len__(self) -> int:
         return len(self.primes)
+
+    def theta_upto(self, n: int) -> np.ndarray:
+        """theta_prefix[: n + 1]; CoverageError past the table.  A read past
+        the formed prefix extends it to at least twice its length, resuming
+        the compensated sum from its state, so the bits are the one-shot
+        prefix's whatever the order of the reads."""
+        require_primes(self, n)
+        k = len(self._theta) - 1
+        if n > k:
+            stop = min(max(n, 2 * k), len(self.primes))
+            more = compensated_prefix(libm_map(math.log, self.primes[k:stop]), self._theta_state)
+            self._theta = np.concatenate((self._theta, more[1:]))
+        return self._theta[: n + 1]
+
+    @property
+    def theta_prefix(self) -> np.ndarray:
+        """The whole prefix, theta_upto(len(self))."""
+        return self.theta_upto(len(self.primes))
 
 
 def _segmented_primes(limit: int) -> np.ndarray:
@@ -109,39 +136,44 @@ def libm_map(fn, xs: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, xs.tolist()), dtype=np.float64, count=len(xs))
 
 
-def compensated_prefix(xs: np.ndarray) -> np.ndarray:
+def compensated_prefix(xs: np.ndarray, state: list[float] | None = None) -> np.ndarray:
     """Neumaier-compensated prefix sums: out[0] = 0, out[k] = xs[0] + ... + xs[k-1].
 
     Bit for bit the scalar loop `s = total + x; carry += error of that
     addition; out[k] = s + carry`: both cumsums run left to right like the
     loop, and TwoSum (Ogita, Rump and Oishi 2005) yields the same exact
-    rounding error as Neumaier's branch on the larger addend.
+    rounding error as Neumaier's branch on the larger addend.  state, if
+    given, is the loop's [total, carry] before xs[0], so out[0] = total +
+    carry, and is left holding them after xs[-1]: sums resumed from it are
+    the one-shot sums over the joined terms, bit for bit.
     """
+    total, carry0 = state or (0.0, 0.0)
     x = np.asarray(xs, dtype=np.float64)
-    s = np.concatenate(([0.0], x))
+    s = np.concatenate(([total], x))
     np.cumsum(s, out=s)
     prev, cur = s[:-1], s[1:]
     # err = (prev - (cur - bb)) + (x - bb) with bb = cur - prev, written behind
-    # carry's leading zero: two temporaries instead of eight
+    # carry's leading entry: two temporaries instead of eight
     bb = cur - prev
     carry = np.zeros_like(s)
+    carry[0] = carry0
     err = carry[1:]
     np.subtract(cur, bb, out=err)
     np.subtract(prev, err, out=err)
     np.subtract(x, bb, out=bb)
     err += bb
     np.cumsum(carry, out=carry)
+    if state is not None:
+        state[:] = s[-1], carry[-1]
     s += carry
     return s
 
 
 def build_table(limit: int) -> PrimeTable:
-    """Sieve all primes <= limit and accumulate compensated theta prefix sums."""
+    """Sieve all primes <= limit; theta is formed as it is read."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    primes = _segmented_primes(limit)
-    theta_prefix = compensated_prefix(libm_map(math.log, primes))
-    return PrimeTable(limit=limit, primes=primes, theta_prefix=theta_prefix)
+    return PrimeTable(limit=limit, primes=_segmented_primes(limit))
 
 
 def nth_prime_bound(n: int) -> int:

@@ -6,7 +6,7 @@ by per-integer factorization: the kernel sums each window's upper bounds on
 log(sigma(n)/n) from weights per prime power, and `_window_violators`
 screens them and decides each n the screen keeps from its exact sigma.  The t-free pipeline checks
 the bridge (c) first, which needs no sweep and bounds the range before any
-sieving, then scans for (a).
+sieving, then scans for (a), once per table and scan limit for every t.
 A verdict's float margin within n * 1e-9 of zero, and R_t(N_n1) within 1e-9
 of e^gamma, are re-decided at 60 significant digits by the same formula over
 m = mpmath (_threshold, bounds.primorial_ratio) before being trusted.
@@ -15,6 +15,7 @@ m = mpmath (_threshold, bounds.primorial_ratio) before being trusted.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .primes import PrimeTable, at_60_digits, mpmath  # noqa: F401, the handle b
 from . import primorial
 
 RELATIVE_BAND = 1e-9
+_FLOOR_BLOCK = 1024  # n per floor when the window's one floor clears nothing
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,18 @@ def _window_violators(lo: int, upper: np.ndarray, table: PrimeTable) -> list[Rob
     with exp(upper) < c - 2 RELATIVE_BAND is cleared: sigma(n) < c n by more
     than RELATIVE_BAND n, past every float error here (below 1e-13 c n).
     The window's least c, at its first n, clears most n at once, in log
-    space; each n left is screened with its own c, and each n still left is
-    decided from its exact sigma, factorized with primes from table."""
+    space.  Where it clears none, as in a sweep's first window, where log
+    log n climbs fastest, the least c of each block of _FLOOR_BLOCK n does
+    instead.  Each n left is screened with its own c, and each n still left
+    is decided from its exact sigma, factorized with primes from table."""
     first = max(lo, 3)  # the threshold needs log log n > 0
     upper = upper[first - lo :]
     least = EXP_GAMMA * math.log(math.log(first)) - 2.0 * RELATIVE_BAND
     near = np.flatnonzero(upper >= (math.log(least) if least > 0.0 else -math.inf))
+    if near.size == upper.size and least > 0.0:
+        floor = np.arange(first, first + upper.size, _FLOOR_BLOCK, dtype=np.float64)
+        floor = np.log(EXP_GAMMA * np.log(np.log(floor)) - 2.0 * RELATIVE_BAND)
+        near = np.flatnonzero(upper >= np.repeat(floor, _FLOOR_BLOCK)[: upper.size])
     # c - 2 RELATIVE_BAND of each n left, formed in place
     line = (first + near).astype(np.float64)  # exact below 2^53
     line = np.log(np.log(line, out=line), out=line)
@@ -147,11 +155,17 @@ class TfreeTheoremReport:
     bridge: BridgeReport
 
 
+# Branch (a)'s violators per table and scan limit: the scan does not depend on t
+_SCANS: "weakref.WeakKeyDictionary[PrimeTable, dict[int, tuple[RobinVerdict, ...]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheoremReport:
     """Run all three branches: (c) first, whose budget check raises before
     any sieving, then (a), a scan of [3, scan_limit] with primes from table,
-    then (b); any falsification is reported with a witness integer rather
-    than raised."""
+    kept with the table for the next t, then (b); any falsification is
+    reported with a witness integer rather than raised."""
     if t not in (6, 7):
         raise ValueError(f"the pipeline is stated for t in {{6, 7}}, got {t}")
     if scan_limit < 5041:
@@ -159,7 +173,10 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
     bridge = verify_sigma_le_psi(scan_limit, t)
     branch_c = bridge.violation is None
 
-    violators = robin_scan(3, scan_limit, table)
+    kept = _SCANS.setdefault(table, {})
+    if scan_limit not in kept:
+        kept[scan_limit] = tuple(robin_scan(3, scan_limit, table))
+    violators = kept[scan_limit]
     above = tuple(
         v.n for v in violators if v.n > 5040 and is_t_free(factorize(v.n, table), t)
     )
@@ -167,7 +184,7 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
 
     n1 = find_crossover_index(t, table)
     log_ratio = primorial.log_psi_ratio_prefix(table, t, n1)[n1]
-    ratio = primorial_ratio(math, log_ratio, table.theta_prefix[n1])
+    ratio = primorial_ratio(math, log_ratio, table.theta_upto(n1)[n1])
     margin = EXP_GAMMA - ratio
     if abs(margin) < PRECISION_BAND:
         margin = at_60_digits(

@@ -36,7 +36,7 @@ from robinpsi.bounds import (
     LOG_SHIFT,
     MERTENS_SHIFT,
 )
-from robinpsi.primes import nth_prime_bound
+from robinpsi.primes import libm_map, nth_prime_bound
 
 from conftest import factor_by_division, spy_60_digits
 
@@ -622,7 +622,9 @@ def test_sweep_takes_more_margins_after_a_recheck_rises():
 
 
 def test_unscreened_crossover_search_gives_the_same_n1(monkeypatch):
-    # the bisection against a linear scan of the certified decision at every index
+    # the gallop and bisection against a linear scan of the certified decision
+    # at every index; the calls follow n1 (or the table's end when nothing
+    # holds), not the table's size
     table = build_table(1 << 15)
     size = len(table)
 
@@ -639,7 +641,28 @@ def test_unscreened_crossover_search_gives_the_same_n1(monkeypatch):
             expected = _outcome(lambda: scan(t, floored))
             calls.clear()
             assert _outcome(lambda: find_crossover_index(t, table, floored)) == expected
-            assert len(calls) <= 1 + math.ceil(math.log2(size)) + CONFIRM
+            reach = expected if isinstance(expected, int) else size
+            assert len(calls) <= 2 * math.ceil(math.log2(reach)) + CONFIRM
+
+
+def test_crossover_searches_form_theta_only_as_far_as_they_read(monkeypatch):
+    # t = 6 and 7 on the 100730-prime table: the gallops stop at 512 and
+    # 16384, so theta is formed through index 16384 and no further
+    table = build_table(1_310_000)
+    logged = []
+    monkeypatch.setattr(
+        "robinpsi.primes.libm_map", lambda fn, xs: logged.append(len(xs)) or libm_map(fn, xs)
+    )
+    calls = []
+    decide = bounds.criterion
+    monkeypatch.setattr(bounds, "criterion", lambda *a: calls.append(a[1]) or decide(*a))
+    found = []
+    for t in (6, 7):
+        calls.clear()
+        found.append((find_crossover_index(t, table), len(calls)))
+    # 9 gallop probes and 8 bisection steps for t = 6, 14 and 13 for t = 7
+    assert found == [(509, 17 + CONFIRM), (10596, 27 + CONFIRM)]
+    assert sum(logged) == 16384 < len(table)
 
 
 def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, small_table):
@@ -654,12 +677,13 @@ def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, smal
         (23, pytest.approx(small_table.theta_prefix[9]), pytest.approx(zeta(3).value)),
         (29, pytest.approx(small_table.theta_prefix[10]), pytest.approx(zeta(3).value)),
     ]
-    # the whole search through the 60-digit path: the last index, 7 steps
-    # bisecting [2, 168] and the CONFIRM indices after n1 = 10
+    # the whole search through the 60-digit path: the gallop to 16, 3 steps
+    # bisecting [9, 16] and the CONFIRM indices after n1 = 10
     tiny = build_table(1000)
     calls.clear()
     assert find_crossover_index(3, tiny) == 10
-    assert len(calls) == 1 + 7 + CONFIRM
+    probed = [2, 4, 8, 16, 12, 10, 9, *range(11, 11 + CONFIRM)]
+    assert [float(inputs[0]) for _, inputs, _ in calls] == [tiny.primes[n - 1] for n in probed]
 
 
 def test_crossover_search_raises_when_the_criterion_fails_again(monkeypatch, small_table):
@@ -667,7 +691,7 @@ def test_crossover_search_raises_when_the_criterion_fails_again(monkeypatch, sma
 
     def flaky(t, n, table):
         report = decide(t, n, table)
-        # 47 lies in the CONFIRM window after n1 = 10, and the bisection does not probe it
+        # 47 lies in the CONFIRM window after n1 = 10, and the search does not probe it
         return dataclasses.replace(report, satisfied=False) if n == 47 else report
 
     monkeypatch.setattr(bounds, "criterion", flaky)

@@ -16,6 +16,7 @@ import pytest
 
 import robinpsi
 from robinpsi import build_table, cli, robin
+from robinpsi.primes import PrimeTable
 from robinpsi.robin import RobinVerdict
 
 from conftest import spy_60_digits
@@ -431,22 +432,61 @@ def test_failed_run_leaves_output_untouched(tmp_path, capsys, argv, code, existi
         assert not target.exists()
 
 
+def _robinpsi(argv):
+    """robinpsi in a fresh interpreter, with this checkout's package first,
+    its stdout and stderr piped."""
+    src = str(pathlib.Path(robinpsi.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "robinpsi", *argv], env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
 @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
 def test_unwritable_output_is_a_usage_error(tmp_path, kind):
     # exit 1 would read as a falsified inequality; a fresh interpreter shows
     # the whole of stderr, with no traceback
     target = tmp_path / "missing" / "rows.csv" if kind == "missing-dir" else tmp_path
     reason = "No such file or directory" if kind == "missing-dir" else "Is a directory"
-    src = str(pathlib.Path(robinpsi.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "robinpsi", "champions", "--limit", "100", "--t", "2",
-         "--output", str(target)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
-    )
-    assert (done.returncode, done.stdout) == (64, "")
-    assert done.stderr == f"robinpsi: error: cannot write --output {target}: {reason}\n"
+    done = _robinpsi(["champions", "--limit", "100", "--t", "2", "--output", str(target)])
+    out, err = done.communicate(timeout=60)
+    assert (done.returncode, out) == (64, "")
+    assert err == f"robinpsi: error: cannot write --output {target}: {reason}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_is_a_usage_error():
+    # the write fails, not the open; still one line and exit 64, not a traceback and 1
+    done = _robinpsi(["champions", "--limit", "100", "--t", "2", "--output", "/dev/full"])
+    out, err = done.communicate(timeout=60)
+    assert (done.returncode, out) == (64, "")
+    assert err == "robinpsi: error: cannot write --output /dev/full: No space left on device\n"
+
+
+def test_closed_stdout_is_a_usage_error():
+    # `| head -1`: the reader leaves after one line, and the rows go on
+    # past any pipe buffer; no "Exception ignored" follows at exit
+    run = _robinpsi(["ratio", "--t", "2", "--n-max", "100000"])
+    assert run.stdout.readline() == "n,p_n,ratio,limit_value,deviation\n"
+    run.stdout.close()
+    err = run.stderr.read()
+    run.stderr.close()
+    assert run.wait(timeout=60) == 64
+    assert err == "robinpsi: error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["robin-scan", "--from", "3", "--to", "100000"], ["champions", "--limit", "100000", "--t", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_scans_form_no_theta(argv, capsys, monkeypatch):
+    # neither command reads theta, so neither takes the log of a prime
+    monkeypatch.setattr(PrimeTable, "theta_upto", lambda *_: pytest.fail("formed theta"))
+    code, out = _run(argv, capsys)
+    assert code == 0 and out.count("\n") > 5
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

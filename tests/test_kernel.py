@@ -194,13 +194,15 @@ def test_kernel_log_ratio(small_table, window, t):
 
 
 def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
-    # every range sweep carries state from one window to the next
+    # every range sweep carries state from one window to the next; the
+    # pipeline gets a fresh table each run, as it keeps its scan per table
     def run():
+        fresh = build_table(small_table.limit)
         return (
             [champion_scan(20_000, t, mode) for t in (2, 5) for mode in ("strict", "weak")],
             [verify_sigma_le_psi(20_000, t) for t in (2, 3, 4)],
             robin_scan(3, 20_000, small_table),
-            [verify_tfree_robin(t, 20_000, small_table) for t in (6, 7)],
+            [verify_tfree_robin(t, 20_000, fresh) for t in (6, 7)],
             reduction_check(20_000, 3),
         )
 
@@ -239,7 +241,8 @@ def scan_oracle():
 def test_tfree_pass_matches_separate_sweeps(small_table, scan_oracle, limit, t):
     # the pipeline's branches (a) and (c) against the slow oracle, in one
     # window and in windows of 997, where later windows clear most n by the
-    # screen before any margin is formed
+    # screen before any margin is formed; each on a fresh table, as the
+    # pipeline keeps its scan per table
     violators, factors = scan_oracle
     expected = [v for v in violators if v.n <= limit]
     exponents = [[e for _, e in f] for f in factors[1 : limit + 1]]
@@ -247,7 +250,7 @@ def test_tfree_pass_matches_separate_sweeps(small_table, scan_oracle, limit, t):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(multiplicative, "SEGMENT_SIZE", segment)
             assert robin_scan(3, limit, small_table) == expected
-            report = verify_tfree_robin(t, limit, small_table)
+            report = verify_tfree_robin(t, limit, build_table(small_table.limit))
         assert report.violators_found == len(expected)
         assert report.max_violator == expected[-1].n
         assert report.tfree_violators_above_5040 == tuple(

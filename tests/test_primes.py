@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from robinpsi import CoverageError, bounds, build_table, compensated_prefix, robin
 from robinpsi.bounds import _mertens_prefix
-from robinpsi.primes import PrimeTable, at_60_digits, require_primes
+from robinpsi.primes import PrimeTable, at_60_digits, libm_map, require_primes
 from robinpsi.primes import mpmath as mpmath_handle
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -174,6 +174,25 @@ def test_compensated_prefix_matches_scalar_neumaier(xs):
 def test_table_prefixes_match_scalar_neumaier(small_table):
     primes = small_table.primes.tolist()
     assert _bits(small_table.theta_prefix) == _bits(_neumaier_prefix(map(math.log, primes)))
+
+
+_SPLIT_TABLE = build_table(10_000)  # 1229 primes
+_ONE_SHOT = compensated_prefix(libm_map(math.log, _SPLIT_TABLE.primes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, len(_SPLIT_TABLE)), max_size=8))
+@example([10, 500, 1000])
+@example([1, 2, 3, 4])
+def test_theta_on_demand_matches_the_one_shot_prefix(reads):
+    # theta formed in pieces, at whatever indices are read first, resumes the
+    # compensated sum from its state: every bit is the one-shot prefix's
+    table = PrimeTable(limit=_SPLIT_TABLE.limit, primes=_SPLIT_TABLE.primes)
+    for n in reads:
+        assert _bits(table.theta_upto(n)) == _bits(_ONE_SHOT[: n + 1])
+    assert _bits(table.theta_prefix) == _bits(_ONE_SHOT)
+    with pytest.raises(CoverageError):
+        table.theta_upto(len(table) + 1)
 
 
 def test_mertens_prefix_matches_scalar_formula(table):

@@ -76,8 +76,7 @@ def test_psi_ratio_terms_fall_back_above_the_split_limit():
     big = (1 << 26) + 15
     assert all(big % d for d in range(2, math.isqrt(big) + 1))  # prime
     primes = [2, 3, 5, 7, big]
-    theta = compensated_prefix([math.log(p) for p in primes])
-    table = PrimeTable(limit=big, primes=np.array(primes, dtype=np.int64), theta_prefix=theta)
+    table = PrimeTable(limit=big, primes=np.array(primes, dtype=np.int64))
     for t in (3, 7):
         terms, exact = _psi_ratio_terms(table.primes, t)
         assert 4 in exact

@@ -1,9 +1,11 @@
 """Divisor-sum scans against an additive sieve oracle, plus the theorem pipeline."""
 
+import gc
 import json
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +300,27 @@ def test_theorem_pipeline_rechecks_the_ratio_in_the_band(small_table, monkeypatc
     assert forced == plain
     assert margin == pytest.approx(EXP_GAMMA - plain.ratio_at_crossover, abs=1e-12)
     assert margin > 0
+
+
+def test_theorem_pipeline_keeps_one_scan_per_table_and_limit(small_table, monkeypatch):
+    # branch (a) does not depend on t: the scan of a table and limit runs
+    # once, and is let go with its table
+    scans = []
+    scan = robin.robin_scan
+    monkeypatch.setattr(robin, "robin_scan", lambda *args: scans.append(args) or scan(*args))
+    table, other = build_table(small_table.limit), build_table(small_table.limit)
+    first = [verify_tfree_robin(t, 20_000, table) for t in (6, 7)]
+    assert scans == [(3, 20_000, table)]
+    assert verify_tfree_robin(6, 30_000, table).passed
+    assert [verify_tfree_robin(t, 20_000, other) for t in (6, 7)] == first
+    assert scans == [(3, 20_000, table), (3, 30_000, table), (3, 20_000, other)]
+    kept = len(robin._SCANS)
+    gone = weakref.ref(other)
+    del other, scans[:]
+    gc.collect()
+    assert gone() is None
+    assert len(robin._SCANS) == kept - 1
+    assert sorted(robin._SCANS[table]) == [20_000, 30_000]
 
 
 def test_theorem_pipeline_domain(small_table):
