@@ -42,6 +42,7 @@ from .errors import CoverageError
 from .primes import (
     PrimeTable,
     at_60_digits,
+    blocks,
     compensated_prefix,
     libm_map,
     mpmath,
@@ -312,9 +313,9 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
 
 
 # Each suite's margin is one formula of (m, ...).  Its screen evaluates it in
-# numpy over the whole range and states beta, a bound on the distance to the
-# libm margin at each index; _sweep takes libm only where the screen cannot
-# decide, and mpmath in the band.  Error model: numpy's power, expm1,
+# numpy over the range, block by block, and states beta, a bound on the
+# distance to the libm margin at each index; _sweep takes libm only where the
+# screen cannot decide, and mpmath in the band.  Error model: numpy's power, expm1,
 # log1p, log and exp are within 16 ulp of the exact value per call, libm's
 # within 1; u = 2^-53.  On samples of the suites' inputs, against 200-bit
 # values, numpy was within 0.63 ulp and libm within 0.51 (measured).  Where a
@@ -322,9 +323,16 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
 # error to beta; the libm prefix sums all terms up to the last index taken.
 
 
-def _libm_at(formula, *columns) -> Callable[[np.ndarray], np.ndarray]:
-    """_sweep's margins(idx): formula(math, columns[0][i], ...) at each i in idx."""
-    return lambda idx: np.array([formula(math, *(c[i] for c in columns)) for i in idx.tolist()])
+def _libm(formula, *columns: np.ndarray) -> np.ndarray:
+    """formula(math, columns[0][i], ...) for each i, the columns gathered at
+    the indices a sweep takes."""
+    rows = zip(*(c.tolist() for c in columns))
+    return np.array([formula(math, *row) for row in rows], dtype=np.float64)
+
+
+def _one_block(screen, *inputs) -> list[tuple]:
+    """A column screen of a single block, screen(*inputs) at offset 0."""
+    return [(0, *screen(*inputs))]
 
 
 def _mertens_prefix(primes: np.ndarray) -> np.ndarray:
@@ -407,6 +415,22 @@ def _log_substitution_screen(p: np.ndarray, theta: np.ndarray) -> tuple[np.ndarr
     return est, 2.0**-45 * (np.log(p) + np.abs(est))
 
 
+def _log_substitution_blocks(table: PrimeTable, n_min: int, n_max: int) -> Iterator[tuple]:
+    """_sweep's blocks (offset, est, beta) of _log_substitution_screen over
+    n_min <= n <= n_max, offset counted from n_min."""
+    theta = table.theta_upto(n_max)
+    for a, b in blocks(n_min, n_max + 1):
+        p = table.primes[a - 1 : b - 1].astype(np.float64)
+        yield (a - n_min, *_log_substitution_screen(p, theta[a:b]))
+
+
+def _log_substitution_margins(table: PrimeTable, n_min: int, idx: np.ndarray) -> np.ndarray:
+    """_log_substitution_margin from libm at n = n_min + idx."""
+    n = n_min + idx
+    p = table.primes[n - 1].astype(np.float64)
+    return _libm(_log_substitution_margin, p, table.theta_upto(int(n[-1]))[n])
+
+
 def _psi_ratio_scale(m, p, theta):
     """exp(gamma + 2/p_n) (log log N_n + 1.1253 / log p_n) from p_n and theta =
     log N_n, which divided by zeta(t) bounds psi_t(N_n)/N_n."""
@@ -420,12 +444,12 @@ def _psi_ratio_margin(m, p, theta, zeta_value, log_ratio):
 
 
 def _psi_ratio_screen(
-    t: int, primes: np.ndarray, scale: np.ndarray, n_min: int
+    t: int, p: np.ndarray, theta: np.ndarray, logs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of _psi_ratio_margin for n_min <= n <= len(primes), primes
-    as float64 and scale = numpy _psi_ratio_scale at p_n_min.., and beta.
+    """Estimates of _psi_ratio_margin at p = p_n as float64, theta = log N_n
+    and logs, compensated prefix sums of numpy terms up to each n, and beta.
 
-    The terms here are primorial.log_terms, plain numpy
+    The terms of logs are primorial.log_terms, plain numpy
     log1p((1 - p^(1-t)) / (p - 1)): p^(1-t) <= 1/2 is within 16 ulp, so
     1 - p^(1-t) and the quotient are within 17 2^-52 of the exact term, and
     17.5 2^-52 of the libm column's correctly rounded one.  log1p keeps that relative error and adds 17 ulp, and each
@@ -437,11 +461,40 @@ def _psi_ratio_screen(
     and the sweep's comparisons with beta add under 4u |estimate|:
     beta = 2^-52 (42 B + R (37 L + 17)) + 2^-51 |estimate|.
     """
-    logs = compensated_prefix(primorial.log_terms(primes, t))[n_min:]
-    bound = scale / zeta(t).value
+    bound = _psi_ratio_scale(np, p, theta) / zeta(t).value
     ratio = np.exp(logs)
     est = bound - ratio
     return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
+
+
+def _psi_ratio_blocks(t: int, table: PrimeTable, n_min: int, n_max: int) -> Iterator[tuple]:
+    """_sweep's blocks (offset, est, beta) of _psi_ratio_screen over n_min <=
+    n <= n_max, offset counted from n_min.  The terms are summed from n = 1,
+    the compensated sum resumed from block to block; the blocks reaching
+    n_min are screened from there."""
+    theta = table.theta_upto(n_max)
+    state = [0.0, 0.0]
+    for a, b in blocks(0, n_max):  # the primes p_(a+1) .. p_b
+        p = table.primes[a:b].astype(np.float64)
+        logs = compensated_prefix(primorial.log_terms(p, t), state)[1:]
+        k = max(n_min - 1 - a, 0)  # n = a + 1 + k is the block's first n >= n_min
+        if k < b - a:
+            n = a + 1 + k
+            yield (n - n_min, *_psi_ratio_screen(t, p[k:], theta[n : b + 1], logs[k:]))
+
+
+def _psi_ratio_margins(t: int, table: PrimeTable, n_min: int, idx: np.ndarray) -> np.ndarray:
+    """_psi_ratio_margin from libm at n = n_min + idx, with log_psi_ratio_prefix
+    up to there: its correctly rounded terms, libm log1p and compensated sum."""
+    zv = zeta(t).value
+    n = n_min + idx
+    last = int(n[-1])
+    return _libm(
+        lambda m, p_n, theta, log_ratio: _psi_ratio_margin(m, p_n, theta, zv, log_ratio),
+        table.primes[n - 1].astype(np.float64),
+        table.theta_upto(last)[n],
+        primorial.log_psi_ratio_prefix(table, t, last)[n],
+    )
 
 
 def admissible_t(n: int, table: PrimeTable) -> int | None:
@@ -503,51 +556,86 @@ class SuiteResult:
     skipped: bool = False
 
 
+_NO_INDEX = np.zeros(0, dtype=np.int64)
+
+
+def _screen_pass(screen: Callable, worst: float, cut: float | None) -> tuple:
+    """One pass over a column's blocks: its point count, the least estimate
+    plus beta, top, the indices in the band, and the candidates with their
+    estimate less beta, lo: lo below worst and at or below cut, or where cut
+    is None, at or below top so far."""
+    size, top = 0, math.inf
+    band, found, found_lo = [_NO_INDEX], [_NO_INDEX], [np.zeros(0)]
+    for offset, est, beta in screen():
+        lo = est - beta
+        top = min(top, float(np.min(est + beta, initial=math.inf)))
+        band.append(offset + np.flatnonzero(np.abs(est) < PRECISION_BAND + beta))
+        keep = np.flatnonzero((lo < worst) & (lo <= (top if cut is None else cut)))
+        found.append(offset + keep)
+        found_lo.append(lo[keep])
+        size += est.size
+    return size, top, np.concatenate(band), np.concatenate(found), np.concatenate(found_lo)
+
+
 def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> SuiteResult:
     """Worst margin over `columns`, triples (key, screen, margins) taken one at a time.
 
-    screen() gives numpy estimates of a column's float margins and beta, a
-    bound on |estimate - margin| at each index; margins(idx) gives the float
-    margins at the indices idx.  Every margin inside PRECISION_BAND is
-    replaced by recheck(key, i), its 60-digit value, before it is trusted.
-    The worst point is the first minimum in column order, as a scalar `if
-    margin < worst` loop picks it; where(key, i) names it.
+    screen() yields a column's blocks (offset, est, beta): numpy estimates of
+    the float margins at the indices offset, offset + 1, ..., and beta, a
+    bound on |estimate - margin| at each; margins(idx) gives the float
+    margins at the ascending indices idx.  Every margin inside PRECISION_BAND
+    is replaced by recheck(key, i), its 60-digit value, before it is
+    trusted.  The worst point is the first minimum in column order, as a
+    scalar `if margin < worst` loop picks it; where(key, i) names it.
 
     The margins are taken only where the screen cannot decide: wherever the
     estimate is within PRECISION_BAND + beta of zero, and wherever the
-    estimate less beta lies below the worst so far and at or below every
-    estimate plus beta.  Once taken, any index whose estimate less beta is
-    at or below the least margin taken is taken too, until none is left; so
-    every other index holds a margin above that least one, or at or above
-    the worst so far, and is neither in the band nor the first minimum.  A
-    column without such indices adds only its point count.  A sweep without
-    points reports skipped.
+    estimate less beta, lo, lies below the worst so far and at or below
+    every estimate plus beta.  Once taken, any index whose lo is at or below
+    the least margin taken is taken too, until none is left; so every other
+    index holds a margin above that least one, or at or above the worst so
+    far, and is neither in the band nor the first minimum.
+
+    A pass over the blocks keeps only the band, the least estimate plus beta,
+    top, and the candidates: the indices whose lo is below the worst and at
+    or below top so far, filtered against the final top.  The least margin
+    taken is at most top, as the index where top falls is taken, so every
+    later round takes candidates only; should a recheck lift it past top,
+    one more pass collects the indices whose lo is at or below it.  Margins
+    are kept only where taken.  A column without such indices adds only its
+    point count.  A sweep without points reports skipped.
     """
     worst = math.inf
     worst_at = ""
     points = rechecked = 0
     for key, screen, build in columns:
-        est, beta = screen()
-        lo = est - beta
-        take = np.abs(est) < PRECISION_BAND + beta
-        take |= (lo < worst) & (lo <= np.min(est + beta, initial=math.inf))
-        taken = take.copy()
-        margins = np.full(est.size, math.inf)
-        while take.any():
-            idx = np.flatnonzero(take)
-            margins[idx] = build(idx)
-            band = idx[np.abs(margins[idx]) < PRECISION_BAND].tolist()
-            for i in band:
-                margins[i] = recheck(key, i)
-            rechecked += len(band)
-            take = ~taken & (lo <= np.min(margins, initial=math.inf)) & (lo < worst)
-            taken |= take
-        if margins.size:
-            i = int(np.argmin(margins))
-            if margins[i] < worst:
-                worst = float(margins[i])
-                worst_at = where(key, i)
-        points += margins.size
+        size, top, band, cand, cand_lo = _screen_pass(screen, worst, None)
+        points += size
+        keep = cand_lo <= top
+        cand, cand_lo = cand[keep], cand_lo[keep]
+        take = np.union1d(band, cand)
+        taken, margins = [_NO_INDEX], [np.zeros(0)]
+        low = math.inf  # the least margin taken
+        while take.size:
+            got = build(take)
+            in_band = np.flatnonzero(np.abs(got) < PRECISION_BAND).tolist()
+            for j in in_band:
+                got[j] = recheck(key, int(take[j]))
+            rechecked += len(in_band)
+            taken.append(take)
+            margins.append(got)
+            low = min(low, float(got.min()))
+            if low > top:  # a recheck lifted it past top: the candidates may not reach it
+                _, _, _, cand, cand_lo = _screen_pass(screen, worst, low)
+                top = low
+            take = cand[(cand_lo <= low) & ~np.isin(cand, np.concatenate(taken))]
+        idx, got = np.concatenate(taken), np.concatenate(margins)
+        if idx.size:
+            order = np.argsort(idx)
+            i = int(np.argmin(got[order]))
+            if got[order[i]] < worst:
+                worst = float(got[order[i]])
+                worst_at = where(key, int(idx[order[i]]))
     return SuiteResult(
         name=name, points=points, worst_margin=worst, worst_at=worst_at,
         rechecked=rechecked, passed=worst > 0.0, skipped=points == 0,
@@ -603,12 +691,13 @@ def mertens_bound_suite(
     prefix = _mertens_prefix(table.primes[: np.searchsorted(table.primes, cap, side="right")])
     counts = np.searchsorted(table.primes, xs, side="right").tolist()  # pi(x)
     logs = prefix[counts]
+    x = np.array(xs, dtype=np.float64)
     return _sweep(
         "mertens_product",
         [(
             None,
-            partial(_mertens_screen, np.array(xs, dtype=np.float64), logs),
-            _libm_at(_mertens_margin, xs, logs),
+            partial(_one_block, _mertens_screen, x, logs),
+            lambda idx: _libm(_mertens_margin, x[idx], logs[idx]),
         )],
         lambda _, i: at_60_digits(
             _mertens_margin, lambda: (xs[i], exact_log(table, "mertens", counts[i]))
@@ -640,7 +729,7 @@ def _zeta_tail_columns(table: PrimeTable, ts: Iterable[int], n_max: int) -> Iter
     for t in ts:
         yield (
             t,
-            partial(_zeta_tail_screen, t, primes, growth),
+            partial(_one_block, _zeta_tail_screen, t, primes, growth),
             partial(_zeta_tail_margins, t, table, primes[1:]),
         )
 
@@ -649,7 +738,9 @@ def _zeta_tail_margins(t: int, table: PrimeTable, p: np.ndarray, idx: np.ndarray
     """_zeta_tail_margin at p = p[idx] from libm, the log1p terms summed up to there."""
     zv = zeta(t).value
     logs = _zeta_tail_logs(t, int(idx[-1]) + 2, table)[1:]
-    return _libm_at(lambda m, p_n, log_head: _zeta_tail_margin(m, p_n, zv, log_head), p, logs)(idx)
+    return _libm(
+        lambda m, p_n, log_head: _zeta_tail_margin(m, p_n, zv, log_head), p[idx], logs[idx]
+    )
 
 
 def log_substitution_suite(
@@ -659,14 +750,12 @@ def log_substitution_suite(
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"hypothesis needs n >= {CRITERION_FLOOR}, got {n_min}")
     require_primes(table, n_max)
-    p = table.primes[n_min - 1 : n_max].astype(np.float64)
-    theta = table.theta_upto(n_max)[n_min:]
     return _sweep(
         "log_substitution",
         [(
             None,
-            partial(_log_substitution_screen, p, theta),
-            _libm_at(_log_substitution_margin, p, theta),
+            partial(_log_substitution_blocks, table, n_min, n_max),
+            partial(_log_substitution_margins, table, n_min),
         )],
         lambda _, i: at_60_digits(_log_substitution_margin, lambda: (
             int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i)
@@ -688,37 +777,14 @@ def psi_ratio_bound_suite(
     require_primes(table, n_max)
     return _sweep(
         "psi_ratio_bound",
-        _psi_ratio_columns(table, ts, n_min, n_max),
+        (
+            (t, partial(_psi_ratio_blocks, t, table, n_min, n_max),
+             partial(_psi_ratio_margins, t, table, n_min))
+            for t in ts
+        ),
         lambda t, i: at_60_digits(_psi_ratio_margin, lambda: (
             int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i),
             mpmath.zeta(t), exact_log(table, "psi_ratio", n_min + i, t),
         )),
         lambda t, i: f"t={t},n={n_min + i}",
     )
-
-
-def _psi_ratio_columns(
-    table: PrimeTable, ts: Iterable[int], n_min: int, n_max: int
-) -> Iterator[tuple]:
-    """_sweep's (t, screen, margins) for each t, n_min <= n <= n_max."""
-    primes = table.primes[:n_max].astype(np.float64)  # once per suite
-    p = primes[n_min - 1 :]
-    theta = table.theta_upto(n_max)[n_min:]
-    scale = _psi_ratio_scale(np, p, theta)  # shared by every t
-    for t in ts:
-        yield (
-            t,
-            partial(_psi_ratio_screen, t, primes, scale, n_min),
-            partial(_psi_ratio_margins, t, table, p, theta, n_min),
-        )
-
-
-def _psi_ratio_margins(
-    t: int, table: PrimeTable, p: np.ndarray, theta: np.ndarray, n_min: int, idx: np.ndarray
-) -> np.ndarray:
-    """_psi_ratio_margin at n = n_min + idx from libm and log_psi_ratio_prefix
-    up to there: its correctly rounded terms, libm log1p and compensated sum."""
-    zv = zeta(t).value
-    logs = primorial.log_psi_ratio_prefix(table, t, n_min + int(idx[-1]))[n_min:]
-    return _libm_at(lambda m, p_n, th, lr: _psi_ratio_margin(m, p_n, th, zv, lr), p, theta, logs)(idx)
-

@@ -6,7 +6,8 @@ streams the rows, to --output opened only at that point.
 
 Exit codes: 0 success, 1 mathematical falsification, 2 sieve or budget
 exhausted, 64 usage error or an --output or stdout that cannot be opened or
-written, such as a full disk or a pipe closed by `head`.
+written, such as a full disk or a pipe closed by `head`.  A stderr that
+cannot take the one-line report leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -30,13 +31,39 @@ EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 
 _SIEVE_CAP = 1 << 25  # table1's default --sieve-cap; the budget of every index command
+# The option each budgeted command checks against its budget: a budget error
+# ends with the hint to lower it.
+_BUDGET_OPTION = {
+    "champions": "--limit",
+    "robin-scan": "--to",
+    "ratio": "--n-max",
+    "verify-bounds": "--n-max",
+    "admissible-t": "--n",
+}
+
+
+def _detach(stream) -> None:
+    """Point stream's file descriptor at /dev/null, so that the interpreter's
+    last flush of a stream that has failed cannot fail again at exit."""
+    with suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _report(line: str) -> None:
+    """Write line to stderr; a stderr that cannot take it, such as a pipe
+    closed by `head`, is detached and the line dropped."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _detach(sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse front end that reports usage problems with exit code 64."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        _report(f"{self.prog}: error: {message}")
+        self.exit(EXIT_USAGE)
 
 
 def _int_type(name: str, least: int, greatest: int | None, message: str):
@@ -114,8 +141,7 @@ def _prime_reach(n: int) -> int:
     reach = nth_prime_bound(n)
     if reach > _SIEVE_CAP:
         raise ResourceError(
-            f"index {n} needs primes to {reach}, past the sieve budget "
-            f"2^25 = {_SIEVE_CAP}; lower --n-max or --n"
+            f"index {n} needs primes to {reach}, past the sieve budget 2^25 = {_SIEVE_CAP}"
         )
     return reach
 
@@ -220,12 +246,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     problem = _usage_problem(args)
     if problem:
-        print(f"robinpsi: error: {problem}", file=sys.stderr)
+        _report(f"robinpsi: error: {problem}")
         return EXIT_USAGE
     try:
         fields, rows, code = _DISPATCH[args.command](args)
-    except (CoverageError, ResourceError) as exc:
-        print(f"robinpsi: {exc}", file=sys.stderr)
+    except CoverageError as exc:
+        _report(f"robinpsi: {exc}")
+        return EXIT_RESOURCE
+    except ResourceError as exc:
+        _report(f"robinpsi: {exc}; lower {_BUDGET_OPTION[args.command]}")
         return EXIT_RESOURCE
     write = rows_to_csv if args.format == "csv" else rows_to_json
     try:  # --output is opened only now, when every check has passed
@@ -234,11 +263,10 @@ def main(argv: list[str] | None = None) -> int:
             write(fh, fields, rows)
             fh.flush()  # a stdout that cannot take the rows fails here, not at exit
     except OSError as exc:
-        if not args.output:  # the interpreter's last flush of stdout would fail again
-            with suppress(OSError, ValueError):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not args.output:
+            _detach(sys.stdout)
         dest = f"--output {args.output}" if args.output else "stdout"
-        print(f"robinpsi: error: cannot write {dest}: {exc.strerror}", file=sys.stderr)
+        _report(f"robinpsi: error: cannot write {dest}: {exc.strerror}")
         return EXIT_USAGE
     return code
 

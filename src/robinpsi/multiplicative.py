@@ -92,7 +92,7 @@ def check_sweep(start: int, stop: int) -> None:
     if stop > MAX_SCAN_STOP:
         raise ResourceError(
             f"sweep stop {stop} exceeds the limit 2^50 = {MAX_SCAN_STOP}, "
-            "past which sigma(n) is no longer exact in float64"
+            "past which the sweep's float64 error bounds do not hold"
         )
     span = stop - start + 1
     if span > MAX_SPAN:

@@ -15,6 +15,10 @@ summation (compensated_prefix): the absolute error stays within a few ulps
 instead of growing linearly, which keeps log log N_n good to ~1e-12 near
 n = 10^4 where the crossover margins downstream are only ~1e-6.
 
+Passes over a range run in blocks of BLOCK indices (blocks): the maps and
+prefix sums here, the psi-ratio prefix and the bound suites' screens, so
+their temporaries stay block-sized and only their outputs span the range.
+
 at_60_digits runs a formula f(m, ...), written once over m = math, numpy or
 mpmath, with m = mpmath, the one shared handle, at 60 significant digits: the
 only high-precision context.  The handle imports mpmath on the first
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import importlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,16 @@ import numpy as np
 from .errors import CoverageError
 
 _SEGMENT_ODDS = 1 << 17  # odd candidates per sieve segment
+# Indices per block of every pass over a range of primes or of a suite's
+# column: 128 KB of float64, so the temporaries of a pass stay block-sized
+# however long the range.
+BLOCK = 1 << 14
+
+
+def blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """(a, b) for the consecutive blocks [a, b) of at most BLOCK indices
+    that cover [start, stop)."""
+    return ((a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK))
 
 
 class _LazyModule:
@@ -90,8 +105,12 @@ class PrimeTable:
         k = len(self._theta) - 1
         if n > k:
             stop = min(max(n, 2 * k), len(self.primes))
-            more = compensated_prefix(libm_map(math.log, self.primes[k:stop]), self._theta_state)
-            self._theta = np.concatenate((self._theta, more[1:]))
+            theta = np.empty(stop + 1)
+            theta[: k + 1] = self._theta
+            for a, b in blocks(k, stop):
+                logs = libm_map(math.log, self.primes[a:b])
+                theta[a + 1 : b + 1] = compensated_prefix(logs, self._theta_state)[1:]
+            self._theta = theta
         return self._theta[: n + 1]
 
     @property
@@ -132,8 +151,13 @@ def libm_map(fn, xs: np.ndarray) -> np.ndarray:
     floats and calls math, not numpy: numpy's exp and log differ from libm's
     in the last bit, and the prefix sums and margins must match the scalar
     formulas bit for bit.  So does its log1p: on the 1e5 psi-ratio terms of
-    t = 3 it differs from math.log1p on 23."""
-    return np.fromiter(map(fn, xs.tolist()), dtype=np.float64, count=len(xs))
+    t = 3 it differs from math.log1p on 23.  The map runs one block at a
+    time into the output, so its Python objects never cover more than BLOCK
+    entries."""
+    out = np.empty(len(xs))
+    for a, b in blocks(0, len(xs)):
+        out[a:b] = np.fromiter(map(fn, xs[a:b].tolist()), dtype=np.float64, count=b - a)
+    return out
 
 
 def compensated_prefix(xs: np.ndarray, state: list[float] | None = None) -> np.ndarray:
@@ -145,28 +169,34 @@ def compensated_prefix(xs: np.ndarray, state: list[float] | None = None) -> np.n
     rounding error as Neumaier's branch on the larger addend.  state, if
     given, is the loop's [total, carry] before xs[0], so out[0] = total +
     carry, and is left holding them after xs[-1]: sums resumed from it are
-    the one-shot sums over the joined terms, bit for bit.
+    the one-shot sums over the joined terms, bit for bit.  So the sums run
+    one block at a time, each resumed from the one before, and only the
+    output spans all of xs.
     """
-    total, carry0 = state or (0.0, 0.0)
     x = np.asarray(xs, dtype=np.float64)
-    s = np.concatenate(([total], x))
-    np.cumsum(s, out=s)
-    prev, cur = s[:-1], s[1:]
-    # err = (prev - (cur - bb)) + (x - bb) with bb = cur - prev, written behind
-    # carry's leading entry: two temporaries instead of eight
-    bb = cur - prev
-    carry = np.zeros_like(s)
-    carry[0] = carry0
-    err = carry[1:]
-    np.subtract(cur, bb, out=err)
-    np.subtract(prev, err, out=err)
-    np.subtract(x, bb, out=bb)
-    err += bb
-    np.cumsum(carry, out=carry)
+    total, carry = state or (0.0, 0.0)
+    out = np.empty(x.size + 1)
+    out[0] = total + carry
+    for a, b in blocks(0, x.size):
+        s = np.concatenate(([total], x[a:b]))
+        np.cumsum(s, out=s)
+        prev, cur = s[:-1], s[1:]
+        # err = (prev - (cur - bb)) + (x - bb) with bb = cur - prev, written
+        # behind the carry's leading entry: two temporaries instead of eight
+        bb = cur - prev
+        carries = np.zeros_like(s)
+        carries[0] = carry
+        err = carries[1:]
+        np.subtract(cur, bb, out=err)
+        np.subtract(prev, err, out=err)
+        np.subtract(x[a:b], bb, out=bb)
+        err += bb
+        np.cumsum(carries, out=carries)
+        np.add(cur, err, out=out[a + 1 : b + 1])
+        total, carry = float(s[-1]), float(carries[-1])
     if state is not None:
-        state[:] = s[-1], carry[-1]
-    s += carry
-    return s
+        state[:] = total, carry
+    return out
 
 
 def build_table(limit: int) -> PrimeTable:

@@ -19,7 +19,14 @@ from functools import partial
 import numpy as np
 
 from .multiplicative import check_sweep, factorize, psi_over_n, sweep
-from .primes import PrimeTable, build_table, compensated_prefix, libm_map, require_primes
+from .primes import (
+    PrimeTable,
+    blocks,
+    build_table,
+    compensated_prefix,
+    libm_map,
+    require_primes,
+)
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
 # terms below log 2, each within a few ulp, and the sum stays below 2: its float
@@ -75,13 +82,18 @@ def log_psi_ratio_prefix(table: PrimeTable, t: int, n: int) -> np.ndarray:
     in numpy, correctly rounded under a stated error bound, and divides the
     exact integers only where that bound cannot decide the rounding; log1p is
     libm's.  Every term is within an ulp and the compensated sum keeps ~1e-12
-    absolute accuracy over 10^5 primes.
+    absolute accuracy over 10^5 primes.  The terms are formed one block at a
+    time, the sum resumed from block to block, so only out spans all n.
     """
     if t < 2 or n < 0:
         raise ValueError(f"need t >= 2 and n >= 0, got t = {t}, n = {n}")
     require_primes(table, n)
-    terms, _ = _psi_ratio_terms(table.primes[:n], t)
-    return compensated_prefix(libm_map(math.log1p, terms))
+    out = np.zeros(n + 1)
+    state = [0.0, 0.0]
+    for a, b in blocks(0, n):
+        terms, _ = _psi_ratio_terms(table.primes[a:b], t)
+        out[a + 1 : b + 1] = compensated_prefix(libm_map(math.log1p, terms), state)[1:]
+    return out
 
 
 def cursor_advance(*_args: object, **_kwargs: object) -> None:

@@ -1,0 +1,213 @@
+"""Every pass that runs in blocks of primes.BLOCK indices against the
+whole-array formula it replaced, bit for bit, at and around the block edges:
+lengths 0, 1, B - 1, B, B + 1 and k B + r, and with B patched down to a
+small prime so that one pass crosses hundreds of edges."""
+
+import math
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from robinpsi import bounds, primes, primorial
+from robinpsi.bounds import CRITERION_FLOOR, zeta
+
+
+def _libm_map_whole(fn, xs):
+    return np.fromiter(map(fn, xs.tolist()), dtype=np.float64, count=len(xs))
+
+
+def _compensated_whole(xs, state=None):
+    """The one-shot compensated prefix: two cumsums over all of xs."""
+    total, carry0 = state or (0.0, 0.0)
+    x = np.asarray(xs, dtype=np.float64)
+    s = np.concatenate(([total], x))
+    np.cumsum(s, out=s)
+    prev, cur = s[:-1], s[1:]
+    bb = cur - prev
+    carry = np.zeros_like(s)
+    carry[0] = carry0
+    err = carry[1:]
+    np.subtract(cur, bb, out=err)
+    np.subtract(prev, err, out=err)
+    np.subtract(x, bb, out=bb)
+    err += bb
+    np.cumsum(carry, out=carry)
+    if state is not None:
+        state[:] = s[-1], carry[-1]
+    s += carry
+    return s
+
+
+def _log_psi_ratio_whole(table, t, n):
+    terms, _ = primorial._psi_ratio_terms(table.primes[:n], t)
+    return _compensated_whole(_libm_map_whole(math.log1p, terms))
+
+
+def _log_substitution_whole(table, n_min, n_max):
+    p = table.primes[n_min - 1 : n_max].astype(np.float64)
+    theta = table.theta_upto(n_max)[n_min:]
+    est = bounds._log_substitution_margin(np, p, theta)
+    return est, 2.0**-45 * (np.log(p) + np.abs(est))
+
+
+def _psi_ratio_whole(table, t, n_min, n_max):
+    """The psi ratio screen over the whole column: one prefix over every
+    prime up to p_n_max, one scale array."""
+    primes_f = table.primes[:n_max].astype(np.float64)
+    p = primes_f[n_min - 1 :]
+    theta = table.theta_upto(n_max)[n_min:]
+    scale = bounds._psi_ratio_scale(np, p, theta)
+    logs = _compensated_whole(primorial.log_terms(primes_f, t))[n_min:]
+    bound = scale / zeta(t).value
+    ratio = np.exp(logs)
+    est = bound - ratio
+    return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
+
+
+def _joined(blocks):
+    """est and beta of a column's blocks, each offset where the one before ends."""
+    ests, betas, size = [np.zeros(0)], [np.zeros(0)], 0
+    for offset, est, beta in blocks:
+        assert offset == size and est.size == beta.size > 0
+        ests.append(est)
+        betas.append(beta)
+        size += est.size
+    return np.concatenate(ests), np.concatenate(betas)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+SMALL_BLOCK = 13  # a prime, so the edges fall at no power of two
+
+
+def _length(block, k, r):
+    """k B + r, r = -1, 0 or 1, or any remainder below B, never negative."""
+    return max(k * block + (r if r <= 1 else r % block), 0)
+
+
+edges = st.tuples(
+    st.integers(0, 4), st.one_of(st.sampled_from([-1, 0, 1]), st.integers(2, 1 << 14))
+)
+# from both sides of 0, magnitudes 1e-8..1e8, so the compensation carries bits
+starts = st.one_of(st.none(), st.tuples(st.floats(-1e8, 1e8), st.floats(-1e-8, 1e-8)))
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK], ids=["default", "small-prime"])
+@settings(max_examples=12, deadline=None)
+@given(edge=edges, start=starts, t=st.sampled_from([2, 3, 7, 64]), seed=st.integers(0, 2**32 - 1))
+@example(edge=(0, 0), start=None, t=3, seed=0)
+@example(edge=(0, 1), start=(1.0, 1e-17), t=3, seed=1)
+@example(edge=(1, -1), start=None, t=2, seed=2)
+@example(edge=(1, 0), start=(-3.5, 0.0), t=4, seed=3)
+@example(edge=(1, 1), start=None, t=7, seed=4)
+def test_blocked_passes_match_the_whole_array_formulas(table, block, edge, start, t, seed):
+    block = block or primes.BLOCK
+    k, r = edge
+    if block == SMALL_BLOCK:
+        k *= 60  # up to 240 edges in one pass
+    n = _length(block, k, r)
+    rng = np.random.default_rng(seed)
+    with patch.object(primes, "BLOCK", block):
+        ps = table.primes[:n]
+        assert _same_bits(primes.libm_map(math.log, ps), _libm_map_whole(math.log, ps))
+        xs = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        state, whole_state = (list(start), list(start)) if start else (None, None)
+        assert _same_bits(
+            primes.compensated_prefix(xs, state), _compensated_whole(xs, whole_state)
+        )
+        assert _same_bits(state or [], whole_state or [])
+        assert _same_bits(
+            primorial.log_psi_ratio_prefix(table, t, n), _log_psi_ratio_whole(table, t, n)
+        )
+        # the screened columns: n points from n_min, n_min itself off any edge
+        n_min = CRITERION_FLOOR + int(rng.integers(0, 2 * min(block, 512)))
+        n_max = n_min + n - 1
+        got = _joined(bounds._log_substitution_blocks(table, n_min, n_max))
+        want = _log_substitution_whole(table, n_min, n_max)
+        assert all(map(_same_bits, got, want))
+        got = _joined(bounds._psi_ratio_blocks(t, table, n_min, n_max))
+        want = _psi_ratio_whole(table, t, n_min, n_max)
+        assert all(map(_same_bits, got, want))
+
+
+def _sweep_whole(columns, recheck):
+    """The sweep over whole columns: one estimate and beta array per column,
+    margins kept in a column-long array, taken rounds as masks.  Returns the
+    (worst, where, rechecked, points) the blocked sweep must give, and the
+    indices each round took."""
+    worst, worst_at, points, rechecked, rounds = math.inf, "", 0, 0, []
+    for key, est, beta, build in columns:
+        lo = est - beta
+        take = np.abs(est) < bounds.PRECISION_BAND + beta
+        take |= (lo < worst) & (lo <= np.min(est + beta, initial=math.inf))
+        taken = take.copy()
+        margins = np.full(est.size, math.inf)
+        while take.any():
+            idx = np.flatnonzero(take)
+            rounds.append((key, idx.tolist()))
+            margins[idx] = build(idx)
+            band = idx[np.abs(margins[idx]) < bounds.PRECISION_BAND].tolist()
+            for i in band:
+                margins[i] = recheck(key, i)
+            rechecked += len(band)
+            take = ~taken & (lo <= np.min(margins, initial=math.inf)) & (lo < worst)
+            taken |= take
+        if margins.size:
+            i = int(np.argmin(margins))
+            if margins[i] < worst:
+                worst, worst_at = float(margins[i]), f"{key}:{i}"
+        points += margins.size
+    return (worst, worst_at, rechecked, points), rounds
+
+
+# values on a coarse grid, so that ties, zeros and band hits are common
+grid = st.integers(-8, 8).map(lambda k: k / 4)
+sweep_columns = st.lists(
+    st.integers(0, 30).flatmap(lambda n: st.tuples(
+        st.lists(grid, min_size=n, max_size=n),  # estimates
+        st.lists(st.sampled_from([0.0, 1e-10, 0.25, 1.0]), min_size=n, max_size=n),  # beta
+        st.lists(grid, min_size=n, max_size=n),  # margins, inside beta or not
+        st.lists(grid, min_size=n, max_size=n),  # what a recheck gives
+        st.lists(st.integers(1, 7), min_size=1, max_size=8),  # block lengths, cycled
+    )),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_columns)
+@example([([0.0, 1.0, 2.0], [0.5, 0.25, 0.25], [0.0, 1.0, 2.0], [1.25, 0.0, 0.0], [1])])
+@example([([1.0, 2.0, 0.5, 2.0], [0.25, 0.0, 0.0, 0.0], [1.0, 2.0, 0.5, 2.0], [0.0] * 4, [2])])
+def test_blocked_sweep_takes_what_the_whole_column_sweep_takes(columns):
+    # the same margins taken in the same rounds, the same rechecks and the same
+    # first worst point, whether or not the screen's beta holds
+    rechecks = {key: np.array(col[3]) for key, col in enumerate(columns)}
+
+    def recheck(key, i):
+        return float(rechecks[key][i])
+
+    whole, blocked, rounds = [], [], []
+    for key, (est, beta, margins, _, lengths) in enumerate(columns):
+        est, beta, margins = np.array(est), np.array(beta), np.array(margins)
+        whole.append((key, est, beta, lambda idx, m=margins: m[idx].copy()))
+        cuts = np.cumsum([0, *(lengths * (1 + est.size // sum(lengths)))])
+        cuts = [int(c) for c in cuts if c < est.size] + [est.size]
+
+        def screen(est=est, beta=beta, cuts=cuts):
+            return [(a, est[a:b], beta[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+        def build(idx, key=key, margins=margins):
+            rounds.append((key, idx.tolist()))
+            return margins[idx].copy()
+
+        blocked.append((key, screen, build))
+    result = bounds._sweep("synthetic", blocked, recheck, lambda key, i: f"{key}:{i}")
+    want, want_rounds = _sweep_whole(whole, recheck)
+    assert (result.worst_margin, result.worst_at, result.rechecked, result.points) == want
+    assert rounds == want_rounds

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
@@ -542,10 +543,10 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
 
     def check(name, columns, *_):
         for key, screen, margins in columns:
-            est, beta = screen()
-            libm = margins(np.arange(est.size))
-            assert (np.abs(est - libm) <= beta).all()
-            assert beta.max() <= 1e-12
+            for offset, est, beta in screen():
+                libm = margins(offset + np.arange(est.size))
+                assert (np.abs(est - libm) <= beta).all()
+                assert beta.max() <= 1e-12
             seen.append(key)
 
     monkeypatch.setattr(bounds, "_sweep", check)
@@ -559,6 +560,29 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
         primes, theta = table.primes.tolist(), table.theta_prefix.tolist()
         libm = [bounds._psi_ratio_scale(math, primes[k - 1], theta[k]) for k in n.tolist()]
         assert (np.abs(est - libm) <= 2.0**-46 * est).all()
+
+
+# Bytes a suite may add to its peak per added index n.  The one array that
+# spans a column is the libm prefix log_psi_ratio_prefix (8 bytes per n),
+# formed up to the last index taken; every other array is block-sized, or
+# holds only the indices taken.  With whole-column temporaries the psi ratio
+# suite added about 170 bytes per n and the log substitution suite about 49.
+SUITE_BYTES_PER_INDEX = 16
+
+
+@pytest.mark.parametrize("suite", [log_substitution_suite, psi_ratio_bound_suite])
+def test_suite_memory_grows_by_at_most_one_prefix(table, suite):
+    table.theta_upto(10**5)  # formed before the suites, as verify-bounds forms it
+    suite(table, n_max=CRITERION_FLOOR + 100)  # zeta(t) and the imports, outside the trace
+    peaks = []
+    for n_max in (40_000, 100_000):
+        tracemalloc.start()
+        try:
+            suite(table, n_max=n_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 60_000 < SUITE_BYTES_PER_INDEX
 
 
 def test_criterion_libm_error_bound(small_table, monkeypatch):
@@ -588,8 +612,7 @@ def test_unscreened_suites_give_the_same_result(small_table, monkeypatch, suite)
     sweep = bounds._sweep
 
     def blind(screen):
-        est, beta = screen()
-        return est, np.full_like(beta, np.inf)
+        return [(offset, est, np.full_like(beta, np.inf)) for offset, est, beta in screen()]
 
     def margins(build, idx):
         taken.append(idx.size)
@@ -615,7 +638,7 @@ def test_sweep_takes_more_margins_after_a_recheck_rises():
         return est[idx]
 
     result = bounds._sweep(
-        "synthetic", [(None, lambda: (est, beta), margins)], lambda *_: 5.0, lambda _, i: f"i={i}"
+        "synthetic", [(None, lambda: [(0, est, beta)], margins)], lambda *_: 5.0, lambda _, i: f"i={i}"
     )
     assert taken == [[0], [1, 2]]
     assert (result.worst_margin, result.worst_at, result.rechecked) == (1.0, "i=1", 1)

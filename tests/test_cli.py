@@ -199,6 +199,8 @@ def test_champions_stop_limit(capsys):
     assert code == 2
     assert out.out == ""
     assert f"sweep stop {10**19} exceeds the limit 2^50" in out.err
+    assert out.err.endswith("; lower --limit\n")
+    assert "sigma" not in out.err  # champions forms no sigma
     assert elapsed < 1.0
 
 
@@ -242,23 +244,27 @@ def test_ratio_usage(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,option",
     [
-        ["verify-bounds", "--n-max", "100000000", "--t-max", "3"],
-        ["ratio", "--t", "3", "--n-max", "100000000"],
-        ["admissible-t", "--n", "9", "100000000"],
+        (["verify-bounds", "--n-max", "100000000", "--t-max", "3"], "--n-max"),
+        (["ratio", "--t", "3", "--n-max", "100000000"], "--n-max"),
+        (["admissible-t", "--n", "9", "100000000"], "--n"),
     ],
     ids=["verify-bounds", "ratio", "admissible-t"],
 )
-def test_index_commands_budget(capsys, argv):
-    # the index is checked against the sieve budget before any sieving
+def test_index_commands_budget(capsys, argv, option):
+    # the index is checked against the sieve budget before any sieving, and
+    # the hint names the one option of the command that sets it
     start = time.perf_counter()
     code = cli.main(argv)
     elapsed = time.perf_counter() - start
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
-    assert "sieve budget 2^25" in out.err
+    assert out.err == (
+        "robinpsi: index 100000000 needs primes to 2133415489, past the sieve "
+        f"budget 2^25 = 33554432; lower {option}\n"
+    )
     assert elapsed < 1.0
 
 
@@ -297,6 +303,18 @@ def test_verify_bounds_golden(capsys):
     code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
     assert code == 0
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
+
+
+def test_verify_bounds_golden_at_the_largest_index():
+    # the largest --n-max the sieve budget accepts, with every t: the suites'
+    # columns cross about 119 block edges each; a fresh interpreter, so the
+    # table of primes to 3.4e7 is not kept here
+    run = _robinpsi(["verify-bounds", "--n-max", "1950000", "--t-max", "64"])
+    out, err = run.communicate(timeout=300)
+    assert (run.returncode, err) == (0, "")
+    assert out.splitlines()[-1] == 'psi_ratio_bound,9738690,0.096030168603,"t=3,n=1950000",0,PASS'
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "7bd0bf5cb2fdf77c3d0467876bd3275b5b80fe5d51a11f788b53aa1f4d151481"
 
 
 def test_verify_bounds_builds_one_libm_column_per_suite(capsys, built_columns):
@@ -432,14 +450,14 @@ def test_failed_run_leaves_output_untouched(tmp_path, capsys, argv, code, existi
         assert not target.exists()
 
 
-def _robinpsi(argv):
+def _robinpsi(argv, stderr=subprocess.PIPE):
     """robinpsi in a fresh interpreter, with this checkout's package first,
-    its stdout and stderr piped."""
+    its stdout piped, and its stderr too unless stderr says otherwise."""
     src = str(pathlib.Path(robinpsi.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "robinpsi", *argv], env=dict(os.environ, PYTHONPATH=path),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=stderr, text=True,
     )
 
 
@@ -475,6 +493,15 @@ def test_closed_stdout_is_a_usage_error():
     run.stderr.close()
     assert run.wait(timeout=60) == 64
     assert err == "robinpsi: error: cannot write stdout: Broken pipe\n"
+
+
+def test_closed_stdout_and_stderr_is_a_usage_error():
+    # `2>&1 | head -1`: the write-error line meets the same closed pipe; it is
+    # dropped, and the run still exits 64, where a traceback would exit 1
+    run = _robinpsi(["ratio", "--t", "2", "--n-max", "100000"], stderr=subprocess.STDOUT)
+    assert run.stdout.readline() == "n,p_n,ratio,limit_value,deviation\n"
+    run.stdout.close()
+    assert run.wait(timeout=60) == 64
 
 
 @pytest.mark.parametrize(
