@@ -31,6 +31,7 @@ import math
 import random
 import sys
 import weakref
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -58,7 +59,6 @@ CRITERION_FLOOR = 2263  # least n with p_n >= 20000 (p_2263 = 20011)
 LOG_SHIFT = 0.1253
 MERTENS_SHIFT = 1.1253  # 1 + LOG_SHIFT, see module docstring
 PRECISION_BAND = 1e-9
-CONFIRM = 100  # indices past n1 that must satisfy the criterion too
 MERTENS_CAP = 10**6  # largest x of the Mertens product sweep
 
 _AT_PRECISION = {  # each constant above at mpmath's working precision
@@ -174,29 +174,26 @@ def _criterion_lhs_bound(x):
     return _lhs_excess(np, x, x - x / np.log(x))
 
 
-def _dusart_reach(x: float, k: int) -> float:
-    """An upper bound on the k-th prime above x: k steps y -> y (1 + 1/(25
-    log^2 y)) from y = max(x, 396738).  Dusart (2010): for y >= 396738 there
-    is a prime in (y, y (1 + 1/(25 log^2 y))], so the k intervals hold k
-    distinct primes above x.  The factor 1 + 2^-20 on each step's length
-    absorbs its float rounding up to the largest float."""
+def _dusart_reach(x: float) -> float:
+    """An upper bound on the first prime above x: y (1 + 1/(25 log^2 y)) at y =
+    max(x, 396738).  Dusart (2010): for y >= 396738 there is a prime in (y, y
+    (1 + 1/(25 log^2 y))].  The factor 1 + 2^-20 on the step's length absorbs
+    its float rounding up to the largest float."""
     y = max(x, 396738.0)
-    for _ in range(k):
-        y *= 1.0 + (1.0 + 2.0**-20) / (25.0 * math.log(y) ** 2)
-    return y
+    return y * (1.0 + (1.0 + 2.0**-20) / (25.0 * math.log(y) ** 2))
 
 
 def crossover_reach(t: int) -> float:
-    """Sieve limit covering index n1(t) + CONFIRM, with or without the search
-    floor, and so for every t' <= t; math.inf once x overflows a float.
+    """Sieve limit covering p_n1(t), with or without the search floor, and so
+    for every t' <= t; math.inf once x overflows a float.
 
     Rosser and Schoenfeld (Illinois J. Math. 6, 1962): theta(x) > x (1 -
     1/log x) for x >= 41, pi(x) < 1.25506 x / log x for x > 1.  The left side
     falls as p and theta(p) grow, so every prime p >= x passes once
     _criterion_lhs_bound(x) is below zeta(t) - 1 by a relative 1e-9 that
     absorbs float rounding; then n1 <= pi(x) + 1.  x is bisected geometrically.
-    The limit is the smaller of two bounds on p_{n1 + CONFIRM}: one from pi(x)
-    and nth_prime_bound, and _dusart_reach(x, CONFIRM + 1), which also covers
+    The limit is the smaller of two bounds on the first prime above x: one
+    from pi(x) and nth_prime_bound, and _dusart_reach(x), which also covers
     the floor, as p_2263 = 20011 lies below its start.
     """
     target = zeta(t).excess / (1.0 + 1e-9)
@@ -207,8 +204,8 @@ def crossover_reach(t: int) -> float:
         mid = math.sqrt(lo) * math.sqrt(x)
         lo, x = (lo, mid) if _criterion_lhs_bound(mid) < target else (mid, x)
     pi_x = int(1.25506 * x / math.log(x)) + 1  # + 1 absorbs rounding below an integer
-    by_count = nth_prime_bound(max(pi_x + 1, CRITERION_FLOOR) + CONFIRM)
-    return min(by_count, math.ceil(_dusart_reach(x, CONFIRM + 1)))
+    by_count = nth_prime_bound(max(pi_x + 1, CRITERION_FLOOR))
+    return min(by_count, math.ceil(_dusart_reach(x)))
 
 
 @dataclass(frozen=True)
@@ -263,11 +260,11 @@ def find_crossover_index(t: int, table: PrimeTable, floored: bool = False) -> in
     The left side exp(2/p_n) * f(n) falls strictly with n: p_n and theta(p_n)
     = log N_n both grow, and log p_n and log theta(p_n) >= log log 6 stay
     positive.  So the indices where the criterion holds are a tail of the
-    table.  The search gallops over criterion's certified decisions, at
-    start, 2 start, 4 start, ... and the table's last index, to the first
-    that holds, then bisects the bracket above the last that failed; so it
-    reads theta no further than about 2 n1.  The next CONFIRM indices are
-    confirmed too; running off the table either way raises CoverageError.
+    table, and each past n1 holds by this lemma.  The search gallops over
+    criterion's certified decisions, at start, 2 start, 4 start, ... and the
+    table's last index, to the first that holds, then bisects the bracket
+    above the last that failed; so it reads theta no further than about 2 n1.
+    A table through whose end nothing holds raises CoverageError.
     """
     zeta(t)  # validates t, also when the table ends before the search starts
     start = CRITERION_FLOOR if floored else 2
@@ -282,21 +279,7 @@ def find_crossover_index(t: int, table: PrimeTable, floored: bool = False) -> in
         if hit == size:
             raise unsatisfied
         lo, hit = hit + 1, min(2 * hit, size)
-    while lo < hit:
-        mid = (lo + hit) // 2
-        if criterion(t, mid, table).satisfied:
-            hit = mid
-        else:
-            lo = mid + 1
-    if hit + CONFIRM > size:
-        raise CoverageError(
-            f"cannot confirm stability through index {hit + CONFIRM} "
-            f"(table ends at {size}); enlarge the sieve"
-        )
-    for k in range(hit + 1, hit + CONFIRM + 1):
-        if not criterion(t, k, table).satisfied:
-            raise RuntimeError(f"criterion for t={t} holds at {hit} but fails again at {k}")
-    return hit
+    return lo + bisect_left(range(lo, hit), True, key=lambda n: criterion(t, n, table).satisfied)
 
 
 def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:

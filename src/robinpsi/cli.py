@@ -31,15 +31,6 @@ EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 
 _SIEVE_CAP = 1 << 25  # table1's default --sieve-cap; the budget of every index command
-# The option each budgeted command checks against its budget: a budget error
-# ends with the hint to lower it.
-_BUDGET_OPTION = {
-    "champions": "--limit",
-    "robin-scan": "--to",
-    "ratio": "--n-max",
-    "verify-bounds": "--n-max",
-    "admissible-t": "--n",
-}
 
 
 def _detach(stream) -> None:
@@ -93,45 +84,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="robinpsi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, run, budget: str | None = None) -> None:
+        """Output options, p's command, and the option its budget errors say to lower."""
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", metavar="PATH", default=None)
+        p.set_defaults(run=run, budget=budget)
 
     p = sub.add_parser("table1", help="crossover indices and primorial magnitudes per t")
     p.add_argument("--t-min", type=_t_value, default=3)
     p.add_argument("--t-max", type=_t_value, default=7)
     p.add_argument("--floor-n0", action="store_true", help="search only from index 2263 up")
-    p.add_argument("--sieve-limit", type=_sieve_size, default=None, help="least sieve size")
     p.add_argument(
         "--sieve-cap", type=_sieve_size, default=_SIEVE_CAP,
         help="largest sieve size; the sieve bound on p_n1 is clamped to it",
     )
-    common(p)
+    common(p, cmd_table1)
 
     p = sub.add_parser("champions", help="left-to-right maxima of psi_t(m)/m")
     p.add_argument("--limit", type=_positive, required=True)
     p.add_argument("--t", type=_t_value, required=True)
     p.add_argument("--weak", action="store_true", help="count ties as champions")
-    common(p)
+    common(p, cmd_champions, "--limit")
 
     p = sub.add_parser("robin-scan", help="scan a range for Robin violators")
     p.add_argument("--from", dest="scan_start", type=_scan_point, required=True)
     p.add_argument("--to", dest="scan_stop", type=_scan_point, required=True)
-    common(p)
+    common(p, cmd_robin_scan, "--to")
 
     p = sub.add_parser("ratio", help="normalized primorial ratio curve for one t")
     p.add_argument("--t", type=_t_value, required=True)
     p.add_argument("--n-max", type=_index_value, required=True)
-    common(p)
+    common(p, cmd_ratio, "--n-max")
 
     p = sub.add_parser("verify-bounds", help="margin sweeps of every explicit bound")
     p.add_argument("--n-max", type=_index_value, default=10**5)
     p.add_argument("--t-max", type=_t_value, default=10)
-    common(p)
+    common(p, cmd_verify_bounds, "--n-max")
 
     p = sub.add_parser("admissible-t", help="largest t whose criterion holds at given indices")
     p.add_argument("--n", dest="n_values", type=_index_value, nargs="+", required=True)
-    common(p)
+    common(p, cmd_admissible_t, "--n")
 
     return parser
 
@@ -151,8 +143,7 @@ Output = tuple[tuple[str, ...], Iterable[tuple], int]  # (fields, rows in field 
 
 def cmd_table1(args: argparse.Namespace) -> Output:
     # a cap below the reach may still do; if not, the search raises CoverageError
-    reach = bounds.crossover_reach(args.t_max)
-    table = build_table(int(min(max(reach, args.sieve_limit or 2), args.sieve_cap)))
+    table = build_table(int(min(bounds.crossover_reach(args.t_max), args.sieve_cap)))
     rows = []
     for t in range(args.t_min, args.t_max + 1):
         n1 = bounds.find_crossover_index(t, table, floored=args.floor_n0)
@@ -220,22 +211,10 @@ def cmd_admissible_t(args: argparse.Namespace) -> Output:
     return ("n", "p_n", "t_max"), rows, EXIT_OK
 
 
-_DISPATCH = {
-    "table1": cmd_table1,
-    "champions": cmd_champions,
-    "robin-scan": cmd_robin_scan,
-    "ratio": cmd_ratio,
-    "verify-bounds": cmd_verify_bounds,
-    "admissible-t": cmd_admissible_t,
-}
-
-
 def _usage_problem(args: argparse.Namespace) -> str | None:
     """Checks across options that argparse cannot make on its own."""
     if args.command == "table1" and args.t_min > args.t_max:
         return f"need 2 <= t_min <= t_max <= 64, got [{args.t_min}, {args.t_max}]"
-    if args.command == "table1" and (args.sieve_limit or 0) > args.sieve_cap:
-        return f"--sieve-limit {args.sieve_limit} exceeds --sieve-cap {args.sieve_cap}"
     if args.command == "robin-scan" and args.scan_stop < args.scan_start:
         return f"empty scan range [{args.scan_start}, {args.scan_stop}]"
     return None
@@ -249,12 +228,12 @@ def main(argv: list[str] | None = None) -> int:
         _report(f"robinpsi: error: {problem}")
         return EXIT_USAGE
     try:
-        fields, rows, code = _DISPATCH[args.command](args)
+        fields, rows, code = args.run(args)
     except CoverageError as exc:
         _report(f"robinpsi: {exc}")
         return EXIT_RESOURCE
     except ResourceError as exc:
-        _report(f"robinpsi: {exc}; lower {_BUDGET_OPTION[args.command]}")
+        _report(f"robinpsi: {exc}; lower {args.budget}")
         return EXIT_RESOURCE
     write = rows_to_csv if args.format == "csv" else rows_to_json
     try:  # --output is opened only now, when every check has passed

@@ -77,9 +77,9 @@ class PrimeTable:
     """Sieve output: every prime <= limit, and theta prefix sums on demand.
 
     primes is an int64 array, p_n = primes[n - 1].  theta_upto(n) is the
-    float64 array theta_prefix[: n + 1], theta_prefix[k] = log(p_1) + ... +
-    log(p_k), theta_prefix[0] = 0; theta_prefix reads all of it.  Exact
-    arithmetic takes primes[a:b].tolist() or int(primes[k]).  Treat
+    float64 array [theta_0, ..., theta_n], theta_k = log(p_1) + ... +
+    log(p_k) = log N_k, theta_0 = 0.  Exact arithmetic takes
+    primes[a:b].tolist() or int(primes[k]).  Treat
     instances and the arrays they give as immutable; rebuilding with a
     larger limit never changes earlier entries.
     """
@@ -90,14 +90,14 @@ class PrimeTable:
     _theta_state: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._theta = np.zeros(1)  # theta_prefix through the largest index read
+        self._theta = np.zeros(1)  # theta through the largest index read
         self._theta_state = [0.0, 0.0]  # compensated_prefix's state after it
 
     def __len__(self) -> int:
         return len(self.primes)
 
     def theta_upto(self, n: int) -> np.ndarray:
-        """theta_prefix[: n + 1]; CoverageError past the table.  A read past
+        """theta_0, ..., theta_n; CoverageError past the table.  A read past
         the formed prefix extends it to at least twice its length, resuming
         the compensated sum from its state, so the bits are the one-shot
         prefix's whatever the order of the reads."""
@@ -112,11 +112,6 @@ class PrimeTable:
                 theta[a + 1 : b + 1] = compensated_prefix(logs, self._theta_state)[1:]
             self._theta = theta
         return self._theta[: n + 1]
-
-    @property
-    def theta_prefix(self) -> np.ndarray:
-        """The whole prefix, theta_upto(len(self))."""
-        return self.theta_upto(len(self.primes))
 
 
 def _segmented_primes(limit: int) -> np.ndarray:

@@ -98,10 +98,10 @@ def log_psi_ratio_prefix(table: PrimeTable, t: int, n: int) -> np.ndarray:
 
 def cursor_advance(*_args: object, **_kwargs: object) -> None:
     """Removed with the primorial cursor; read log_psi_ratio_prefix and
-    PrimeTable.theta_prefix instead.  The name stays only because the
+    PrimeTable.theta_upto instead.  The name stays only because the
     benchmark's tracer test deletes it to stand for a vanished boundary."""
     raise NotImplementedError(
-        "the primorial cursor is gone: use log_psi_ratio_prefix and theta_prefix"
+        "the primorial cursor is gone: use log_psi_ratio_prefix and theta_upto"
     )
 
 

@@ -1,6 +1,5 @@
 """Zeta machinery, crossover search, and the explicit-inequality sweeps."""
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -30,7 +29,6 @@ from robinpsi import (
 )
 from robinpsi import bounds, robin
 from robinpsi.bounds import (
-    CONFIRM,
     CRITERION_FLOOR,
     EULER_GAMMA,
     EXP_GAMMA,
@@ -181,17 +179,26 @@ def test_crossover_needs_coverage():
     assert len(tiny) < CRITERION_FLOOR
     with pytest.raises(CoverageError, match="through index 168"):
         find_crossover_index(2, tiny, floored=True)
-    # a hit without CONFIRM indices after it
-    short = build_table(113)  # p_30 = 113, the t = 3 crossover is n = 10
-    with pytest.raises(CoverageError, match="through index 110"):
-        find_crossover_index(3, short)
+    # a table that ends 20 indices past the t = 3 crossover n = 10
+    short = build_table(113)  # p_30 = 113
+    assert find_crossover_index(3, short) == 10
+
+
+@pytest.mark.parametrize("t,expected", CROSSOVERS)
+def test_crossover_on_a_table_that_ends_at_n1(small_table, t, expected):
+    # the tail past n1 holds by the lemma, so the search needs primes to
+    # p_n1 and no further; one prime fewer leaves nothing that holds
+    p_n1 = int(small_table.primes[expected - 1])
+    assert find_crossover_index(t, build_table(p_n1)) == expected
+    with pytest.raises(CoverageError, match=f"through index {expected - 1};"):
+        find_crossover_index(t, build_table(p_n1 - 1))
 
 
 # The scalar criterion formula and the linear search loop, kept as the oracle.
 def _scalar_lhs_excess(n, table):
     p = int(table.primes[n - 1])
     lp = math.log(p)
-    lln = math.log(table.theta_prefix[n])
+    lln = math.log(table.theta_upto(len(table))[n])
     c = MERTENS_SHIFT / (lp * lln)
     return math.expm1(2.0 / p) * (1.0 + c) + c
 
@@ -212,14 +219,6 @@ def _scalar_crossover(t, table, floored, margin):
         raise CoverageError(
             f"criterion for t={t} unsatisfied through index {size}; enlarge the sieve"
         )
-    if hit + 100 > size:
-        raise CoverageError(
-            f"cannot confirm stability through index {hit + 100} "
-            f"(table ends at {size}); enlarge the sieve"
-        )
-    for k in range(hit + 1, hit + 101):
-        if not margin(k) > 0.0:
-            raise RuntimeError(f"criterion for t={t} holds at {hit} but fails again at {k}")
     return hit
 
 
@@ -280,31 +279,26 @@ def test_crossover_reach_is_certified(t8_libm_lhs):
     primes = table.primes.astype(np.float64)
     big = primes >= 41
     p = primes[big]
-    assert (table.theta_prefix[1:][big] > p * (1.0 - 1.0 / np.log(p))).all()
+    assert (table.theta_upto(len(table))[1:][big] > p * (1.0 - 1.0 / np.log(p))).all()
     assert (libm[big] <= bounds._criterion_lhs_bound(p)).all()
     assert bounds.crossover_reach(8) <= 1.75e7
     for t in range(2, 9):
         reach = bounds.crossover_reach(t)
         for floored in (False, True):
             n1 = find_crossover_index(t, table, floored)
-            assert reach >= table.primes[n1 + CONFIRM - 1]
+            assert reach >= table.primes[n1 - 1]
     ts = range(2, 65)  # the CLI's t range; past t = 18 the crossover prime overflows a float
     assert [bounds.crossover_reach(t) == math.inf for t in ts] == [t > 18 for t in ts]
 
 
 def test_dusart_reach_bounds_the_kth_prime_above_x(t8_table):
-    primes = t8_table.primes
+    # k = 1: the first prime above x, at every 1000th prime and at a few x
+    # that are not primes
+    primes = t8_table.primes.tolist()
     for x in (41, 396738, 10**6, 16_000_000, 16_408_319):
-        i = bisect_right(primes, x)
-        for k in (1, 2, 10, CONFIRM, CONFIRM + 1, 1000, 10**4):
-            assert primes[i + k - 1] <= bounds._dusart_reach(x, k)
-
-
-def test_crossover_reach_covers_confirm(monkeypatch):
-    # with a long confirmation run the reach must cover it, not only n1
-    monkeypatch.setattr(bounds, "CONFIRM", 10**5)
-    table = build_table(int(bounds.crossover_reach(3)))
-    assert find_crossover_index(3, table) == 10
+        assert primes[bisect_right(primes, x)] <= bounds._dusart_reach(x)
+    for i in range(0, len(primes) - 1, 1000):
+        assert primes[i + 1] <= bounds._dusart_reach(primes[i])
 
 
 def test_criterion_matches_scalar_oracle_at_t8(t8_table):
@@ -381,7 +375,7 @@ def test_zeta_tail_product_decreases_to_one(small_table):
 
 def test_log_substitution_check(small_table):
     for n in (CRITERION_FLOOR, 3000):
-        p, theta = small_table.primes[n - 1], small_table.theta_prefix[n]
+        p, theta = small_table.primes[n - 1], small_table.theta_upto(len(small_table))[n]
         assert bounds._log_substitution_margin(math, p, theta) > 0.0
     with pytest.raises(ValueError):
         log_substitution_suite(small_table, n_min=CRITERION_FLOOR - 1, n_max=3000)
@@ -389,7 +383,8 @@ def test_log_substitution_check(small_table):
 
 def test_psi_ratio_upper_bound_dominates(small_table):
     true_ratio = math.exp(log_psi_ratio_prefix(small_table, 3, CRITERION_FLOOR)[-1])
-    p, theta = small_table.primes[CRITERION_FLOOR - 1], small_table.theta_prefix[CRITERION_FLOOR]
+    p = small_table.primes[CRITERION_FLOOR - 1]
+    theta = small_table.theta_upto(len(small_table))[CRITERION_FLOOR]
     scale = bounds._psi_ratio_scale(math, p, theta)
     assert scale / zeta(3).value > true_ratio
     with pytest.raises(ValueError):
@@ -556,8 +551,8 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
         # the scales shared by every t, within 2^-46 of themselves as the screen assumes
         n = np.arange(CRITERION_FLOOR, 10**5 + 1)
         p = table.primes[n - 1].astype(np.float64)
-        est = bounds._psi_ratio_scale(np, p, table.theta_prefix[n])
-        primes, theta = table.primes.tolist(), table.theta_prefix.tolist()
+        est = bounds._psi_ratio_scale(np, p, table.theta_upto(len(table))[n])
+        primes, theta = table.primes.tolist(), table.theta_upto(len(table)).tolist()
         libm = [bounds._psi_ratio_scale(math, primes[k - 1], theta[k]) for k in n.tolist()]
         assert (np.abs(est - libm) <= 2.0**-46 * est).all()
 
@@ -665,7 +660,7 @@ def test_unscreened_crossover_search_gives_the_same_n1(monkeypatch):
             calls.clear()
             assert _outcome(lambda: find_crossover_index(t, table, floored)) == expected
             reach = expected if isinstance(expected, int) else size
-            assert len(calls) <= 2 * math.ceil(math.log2(reach)) + CONFIRM
+            assert len(calls) <= 2 * math.ceil(math.log2(reach))
 
 
 def test_crossover_searches_form_theta_only_as_far_as_they_read(monkeypatch):
@@ -684,7 +679,7 @@ def test_crossover_searches_form_theta_only_as_far_as_they_read(monkeypatch):
         calls.clear()
         found.append((find_crossover_index(t, table), len(calls)))
     # 9 gallop probes and 8 bisection steps for t = 6, 14 and 13 for t = 7
-    assert found == [(509, 17 + CONFIRM), (10596, 27 + CONFIRM)]
+    assert found == [(509, 17), (10596, 27)]
     assert sum(logged) == 16384 < len(table)
 
 
@@ -696,31 +691,27 @@ def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, smal
         assert report.satisfied == (report.margin > 0.0)
         assert calls[-1][2] == pytest.approx(report.margin, rel=1e-12)
     # (p_n, log N_n, zeta(3)) at n = 9 and 10
+    theta = small_table.theta_upto(len(small_table))
     assert [tuple(map(float, inputs)) for _, inputs, _ in calls] == [
-        (23, pytest.approx(small_table.theta_prefix[9]), pytest.approx(zeta(3).value)),
-        (29, pytest.approx(small_table.theta_prefix[10]), pytest.approx(zeta(3).value)),
+        (23, pytest.approx(theta[9]), pytest.approx(zeta(3).value)),
+        (29, pytest.approx(theta[10]), pytest.approx(zeta(3).value)),
     ]
-    # the whole search through the 60-digit path: the gallop to 16, 3 steps
-    # bisecting [9, 16] and the CONFIRM indices after n1 = 10
+    # the whole search through the 60-digit path: the gallop to 16 and 3
+    # steps bisecting [9, 16]
     tiny = build_table(1000)
     calls.clear()
     assert find_crossover_index(3, tiny) == 10
-    probed = [2, 4, 8, 16, 12, 10, 9, *range(11, 11 + CONFIRM)]
+    probed = [2, 4, 8, 16, 12, 10, 9]
     assert [float(inputs[0]) for _, inputs, _ in calls] == [tiny.primes[n - 1] for n in probed]
 
 
-def test_crossover_search_raises_when_the_criterion_fails_again(monkeypatch, small_table):
-    decide = bounds.criterion
-
-    def flaky(t, n, table):
-        report = decide(t, n, table)
-        # 47 lies in the CONFIRM window after n1 = 10, and the search does not probe it
-        return dataclasses.replace(report, satisfied=False) if n == 47 else report
-
-    monkeypatch.setattr(bounds, "criterion", flaky)
-    with pytest.raises(RuntimeError) as err:
-        find_crossover_index(3, small_table)
-    assert str(err.value) == "criterion for t=3 holds at 10 but fails again at 47"
+def test_criterion_left_side_falls_by_more_than_its_error_bound(t8_libm_lhs):
+    # the lemma the search rests on, over the whole t = 8 table: each libm
+    # left side lies within _LHS_ERROR of itself of the exact one, so a drop
+    # larger than both bounds means the exact left side falls at every n >= 2
+    _, libm = t8_libm_lhs
+    lhs, after = libm[1:-1], libm[2:]  # n = 2, ..., len - 1 and n + 1
+    assert (lhs - after > bounds._LHS_ERROR * (lhs + after)).all()
 
 
 def test_empty_ranges_report_skipped(small_table):
@@ -772,7 +763,7 @@ def _log_substitution_oracle(table, n_min, n_max):
     worst, worst_at = math.inf, ""
     for n in range(n_min, n_max + 1):
         lp = math.log(int(table.primes[n - 1]))
-        margin = math.log(table.theta_prefix[n]) + 0.1253 / lp - lp
+        margin = math.log(table.theta_upto(len(table))[n]) + 0.1253 / lp - lp
         if margin < worst:
             worst, worst_at = margin, f"n={n}"
     return worst, worst_at
@@ -793,7 +784,7 @@ def _psi_ratio_oracle(table, ts, n_min, n_max):
                 continue
             lp = math.log(p)
             scale = math.exp(EULER_GAMMA + 2.0 / p) * (
-                math.log(table.theta_prefix[n]) + MERTENS_SHIFT / lp
+                math.log(table.theta_upto(len(table))[n]) + MERTENS_SHIFT / lp
             )
             margin = scale / zv - math.exp(total + carry)
             if margin < worst:

@@ -87,22 +87,41 @@ def test_table1_usage_error(capsys):
 
 
 def test_table1_sieve_cap_exhaustion(capsys):
-    code, _ = _run(
-        ["table1", "--t-min", "7", "--t-max", "7", "--sieve-limit", "1024", "--sieve-cap", "2048"],
-        capsys,
+    # over a range of t the first t past the cap ends the run, and no
+    # partial table is written
+    argv = ["table1", "--t-min", "3", "--t-max", "7", "--sieve-cap", "1024"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "robinpsi: criterion for t=6 unsatisfied through index 172; enlarge the sieve\n"
     )
-    assert code == 2
 
 
 def test_table1_sieve_cap_bounds_the_default_start(capsys):
-    code, _ = _run(["table1", "--t-min", "7", "--t-max", "7", "--sieve-cap", "2048"], capsys)
-    assert code == 2
+    # the 309 primes to 2048 end before n1(7) = 10596
+    assert cli.main(["table1", "--t-min", "7", "--t-max", "7", "--sieve-cap", "2048"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "robinpsi: criterion for t=7 unsatisfied through index 309; enlarge the sieve\n"
+    )
 
 
-def test_table1_sieve_limit_above_cap(capsys):
-    argv = ["table1", "--t-min", "7", "--t-max", "7", "--sieve-limit", "200000", "--sieve-cap", "2048"]
-    assert cli.main(argv) == 64
-    assert "exceeds --sieve-cap 2048" in capsys.readouterr().err
+def test_table1_sieve_cap_just_past_the_crossover(capsys):
+    # the 109 primes to 600 reach n1(3) = 10: nothing past n1 is read
+    code, out = _run(["table1", "--t-min", "3", "--t-max", "3", "--sieve-cap", "600"], capsys)
+    _, default = _run(["table1"], capsys)
+    assert code == 0
+    assert out.splitlines() == default.splitlines()[:2]
+
+
+def test_table1_sieve_limit_is_unrecognised(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["table1", "--sieve-limit", "1000"])
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (64, "")
+    assert out.err == "robinpsi: error: unrecognized arguments: --sieve-limit 1000\n"
 
 
 T8_ROW = "8,1055642,16408319,2.75811932927,7123574,6.46222372488e-11\n"
@@ -569,7 +588,7 @@ def test_streamed_rows_stay_small():
         (["champions", "--limit", "1.5", "--t", "2"],
          "argument --limit: invalid _positive value: '1.5'"),
         (["table1", "--sieve-cap", "1"], "argument --sieve-cap: sieve size must be >= 2, got 1"),
-        (["table1", "--sieve-limit", "x"], "argument --sieve-limit: invalid _sieve_size value: 'x'"),
+        (["table1", "--sieve-cap", "x"], "argument --sieve-cap: invalid _sieve_size value: 'x'"),
     ],
 )
 def test_integer_option_errors(capsys, argv, message):

@@ -70,21 +70,23 @@ def test_nth_prime_out_of_range(small_table):
 
 
 def test_theta_zero_is_zero(small_table):
-    assert small_table.theta_prefix[0] == 0.0
+    assert small_table.theta_upto(len(small_table))[0] == 0.0
 
 
 def test_theta_equals_log_primorial(small_table):
     # the prefix sum of log p over the first k primes is exactly log of
     # the k-th primorial; exact integers give the reference values
+    theta = small_table.theta_upto(len(small_table))
     for k, value in enumerate(PRIMORIALS, start=1):
-        assert small_table.theta_prefix[k] == pytest.approx(math.log(value), rel=1e-12)
+        assert theta[k] == pytest.approx(math.log(value), rel=1e-12)
 
 
 def test_theta_increments_are_log_p(small_table):
     rng = random.Random(4021)
+    theta = small_table.theta_upto(len(small_table))
     for _ in range(200):
         k = rng.randrange(1, len(small_table.primes))
-        step = small_table.theta_prefix[k + 1] - small_table.theta_prefix[k]
+        step = theta[k + 1] - theta[k]
         p = small_table.primes[k]
         assert step == pytest.approx(math.log(p), rel=1e-9)
 
@@ -94,7 +96,7 @@ def test_theta_against_high_precision(small_table):
     with mpmath.workdps(50):
         for k in (100, 2263, 10000):
             exact = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:k].tolist())
-            err = abs(small_table.theta_prefix[k] - float(exact))
+            err = abs(small_table.theta_upto(len(small_table))[k] - float(exact))
             assert err < 1e-10 * float(exact)
 
 
@@ -102,7 +104,7 @@ def test_theta_tracks_prime_size(small_table):
     # Chebyshev's function stays close to its argument at this scale
     for k in (1000, 10000):
         p = small_table.primes[k - 1]
-        assert abs(small_table.theta_prefix[k] / p - 1.0) < 0.02
+        assert abs(small_table.theta_upto(len(small_table))[k] / p - 1.0) < 0.02
 
 
 def test_prefix_stable_across_limits():
@@ -110,15 +112,15 @@ def test_prefix_stable_across_limits():
     b = build_table(40_000)
     assert b.primes[: len(a.primes)].tolist() == a.primes.tolist()
     for k in (10, 100, len(a.primes)):
-        assert a.theta_prefix[k] == b.theta_prefix[k]
+        assert a.theta_upto(len(a))[k] == b.theta_upto(len(b))[k]
 
 
 def test_table_reports_length(small_table):
     assert len(small_table) == len(small_table.primes)
     assert isinstance(small_table, PrimeTable)
     assert small_table.primes.dtype == np.int64
-    assert small_table.theta_prefix.dtype == np.float64
-    assert len(small_table.theta_prefix) == len(small_table) + 1
+    assert small_table.theta_upto(len(small_table)).dtype == np.float64
+    assert len(small_table.theta_upto(len(small_table))) == len(small_table) + 1
 
 
 def test_segmented_agrees_with_simple():
@@ -173,7 +175,8 @@ def test_compensated_prefix_matches_scalar_neumaier(xs):
 
 def test_table_prefixes_match_scalar_neumaier(small_table):
     primes = small_table.primes.tolist()
-    assert _bits(small_table.theta_prefix) == _bits(_neumaier_prefix(map(math.log, primes)))
+    theta = small_table.theta_upto(len(small_table))
+    assert _bits(theta) == _bits(_neumaier_prefix(map(math.log, primes)))
 
 
 _SPLIT_TABLE = build_table(10_000)  # 1229 primes
@@ -190,7 +193,7 @@ def test_theta_on_demand_matches_the_one_shot_prefix(reads):
     table = PrimeTable(limit=_SPLIT_TABLE.limit, primes=_SPLIT_TABLE.primes)
     for n in reads:
         assert _bits(table.theta_upto(n)) == _bits(_ONE_SHOT[: n + 1])
-    assert _bits(table.theta_prefix) == _bits(_ONE_SHOT)
+    assert _bits(table.theta_upto(len(table))) == _bits(_ONE_SHOT)
     with pytest.raises(CoverageError):
         table.theta_upto(len(table) + 1)
 

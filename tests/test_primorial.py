@@ -28,14 +28,14 @@ from conftest import factor_by_division
 
 
 def test_start_point_is_empty_product(small_table):
-    assert small_table.theta_prefix[0] == 0.0
+    assert small_table.theta_upto(len(small_table))[0] == 0.0
     for t in (2, 3):
         assert log_psi_ratio_prefix(small_table, t, 0).tolist() == [0.0]
 
 
 def test_prefix_reaches_fourth_primorial(small_table):
     assert small_table.primes[3] == 7
-    assert small_table.theta_prefix[4] == pytest.approx(math.log(210), abs=1e-13)
+    assert small_table.theta_upto(len(small_table))[4] == pytest.approx(math.log(210), abs=1e-13)
     # product of (1 + 1/p) over 2, 3, 5, 7 is 576/210
     log_ratio = log_psi_ratio_prefix(small_table, 2, 4)[4]
     assert log_ratio == pytest.approx(math.log(Fraction(576, 210)), abs=1e-13)
@@ -52,7 +52,8 @@ def test_prefix_matches_high_precision_products(small_table):
             )
             logn = mpmath.fsum(mpmath.log(p) for p in small_table.primes[:100].tolist())
         assert log_ratio == pytest.approx(float(ref), abs=1e-11)
-        assert small_table.theta_prefix[100] == pytest.approx(float(logn), rel=1e-13)
+        theta = small_table.theta_upto(len(small_table))
+        assert theta[100] == pytest.approx(float(logn), rel=1e-13)
 
 
 def _int_quotients(primes, t):
@@ -103,7 +104,7 @@ def test_prefix_needs_table_coverage():
 def test_robin_ratio_value(small_table):
     # R_2(N_4) = psi_2(210) / (210 log log 210), from the prefix arrays
     log_ratio = log_psi_ratio_prefix(small_table, 2, 4)[4]
-    ratio = math.exp(log_ratio) / math.log(small_table.theta_prefix[4])
+    ratio = math.exp(log_ratio) / math.log(small_table.theta_upto(len(small_table))[4])
     expect = (576 / 210) / math.log(math.log(210))
     assert ratio == pytest.approx(expect, rel=1e-12)
     assert ratio == pytest.approx(1.6360071034244228, rel=1e-12)

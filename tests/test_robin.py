@@ -294,7 +294,7 @@ def test_theorem_pipeline_rechecks_the_ratio_in_the_band(small_table, monkeypatc
     ((_, inputs, margin),) = calls
     assert tuple(map(float, inputs)) == (
         pytest.approx(log_psi_ratio_prefix(small_table, 7, 10596)[10596], abs=1e-12),
-        pytest.approx(small_table.theta_prefix[10596]),
+        pytest.approx(small_table.theta_upto(len(small_table))[10596]),
     )
     assert forced.passed and plain.passed
     assert forced == plain
