@@ -20,9 +20,11 @@ that the estimate +- beta cannot decide.  criterion decides one index from
 libm, re-deciding at 60 digits a margin within its own error bound of zero;
 find_crossover_index gallops and then bisects over these certified
 decisions, as the left side falls with n, and admissible_t scans them over t.
-The four suites hand their columns, one per t, to one sweep, _sweep, which
-re-derives any |margin| below 1e-9 at 60 digits, from logs of exact products
-(exact_log); a range without points reports SKIPPED.  zeta(2) is pinned to its series' output.
+The four suites hand their columns to one sweep, _sweep: the zeta tail one
+column per t, the psi ratio one column over (t, n), whose blocks share each
+block's t-independent scale.  _sweep re-derives any |margin| below 1e-9 at
+60 digits, from logs of exact products (exact_log); a range without points
+reports SKIPPED.  zeta(2) is pinned to its series' output.
 """
 
 from __future__ import annotations
@@ -345,8 +347,10 @@ def _mertens_screen(x: np.ndarray, log_product: np.ndarray) -> tuple[np.ndarray,
 def _zeta_tail_logs(t: int, n: int, table: PrimeTable) -> np.ndarray:
     """log prod_{p <= p_k} (1 - p^-t) for 1 <= k <= n, the libm log1p terms
     summed left to right without compensation, bit for bit the scalar loop
-    `acc += log1p(-p^-t)`."""
-    return np.cumsum(libm_map(lambda p: math.log1p(-float(p) ** (-t)), table.primes[:n]))
+    `acc += log1p(-p^-t)`: p^-t is libm's pow of p and -t as floats, float
+    (-t).__rpow__ at each prime, and numpy's negation is exact."""
+    powers = libm_map(float(-t).__rpow__, table.primes[:n].astype(np.float64))
+    return np.cumsum(libm_map(math.log1p, np.negative(powers, out=powers)))
 
 
 def _zeta_tail_margin(m, p, zeta_value, log_head):
@@ -427,10 +431,11 @@ def _psi_ratio_margin(m, p, theta, zeta_value, log_ratio):
 
 
 def _psi_ratio_screen(
-    t: int, p: np.ndarray, theta: np.ndarray, logs: np.ndarray
+    t: int, scale: np.ndarray, logs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of _psi_ratio_margin at p = p_n as float64, theta = log N_n
-    and logs, compensated prefix sums of numpy terms up to each n, and beta.
+    """Estimates of _psi_ratio_margin from scale, numpy _psi_ratio_scale at
+    each p = p_n and theta = log N_n, shared by every t, and logs, compensated
+    prefix sums of numpy terms up to each n; and beta.
 
     The terms of logs are primorial.log_terms, plain numpy
     log1p((1 - p^(1-t)) / (p - 1)): p^(1-t) <= 1/2 is within 16 ulp, so
@@ -444,40 +449,59 @@ def _psi_ratio_screen(
     and the sweep's comparisons with beta add under 4u |estimate|:
     beta = 2^-52 (42 B + R (37 L + 17)) + 2^-51 |estimate|.
     """
-    bound = _psi_ratio_scale(np, p, theta) / zeta(t).value
+    bound = scale / zeta(t).value
     ratio = np.exp(logs)
     est = bound - ratio
     return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
 
 
-def _psi_ratio_blocks(t: int, table: PrimeTable, n_min: int, n_max: int) -> Iterator[tuple]:
+def _psi_ratio_blocks(
+    ts: tuple[int, ...], table: PrimeTable, n_min: int, n_max: int
+) -> Iterator[tuple]:
     """_sweep's blocks (offset, est, beta) of _psi_ratio_screen over n_min <=
-    n <= n_max, offset counted from n_min.  The terms are summed from n = 1,
-    the compensated sum resumed from block to block; the blocks reaching
-    n_min are screened from there."""
+    n <= n_max for each t of ts, one column over (t, n): offset j size + n -
+    n_min for the j-th t, size = n_max - n_min + 1.  One walk over the prime
+    blocks forms each block's p, theta and scale once and screens it for
+    every t.  Each t's terms are summed from n = 1, its compensated sum
+    resumed from block to block; the blocks reaching n_min are screened from
+    there."""
     theta = table.theta_upto(n_max)
-    state = [0.0, 0.0]
+    size = n_max - n_min + 1
+    states = [[0.0, 0.0] for _ in ts]
     for a, b in blocks(0, n_max):  # the primes p_(a+1) .. p_b
         p = table.primes[a:b].astype(np.float64)
-        logs = compensated_prefix(primorial.log_terms(p, t), state)[1:]
         k = max(n_min - 1 - a, 0)  # n = a + 1 + k is the block's first n >= n_min
-        if k < b - a:
-            n = a + 1 + k
-            yield (n - n_min, *_psi_ratio_screen(t, p[k:], theta[n : b + 1], logs[k:]))
+        n = a + 1 + k
+        scale = _psi_ratio_scale(np, p[k:], theta[n : b + 1])  # empty before n_min
+        for j, (t, state) in enumerate(zip(ts, states)):
+            logs = compensated_prefix(primorial.log_terms(p, t), state)[1:]
+            if k < b - a:
+                yield (j * size + n - n_min, *_psi_ratio_screen(t, scale, logs[k:]))
 
 
-def _psi_ratio_margins(t: int, table: PrimeTable, n_min: int, idx: np.ndarray) -> np.ndarray:
-    """_psi_ratio_margin from libm at n = n_min + idx, with log_psi_ratio_prefix
-    up to there: its correctly rounded terms, libm log1p and compensated sum."""
-    zv = zeta(t).value
-    n = n_min + idx
-    last = int(n[-1])
-    return _libm(
-        lambda m, p_n, theta, log_ratio: _psi_ratio_margin(m, p_n, theta, zv, log_ratio),
-        table.primes[n - 1].astype(np.float64),
-        table.theta_upto(last)[n],
-        primorial.log_psi_ratio_prefix(table, t, last)[n],
-    )
+def _psi_ratio_margins(
+    ts: tuple[int, ...], table: PrimeTable, n_min: int, n_max: int, idx: np.ndarray
+) -> np.ndarray:
+    """_psi_ratio_margin from libm at the indices idx of _psi_ratio_blocks'
+    column, in any order.  Each t's log_psi_ratio_prefix, its correctly
+    rounded terms, libm log1p and compensated sum, runs up to the largest n
+    taken for that t, one t at a time."""
+    j, n = np.divmod(idx, n_max - n_min + 1)
+    n += n_min
+    out = np.empty(idx.size)
+    for k, t in enumerate(ts):
+        at = np.flatnonzero(j == k)
+        if at.size:
+            nt = n[at]
+            last = int(nt.max())
+            out[at] = _libm(
+                _psi_ratio_margin,
+                table.primes[nt - 1].astype(np.float64),
+                table.theta_upto(last)[nt],
+                np.full(nt.size, zeta(t).value),
+                primorial.log_psi_ratio_prefix(table, t, last)[nt],
+            )
+    return out
 
 
 def admissible_t(n: int, table: PrimeTable) -> int | None:
@@ -566,9 +590,9 @@ def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> 
     screen() yields a column's blocks (offset, est, beta): numpy estimates of
     the float margins at the indices offset, offset + 1, ..., and beta, a
     bound on |estimate - margin| at each; margins(idx) gives the float
-    margins at the ascending indices idx.  Every margin inside PRECISION_BAND
-    is replaced by recheck(key, i), its 60-digit value, before it is
-    trusted.  The worst point is the first minimum in column order, as a
+    margins at the indices idx, ascending where the blocks' offsets are.
+    Every margin inside PRECISION_BAND is replaced by recheck(key, i), its
+    60-digit value, before it is trusted.  The worst point is the first minimum in column order, as a
     scalar `if margin < worst` loop picks it; where(key, i) names it.
 
     The margins are taken only where the screen cannot decide: wherever the
@@ -596,7 +620,9 @@ def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> 
         points += size
         keep = cand_lo <= top
         cand, cand_lo = cand[keep], cand_lo[keep]
-        take = np.union1d(band, cand)
+        # the sorted union without np.unique, whose first call imports numpy.ma
+        take = np.sort(np.concatenate((band, cand)))
+        take = take[np.diff(take, prepend=-1) != 0]
         taken, margins = [_NO_INDEX], [np.zeros(0)]
         low = math.inf  # the least margin taken
         while take.size:
@@ -754,20 +780,27 @@ def psi_ratio_bound_suite(
     n_max: int = 10**5,
 ) -> SuiteResult:
     """Margin sweep of the certified psi-ratio bound minus the exact ratio
-    exp(log psi_t(N_n)/N_n), per t, over [n_min, n_max]."""
+    exp(log psi_t(N_n)/N_n), per t, over [n_min, n_max]: one column, the t
+    of ts in turn (_psi_ratio_blocks)."""
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"bound needs n >= {CRITERION_FLOOR}, got {n_min}")
     require_primes(table, n_max)
+    size = n_max - n_min + 1
+
+    def recheck(_, i):
+        t, n = ts[i // size], n_min + i % size
+        return at_60_digits(_psi_ratio_margin, lambda: (
+            int(table.primes[n - 1]), exact_log(table, "primorial", n),
+            mpmath.zeta(t), exact_log(table, "psi_ratio", n, t),
+        ))
+
     return _sweep(
         "psi_ratio_bound",
-        (
-            (t, partial(_psi_ratio_blocks, t, table, n_min, n_max),
-             partial(_psi_ratio_margins, t, table, n_min))
-            for t in ts
-        ),
-        lambda t, i: at_60_digits(_psi_ratio_margin, lambda: (
-            int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i),
-            mpmath.zeta(t), exact_log(table, "psi_ratio", n_min + i, t),
-        )),
-        lambda t, i: f"t={t},n={n_min + i}",
+        [(
+            None,
+            partial(_psi_ratio_blocks, ts, table, n_min, n_max),
+            partial(_psi_ratio_margins, ts, table, n_min, n_max),
+        )],
+        recheck,
+        lambda _, i: f"t={ts[i // size]},n={n_min + i % size}",
     )

@@ -54,8 +54,8 @@ def _log_substitution_whole(table, n_min, n_max):
 
 
 def _psi_ratio_whole(table, t, n_min, n_max):
-    """The psi ratio screen over the whole column: one prefix over every
-    prime up to p_n_max, one scale array."""
+    """The psi ratio screen of one t over the whole range: one prefix over
+    every prime up to p_n_max, one scale array."""
     primes_f = table.primes[:n_max].astype(np.float64)
     p = primes_f[n_min - 1 :]
     theta = table.theta_upto(n_max)[n_min:]
@@ -67,9 +67,10 @@ def _psi_ratio_whole(table, t, n_min, n_max):
     return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
 
 
-def _joined(blocks):
-    """est and beta of a column's blocks, each offset where the one before ends."""
-    ests, betas, size = [np.zeros(0)], [np.zeros(0)], 0
+def _joined(blocks, start=0):
+    """est and beta of a column's blocks, the first at offset start, each
+    offset where the one before ends."""
+    ests, betas, size = [np.zeros(0)], [np.zeros(0)], start
     for offset, est, beta in blocks:
         assert offset == size and est.size == beta.size > 0
         ests.append(est)
@@ -131,9 +132,14 @@ def test_blocked_passes_match_the_whole_array_formulas(table, block, edge, start
         got = _joined(bounds._log_substitution_blocks(table, n_min, n_max))
         want = _log_substitution_whole(table, n_min, n_max)
         assert all(map(_same_bits, got, want))
-        got = _joined(bounds._psi_ratio_blocks(t, table, n_min, n_max))
-        want = _psi_ratio_whole(table, t, n_min, n_max)
-        assert all(map(_same_bits, got, want))
+        # the column over (t, n): the j-th t's blocks from offset j n, in one walk
+        ts = tuple(dict.fromkeys((7, 3, 5, t)))
+        column = list(bounds._psi_ratio_blocks(ts, table, n_min, n_max))
+        assert all(offset < len(ts) * n for offset, _, _ in column)
+        for j, u in enumerate(ts):
+            got = _joined([b for b in column if b[0] // n == j], j * n)
+            want = _psi_ratio_whole(table, u, n_min, n_max)
+            assert all(map(_same_bits, got, want))
 
 
 def _sweep_whole(columns, recheck):

@@ -27,7 +27,7 @@ from robinpsi import (
     zeta,
     zeta_tail_bound_suite,
 )
-from robinpsi import bounds, robin
+from robinpsi import bounds, primorial, robin
 from robinpsi.bounds import (
     CRITERION_FLOOR,
     EULER_GAMMA,
@@ -37,7 +37,7 @@ from robinpsi.bounds import (
 )
 from robinpsi.primes import libm_map, nth_prime_bound
 
-from conftest import factor_by_division, spy_60_digits
+from conftest import column_of, factor_by_division, spy_60_digits
 
 CROSSOVERS = [(3, 10), (4, 24), (5, 79), (6, 509), (7, 10596)]
 
@@ -500,10 +500,11 @@ def test_forced_band_builds_every_column(small_table, monkeypatch, built_columns
     runs = [REDUCED_SUITES[name][0] for name in ("zeta_tail_product", "psi_ratio_bound")]
     for run in runs:
         run(small_table)
-    # t = 3 cannot beat the t = 2 minimum, nor lie in the band
+    # zeta tail t = 3 cannot beat the t = 2 minimum, nor lie in the band; the
+    # psi ratio column over (t, n) builds only where its minimum lies, at t = 3,
+    # as no t = 4 estimate less beta reaches it
     assert built_columns == [
-        ("zeta_tail_product", 5), ("zeta_tail_product", 2), ("psi_ratio_bound", 4),
-        ("psi_ratio_bound", 3),
+        ("zeta_tail_product", 5), ("zeta_tail_product", 2), ("psi_ratio_bound", 3),
     ]
     built_columns.clear()
     monkeypatch.setattr(bounds, "PRECISION_BAND", 10.0)
@@ -536,17 +537,17 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
     run, keys = VERIFY_BOUNDS_SUITES[suite]
     seen = []
 
-    def check(name, columns, *_):
+    def check(name, columns, recheck, where):
         for key, screen, margins in columns:
             for offset, est, beta in screen():
                 libm = margins(offset + np.arange(est.size))
                 assert (np.abs(est - libm) <= beta).all()
                 assert beta.max() <= 1e-12
-            seen.append(key)
+                seen.append(column_of(key, where(key, offset)))  # each t, decoded
 
     monkeypatch.setattr(bounds, "_sweep", check)
     run(table)
-    assert seen == list(keys)
+    assert list(dict.fromkeys(seen)) == list(keys)
     if suite == "psi_ratio":
         # the scales shared by every t, within 2^-46 of themselves as the screen assumes
         n = np.arange(CRITERION_FLOOR, 10**5 + 1)
@@ -806,8 +807,13 @@ def _psi_ratio_oracle(table, ts, n_min, n_max):
         # the worst point lies in the second column, the screens skip the third
         (lambda tab: psi_ratio_bound_suite(tab, ts=(7, 3, 5), n_max=10596),
          lambda tab: _psi_ratio_oracle(tab, (7, 3, 5), CRITERION_FLOOR, 10596)),
+        (lambda tab: psi_ratio_bound_suite(tab, ts=(7,), n_max=CRITERION_FLOOR),
+         lambda tab: _psi_ratio_oracle(tab, (7,), CRITERION_FLOOR, CRITERION_FLOOR)),
     ],
-    ids=["mertens", "zeta_tail", "zeta_tail_large_t", "log_substitution", "psi_ratio"],
+    ids=[
+        "mertens", "zeta_tail", "zeta_tail_large_t", "log_substitution", "psi_ratio",
+        "psi_ratio_one_point",
+    ],
 )
 def test_suite_matches_scalar_loop_bit_for_bit(small_table, suite, oracle):
     result = suite(small_table)
@@ -815,6 +821,24 @@ def test_suite_matches_scalar_loop_bit_for_bit(small_table, suite, oracle):
     assert result.rechecked == 0
     assert result.worst_margin.hex() == worst.hex()
     assert result.worst_at == worst_at
+
+
+def test_psi_ratio_column_reports_the_first_t_of_a_tie(small_table, monkeypatch, built_columns):
+    # with zeta(3) and the terms of t = 3 read for every t, the t = 5 and t = 4
+    # parts of the column over (t, n) tie at every n: both minima are taken
+    # and the first t of ts is reported, as a scan over t, then n, reports it
+    alone = psi_ratio_bound_suite(small_table, ts=(3,), n_max=4000)
+    zeta_3, terms, prefix = zeta(3), primorial.log_terms, primorial.log_psi_ratio_prefix
+    monkeypatch.setattr(bounds, "zeta", lambda t: zeta_3)
+    monkeypatch.setattr(primorial, "log_terms", lambda p, t: terms(p, 3))
+    monkeypatch.setattr(primorial, "log_psi_ratio_prefix", lambda tab, t, n: prefix(tab, 3, n))
+    n = alone.worst_at.split(",")[1]
+    for ts in ((5, 4), (4, 5)):
+        built_columns.clear()
+        tied = psi_ratio_bound_suite(small_table, ts=ts, n_max=4000)
+        assert tied.worst_margin.hex() == alone.worst_margin.hex()
+        assert tied.worst_at == f"t={ts[0]},{n}"
+        assert built_columns == [("psi_ratio_bound", t) for t in ts]
 
 
 def test_suite_coverage_errors(small_table):
@@ -841,8 +865,11 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
     tails = [recheck(t, 100 - 2) for t in (3, 10)]
     recheck, _ = suite_recheck(partial(log_substitution_suite, n_max=CRITERION_FLOOR))
     log_sub = recheck(None, 0)  # n = CRITERION_FLOOR
-    recheck, _ = suite_recheck(partial(psi_ratio_bound_suite, n_max=CRITERION_FLOOR))
-    psis = [recheck(t, 0) for t in (3, 7)]
+    recheck, where = suite_recheck(partial(psi_ratio_bound_suite, n_max=CRITERION_FLOOR))
+    psis = [  # at n = CRITERION_FLOOR, the flat index of each t found through where
+        recheck(None, next(i for i in range(5) if where(None, i) == f"t={t},n={CRITERION_FLOOR}"))
+        for t in (3, 7)
+    ]
     with monkeypatch.context() as patch:
         calls = spy_60_digits(patch, bounds)
         patch.setattr(bounds, "_LHS_ERROR", math.inf)

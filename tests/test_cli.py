@@ -630,16 +630,24 @@ def test_python_dash_m(monkeypatch, capsys):
 
 # Small runs of the commands and the theorem pipeline, none of which reaches
 # the 60-digit band, then the pipeline with its ratio forced into the band;
-# prints the loaded flag before and after its one recheck and the recheck's bits.
+# prints the numpy modules the commands loaded past the import ("-" for none;
+# numpy 2 imports numpy.ma on the first np.unique), the loaded flag before and
+# after its one recheck and the recheck's bits.
 _COLD_RUN = """
 import contextlib, io, sys
 import robinpsi, robinpsi.cli
 from robinpsi import build_table, cli, robin
+
+def numpy_modules():
+    return {name for name in sys.modules if name.split(".")[0] == "numpy"}
+
+imported = numpy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["table1", "--t-min", "3", "--t-max", "8"],
                  ["robin-scan", "--from", "5041", "--to", "100000"],
                  ["verify-bounds", "--n-max", "2300", "--t-max", "4"]):
         assert cli.main(argv) == 0, argv
+print(",".join(sorted(numpy_modules() - imported)) or "-")
 table = build_table(1 << 17)
 assert robin.verify_tfree_robin(7, 20_000, table).passed
 print("mpmath" in sys.modules)
@@ -669,4 +677,4 @@ def test_mpmath_loads_on_the_first_recheck_only(small_table, monkeypatch):
     monkeypatch.setattr(robin, "PRECISION_BAND", 10.0)
     assert robin.verify_tfree_robin(7, 20_000, small_table).passed
     ((*_, margin),) = calls
-    assert done.stdout.split() == ["False", "True", margin.hex()]
+    assert done.stdout.split() == ["-", "False", "True", margin.hex()]
