@@ -483,9 +483,10 @@ def _psi_ratio_margins(
     ts: tuple[int, ...], table: PrimeTable, n_min: int, n_max: int, idx: np.ndarray
 ) -> np.ndarray:
     """_psi_ratio_margin from libm at the indices idx of _psi_ratio_blocks'
-    column, in any order.  Each t's log_psi_ratio_prefix, its correctly
-    rounded terms, libm log1p and compensated sum, runs up to the largest n
-    taken for that t, one t at a time."""
+    column, in any order.  Each t's pass of log_psi_ratio_prefix, its
+    correctly rounded terms, libm log1p and compensated sum, runs block by
+    block up to the largest n taken for that t, one t at a time, and keeps
+    only the sums at the n taken."""
     j, n = np.divmod(idx, n_max - n_min + 1)
     n += n_min
     out = np.empty(idx.size)
@@ -494,12 +495,16 @@ def _psi_ratio_margins(
         if at.size:
             nt = n[at]
             last = int(nt.max())
+            logs = np.empty(nt.size)
+            for a, sums in primorial.log_psi_ratio_blocks(table, t, last):
+                here = np.flatnonzero((nt > a) & (nt <= a + sums.size))
+                logs[here] = sums[nt[here] - a - 1]
             out[at] = _libm(
                 _psi_ratio_margin,
                 table.primes[nt - 1].astype(np.float64),
                 table.theta_upto(last)[nt],
                 np.full(nt.size, zeta(t).value),
-                primorial.log_psi_ratio_prefix(table, t, last)[nt],
+                logs,
             )
     return out
 

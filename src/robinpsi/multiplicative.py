@@ -10,7 +10,10 @@ Every sweep over a range of integers runs one division-free kernel,
 gives a weight to each prime power, and the kernel sums the weights of each
 n's base primes, the primes up to the root of the window's last n: a base
 prime with many multiples in the window adds weight(p, k) through one
-strided slice of the multiples of each power p^k, and the base primes with
+strided slice of the multiples of each power p^k, the powers of 2, 3, 5
+and 7 dividing WHEEL through one pattern of n mod WHEEL, summed once per
+sweep and copied into each window (the pre-sieving of Oliveira e Silva,
+Herzog and Pardi, Math. Comp. 83, 2014), and the base primes with
 at most BATCH_MULTIPLES multiples add a bound on every power's weight at
 once, through one array of offsets.  The window never divides or extracts a
 cofactor.  An n has at most one prime factor above sqrt(n), so the sum and
@@ -44,6 +47,10 @@ from .primes import PrimeTable, _segmented_primes
 # arrays are a sweep's peak memory however long its range.
 SEGMENT_SIZE = 1 << 17
 BATCH_MULTIPLES = 64  # base primes with at most this many multiples in a window are batched
+# One period of the kernel's pattern of small prime powers: every power of 2,
+# 3, 5 and 7 dividing it is summed once per sweep into 30240 float64 sums
+# (236 KB), which each window copies instead of marking those powers.
+WHEEL = 2**5 * 3**3 * 5 * 7
 MAX_SPAN = 10**9  # most integers one sweep may cover
 # Up to 2^50 a sweep needs base primes only to 2^25, an n has at most 50 prime
 # factors, which bounds the float error of its summed weights, and n and
@@ -111,6 +118,10 @@ class KernelPlan:
     slices: for each of them strided keeps the pairs (p^k, weight(p, k)) with
     p^k <= stop and a weight other than 0, k ascending.  The larger base
     primes are batched, and each of their multiples takes total(p).
+
+    When 2, 3, 5 and 7 are all strided, pattern[r] sums the weights of the
+    pairs whose p^k divides both WHEEL and r, for each residue r mod WHEEL,
+    and those pairs leave strided; otherwise pattern is None.
     """
 
     def __init__(self, primes: np.ndarray, width: int, stop: int, weight, total) -> None:
@@ -126,12 +137,24 @@ class KernelPlan:
                 if w:
                     marks.append((p**k, w))
             k += 1
+        # The wheel needs 2, 3, 5 and 7 strided and below every window's
+        # root.  Each window of a sweep holds width integers or, the last,
+        # ends at stop, so with width >= 64 * 7 every window ends past 7^2.
+        self.pattern = None
+        if len(small) >= 4:
+            self.pattern = np.zeros(WHEEL)
+            for marks in self.strided[:4]:  # no larger prime divides WHEEL
+                for pk, w in marks:
+                    if WHEEL % pk == 0:
+                        self.pattern[::pk] += w
+                marks[:] = [(pk, w) for pk, w in marks if WHEEL % pk]
         # Freeing one untouched block of four windows' float64 arrays raises
         # glibc's mmap and trim thresholds past a window's arrays, so each
         # window reuses the heap the last one freed instead of mapping and
-        # faulting in its pages again: the t-free body (two Robin scans and a
-        # champion scan to 1e6) takes 8.7k page faults instead of 12.6k, and
-        # 0.074 s instead of 0.085 s, for 0.1 MB more peak RSS.
+        # faulting in its pages again: the t-free body (verify_tfree_robin
+        # for t = 6 and 7 and a champion scan, to 1e6) takes 1.3k page faults
+        # instead of 2.8k, and 0.023 s instead of 0.025 s (medians of 21 runs
+        # on two shared cores), for the same peak RSS.
         np.empty(32 * width, dtype=np.uint8)
 
 
@@ -139,15 +162,25 @@ def window_weights(lo: int, hi: int, plan: KernelPlan) -> np.ndarray:
     """acc[i], in float64, the weights summed over the base primes p <= sqrt(hi - 1)
     that divide n = lo + i, for each n in [lo, hi).
 
-    A strided prime adds weight(p, k) to every multiple of p^k in the window
+    acc starts from the plan's pattern at phase lo % WHEEL, a few slice
+    copies, or from zeros when the plan has none.  A strided prime adds
+    weight(p, k) to every multiple of its other powers p^k in the window
     through the slice acc[(-lo) % p^k :: p^k], so n takes weight(p, 1) + ... +
     weight(p, e), e the exponent of p in n.  A batched prime adds total(p) once
     to each of its multiples, whatever the exponent, through the offsets of
     _batched_marks and one np.add.at.  No n is divided or factored.  plan must
-    hold every prime up to sqrt(hi - 1).
+    hold every prime up to sqrt(hi - 1), and if it has a pattern, hi - 1 >= 49.
     """
     size = hi - lo
-    acc = np.zeros(size)
+    if plan.pattern is None:
+        acc = np.zeros(size)
+    else:
+        acc = np.empty(size)
+        phase = lo % WHEEL
+        head = min(size, WHEEL - phase)
+        acc[:head] = plan.pattern[phase : phase + head]
+        for a in range(head, size, WHEEL):
+            acc[a : a + WHEEL] = plan.pattern[: size - a]
     count = int(np.searchsorted(plan.primes, math.isqrt(hi - 1), side="right"))
     for marks in plan.strided[:count]:
         for pk, w in marks:

@@ -1,6 +1,10 @@
 """Prime tables: a segmented sieve, the table coverage check, a p_n bound,
 and Chebyshev theta prefix sums.
 
+The sieve keeps each segment's odd candidates as one numpy bool array,
+strikes each base prime's multiples with one strided slice assignment and
+reads the primes off with np.flatnonzero.
+
 A table holds numpy arrays: the primes as int64 and their theta prefix sums
 as float64.  build_table only sieves; theta is formed on demand, through the
 largest index a reader has asked for (PrimeTable.theta_upto), so a run that
@@ -116,7 +120,8 @@ class PrimeTable:
 
 def _segmented_primes(limit: int) -> np.ndarray:
     """Segmented odd-only sieve as an int64 array, base primes to sqrt(limit)
-    by recursion; the working memory is O(sqrt(limit) + segment)."""
+    by recursion; the working memory is O(sqrt(limit) + segment).  A segment
+    is a bool array over _SEGMENT_ODDS odd candidates."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     odd_base = _segmented_primes(math.isqrt(limit))[1:].tolist()
@@ -125,7 +130,7 @@ def _segmented_primes(limit: int) -> np.ndarray:
     lo = 3
     while lo <= last:
         count = min(_SEGMENT_ODDS, (last - lo) // 2 + 1)
-        seg = bytearray(b"\x01") * count
+        seg = np.ones(count, dtype=bool)
         top = lo + 2 * count  # exclusive bound of this segment's odds
         for p in odd_base:
             if p * p >= top:
@@ -134,9 +139,8 @@ def _segmented_primes(limit: int) -> np.ndarray:
             if start % 2 == 0:
                 start += p
             i0 = (start - lo) // 2
-            if i0 < count:
-                seg[i0::p] = b"\x00" * ((count - i0 + p - 1) // p)
-        segments.append(np.flatnonzero(np.frombuffer(seg, np.uint8)) * 2 + lo)
+            seg[i0::p] = False
+        segments.append(np.flatnonzero(seg) * 2 + lo)
         lo += 2 * count
     return np.concatenate(segments)
 

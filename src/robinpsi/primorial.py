@@ -13,6 +13,7 @@ each of them exactly.  reduction_check is the corollary of that scan.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 
@@ -82,18 +83,27 @@ def log_psi_ratio_prefix(table: PrimeTable, t: int, n: int) -> np.ndarray:
     in numpy, correctly rounded under a stated error bound, and divides the
     exact integers only where that bound cannot decide the rounding; log1p is
     libm's.  Every term is within an ulp and the compensated sum keeps ~1e-12
-    absolute accuracy over 10^5 primes.  The terms are formed one block at a
-    time, the sum resumed from block to block, so only out spans all n.
+    absolute accuracy over 10^5 primes.  The sums of log_psi_ratio_blocks
+    are copied in block by block, so only out spans all n.
     """
     if t < 2 or n < 0:
         raise ValueError(f"need t >= 2 and n >= 0, got t = {t}, n = {n}")
     require_primes(table, n)
     out = np.zeros(n + 1)
+    for a, sums in log_psi_ratio_blocks(table, t, n):
+        out[a + 1 : a + 1 + sums.size] = sums
+    return out
+
+
+def log_psi_ratio_blocks(table: PrimeTable, t: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, sums) for each block of log_psi_ratio_prefix's pass over 1 <= k <=
+    n: sums[i] = log(psi_t(N_k)/N_k) at k = a + 1 + i.  The terms are formed
+    one block at a time and the compensated sum resumed from block to block,
+    so a reader that keeps a few sums holds one block at a time."""
     state = [0.0, 0.0]
     for a, b in blocks(0, n):
         terms, _ = _psi_ratio_terms(table.primes[a:b], t)
-        out[a + 1 : b + 1] = compensated_prefix(libm_map(math.log1p, terms), state)[1:]
-    return out
+        yield a, compensated_prefix(libm_map(math.log1p, terms), state)[1:]
 
 
 def cursor_advance(*_args: object, **_kwargs: object) -> None:

@@ -558,12 +558,12 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
         assert (np.abs(est - libm) <= 2.0**-46 * est).all()
 
 
-# Bytes a suite may add to its peak per added index n.  The one array that
-# spans a column is the libm prefix log_psi_ratio_prefix (8 bytes per n),
-# formed up to the last index taken; every other array is block-sized, or
-# holds only the indices taken.  With whole-column temporaries the psi ratio
-# suite added about 170 bytes per n and the log substitution suite about 49.
-SUITE_BYTES_PER_INDEX = 16
+# Bytes a suite may add to its peak per added index n.  No array spans a
+# column: each is block-sized, or holds only the indices taken, and the libm
+# psi ratio sums are read off log_psi_ratio_blocks a block at a time.  With
+# whole-column temporaries the psi ratio suite added about 170 bytes per n
+# and the log substitution suite about 49; with the whole libm prefix, 8.
+SUITE_BYTES_PER_INDEX = 2
 
 
 @pytest.mark.parametrize("suite", [log_substitution_suite, psi_ratio_bound_suite])
@@ -828,10 +828,10 @@ def test_psi_ratio_column_reports_the_first_t_of_a_tie(small_table, monkeypatch,
     # parts of the column over (t, n) tie at every n: both minima are taken
     # and the first t of ts is reported, as a scan over t, then n, reports it
     alone = psi_ratio_bound_suite(small_table, ts=(3,), n_max=4000)
-    zeta_3, terms, prefix = zeta(3), primorial.log_terms, primorial.log_psi_ratio_prefix
+    zeta_3, terms, sums = zeta(3), primorial.log_terms, primorial.log_psi_ratio_blocks
     monkeypatch.setattr(bounds, "zeta", lambda t: zeta_3)
     monkeypatch.setattr(primorial, "log_terms", lambda p, t: terms(p, 3))
-    monkeypatch.setattr(primorial, "log_psi_ratio_prefix", lambda tab, t, n: prefix(tab, 3, n))
+    monkeypatch.setattr(primorial, "log_psi_ratio_blocks", lambda tab, t, n: sums(tab, 3, n))
     n = alone.worst_at.split(",")[1]
     for ts in ((5, 4), (4, 5)):
         built_columns.clear()

@@ -28,6 +28,7 @@ from robinpsi.multiplicative import (
     BATCH_MULTIPLES,
     MAX_SCAN_STOP,
     MAX_SPAN,
+    WHEEL,
     Factorization,
     KernelPlan,
     _batched_marks,
@@ -220,6 +221,111 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
     assert expected[-1]
     # most windows batch some base primes above 997 // BATCH_MULTIPLES
     assert sum(count > 0 for count in batched) > len(batched) // 2
+
+
+def _strided_oracle(lo, hi, primes, weight, total, width):
+    """The sums on [lo, hi) by plain passes, for a plan of windows of width
+    integers: each base prime p up to the window's root adds weight(p, k) at
+    every multiple of each p^k in the window if width holds more than
+    BATCH_MULTIPLES multiples of p, and total(p) at every multiple of p if
+    not."""
+    acc = np.zeros(hi - lo)
+    for p in primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")].tolist():
+        if p > width // BATCH_MULTIPLES:
+            acc[(-lo) % p :: p] += float(total(p))
+            continue
+        k, pk = 1, p
+        while pk < hi:
+            acc[(-lo) % pk :: pk] += float(weight(p, k))
+            k, pk = k + 1, pk * p
+    return acc
+
+
+WEIGHTS = {
+    "robin": (robin._sigma_weight, robin._sigma_total),
+    **{
+        f"psi{t}": (partial(primorial._psi_weight, t=t), partial(log_terms, t=t))
+        for t in (2, 7)
+    },
+}
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Every KernelPlan a sweep forms, in order."""
+    made = []
+
+    class Recorded(KernelPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(multiplicative, "KernelPlan", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+@pytest.mark.parametrize(
+    "lo, width",
+    [
+        (1, EDGE),  # the first window of a sweep
+        (33 * WHEEL, EDGE),  # phase 0, across four period ends
+        (33 * WHEEL - 1, EDGE),  # phase WHEEL - 1
+        (33 * WHEEL - 1, 448),  # phase WHEEL - 1, 7 just strided
+        (33 * WHEEL - 1, WHEEL + 2),  # one integer past the second period end
+        (33 * WHEEL, 3000),  # phase 0, inside one period
+        (1000 * WHEEL - 100, 2 * WHEEL + 200),  # across three period ends
+        (10**6 - 5000, 6000),  # across no period end, up to the default stop
+    ],
+)
+def test_wheel_matches_strided_oracle(small_table, weights, lo, width):
+    weight, total = WEIGHTS[weights]
+    hi = lo + width
+    plan = KernelPlan(small_table.primes, width, hi - 1, weight, total)
+    assert plan.pattern is not None
+    acc = window_weights(lo, hi, plan)
+    oracle = _strided_oracle(lo, hi, small_table.primes, weight, total, width)
+    assert np.abs(acc - oracle).max() <= SUM_ERROR
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+@pytest.mark.parametrize(
+    "start, stop, wheel",
+    [
+        (WHEEL - 3000, 3 * WHEEL + 3000, True),  # windows across three period ends
+        (1, 5000, True),  # 7 strided, the first window's root 31
+        (1, 48, False),  # stop < 49: 7 is no base prime
+        (1, 447, False),  # one window of 447: 7 is batched
+        (1, 448, True),
+        (10**9, 10**9 + 446, False),
+        (10**9, 10**9 + 447, True),
+    ],
+)
+def test_sweeps_of_short_windows_match_strided_oracle(
+    monkeypatch, plans, small_table, weights, start, stop, wheel
+):
+    # windows of 997 integers, shorter than the period; where 2, 3, 5 and 7
+    # are not all strided the sweep starts from zeros
+    monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", 997)
+    weight, total = WEIGHTS[weights]
+    width = min(997, stop - start + 1)
+    for lo, acc, _ in multiplicative.sweep(start, stop, small_table, weight, total):
+        oracle = _strided_oracle(lo, lo + acc.size, small_table.primes, weight, total, width)
+        assert np.abs(acc - oracle).max() <= SUM_ERROR
+    (plan,) = plans
+    assert (plan.pattern is not None) == wheel
+
+
+def test_default_sweeps_use_the_wheel(plans):
+    # a sweep over [1, 1e6] sums 2^1..2^5, 3, 9, 27, 5 and 7 from the pattern,
+    # and no strided pass is left for a power dividing WHEEL
+    assert len(robin_scan(3, 10**6, build_table(1001))) == 26
+    assert champion_scan(10**6, 2)[-1] == 510510
+    assert len(plans) == 2
+    for plan in plans:
+        assert plan.pattern is not None and plan.pattern.shape == (WHEEL,)
+        assert plan.pattern[0] > 0.0 and plan.pattern[1] == 0.0
+        assert not [pk for marks in plan.strided for pk, _ in marks if WHEEL % pk == 0]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Sieve and log-prime accumulator checks against independent oracles."""
 
+import bisect
 import math
 import random
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from robinpsi import CoverageError, bounds, build_table, compensated_prefix, robin
 from robinpsi.bounds import _mertens_prefix
-from robinpsi.primes import PrimeTable, at_60_digits, libm_map, require_primes
+from robinpsi.primes import (
+    _SEGMENT_ODDS,
+    PrimeTable,
+    _segmented_primes,
+    at_60_digits,
+    libm_map,
+    require_primes,
+)
 from robinpsi.primes import mpmath as mpmath_handle
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -123,12 +131,51 @@ def test_table_reports_length(small_table):
     assert len(small_table.theta_upto(len(small_table))) == len(small_table) + 1
 
 
+def _eratosthenes(limit):
+    """Every prime <= limit from one array of flags over 0..limit, each
+    prime's multiples struck from its square: the oracle of the segmented
+    sieve, with no segments and no odd-only indexing."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
+
+
+# a segment holds 1 << 17 odds from 3, so segment k + 1 starts at 3 + 2^18 k
+_SEGMENT_EDGES = [3 + (1 << 18) * k + d for k in range(1, 5) for d in (-2, -1, 0, 1, 2)]
+_PRIMES_PAST_THE_EDGES = _eratosthenes(_SEGMENT_EDGES[-1])
+
+
+def _primes_upto(limit):
+    return _PRIMES_PAST_THE_EDGES[: bisect.bisect_right(_PRIMES_PAST_THE_EDGES, limit)]
+
+
 def test_segmented_agrees_with_simple():
-    # the segment size is 1 << 17 odds; straddle several boundaries
+    # limits on either side of the first four segment edges
+    assert _SEGMENT_ODDS == 1 << 17
+    for limit in _SEGMENT_EDGES:
+        assert _segmented_primes(limit).tolist() == _primes_upto(limit)
     table = build_table(600_000)
-    reference = build_table(2000)
-    assert table.primes[: len(reference.primes)].tolist() == reference.primes.tolist()
+    assert table.primes.tolist() == _primes_upto(600_000)
     assert len(table.primes) == 49098  # count of primes below 600000
+
+
+def test_segmented_sieve_at_every_small_limit():
+    for limit in range(3001):
+        got = _segmented_primes(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == _primes_upto(limit)
+
+
+@pytest.mark.parametrize("odds", [7, 8])
+def test_segmented_sieve_with_small_segments(monkeypatch, odds):
+    # segments of an odd and of an even number of odds, so edges fall on
+    # primes, on squares and on both parities of the segment count
+    monkeypatch.setattr("robinpsi.primes._SEGMENT_ODDS", odds)
+    for limit in [*range(400), 997, 2999, 3000, 3 + 2 * odds * 61, 10_007]:
+        assert _segmented_primes(limit).tolist() == _primes_upto(limit)
 
 
 def _neumaier_prefix(xs):
@@ -177,6 +224,14 @@ def test_table_prefixes_match_scalar_neumaier(small_table):
     primes = small_table.primes.tolist()
     theta = small_table.theta_upto(len(small_table))
     assert _bits(theta) == _bits(_neumaier_prefix(map(math.log, primes)))
+
+
+def test_theta_of_the_large_table_is_the_prefix_of_int_logs(table):
+    # theta, formed block by block as it is read, is bit for bit the one-shot
+    # compensated prefix of math.log over the int primes, across the 1.31e6
+    # table; a map over the primes as floats (exact below 2^53) keeps this
+    logs = np.array([math.log(p) for p in table.primes.tolist()])
+    assert _bits(table.theta_upto(len(table))) == _bits(compensated_prefix(logs))
 
 
 _SPLIT_TABLE = build_table(10_000)  # 1229 primes
