@@ -8,22 +8,22 @@ integer or Fraction arithmetic; the sweep kernel's float sums only screen.
 Every sweep over a range of integers runs one division-free kernel,
 `window_weights`, on windows of SEGMENT_SIZE integers in numpy.  The caller
 gives a weight to each prime power, and the kernel sums the weights of each
-n's base primes, the primes up to the root of the window's last n: a base
-prime with many multiples in the window adds weight(p, k) through one
-strided slice of the multiples of each power p^k, the powers of 2, 3, 5
-and 7 dividing WHEEL through one pattern of n mod WHEEL, summed once per
-sweep and copied into each window (the pre-sieving of Oliveira e Silva,
-Herzog and Pardi, Math. Comp. 83, 2014), and the base primes with
-at most BATCH_MULTIPLES multiples add a bound on every power's weight at
-once, through one array of offsets.  The window never divides or extracts a
-cofactor.  An n has at most one prime factor above sqrt(n), so the sum and
-that prime's largest possible weight bound a log ratio such as
-log(sigma(n)/n) from both sides, and a caller's screen re-decides the few n
-it keeps from their exact factorization.  `sweep` is the one window loop:
-it bounds the range with `check_sweep` before any sieving, forms the plan
-of the base primes and their weights once, and yields each window's sums;
-`robin` screens log(sigma(n)/n), `primorial` log(psi_t(n)/n), each with a
-plain function per window.
+n's marked primes, the primes up to MARK_CAP and the root of the window's
+last n: each adds weight(p, k) through one strided slice of the multiples
+of each power p^k, and the powers of 2, 3, 5 and 7 dividing WHEEL through
+one pattern of n mod WHEEL, summed once per sweep and copied into each
+window (the pre-sieving of Oliveira e Silva, Herzog and Pardi, Math. Comp.
+83, 2014).  The window never divides or extracts a cofactor.  The prime
+factors it leaves unmarked are at least q, one more than the largest
+marked, so an n < hi has at most m of them, q^m <= hi - 1, and
+`window_gap`, m times the most any one of them can add, bounds what the
+sum misses.  So the sum and the gap bound a log ratio such as
+log(sigma(n)/n) from both sides, and a caller's screen re-decides the few
+n it keeps from their exact factorization.  `sweep` is the one window
+loop: it bounds the range with `check_sweep` before any sieving, forms the
+plan of the marked primes and their weights once, and yields each window's
+sums and gap; `robin` screens log(sigma(n)/n), `primorial` log(psi_t(n)/n),
+each with a plain function per window.
 
 The bridge sigma(n) <= psi_t(n) on t-free n needs no sweep: both sides are
 multiplicative, so `verify_sigma_le_psi` decides it on the local pairs
@@ -36,17 +36,23 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import CoverageError, ResourceError
-from .primes import PrimeTable, _segmented_primes
+from .primes import PrimeTable, _segmented_primes, blocks
 
 # Integers per window of a range sweep.  A window's float64 weights take 1 MB,
 # so the kernel's strided passes stay in a core's L2 cache, and a few such
 # arrays are a sweep's peak memory however long its range.
 SEGMENT_SIZE = 1 << 17
-BATCH_MULTIPLES = 64  # base primes with at most this many multiples in a window are batched
+# The kernel marks the base primes up to MARK_CAP and bounds the larger prime
+# factors by their count (window_gap).  A lower cap widens the gap: at 127
+# robin_scan(3, 1e6) sends n = 10080 to an exact decision, and from 163 to
+# 181 the screens of test_screens_send_few_n_to_exact_decisions send 30, 53
+# and 53 n; a higher one marks more primes in every window.
+MARK_CAP = 181
 # One period of the kernel's pattern of small prime powers: every power of 2,
 # 3, 5 and 7 dividing it is summed once per sweep into 30240 float64 sums
 # (236 KB), which each window copies instead of marking those powers.
@@ -67,14 +73,15 @@ class Factorization:
 
 
 def factorize(n: int, table: PrimeTable) -> Factorization:
-    """Trial division over the table; certifies a large cofactor prime only
-    when it is below table.limit^2."""
+    """Trial division over the table, read in blocks of primes.BLOCK primes
+    up to the first p with p^2 above what is left of n; certifies a large
+    cofactor prime only when it is below table.limit^2."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     m = n
     out: list[tuple[int, int]] = []
-    root = min(math.isqrt(n), table.limit)
-    for p in table.primes[: np.searchsorted(table.primes, root, side="right")].tolist():
+    count = int(np.searchsorted(table.primes, min(math.isqrt(n), table.limit), side="right"))
+    for p in chain.from_iterable(table.primes[a:b].tolist() for a, b in blocks(0, count)):
         if p * p > m:
             break
         if m % p == 0:
@@ -110,40 +117,38 @@ def check_sweep(start: int, stop: int) -> None:
 
 
 class KernelPlan:
-    """What the kernel needs of the base primes and their weights, formed
+    """What the kernel needs of the marked primes and their weights, formed
     once per sweep over [start, stop].
 
-    primes holds the base primes, ascending, as int64.  A window of up to
-    width integers marks those up to width // BATCH_MULTIPLES through strided
-    slices: for each of them strided keeps the pairs (p^k, weight(p, k)) with
-    p^k <= stop and a weight other than 0, k ascending.  The larger base
-    primes are batched, and each of their multiples takes total(p).
+    primes holds the marked primes, ascending, as int64: those of the given
+    ones up to MARK_CAP and sqrt(stop).  For each, marks keeps the pairs
+    (p^k, weight(p, k)) with p^k <= stop and a weight other than 0, k
+    ascending.
 
-    When 2, 3, 5 and 7 are all strided, pattern[r] sums the weights of the
-    pairs whose p^k divides both WHEEL and r, for each residue r mod WHEEL,
-    and those pairs leave strided; otherwise pattern is None.
+    When every window's last n is at least 49, so that 2, 3, 5 and 7 are
+    marked in each, pattern[r] sums the weights of the pairs whose p^k
+    divides both WHEEL and r, for each residue r mod WHEEL, and those pairs
+    leave marks; otherwise pattern is None.
     """
 
-    def __init__(self, primes: np.ndarray, width: int, stop: int, weight, total) -> None:
-        self.primes = np.asarray(primes, dtype=np.int64)
-        self.total = total
-        small = self.primes[: np.searchsorted(self.primes, width // BATCH_MULTIPLES, side="right")]
-        self.strided: list[list[tuple[int, float]]] = [[] for _ in small]
+    def __init__(self, primes: np.ndarray, start: int, stop: int, weight) -> None:
+        top = min(MARK_CAP, math.isqrt(stop))
+        self.primes = np.asarray(primes[: np.searchsorted(primes, top, side="right")], np.int64)
+        self.marks: list[list[tuple[int, float]]] = [[] for _ in self.primes]
         k = 1
-        # the primes with p^k <= stop are a prefix of the ascending small ones
-        while live := int(np.searchsorted(small, _iroot(stop, k), side="right")):
-            pairs = zip(self.strided, small[:live].tolist(), weight(small[:live], k).tolist())
+        # the primes with p^k <= stop are a prefix of the ascending marked ones
+        while live := int(np.searchsorted(self.primes, _iroot(stop, k), side="right")):
+            ps = self.primes[:live]
+            pairs = zip(self.marks, ps.tolist(), weight(ps, k).tolist())
             for marks, p, w in pairs:
                 if w:
                     marks.append((p**k, w))
             k += 1
-        # The wheel needs 2, 3, 5 and 7 strided and below every window's
-        # root.  Each window of a sweep holds width integers or, the last,
-        # ends at stop, so with width >= 64 * 7 every window ends past 7^2.
+        # the windows' last n ascend, so the first window's is the least
         self.pattern = None
-        if len(small) >= 4:
+        if min(start + SEGMENT_SIZE, stop + 1) - 1 >= 49:
             self.pattern = np.zeros(WHEEL)
-            for marks in self.strided[:4]:  # no larger prime divides WHEEL
+            for marks in self.marks[:4]:  # no larger prime divides WHEEL
                 for pk, w in marks:
                     if WHEEL % pk == 0:
                         self.pattern[::pk] += w
@@ -153,23 +158,21 @@ class KernelPlan:
         # window reuses the heap the last one freed instead of mapping and
         # faulting in its pages again: the t-free body (verify_tfree_robin
         # for t = 6 and 7 and a champion scan, to 1e6) takes 1.3k page faults
-        # instead of 2.8k, and 0.023 s instead of 0.025 s (medians of 21 runs
+        # instead of 2.8k, and 0.021 s instead of 0.026 s (medians of 15 runs
         # on two shared cores), for the same peak RSS.
-        np.empty(32 * width, dtype=np.uint8)
+        np.empty(32 * min(SEGMENT_SIZE, stop - start + 1), dtype=np.uint8)
 
 
 def window_weights(lo: int, hi: int, plan: KernelPlan) -> np.ndarray:
-    """acc[i], in float64, the weights summed over the base primes p <= sqrt(hi - 1)
-    that divide n = lo + i, for each n in [lo, hi).
+    """acc[i], in float64, the weights summed over the marked primes p <=
+    sqrt(hi - 1) that divide n = lo + i, for each n in [lo, hi).
 
     acc starts from the plan's pattern at phase lo % WHEEL, a few slice
-    copies, or from zeros when the plan has none.  A strided prime adds
+    copies, or from zeros when the plan has none.  Each marked prime adds
     weight(p, k) to every multiple of its other powers p^k in the window
     through the slice acc[(-lo) % p^k :: p^k], so n takes weight(p, 1) + ... +
-    weight(p, e), e the exponent of p in n.  A batched prime adds total(p) once
-    to each of its multiples, whatever the exponent, through the offsets of
-    _batched_marks and one np.add.at.  No n is divided or factored.  plan must
-    hold every prime up to sqrt(hi - 1), and if it has a pattern, hi - 1 >= 49.
+    weight(p, e), e the exponent of p in n.  No n is divided or factored.
+    If the plan has a pattern, hi - 1 >= 49.
     """
     size = hi - lo
     if plan.pattern is None:
@@ -182,49 +185,41 @@ def window_weights(lo: int, hi: int, plan: KernelPlan) -> np.ndarray:
         for a in range(head, size, WHEEL):
             acc[a : a + WHEEL] = plan.pattern[: size - a]
     count = int(np.searchsorted(plan.primes, math.isqrt(hi - 1), side="right"))
-    for marks in plan.strided[:count]:
+    for marks in plan.marks[:count]:
         for pk, w in marks:
             if (s := (-lo) % pk) >= size:
                 break  # no multiple of p^k in the window, so none of a higher power
             acc[s::pk] += w
-    p, off = _batched_marks(lo, hi, plan.primes[len(plan.strided) : count])
-    if p.size:
-        np.add.at(acc, off, plan.total(p))
     return acc
 
 
-def _batched_marks(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, off): every multiple of every one of these primes in [lo, hi),
-    prime by prime, ascending; p[i] divides lo + off[i].  Their first
-    multiples come from one vectorised modulo, after the bucket sieve of
-    Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014)."""
-    size = hi - lo
-    s = (-lo) % primes  # the offset of each prime's first multiple
-    hit = s < size
-    p, s = primes[hit], s[hit]
-    counts = (size - 1 - s) // p + 1
-    p = np.repeat(p, counts)
-    first = np.cumsum(counts) - counts
-    off = np.repeat(s, counts)
-    off += p * (np.arange(p.size) - np.repeat(first, counts))
-    return p, off
+def window_gap(hi: int, total) -> float:
+    """m total(q), with q = min(MARK_CAP, isqrt(hi - 1)) + 1 and m the largest
+    integer with q^m <= hi - 1: a bound on the weight of the prime factors
+    the window [lo, hi) leaves unmarked.  They are at least q, so an n < hi
+    has at most m of them, and each adds at most total(q)."""
+    q = min(MARK_CAP, math.isqrt(hi - 1)) + 1
+    m, power = 0, q
+    while power < hi:
+        m, power = m + 1, power * q
+    return m * float(total(q))
 
 
 def sweep(
     start: int, stop: int, table: PrimeTable, weight, total
 ) -> Iterator[tuple[int, np.ndarray, float]]:
-    """Yield (lo, acc, gap) for each window [lo, lo + acc.size) of SEGMENT_SIZE
-    integers in [start, stop], acc its window_weights, once check_sweep has
-    passed.  Base primes come from table, which must reach sqrt(stop); the
-    kernel's plan of them and their weights is formed once.
+    """Yield (lo, acc, gap) for each window [lo, hi) of SEGMENT_SIZE integers
+    in [start, stop], acc its window_weights and gap its window_gap, once
+    check_sweep has passed.  table must reach sqrt(stop), as factorize
+    needs every prime up to it for the n a screen keeps; the kernel's plan
+    of the marked primes and their weights is formed once.
 
-    weight(p, k) >= 0 is the weight the k-th power of p adds, total(p) bounds
-    its sum over every k from above, and weight(x, 1) falls as x grows; both
-    take an int64 array of primes, or an int, and return float64.  An n < hi
-    has at most one prime factor q above root = isqrt(hi - 1), to the first
-    power, so gap = weight(root + 1, 1) bounds the weight it misses in acc.
-    For n <= 2^50, acc sums at most 50 weights, each within 8 ulp, below 2 in
-    all: its float error is below 2e-14.
+    weight(p, k) >= 0 is the weight the k-th power of p adds, total(p)
+    bounds its sum over every k from above, and total(p) falls as p grows;
+    both take an int64 array of primes, or an int, and return float64.  So
+    acc is at most the sum of the weights of n, and acc + gap at least.
+    For n <= 2^50, acc sums at most 50 weights, each within 8 ulp, below 2
+    in all: its float error is below 2e-14.
     """
     check_sweep(start, stop)
     root = math.isqrt(stop)
@@ -233,11 +228,10 @@ def sweep(
             f"sweep needs primes to sqrt({stop}) = {root}, "
             f"table stops at {table.limit}; enlarge the sieve"
         )
-    base_primes = table.primes[: np.searchsorted(table.primes, root, side="right")]
-    plan = KernelPlan(base_primes, min(SEGMENT_SIZE, stop - start + 1), stop, weight, total)
+    plan = KernelPlan(table.primes, start, stop, weight)
     for lo in range(start, stop + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, stop + 1)
-        yield lo, window_weights(lo, hi, plan), float(weight(math.isqrt(hi - 1) + 1, 1))
+        yield lo, window_weights(lo, hi, plan), window_gap(hi, total)
 
 
 def sigma(f: Factorization) -> int:

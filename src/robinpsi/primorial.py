@@ -4,8 +4,8 @@ N_n = p_1 p_2 ... p_n.  log N_n is the table's theta prefix and
 log(psi_t(N_n)/N_n) comes from log_psi_ratio_prefix, both compensated prefix
 sums over the primes.  champion_scan loops over the windows of
 multiplicative.sweep: the kernel sums each window's float log psi_t(n)/n over
-the primes up to the window's root, a lower bound, and the one larger prime
-an n may have adds at most the window's gap; a screen keeps the n whose bounds
+the marked primes, a lower bound, and the larger prime factors an n may
+have add at most the window's gap; a screen keeps the n whose bounds
 come within LOG_RATIO_BAND of the running maximum, and the loop re-decides
 each of them exactly.  reduction_check is the corollary of that scan.
 """
@@ -116,7 +116,8 @@ def cursor_advance(*_args: object, **_kwargs: object) -> None:
 
 
 def log_terms(p: int | np.ndarray, t: int) -> np.floating | np.ndarray:
-    """log(1 + 1/p + ... + 1/p^(t-1)) = log1p((1 - p^(1-t)) / (p - 1)) in float64."""
+    """log(1 + 1/p + ... + 1/p^(t-1)) = log1p((1 - p^(1-t)) / (p - 1)) in
+    float64; it falls as p grows."""
     q = np.asarray(p, dtype=np.float64)
     return np.log1p((1.0 - q ** (1 - t)) / (q - 1.0))
 

@@ -2,9 +2,11 @@
 
 The inequality under test is sigma(n) < e^gamma * n * log log n for n >= 5041.
 A scan takes its range window by window from `multiplicative.sweep`, never
-by per-integer factorization: the kernel sums each window's upper bounds on
-log(sigma(n)/n) from weights per prime power, and `_window_violators`
-screens them and decides each n the screen keeps from its exact sigma.  The t-free pipeline checks
+by per-integer factorization: the kernel sums log(sigma(p^e)/p^e) over the
+marked prime powers of each n, the window's gap bounds what its larger
+prime factors add, and `_window_violators` screens the sum of the two, an
+upper bound on log(sigma(n)/n), and decides each n the screen keeps from
+its exact sigma.  The t-free pipeline checks
 the bridge (c) first, which needs no sweep and bounds the range before any
 sieving, then scans for (a), once per table and scan limit for every t.
 A verdict's float margin within n * 1e-9 of zero, and R_t(N_n1) within 1e-9
@@ -79,7 +81,8 @@ def _sigma_weight(p, k: int) -> np.ndarray:
 
 def _sigma_total(p) -> np.ndarray:
     """log(p/(p-1)), the limit of log(sigma(p^k)/p^k) as k grows, which the
-    sum of _sigma_weight(p, k) over k = 1..e stays below for every e."""
+    sum of _sigma_weight(p, k) over k = 1..e stays below for every e; it
+    falls as p grows."""
     return -np.log1p(-1.0 / np.asarray(p, dtype=np.float64))
 
 
@@ -126,7 +129,7 @@ def robin_scan(start: int, stop: int, table: PrimeTable) -> list[RobinVerdict]:
         raise ValueError(f"empty scan range [{start}, {stop}]")
     out: list[RobinVerdict] = []
     for lo, acc, gap in sweep(start, stop, table, _sigma_weight, _sigma_total):
-        acc += gap  # the one prime above the window's root, if n has one
+        acc += gap  # the prime factors the kernel leaves unmarked
         out += _window_violators(lo, acc, table)
     return out
 

@@ -1,4 +1,4 @@
-"""Shared fixtures, the trial-division oracle, and the integer checks of the
+"""Shared fixtures, the factoring oracle, and the integer checks of the
 sweep kernel's marks. Prime tables are the only expensive setup, so build
 them once."""
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from robinpsi import bounds, build_table
-from robinpsi.multiplicative import BATCH_MULTIPLES, KernelPlan, _batched_marks, window_weights
+from robinpsi.multiplicative import MARK_CAP, KernelPlan, window_weights
 
 
 @pytest.fixture(scope="session")
@@ -75,10 +75,12 @@ def spy_60_digits(monkeypatch, module):
 
 def factor_by_division(n):
     """(p, e) of each prime power exactly dividing n, primes increasing, by
-    trial division over every d: independent of the package's primes."""
+    trial division over every d below 1024, then Pollard's rho on what is
+    left until is_prime certifies each part: independent of the package's
+    primes, and quick on any n below 2^62."""
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < 1024:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -86,9 +88,33 @@ def factor_by_division(n):
                 e += 1
             out.append((d, e))
         d += 1
-    if n > 1:
-        out.append((n, 1))
+    large = []
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            large.append(m)
+        else:
+            g = _rho_factor(m)
+            parts += [g, m // g]
+    out += [(p, large.count(p)) for p in sorted(set(large))]
     return tuple(out)
+
+
+def _rho_factor(n):
+    """A proper factor of the odd composite n, by Pollard's rho with Floyd's
+    cycle finding."""
+    for c in range(1, n):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+    raise AssertionError(f"no factor of {n} found")
 
 
 # The least odd composite n that passes Miller-Rabin to each of the first k
@@ -140,53 +166,38 @@ def _zero(p, k=None):
 
 
 def factors_from_marks(lo, hi, primes):
-    """The (p, e) of each n in [lo, hi), primes increasing, read off the
-    kernel's marks for a window plan of these primes, every mark checked by
-    integer arithmetic.
+    """The (p, e) of each n in [lo, hi) for the primes a window plan of
+    these primes marks, primes increasing, read off the kernel's marks, every
+    mark checked by integer arithmetic.
 
-    Each strided prime p0 runs the kernel alone, with weight 2^(k-1) on the
+    The plan must mark the primes up to MARK_CAP and the window's root.
+    Each of them, p0, runs the kernel alone, with weight 2^(k-1) on the
     marks of p0^k: n then sums to 2^e - 1, and e must be the exponent of p0
-    in n.  Each batched mark must divide its n, and the kernel must add the
-    batched primes' totals at their marks.  What is left of n must be 1 or
-    one prime above the window's root."""
+    in n."""
     width, stop = hi - lo, hi - 1
-    root = math.isqrt(stop)
-    base = primes[: np.searchsorted(primes, root, side="right")]
-    strided = base[base <= width // BATCH_MULTIPLES]
+    top = min(MARK_CAP, math.isqrt(stop))
+    marked = primes[: np.searchsorted(primes, top, side="right")]
+    assert KernelPlan(primes, lo, stop, _zero).primes.tolist() == marked.tolist()
     ns = np.arange(lo, hi, dtype=np.int64)
     factors = [[] for _ in range(width)]
-    for p0 in strided.tolist():
+    for p0 in marked.tolist():
 
         def weight(p, k):
             return np.where(p == p0, 2.0 ** (k - 1), 0.0)
 
-        acc = window_weights(lo, hi, KernelPlan(primes, width, stop, weight, _zero))
-        marked = acc.astype(np.int64) + 1
-        assert (marked == acc + 1).all() and (marked & (marked - 1) == 0).all()
+        acc = window_weights(lo, hi, KernelPlan(primes, lo, stop, weight))
+        sums = acc.astype(np.int64) + 1
+        assert (sums == acc + 1).all() and (sums & (sums - 1) == 0).all()
         exps = np.frexp(acc + 1)[1].astype(np.int64) - 1  # 2^e = 0.5 * 2^(e + 1)
         pe = p0**exps
         assert (ns % pe == 0).all() and (ns % (pe * p0) != 0).all()
         for i in np.flatnonzero(exps).tolist():
             factors[i].append((p0, int(exps[i])))
-    p, off = _batched_marks(lo, hi, base[strided.size :])
-    assert p.dtype == off.dtype == np.int64
-    # prime by prime, ascending, each one's offsets ascending
-    assert ((np.diff(p) > 0) | ((np.diff(p) == 0) & (np.diff(off) > 0))).all()
-    assert (ns[off] % p == 0).all()
-    sums = np.zeros(width)
-    for q, i in zip(p.tolist(), off.tolist()):
-        assert is_prime(q)
-        n, e = lo + i, 1
-        while n % q ** (e + 1) == 0:
-            e += 1
-        factors[i].append((q, e))
-        sums[i] += q
-    total = window_weights(lo, hi, KernelPlan(primes, width, stop, _zero, lambda q: q * 1.0))
-    assert (total == sums).all()
-    for i, n in enumerate(range(lo, hi)):
-        cofactor, rest = divmod(n, math.prod(q**e for q, e in factors[i]))
-        assert rest == 0
-        assert cofactor == 1 or (cofactor > root and is_prime(cofactor))
-        if cofactor > 1:
-            factors[i].append((cofactor, 1))
     return [tuple(f) for f in factors]
+
+
+def marked_part(factors, lo, hi):
+    """The (p, e) of factors, an n's in the window [lo, hi), with p among the
+    primes the window marks: those up to MARK_CAP and the window's root."""
+    top = min(MARK_CAP, math.isqrt(hi - 1))
+    return tuple((p, e) for p, e in factors if p <= top)

@@ -1,8 +1,9 @@
 """Checks of the division-free sweep kernel and the screens built on it: its
 marks against per-integer factorize, against the division kernel it replaced
-and by integer arithmetic just below 2^50; its window sums as bounds on the
-exact log(sigma(n)/n) and log(psi_t(n)/n); how many n the screens send to
-exact decisions; and the t-free pipeline against a divisor-sum sieve."""
+and by integer arithmetic just below 2^50; its window sums and gaps as
+bounds on the exact log(sigma(n)/n) and log(psi_t(n)/n); how many n the
+screens send to exact decisions; and the t-free pipeline against a
+divisor-sum sieve."""
 
 import math
 import time
@@ -25,22 +26,22 @@ from robinpsi import (
 )
 from robinpsi import multiplicative, primorial, robin
 from robinpsi.multiplicative import (
-    BATCH_MULTIPLES,
+    MARK_CAP,
     MAX_SCAN_STOP,
     MAX_SPAN,
     WHEEL,
     Factorization,
     KernelPlan,
-    _batched_marks,
     factorize,
     psi_over_n,
     sigma,
+    window_gap,
     window_weights,
 )
-from robinpsi.primes import _segmented_primes
+from robinpsi.primes import PrimeTable, _segmented_primes
 from robinpsi.primorial import log_terms
 
-from conftest import factor_by_division, factors_from_marks
+from conftest import factor_by_division, factors_from_marks, marked_part
 
 EDGE = multiplicative.SEGMENT_SIZE
 
@@ -51,13 +52,12 @@ SUM_ERROR = 1e-13
 
 
 @st.composite
-def batched_windows(draw):
-    """n = p q r or n = p^2 q with p, q, r batched base primes of a window
-    holding n: each above its threshold, none above sqrt(n); and the window,
-    (n, lo, width)."""
+def unmarked_windows(draw):
+    """n = p q r or n = p^2 q with p, q, r primes the kernel leaves unmarked
+    in a window holding n: each above MARK_CAP, none above sqrt(n); and the
+    window, (n, lo, width)."""
     width = draw(st.integers(1, 3000))
-    low = max(width // BATCH_MULTIPLES + 1, 50)  # then p q >= 53 * 59 > 1000 >= r
-    pool = [p for p in PRIMES_TO_1000 if p >= low]
+    pool = [p for p in PRIMES_TO_1000 if p > MARK_CAP]  # then p q >= 191 * 193 > 1000 >= r
     p, q, r = sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3, unique=True)))
     n = p * p * q if draw(st.booleans()) else p * q * r
     return n, n - draw(st.integers(0, width - 1)), width
@@ -72,51 +72,43 @@ windows = st.one_of(
         ),
         st.integers(1, 3000),
     ),
-    batched_windows().map(lambda window: window[1:]),
+    unmarked_windows().map(lambda window: window[1:]),
 )
 
 
 def _sums(lo, hi, primes, weight, total):
     """The kernel's sums on [lo, hi) and the window's gap, as a sweep of
     [lo, hi - 1] forms them."""
-    acc = window_weights(lo, hi, KernelPlan(primes, hi - lo, hi - 1, weight, total))
-    return acc, float(weight(math.isqrt(hi - 1) + 1, 1))
+    return window_weights(lo, hi, KernelPlan(primes, lo, hi - 1, weight)), window_gap(hi, total)
 
 
 def _check_sigma_bounds(lo, hi, primes, factors):
-    """The Robin sums on [lo, hi) against each n's factors: acc sums the
-    weights of the contract, log(sigma(p^e)/p^e) for a strided p and
-    log(p/(p-1)) for a batched one, within the float error; with the gap it
-    bounds log(sigma(n)/n) from above, and it lies above that by no more than
-    the batched primes' excess, log(p^2/(p^2-1)) at most each."""
+    """The Robin sums on [lo, hi) against each n's factors: acc sums
+    log(sigma(p^e)/p^e) over the marked prime powers of n within the float
+    error, a lower bound on log(sigma(n)/n), and with the gap an upper
+    bound."""
     acc, gap = _sums(lo, hi, primes, robin._sigma_weight, robin._sigma_total)
-    threshold, root = (hi - lo) // BATCH_MULTIPLES, math.isqrt(hi - 1)
     for i, n in enumerate(range(lo, hi)):
         exact = math.log(Fraction(sigma(Factorization(n, factors[i])), n))
-        base = [(p, e) for p, e in factors[i] if p <= root]
-        batched = [p for p, _ in base if p > threshold]
-        local = [Fraction(sigma(Factorization(p**e, ((p, e),))), p**e) for p, e in base]
         contract = sum(
-            math.log(Fraction(p, p - 1)) if p > threshold else math.log(r)
-            for (p, _), r in zip(base, local)
+            math.log(Fraction(sigma(Factorization(p**e, ((p, e),))), p**e))
+            for p, e in marked_part(factors[i], lo, hi)
         )
         assert acc[i] == pytest.approx(contract, abs=SUM_ERROR)
-        assert exact <= acc[i] + gap + SUM_ERROR
-        excess = sum(math.log(Fraction(p * p, p * p - 1)) for p in batched)
-        assert acc[i] - excess <= exact + SUM_ERROR
+        assert acc[i] - SUM_ERROR <= exact <= acc[i] + gap + SUM_ERROR
 
 
 def _check_psi_bounds(lo, hi, primes, factors, t):
     """The sums of log_terms on [lo, hi) against each n's factors: acc sums
-    log(psi_t(p)/p) over the base primes of n within the float error, a lower
-    bound on log(psi_t(n)/n), and with the gap an upper bound."""
+    log(psi_t(p)/p) over the marked primes of n within the float error, a
+    lower bound on log(psi_t(n)/n), and with the gap an upper bound."""
     weight, total = partial(primorial._psi_weight, t=t), partial(log_terms, t=t)
     acc, gap = _sums(lo, hi, primes, weight, total)
-    root = math.isqrt(hi - 1)
     for i, n in enumerate(range(lo, hi)):
         exact = math.log(psi_over_n(Factorization(n, factors[i]), t))
         contract = sum(
-            math.log(psi_over_n(Factorization(p, ((p, 1),)), t)) for p, _ in factors[i] if p <= root
+            math.log(psi_over_n(Factorization(p, ((p, 1),)), t))
+            for p, _ in marked_part(factors[i], lo, hi)
         )
         assert acc[i] == pytest.approx(contract, abs=SUM_ERROR)
         assert acc[i] - SUM_ERROR <= exact <= acc[i] + gap + SUM_ERROR
@@ -149,7 +141,8 @@ def _division_kernel(lo, hi, base_primes):
 @settings(max_examples=150, deadline=None)
 @given(windows)
 def test_kernel_matches_division_kernel(small_table, window):
-    # the marks give each n the prime powers the division kernel peels off it
+    # the marks give each n the powers of the marked primes the division
+    # kernel peels off it
     lo, width = window
     hi = lo + width
     folded = [[] for _ in range(width)]
@@ -157,22 +150,22 @@ def test_kernel_matches_division_kernel(small_table, window):
         ps = p.tolist() if np.ndim(p) else [p] * where.size
         for q, i, e in zip(ps, where.tolist(), exp.tolist()):
             folded[i].append((q, e))
-    assert factors_from_marks(lo, hi, small_table.primes) == [tuple(f) for f in folded]
+    marked = [marked_part(f, lo, hi) for f in folded]
+    assert factors_from_marks(lo, hi, small_table.primes) == marked
 
 
 @settings(max_examples=60, deadline=None)
-@given(batched_windows())
-def test_kernel_batches_three_primes_or_a_square(small_table, window):
-    # n = p q r or p^2 q takes one batched mark per prime, and its Robin bound
-    # covers the square, which the batched marks do not see
+@given(unmarked_windows())
+def test_gap_covers_three_unmarked_primes_or_a_square(small_table, window):
+    # n = p q r or p^2 q takes no mark, and the gap alone bounds its Robin
+    # and psi_t ratios, the square included
     n, lo, width = window
     hi = lo + width
-    primes = small_table.primes
-    base = primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")]
-    p, off = _batched_marks(lo, hi, base[base > width // BATCH_MULTIPLES])
-    assert sorted(p[off == n - lo].tolist()) == [q for q, _ in factor_by_division(n)]
-    acc, _ = _sums(lo, hi, small_table.primes, robin._sigma_weight, robin._sigma_total)
-    assert math.log(Fraction(sigma(factorize(n, small_table)), n)) <= acc[n - lo] + SUM_ERROR
+    f = Factorization(n, factor_by_division(n))
+    for weights, exact in (("robin", Fraction(sigma(f), n)), ("psi7", psi_over_n(f, 7))):
+        acc, gap = _sums(lo, hi, small_table.primes, *WEIGHTS[weights])
+        assert acc[n - lo] == 0.0
+        assert math.log(exact) <= gap + SUM_ERROR
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,8 +173,10 @@ def test_kernel_batches_three_primes_or_a_square(small_table, window):
 def test_kernel_exponents_and_sigma(small_table, window):
     lo, width = window
     hi = lo + width
-    factors = factors_from_marks(lo, hi, small_table.primes)
-    assert factors == [factorize(n, small_table).factors for n in range(lo, hi)]
+    factors = [factorize(n, small_table).factors for n in range(lo, hi)]
+    assert factors_from_marks(lo, hi, small_table.primes) == [
+        marked_part(f, lo, hi) for f in factors
+    ]
     _check_sigma_bounds(lo, hi, small_table.primes, factors)
 
 
@@ -208,32 +203,18 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
         )
 
     expected = run()
-    batched = []
-
-    def spy(lo, hi, primes):
-        p, off = _batched_marks(lo, hi, primes)
-        batched.append(p.size)
-        return p, off
-
     monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", 997)
-    monkeypatch.setattr(multiplicative, "_batched_marks", spy)
     assert run() == expected
     assert expected[-1]
-    # most windows batch some base primes above 997 // BATCH_MULTIPLES
-    assert sum(count > 0 for count in batched) > len(batched) // 2
 
 
-def _strided_oracle(lo, hi, primes, weight, total, width):
-    """The sums on [lo, hi) by plain passes, for a plan of windows of width
-    integers: each base prime p up to the window's root adds weight(p, k) at
-    every multiple of each p^k in the window if width holds more than
-    BATCH_MULTIPLES multiples of p, and total(p) at every multiple of p if
-    not."""
+def _strided_oracle(lo, hi, primes, weight):
+    """The sums on [lo, hi) by plain strided passes: each prime p up to
+    MARK_CAP and the window's root adds weight(p, k) at every multiple of
+    each p^k in the window."""
     acc = np.zeros(hi - lo)
-    for p in primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")].tolist():
-        if p > width // BATCH_MULTIPLES:
-            acc[(-lo) % p :: p] += float(total(p))
-            continue
+    top = min(MARK_CAP, math.isqrt(hi - 1))
+    for p in primes[: np.searchsorted(primes, top, side="right")].tolist():
         k, pk = 1, p
         while pk < hi:
             acc[(-lo) % pk :: pk] += float(weight(p, k))
@@ -247,6 +228,11 @@ WEIGHTS = {
         f"psi{t}": (partial(primorial._psi_weight, t=t), partial(log_terms, t=t))
         for t in (2, 7)
     },
+}
+# the exact log ratio each pair of weights sums, of a Factorization
+EXACT = {
+    "robin": lambda f: math.log(Fraction(sigma(f), f.value)),
+    **{f"psi{t}": lambda f, t=t: math.log(psi_over_n(f, t)) for t in (2, 7)},
 }
 
 
@@ -271,7 +257,7 @@ def plans(monkeypatch):
         (1, EDGE),  # the first window of a sweep
         (33 * WHEEL, EDGE),  # phase 0, across four period ends
         (33 * WHEEL - 1, EDGE),  # phase WHEEL - 1
-        (33 * WHEEL - 1, 448),  # phase WHEEL - 1, 7 just strided
+        (33 * WHEEL - 1, 448),  # phase WHEEL - 1, a short window
         (33 * WHEEL - 1, WHEEL + 2),  # one integer past the second period end
         (33 * WHEEL, 3000),  # phase 0, inside one period
         (1000 * WHEEL - 100, 2 * WHEEL + 200),  # across three period ends
@@ -279,12 +265,12 @@ def plans(monkeypatch):
     ],
 )
 def test_wheel_matches_strided_oracle(small_table, weights, lo, width):
-    weight, total = WEIGHTS[weights]
+    weight, _ = WEIGHTS[weights]
     hi = lo + width
-    plan = KernelPlan(small_table.primes, width, hi - 1, weight, total)
+    plan = KernelPlan(small_table.primes, lo, hi - 1, weight)
     assert plan.pattern is not None
     acc = window_weights(lo, hi, plan)
-    oracle = _strided_oracle(lo, hi, small_table.primes, weight, total, width)
+    oracle = _strided_oracle(lo, hi, small_table.primes, weight)
     assert np.abs(acc - oracle).max() <= SUM_ERROR
 
 
@@ -293,24 +279,23 @@ def test_wheel_matches_strided_oracle(small_table, weights, lo, width):
     "start, stop, wheel",
     [
         (WHEEL - 3000, 3 * WHEEL + 3000, True),  # windows across three period ends
-        (1, 5000, True),  # 7 strided, the first window's root 31
+        (1, 5000, True),  # the first window's root 31
         (1, 48, False),  # stop < 49: 7 is no base prime
-        (1, 447, False),  # one window of 447: 7 is batched
+        (1, 49, True),  # the least stop whose windows all mark 7
         (1, 448, True),
-        (10**9, 10**9 + 446, False),
+        (32_000, 34_000, True),  # window roots pass MARK_CAP = 181, 181^2 = 32761
         (10**9, 10**9 + 447, True),
     ],
 )
 def test_sweeps_of_short_windows_match_strided_oracle(
     monkeypatch, plans, small_table, weights, start, stop, wheel
 ):
-    # windows of 997 integers, shorter than the period; where 2, 3, 5 and 7
-    # are not all strided the sweep starts from zeros
+    # windows of 997 integers, shorter than the period; where a window's
+    # last n is below 49, so that 7 is not marked, the sweep starts from zeros
     monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", 997)
     weight, total = WEIGHTS[weights]
-    width = min(997, stop - start + 1)
     for lo, acc, _ in multiplicative.sweep(start, stop, small_table, weight, total):
-        oracle = _strided_oracle(lo, lo + acc.size, small_table.primes, weight, total, width)
+        oracle = _strided_oracle(lo, lo + acc.size, small_table.primes, weight)
         assert np.abs(acc - oracle).max() <= SUM_ERROR
     (plan,) = plans
     assert (plan.pattern is not None) == wheel
@@ -318,14 +303,14 @@ def test_sweeps_of_short_windows_match_strided_oracle(
 
 def test_default_sweeps_use_the_wheel(plans):
     # a sweep over [1, 1e6] sums 2^1..2^5, 3, 9, 27, 5 and 7 from the pattern,
-    # and no strided pass is left for a power dividing WHEEL
+    # and no mark is left for a power dividing WHEEL
     assert len(robin_scan(3, 10**6, build_table(1001))) == 26
     assert champion_scan(10**6, 2)[-1] == 510510
     assert len(plans) == 2
     for plan in plans:
         assert plan.pattern is not None and plan.pattern.shape == (WHEEL,)
         assert plan.pattern[0] > 0.0 and plan.pattern[1] == 0.0
-        assert not [pk for marks in plan.strided for pk, _ in marks if WHEEL % pk == 0]
+        assert not [pk for marks in plan.marks for pk, _ in marks if WHEEL % pk == 0]
 
 
 @pytest.fixture(scope="module")
@@ -445,10 +430,58 @@ def primes_to_2_25():
     ],
 )
 def test_kernel_below_scan_limit(primes_to_2_25, lo, hi):
-    # every mark is checked by integer arithmetic, and the window's sums
-    # against the factors the marks give
-    factors = factors_from_marks(lo, hi, primes_to_2_25)
-    root, threshold = math.isqrt(hi - 1), (hi - lo) // BATCH_MULTIPLES
-    assert any(threshold < p <= root for f in factors for p, _ in f)  # some base primes are batched
+    # every mark is checked by integer arithmetic, and the window's sums and
+    # gap against each n's factors from trial division and rho
+    factors = [factor_by_division(n) for n in range(lo, hi)]
+    marked = [marked_part(f, lo, hi) for f in factors]
+    assert factors_from_marks(lo, hi, primes_to_2_25) == marked
+    assert any(f != m for f, m in zip(factors, marked))  # some factors are left to the gap
     _check_sigma_bounds(lo, hi, primes_to_2_25, factors)
     _check_psi_bounds(lo, hi, primes_to_2_25, factors, 7)
+
+
+@st.composite
+def sweep_windows(draw):
+    """[lo, hi) of 1..500 integers near 3, 5040, 1e6, 1e12 or just below 2^50."""
+    width = draw(st.integers(1, 500))
+    near = draw(st.sampled_from([3, 5040, 10**6, 10**12, MAX_SCAN_STOP - 600]))
+    lo = max(1, near + draw(st.integers(-600, 100)))
+    return lo, lo + width
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_windows(), st.sampled_from(sorted(WEIGHTS)))
+def test_sweep_bounds_each_n_from_both_sides(primes_to_2_25, window, weights):
+    # acc <= exact <= acc + gap, and acc = exact where the window marks every
+    # prime factor of n: the primes up to MARK_CAP and the window's root
+    lo, hi = window
+    weight, total = WEIGHTS[weights]
+    table = PrimeTable(limit=1 << 25, primes=primes_to_2_25)
+    ((_, acc, gap),) = multiplicative.sweep(lo, hi - 1, table, weight, total)
+    for i, n in enumerate(range(lo, hi)):
+        factors = factor_by_division(n)
+        exact = EXACT[weights](Factorization(n, factors))
+        assert acc[i] - SUM_ERROR <= exact <= acc[i] + gap + SUM_ERROR
+        if marked_part(factors, lo, hi) == factors:
+            assert exact == pytest.approx(acc[i], abs=SUM_ERROR)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (MAX_SCAN_STOP - 2**20 + 1, MAX_SCAN_STOP),
+        # around the superabundant number 890488576177200
+        (890488576177200 - 2**19, 890488576177200 + 2**19 - 1),
+    ],
+    ids=["2^50", "superabundant"],
+)
+def test_screens_send_few_n_to_exact_decisions_near_2_50(
+    monkeypatch, primes_to_2_25, start, stop
+):
+    # the gap grows with the count of unmarked prime factors an n may have,
+    # and must still clear all but a few n of a window near the scan limit
+    decided = []
+    real = robin.factorize
+    monkeypatch.setattr(robin, "factorize", lambda n, table: decided.append(n) or real(n, table))
+    assert robin_scan(start, stop, PrimeTable(limit=1 << 25, primes=primes_to_2_25)) == []
+    assert len(decided) <= 64

@@ -139,24 +139,24 @@ def test_scan_stop_limit(small_table):
 def test_sigma_block_across_segment_edge(small_table):
     # a sweep from a multiple of SEGMENT_SIZE splits at the next one; on both
     # sides of that edge the window sums must bound log(sigma(n)/n), and equal
-    # it where n has no prime factor above the window's root
+    # it where n has no prime factor above the cap
     edge = 2 * multiplicative.SEGMENT_SIZE
     bounds = {}
     weights = robin._sigma_weight, robin._sigma_total
     for lo, acc, gap in multiplicative.sweep(edge // 2, edge + 4, small_table, *weights):
         root = math.isqrt(lo + acc.size - 1)
-        assert root < multiplicative.SEGMENT_SIZE // multiplicative.BATCH_MULTIPLES  # none batched
+        assert root > multiplicative.MARK_CAP  # every prime up to the cap is marked
         for n in range(max(lo, edge - 5), min(lo + acc.size, edge + 5)):
-            bounds[n] = float(acc[n - lo]), gap, root
+            bounds[n] = float(acc[n - lo]), gap
     assert sorted(bounds) == list(range(edge - 5, edge + 5))
-    for n, (low, gap, root) in bounds.items():
+    for n, (low, gap) in bounds.items():
         sig, m, d = 0, n, 1
         while d * d <= m:
             if m % d == 0:
                 sig += d + (m // d if d != m // d else 0)
             d += 1
         exact = math.log(Fraction(sig, n))
-        large = factor_by_division(n)[-1][0] > root
+        large = factor_by_division(n)[-1][0] > multiplicative.MARK_CAP
         assert low - 1e-13 <= exact <= low + (gap if large else 0.0) + 1e-13
 
 
