@@ -20,11 +20,15 @@ that the estimate +- beta cannot decide.  criterion decides one index from
 libm, re-deciding at 60 digits a margin within its own error bound of zero;
 find_crossover_index gallops and then bisects over these certified
 decisions, as the left side falls with n, and admissible_t scans them over t.
-The four suites hand their columns to one sweep, _sweep: the zeta tail one
-column per t, the psi ratio one column over (t, n), whose blocks share each
-block's t-independent scale.  _sweep re-derives any |margin| below 1e-9 at
-60 digits, from logs of exact products (exact_log); a range without points
-reports SKIPPED.  zeta(2) is pinned to its series' output.
+The four suites hand their columns to one sweep, _sweep, the zeta tail and
+psi ratio suites one column per t.  _sweep re-derives any |margin| below
+1e-9 at 60 digits, from logs of exact products (exact_log); a range without
+points reports SKIPPED.  The margins of both t-indexed suites rise with t
+(the lemma above _zeta_tail_error), so once the least t's column is
+screened, each later column whose certified floor lies above the worst so
+far and the band is counted, not screened: a suite's points are every
+index it certifies, by its screen or by the lemma.  zeta(2) is pinned to
+its series' output.
 """
 
 from __future__ import annotations
@@ -434,8 +438,8 @@ def _psi_ratio_screen(
     t: int, scale: np.ndarray, logs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates of _psi_ratio_margin from scale, numpy _psi_ratio_scale at
-    each p = p_n and theta = log N_n, shared by every t, and logs, compensated
-    prefix sums of numpy terms up to each n; and beta.
+    each p = p_n and theta = log N_n, and logs, compensated prefix sums of
+    numpy terms up to each n; and beta.
 
     The terms of logs are primorial.log_terms, plain numpy
     log1p((1 - p^(1-t)) / (p - 1)): p^(1-t) <= 1/2 is within 16 ulp, so
@@ -455,58 +459,126 @@ def _psi_ratio_screen(
     return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
 
 
-def _psi_ratio_blocks(
-    ts: tuple[int, ...], table: PrimeTable, n_min: int, n_max: int
-) -> Iterator[tuple]:
+def _psi_ratio_blocks(t: int, table: PrimeTable, n_min: int, n_max: int) -> Iterator[tuple]:
     """_sweep's blocks (offset, est, beta) of _psi_ratio_screen over n_min <=
-    n <= n_max for each t of ts, one column over (t, n): offset j size + n -
-    n_min for the j-th t, size = n_max - n_min + 1.  One walk over the prime
-    blocks forms each block's p, theta and scale once and screens it for
-    every t.  Each t's terms are summed from n = 1, its compensated sum
-    resumed from block to block; the blocks reaching n_min are screened from
-    there."""
+    n <= n_max, offset counted from n_min.  The terms are summed from n = 1,
+    the compensated sum resumed from block to block; the blocks reaching
+    n_min are screened from there."""
     theta = table.theta_upto(n_max)
-    size = n_max - n_min + 1
-    states = [[0.0, 0.0] for _ in ts]
+    state = [0.0, 0.0]
     for a, b in blocks(0, n_max):  # the primes p_(a+1) .. p_b
         p = table.primes[a:b].astype(np.float64)
+        logs = compensated_prefix(primorial.log_terms(p, t), state)[1:]
         k = max(n_min - 1 - a, 0)  # n = a + 1 + k is the block's first n >= n_min
-        n = a + 1 + k
-        scale = _psi_ratio_scale(np, p[k:], theta[n : b + 1])  # empty before n_min
-        for j, (t, state) in enumerate(zip(ts, states)):
-            logs = compensated_prefix(primorial.log_terms(p, t), state)[1:]
-            if k < b - a:
-                yield (j * size + n - n_min, *_psi_ratio_screen(t, scale, logs[k:]))
+        if k < b - a:
+            n = a + 1 + k
+            scale = _psi_ratio_scale(np, p[k:], theta[n : b + 1])
+            yield (n - n_min, *_psi_ratio_screen(t, scale, logs[k:]))
 
 
-def _psi_ratio_margins(
-    ts: tuple[int, ...], table: PrimeTable, n_min: int, n_max: int, idx: np.ndarray
-) -> np.ndarray:
-    """_psi_ratio_margin from libm at the indices idx of _psi_ratio_blocks'
-    column, in any order.  Each t's pass of log_psi_ratio_prefix, its
-    correctly rounded terms, libm log1p and compensated sum, runs block by
-    block up to the largest n taken for that t, one t at a time, and keeps
+def _psi_ratio_margins(t: int, table: PrimeTable, n_min: int, idx: np.ndarray) -> np.ndarray:
+    """_psi_ratio_margin from libm at n = n_min + idx, ascending.  The pass of
+    log_psi_ratio_prefix, its correctly rounded terms, libm log1p and
+    compensated sum, runs block by block up to the last n taken and keeps
     only the sums at the n taken."""
-    j, n = np.divmod(idx, n_max - n_min + 1)
-    n += n_min
-    out = np.empty(idx.size)
-    for k, t in enumerate(ts):
-        at = np.flatnonzero(j == k)
-        if at.size:
-            nt = n[at]
-            last = int(nt.max())
-            logs = np.empty(nt.size)
-            for a, sums in primorial.log_psi_ratio_blocks(table, t, last):
-                here = np.flatnonzero((nt > a) & (nt <= a + sums.size))
-                logs[here] = sums[nt[here] - a - 1]
-            out[at] = _libm(
-                _psi_ratio_margin,
-                table.primes[nt - 1].astype(np.float64),
-                table.theta_upto(last)[nt],
-                np.full(nt.size, zeta(t).value),
-                logs,
-            )
-    return out
+    n = n_min + idx
+    last = int(n[-1])
+    logs = np.empty(n.size)
+    for a, sums in primorial.log_psi_ratio_blocks(table, t, last):
+        here = np.flatnonzero((n > a) & (n <= a + sums.size))
+        logs[here] = sums[n[here] - a - 1]
+    return _libm(
+        _psi_ratio_margin,
+        table.primes[n - 1].astype(np.float64),
+        table.theta_upto(last)[n],
+        np.full(n.size, zeta(t).value),
+        logs,
+    )
+
+
+# The lemma behind the column floors.  With P(n) = prod_{p <= p_n} (1 - 1/p)^-1
+# and U_t(n) = prod_{p > p_n} (1 - p^-t)^-1, which falls strictly as t grows,
+# psi_t(N_n)/N_n = P(n) U_t(n) / zeta(t), so the exact margins read
+#   psi ratio:  zeta(t) m_t(n) = S(n) - P(n) U_t(n), S the t-free scale,
+#   zeta tail:  m_t(n) = exp(2/p_n) - U_t(n),
+# and for t > t0: zeta(t) m_t(n) > zeta(t0) m_t0(n), and m_t(n) - m_t0(n) =
+# U_t0(n) - U_t(n) is at least its first factor's difference, at q = p_(n+1):
+# 1/(1 - q^-t0) - 1/(1 - q^-t) >= q^-t0 - q^-t >= g = q^-t0 (1 - 1/q), which
+# falls as q grows, so any q >= p_(n_max+1) gives a g for every n <= n_max.
+# A floor turns lo, a lower bound on every float margin of column t0, into
+# one on column t's through E_t, a bound on |float margin - exact margin|.
+
+
+def _zeta_tail_error(n_max: int, t: int) -> float:
+    """E_t of the zeta tail margins, 2 <= n <= n_max, in the error model above.
+
+    exp(2/p_n) is within 3u of G = exp(2/p_n) < 2.  Each term log1p(-p^-t),
+    p^-t <= 1/4 within 2u, is within (4/3) 2u + 2u < 4.7u of itself; all are
+    negative and every partial product of the (1 - p^-t) lies above
+    1/zeta(t), so each exact sum A_n has |A_n| <= log zeta(t) and the terms'
+    errors add under 4.7u log zeta(t).  The plain cumsum adds at most u (1 +
+    2^-20) sum_{j <= n} |A_j| <= 1.01 u n log zeta(t), the term that
+    dominates (a p^-t that underflows adds 2^-1074 more per term).  The exp
+    and the product with zeta(t) add 3u of H = zeta(t) exp(A_n) <= zeta(t),
+    zeta's own error at most abs_error_bound, as exp(A_n) <= 1, and the
+    subtraction u |margin| < 2u.  In all, under u (8 + zeta(t) (3 + (4.7 +
+    1.01 n) log zeta(t))) + abs_error_bound:
+    E_t = 2^-50 zeta(t) (3 + n_max log zeta(t)) + abs_error_bound,
+    whose slack of over 10u absorbs the floor's own roundings."""
+    z = zeta(t)
+    return 2.0**-50 * z.value * (3.0 + n_max * math.log1p(z.excess)) + z.abs_error_bound
+
+
+def _zeta_tail_floor(n_max: int, t0: int, lo: float, t: int) -> float:
+    """A lower bound on every float zeta tail margin of column t >= t0 for 2
+    <= n <= n_max, from lo, one on column t0's: the exact m_t0 >= lo - E_t0,
+    m_t >= m_t0 + g with g at q = nth_prime_bound(n_max + 1) >= p_(n_max+1)
+    (0 for t = t0), and the float m_t >= m_t - E_t."""
+    q = float(nth_prime_bound(n_max + 1))
+    g = q**-t0 * (1.0 - 1.0 / q) if t > t0 else 0.0
+    return lo + g - _zeta_tail_error(n_max, t0) - _zeta_tail_error(n_max, t)
+
+
+def _psi_ratio_error(table: PrimeTable, n_min: int, n_max: int, t: int) -> float:
+    """E_t of the psi ratio margins over [n_min, n_max], in the error model
+    above, wherever the ratio R is at most smax = S(p_(n_min), log N_(n_max)),
+    which bounds S = _psi_ratio_scale over the range, as exp(2/p) and 1/log
+    p fall and log log N_n rises with n.
+
+    S: the exp of gamma + 2/p_n is within 3.3u, log log N_n within 2.5u (the
+    compensated sum of libm logs is within 4u of log N_n, and log log N_n >
+    9.8), 1.1253 / log p_n within 3.3u, and the sum and product add 2u: 9u
+    of S.  The bound B = S / zeta(t) <= S adds u, and zeta's own error at
+    most abs_error_bound B, as zeta(t) >= 1.  Each term log1p(x) of L = log R,
+    x correctly rounded, is within 3u of itself and the compensated sum 2u
+    more, so L is within 5u L and R within u (5 L + 2) of itself.  The
+    subtraction adds u (B + R).  With R, B <= smax, and smax > 17 over n >=
+    2263, that is under u smax (14 + 5 log smax) + smax abs_error_bound:
+    E_t = smax (2^-49 (1 + log smax) + abs_error_bound),
+    its first term at least twice the u term; that slack absorbs the
+    floor's own roundings."""
+    smax = _psi_ratio_scale(math, int(table.primes[n_min - 1]), table.theta_upto(n_max)[n_max])
+    return smax * (2.0**-49 * (1.0 + math.log(smax)) + zeta(t).abs_error_bound)
+
+
+def _psi_ratio_floor(
+    table: PrimeTable, n_min: int, n_max: int, t0: int, lo: float, t: int
+) -> float:
+    """A lower bound on every float psi ratio margin of column t >= t0 over
+    [n_min, n_max], from lo, one on column t0's; -inf unless lo > E_t0.
+
+    Where lo > 0, the float ratio of column t0 lies below its bound, so R <=
+    smax and E_t0 holds: the exact m_t0 >= lo - E_t0 > 0.  Then m_t >= m_t0
+    zeta(t0)/zeta(t) >= r (lo - E_t0) > 0, with r <= zeta(t0)/zeta(t) from
+    both zetas' error bounds, so R < B <= smax in column t too, and the float
+    m_t >= m_t - E_t.
+    """
+    e0 = _psi_ratio_error(table, n_min, n_max, t0)
+    if lo <= e0:
+        return -math.inf
+    z0, z = zeta(t0), zeta(t)
+    r = (z0.value - z0.abs_error_bound) / (z.value + z.abs_error_bound)
+    return r * (lo - e0) - _psi_ratio_error(table, n_min, n_max, t)
 
 
 def admissible_t(n: int, table: PrimeTable) -> int | None:
@@ -573,23 +645,30 @@ _NO_INDEX = np.zeros(0, dtype=np.int64)
 
 def _screen_pass(screen: Callable, worst: float, cut: float | None) -> tuple:
     """One pass over a column's blocks: its point count, the least estimate
-    plus beta, top, the indices in the band, and the candidates with their
-    estimate less beta, lo: lo below worst and at or below cut, or where cut
-    is None, at or below top so far."""
-    size, top = 0, math.inf
+    less beta, the least estimate plus beta, top, the indices in the band,
+    and the candidates with their estimate less beta, lo: lo below worst and
+    at or below cut, or where cut is None, at or below top so far."""
+    size, least, top = 0, math.inf, math.inf
     band, found, found_lo = [_NO_INDEX], [_NO_INDEX], [np.zeros(0)]
     for offset, est, beta in screen():
         lo = est - beta
+        least = min(least, float(np.min(lo, initial=math.inf)))
         top = min(top, float(np.min(est + beta, initial=math.inf)))
         band.append(offset + np.flatnonzero(np.abs(est) < PRECISION_BAND + beta))
         keep = np.flatnonzero((lo < worst) & (lo <= (top if cut is None else cut)))
         found.append(offset + keep)
         found_lo.append(lo[keep])
         size += est.size
-    return size, top, np.concatenate(band), np.concatenate(found), np.concatenate(found_lo)
+    return size, least, top, np.concatenate(band), np.concatenate(found), np.concatenate(found_lo)
 
 
-def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> SuiteResult:
+def _sweep(
+    name: str,
+    columns: Iterable,
+    recheck: Callable,
+    where: Callable,
+    floor: Callable | None = None,
+) -> SuiteResult:
     """Worst margin over `columns`, triples (key, screen, margins) taken one at a time.
 
     screen() yields a column's blocks (offset, est, beta): numpy estimates of
@@ -616,12 +695,28 @@ def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> 
     one more pass collects the indices whose lo is at or below it.  Margins
     are kept only where taken.  A column without such indices adds only its
     point count.  A sweep without points reports skipped.
+
+    floor, where given, is a lemma over columns keyed by t, all of one
+    point count: floor(t0, lo, t) bounds every float margin of column t >=
+    t0 from below, lo being the least lo of column t0, the least key.  Once
+    column t0 is screened, each later column whose floor lies above both the
+    worst so far and PRECISION_BAND holds no margin in the band and none
+    below the worst, so it is not screened: it adds its point count, and the
+    result is the full sweep's.
     """
+    columns = list(columns)
+    t0 = min((key for key, _, _ in columns), default=None) if floor else None
+    base = None  # the point count and least lo of column t0, once screened
     worst = math.inf
     worst_at = ""
     points = rechecked = 0
     for key, screen, build in columns:
-        size, top, band, cand, cand_lo = _screen_pass(screen, worst, None)
+        if base and floor(t0, base[1], key) > max(worst, PRECISION_BAND):
+            points += base[0]
+            continue
+        size, least, top, band, cand, cand_lo = _screen_pass(screen, worst, None)
+        if floor and key == t0 and size and not base:
+            base = size, least
         points += size
         keep = cand_lo <= top
         cand, cand_lo = cand[keep], cand_lo[keep]
@@ -640,7 +735,7 @@ def _sweep(name: str, columns: Iterable, recheck: Callable, where: Callable) -> 
             margins.append(got)
             low = min(low, float(got.min()))
             if low > top:  # a recheck lifted it past top: the candidates may not reach it
-                _, _, _, cand, cand_lo = _screen_pass(screen, worst, low)
+                *_, cand, cand_lo = _screen_pass(screen, worst, low)
                 top = low
             take = cand[(cand_lo <= low) & ~np.isin(cand, np.concatenate(taken))]
         idx, got = np.concatenate(taken), np.concatenate(margins)
@@ -733,6 +828,7 @@ def zeta_tail_bound_suite(
             int(table.primes[i + 1]), mpmath.zeta(t), exact_log(table, "zeta_tail", i + 2, t)
         )),
         lambda t, i: f"t={t},n={i + 2}",
+        floor=partial(_zeta_tail_floor, n_max),
     )
 
 
@@ -785,27 +881,21 @@ def psi_ratio_bound_suite(
     n_max: int = 10**5,
 ) -> SuiteResult:
     """Margin sweep of the certified psi-ratio bound minus the exact ratio
-    exp(log psi_t(N_n)/N_n), per t, over [n_min, n_max]: one column, the t
-    of ts in turn (_psi_ratio_blocks)."""
+    exp(log psi_t(N_n)/N_n), for each t and every n_min <= n <= n_max."""
     if n_min < CRITERION_FLOOR:
         raise ValueError(f"bound needs n >= {CRITERION_FLOOR}, got {n_min}")
     require_primes(table, n_max)
-    size = n_max - n_min + 1
-
-    def recheck(_, i):
-        t, n = ts[i // size], n_min + i % size
-        return at_60_digits(_psi_ratio_margin, lambda: (
-            int(table.primes[n - 1]), exact_log(table, "primorial", n),
-            mpmath.zeta(t), exact_log(table, "psi_ratio", n, t),
-        ))
-
     return _sweep(
         "psi_ratio_bound",
-        [(
-            None,
-            partial(_psi_ratio_blocks, ts, table, n_min, n_max),
-            partial(_psi_ratio_margins, ts, table, n_min, n_max),
-        )],
-        recheck,
-        lambda _, i: f"t={ts[i // size]},n={n_min + i % size}",
+        [
+            (t, partial(_psi_ratio_blocks, t, table, n_min, n_max),
+             partial(_psi_ratio_margins, t, table, n_min))
+            for t in ts
+        ],
+        lambda t, i: at_60_digits(_psi_ratio_margin, lambda: (
+            int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i),
+            mpmath.zeta(t), exact_log(table, "psi_ratio", n_min + i, t),
+        )),
+        lambda t, i: f"t={t},n={n_min + i}",
+        floor=partial(_psi_ratio_floor, table, n_min, n_max),
     )

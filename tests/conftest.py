@@ -25,33 +25,22 @@ def small_table():
     return build_table(1 << 17)
 
 
-def column_of(key, label):
-    """The column of a sweep index that where(key, i) names label: the t of
-    a label "t=...,n=...", else key.  The psi ratio suite's one column over
-    (t, n) so counts as one column per t, as the zeta tail suite's do."""
-    return int(label[2 : label.index(",")]) if label.startswith("t=") else key
-
-
 @pytest.fixture
 def built_columns(monkeypatch):
-    """(suite, column_of) of every column where bounds._sweep takes float
-    margins at some index, once per column, in the order of the first index
-    taken."""
+    """(suite, key) of every column where bounds._sweep takes float margins
+    at some index, once per column, in the order of the first index taken;
+    a zeta tail or psi ratio column's key is its t."""
     built = []
     sweep = bounds._sweep
 
-    def build(name, key, margins, where, idx):
-        for i in np.sort(idx).tolist():
-            column = (name, column_of(key, where(key, i)))
-            if column not in built:
-                built.append(column)
+    def build(name, key, margins, idx):
+        if (name, key) not in built:
+            built.append((name, key))
         return margins(idx)
 
-    def spy(name, columns, recheck, where):
-        logged = (
-            (key, screen, partial(build, name, key, m, where)) for key, screen, m in columns
-        )
-        return sweep(name, logged, recheck, where)
+    def spy(name, columns, *rest, **kw):
+        logged = ((key, screen, partial(build, name, key, m)) for key, screen, m in columns)
+        return sweep(name, logged, *rest, **kw)
 
     monkeypatch.setattr(bounds, "_sweep", spy)
     return built

@@ -67,10 +67,10 @@ def _psi_ratio_whole(table, t, n_min, n_max):
     return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
 
 
-def _joined(blocks, start=0):
-    """est and beta of a column's blocks, the first at offset start, each
-    offset where the one before ends."""
-    ests, betas, size = [np.zeros(0)], [np.zeros(0)], start
+def _joined(blocks):
+    """est and beta of a column's blocks, the first at offset 0, each offset
+    where the one before ends."""
+    ests, betas, size = [np.zeros(0)], [np.zeros(0)], 0
     for offset, est, beta in blocks:
         assert offset == size and est.size == beta.size > 0
         ests.append(est)
@@ -132,14 +132,9 @@ def test_blocked_passes_match_the_whole_array_formulas(table, block, edge, start
         got = _joined(bounds._log_substitution_blocks(table, n_min, n_max))
         want = _log_substitution_whole(table, n_min, n_max)
         assert all(map(_same_bits, got, want))
-        # the column over (t, n): the j-th t's blocks from offset j n, in one walk
-        ts = tuple(dict.fromkeys((7, 3, 5, t)))
-        column = list(bounds._psi_ratio_blocks(ts, table, n_min, n_max))
-        assert all(offset < len(ts) * n for offset, _, _ in column)
-        for j, u in enumerate(ts):
-            got = _joined([b for b in column if b[0] // n == j], j * n)
-            want = _psi_ratio_whole(table, u, n_min, n_max)
-            assert all(map(_same_bits, got, want))
+        got = _joined(bounds._psi_ratio_blocks(t, table, n_min, n_max))
+        want = _psi_ratio_whole(table, t, n_min, n_max)
+        assert all(map(_same_bits, got, want))
 
 
 def _sweep_whole(columns, recheck):

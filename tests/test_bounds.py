@@ -1,5 +1,6 @@
 """Zeta machinery, crossover search, and the explicit-inequality sweeps."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -35,9 +36,9 @@ from robinpsi.bounds import (
     LOG_SHIFT,
     MERTENS_SHIFT,
 )
-from robinpsi.primes import libm_map, nth_prime_bound
+from robinpsi.primes import at_60_digits, libm_map, nth_prime_bound
 
-from conftest import column_of, factor_by_division, spy_60_digits
+from conftest import factor_by_division, spy_60_digits
 
 CROSSOVERS = [(3, 10), (4, 24), (5, 79), (6, 509), (7, 10596)]
 
@@ -500,11 +501,11 @@ def test_forced_band_builds_every_column(small_table, monkeypatch, built_columns
     runs = [REDUCED_SUITES[name][0] for name in ("zeta_tail_product", "psi_ratio_bound")]
     for run in runs:
         run(small_table)
-    # zeta tail t = 3 cannot beat the t = 2 minimum, nor lie in the band; the
-    # psi ratio column over (t, n) builds only where its minimum lies, at t = 3,
-    # as no t = 4 estimate less beta reaches it
+    # a first column always builds at its minimum; zeta tail t = 3 cannot beat
+    # the t = 2 minimum, nor lie in the band, and its floor shows it unscreened
     assert built_columns == [
-        ("zeta_tail_product", 5), ("zeta_tail_product", 2), ("psi_ratio_bound", 3),
+        ("zeta_tail_product", 5), ("zeta_tail_product", 2),
+        ("psi_ratio_bound", 4), ("psi_ratio_bound", 3),
     ]
     built_columns.clear()
     monkeypatch.setattr(bounds, "PRECISION_BAND", 10.0)
@@ -537,13 +538,13 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
     run, keys = VERIFY_BOUNDS_SUITES[suite]
     seen = []
 
-    def check(name, columns, recheck, where):
+    def check(name, columns, recheck, where, floor=None):
         for key, screen, margins in columns:
             for offset, est, beta in screen():
                 libm = margins(offset + np.arange(est.size))
                 assert (np.abs(est - libm) <= beta).all()
                 assert beta.max() <= 1e-12
-                seen.append(column_of(key, where(key, offset)))  # each t, decoded
+                seen.append(key)
 
     monkeypatch.setattr(bounds, "_sweep", check)
     run(table)
@@ -614,9 +615,9 @@ def test_unscreened_suites_give_the_same_result(small_table, monkeypatch, suite)
         taken.append(idx.size)
         return build(idx)
 
-    def spy(name, columns, *rest):
+    def spy(name, columns, *rest, **kw):
         columns = ((key, partial(blind, s), partial(margins, m)) for key, s, m in columns)
-        return sweep(name, columns, *rest)
+        return sweep(name, columns, *rest, **kw)
 
     monkeypatch.setattr(bounds, "_sweep", spy)
     assert run(small_table) == plain
@@ -804,7 +805,7 @@ def _psi_ratio_oracle(table, ts, n_min, n_max):
          lambda tab: _zeta_tail_oracle(tab, (64, 40), 300)),
         (lambda tab: log_substitution_suite(tab, n_min=2300, n_max=10596),
          lambda tab: _log_substitution_oracle(tab, 2300, 10596)),
-        # the worst point lies in the second column, the screens skip the third
+        # the worst point lies in the second column, its floor skips the third
         (lambda tab: psi_ratio_bound_suite(tab, ts=(7, 3, 5), n_max=10596),
          lambda tab: _psi_ratio_oracle(tab, (7, 3, 5), CRITERION_FLOOR, 10596)),
         (lambda tab: psi_ratio_bound_suite(tab, ts=(7,), n_max=CRITERION_FLOOR),
@@ -825,8 +826,8 @@ def test_suite_matches_scalar_loop_bit_for_bit(small_table, suite, oracle):
 
 def test_psi_ratio_column_reports_the_first_t_of_a_tie(small_table, monkeypatch, built_columns):
     # with zeta(3) and the terms of t = 3 read for every t, the t = 5 and t = 4
-    # parts of the column over (t, n) tie at every n: both minima are taken
-    # and the first t of ts is reported, as a scan over t, then n, reports it
+    # columns tie at every n: no floor lies above the other's minimum, both
+    # minima are taken and the first t of ts is reported
     alone = psi_ratio_bound_suite(small_table, ts=(3,), n_max=4000)
     zeta_3, terms, sums = zeta(3), primorial.log_terms, primorial.log_psi_ratio_blocks
     monkeypatch.setattr(bounds, "zeta", lambda t: zeta_3)
@@ -839,6 +840,113 @@ def test_psi_ratio_column_reports_the_first_t_of_a_tie(small_table, monkeypatch,
         assert tied.worst_margin.hex() == alone.worst_margin.hex()
         assert tied.worst_at == f"t={ts[0]},{n}"
         assert built_columns == [("psi_ratio_bound", t) for t in ts]
+
+
+def test_margins_rise_with_t_within_their_error_bounds(small_table):
+    # the lemma the floors rest on, apart from any skip: at every index, each
+    # float margin of column t lies at or above the floor that column t0's
+    # float margin at the same n gives; and E_t bounds |float - 60-digit| at
+    # sampled n of every t, the columns the floors skip included
+    table = small_table
+    n_min, n_max = CRITERION_FLOOR, 10596
+    idx = np.arange(n_max - n_min + 1)
+    psi = {t: bounds._psi_ratio_margins(t, table, n_min, idx) for t in range(3, 11)}
+    floor = partial(bounds._psi_ratio_floor, table, n_min, n_max)
+    for t in range(4, 11):
+        floors = np.array([floor(3, m, t) for m in psi[3].tolist()])
+        assert (floors > 0.0).all() and (psi[t] >= floors).all()
+    tail_max = 3000
+    p = table.primes[:tail_max].astype(np.float64)[1:]
+    tail = {
+        t: bounds._zeta_tail_margins(t, table, p, np.arange(tail_max - 1)) for t in range(2, 65)
+    }
+    for t in range(3, 65):
+        assert (tail[t] >= bounds._zeta_tail_floor(tail_max, 2, tail[2], t)).all()
+    # the floors have room: the first factor's gap at p_3001 is about 1e-9
+    assert min(bounds._zeta_tail_floor(tail_max, 2, 0.0, t) for t in range(3, 65)) > 1e-9
+
+    with mpmath.workdps(60):
+        zetas = {t: mpmath.zeta(t) for t in range(2, 65)}
+    for t in range(3, 11):
+        error = bounds._psi_ratio_error(table, n_min, n_max, t)
+        for n in (n_min, n_max) if t == 3 else (n_min,):
+            exact = at_60_digits(bounds._psi_ratio_margin, lambda: (
+                int(table.primes[n - 1]), bounds.exact_log(table, "primorial", n),
+                zetas[t], bounds.exact_log(table, "psi_ratio", n, t),
+            ))
+            assert abs(psi[t][n - n_min] - exact) <= error
+    for t in range(2, 65):
+        error = bounds._zeta_tail_error(tail_max, t)
+        for n in (2, 2 + tail_max // t, tail_max) if t <= 3 else (2, 2 + tail_max // t):
+            exact = at_60_digits(bounds._zeta_tail_margin, lambda: (
+                int(table.primes[n - 1]), zetas[t], bounds.exact_log(table, "zeta_tail", n, t),
+            ))
+            assert abs(tail[t][n - 2] - exact) <= error
+
+
+def _suite_screens(monkeypatch, run, floorless=False):
+    """run()'s result and the key of every column whose screen runs, with
+    the suite's floor, or with a floor of -inf that screens every column."""
+    screened = []
+    sweep = bounds._sweep
+
+    def spy(name, columns, recheck, where, floor=None):
+        logged = [
+            (key, lambda key=key, screen=screen: screened.append(key) or screen(), margins)
+            for key, screen, margins in columns
+        ]
+        floor = (lambda *_: -math.inf) if floorless else floor
+        return sweep(name, logged, recheck, where, floor=floor)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_sweep", spy)
+        return run(), screened
+
+
+def _fields(result):
+    return (
+        result.worst_margin.hex(), result.worst_at, result.rechecked, result.points,
+        result.passed, result.skipped,
+    )
+
+
+FLOOR_TS = [(3, 4, 5, 6, 7), (7, 3, 5), (4, 3), (5, 2, 3), (64, 40), tuple(range(2, 65))]
+
+
+@pytest.mark.parametrize(
+    "case,ts",
+    # a band of 10 rechecks every point at 60 digits: the short ts only
+    [(case, ts) for case in ("plain", "negative", "band") for ts in FLOOR_TS
+     if case != "band" or len(ts) <= 3],
+    ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x[:5])),
+)
+def test_floors_skip_only_what_full_screening_leaves_unchanged(small_table, monkeypatch, case, ts):
+    # each suite with its floors against the same suite screening every
+    # column: the same result, field for field.  With plain margins the psi
+    # ratio columns after the least t go unscreened, and so do the zeta tail
+    # ones where that t is 2: from t0 = 3 on, the first factor's gap q^-t0 is
+    # below the cumsum's error.  Zeta values 1% too large (margins below
+    # zero) or a band of 10 leave nothing to skip.
+    real = bounds.zeta
+    if case == "negative":
+        monkeypatch.setattr(bounds, "zeta", lambda t: dataclasses.replace(
+            real(t), value=1.01 * real(t).value, excess=1.01 * real(t).value - 1.0,
+        ))
+    if case == "band":
+        monkeypatch.setattr(bounds, "PRECISION_BAND", 10.0)
+    small = case == "band"
+    runs = [
+        (partial(zeta_tail_bound_suite, small_table, ts, 150 if small else 3000), min(ts) == 2),
+        (partial(psi_ratio_bound_suite, small_table, ts, n_max=2300 if small else 4000), True),
+    ]
+    for run, skips in runs:
+        got, screened = _suite_screens(monkeypatch, run)
+        want, every = _suite_screens(monkeypatch, run, floorless=True)
+        assert _fields(got) == _fields(want)
+        assert every == list(ts)
+        through_t0 = list(ts[: ts.index(min(ts)) + 1])
+        assert screened == (through_t0 if case == "plain" and skips else every)
+        assert got.passed == (case != "negative")
 
 
 def test_suite_coverage_errors(small_table):
@@ -856,7 +964,9 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
     def suite_recheck(suite):
         """The recheck(key, i) and where(key, i) that suite hands to _sweep."""
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "_sweep", lambda name, columns, recheck, where: (recheck, where))
+            patch.setattr(
+                bounds, "_sweep", lambda name, columns, recheck, where, **_: (recheck, where)
+            )
             return suite(small_table)
 
     recheck, where = suite_recheck(mertens_bound_suite)
@@ -866,10 +976,8 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
     recheck, _ = suite_recheck(partial(log_substitution_suite, n_max=CRITERION_FLOOR))
     log_sub = recheck(None, 0)  # n = CRITERION_FLOOR
     recheck, where = suite_recheck(partial(psi_ratio_bound_suite, n_max=CRITERION_FLOOR))
-    psis = [  # at n = CRITERION_FLOOR, the flat index of each t found through where
-        recheck(None, next(i for i in range(5) if where(None, i) == f"t={t},n={CRITERION_FLOOR}"))
-        for t in (3, 7)
-    ]
+    assert [where(t, 0) for t in (3, 7)] == [f"t={t},n={CRITERION_FLOOR}" for t in (3, 7)]
+    psis = [recheck(t, 0) for t in (3, 7)]
     with monkeypatch.context() as patch:
         calls = spy_60_digits(patch, bounds)
         patch.setattr(bounds, "_LHS_ERROR", math.inf)

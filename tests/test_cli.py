@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 import robinpsi
-from robinpsi import build_table, cli, robin
+from robinpsi import bounds, build_table, cli, primorial, robin
 from robinpsi.primes import PrimeTable
 from robinpsi.robin import RobinVerdict
 
@@ -336,11 +336,24 @@ def test_verify_bounds_golden_at_the_largest_index():
     assert digest == "7bd0bf5cb2fdf77c3d0467876bd3275b5b80fe5d51a11f788b53aa1f4d151481"
 
 
-def test_verify_bounds_builds_one_libm_column_per_suite(capsys, built_columns):
-    # the column screens leave zeta tail t = 3..10 and psi ratio t = 4..7 unbuilt
+def test_verify_bounds_builds_one_libm_column_per_suite(capsys, monkeypatch, built_columns):
+    # the floors leave zeta tail t = 3..10 and psi ratio t = 4..7 unscreened:
+    # one block of zeta tail t = 2 and the 7 blocks of psi ratio t = 3 that
+    # reach n = 2263 are screened, and no other t forms a psi ratio term
+    screens, terms = [], []
+    zeta_tail, psi_ratio, log_terms = (
+        bounds._zeta_tail_screen, bounds._psi_ratio_screen, primorial.log_terms
+    )
+    monkeypatch.setattr(bounds, "_zeta_tail_screen",
+                        lambda t, *a: screens.append(("zeta_tail", t)) or zeta_tail(t, *a))
+    monkeypatch.setattr(bounds, "_psi_ratio_screen",
+                        lambda t, *a: screens.append(("psi_ratio", t)) or psi_ratio(t, *a))
+    monkeypatch.setattr(primorial, "log_terms", lambda p, t: terms.append(t) or log_terms(p, t))
     code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
     assert code == 0
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
+    assert screens == [("zeta_tail", 2)] + [("psi_ratio", 3)] * 7
+    assert set(terms) == {3}
     assert built_columns == [
         ("mertens_product", None),
         ("zeta_tail_product", 2),
@@ -636,7 +649,7 @@ def test_python_dash_m(monkeypatch, capsys):
 _COLD_RUN = """
 import contextlib, io, sys
 import robinpsi, robinpsi.cli
-from robinpsi import build_table, cli, robin
+from robinpsi import bounds, build_table, cli, primorial, robin
 
 def numpy_modules():
     return {name for name in sys.modules if name.split(".")[0] == "numpy"}
