@@ -42,8 +42,8 @@ from .primes import PrimeTable, build_table, compensated_prefix
 from .primorial import (
     champion_scan,
     cursor_advance,
-    log_psi_ratio_prefix,
     primorials_up_to,
+    psi_ratio_logs,
     reduction_check,
 )
 from .robin import (

@@ -41,6 +41,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -54,6 +55,8 @@ from .primes import (
     libm_map,
     mpmath,
     nth_prime_bound,
+    prefix_at,
+    prefix_blocks,
     require_primes,
 )
 
@@ -324,9 +327,9 @@ def _one_block(screen, *inputs) -> list[tuple]:
     return [(0, *screen(*inputs))]
 
 
-def _mertens_prefix(primes: np.ndarray) -> np.ndarray:
-    """Compensated prefix sums of -log(1 - 1/p) over primes, libm terms."""
-    return compensated_prefix(-libm_map(math.log1p, -1.0 / primes))
+def _mertens_logs(p: np.ndarray) -> np.ndarray:
+    """-log(1 - 1/p) from libm at each p, the terms of log prod (1 - 1/p)^-1."""
+    return -libm_map(math.log1p, -1.0 / p)
 
 
 def _mertens_margin(m, x, log_product):
@@ -461,38 +464,27 @@ def _psi_ratio_screen(
 
 def _psi_ratio_blocks(t: int, table: PrimeTable, n_min: int, n_max: int) -> Iterator[tuple]:
     """_sweep's blocks (offset, est, beta) of _psi_ratio_screen over n_min <=
-    n <= n_max, offset counted from n_min.  The terms are summed from n = 1,
-    the compensated sum resumed from block to block; the blocks reaching
-    n_min are screened from there."""
+    n <= n_max, offset counted from n_min.  The walk sums the terms from n =
+    1; the blocks reaching n_min are screened from there."""
     theta = table.theta_upto(n_max)
-    state = [0.0, 0.0]
-    for a, b in blocks(0, n_max):  # the primes p_(a+1) .. p_b
-        p = table.primes[a:b].astype(np.float64)
-        logs = compensated_prefix(primorial.log_terms(p, t), state)[1:]
+    for a, p, logs in prefix_blocks(table.primes[:n_max], partial(primorial.log_terms, t=t)):
         k = max(n_min - 1 - a, 0)  # n = a + 1 + k is the block's first n >= n_min
-        if k < b - a:
+        if k < p.size:
             n = a + 1 + k
-            scale = _psi_ratio_scale(np, p[k:], theta[n : b + 1])
+            scale = _psi_ratio_scale(np, p[k:].astype(np.float64), theta[n : a + 1 + p.size])
             yield (n - n_min, *_psi_ratio_screen(t, scale, logs[k:]))
 
 
 def _psi_ratio_margins(t: int, table: PrimeTable, n_min: int, idx: np.ndarray) -> np.ndarray:
-    """_psi_ratio_margin from libm at n = n_min + idx, ascending.  The pass of
-    log_psi_ratio_prefix, its correctly rounded terms, libm log1p and
-    compensated sum, runs block by block up to the last n taken and keeps
-    only the sums at the n taken."""
+    """_psi_ratio_margin from libm at n = n_min + idx, ascending, the sums of
+    primorial.psi_ratio_logs read off the walk up to the last n taken."""
     n = n_min + idx
-    last = int(n[-1])
-    logs = np.empty(n.size)
-    for a, sums in primorial.log_psi_ratio_blocks(table, t, last):
-        here = np.flatnonzero((n > a) & (n <= a + sums.size))
-        logs[here] = sums[n[here] - a - 1]
     return _libm(
         _psi_ratio_margin,
         table.primes[n - 1].astype(np.float64),
-        table.theta_upto(last)[n],
+        table.theta_upto(int(n[-1]))[n],
         np.full(n.size, zeta(t).value),
-        logs,
+        prefix_at(table.primes, partial(primorial.psi_ratio_logs, t=t), n),
     )
 
 
@@ -606,22 +598,23 @@ def ratio_curve(
     """Rows (n, p_n, R_t(N_n), e^gamma/zeta(t), deviation) for 2 <= n <= n_max.
 
     deviation = R_t(N_n) * zeta(t) / e^gamma - 1, the signed relative gap to
-    the limit value.  The checks and the prefix sums run on the call, which
-    returns a generator that forms each row as it is read.
+    the limit value.  The checks and theta run on the call; the generator it
+    returns walks the psi ratio sums and forms each row as it is read.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     limit_value = EXP_GAMMA / zeta(t).value
-    logs = primorial.log_psi_ratio_prefix(table, t, n_max).tolist()
-    theta = table.theta_upto(n_max).tolist()
-    primes = table.primes[:n_max].tolist()
+    theta = table.theta_upto(n_max)  # CoverageError before any row
+    walk = prefix_blocks(table.primes[:n_max], partial(primorial.psi_ratio_logs, t=t))
 
     def rows():
-        for n in range(2, n_max + 1):
-            r = primorial_ratio(math, logs[n], theta[n])
-            yield n, primes[n - 1], r, limit_value, r / limit_value - 1.0
+        for a, p, logs in walk:
+            cells = zip(p.tolist(), logs.tolist(), theta[a + 1 : a + 1 + p.size].tolist())
+            for n, (p_n, log_ratio, theta_n) in enumerate(cells, start=a + 1):
+                r = primorial_ratio(math, log_ratio, theta_n)
+                yield n, p_n, r, limit_value, r / limit_value - 1.0
 
-    return rows()
+    return islice(rows(), 1, None)  # from n = 2
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +790,8 @@ def mertens_bound_suite(
     rng = random.Random(_SAMPLE_SEED)
     xs.update(rng.randint(2, cap) for _ in range(samples if cap >= 2 else 0))
     xs = sorted(xs)
-    prefix = _mertens_prefix(table.primes[: np.searchsorted(table.primes, cap, side="right")])
     counts = np.searchsorted(table.primes, xs, side="right").tolist()  # pi(x)
-    logs = prefix[counts]
+    logs = prefix_at(table.primes, _mertens_logs, counts)
     x = np.array(xs, dtype=np.float64)
     return _sweep(
         "mertens_product",

@@ -19,9 +19,10 @@ summation (compensated_prefix): the absolute error stays within a few ulps
 instead of growing linearly, which keeps log log N_n good to ~1e-12 near
 n = 10^4 where the crossover margins downstream are only ~1e-6.
 
-Passes over a range run in blocks of BLOCK indices (blocks): the maps and
-prefix sums here, the psi-ratio prefix and the bound suites' screens, so
-their temporaries stay block-sized and only their outputs span the range.
+Passes over a range run in blocks of BLOCK indices (blocks), so their
+temporaries stay block-sized and only their outputs span the range.  Every
+compensated sum over the primes walks prefix_blocks, which forms the terms
+and resumes the sum a block at a time; prefix_at keeps its sums at a few n.
 
 at_60_digits runs a formula f(m, ...), written once over m = math, numpy or
 mpmath, with m = mpmath, the one shared handle, at 60 significant digits: the
@@ -35,6 +36,7 @@ import importlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -102,8 +104,8 @@ class PrimeTable:
 
     def theta_upto(self, n: int) -> np.ndarray:
         """theta_0, ..., theta_n; CoverageError past the table.  A read past
-        the formed prefix extends it to at least twice its length, resuming
-        the compensated sum from its state, so the bits are the one-shot
+        the formed prefix extends it to at least twice its length, walking
+        prefix_blocks on from its state, so the bits are the one-shot
         prefix's whatever the order of the reads."""
         require_primes(self, n)
         k = len(self._theta) - 1
@@ -111,9 +113,9 @@ class PrimeTable:
             stop = min(max(n, 2 * k), len(self.primes))
             theta = np.empty(stop + 1)
             theta[: k + 1] = self._theta
-            for a, b in blocks(k, stop):
-                logs = libm_map(math.log, self.primes[a:b])
-                theta[a + 1 : b + 1] = compensated_prefix(logs, self._theta_state)[1:]
+            logs = partial(libm_map, math.log)
+            for a, p, sums in prefix_blocks(self.primes[:stop], logs, k, self._theta_state):
+                theta[a + 1 : a + 1 + p.size] = sums
             self._theta = theta
         return self._theta[: n + 1]
 
@@ -150,13 +152,10 @@ def libm_map(fn, xs: np.ndarray) -> np.ndarray:
     floats and calls math, not numpy: numpy's exp and log differ from libm's
     in the last bit, and the prefix sums and margins must match the scalar
     formulas bit for bit.  So does its log1p: on the 1e5 psi-ratio terms of
-    t = 3 it differs from math.log1p on 23.  The map runs one block at a
-    time into the output, so its Python objects never cover more than BLOCK
-    entries."""
-    out = np.empty(len(xs))
-    for a, b in blocks(0, len(xs)):
-        out[a:b] = np.fromiter(map(fn, xs[a:b].tolist()), dtype=np.float64, count=b - a)
-    return out
+    t = 3 it differs from math.log1p on 23.  The map reads xs through a
+    memoryview, which makes each Python number as fn takes it, so no list of
+    them is ever held."""
+    return np.fromiter(map(fn, memoryview(xs)), dtype=np.float64, count=len(xs))
 
 
 def compensated_prefix(xs: np.ndarray, state: list[float] | None = None) -> np.ndarray:
@@ -195,6 +194,39 @@ def compensated_prefix(xs: np.ndarray, state: list[float] | None = None) -> np.n
         total, carry = float(s[-1]), float(carries[-1])
     if state is not None:
         state[:] = total, carry
+    return out
+
+
+def prefix_blocks(
+    primes: np.ndarray, terms, start: int = 0, state: list[float] | None = None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(a, p, sums) for each block p = primes[a:b] from index start on:
+    sums[i] = terms(p_1) + ... + terms(p_k) at k = a + 1 + i, compensated,
+    terms(p) formed one block at a time.  The sum resumes from state ([0, 0]
+    for start = 0) and leaves its state in it, as compensated_prefix does, so
+    a reader holds one block of terms and sums at a time.  The terms live
+    until the next block's are formed: freed with the rest, they let glibc
+    trim the heap top, whose pages the next block faults back in."""
+    state = [0.0, 0.0] if state is None else state
+    for a, b in blocks(start, len(primes)):
+        p = primes[a:b]
+        x = terms(p)
+        yield a, p, compensated_prefix(x, state)[1:]
+
+
+def prefix_at(primes: np.ndarray, terms, idx) -> np.ndarray:
+    """prefix_blocks's sums at the ascending indices idx, which may repeat:
+    out[j] = terms(p_1) + ... + terms(p_idx[j]), 0 at index 0.  The walk
+    stops with the block holding idx[-1]."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and not 0 <= idx[0] <= idx[-1] <= len(primes):
+        raise IndexError(f"prefix indices must lie in [0, {len(primes)}], got {idx[0]}..{idx[-1]}")
+    out = np.zeros(idx.size)
+    j = np.searchsorted(idx, 0, side="right")  # the first index past 0
+    for a, p, sums in prefix_blocks(primes[: idx.max(initial=0)], terms):
+        k = np.searchsorted(idx, a + p.size, side="right")
+        out[j:k] = sums[idx[j:k] - a - 1]
+        j = k
     return out
 
 

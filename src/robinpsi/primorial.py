@@ -1,33 +1,25 @@
-"""Primorial prefix arrays in log space, exact champion scans, and the reduction step.
+"""Primorial ratio terms in log space, exact champion scans, and the reduction step.
 
-N_n = p_1 p_2 ... p_n.  log N_n is the table's theta prefix and
-log(psi_t(N_n)/N_n) comes from log_psi_ratio_prefix, both compensated prefix
-sums over the primes.  champion_scan loops over the windows of
-multiplicative.sweep: the kernel sums each window's float log psi_t(n)/n over
-the marked primes, a lower bound, and the larger prime factors an n may
-have add at most the window's gap; a screen keeps the n whose bounds
-come within LOG_RATIO_BAND of the running maximum, and the loop re-decides
-each of them exactly.  reduction_check is the corollary of that scan.
+N_n = p_1 p_2 ... p_n.  log N_n is the table's theta and log(psi_t(N_n)/N_n)
+the prefix sum of psi_ratio_logs, both walked by primes.prefix_blocks.
+champion_scan loops over the windows of multiplicative.sweep: the kernel sums
+each window's float log psi_t(n)/n over the marked primes, a lower bound,
+and the larger prime factors an n may have add at most the window's gap; a
+screen keeps the n whose bounds come within LOG_RATIO_BAND of the running
+maximum, and the loop re-decides each of them exactly.  reduction_check is
+the corollary of that scan.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .multiplicative import check_sweep, factorize, psi_over_n, sweep
-from .primes import (
-    PrimeTable,
-    blocks,
-    build_table,
-    compensated_prefix,
-    libm_map,
-    require_primes,
-)
+from .primes import build_table, libm_map
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
 # terms below log 2, each within a few ulp, and the sum stays below 2: its float
@@ -57,11 +49,12 @@ def _psi_ratio_terms(primes: np.ndarray, t: int) -> tuple[np.ndarray, list[int]]
     p = np.asarray(primes, dtype=np.float64)
     d = p - 1.0
     r = 1.0 / d
-    big = r * (2.0**27 + 1.0)
-    hi = big - (big - r)
-    e = (1.0 - hi * d) - (r - hi) * d
+    hi = r * (2.0**27 + 1.0)  # big, then hi = big - (big - r) in place
+    hi -= hi - r
+    c = (1.0 - hi * d) - (r - hi) * d  # e, then c = (e - pw) / d in place
     pw = p ** (1.0 - t)
-    c = (e - pw) / d
+    c -= pw
+    c /= d
     s = r + c
     bb = s - r
     err = (r - (s - bb)) + (c - bb)
@@ -75,43 +68,25 @@ def _psi_ratio_terms(primes: np.ndarray, t: int) -> tuple[np.ndarray, list[int]]
     return s, exact
 
 
-def log_psi_ratio_prefix(table: PrimeTable, t: int, n: int) -> np.ndarray:
-    """out[k] = log(psi_t(N_k)/N_k) for 0 <= k <= n, compensated; out[0] = 0.
-
-    Each prime contributes log(1 + 1/p + ... + 1/p^(t-1)) = log1p(x) with
-    x = (q - 1) / (q (p - 1)), q = p^(t-1).  _psi_ratio_terms forms every x
-    in numpy, correctly rounded under a stated error bound, and divides the
-    exact integers only where that bound cannot decide the rounding; log1p is
-    libm's.  Every term is within an ulp and the compensated sum keeps ~1e-12
-    absolute accuracy over 10^5 primes.  The sums of log_psi_ratio_blocks
-    are copied in block by block, so only out spans all n.
-    """
-    if t < 2 or n < 0:
-        raise ValueError(f"need t >= 2 and n >= 0, got t = {t}, n = {n}")
-    require_primes(table, n)
-    out = np.zeros(n + 1)
-    for a, sums in log_psi_ratio_blocks(table, t, n):
-        out[a + 1 : a + 1 + sums.size] = sums
-    return out
-
-
-def log_psi_ratio_blocks(table: PrimeTable, t: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, sums) for each block of log_psi_ratio_prefix's pass over 1 <= k <=
-    n: sums[i] = log(psi_t(N_k)/N_k) at k = a + 1 + i.  The terms are formed
-    one block at a time and the compensated sum resumed from block to block,
-    so a reader that keeps a few sums holds one block at a time."""
-    state = [0.0, 0.0]
-    for a, b in blocks(0, n):
-        terms, _ = _psi_ratio_terms(table.primes[a:b], t)
-        yield a, compensated_prefix(libm_map(math.log1p, terms), state)[1:]
+def psi_ratio_logs(p: np.ndarray, t: int) -> np.ndarray:
+    """log(psi_t(p)/p) at each prime of the block p, the terms of log
+    psi_t(N_n)/N_n: libm's log1p of x = (q - 1) / (q (p - 1)), q = p^(t-1),
+    each x correctly rounded (_psi_ratio_terms).  Every term is within an ulp
+    and the compensated sum keeps ~1e-12 absolute accuracy over 10^5 primes.
+    The logs overwrite the x, so a block leaves one array, not two."""
+    if t < 2:
+        raise ValueError(f"need t >= 2, got t = {t}")
+    x = _psi_ratio_terms(p, t)[0]
+    x[:] = libm_map(math.log1p, x)
+    return x
 
 
 def cursor_advance(*_args: object, **_kwargs: object) -> None:
-    """Removed with the primorial cursor; read log_psi_ratio_prefix and
-    PrimeTable.theta_upto instead.  The name stays only because the
-    benchmark's tracer test deletes it to stand for a vanished boundary."""
+    """Removed with the primorial cursor; walk prefix_blocks over psi_ratio_logs
+    and read theta_upto instead.  The name stays only because the benchmark's
+    tracer test deletes it to stand for a vanished boundary."""
     raise NotImplementedError(
-        "the primorial cursor is gone: use log_psi_ratio_prefix and theta_upto"
+        "the primorial cursor is gone: walk prefix_blocks over psi_ratio_logs"
     )
 
 

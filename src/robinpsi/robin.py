@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .multiplicative import (
     sweep,
     verify_sigma_le_psi,
 )
-from .primes import PrimeTable, at_60_digits, mpmath  # noqa: F401, the handle bounds holds
+from .primes import PrimeTable, at_60_digits, mpmath, prefix_at  # noqa: F401, bounds' handle
 from . import primorial
 
 RELATIVE_BAND = 1e-9
@@ -186,7 +187,7 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
     branch_a = not above
 
     n1 = find_crossover_index(t, table)
-    log_ratio = primorial.log_psi_ratio_prefix(table, t, n1)[n1]
+    (log_ratio,) = prefix_at(table.primes, partial(primorial.psi_ratio_logs, t=t), [n1])
     ratio = primorial_ratio(math, log_ratio, table.theta_upto(n1)[n1])
     margin = EXP_GAMMA - ratio
     if abs(margin) < PRECISION_BAND:

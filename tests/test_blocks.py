@@ -4,6 +4,7 @@ lengths 0, 1, B - 1, B, B + 1 and k B + r, and with B patched down to a
 small prime so that one pass crosses hundreds of edges."""
 
 import math
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -123,8 +124,10 @@ def test_blocked_passes_match_the_whole_array_formulas(table, block, edge, start
             primes.compensated_prefix(xs, state), _compensated_whole(xs, whole_state)
         )
         assert _same_bits(state or [], whole_state or [])
+        walk = primes.prefix_blocks(table.primes[:n], partial(primorial.psi_ratio_logs, t=t))
         assert _same_bits(
-            primorial.log_psi_ratio_prefix(table, t, n), _log_psi_ratio_whole(table, t, n)
+            np.concatenate([[0.0], *(sums for _, _, sums in walk)]),
+            _log_psi_ratio_whole(table, t, n),
         )
         # the screened columns: n points from n_min, n_min itself off any edge
         n_min = CRITERION_FLOOR + int(rng.integers(0, 2 * min(block, 512)))

@@ -18,7 +18,6 @@ from robinpsi import (
     build_table,
     criterion,
     find_crossover_index,
-    log_psi_ratio_prefix,
     log_substitution_suite,
     mertens_bound_suite,
     primorial_magnitude,
@@ -36,7 +35,13 @@ from robinpsi.bounds import (
     LOG_SHIFT,
     MERTENS_SHIFT,
 )
-from robinpsi.primes import at_60_digits, libm_map, nth_prime_bound
+from robinpsi.primes import (
+    at_60_digits,
+    compensated_prefix,
+    libm_map,
+    nth_prime_bound,
+    prefix_at,
+)
 
 from conftest import factor_by_division, spy_60_digits
 
@@ -328,9 +333,10 @@ def test_primorial_magnitude_large(small_table):
 
 
 def _mertens_products(xs, table):
-    """prod_{p <= x} (1 - 1/p)^-1 for each x in xs, from the Mertens prefix up to max(xs)."""
-    prefix = bounds._mertens_prefix(table.primes[: bisect_right(table.primes, max(xs))])
-    return [math.exp(prefix[bisect_right(table.primes, x)]) for x in xs]
+    """prod_{p <= x} (1 - 1/p)^-1 for each x in xs, ascending, from the Mertens
+    terms' walk up to max(xs)."""
+    counts = [bisect_right(table.primes, x) for x in xs]
+    return [math.exp(s) for s in prefix_at(table.primes, bounds._mertens_logs, counts).tolist()]
 
 
 def test_mertens_partial_product_exact_prefix(small_table):
@@ -383,7 +389,10 @@ def test_log_substitution_check(small_table):
 
 
 def test_psi_ratio_upper_bound_dominates(small_table):
-    true_ratio = math.exp(log_psi_ratio_prefix(small_table, 3, CRITERION_FLOOR)[-1])
+    (log_ratio,) = prefix_at(
+        small_table.primes, partial(primorial.psi_ratio_logs, t=3), [CRITERION_FLOOR]
+    )
+    true_ratio = math.exp(log_ratio)
     p = small_table.primes[CRITERION_FLOOR - 1]
     theta = small_table.theta_upto(len(small_table))[CRITERION_FLOOR]
     scale = bounds._psi_ratio_scale(math, p, theta)
@@ -561,9 +570,10 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
 
 # Bytes a suite may add to its peak per added index n.  No array spans a
 # column: each is block-sized, or holds only the indices taken, and the libm
-# psi ratio sums are read off log_psi_ratio_blocks a block at a time.  With
-# whole-column temporaries the psi ratio suite added about 170 bytes per n
-# and the log substitution suite about 49; with the whole libm prefix, 8.
+# psi ratio sums are read off the walk of primes.prefix_blocks a block at a
+# time.  With whole-column temporaries the psi ratio suite added about 170
+# bytes per n and the log substitution suite about 49; with the whole libm
+# prefix, 8.
 SUITE_BYTES_PER_INDEX = 2
 
 
@@ -736,7 +746,8 @@ def _mertens_oracle(table, x_cap, samples):
         x *= 2
     rng = random.Random(20011)
     xs.update(rng.randint(2, cap) for _ in range(samples))
-    prefix = bounds._mertens_prefix(table.primes[: bisect_right(table.primes, cap)])
+    primes = table.primes[: bisect_right(table.primes, cap)].tolist()
+    prefix = compensated_prefix([-math.log1p(-1.0 / p) for p in primes])
     worst, worst_at = math.inf, ""
     for x in sorted(xs):
         lx = math.log(x)
@@ -829,10 +840,10 @@ def test_psi_ratio_column_reports_the_first_t_of_a_tie(small_table, monkeypatch,
     # columns tie at every n: no floor lies above the other's minimum, both
     # minima are taken and the first t of ts is reported
     alone = psi_ratio_bound_suite(small_table, ts=(3,), n_max=4000)
-    zeta_3, terms, sums = zeta(3), primorial.log_terms, primorial.log_psi_ratio_blocks
+    zeta_3, terms, logs = zeta(3), primorial.log_terms, primorial.psi_ratio_logs
     monkeypatch.setattr(bounds, "zeta", lambda t: zeta_3)
     monkeypatch.setattr(primorial, "log_terms", lambda p, t: terms(p, 3))
-    monkeypatch.setattr(primorial, "log_psi_ratio_blocks", lambda tab, t, n: sums(tab, 3, n))
+    monkeypatch.setattr(primorial, "psi_ratio_logs", lambda p, t: logs(p, 3))
     n = alone.worst_at.split(",")[1]
     for ts in ((5, 4), (4, 5)):
         built_columns.clear()

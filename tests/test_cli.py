@@ -570,8 +570,10 @@ def test_output_file_matches_stdout(tmp_path, capsys, argv, fmt):
 
 
 def test_streamed_rows_stay_small():
-    # ratio rows are formed as they are written, so no table of 2e5 rows or
-    # its text is held; a run first warms the imports and the zeta cache
+    # ratio rows are formed as they are written and the psi ratio sums walked
+    # a block at a time, so no table of 2e5 rows, its text or a list of one of
+    # its columns is held (about 23 MB with whole-column lists, 7 MB without);
+    # a run first warms the imports and the zeta cache
     argv = ["ratio", "--t", "3", "--format", "json", "--output", os.devnull, "--n-max"]
     assert cli.main([*argv, "20"]) == 0
     tracemalloc.start()
@@ -580,7 +582,7 @@ def test_streamed_rows_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize(

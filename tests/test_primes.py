@@ -1,7 +1,10 @@
 """Sieve and log-prime accumulator checks against independent oracles."""
 
+import ast
 import bisect
+import functools
 import math
+import pathlib
 import random
 
 import mpmath
@@ -10,16 +13,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import robinpsi
 from robinpsi import CoverageError, bounds, build_table, compensated_prefix, robin
-from robinpsi.bounds import _mertens_prefix
+from robinpsi.bounds import EXP_GAMMA, _mertens_logs
 from robinpsi.primes import (
     _SEGMENT_ODDS,
+    BLOCK,
     PrimeTable,
     _segmented_primes,
     at_60_digits,
     libm_map,
+    prefix_at,
+    prefix_blocks,
     require_primes,
 )
+from robinpsi.primorial import psi_ratio_logs
 from robinpsi.primes import mpmath as mpmath_handle
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -178,10 +186,11 @@ def test_segmented_sieve_with_small_segments(monkeypatch, odds):
         assert _segmented_primes(limit).tolist() == _primes_upto(limit)
 
 
-def _neumaier_prefix(xs):
-    """Scalar oracle: the branchy Neumaier loop, one addend at a time."""
-    out = [0.0]
+def _neumaier_states(xs):
+    """Scalar oracle: the branchy Neumaier loop, one addend at a time; its
+    (total, carry) before the first addend and after each."""
     total = carry = 0.0
+    states = [(total, carry)]
     for x in xs:
         s = total + x
         if abs(total) >= abs(x):
@@ -189,8 +198,13 @@ def _neumaier_prefix(xs):
         else:
             carry += (x - s) + total
         total = s
-        out.append(total + carry)
-    return np.array(out)
+        states.append((total, carry))
+    return states
+
+
+def _neumaier_prefix(xs):
+    """The scalar loop's prefix sums, total + carry after each addend."""
+    return np.array([total + carry for total, carry in _neumaier_states(xs)])
 
 
 def _bits(xs):
@@ -259,7 +273,97 @@ def test_mertens_prefix_matches_scalar_formula(table):
     primes = table.primes[: np.searchsorted(table.primes, 10**6, side="right")]
     assert len(primes) == 78498
     mertens = _neumaier_prefix(-math.log1p(-1.0 / p) for p in primes.tolist())
-    assert _bits(_mertens_prefix(primes)) == _bits(mertens)
+    walked = prefix_at(primes, _mertens_logs, np.arange(len(primes) + 1))
+    assert _bits(walked) == _bits(mertens)
+
+
+# the walker's differential test: sizes at and around the block edges
+_WALK_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+_WALK_TABLE = build_table(400_000)  # 33860 primes
+assert len(_WALK_TABLE) > _WALK_SIZES[-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_walk(t):
+    """The scalar loop over the libm terms of log psi_t(N_n)/N_n, each x the
+    int quotient (Python's int true division rounds it correctly), through
+    the largest walk size: the prefix sums and the loop's states."""
+    primes = _WALK_TABLE.primes[: _WALK_SIZES[-1]].tolist()
+    terms = [math.log1p((q - 1) / (q * (p - 1))) for p in primes for q in [p ** (t - 1)]]
+    states = _neumaier_states(terms)
+    return np.array([total + carry for total, carry in states]), states
+
+
+@pytest.mark.parametrize("t", [2, 64])
+@pytest.mark.parametrize("n", _WALK_SIZES)
+@settings(max_examples=8, deadline=None)
+@given(start=st.integers(0, _WALK_SIZES[-1]), reads=st.lists(st.integers(0, _WALK_SIZES[-1])))
+@example(start=0, reads=[])
+@example(start=BLOCK, reads=[0, 0, 1, BLOCK, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_prefix_walk_matches_the_scalar_loop(t, n, start, reads):
+    # prefix_blocks resumed at any start from the loop's state there, and
+    # prefix_at at ascending indices that repeat, are the scalar Neumaier
+    # loop over the libm terms bit for bit; prefix_at forms the terms of the
+    # primes up to its last index and no further
+    sums, states = _scalar_walk(t)
+    start = min(start, n)
+    primes = _WALK_TABLE.primes[:n]
+    formed = []
+
+    def terms(p):
+        formed.append(p.size)
+        return psi_ratio_logs(p, t)
+
+    state = list(states[start])
+    walk = list(prefix_blocks(primes, terms, start, state))
+    assert [a for a, _, _ in walk] == list(range(start, n, BLOCK))
+    assert all(np.array_equal(p, primes[a : a + p.size]) for a, p, _ in walk)
+    assert _bits(np.concatenate([sums[: start + 1], *(s for _, _, s in walk)])) == _bits(
+        sums[: n + 1]
+    )
+    assert _bits(state) == _bits(states[n])
+    idx = sorted(min(k, n) for k in reads)
+    formed.clear()
+    assert _bits(prefix_at(primes, terms, idx)) == _bits(sums[idx])
+    assert sum(formed) == (idx[-1] if idx else 0)
+
+
+@pytest.mark.parametrize("t", [2, 64])
+@pytest.mark.parametrize("n", _WALK_SIZES)
+def test_ratio_rows_match_the_scalar_loop(t, n):
+    # each row from the walk is the scalar formula over the loop's sums
+    sums, _ = _scalar_walk(t)
+    theta = _neumaier_prefix(map(math.log, _WALK_TABLE.primes[:n].tolist())).tolist()
+    primes, logs = _WALK_TABLE.primes[:n].tolist(), sums.tolist()
+    limit_value = EXP_GAMMA / bounds.zeta(t).value
+    want = []
+    for k in range(2, n + 1):
+        r = math.exp(logs[k]) / math.log(theta[k])
+        want.append((k, primes[k - 1], r, limit_value, r / limit_value - 1.0))
+    assert list(bounds.ratio_curve(_WALK_TABLE, t, n)) == want
+
+
+def _resumed_sums(tree):
+    """The calls in tree that pass compensated_prefix a state."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "compensated_prefix"
+        and (len(node.args) > 1 or node.keywords)
+    ]
+
+
+def test_only_the_walker_resumes_a_compensated_sum():
+    # every sum resumed from block to block walks primes.prefix_blocks: no
+    # other code in the package passes compensated_prefix a state
+    found = {}
+    for path in sorted(pathlib.Path(robinpsi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if _resumed_sums(tree):
+            found[path.name] = len(_resumed_sums(tree))
+            walker = [f for f in tree.body if getattr(f, "name", None) == "prefix_blocks"]
+            assert [len(_resumed_sums(f)) for f in walker] == [len(_resumed_sums(tree))]
+    assert found == {"primes.py": 1}
 
 
 def test_one_mpmath_handle_serves_every_recheck(small_table, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -13,38 +14,43 @@ from robinpsi import (
     CoverageError,
     build_table,
     champion_scan,
-    log_psi_ratio_prefix,
     primorials_up_to,
     psi_over_n,
+    psi_ratio_logs,
     ratio_curve,
     reduction_check,
 )
 from robinpsi import multiplicative, primorial
 from robinpsi.multiplicative import factorize
-from robinpsi.primes import PrimeTable, compensated_prefix
+from robinpsi.primes import PrimeTable, compensated_prefix, prefix_at
 from robinpsi.primorial import _psi_ratio_terms
 
 from conftest import factor_by_division
 
 
+def _log_ratios(table, t, n):
+    """log(psi_t(N_k)/N_k) for 0 <= k <= n, read off the walk at every k."""
+    return prefix_at(table.primes, partial(psi_ratio_logs, t=t), np.arange(n + 1))
+
+
 def test_start_point_is_empty_product(small_table):
     assert small_table.theta_upto(len(small_table))[0] == 0.0
     for t in (2, 3):
-        assert log_psi_ratio_prefix(small_table, t, 0).tolist() == [0.0]
+        assert _log_ratios(small_table, t, 0).tolist() == [0.0]
 
 
 def test_prefix_reaches_fourth_primorial(small_table):
     assert small_table.primes[3] == 7
     assert small_table.theta_upto(len(small_table))[4] == pytest.approx(math.log(210), abs=1e-13)
     # product of (1 + 1/p) over 2, 3, 5, 7 is 576/210
-    log_ratio = log_psi_ratio_prefix(small_table, 2, 4)[4]
+    log_ratio = _log_ratios(small_table, 2, 4)[4]
     assert log_ratio == pytest.approx(math.log(Fraction(576, 210)), abs=1e-13)
 
 
 def test_prefix_matches_high_precision_products(small_table):
     # fifty-digit reference for the log of the ratio product at n = 100
     for t in (2, 5):
-        log_ratio = log_psi_ratio_prefix(small_table, t, 100)[100]
+        log_ratio = _log_ratios(small_table, t, 100)[100]
         with mpmath.workdps(50):
             ref = mpmath.fsum(
                 mpmath.log(mpmath.mpf(p**t - 1) / ((p - 1) * p ** (t - 1)))
@@ -84,26 +90,28 @@ def test_psi_ratio_terms_fall_back_above_the_split_limit():
         quotients = _int_quotients(primes, t)
         assert terms.tolist() == quotients
         expect = compensated_prefix([math.log1p(x) for x in quotients])
-        assert log_psi_ratio_prefix(table, t, 5).tolist() == expect.tolist()
+        assert _log_ratios(table, t, 5).tolist() == expect.tolist()
 
 
 def test_prefix_is_stable_in_n(small_table):
     # a longer march never changes the earlier entries
-    short = log_psi_ratio_prefix(small_table, 3, 50)
-    long = log_psi_ratio_prefix(small_table, 3, 500)
+    short = _log_ratios(small_table, 3, 50)
+    long = _log_ratios(small_table, 3, 500)
     assert long[:51].tolist() == short.tolist()
 
 
 def test_prefix_needs_table_coverage():
     table = build_table(10)
-    assert len(log_psi_ratio_prefix(table, 2, 4)) == 5  # 2, 3, 5, 7 all fit
+    assert len(_log_ratios(table, 2, 4)) == 5  # 2, 3, 5, 7 all fit
+    with pytest.raises(IndexError):
+        _log_ratios(table, 2, 5)
     with pytest.raises(CoverageError):
-        log_psi_ratio_prefix(table, 2, 5)
+        ratio_curve(table, 2, 5)
 
 
 def test_robin_ratio_value(small_table):
     # R_2(N_4) = psi_2(210) / (210 log log 210), from the prefix arrays
-    log_ratio = log_psi_ratio_prefix(small_table, 2, 4)[4]
+    log_ratio = _log_ratios(small_table, 2, 4)[4]
     ratio = math.exp(log_ratio) / math.log(small_table.theta_upto(len(small_table))[4])
     expect = (576 / 210) / math.log(math.log(210))
     assert ratio == pytest.approx(expect, rel=1e-12)
@@ -115,9 +123,11 @@ def test_robin_ratio_domain(small_table):
     with pytest.raises(ValueError):
         ratio_curve(small_table, 2, 1)  # log log 2 is negative, ratio undefined
     with pytest.raises(ValueError):
-        log_psi_ratio_prefix(small_table, 1, 3)  # psi_1 is not defined
+        _log_ratios(small_table, 1, 3)  # psi_1 is not defined
     with pytest.raises(ValueError):
-        log_psi_ratio_prefix(small_table, 2, -1)
+        ratio_curve(small_table, 1, 3)
+    with pytest.raises(IndexError):
+        prefix_at(small_table.primes, partial(psi_ratio_logs, t=2), [-1])
 
 
 def test_primorials_up_to():

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from robinpsi import (
     ResourceError,
     build_table,
     champion_scan,
-    log_psi_ratio_prefix,
+    psi_ratio_logs,
     reduction_check,
     robin_scan,
     verify_tfree_robin,
@@ -26,6 +27,7 @@ from robinpsi import (
 from robinpsi import cli, multiplicative, robin
 from robinpsi.bounds import EXP_GAMMA
 from robinpsi.multiplicative import MAX_SCAN_STOP, factorize, sigma
+from robinpsi.primes import prefix_at
 
 from conftest import factor_by_division, spy_60_digits
 
@@ -293,7 +295,8 @@ def test_theorem_pipeline_rechecks_the_ratio_in_the_band(small_table, monkeypatc
     # one recheck, of (log psi_7(N_n)/N_n, log N_n) at n = 10596
     ((_, inputs, margin),) = calls
     assert tuple(map(float, inputs)) == (
-        pytest.approx(log_psi_ratio_prefix(small_table, 7, 10596)[10596], abs=1e-12),
+        pytest.approx(prefix_at(small_table.primes, partial(psi_ratio_logs, t=7), [10596])[0],
+                      abs=1e-12),
         pytest.approx(small_table.theta_upto(len(small_table))[10596]),
     )
     assert forced.passed and plain.passed
