@@ -14,8 +14,12 @@ slice or int() of one entry: an int64 p**t wraps without a warning past 2^63,
 and mpmath and pow(p, -1, 2**64) reject numpy integers.
 
 theta(x) = sum of log p over primes p <= x, so theta(p_n) = log(N_n) for the
-n-th primorial N_n.  Prefix sums are accumulated with Neumaier compensated
-summation (compensated_prefix): the absolute error stays within a few ulps
+n-th primorial N_n.  Each log p is libm's, bit for bit, at C speed: libm_log
+takes the real part of numpy's complex128 log, which calls C clog, while its
+float64 log is SIMD code that differs from libm in the last bit.  log1p and
+pow have no such route and stay a Python map of math (libm_map).  Prefix
+sums are accumulated with Neumaier compensated summation
+(compensated_prefix): the absolute error stays within a few ulps
 instead of growing linearly, which keeps log log N_n good to ~1e-12 near
 n = 10^4 where the crossover margins downstream are only ~1e-6.
 
@@ -36,7 +40,6 @@ import importlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -106,15 +109,15 @@ class PrimeTable:
         """theta_0, ..., theta_n; CoverageError past the table.  A read past
         the formed prefix extends it to at least twice its length, walking
         prefix_blocks on from its state, so the bits are the one-shot
-        prefix's whatever the order of the reads."""
+        prefix's whatever the order of the reads.  The terms are libm_log's,
+        math.log of each prime bit for bit."""
         require_primes(self, n)
         k = len(self._theta) - 1
         if n > k:
             stop = min(max(n, 2 * k), len(self.primes))
             theta = np.empty(stop + 1)
             theta[: k + 1] = self._theta
-            logs = partial(libm_map, math.log)
-            for a, p, sums in prefix_blocks(self.primes[:stop], logs, k, self._theta_state):
+            for a, p, sums in prefix_blocks(self.primes[:stop], libm_log, k, self._theta_state):
                 theta[a + 1 : a + 1 + p.size] = sums
             self._theta = theta
         return self._theta[: n + 1]
@@ -149,13 +152,35 @@ def _segmented_primes(limit: int) -> np.ndarray:
 
 def libm_map(fn, xs: np.ndarray) -> np.ndarray:
     """fn over the array xs as a float64 array.  fn gets Python ints or
-    floats and calls math, not numpy: numpy's exp and log differ from libm's
-    in the last bit, and the prefix sums and margins must match the scalar
-    formulas bit for bit.  So does its log1p: on the 1e5 psi-ratio terms of
-    t = 3 it differs from math.log1p on 23.  The map reads xs through a
-    memoryview, which makes each Python number as fn takes it, so no list of
-    them is ever held."""
+    floats and calls math, not numpy: numpy's float64 exp, log and log1p are
+    SIMD code, not libm, and differ from it in the last bit (log1p on 23 of
+    the 1e5 psi-ratio terms of t = 3), while the prefix sums and margins must
+    match the scalar formulas bit for bit.  libm_log takes log at C speed,
+    so the map remains for log1p and pow, which have no such route.  The map
+    reads xs through a memoryview, which makes each Python number as fn
+    takes it, so no list of them is ever held."""
     return np.fromiter(map(fn, memoryview(xs)), dtype=np.float64, count=len(xs))
+
+
+# glibc's clog halves an argument above DBL_MAX / 2 and adds log 2 back
+_LIBM_LOG_MAX = float(np.finfo(np.float64).max) / 2
+
+
+def libm_log(xs: np.ndarray) -> np.ndarray:
+    """libm's log of each x in xs, 2 <= x <= DBL_MAX / 2, bit for bit, as
+    float64; ValueError for any other x.  numpy's float64 log is SIMD code,
+    not libm: it differs from math.log on 61 of the 1.1M primes whose theta
+    t = 8 reads.  Its complex128 log calls C clog, whose real part at x + 0i
+    is log(hypot(x, 0)) = log(x) for 2 <= x <= DBL_MAX / 2 (glibc's
+    s_clog_template.c; hypot(x, 0) = |x| by C11 F.10.4.3), as is numpy's
+    own clog fallback for x > 1.73.  Below 2 clog takes log1p branches, and
+    above DBL_MAX / 2 it rescales, which moves the last bit.  The log runs
+    in place over one complex copy of xs; the result is its real part."""
+    z = np.asarray(xs).astype(np.complex128)
+    lo, hi = z.real.min(initial=2.0), z.real.max(initial=2.0)
+    if not (2.0 <= lo and hi <= _LIBM_LOG_MAX):  # a nan fails both
+        raise ValueError(f"libm_log needs 2 <= x <= DBL_MAX / 2, got x from {lo} to {hi}")
+    return np.log(z, out=z).real
 
 
 def compensated_prefix(xs: np.ndarray, state: list[float] | None = None) -> np.ndarray:

@@ -38,7 +38,7 @@ from robinpsi.bounds import (
 from robinpsi.primes import (
     at_60_digits,
     compensated_prefix,
-    libm_map,
+    libm_log,
     nth_prime_bound,
     prefix_at,
 )
@@ -680,9 +680,7 @@ def test_crossover_searches_form_theta_only_as_far_as_they_read(monkeypatch):
     # 16384, so theta is formed through index 16384 and no further
     table = build_table(1_310_000)
     logged = []
-    monkeypatch.setattr(
-        "robinpsi.primes.libm_map", lambda fn, xs: logged.append(len(xs)) or libm_map(fn, xs)
-    )
+    monkeypatch.setattr("robinpsi.primes.libm_log", lambda xs: logged.append(len(xs)) or libm_log(xs))
     calls = []
     decide = bounds.criterion
     monkeypatch.setattr(bounds, "criterion", lambda *a: calls.append(a[1]) or decide(*a))

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 import robinpsi
 from robinpsi import CoverageError, bounds, build_table, compensated_prefix, robin
 from robinpsi.bounds import EXP_GAMMA, _mertens_logs
+from robinpsi.cli import _SIEVE_CAP
 from robinpsi.primes import (
     _SEGMENT_ODDS,
     BLOCK,
     PrimeTable,
     _segmented_primes,
     at_60_digits,
+    libm_log,
     libm_map,
     prefix_at,
     prefix_blocks,
@@ -246,6 +248,35 @@ def test_theta_of_the_large_table_is_the_prefix_of_int_logs(table):
     # table; a map over the primes as floats (exact below 2^53) keeps this
     logs = np.array([math.log(p) for p in table.primes.tolist()])
     assert _bits(table.theta_upto(len(table))) == _bits(compensated_prefix(logs))
+
+
+def test_libm_log_is_math_log_bit_for_bit():
+    # every prime an index command can sieve, the domain's edges and seeded
+    # floats across it, against the scalar oracle math.log
+    primes = _segmented_primes(_SIEVE_CAP)
+    assert _bits(libm_log(primes)) == _bits([math.log(p) for p in primes.tolist()])
+    top = float(np.finfo(np.float64).max) / 2
+    rng = np.random.default_rng(20260)
+    xs = np.concatenate([
+        [2.0, np.nextafter(2.0, 3.0), 3.0, 2.0**53 - 1, 1e300, top],
+        rng.uniform(2.0, 4.0, 10_000),
+        rng.uniform(2.0, 1e12, 10_000),
+        np.exp(rng.uniform(math.log(2.0), math.log(top), 10_000)),
+    ])
+    assert xs.min() >= 2.0 and xs.max() <= top
+    assert _bits(libm_log(xs)) == _bits([math.log(x) for x in xs.tolist()])
+    assert libm_log(np.zeros(0)).size == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.nextafter(2.0, 0.0), 1.0, 0.5, 0.0, -3.0, math.nan,
+     np.nextafter(np.finfo(np.float64).max / 2, math.inf), math.inf],
+)
+def test_libm_log_refuses_x_where_clog_is_not_log(bad):
+    # below 2 clog takes log1p branches and above DBL_MAX / 2 it rescales
+    with pytest.raises(ValueError):
+        libm_log(np.array([2.0, bad, 3.0]))
 
 
 _SPLIT_TABLE = build_table(10_000)  # 1229 primes
