@@ -354,9 +354,9 @@ def _mertens_screen(x: np.ndarray, log_product: np.ndarray) -> tuple[np.ndarray,
 def _zeta_tail_logs(t: int, n: int, table: PrimeTable) -> np.ndarray:
     """log prod_{p <= p_k} (1 - p^-t) for 1 <= k <= n, the libm log1p terms
     summed left to right without compensation, bit for bit the scalar loop
-    `acc += log1p(-p^-t)`: p^-t is libm's pow of p and -t as floats, float
-    (-t).__rpow__ at each prime, and numpy's negation is exact."""
-    powers = libm_map(float(-t).__rpow__, table.primes[:n].astype(np.float64))
+    `acc += log1p(-p^-t)`: p^-t is libm's pow of p and -t as floats,
+    math.pow(p, -t) at each prime, and numpy's negation is exact."""
+    powers = libm_map(math.pow, table.primes[:n], -t)
     return np.cumsum(libm_map(math.log1p, np.negative(powers, out=powers)))
 
 

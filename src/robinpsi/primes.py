@@ -17,7 +17,11 @@ theta(x) = sum of log p over primes p <= x, so theta(p_n) = log(N_n) for the
 n-th primorial N_n.  Each log p is libm's, bit for bit, at C speed: libm_log
 takes the real part of numpy's complex128 log, which calls C clog, while its
 float64 log is SIMD code that differs from libm in the last bit.  log1p and
-pow have no such route and stay a Python map of math (libm_map).  Prefix
+pow run in numpy's float64 scalar loops, which call libm (libm_map): numpy
+skips its SIMD loop where the input's and output's strides differ in sign,
+but not where both are negative, and a canary checks each ufunc against math
+once per process.  log keeps clog: SIMD log differs from libm too rarely
+(124 of 2M draws in [2, 1e6]) for a canary to catch.  Prefix
 sums are accumulated with Neumaier compensated summation
 (compensated_prefix): the absolute error stays within a few ulps
 instead of growing linearly, which keeps log log N_n good to ~1e-12 near
@@ -37,6 +41,7 @@ recheck, so a run that rechecks nothing never loads it.
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -150,16 +155,71 @@ def _segmented_primes(limit: int) -> np.ndarray:
     return np.concatenate(segments)
 
 
-def libm_map(fn, xs: np.ndarray) -> np.ndarray:
-    """fn over the array xs as a float64 array.  fn gets Python ints or
-    floats and calls math, not numpy: numpy's float64 exp, log and log1p are
-    SIMD code, not libm, and differ from it in the last bit (log1p on 23 of
-    the 1e5 psi-ratio terms of t = 3), while the prefix sums and margins must
-    match the scalar formulas bit for bit.  libm_log takes log at C speed,
-    so the map remains for log1p and pow, which have no such route.  The map
-    reads xs through a memoryview, which makes each Python number as fn
-    takes it, so no list of them is ever held."""
-    return np.fromiter(map(fn, memoryview(xs)), dtype=np.float64, count=len(xs))
+# numpy's float64 ufunc of each libm function that libm_map runs in C
+_TWINS = {math.log1p: np.log1p, math.pow: np.power}
+# whether each ufunc passed its canary in this process, set on its first call
+_TWIN_VERDICTS: dict = {}
+
+
+def libm_map(fn, xs: np.ndarray, *args) -> np.ndarray:
+    """fn(x, *args) at each x of the 1-D array xs as a float64 array, bit for
+    bit the scalar call of math.  numpy's contiguous float64 log1p and pow
+    are SIMD code that differs from libm in the last bit (log1p on 23 of the
+    1e5 psi-ratio terms of t = 3), and the sums and margins must match the
+    scalar formulas.
+
+    math.log1p and math.pow run as their ufuncs on a negative-stride view of
+    xs into a fresh output: with strides of opposite sign numpy runs its
+    scalar loop, which calls libm.  A reversed output would not do, as numpy
+    flips two negative strides and runs SIMD.  The result is in the order of
+    xs, a reversed view unless xs had a negative stride.  A ufunc runs only
+    once it has passed its canary (_twin_passes), and a call with a result
+    that is not finite runs again as the map, which raises where math
+    raises; numpy would warn and return -inf or nan.  Any other fn is mapped
+    over a memoryview of xs in Python, about ten times slower."""
+    twin = _TWINS.get(fn)
+    with np.errstate(all="ignore"):  # the map raises where numpy warns
+        if twin is not None and _twin_passes(fn):
+            out = _scalar_loop(twin, xs, args)
+            if math.isfinite(out.sum()):  # nan and inf carry through a sum
+                return out
+    return _math_map(fn, xs, args)
+
+
+def _math_map(fn, xs: np.ndarray, args: tuple) -> np.ndarray:
+    """fn(x, *args) at each x of xs by a Python map of fn."""
+    terms = map(fn, memoryview(xs), *map(itertools.repeat, args))
+    return np.fromiter(terms, dtype=np.float64, count=len(xs))
+
+
+def _scalar_loop(ufunc, xs: np.ndarray, args: tuple) -> np.ndarray:
+    """ufunc(x, *args) at each x of xs in float64, in order, read through a
+    negative-stride view so that numpy runs its scalar loop (libm_map)."""
+    x = np.asarray(xs, dtype=np.float64)
+    return ufunc(x, *args) if x.strides[0] < 0 else ufunc(x[::-1], *args)[::-1]
+
+
+def _twin_passes(fn) -> bool:
+    """Whether fn's ufunc gives math's bits on 1024 fixed inputs, decided on
+    the first call in the process: log1p over (-0.5, 0.5), and pow at
+    integers p in [2, 2^25], log-uniform, 64 to each power -2, -6, ..., -62,
+    one scalar exponent a call as the zeta tail passes it.  The inputs come
+    from a 64-bit Weyl sequence.  On hosts where numpy runs the SIMD loop,
+    about 5% of such inputs differ."""
+    if fn not in _TWIN_VERDICTS:
+        weyl = np.arange(1, 1025, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        u = (weyl >> np.uint64(11)) * 2.0**-53  # in [0, 1)
+        if fn is math.log1p:
+            parts = [(u - 0.5, ())]
+        else:
+            p = np.rint(np.exp2(1.0 + 24.0 * u))
+            parts = [(p[64 * k :][:64], (-t,)) for k, t in enumerate(range(2, 65, 4))]
+        ufunc = _TWINS[fn]
+        _TWIN_VERDICTS[fn] = all(
+            _scalar_loop(ufunc, x, args).tobytes() == _math_map(fn, x, args).tobytes()
+            for x, args in parts
+        )
+    return _TWIN_VERDICTS[fn]
 
 
 # glibc's clog halves an argument above DBL_MAX / 2 and adds log 2 back

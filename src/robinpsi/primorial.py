@@ -72,13 +72,10 @@ def psi_ratio_logs(p: np.ndarray, t: int) -> np.ndarray:
     """log(psi_t(p)/p) at each prime of the block p, the terms of log
     psi_t(N_n)/N_n: libm's log1p of x = (q - 1) / (q (p - 1)), q = p^(t-1),
     each x correctly rounded (_psi_ratio_terms).  Every term is within an ulp
-    and the compensated sum keeps ~1e-12 absolute accuracy over 10^5 primes.
-    The logs overwrite the x, so a block leaves one array, not two."""
+    and the compensated sum keeps ~1e-12 absolute accuracy over 10^5 primes."""
     if t < 2:
         raise ValueError(f"need t >= 2, got t = {t}")
-    x = _psi_ratio_terms(p, t)[0]
-    x[:] = libm_map(math.log1p, x)
-    return x
+    return libm_map(math.log1p, _psi_ratio_terms(p, t)[0])
 
 
 def cursor_advance(*_args: object, **_kwargs: object) -> None:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import runpy
@@ -319,6 +320,15 @@ def _readme_example(command):
 
 def test_verify_bounds_golden(capsys):
     # pins every digit of the worst margins, as the README shows them
+    code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
+    assert code == 0
+    assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
+
+
+def test_verify_bounds_golden_without_numpy_libm(capsys, monkeypatch):
+    # both canaries failed: log1p and pow go back to the Python map of math,
+    # and every digit stays the same
+    monkeypatch.setattr("robinpsi.primes._TWIN_VERDICTS", {math.log1p: False, math.pow: False})
     code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
     assert code == 0
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")

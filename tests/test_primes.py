@@ -3,6 +3,7 @@
 import ast
 import bisect
 import functools
+import itertools
 import math
 import pathlib
 import random
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robinpsi
-from robinpsi import CoverageError, bounds, build_table, compensated_prefix, robin
+from robinpsi import CoverageError, bounds, build_table, compensated_prefix, primorial, robin
+from robinpsi import primes as primes_module
 from robinpsi.bounds import EXP_GAMMA, _mertens_logs
 from robinpsi.cli import _SIEVE_CAP
 from robinpsi.primes import (
@@ -23,6 +25,7 @@ from robinpsi.primes import (
     PrimeTable,
     _segmented_primes,
     at_60_digits,
+    blocks,
     libm_log,
     libm_map,
     prefix_at,
@@ -277,6 +280,126 @@ def test_libm_log_refuses_x_where_clog_is_not_log(bad):
     # below 2 clog takes log1p branches and above DBL_MAX / 2 it rescales
     with pytest.raises(ValueError):
         libm_log(np.array([2.0, bad, 3.0]))
+
+
+def _math_oracle(fn, xs, *args):
+    """fn(x, *args) at each x of xs, one call of math each."""
+    calls = map(fn, memoryview(np.ascontiguousarray(xs)), *(itertools.repeat(a) for a in args))
+    return np.fromiter(calls, dtype=np.float64, count=len(xs))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_libm_map_is_math_bit_for_bit_on_the_psi_ratio_and_mertens_terms():
+    # numpy's scalar loop through a reversed view against one math call a
+    # term: the psi ratio terms of t = 2, 3, 8 and 64 over the primes below
+    # 2^24, which hold n1(8) = 1055642, block by block as the walks form them
+    primes = _segmented_primes(1 << 24)
+    assert len(primes) > 1_055_642
+    for t in (2, 3, 8, 64):
+        for a, b in blocks(0, len(primes)):
+            x = primorial._psi_ratio_terms(primes[a:b], t)[0]
+            assert _same_bits(libm_map(math.log1p, x), _math_oracle(math.log1p, x))
+    # the Mertens terms log1p(-1/p) for the primes below 2^21
+    x = -1.0 / primes[: np.searchsorted(primes, 1 << 21)]
+    assert _same_bits(libm_map(math.log1p, x), _math_oracle(math.log1p, x))
+
+
+def test_libm_map_is_math_bit_for_bit_on_the_zeta_tail_terms():
+    # p^-t and log1p(-p^-t) for t = 2..64 over the first 1e4 primes; the pow
+    # is also float(-t).__rpow__, the zeta tail's earlier form of p^-t
+    primes = build_table(104_729).primes
+    assert len(primes) == 10_000
+    for t in range(2, 65):
+        powers = libm_map(math.pow, primes, -t)
+        assert _same_bits(powers, _math_oracle(math.pow, primes.astype(np.float64), -t))
+        assert _same_bits(powers, _math_oracle(float(-t).__rpow__, primes.astype(np.float64)))
+        x = -powers
+        assert _same_bits(libm_map(math.log1p, x), _math_oracle(math.log1p, x))
+
+
+@pytest.mark.parametrize("lo,hi", [(-0.999, 0.0), (0.0, 1e-8), (1e-8, 1.0), (1.0, 1e6)])
+def test_libm_map_is_math_bit_for_bit_across_the_domain(lo, hi):
+    # 2e6 seeded draws in each range, then an empty array, int64 input, a
+    # strided view and an already reversed view
+    x = np.random.default_rng(int(hi)).uniform(lo, hi, 2_000_000)
+    assert _same_bits(libm_map(math.log1p, x), _math_oracle(math.log1p, x))
+    for xs in (x[:0], np.arange(0, 4096 * 977, 977), x[:8192:3], x[:4096][::-1]):
+        assert _same_bits(libm_map(math.log1p, xs), _math_oracle(math.log1p, xs))
+
+
+@pytest.mark.parametrize(
+    "fn,xs,args",
+    [
+        (math.log1p, [0.5, -1.0, 0.25], ()),
+        (math.log1p, [0.5, -2.0], ()),
+        (math.log1p, [0.5, math.nan, -0.0], ()),
+        (math.log1p, [math.inf, 3.0], ()),
+        (math.pow, [2.0, 1e-10], (-64,)),  # overflow
+        (math.pow, [3.0, 0.0], (-2,)),
+        (math.pow, [2.0, 1e300], (-3,)),  # underflow to 0 is no error
+    ],
+    ids=["log1p(-1)", "log1p(-2)", "log1p(nan)", "log1p(inf)",
+         "pow-overflow", "pow(0,-2)", "pow-underflow"],
+)
+def test_libm_map_raises_where_math_raises(fn, xs, args):
+    # numpy returns -inf or nan with a RuntimeWarning where math raises; the
+    # map of math takes over any call with a result that is not finite
+    xs = np.array(xs)
+    try:
+        want = _math_oracle(fn, xs, *args)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            libm_map(fn, xs, *args)
+    else:
+        assert _same_bits(libm_map(fn, xs, *args), want)
+
+
+def test_libm_map_without_its_ufuncs_keeps_every_bit(monkeypatch):
+    # both canaries failed: the map of math, no ufunc, and the same bits
+    x = np.random.default_rng(7).uniform(-0.5, 0.5, 50_000)
+    p = build_table(10_000).primes
+    ufunc_bits = libm_map(math.log1p, x), libm_map(math.pow, p, -5)
+    monkeypatch.setattr(primes_module, "_TWIN_VERDICTS", {math.log1p: False, math.pow: False})
+    monkeypatch.setattr(primes_module, "_scalar_loop", _no_ufunc)
+    assert _same_bits(libm_map(math.log1p, x), ufunc_bits[0])
+    assert _same_bits(libm_map(math.pow, p, -5), ufunc_bits[1])
+
+
+def _no_ufunc(*args):
+    raise AssertionError("a ufunc ran although its canary failed")
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="the reversed view's scalar loop was measured on numpy 2; older numpy may keep the map",
+)
+@pytest.mark.parametrize("fn", [math.log1p, math.pow])
+def test_canary_passes_on_this_numpy(monkeypatch, fn):
+    # a numpy that ran its SIMD loop on the reversed view would fail the
+    # canary, and libm_map would slide back to the Python map unseen
+    monkeypatch.setattr(primes_module, "_TWIN_VERDICTS", {})
+    assert primes_module._twin_passes(fn)
+
+
+@pytest.mark.parametrize("fn,args", [(math.log1p, ()), (math.pow, (-3,))])
+def test_canary_fails_a_ufunc_one_ulp_off_at_one_input(monkeypatch, fn, args):
+    # and libm_map then maps math
+    scalar_loop = primes_module._scalar_loop
+
+    def one_ulp_off(ufunc, xs, args):
+        out = np.array(scalar_loop(ufunc, xs, args))
+        out[len(out) // 2] = np.nextafter(out[len(out) // 2], math.inf)
+        return out
+
+    monkeypatch.setattr(primes_module, "_TWIN_VERDICTS", {})
+    monkeypatch.setattr(primes_module, "_scalar_loop", one_ulp_off)
+    assert not primes_module._twin_passes(fn)
+    x = np.linspace(0.1, 0.4, 5)
+    assert _same_bits(libm_map(fn, x, *args), _math_oracle(fn, x, *args))
 
 
 _SPLIT_TABLE = build_table(10_000)  # 1229 primes
