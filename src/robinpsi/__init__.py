@@ -39,13 +39,7 @@ from .multiplicative import (
     verify_sigma_le_psi,
 )
 from .primes import PrimeTable, build_table, compensated_prefix
-from .primorial import (
-    champion_scan,
-    cursor_advance,
-    primorials_up_to,
-    psi_ratio_logs,
-    reduction_check,
-)
+from .primorial import champion_scan, cursor_advance, psi_ratio_logs
 from .robin import (
     RobinVerdict,
     TfreeTheoremReport,

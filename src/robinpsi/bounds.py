@@ -12,7 +12,7 @@ f(n) = 1 + 1.1253 / (log p_n * log log N_n).
 Each formula, the criterion's left side less 1, every bound's margin and
 R_t(N_n), is written once over m = math, numpy or mpmath: libm scalars where a
 value is printed or decided, numpy over a whole range to screen it, mpmath at
-60 digits (primes.at_60_digits) where neither decides.  const gives each its
+60 digits (primes.certify) where neither decides.  const gives each its
 constants: the compiled floats for math and numpy, gamma and the decimals at
 the working precision for mpmath.  A screen states beta, a bound on its
 distance to the libm value at each index, and libm runs only at the indices
@@ -21,9 +21,9 @@ libm, re-deciding at 60 digits a margin within its own error bound of zero;
 find_crossover_index gallops and then bisects over these certified
 decisions, as the left side falls with n, and admissible_t scans them over t.
 The four suites hand their columns to one sweep, _sweep, the zeta tail and
-psi ratio suites one column per t.  _sweep re-derives any |margin| below
-1e-9 at 60 digits, from logs of exact products (exact_log); a range without
-points reports SKIPPED.  The margins of both t-indexed suites rise with t
+psi ratio suites one column per t.  _sweep certifies every margin it takes
+with the band 1e-9, at 60 digits from logs of exact products (exact_log); a
+range without points reports SKIPPED.  The margins of both t-indexed suites rise with t
 (the lemma above _zeta_tail_error), so once the least t's column is
 screened, each later column whose certified floor lies above the worst so
 far and the band is counted, not screened: a suite's points are every
@@ -49,8 +49,8 @@ from . import primorial
 from .errors import CoverageError
 from .primes import (
     PrimeTable,
-    at_60_digits,
     blocks,
+    certify,
     compensated_prefix,
     libm_map,
     mpmath,
@@ -235,22 +235,22 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
     Both sides are reduced by 1 before subtraction (_criterion_lhs_at on the
     left, the excess field on the right), so the margin keeps full
     significance even when the two sides agree to many digits.  satisfied is
-    certified: the sign of the libm margin, or of the 60-digit one where the
-    libm margin lies within its error bound, _LHS_ERROR and the zeta error, of
-    zero.
+    certified with the band _LHS_ERROR of the left side plus the zeta error:
+    the sign of the libm margin, or of the 60-digit one where that margin
+    lies within the band, and then precision_critical is True.
     """
     z = zeta(t)
     if n < 2:
         raise ValueError(f"criterion needs n >= 2, got {n}")
     lhs_excess = _criterion_lhs_at(n, table)
     margin = z.excess - lhs_excess
-    satisfied = margin > 0.0
     p_n = int(table.primes[n - 1])
-    if abs(margin) <= _LHS_ERROR * lhs_excess + z.abs_error_bound:
-        satisfied = at_60_digits(
-            lambda m, p, theta, zeta_t: zeta_t - 1 - _lhs_excess(m, p, theta),
-            lambda: (p_n, exact_log(table, "primorial", n), mpmath.zeta(t)),
-        ) > 0.0
+    certified, rechecked = certify(
+        margin,
+        _LHS_ERROR * lhs_excess + z.abs_error_bound,
+        lambda m, p, theta, zeta_t: zeta_t - 1 - _lhs_excess(m, p, theta),
+        lambda: (p_n, exact_log(table, "primorial", n), mpmath.zeta(t)),
+    )
     return CriterionReport(
         t=t,
         n=n,
@@ -258,8 +258,8 @@ def criterion(t: int, n: int, table: PrimeTable) -> CriterionReport:
         lhs=1.0 + lhs_excess,
         rhs=z.value,
         margin=margin,
-        satisfied=satisfied,
-        precision_critical=abs(margin) < PRECISION_BAND,
+        satisfied=certified > 0.0,
+        precision_critical=rechecked,
     )
 
 
@@ -647,7 +647,7 @@ def _screen_pass(screen: Callable, worst: float, cut: float | None) -> tuple:
         lo = est - beta
         least = min(least, float(np.min(lo, initial=math.inf)))
         top = min(top, float(np.min(est + beta, initial=math.inf)))
-        band.append(offset + np.flatnonzero(np.abs(est) < PRECISION_BAND + beta))
+        band.append(offset + np.flatnonzero(np.abs(est) <= PRECISION_BAND + beta))
         keep = np.flatnonzero((lo < worst) & (lo <= (top if cut is None else cut)))
         found.append(offset + keep)
         found_lo.append(lo[keep])
@@ -668,9 +668,11 @@ def _sweep(
     the float margins at the indices offset, offset + 1, ..., and beta, a
     bound on |estimate - margin| at each; margins(idx) gives the float
     margins at the indices idx, ascending where the blocks' offsets are.
-    Every margin inside PRECISION_BAND is replaced by recheck(key, i), its
-    60-digit value, before it is trusted.  The worst point is the first minimum in column order, as a
-    scalar `if margin < worst` loop picks it; where(key, i) names it.
+    recheck(key, i) gives the (formula, inputs) of the margin at i, and each
+    margin taken is certified with the band PRECISION_BAND before it is
+    trusted; rechecked counts those decided at 60 digits.  The worst point is
+    the first minimum in column order, as a scalar `if margin < worst` loop
+    picks it; where(key, i) names it.
 
     The margins are taken only where the screen cannot decide: wherever the
     estimate is within PRECISION_BAND + beta of zero, and wherever the
@@ -720,10 +722,10 @@ def _sweep(
         low = math.inf  # the least margin taken
         while take.size:
             got = build(take)
-            in_band = np.flatnonzero(np.abs(got) < PRECISION_BAND).tolist()
-            for j in in_band:
-                got[j] = recheck(key, int(take[j]))
-            rechecked += len(in_band)
+            # certify's band and comparison: only these can be rechecked
+            for j in np.flatnonzero(np.abs(got) <= PRECISION_BAND).tolist():
+                got[j], flag = certify(float(got[j]), PRECISION_BAND, *recheck(key, int(take[j])))
+                rechecked += flag
             taken.append(take)
             margins.append(got)
             low = min(low, float(got.min()))
@@ -759,7 +761,7 @@ _FACTORS = {
 def exact_log(table: PrimeTable, name: str, n: int, t: int = 0) -> mpmath.mpf:
     """log of the product _FACTORS[name] over p_1..p_n at the working
     precision, numerator and denominator each a product of exact integers
-    with one rounding per factor; call it inside at_60_digits.
+    with one rounding per factor; call it from the inputs of certify.
 
     The products are kept per table, name, t and precision.  A call with n
     at or past the kept index extends them; an earlier n rebuilds them from
@@ -800,9 +802,7 @@ def mertens_bound_suite(
             partial(_one_block, _mertens_screen, x, logs),
             lambda idx: _libm(_mertens_margin, x[idx], logs[idx]),
         )],
-        lambda _, i: at_60_digits(
-            _mertens_margin, lambda: (xs[i], exact_log(table, "mertens", counts[i]))
-        ),
+        lambda _, i: (_mertens_margin, lambda: (xs[i], exact_log(table, "mertens", counts[i]))),
         lambda _, i: f"x={xs[i]}",
     )
 
@@ -816,7 +816,7 @@ def zeta_tail_bound_suite(
     return _sweep(
         "zeta_tail_product",
         _zeta_tail_columns(table, ts, n_max),
-        lambda t, i: at_60_digits(_zeta_tail_margin, lambda: (
+        lambda t, i: (_zeta_tail_margin, lambda: (
             int(table.primes[i + 1]), mpmath.zeta(t), exact_log(table, "zeta_tail", i + 2, t)
         )),
         lambda t, i: f"t={t},n={i + 2}",
@@ -859,7 +859,7 @@ def log_substitution_suite(
             partial(_log_substitution_blocks, table, n_min, n_max),
             partial(_log_substitution_margins, table, n_min),
         )],
-        lambda _, i: at_60_digits(_log_substitution_margin, lambda: (
+        lambda _, i: (_log_substitution_margin, lambda: (
             int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i)
         )),
         lambda _, i: f"n={n_min + i}",
@@ -884,7 +884,7 @@ def psi_ratio_bound_suite(
              partial(_psi_ratio_margins, t, table, n_min))
             for t in ts
         ],
-        lambda t, i: at_60_digits(_psi_ratio_margin, lambda: (
+        lambda t, i: (_psi_ratio_margin, lambda: (
             int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i),
             mpmath.zeta(t), exact_log(table, "psi_ratio", n_min + i, t),
         )),

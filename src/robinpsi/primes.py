@@ -32,10 +32,11 @@ temporaries stay block-sized and only their outputs span the range.  Every
 compensated sum over the primes walks prefix_blocks, which forms the terms
 and resumes the sum a block at a time; prefix_at keeps its sums at a few n.
 
-at_60_digits runs a formula f(m, ...), written once over m = math, numpy or
-mpmath, with m = mpmath, the one shared handle, at 60 significant digits: the
-only high-precision context.  The handle imports mpmath on the first
-recheck, so a run that rechecks nothing never loads it.
+certify is the one certified decision: a float margin within its error
+band of zero is re-derived by its formula f(m, ...), written once over
+m = math, numpy or mpmath, with m = mpmath, the one shared handle, at 60
+significant digits, the only high-precision context.  The handle imports
+mpmath on the first recheck, so a run that rechecks nothing never loads it.
 """
 
 from __future__ import annotations
@@ -78,12 +79,17 @@ class _LazyModule:
 mpmath = _LazyModule("mpmath")
 
 
-def at_60_digits(formula, inputs) -> float:
-    """float(formula(mpmath, *inputs())) at 60 significant digits.  inputs()
+def certify(margin: float, band: float, formula, inputs) -> tuple[float, bool]:
+    """(value, rechecked) for a float margin whose error is at most band.
+    Where |margin| <= band, value is float(formula(mpmath, *inputs())) at 60
+    significant digits and rechecked is True: a margin at its error bound may
+    be an exact zero.  Elsewhere value is margin and rechecked False.  inputs()
     runs inside the context, so the exact products it reads are formed at 60
     digits; each value it gives enters as an mpf, an int exactly."""
-    with mpmath.workdps(60):
-        return float(formula(mpmath, *map(mpmath.mpf, inputs())))
+    if abs(margin) <= band:
+        with mpmath.workdps(60):
+            return float(formula(mpmath, *map(mpmath.mpf, inputs()))), True
+    return margin, False
 
 
 @dataclass(eq=False)

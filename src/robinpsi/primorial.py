@@ -1,4 +1,4 @@
-"""Primorial ratio terms in log space, exact champion scans, and the reduction step.
+"""Primorial ratio terms in log space and exact champion scans (the reduction step).
 
 N_n = p_1 p_2 ... p_n.  log N_n is the table's theta and log(psi_t(N_n)/N_n)
 the prefix sum of psi_ratio_logs, both walked by primes.prefix_blocks.
@@ -6,8 +6,7 @@ champion_scan loops over the windows of multiplicative.sweep: the kernel sums
 each window's float log psi_t(n)/n over the marked primes, a lower bound,
 and the larger prime factors an n may have add at most the window's gap; a
 screen keeps the n whose bounds come within LOG_RATIO_BAND of the running
-maximum, and the loop re-decides each of them exactly.  reduction_check is
-the corollary of that scan.
+maximum, and the loop re-decides each of them exactly.
 """
 
 from __future__ import annotations
@@ -130,6 +129,11 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
     m whose upper bound is within LOG_RATIO_BAND of the largest lower bound
     so far, and each m it keeps is compared as an exact rational against the
     last champion.
+
+    The reduction step is its corollary: where the strict champions up to
+    limit are the primorials, R_t(m) < R_t(N_k) for every non-primorial m in
+    [6, limit], N_k the largest primorial <= m and R_t(m) = psi_t(m)/(m log
+    log m), as psi_t(m)/m <= psi_t(N_k)/N_k and log log m > log log N_k > 0.
     """
     if limit < 1:
         raise ValueError(f"scan needs limit >= 1, got {limit}")
@@ -153,33 +157,3 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
                 best = r
     return out
 
-
-def primorials_up_to(limit: int) -> list[int]:
-    """[1, 2, 6, 30, ...] up to limit."""
-    if limit < 1:
-        raise ValueError(f"need limit >= 1, got {limit}")
-    # theta(p) >= p log(2) / 2 for every prime p, so the largest prime factor
-    # of a primorial <= limit is at most 2 log2(limit), and by Bertrand the
-    # next prime is at most twice that.
-    primes = build_table(4 * limit.bit_length() + 4).primes.tolist()
-    out = [1]
-    for p in primes:
-        if out[-1] * p > limit:
-            break
-        out.append(out[-1] * p)
-    return out
-
-
-def reduction_check(limit: int, t: int) -> bool:
-    """True if R_t(m) < R_t(N_k) for every non-primorial m in [6, limit],
-    where N_k is the largest primorial <= m and R_t(m) = psi_t(m)/(m log log m).
-
-    A corollary of the champion scan: when the champions of psi_t(m)/m up to
-    limit are the primorials, psi_t(m)/m <= psi_t(N_k)/N_k, the running
-    maximum before m, and log log m > log log N_k > 0, so R_t(m) < R_t(N_k).
-    """
-    if limit < 6:
-        raise ValueError(f"reduction check needs limit >= 6, got {limit}")
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    return champion_scan(limit, t) == primorials_up_to(limit)

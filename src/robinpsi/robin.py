@@ -9,9 +9,9 @@ upper bound on log(sigma(n)/n), and decides each n the screen keeps from
 its exact sigma.  The t-free pipeline checks
 the bridge (c) first, which needs no sweep and bounds the range before any
 sieving, then scans for (a), once per table and scan limit for every t.
-A verdict's float margin within n * 1e-9 of zero, and R_t(N_n1) within 1e-9
-of e^gamma, are re-decided at 60 significant digits by the same formula over
-m = mpmath (_threshold, bounds.primorial_ratio) before being trusted.
+A verdict's float margin is certified (primes.certify) with the band
+n * 1e-9, and R_t(N_n1) against e^gamma with the band 1e-9: within it, the
+same formula over m = mpmath (_threshold, bounds.primorial_ratio) decides.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .multiplicative import (
     sweep,
     verify_sigma_le_psi,
 )
-from .primes import PrimeTable, at_60_digits, mpmath, prefix_at  # noqa: F401, bounds' handle
+from .primes import PrimeTable, certify, mpmath, prefix_at  # noqa: F401, bounds' handle
 from . import primorial
 
 RELATIVE_BAND = 1e-9
@@ -59,10 +59,9 @@ def _threshold(m, n):
 
 def _verdict_from_sigma(n: int, sig: int) -> RobinVerdict:
     threshold = _threshold(math, n)
-    margin = threshold - sig
-    critical = abs(margin) < n * RELATIVE_BAND
-    if critical:
-        margin = at_60_digits(lambda m, x, s: _threshold(m, x) - s, lambda: (n, sig))
+    margin, critical = certify(
+        threshold - sig, n * RELATIVE_BAND, lambda m, x, s: _threshold(m, x) - s, lambda: (n, sig)
+    )
     return RobinVerdict(
         n=n,
         sigma=sig,
@@ -92,7 +91,7 @@ def _window_violators(lo: int, upper: np.ndarray, table: PrimeTable) -> list[Rob
     holding an upper bound on log(sigma(n)/n) of each n in it, within 1e-13.
 
     With c = e^gamma log log n, a violator has sigma(n) >= c n, and an n the
-    verdict puts in its band has sigma(n) > (c - RELATIVE_BAND) n.  So an n
+    verdict puts in its band has sigma(n) >= (c - RELATIVE_BAND) n.  So an n
     with exp(upper) < c - 2 RELATIVE_BAND is cleared: sigma(n) < c n by more
     than RELATIVE_BAND n, past every float error here (below 1e-13 c n).
     The window's least c, at its first n, clears most n at once, in log
@@ -142,8 +141,8 @@ class TfreeTheoremReport:
     (a) every t-free violator found in [3, scan_limit] is <= 5040, the range
         settled by exhaustive verification;
     (b) the crossover index exists and R_t at that primorial is < e^gamma,
-        the float ratio (within ~1e-12) re-decided at 60 digits when it lies
-        within PRECISION_BAND of e^gamma;
+        the float ratio (within ~1e-12) certified with the band
+        PRECISION_BAND;
     (c) sigma(n) <= psi_t(n) exactly on every t-free n in range.
     """
 
@@ -189,12 +188,12 @@ def verify_tfree_robin(t: int, scan_limit: int, table: PrimeTable) -> TfreeTheor
     n1 = find_crossover_index(t, table)
     (log_ratio,) = prefix_at(table.primes, partial(primorial.psi_ratio_logs, t=t), [n1])
     ratio = primorial_ratio(math, log_ratio, table.theta_upto(n1)[n1])
-    margin = EXP_GAMMA - ratio
-    if abs(margin) < PRECISION_BAND:
-        margin = at_60_digits(
-            lambda m, lr, theta: const(m, EXP_GAMMA) - primorial_ratio(m, lr, theta),
-            lambda: (exact_log(table, "psi_ratio", n1, t), exact_log(table, "primorial", n1)),
-        )
+    margin, _ = certify(
+        EXP_GAMMA - ratio,
+        PRECISION_BAND,
+        lambda m, lr, theta: const(m, EXP_GAMMA) - primorial_ratio(m, lr, theta),
+        lambda: (exact_log(table, "psi_ratio", n1, t), exact_log(table, "primorial", n1)),
+    )
     branch_b = margin > 0.0
 
     witness: int | None = None

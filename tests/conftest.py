@@ -47,19 +47,30 @@ def built_columns(monkeypatch):
 
 
 def spy_60_digits(monkeypatch, module):
-    """Every call module makes to primes.at_60_digits, as (formula, inputs,
-    result), inputs what its inputs() gave inside the context."""
+    """Every recheck module's calls to primes.certify run at 60 digits, as
+    (formula, inputs, result), inputs what its inputs() gave inside the
+    context; a call that returns its float margin is not listed."""
     calls = []
-    run = module.at_60_digits
+    run = module.certify
 
-    def spy(formula, inputs):
+    def spy(margin, band, formula, inputs):
         seen = []
-        result = run(formula, lambda: seen.extend(inputs()) or seen)
-        calls.append((formula, tuple(seen), result))
-        return result
+        result, rechecked = run(margin, band, formula, lambda: seen.extend(inputs()) or seen)
+        if rechecked:
+            calls.append((formula, tuple(seen), result))
+        return result, rechecked
 
-    monkeypatch.setattr(module, "at_60_digits", spy)
+    monkeypatch.setattr(module, "certify", spy)
     return calls
+
+
+def primorials_up_to(limit):
+    """[1, 2, 6, 30, ...] up to limit, each prime found by trial division."""
+    out, p = [1], 2
+    while out[-1] * p <= limit:
+        out.append(out[-1] * p)
+        p = next(q for q in range(p + 1, 2 * p + 1) if all(q % d for d in range(2, q)))
+    return out
 
 
 def factor_by_division(n):

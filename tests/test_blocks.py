@@ -142,13 +142,14 @@ def test_blocked_passes_match_the_whole_array_formulas(table, block, edge, start
 
 def _sweep_whole(columns, recheck):
     """The sweep over whole columns: one estimate and beta array per column,
-    margins kept in a column-long array, taken rounds as masks.  Returns the
+    margins kept in a column-long array, taken rounds as masks, recheck(key,
+    i) the 60-digit value of each margin in the band.  Returns the
     (worst, where, rechecked, points) the blocked sweep must give, and the
     indices each round took."""
     worst, worst_at, points, rechecked, rounds = math.inf, "", 0, 0, []
     for key, est, beta, build in columns:
         lo = est - beta
-        take = np.abs(est) < bounds.PRECISION_BAND + beta
+        take = np.abs(est) <= bounds.PRECISION_BAND + beta
         take |= (lo < worst) & (lo <= np.min(est + beta, initial=math.inf))
         taken = take.copy()
         margins = np.full(est.size, math.inf)
@@ -156,7 +157,7 @@ def _sweep_whole(columns, recheck):
             idx = np.flatnonzero(take)
             rounds.append((key, idx.tolist()))
             margins[idx] = build(idx)
-            band = idx[np.abs(margins[idx]) < bounds.PRECISION_BAND].tolist()
+            band = idx[np.abs(margins[idx]) <= bounds.PRECISION_BAND].tolist()
             for i in band:
                 margins[i] = recheck(key, i)
             rechecked += len(band)
@@ -193,8 +194,11 @@ def test_blocked_sweep_takes_what_the_whole_column_sweep_takes(columns):
     # first worst point, whether or not the screen's beta holds
     rechecks = {key: np.array(col[3]) for key, col in enumerate(columns)}
 
-    def recheck(key, i):
+    def value(key, i):
         return float(rechecks[key][i])
+
+    def recheck(key, i):
+        return lambda m, x: x, lambda: (value(key, i),)
 
     whole, blocked, rounds = [], [], []
     for key, (est, beta, margins, _, lengths) in enumerate(columns):
@@ -212,6 +216,6 @@ def test_blocked_sweep_takes_what_the_whole_column_sweep_takes(columns):
 
         blocked.append((key, screen, build))
     result = bounds._sweep("synthetic", blocked, recheck, lambda key, i: f"{key}:{i}")
-    want, want_rounds = _sweep_whole(whole, recheck)
+    want, want_rounds = _sweep_whole(whole, value)
     assert (result.worst_margin, result.worst_at, result.rechecked, result.points) == want
     assert rounds == want_rounds

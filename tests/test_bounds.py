@@ -36,7 +36,7 @@ from robinpsi.bounds import (
     MERTENS_SHIFT,
 )
 from robinpsi.primes import (
-    at_60_digits,
+    certify,
     compensated_prefix,
     libm_log,
     nth_prime_bound,
@@ -645,7 +645,8 @@ def test_sweep_takes_more_margins_after_a_recheck_rises():
         return est[idx]
 
     result = bounds._sweep(
-        "synthetic", [(None, lambda: [(0, est, beta)], margins)], lambda *_: 5.0, lambda _, i: f"i={i}"
+        "synthetic", [(None, lambda: [(0, est, beta)], margins)],
+        lambda *_: (lambda m: 5.0, lambda: ()), lambda _, i: f"i={i}",
     )
     assert taken == [[0], [1, 2]]
     assert (result.worst_margin, result.worst_at, result.rechecked) == (1.0, "i=1", 1)
@@ -691,6 +692,93 @@ def test_crossover_searches_form_theta_only_as_far_as_they_read(monkeypatch):
     # 9 gallop probes and 8 bisection steps for t = 6, 14 and 13 for t = 7
     assert found == [(509, 17), (10596, 27)]
     assert sum(logged) == 16384 < len(table)
+
+
+# The four decision sites, each forced to a libm margin of frac times its
+# band as stated in its comment or docstring, not as read from the code, so a
+# band shrunk in the code fails here.  Each returns the number of 60-digit
+# rechecks the margin took, and checks the flag the site reports.
+def _criterion_site(monkeypatch, table, frac):
+    # 2^-46 of the left side plus the zeta error; at t = 2 the first term
+    # (9.2e-15) outweighs the second (3.5e-15)
+    z = zeta(2)
+    band = 2.0**-46 * z.excess + z.abs_error_bound
+    monkeypatch.setattr(bounds, "_criterion_lhs_at", lambda n, table: z.excess - frac * band)
+    calls = spy_60_digits(monkeypatch, bounds)
+    report = criterion(2, 100, table)
+    assert report.margin == pytest.approx(frac * band, rel=0.02)
+    assert report.precision_critical == bool(calls)
+    return len(calls)
+
+
+def _sweep_site(monkeypatch, table, frac):
+    # PRECISION_BAND, 1e-9, at the log substitution suite's one point n = 2263
+    margin = frac * 1e-9
+    monkeypatch.setattr(
+        bounds, "_log_substitution_blocks", lambda *_: [(0, np.array([margin]), np.zeros(1))]
+    )
+    monkeypatch.setattr(bounds, "_log_substitution_margins", lambda *_: np.array([margin]))
+    calls = spy_60_digits(monkeypatch, bounds)
+    result = log_substitution_suite(table, n_max=CRITERION_FLOOR)
+    assert result.points == 1 and result.rechecked == len(calls)
+    assert [f for f, _, _ in calls] == [bounds._log_substitution_margin] * len(calls)
+    return len(calls)
+
+
+def _ratio_site(monkeypatch, table, frac):
+    # branch (b): R_t(N_n1) within PRECISION_BAND, 1e-9, of e^gamma
+    real = robin.primorial_ratio
+    monkeypatch.setattr(
+        robin, "primorial_ratio",
+        lambda m, lr, theta: EXP_GAMMA - frac * 1e-9 if m is math else real(m, lr, theta),
+    )
+    calls = spy_60_digits(monkeypatch, robin)
+    # the exact ratio lies below e^gamma, a forced one outside the band decides
+    assert verify_tfree_robin(6, 5041, table).passed == (bool(calls) or frac > 0)
+    return len(calls)
+
+
+def _verdict_site(monkeypatch, table, frac):
+    # a Robin verdict: 1e-9 n, at n = 5040, sigma(5040) = 19344
+    n, sig = 5040, 19344
+    real = robin._threshold
+    monkeypatch.setattr(
+        robin, "_threshold", lambda m, x: sig + frac * 1e-9 * x if m is math else real(m, x)
+    )
+    calls = spy_60_digits(monkeypatch, robin)
+    verdict = robin._verdict_from_sigma(n, sig)
+    assert verdict.precision_critical == bool(calls)
+    assert verdict.holds == (not calls and frac > 0)  # 5040 violates at 60 digits
+    return len(calls)
+
+
+@pytest.mark.parametrize("site", [_criterion_site, _sweep_site, _ratio_site, _verdict_site])
+@pytest.mark.parametrize("frac, rechecks", [(0.5, 1), (-0.5, 1), (1.25, 0), (-1.25, 0)])
+def test_each_site_rechecks_exactly_inside_its_stated_band(
+    small_table, monkeypatch, site, frac, rechecks
+):
+    assert site(monkeypatch, small_table, frac) == rechecks
+
+
+def test_sweep_rechecks_a_margin_at_its_band(small_table, monkeypatch):
+    # the sweep's screen and its filter before certify keep certify's <=
+    assert _sweep_site(monkeypatch, small_table, 1.0) == 1
+
+
+def test_certify_rechecks_a_margin_at_its_band():
+    # <=, not <: a margin at its error bound may be an exact zero
+    exact = (lambda m, x: m.mpf(x) / 3, lambda: (1,))
+    third = 1.0 / 3.0
+    for margin, band, want in (
+        (1e-9, 1e-9, (third, True)),
+        (-1e-9, 1e-9, (third, True)),
+        (0.0, 0.0, (third, True)),
+        (math.nextafter(1e-9, 1.0), 1e-9, (math.nextafter(1e-9, 1.0), False)),
+        (-2.0, 1.0, (-2.0, False)),
+    ):
+        assert certify(margin, band, *exact) == want
+    value, rechecked = certify(math.nan, math.inf, *exact)
+    assert math.isnan(value) and not rechecked
 
 
 def test_criterion_rechecks_at_60_digits_within_the_libm_error(monkeypatch, small_table):
@@ -879,7 +967,7 @@ def test_margins_rise_with_t_within_their_error_bounds(small_table):
     for t in range(3, 11):
         error = bounds._psi_ratio_error(table, n_min, n_max, t)
         for n in (n_min, n_max) if t == 3 else (n_min,):
-            exact = at_60_digits(bounds._psi_ratio_margin, lambda: (
+            exact, _ = certify(0.0, 0.0, bounds._psi_ratio_margin, lambda: (
                 int(table.primes[n - 1]), bounds.exact_log(table, "primorial", n),
                 zetas[t], bounds.exact_log(table, "psi_ratio", n, t),
             ))
@@ -887,7 +975,7 @@ def test_margins_rise_with_t_within_their_error_bounds(small_table):
     for t in range(2, 65):
         error = bounds._zeta_tail_error(tail_max, t)
         for n in (2, 2 + tail_max // t, tail_max) if t <= 3 else (2, 2 + tail_max // t):
-            exact = at_60_digits(bounds._zeta_tail_margin, lambda: (
+            exact, _ = certify(0.0, 0.0, bounds._zeta_tail_margin, lambda: (
                 int(table.primes[n - 1]), zetas[t], bounds.exact_log(table, "zeta_tail", n, t),
             ))
             assert abs(tail[t][n - 2] - exact) <= error
@@ -971,12 +1059,15 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
     primes = small_table.primes.tolist()
 
     def suite_recheck(suite):
-        """The recheck(key, i) and where(key, i) that suite hands to _sweep."""
+        """The 60-digit margin at (key, i) of the recheck(key, i) that suite
+        hands to _sweep, certified with a band of 0 at a margin of 0, and
+        where(key, i)."""
         with monkeypatch.context() as patch:
             patch.setattr(
                 bounds, "_sweep", lambda name, columns, recheck, where, **_: (recheck, where)
             )
-            return suite(small_table)
+            recheck, where = suite(small_table)
+        return lambda key, i: certify(0.0, 0.0, *recheck(key, i))[0], where
 
     recheck, where = suite_recheck(mertens_bound_suite)
     mertens = recheck(None, next(i for i in range(64) if where(None, i) == "x=1024"))

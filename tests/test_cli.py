@@ -676,14 +676,15 @@ print(",".join(sorted(numpy_modules() - imported)) or "-")
 table = build_table(1 << 17)
 assert robin.verify_tfree_robin(7, 20_000, table).passed
 print("mpmath" in sys.modules)
-run = robin.at_60_digits
+run = robin.certify
 
-def recheck(formula, inputs):
-    margin = run(formula, inputs)
-    print("mpmath" in sys.modules, margin.hex())
-    return margin
+def recheck(margin, band, formula, inputs):
+    margin, rechecked = run(margin, band, formula, inputs)
+    if rechecked:
+        print("mpmath" in sys.modules, margin.hex())
+    return margin, rechecked
 
-robin.at_60_digits, robin.PRECISION_BAND = recheck, 10.0
+robin.certify, robin.PRECISION_BAND = recheck, 10.0
 assert robin.verify_tfree_robin(7, 20_000, table).passed
 """
 

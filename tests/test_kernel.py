@@ -19,7 +19,6 @@ from robinpsi import (
     ResourceError,
     build_table,
     champion_scan,
-    reduction_check,
     robin_scan,
     verify_sigma_le_psi,
     verify_tfree_robin,
@@ -41,7 +40,7 @@ from robinpsi.multiplicative import (
 from robinpsi.primes import PrimeTable, _segmented_primes
 from robinpsi.primorial import log_terms
 
-from conftest import factor_by_division, factors_from_marks, marked_part
+from conftest import factor_by_division, factors_from_marks, marked_part, primorials_up_to
 
 EDGE = multiplicative.SEGMENT_SIZE
 
@@ -199,7 +198,7 @@ def test_sweeps_agree_across_segment_boundaries(monkeypatch, small_table):
             [verify_sigma_le_psi(20_000, t) for t in (2, 3, 4)],
             robin_scan(3, 20_000, small_table),
             [verify_tfree_robin(t, 20_000, fresh) for t in (6, 7)],
-            reduction_check(20_000, 3),
+            champion_scan(20_000, 3) == primorials_up_to(20_000),
         )
 
     expected = run()
@@ -357,15 +356,13 @@ def test_tfree_pass_matches_separate_sweeps(small_table, scan_oracle, limit, t):
     [
         lambda limit: champion_scan(limit, 2),
         lambda limit: verify_sigma_le_psi(limit, 3),
-        lambda limit: reduction_check(limit, 2),
         lambda limit: verify_tfree_robin(6, limit, build_table(100)),
     ],
-    ids=["champion_scan", "verify_sigma_le_psi", "reduction_check", "verify_tfree_robin"],
+    ids=["champion_scan", "verify_sigma_le_psi", "verify_tfree_robin"],
 )
 def test_sweep_limits(sweep, monkeypatch):
     # both guards come before any sieving, so each call returns at once; each
-    # sweep covers [1, limit], reduction_check's through champion_scan, so
-    # MAX_SPAN + 1 is past the budget
+    # sweep covers [1, limit], so MAX_SPAN + 1 is past the budget
     for module, name in ((primorial, "build_table"), (multiplicative, "_segmented_primes")):
         monkeypatch.setattr(module, name, lambda *_: pytest.fail("sieved first"))
     start = time.perf_counter()
@@ -400,9 +397,6 @@ def test_screens_send_few_n_to_exact_decisions(monkeypatch):
     decided.clear()
     assert champion_scan(10**6, 2) == [1, 2, 6, 30, 210, 2310, 30030, 510510]
     assert len(decided) <= 64
-    decided.clear()
-    assert reduction_check(10**6, 2)
-    assert len(decided) <= 64
 
 
 @pytest.mark.parametrize("t", [2, 7])
@@ -411,7 +405,7 @@ def test_screens_agree_with_deciding_every_point(monkeypatch, t):
     expected = [champion_scan(3000, t, mode) for mode in ("strict", "weak")]
     monkeypatch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
     assert [champion_scan(3000, t, mode) for mode in ("strict", "weak")] == expected
-    assert reduction_check(3000, t)
+    assert expected[0] == primorials_up_to(3000)
 
 
 @pytest.fixture(scope="module")

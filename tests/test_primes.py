@@ -24,8 +24,8 @@ from robinpsi.primes import (
     BLOCK,
     PrimeTable,
     _segmented_primes,
-    at_60_digits,
     blocks,
+    certify,
     libm_log,
     libm_map,
     prefix_at,
@@ -520,10 +520,40 @@ def test_only_the_walker_resumes_a_compensated_sum():
     assert found == {"primes.py": 1}
 
 
+# mpmath's ways into a working precision other than its default
+_PRECISION_CONTEXTS = {"workdps", "workprec", "extradps", "extraprec"}
+
+
+def test_certify_is_the_only_way_into_60_digits():
+    # one certified decision: workdps is named once in the package, inside
+    # primes.certify, and no other module enters a precision context, sets
+    # mpmath's precision or defines a runner of its own
+    package = pathlib.Path(robinpsi.__file__).parent
+    named = {p.name: p.read_text().count("workdps") for p in sorted(package.glob("*.py"))}
+    assert {name: k for name, k in named.items() if k} == {"primes.py": 1}
+    source = (package / "primes.py").read_text()
+    (body,) = [
+        ast.get_source_segment(source, f) for f in ast.parse(source).body
+        if getattr(f, "name", None) == "certify"
+    ]
+    assert "mpmath.workdps(60)" in body
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        stores = {
+            n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        }
+        names = {getattr(n, "name", None) or getattr(n, "id", "") for n in nodes}
+        if path.name != "primes.py":
+            assert not attrs & _PRECISION_CONTEXTS, path.name
+        assert not stores & {"dps", "prec"}, path.name
+        assert not [name for name in names | attrs if "60_digits" in name], path.name
+
+
 def test_one_mpmath_handle_serves_every_recheck(small_table, monkeypatch):
     # bounds and robin recheck through the one helper, which enters the
     # workdps set on the shared handle, so one stand-in counts every recheck
-    assert bounds.at_60_digits is robin.at_60_digits is at_60_digits
+    assert bounds.certify is robin.certify is certify
     assert bounds.mpmath is robin.mpmath is mpmath_handle
     entered = []
     workdps = mpmath_handle.workdps

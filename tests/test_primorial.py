@@ -14,18 +14,16 @@ from robinpsi import (
     CoverageError,
     build_table,
     champion_scan,
-    primorials_up_to,
     psi_over_n,
     psi_ratio_logs,
     ratio_curve,
-    reduction_check,
 )
 from robinpsi import multiplicative, primorial
 from robinpsi.multiplicative import factorize
 from robinpsi.primes import PrimeTable, compensated_prefix, prefix_at
 from robinpsi.primorial import _psi_ratio_terms
 
-from conftest import factor_by_division
+from conftest import factor_by_division, primorials_up_to
 
 
 def _log_ratios(table, t, n):
@@ -131,9 +129,12 @@ def test_robin_ratio_domain(small_table):
 
 
 def test_primorials_up_to():
+    # the tests' primorials, and the strict champions on each side of one
     assert primorials_up_to(1) == [1]
     assert primorials_up_to(2) == [1, 2]
     assert primorials_up_to(10_000) == [1, 2, 6, 30, 210, 2310]
+    for limit in (1, 2, 5, 6, 2309, 2310):
+        assert champion_scan(limit, 3) == primorials_up_to(limit)
 
 
 def _brute_champions(limit, t, strict, table):
@@ -232,7 +233,7 @@ def test_screened_champions_match_full_window_maxima(top, windows, gap):
 @pytest.mark.parametrize("t", [2, 7])
 def test_reduction_to_primorials(t):
     # the running maximum of psi_t(m) / (m log log m) sits on primorials
-    assert reduction_check(100_000, t)
+    assert champion_scan(100_000, t) == primorials_up_to(100_000)
 
 
 @pytest.mark.parametrize(
@@ -240,22 +241,23 @@ def test_reduction_to_primorials(t):
 )
 def test_reduction_check_fails_where_a_non_primorial_rises(monkeypatch, raised, holds):
     # a forced psi_t(m)/m above every earlier value makes m a champion, which
-    # fails the check unless m is a primorial; the band sends every m to the
-    # exact decision, in windows of 997 from 1
+    # breaks the reduction unless m is a primorial; the band sends every m to
+    # the exact decision, in windows of 997 from 1
     real = primorial.psi_over_n
     monkeypatch.setattr(
         primorial, "psi_over_n", lambda f, t: Fraction(100) if f.value == raised else real(f, t)
     )
     monkeypatch.setattr(primorial, "LOG_RATIO_BAND", 100.0)
     monkeypatch.setattr(multiplicative, "SEGMENT_SIZE", 997)
-    assert reduction_check(3000, 3) == holds
+    assert (champion_scan(3000, 3) == primorials_up_to(3000)) == holds
 
 
 def test_reduction_limit_domain():
-    # the limit is checked first, then t, each with its own text
-    for limit, t, text in ((5, 2, "limit >= 6, got 5"), (5, 1, "limit >= 6"), (6, 1, "t >= 2, got 1")):
+    # the reduction is the champion scan's: the limit is checked first, then
+    # t, each with its own text
+    for limit, t, text in ((0, 2, "limit >= 1, got 0"), (0, 1, "limit >= 1"), (1, 1, "t >= 2, got 1")):
         with pytest.raises(ValueError, match=text):
-            reduction_check(limit, t)
+            champion_scan(limit, t)
 
 
 @pytest.mark.parametrize("t", [2, 3, 7])
@@ -280,4 +282,4 @@ def test_reduction_inequality_at_60_digits(t):
             if m not in lines
         )
     assert worst < 0
-    assert reduction_check(3000, t)
+    assert champion_scan(3000, t) == primorials_up_to(3000)

@@ -20,7 +20,6 @@ from robinpsi import (
     build_table,
     champion_scan,
     psi_ratio_logs,
-    reduction_check,
     robin_scan,
     verify_tfree_robin,
 )
@@ -222,9 +221,8 @@ def test_screened_close_matches_full_window_margins(window, band, slack):
     [
         (lambda table: robin_scan(5041, 2_000_000, table), 3),
         (lambda table: champion_scan(2_000_000, 2), 6),
-        (lambda table: reduction_check(2_000_000, 2), 6),
     ],
-    ids=["robin_scan", "champion_scan", "reduction_check"],
+    ids=["robin_scan", "champion_scan"],
 )
 def test_sweep_memory_stays_window_sized(table, scan, windows_after_plan, monkeypatch):
     # every temporary of a sweep is a window's, so its peak is a few 8-byte
