@@ -23,8 +23,8 @@ decisions, as the left side falls with n, and admissible_t scans them over t.
 The four suites hand their columns to one sweep, _sweep, the zeta tail and
 psi ratio suites one column per t.  _sweep certifies every margin it takes
 with the band 1e-9, at 60 digits from logs of exact products (exact_log); a
-range without points reports SKIPPED.  The margins of both t-indexed suites rise with t
-(the lemma above _zeta_tail_error), so once the least t's column is
+range without points reports SKIPPED.  The margins of both t-indexed suites
+rise with t (the lemma above _zeta_tail_error), so once the least t's column is
 screened, each later column whose certified floor lies above the worst so
 far and the band is counted, not screened: a suite's points are every
 index it certifies, by its screen or by the lemma.  zeta(2) is pinned to

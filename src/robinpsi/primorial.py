@@ -156,4 +156,3 @@ def champion_scan(limit: int, t: int, mode: str = "strict") -> list[int]:
                 out.append(m)
                 best = r
     return out
-
