@@ -80,50 +80,60 @@ _positive = _int_type("_positive", 1, None, "need a positive integer, got {}")
 _sieve_size = _int_type("_sieve_size", 2, None, "sieve size must be >= 2, got {}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("table1", "champions", "robin-scan", "ratio", "verify-bounds", "admissible-t")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The grammar of every subcommand, or only of command where it names
+    one: that parses command's argv alike, as _Parser.error never prints the
+    usage line that lists the choices."""
     parser = _Parser(prog="robinpsi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, run, budget: str | None = None) -> None:
-        """Output options, p's command, and the option its budget errors say to lower."""
+    def add(
+        name: str, help: str, run, budget: str | None = None
+    ) -> argparse.ArgumentParser | None:
+        """The subparser of name with its output options and command, if built."""
+        if command in _COMMANDS and command != name:
+            return None
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", metavar="PATH", default=None)
-        p.set_defaults(run=run, budget=budget)
+        p.set_defaults(run=run, budget=budget)  # budget: the option its budget errors say to lower
+        return p
 
-    p = sub.add_parser("table1", help="crossover indices and primorial magnitudes per t")
-    p.add_argument("--t-min", type=_t_value, default=3)
-    p.add_argument("--t-max", type=_t_value, default=7)
-    p.add_argument("--floor-n0", action="store_true", help="search only from index 2263 up")
-    p.add_argument(
-        "--sieve-cap", type=_sieve_size, default=_SIEVE_CAP,
-        help="largest sieve size; the sieve bound on p_n1 is clamped to it",
-    )
-    common(p, cmd_table1)
+    if p := add("table1", "crossover indices and primorial magnitudes per t", cmd_table1):
+        p.add_argument("--t-min", type=_t_value, default=3)
+        p.add_argument("--t-max", type=_t_value, default=7)
+        p.add_argument("--floor-n0", action="store_true", help="search only from index 2263 up")
+        p.add_argument(
+            "--sieve-cap", type=_sieve_size, default=_SIEVE_CAP,
+            help="largest sieve size; the sieve bound on p_n1 is clamped to it",
+        )
 
-    p = sub.add_parser("champions", help="left-to-right maxima of psi_t(m)/m")
-    p.add_argument("--limit", type=_positive, required=True)
-    p.add_argument("--t", type=_t_value, required=True)
-    p.add_argument("--weak", action="store_true", help="count ties as champions")
-    common(p, cmd_champions, "--limit")
+    if p := add("champions", "left-to-right maxima of psi_t(m)/m", cmd_champions, "--limit"):
+        p.add_argument("--limit", type=_positive, required=True)
+        p.add_argument("--t", type=_t_value, required=True)
+        p.add_argument("--weak", action="store_true", help="count ties as champions")
 
-    p = sub.add_parser("robin-scan", help="scan a range for Robin violators")
-    p.add_argument("--from", dest="scan_start", type=_scan_point, required=True)
-    p.add_argument("--to", dest="scan_stop", type=_scan_point, required=True)
-    common(p, cmd_robin_scan, "--to")
+    if p := add("robin-scan", "scan a range for Robin violators", cmd_robin_scan, "--to"):
+        p.add_argument("--from", dest="scan_start", type=_scan_point, required=True)
+        p.add_argument("--to", dest="scan_stop", type=_scan_point, required=True)
 
-    p = sub.add_parser("ratio", help="normalized primorial ratio curve for one t")
-    p.add_argument("--t", type=_t_value, required=True)
-    p.add_argument("--n-max", type=_index_value, required=True)
-    common(p, cmd_ratio, "--n-max")
+    if p := add("ratio", "normalized primorial ratio curve for one t", cmd_ratio, "--n-max"):
+        p.add_argument("--t", type=_t_value, required=True)
+        p.add_argument("--n-max", type=_index_value, required=True)
 
-    p = sub.add_parser("verify-bounds", help="margin sweeps of every explicit bound")
-    p.add_argument("--n-max", type=_index_value, default=10**5)
-    p.add_argument("--t-max", type=_t_value, default=10)
-    common(p, cmd_verify_bounds, "--n-max")
+    if p := add(
+        "verify-bounds", "margin sweeps of every explicit bound", cmd_verify_bounds, "--n-max"
+    ):
+        p.add_argument("--n-max", type=_index_value, default=10**5)
+        p.add_argument("--t-max", type=_t_value, default=10)
 
-    p = sub.add_parser("admissible-t", help="largest t whose criterion holds at given indices")
-    p.add_argument("--n", dest="n_values", type=_index_value, nargs="+", required=True)
-    common(p, cmd_admissible_t, "--n")
+    if p := add(
+        "admissible-t", "largest t whose criterion holds at given indices", cmd_admissible_t, "--n"
+    ):
+        p.add_argument("--n", dest="n_values", type=_index_value, nargs="+", required=True)
 
     return parser
 
@@ -221,8 +231,9 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     problem = _usage_problem(args)
     if problem:
         _report(f"robinpsi: error: {problem}")

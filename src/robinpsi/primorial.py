@@ -1,7 +1,11 @@
 """Primorial ratio terms in log space and exact champion scans (the reduction step).
 
 N_n = p_1 p_2 ... p_n.  log N_n is the table's theta and log(psi_t(N_n)/N_n)
-the prefix sum of psi_ratio_logs, both walked by primes.prefix_blocks.
+the prefix sum of psi_ratio_logs, both walked by primes.prefix_blocks.  Each
+term is libm's log1p of x = (q - 1) / (q (p - 1)), q = p^(t-1), correctly
+rounded: one float division where q < 2^53, as for every prime below 2^25
+at t <= 3, and a Veltkamp split with an int fallback past it.
+
 champion_scan loops over the windows of multiplicative.sweep: the kernel sums
 each window's float log psi_t(n)/n over the marked primes, a lower bound,
 and the larger prime factors an n may have add at most the window's gap; a
@@ -17,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .multiplicative import check_sweep, factorize, psi_over_n, sweep
+from .multiplicative import _iroot, check_sweep, factorize, psi_over_n, sweep
 from .primes import build_table, libm_map
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
@@ -33,8 +37,36 @@ _SPLIT_LIMIT = 1 << 26  # below it, p - 1 and half of a split double multiply ex
 def _psi_ratio_terms(primes: np.ndarray, t: int) -> tuple[np.ndarray, list[int]]:
     """x[k] = (q - 1) / (q (p - 1)) with q = p^(t-1), p = primes[k], correctly
     rounded, bit for bit Python's int true division; and the indices that
-    took that int division.  primes is an int64 or float64 array (exact, as
-    every prime below 2^53 is); the division takes int(primes[k]).
+    took that int division.  primes is an ascending int64 or float64 array
+    (exact, as every prime below 2^53 is).
+
+    Where q < 2^53, a prefix as the primes ascend, S = 1 + p + ... + p^(t-2)
+    and q = S (p - 1) + 1 are formed exactly by Horner, every step below q,
+    and x = S / q is one IEEE division of two exact doubles, so it rounds the
+    rational x once.  That covers every p < 2^53 at t = 2, p < 94906266 at
+    t = 3, and no p from t = 54 on; the primes past it take _veltkamp_terms.
+    """
+    k = int(np.searchsorted(primes, _iroot(2**53 - 1, t - 1), side="right"))
+    x = np.empty(len(primes))  # the tail first: its temporaries go before the head's
+    exact = _veltkamp_terms(primes[k:], t, x[k:])[1] if k < len(primes) else []
+    p = np.asarray(primes[:k], dtype=np.float64)
+    s = x[:k]  # S, then x in place
+    s.fill(1.0)
+    for _ in range(t - 2):
+        s *= p
+        s += 1.0
+    q = p - 1.0
+    q *= s
+    q += 1.0
+    s /= q
+    return x, [k + i for i in exact]
+
+
+def _veltkamp_terms(
+    primes: np.ndarray, t: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """_psi_ratio_terms' x[k] for any primes, written to out if given, and
+    the indices that took the int division, which takes int(primes[k]).
 
     With d = p - 1 < 2^26 and r = RN(1/d), Veltkamp's split r = hi + lo makes
     e = (1 - hi d) - lo d exact, so x = r + c with c = (e - p^(1-t)) / d
@@ -54,7 +86,7 @@ def _psi_ratio_terms(primes: np.ndarray, t: int) -> tuple[np.ndarray, list[int]]
     pw = p ** (1.0 - t)
     c -= pw
     c /= d
-    s = r + c
+    s = np.add(r, c, out=out)
     bb = s - r
     err = (r - (s - bb)) + (c - bb)
     beta = 2.0**-50 * np.abs(c) + 2.0**-47 * (pw / d) + 2.0**-1020
@@ -70,8 +102,9 @@ def _psi_ratio_terms(primes: np.ndarray, t: int) -> tuple[np.ndarray, list[int]]
 def psi_ratio_logs(p: np.ndarray, t: int) -> np.ndarray:
     """log(psi_t(p)/p) at each prime of the block p, the terms of log
     psi_t(N_n)/N_n: libm's log1p of x = (q - 1) / (q (p - 1)), q = p^(t-1),
-    each x correctly rounded (_psi_ratio_terms).  Every term is within an ulp
-    and the compensated sum keeps ~1e-12 absolute accuracy over 10^5 primes."""
+    each x correctly rounded (_psi_ratio_terms: one float division where q <
+    2^53).  Every term is within an ulp and the compensated sum keeps ~1e-12
+    absolute accuracy over 10^5 primes."""
     if t < 2:
         raise ValueError(f"need t >= 2, got t = {t}")
     return libm_map(math.log1p, _psi_ratio_terms(p, t)[0])

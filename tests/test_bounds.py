@@ -939,6 +939,32 @@ def test_psi_ratio_column_reports_the_first_t_of_a_tie(small_table, monkeypatch,
         assert built_columns == [("psi_ratio_bound", t) for t in ts]
 
 
+def test_psi_ratio_suite_divides_every_term_at_t_3(table, monkeypatch):
+    # at the verify-bounds defaults, the t = 3 walk forms every term by one
+    # float division: the Veltkamp route and its int fallback see no prime
+    counts = {}
+    terms, route = primorial._psi_ratio_terms, primorial._veltkamp_terms
+
+    def count(key, size):
+        counts[key] = counts.get(key, 0) + size
+
+    def spy_terms(p, t):
+        x, exact = terms(p, t)
+        count(("terms", t), len(p))
+        count(("exact", t), len(exact))
+        return x, exact
+
+    def spy_route(p, t, *rest):
+        count(("veltkamp", t), len(p))
+        return route(p, t, *rest)
+
+    monkeypatch.setattr(primorial, "_psi_ratio_terms", spy_terms)
+    monkeypatch.setattr(primorial, "_veltkamp_terms", spy_route)
+    assert psi_ratio_bound_suite(table).passed
+    assert counts[("terms", 3)] > CRITERION_FLOOR
+    assert counts.get(("veltkamp", 3), 0) == counts.get(("exact", 3), 0) == 0
+
+
 def test_margins_rise_with_t_within_their_error_bounds(small_table):
     # the lemma the floors rest on, apart from any skip: at every index, each
     # float margin of column t lies at or above the floor that column t0's

@@ -704,3 +704,58 @@ def test_mpmath_loads_on_the_first_recheck_only(small_table, monkeypatch):
     assert robin.verify_tfree_robin(7, 20_000, small_table).passed
     ((*_, margin),) = calls
     assert done.stdout.split() == ["-", "False", "True", margin.hex()]
+
+
+# per subcommand: a valid argv, one missing a required option or value, one
+# with a bad value
+_GRAMMAR_CASES = {
+    "table1": (["--t-min", "3", "--t-max", "4"], ["--t-max"], ["--t-min", "1"]),
+    "champions": (["--limit", "100", "--t", "2"], ["--limit", "100"], ["--limit", "0", "--t", "2"]),
+    "robin-scan": (["--from", "3", "--to", "100"], ["--from", "3"], ["--from", "2", "--to", "9"]),
+    "ratio": (["--t", "3", "--n-max", "20"], ["--t", "3"], ["--t", "3", "--n-max", "x"]),
+    "verify-bounds": (["--n-max", "3000", "--t-max", "3"], ["--n-max"], ["--t-max", "65"]),
+    "admissible-t": (["--n", "2", "3"], [], ["--n", "1"]),
+}
+
+
+def _outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse-level usage failures and -h
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_one_subcommand_grammar_parses_as_the_full_one(name, capsys, monkeypatch):
+    # main builds only the named subcommand's grammar; each argv reads the
+    # same stdout, stderr and exit code through the grammar of all six
+    assert sorted(cli._COMMANDS) == sorted(_GRAMMAR_CASES)
+    valid, missing, bad = _GRAMMAR_CASES[name]
+    cases = [valid, [*valid, "-h"], [*valid, "--bogus"], missing, bad, [*valid, "extra"]]
+    argvs = [[name, *argv] for argv in cases]
+    alone = [_outcome(argv, capsys) for argv in argvs]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert [_outcome(argv, capsys) for argv in argvs] == alone
+    assert alone[0][0] == 0 and alone[1][0] == 0
+    assert all(code == 64 for code, *_ in alone[2:])
+    # the one-subcommand grammar knows no other
+    other = next(n for n in cli._COMMANDS if n != name)
+    with pytest.raises(SystemExit) as info:
+        full(name).parse_args([other, *_GRAMMAR_CASES[other][0]])
+    assert info.value.code == 64
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"], ["--format", "csv"]])
+def test_argv_naming_no_subcommand_takes_the_full_grammar(argv, capsys, monkeypatch):
+    got = _outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _outcome(argv, capsys) == got
+    code, out, err = got
+    assert code == (0 if argv[:1] in (["-h"], ["--help"]) else 64)
+    if code == 0 or argv == ["bogus"]:  # the help and the invalid choice list all six
+        assert all(name in out + err for name in cli._COMMANDS)

@@ -20,10 +20,10 @@ from robinpsi import (
 )
 from robinpsi import multiplicative, primorial
 from robinpsi.multiplicative import factorize
-from robinpsi.primes import PrimeTable, compensated_prefix, prefix_at
-from robinpsi.primorial import _psi_ratio_terms
+from robinpsi.primes import PrimeTable, _segmented_primes, blocks, compensated_prefix, prefix_at
+from robinpsi.primorial import _psi_ratio_terms, _veltkamp_terms
 
-from conftest import factor_by_division, primorials_up_to
+from conftest import factor_by_division, is_prime, primorials_up_to
 
 
 def _log_ratios(table, t, n):
@@ -68,10 +68,15 @@ def _int_quotients(primes, t):
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 7, 10, 64])
 def test_psi_ratio_terms_match_int_quotients(small_table, t):
     primes = small_table.primes.tolist()
+    quotients = [x.hex() for x in _int_quotients(primes, t)]
     terms, exact = _psi_ratio_terms(small_table.primes, t)
-    assert [x.hex() for x in terms.tolist()] == [x.hex() for x in _int_quotients(primes, t)]
-    # the float form rounds the wrong way at p = 3 for t = 2 and 4, so only the
-    # int fallback gets those terms right
+    assert [x.hex() for x in terms.tolist()] == quotients
+    assert all(primes[k] > _division_limit(t) for k in exact)
+    # the Veltkamp route alone on the same primes: its float form rounds the
+    # wrong way at p = 3 for t = 2 and 4, so only the int fallback gets those
+    # terms right
+    terms, exact = _veltkamp_terms(small_table.primes, t)
+    assert [x.hex() for x in terms.tolist()] == quotients
     if t in (2, 4):
         assert 1 in exact
     assert len(exact) < len(primes) // 50  # numpy decides nearly every term
@@ -83,12 +88,72 @@ def test_psi_ratio_terms_fall_back_above_the_split_limit():
     primes = [2, 3, 5, 7, big]
     table = PrimeTable(limit=big, primes=np.array(primes, dtype=np.int64))
     for t in (3, 7):
-        terms, exact = _psi_ratio_terms(table.primes, t)
-        assert 4 in exact
         quotients = _int_quotients(primes, t)
+        terms, exact = _veltkamp_terms(table.primes, t)
+        assert 4 in exact
+        assert terms.tolist() == quotients
+        # big^2 < 2^53, so at t = 3 it takes the division; at t = 7 it lies
+        # past the division's limit, and the Veltkamp route falls back
+        terms, exact = _psi_ratio_terms(table.primes, t)
+        assert exact == ([] if t == 3 else [4])
         assert terms.tolist() == quotients
         expect = compensated_prefix([math.log1p(x) for x in quotients])
         assert _log_ratios(table, t, 5).tolist() == expect.tolist()
+
+
+def _division_limit(t):
+    """The largest p with p^(t-1) < 2^53."""
+    return multiplicative._iroot(2**53 - 1, t - 1)
+
+
+@pytest.fixture
+def veltkamp_primes(monkeypatch):
+    """The primes that primorial._psi_ratio_terms hands the Veltkamp route,
+    in the order handed."""
+    seen = []
+    route = primorial._veltkamp_terms
+
+    def spy(p, *args):
+        seen.extend(int(q) for q in p)
+        return route(p, *args)
+
+    monkeypatch.setattr(primorial, "_veltkamp_terms", spy)
+    return seen
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_psi_ratio_terms_divide_every_prime_below_2_22(veltkamp_primes, t):
+    # block by block, as the walks form them; int64 and float64 alike
+    primes = _segmented_primes(1 << 22)
+    for a, b in blocks(0, len(primes)):
+        block = primes[a:b]
+        quotients = np.array(_int_quotients(block.tolist(), t))
+        for p in (block, block.astype(np.float64)):
+            terms, _ = _psi_ratio_terms(p, t)
+            assert np.array_equal(terms.view(np.uint64), quotients.view(np.uint64))
+    assert veltkamp_primes == []
+
+
+@pytest.mark.parametrize("t", range(2, 65))
+def test_psi_ratio_terms_agree_across_the_division_limit(veltkamp_primes, t):
+    # the last prime at or below the limit and the first past it, each in one
+    # block with the small primes below it, int64 and float64 alike (the
+    # first prime past 2^53 - 1, for t = 2, has no float64 form)
+    limit = _division_limit(t)
+    assert limit ** (t - 1) < 2**53 <= (limit + 1) ** (t - 1)
+    below = next((q for q in range(limit, 1, -1) if is_prime(q)), None)
+    above = next(q for q in range(limit + 1, 2 * limit + 3) if is_prime(q))
+    for seam in filter(None, (below, above)):
+        primes = [q for q in (2, 3, 5, 7, 11, 13) if q < seam] + [seam]
+        quotients = np.array(_int_quotients(primes, t))
+        forms = [np.array(primes, dtype=np.int64)]
+        if seam < 2**53:
+            forms.append(forms[0].astype(np.float64))
+        for p in forms:
+            veltkamp_primes.clear()
+            terms, _ = _psi_ratio_terms(p, t)
+            assert np.array_equal(terms.view(np.uint64), quotients.view(np.uint64))
+            assert veltkamp_primes == [q for q in primes if q > limit]
 
 
 def test_prefix_is_stable_in_n(small_table):
