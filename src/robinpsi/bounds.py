@@ -14,12 +14,14 @@ R_t(N_n), is written once over m = math, numpy or mpmath: libm scalars where a
 value is printed or decided, numpy over a whole range to screen it, mpmath at
 60 digits (primes.certify) where neither decides.  const gives each its
 constants: the compiled floats for math and numpy, gamma and the decimals at
-the working precision for mpmath.  A screen states beta, a bound on its
-distance to the libm value at each index, and libm runs only at the indices
-that the estimate +- beta cannot decide.  criterion decides one index from
-libm, re-deciding at 60 digits a margin within its own error bound of zero;
-find_crossover_index gallops and then bisects over these certified
-decisions, as the left side falls with n, and admissible_t scans them over t.
+the working precision for mpmath.  A screen reads the libm inputs of its
+formula and states beta, a bound on its distance to the libm value at each
+index; libm runs only at the indices that the estimate +- beta cannot
+decide, from the inputs the screen kept there.  criterion decides one
+index from libm, re-deciding at 60 digits a margin within its own error
+bound of zero; find_crossover_index gallops and then bisects over these
+certified decisions, as the left side falls with n, and admissible_t scans
+them over t.
 The four suites hand their columns to one sweep, _sweep, the zeta tail and
 psi ratio suites one column per t.  _sweep certifies every margin it takes
 with the band 1e-9, at 60 digits from logs of exact products (exact_log); a
@@ -27,8 +29,8 @@ range without points reports SKIPPED.  The margins of both t-indexed suites
 rise with t (the lemma above _zeta_tail_error), so once the least t's column is
 screened, each later column whose certified floor lies above the worst so
 far and the band is counted, not screened: a suite's points are every
-index it certifies, by its screen or by the lemma.  zeta(2) is pinned to
-its series' output.
+index it certifies, by its screen or by the lemma.  zeta(2) and zeta(3) are
+pinned to their series' output.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .primes import (
     PrimeTable,
     blocks,
     certify,
-    compensated_prefix,
     libm_map,
     mpmath,
     nth_prime_bound,
@@ -104,22 +105,31 @@ class ZetaValue:
     excess: float
 
 
-# What _zeta_series(2) returns, as float.hex.  Its 2.2e7 terms take about
-# 0.2 s and 32 MB; no closed form has these bits (numpy's power, which the
-# series sums, is not correctly rounded), and printed digits of `ratio --t 2`
-# and the zeta tail suite depend on them.  A test re-runs the series.
-_ZETA_2 = ZetaValue(
-    t=2,
-    value=float.fromhex("0x1.a51a6625307d4p+0"),
-    abs_error_bound=float.fromhex("0x1.f4a3ef04b4024p-49"),
-    excess=float.fromhex("0x1.4a34cc4a60fa7p-1"),
-)
+# What _zeta_series(t) returns for t = 2 and 3, as float.hex.  The 2.2e7
+# terms of t = 2 take about 0.2 s and 32 MB, the 79,371 of t = 3, which every
+# `verify-bounds` reads, about 1 ms; no closed form has these bits (numpy's
+# power, which the series sums, is not correctly rounded), and printed digits
+# of `ratio` and the bound suites depend on them.  A test re-runs the series.
+_PINNED_ZETAS = {
+    2: ZetaValue(
+        t=2,
+        value=float.fromhex("0x1.a51a6625307d4p+0"),
+        abs_error_bound=float.fromhex("0x1.f4a3ef04b4024p-49"),
+        excess=float.fromhex("0x1.4a34cc4a60fa7p-1"),
+    ),
+    3: ZetaValue(
+        t=3,
+        value=float.fromhex("0x1.33ba004f00621p+0"),
+        abs_error_bound=float.fromhex("0x1.0acb18ea84ca5p-49"),
+        excess=float.fromhex("0x1.9dd002780310ap-3"),
+    ),
+}
 
 
 @lru_cache(maxsize=None)
 def zeta(t: int) -> ZetaValue:
-    """zeta(t) from _zeta_series(t); for t = 2, that series' pinned output."""
-    return _ZETA_2 if t == 2 else _zeta_series(t)
+    """zeta(t) from _zeta_series(t); for t = 2 and 3, that series' pinned output."""
+    return _PINNED_ZETAS[t] if t in _PINNED_ZETAS else _zeta_series(t)
 
 
 def _zeta_series(t: int) -> ZetaValue:
@@ -305,26 +315,29 @@ def primorial_magnitude(n: int, table: PrimeTable) -> tuple[float, int]:
 
 
 # Each suite's margin is one formula of (m, ...).  Its screen evaluates it in
-# numpy over the range, block by block, and states beta, a bound on the
-# distance to the libm margin at each index; _sweep takes libm only where the
-# screen cannot decide, and mpmath in the band.  Error model: numpy's power, expm1,
-# log1p, log and exp are within 16 ulp of the exact value per call, libm's
-# within 1; u = 2^-53.  On samples of the suites' inputs, against 200-bit
-# values, numpy was within 0.63 ulp and libm within 0.51 (measured).  Where a
-# margin reads a prefix sum, the screen sums numpy terms and adds that sum's
-# error to beta; the libm prefix sums all terms up to the last index taken.
+# numpy over the range, block by block, from the formula's libm inputs: p_n,
+# theta, zeta(t), x, and the libm prefix sums, formed once per screened
+# column.  It states beta, a bound on the distance to the libm margin at each
+# index, and hands the inputs on; _sweep evaluates the formula by libm from
+# them where the screen cannot decide, and by mpmath in the band.  The two
+# share every input, so beta covers only numpy's per-index operations.  Error
+# model: numpy's power, expm1, log1p, log and exp are within 16 ulp of the
+# exact value per call, libm's within 1; u = 2^-53.  On samples of the suites'
+# inputs, against 200-bit values, numpy was within 0.63 ulp and libm within
+# 0.51 (measured).
 
 
 def _libm(formula, *columns: np.ndarray) -> np.ndarray:
-    """formula(math, columns[0][i], ...) for each i, the columns gathered at
+    """formula(math, columns[0][i], ...) for each i, the inputs gathered at
     the indices a sweep takes."""
     rows = zip(*(c.tolist() for c in columns))
     return np.array([formula(math, *row) for row in rows], dtype=np.float64)
 
 
 def _one_block(screen, *inputs) -> list[tuple]:
-    """A column screen of a single block, screen(*inputs) at offset 0."""
-    return [(0, *screen(*inputs))]
+    """A column screen of a single block: screen(*inputs) at offset 0, and
+    the inputs."""
+    return [(0, *screen(*inputs), inputs)]
 
 
 def _mertens_logs(p: np.ndarray) -> np.ndarray:
@@ -367,30 +380,26 @@ def _zeta_tail_margin(m, p, zeta_value, log_head):
 
 
 def _zeta_tail_screen(
-    t: int, primes: np.ndarray, growth: np.ndarray
+    p: np.ndarray, zeta_value: np.ndarray, log_head: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of _zeta_tail_margin for 2 <= n <= len(primes), primes as
-    float64 and growth = numpy exp(2/p_n), and beta.
-
-    Each term log1p(-p^-t), p^-t <= 1/4, moves by at most 4/3 of the relative
-    error of p^-t, so the two columns' terms, all negative, differ by under
-    (16 (4/3 + 1) + 4/3 + 1) 2^-52 < 2^-46.4 of their size.  With A_k = |S_k|,
-    S the compensated sums here (each within 2u A_k of its terms' exact sum),
-    the libm column's plain cumsum is within u (1 + 2^-20) sum_{j <= k} A_j of
-    its terms' exact sum, so the sums differ by at most delta_k = 2^-46 A_k +
-    u (1 + 2^-20) sum_{j <= k} A_j + 2^-1000, the last for a p^-t that
-    underflows.  The two exps and products with zeta(t) add under 2^-47 of
-    P = zeta(t) exp(S), growth is within 17 ulp of libm's exp(2/p_n), and the
-    subtraction and the sweep's comparisons with beta add under 4u |estimate|:
-    beta = P (1.0002 delta + 2^-47) + 2^-47 growth + 2^-51 |estimate|.
-    """
-    acc = compensated_prefix(np.log1p(-(primes ** -float(t))))[1:]
-    size = np.abs(acc)
-    delta = 2.0**-46 * size + 2.0**-53 * (1.0 + 2.0**-20) * np.cumsum(size) + 2.0**-1000
-    prod = zeta(t).value * np.exp(acc[1:])
+    """Estimates of _zeta_tail_margin and beta from the margin's libm
+    inputs, which _sweep gathers to evaluate the formula over: p = p_n,
+    zeta(t) and log_head, the libm sums.  The exps of 2/p_n and of log_head
+    differ from libm's by 17 ulp, so G = exp(2/p_n) and, with the product's
+    rounding, P = zeta(t) exp(log_head) by under 2^-47 of themselves; the
+    subtraction and the sweep's comparisons with beta add under 4u
+    |estimate|: beta = 2^-47 (G + P) + 2^-51 |estimate|."""
+    growth = np.exp(2.0 / p)
+    prod = zeta_value * np.exp(log_head)
     est = growth - prod
-    beta = prod * (1.0002 * delta[1:] + 2.0**-47) + 2.0**-47 * growth + 2.0**-51 * np.abs(est)
-    return est, beta
+    return est, 2.0**-47 * (growth + prod) + 2.0**-51 * np.abs(est)
+
+
+def _zeta_tail_block(t: int, table: PrimeTable, n_max: int) -> list[tuple]:
+    """The one block of column t over 2 <= n <= n_max, its libm log_head
+    summed once."""
+    p, log_head = table.primes[1:n_max], _zeta_tail_logs(t, n_max, table)[1:]
+    return _one_block(_zeta_tail_screen, p, np.broadcast_to(zeta(t).value, p.size), log_head)
 
 
 def _log_substitution_margin(m, p, theta):
@@ -410,19 +419,12 @@ def _log_substitution_screen(p: np.ndarray, theta: np.ndarray) -> tuple[np.ndarr
 
 
 def _log_substitution_blocks(table: PrimeTable, n_min: int, n_max: int) -> Iterator[tuple]:
-    """_sweep's blocks (offset, est, beta) of _log_substitution_screen over
-    n_min <= n <= n_max, offset counted from n_min."""
+    """_sweep's blocks (offset, est, beta, inputs) of _log_substitution_screen
+    over n_min <= n <= n_max, offset counted from n_min."""
     theta = table.theta_upto(n_max)
     for a, b in blocks(n_min, n_max + 1):
-        p = table.primes[a - 1 : b - 1].astype(np.float64)
-        yield (a - n_min, *_log_substitution_screen(p, theta[a:b]))
-
-
-def _log_substitution_margins(table: PrimeTable, n_min: int, idx: np.ndarray) -> np.ndarray:
-    """_log_substitution_margin from libm at n = n_min + idx."""
-    n = n_min + idx
-    p = table.primes[n - 1].astype(np.float64)
-    return _libm(_log_substitution_margin, p, table.theta_upto(int(n[-1]))[n])
+        inputs = (table.primes[a - 1 : b - 1], theta[a:b])
+        yield (a - n_min, *_log_substitution_screen(*inputs), inputs)
 
 
 def _psi_ratio_scale(m, p, theta):
@@ -438,54 +440,38 @@ def _psi_ratio_margin(m, p, theta, zeta_value, log_ratio):
 
 
 def _psi_ratio_screen(
-    t: int, scale: np.ndarray, logs: np.ndarray
+    p: np.ndarray, theta: np.ndarray, zeta_value: np.ndarray, logs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of _psi_ratio_margin from scale, numpy _psi_ratio_scale at
-    each p = p_n and theta = log N_n, and logs, compensated prefix sums of
-    numpy terms up to each n; and beta.
-
-    The terms of logs are primorial.log_terms, plain numpy
-    log1p((1 - p^(1-t)) / (p - 1)): p^(1-t) <= 1/2 is within 16 ulp, so
-    1 - p^(1-t) and the quotient are within 17 2^-52 of the exact term, and
-    17.5 2^-52 of the libm column's correctly rounded one.  log1p keeps that relative error and adds 17 ulp, and each
-    compensated sum is within 2u of its terms' exact sum, so the sums L
-    (here) and the libm column's differ by under 36.5 2^-52 L; the two exps
-    add 17 ulp of R = exp(L).  The scales differ by under 37 2^-52 of
-    themselves (17 ulp for the exp, 19 for log log N_n + 1.1253 / log p_n,
-    and the product's rounding), and the bounds B by 38.  The subtraction
-    and the sweep's comparisons with beta add under 4u |estimate|:
-    beta = 2^-52 (42 B + R (37 L + 17)) + 2^-51 |estimate|.
-    """
-    bound = scale / zeta(t).value
+    """Estimates of _psi_ratio_margin and beta from the margin's libm
+    inputs, which _sweep gathers to evaluate the formula over: p = p_n,
+    theta = log N_n, zeta(t) and logs, the compensated sums of
+    primorial.psi_ratio_logs.  The scales differ from libm's by under 37
+    2^-52 of themselves (17 ulp for the exp, 19 for log log N_n + 1.1253 /
+    log p_n, and the product's rounding), and the bounds B by 38; the exps
+    of logs by 17 ulp of R = exp(logs).  The subtraction and the sweep's
+    comparisons with beta add under 4u |estimate|:
+    beta = 2^-52 (42 B + 17 R) + 2^-51 |estimate|."""
+    bound = _psi_ratio_scale(np, p, theta) / zeta_value
     ratio = np.exp(logs)
     est = bound - ratio
-    return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
+    return est, 2.0**-52 * (42.0 * bound + 17.0 * ratio) + 2.0**-51 * np.abs(est)
 
 
 def _psi_ratio_blocks(t: int, table: PrimeTable, n_min: int, n_max: int) -> Iterator[tuple]:
-    """_sweep's blocks (offset, est, beta) of _psi_ratio_screen over n_min <=
-    n <= n_max, offset counted from n_min.  The walk sums the terms from n =
-    1; the blocks reaching n_min are screened from there."""
+    """_sweep's blocks (offset, est, beta, inputs) of _psi_ratio_screen over
+    n_min <= n <= n_max, offset counted from n_min.  The walk sums the libm
+    terms from n = 1; the blocks reaching n_min are screened from there."""
     theta = table.theta_upto(n_max)
-    for a, p, logs in prefix_blocks(table.primes[:n_max], partial(primorial.log_terms, t=t)):
+    zeta_value = zeta(t).value
+    for a, p, logs in prefix_blocks(table.primes[:n_max], partial(primorial.psi_ratio_logs, t=t)):
         k = max(n_min - 1 - a, 0)  # n = a + 1 + k is the block's first n >= n_min
         if k < p.size:
             n = a + 1 + k
-            scale = _psi_ratio_scale(np, p[k:].astype(np.float64), theta[n : a + 1 + p.size])
-            yield (n - n_min, *_psi_ratio_screen(t, scale, logs[k:]))
-
-
-def _psi_ratio_margins(t: int, table: PrimeTable, n_min: int, idx: np.ndarray) -> np.ndarray:
-    """_psi_ratio_margin from libm at n = n_min + idx, ascending, the sums of
-    primorial.psi_ratio_logs read off the walk up to the last n taken."""
-    n = n_min + idx
-    return _libm(
-        _psi_ratio_margin,
-        table.primes[n - 1].astype(np.float64),
-        table.theta_upto(int(n[-1]))[n],
-        np.full(n.size, zeta(t).value),
-        prefix_at(table.primes, partial(primorial.psi_ratio_logs, t=t), n),
-    )
+            inputs = (
+                p[k:], theta[n : a + 1 + p.size],
+                np.broadcast_to(zeta_value, p.size - k), logs[k:],
+            )
+            yield (n - n_min, *_psi_ratio_screen(*inputs), inputs)
 
 
 # The lemma behind the column floors.  With P(n) = prod_{p <= p_n} (1 - 1/p)^-1
@@ -638,41 +624,46 @@ _NO_INDEX = np.zeros(0, dtype=np.int64)
 
 def _screen_pass(screen: Callable, worst: float, cut: float | None) -> tuple:
     """One pass over a column's blocks: its point count, the least estimate
-    less beta, the least estimate plus beta, top, the indices in the band,
-    and the candidates with their estimate less beta, lo: lo below worst and
-    at or below cut, or where cut is None, at or below top so far."""
+    less beta, the least estimate plus beta, top, and the indices kept, with
+    their estimate less beta, lo, and their inputs.  Kept are the band, at
+    lo = -inf, and the candidates: lo below worst and at or below cut, or
+    where cut is None, at or below top so far."""
     size, least, top = 0, math.inf, math.inf
-    band, found, found_lo = [_NO_INDEX], [_NO_INDEX], [np.zeros(0)]
-    for offset, est, beta in screen():
+    kept, kept_lo, kept_inputs = [_NO_INDEX], [np.zeros(0)], []
+    for offset, est, beta, inputs in screen():
         lo = est - beta
         least = min(least, float(np.min(lo, initial=math.inf)))
         top = min(top, float(np.min(est + beta, initial=math.inf)))
-        band.append(offset + np.flatnonzero(np.abs(est) <= PRECISION_BAND + beta))
-        keep = np.flatnonzero((lo < worst) & (lo <= (top if cut is None else cut)))
-        found.append(offset + keep)
-        found_lo.append(lo[keep])
+        band = np.abs(est) <= PRECISION_BAND + beta
+        keep = np.flatnonzero(band | ((lo < worst) & (lo <= (top if cut is None else cut))))
+        kept.append(offset + keep)
+        kept_lo.append(np.where(band[keep], -math.inf, lo[keep]))
+        kept_inputs.append([x[keep] for x in inputs])
         size += est.size
-    return size, least, top, np.concatenate(band), np.concatenate(found), np.concatenate(found_lo)
+    gathered = [np.concatenate(x) for x in zip(*kept_inputs)]
+    return size, least, top, np.concatenate(kept), np.concatenate(kept_lo), gathered
 
 
 def _sweep(
     name: str,
     columns: Iterable,
-    recheck: Callable,
+    exact: Callable,
     where: Callable,
     floor: Callable | None = None,
 ) -> SuiteResult:
-    """Worst margin over `columns`, triples (key, screen, margins) taken one at a time.
+    """Worst margin over `columns`, triples (key, screen, formula) taken one at a time.
 
-    screen() yields a column's blocks (offset, est, beta): numpy estimates of
-    the float margins at the indices offset, offset + 1, ..., and beta, a
-    bound on |estimate - margin| at each; margins(idx) gives the float
-    margins at the indices idx, ascending where the blocks' offsets are.
-    recheck(key, i) gives the (formula, inputs) of the margin at i, and each
-    margin taken is certified with the band PRECISION_BAND before it is
-    trusted; rechecked counts those decided at 60 digits.  The worst point is
-    the first minimum in column order, as a scalar `if margin < worst` loop
-    picks it; where(key, i) names it.
+    screen() yields a column's blocks (offset, est, beta, inputs): numpy
+    estimates of the float margins at the indices offset, offset + 1, ...,
+    beta, a bound on |estimate - margin| at each, and the libm inputs, one
+    array per argument of formula after m, each entry at its index.  The
+    float margins are the formula over gathered inputs, formula(math, *row)
+    at each index taken.  exact(key, i) gives the exact inputs of the margin
+    at i, and each margin taken is certified with the band PRECISION_BAND,
+    formula at 60 digits from them, before it is trusted; rechecked counts
+    those decided at 60 digits.  The worst point is the first minimum in
+    column order, as a scalar `if margin < worst` loop picks it; where(key,
+    i) names it.
 
     The margins are taken only where the screen cannot decide: wherever the
     estimate is within PRECISION_BAND + beta of zero, and wherever the
@@ -684,12 +675,13 @@ def _sweep(
 
     A pass over the blocks keeps only the band, the least estimate plus beta,
     top, and the candidates: the indices whose lo is below the worst and at
-    or below top so far, filtered against the final top.  The least margin
-    taken is at most top, as the index where top falls is taken, so every
-    later round takes candidates only; should a recheck lift it past top,
-    one more pass collects the indices whose lo is at or below it.  Margins
-    are kept only where taken.  A column without such indices adds only its
-    point count.  A sweep without points reports skipped.
+    or below top so far, filtered against the final top; it keeps their
+    inputs too.  The least margin taken is at most top, as the index where
+    top falls is taken, so every later round takes candidates only; should
+    a recheck lift it past top, one more pass collects the indices whose lo
+    is at or below it.  Margins are kept only where taken.  A column without
+    such indices adds only its point count.  A sweep without points reports
+    skipped.
 
     floor, where given, is a lemma over columns keyed by t, all of one
     point count: floor(t0, lo, t) bounds every float margin of column t >=
@@ -705,34 +697,33 @@ def _sweep(
     worst = math.inf
     worst_at = ""
     points = rechecked = 0
-    for key, screen, build in columns:
+    for key, screen, formula in columns:
         if base and floor(t0, base[1], key) > max(worst, PRECISION_BAND):
             points += base[0]
             continue
-        size, least, top, band, cand, cand_lo = _screen_pass(screen, worst, None)
+        size, least, top, kept, lo, inputs = _screen_pass(screen, worst, None)
         if floor and key == t0 and size and not base:
             base = size, least
         points += size
-        keep = cand_lo <= top
-        cand, cand_lo = cand[keep], cand_lo[keep]
-        # the sorted union without np.unique, whose first call imports numpy.ma
-        take = np.sort(np.concatenate((band, cand)))
-        take = take[np.diff(take, prepend=-1) != 0]
+        pick = lo <= top  # the band and the candidates below the final top
         taken, margins = [_NO_INDEX], [np.zeros(0)]
         low = math.inf  # the least margin taken
-        while take.size:
-            got = build(take)
+        while pick.any():
+            take = kept[pick]
+            got = _libm(formula, *(x[pick] for x in inputs))
             # certify's band and comparison: only these can be rechecked
             for j in np.flatnonzero(np.abs(got) <= PRECISION_BAND).tolist():
-                got[j], flag = certify(float(got[j]), PRECISION_BAND, *recheck(key, int(take[j])))
+                got[j], flag = certify(
+                    float(got[j]), PRECISION_BAND, formula, partial(exact, key, int(take[j]))
+                )
                 rechecked += flag
             taken.append(take)
             margins.append(got)
             low = min(low, float(got.min()))
             if low > top:  # a recheck lifted it past top: the candidates may not reach it
-                *_, cand, cand_lo = _screen_pass(screen, worst, low)
+                *_, kept, lo, inputs = _screen_pass(screen, worst, low)
                 top = low
-            take = cand[(cand_lo <= low) & ~np.isin(cand, np.concatenate(taken))]
+            pick = (lo <= low) & ~np.isin(kept, np.concatenate(taken))
         idx, got = np.concatenate(taken), np.concatenate(margins)
         if idx.size:
             order = np.argsort(idx)
@@ -797,12 +788,8 @@ def mertens_bound_suite(
     x = np.array(xs, dtype=np.float64)
     return _sweep(
         "mertens_product",
-        [(
-            None,
-            partial(_one_block, _mertens_screen, x, logs),
-            lambda idx: _libm(_mertens_margin, x[idx], logs[idx]),
-        )],
-        lambda _, i: (_mertens_margin, lambda: (xs[i], exact_log(table, "mertens", counts[i]))),
+        [(None, partial(_one_block, _mertens_screen, x, logs), _mertens_margin)],
+        lambda _, i: (xs[i], exact_log(table, "mertens", counts[i])),
         lambda _, i: f"x={xs[i]}",
     )
 
@@ -815,33 +802,12 @@ def zeta_tail_bound_suite(
     require_primes(table, n_max)
     return _sweep(
         "zeta_tail_product",
-        _zeta_tail_columns(table, ts, n_max),
-        lambda t, i: (_zeta_tail_margin, lambda: (
+        [(t, partial(_zeta_tail_block, t, table, n_max), _zeta_tail_margin) for t in ts],
+        lambda t, i: (
             int(table.primes[i + 1]), mpmath.zeta(t), exact_log(table, "zeta_tail", i + 2, t)
-        )),
+        ),
         lambda t, i: f"t={t},n={i + 2}",
         floor=partial(_zeta_tail_floor, n_max),
-    )
-
-
-def _zeta_tail_columns(table: PrimeTable, ts: Iterable[int], n_max: int) -> Iterator[tuple]:
-    """_sweep's (t, screen, margins) for each t, 2 <= n <= n_max."""
-    primes = table.primes[:n_max].astype(np.float64)  # once per suite
-    growth = np.exp(2.0 / primes[1:])
-    for t in ts:
-        yield (
-            t,
-            partial(_one_block, _zeta_tail_screen, t, primes, growth),
-            partial(_zeta_tail_margins, t, table, primes[1:]),
-        )
-
-
-def _zeta_tail_margins(t: int, table: PrimeTable, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """_zeta_tail_margin at p = p[idx] from libm, the log1p terms summed up to there."""
-    zv = zeta(t).value
-    logs = _zeta_tail_logs(t, int(idx[-1]) + 2, table)[1:]
-    return _libm(
-        lambda m, p_n, log_head: _zeta_tail_margin(m, p_n, zv, log_head), p[idx], logs[idx]
     )
 
 
@@ -854,14 +820,8 @@ def log_substitution_suite(
     require_primes(table, n_max)
     return _sweep(
         "log_substitution",
-        [(
-            None,
-            partial(_log_substitution_blocks, table, n_min, n_max),
-            partial(_log_substitution_margins, table, n_min),
-        )],
-        lambda _, i: (_log_substitution_margin, lambda: (
-            int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i)
-        )),
+        [(None, partial(_log_substitution_blocks, table, n_min, n_max), _log_substitution_margin)],
+        lambda _, i: (int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i)),
         lambda _, i: f"n={n_min + i}",
     )
 
@@ -879,15 +839,11 @@ def psi_ratio_bound_suite(
     require_primes(table, n_max)
     return _sweep(
         "psi_ratio_bound",
-        [
-            (t, partial(_psi_ratio_blocks, t, table, n_min, n_max),
-             partial(_psi_ratio_margins, t, table, n_min))
-            for t in ts
-        ],
-        lambda t, i: (_psi_ratio_margin, lambda: (
+        [(t, partial(_psi_ratio_blocks, t, table, n_min, n_max), _psi_ratio_margin) for t in ts],
+        lambda t, i: (
             int(table.primes[n_min + i - 1]), exact_log(table, "primorial", n_min + i),
             mpmath.zeta(t), exact_log(table, "psi_ratio", n_min + i, t),
-        )),
+        ),
         lambda t, i: f"t={t},n={n_min + i}",
         floor=partial(_psi_ratio_floor, table, n_min, n_max),
     )

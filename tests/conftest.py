@@ -33,13 +33,13 @@ def built_columns(monkeypatch):
     built = []
     sweep = bounds._sweep
 
-    def build(name, key, margins, idx):
+    def build(name, key, formula, m, *inputs):
         if (name, key) not in built:
             built.append((name, key))
-        return margins(idx)
+        return formula(m, *inputs)
 
     def spy(name, columns, *rest, **kw):
-        logged = ((key, screen, partial(build, name, key, m)) for key, screen, m in columns)
+        logged = ((key, screen, partial(build, name, key, f)) for key, screen, f in columns)
         return sweep(name, logged, *rest, **kw)
 
     monkeypatch.setattr(bounds, "_sweep", spy)

@@ -48,36 +48,38 @@ def _log_psi_ratio_whole(table, t, n):
 
 
 def _log_substitution_whole(table, n_min, n_max):
-    p = table.primes[n_min - 1 : n_max].astype(np.float64)
+    """The log substitution screen over the whole range: est, beta and the
+    libm inputs p_n and theta."""
+    p = table.primes[n_min - 1 : n_max]
     theta = table.theta_upto(n_max)[n_min:]
     est = bounds._log_substitution_margin(np, p, theta)
-    return est, 2.0**-45 * (np.log(p) + np.abs(est))
+    return est, 2.0**-45 * (np.log(p) + np.abs(est)), p, theta
 
 
 def _psi_ratio_whole(table, t, n_min, n_max):
-    """The psi ratio screen of one t over the whole range: one prefix over
-    every prime up to p_n_max, one scale array."""
-    primes_f = table.primes[:n_max].astype(np.float64)
-    p = primes_f[n_min - 1 :]
+    """The psi ratio screen of one t over the whole range, one prefix of the
+    libm terms over every prime up to p_n_max: est, beta and the libm inputs
+    p_n, theta, zeta(t) and the sums."""
+    p = table.primes[n_min - 1 : n_max]
     theta = table.theta_upto(n_max)[n_min:]
-    scale = bounds._psi_ratio_scale(np, p, theta)
-    logs = _compensated_whole(primorial.log_terms(primes_f, t))[n_min:]
-    bound = scale / zeta(t).value
+    logs = _log_psi_ratio_whole(table, t, n_max)[n_min:]
+    bound = bounds._psi_ratio_scale(np, p, theta) / zeta(t).value
     ratio = np.exp(logs)
     est = bound - ratio
-    return est, 2.0**-52 * (42.0 * bound + ratio * (37.0 * logs + 17.0)) + 2.0**-51 * np.abs(est)
+    beta = 2.0**-52 * (42.0 * bound + 17.0 * ratio) + 2.0**-51 * np.abs(est)
+    return est, beta, p, theta, np.full(p.size, zeta(t).value), logs
 
 
-def _joined(blocks):
-    """est and beta of a column's blocks, the first at offset 0, each offset
-    where the one before ends."""
-    ests, betas, size = [np.zeros(0)], [np.zeros(0)], 0
-    for offset, est, beta in blocks:
+def _joined(blocks, arity):
+    """est, beta and the arity - 2 inputs of a column's blocks, each joined,
+    the first block at offset 0, each offset where the one before ends."""
+    parts, size = [(np.zeros(0),) * arity], 0
+    for offset, est, beta, inputs in blocks:
         assert offset == size and est.size == beta.size > 0
-        ests.append(est)
-        betas.append(beta)
+        assert len(inputs) == arity - 2 and all(x.size == est.size for x in inputs)
+        parts.append((est, beta, *inputs))
         size += est.size
-    return np.concatenate(ests), np.concatenate(betas)
+    return [np.concatenate(x) for x in zip(*parts)]
 
 
 def _same_bits(got, want):
@@ -132,11 +134,11 @@ def test_blocked_passes_match_the_whole_array_formulas(table, block, edge, start
         # the screened columns: n points from n_min, n_min itself off any edge
         n_min = CRITERION_FLOOR + int(rng.integers(0, 2 * min(block, 512)))
         n_max = n_min + n - 1
-        got = _joined(bounds._log_substitution_blocks(table, n_min, n_max))
         want = _log_substitution_whole(table, n_min, n_max)
+        got = _joined(bounds._log_substitution_blocks(table, n_min, n_max), len(want))
         assert all(map(_same_bits, got, want))
-        got = _joined(bounds._psi_ratio_blocks(t, table, n_min, n_max))
         want = _psi_ratio_whole(table, t, n_min, n_max)
+        got = _joined(bounds._psi_ratio_blocks(t, table, n_min, n_max), len(want))
         assert all(map(_same_bits, got, want))
 
 
@@ -198,24 +200,36 @@ def test_blocked_sweep_takes_what_the_whole_column_sweep_takes(columns):
         return float(rechecks[key][i])
 
     def recheck(key, i):
-        return lambda m, x: x, lambda: (value(key, i),)
+        return (value(key, i),)
 
-    whole, blocked, rounds = [], [], []
+    whole, blocked, rounds, keys = [], [], [], {}
     for key, (est, beta, margins, _, lengths) in enumerate(columns):
         est, beta, margins = np.array(est), np.array(beta), np.array(margins)
         whole.append((key, est, beta, lambda idx, m=margins: m[idx].copy()))
         cuts = np.cumsum([0, *(lengths * (1 + est.size // sum(lengths)))])
         cuts = [int(c) for c in cuts if c < est.size] + [est.size]
+        index = np.arange(est.size)
 
-        def screen(est=est, beta=beta, cuts=cuts):
-            return [(a, est[a:b], beta[a:b]) for a, b in zip(cuts, cuts[1:])]
+        def screen(est=est, beta=beta, cuts=cuts, margins=margins, index=index):
+            return [
+                (a, est[a:b], beta[a:b], (margins[a:b], index[a:b]))
+                for a, b in zip(cuts, cuts[1:])
+            ]
 
-        def build(idx, key=key, margins=margins):
-            rounds.append((key, idx.tolist()))
-            return margins[idx].copy()
+        def formula(m, margin, i=None):  # a margin, or at 60 digits its recheck
+            return margin
 
-        blocked.append((key, screen, build))
-    result = bounds._sweep("synthetic", blocked, recheck, lambda key, i: f"{key}:{i}")
+        keys[formula] = key
+        blocked.append((key, screen, formula))
+
+    real_libm = bounds._libm
+
+    def libm(formula, margins, index):
+        rounds.append((keys[formula], index.tolist()))
+        return real_libm(formula, margins, index)
+
+    with patch.object(bounds, "_libm", libm):
+        result = bounds._sweep("synthetic", blocked, recheck, lambda key, i: f"{key}:{i}")
     want, want_rounds = _sweep_whole(whole, value)
     assert (result.worst_margin, result.worst_at, result.rechecked, result.points) == want
     assert rounds == want_rounds

@@ -81,12 +81,16 @@ def test_zeta_domain():
         zeta(1)
 
 
-def test_zeta_2_is_the_series_output():
-    # zeta(2) returns pinned bits; the series it stands for must still give them
-    pinned, series = zeta(2), bounds._zeta_series(2)
-    assert pinned.t == series.t == 2
-    for field in ("value", "abs_error_bound", "excess"):
-        assert getattr(pinned, field).hex() == getattr(series, field).hex()
+def test_pinned_zetas_are_the_series_output():
+    # zeta(2) and zeta(3) return pinned bits; the series they stand for must
+    # still give them
+    assert sorted(bounds._PINNED_ZETAS) == [2, 3]
+    for t in (2, 3):
+        pinned, series = zeta(t), bounds._zeta_series(t)
+        assert pinned is bounds._PINNED_ZETAS[t]
+        assert pinned.t == series.t == t
+        for field in ("value", "abs_error_bound", "excess"):
+            assert getattr(pinned, field).hex() == getattr(series, field).hex()
 
 
 def test_criterion_lhs_values(small_table):
@@ -547,10 +551,10 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
     run, keys = VERIFY_BOUNDS_SUITES[suite]
     seen = []
 
-    def check(name, columns, recheck, where, floor=None):
-        for key, screen, margins in columns:
-            for offset, est, beta in screen():
-                libm = margins(offset + np.arange(est.size))
+    def check(name, columns, exact, where, floor=None):
+        for key, screen, formula in columns:
+            for _, est, beta, inputs in screen():
+                libm = bounds._libm(formula, *inputs)
                 assert (np.abs(est - libm) <= beta).all()
                 assert beta.max() <= 1e-12
                 seen.append(key)
@@ -568,8 +572,72 @@ def test_column_screens_stay_within_beta(verify_bounds_table, monkeypatch, suite
         assert (np.abs(est - libm) <= 2.0**-46 * est).all()
 
 
+class _SkewedNumpy:
+    """numpy whose exp and log err by 17 ulp, numpy's 16 plus libm's 1, each
+    call in the direction the next of signs gives (0: exact numpy)."""
+
+    def __init__(self, signs):
+        self._signs = iter(signs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _skewed(self, f, x):
+        return f(x) * (1.0 + next(self._signs) * 17 * 2.0**-52)
+
+    def exp(self, x):
+        return self._skewed(np.exp, x)
+
+    def log(self, x):
+        return self._skewed(np.log, x)
+
+
+# each screen, a reduced run of its suite, and the signs that move its
+# estimate up through its exp and log calls in order (0: calls for beta)
+SKEWED_SCREENS = {
+    "mertens": ("_mertens_screen", lambda tab: mertens_bound_suite(tab, 10**5, 60), (1, -1, 0, 0)),
+    "zeta_tail": (
+        "_zeta_tail_screen", lambda tab: zeta_tail_bound_suite(tab, (2, 5), 3000), (1, -1)),
+    "log_substitution": (
+        "_log_substitution_screen", lambda tab: log_substitution_suite(tab, n_max=10596),
+        (-1, 1, 0)),
+    "psi_ratio": (
+        "_psi_ratio_screen", lambda tab: psi_ratio_bound_suite(tab, (3, 7), n_max=10596),
+        (1, 1, -1, -1)),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SKEWED_SCREENS))
+def test_screen_betas_cover_numpy_at_the_edge_of_their_error_model(
+    small_table, monkeypatch, suite
+):
+    # each screen rerun on its blocks' inputs with every exp and log 17 ulp
+    # off, all pushing the estimate up or all down, stays within its beta of
+    # the libm margin: the worst case of the error model beta states, which
+    # real numpy, within an ulp of libm, never reaches
+    name, run, signs = SKEWED_SCREENS[suite]
+    blocks = []
+
+    def keep(_, columns, *rest, **kw):
+        for _, screen, formula in columns:
+            blocks.extend((formula, inputs) for *_, inputs in screen())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_sweep", keep)
+        run(small_table)
+    screen = getattr(bounds, name)
+    for formula, inputs in blocks:
+        libm = bounds._libm(formula, *inputs)
+        for direction in (1, -1):
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "np", _SkewedNumpy([direction * s for s in signs]))
+                est, beta = screen(*inputs)
+            assert (np.abs(est - libm) <= beta).all()
+    assert blocks
+
+
 # Bytes a suite may add to its peak per added index n.  No array spans a
-# column: each is block-sized, or holds only the indices taken, and the libm
+# column: each is block-sized, or holds only the indices kept, and the libm
 # psi ratio sums are read off the walk of primes.prefix_blocks a block at a
 # time.  With whole-column temporaries the psi ratio suite added about 170
 # bytes per n and the log substitution suite about 49; with the whole libm
@@ -616,37 +684,36 @@ def test_unscreened_suites_give_the_same_result(small_table, monkeypatch, suite)
     run = REDUCED_SUITES[suite][0]
     plain = run(small_table)
     taken = []
-    sweep = bounds._sweep
+    sweep, libm = bounds._sweep, bounds._libm
 
     def blind(screen):
-        return [(offset, est, np.full_like(beta, np.inf)) for offset, est, beta in screen()]
+        return [(offset, est, np.full_like(beta, np.inf), x) for offset, est, beta, x in screen()]
 
-    def margins(build, idx):
-        taken.append(idx.size)
-        return build(idx)
+    def margins(formula, *inputs):
+        taken.append(inputs[0].size)
+        return libm(formula, *inputs)
 
     def spy(name, columns, *rest, **kw):
-        columns = ((key, partial(blind, s), partial(margins, m)) for key, s, m in columns)
+        columns = ((key, partial(blind, s), f) for key, s, f in columns)
         return sweep(name, columns, *rest, **kw)
 
     monkeypatch.setattr(bounds, "_sweep", spy)
+    monkeypatch.setattr(bounds, "_libm", margins)
     assert run(small_table) == plain
     assert sum(taken) == plain.points
 
 
-def test_sweep_takes_more_margins_after_a_recheck_rises():
+def test_sweep_takes_more_margins_after_a_recheck_rises(monkeypatch):
     # index 0 sets the least estimate plus beta but rechecks to 5; indices 1
     # and 2, left out at first, must then be taken; index 1 is the worst point
     est, beta = np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.1, 0.1])
     taken = []
-
-    def margins(idx):
-        taken.append(idx.tolist())
-        return est[idx]
-
+    libm = bounds._libm
+    # the margin is the estimate; the indices ride along as a second input
+    monkeypatch.setattr(bounds, "_libm", lambda f, x, i: taken.append(i.tolist()) or libm(f, x))
     result = bounds._sweep(
-        "synthetic", [(None, lambda: [(0, est, beta)], margins)],
-        lambda *_: (lambda m: 5.0, lambda: ()), lambda _, i: f"i={i}",
+        "synthetic", [(None, lambda: [(0, est, beta, (est, np.arange(3)))], lambda m, x: x)],
+        lambda *_: (5.0,), lambda _, i: f"i={i}",
     )
     assert taken == [[0], [1, 2]]
     assert (result.worst_margin, result.worst_at, result.rechecked) == (1.0, "i=1", 1)
@@ -715,9 +782,9 @@ def _sweep_site(monkeypatch, table, frac):
     # PRECISION_BAND, 1e-9, at the log substitution suite's one point n = 2263
     margin = frac * 1e-9
     monkeypatch.setattr(
-        bounds, "_log_substitution_blocks", lambda *_: [(0, np.array([margin]), np.zeros(1))]
+        bounds, "_log_substitution_blocks", lambda *_: [(0, np.array([margin]), np.zeros(1), ())]
     )
-    monkeypatch.setattr(bounds, "_log_substitution_margins", lambda *_: np.array([margin]))
+    monkeypatch.setattr(bounds, "_libm", lambda *_: np.array([margin]))
     calls = spy_60_digits(monkeypatch, bounds)
     result = log_substitution_suite(table, n_max=CRITERION_FLOOR)
     assert result.points == 1 and result.rechecked == len(calls)
@@ -843,19 +910,31 @@ def _mertens_oracle(table, x_cap, samples):
     return worst, worst_at
 
 
-def _zeta_tail_oracle(table, ts, n_max):
+def _first_minimum(columns):
+    """(worst margin, where) of the first minimum over columns (margins,
+    where), where(i) naming index i."""
     worst, worst_at = math.inf, ""
-    for t in ts:
-        zv = zeta(t).value
-        acc = 0.0
-        for n, p in enumerate(table.primes[:n_max].tolist(), start=1):
-            acc += math.log1p(-float(p) ** (-t))
-            if n < 2:
-                continue
-            margin = math.exp(2.0 / p) - zv * math.exp(acc)
+    for margins, where in columns:
+        for i, margin in enumerate(margins):
             if margin < worst:
-                worst, worst_at = margin, f"t={t},n={n}"
+                worst, worst_at = margin, where(i)
     return worst, worst_at
+
+
+def _zeta_tail_column(table, t, n_max):
+    """The libm zeta tail margins of column t, 2 <= n <= n_max."""
+    zv, acc, margins = zeta(t).value, 0.0, []
+    for n, p in enumerate(table.primes[:n_max].tolist(), start=1):
+        acc += math.log1p(-float(p) ** (-t))
+        if n >= 2:
+            margins.append(math.exp(2.0 / p) - zv * math.exp(acc))
+    return margins
+
+
+def _zeta_tail_oracle(table, ts, n_max):
+    return _first_minimum(
+        (_zeta_tail_column(table, t, n_max), lambda i, t=t: f"t={t},n={i + 2}") for t in ts
+    )
 
 
 def _log_substitution_oracle(table, n_min, n_max):
@@ -868,27 +947,30 @@ def _log_substitution_oracle(table, n_min, n_max):
     return worst, worst_at
 
 
-def _psi_ratio_oracle(table, ts, n_min, n_max):
-    worst, worst_at = math.inf, ""
-    for t in ts:
-        zv = zeta(t).value
-        total = carry = 0.0
-        for n, p in enumerate(table.primes[:n_max].tolist(), start=1):
-            q = p ** (t - 1)
-            x = math.log1p((q - 1) / (q * (p - 1)))
-            s = total + x
-            carry += (total - s) + x if abs(total) >= abs(x) else (x - s) + total
-            total = s
-            if n < n_min:
-                continue
+def _psi_ratio_column(table, t, n_min, n_max):
+    """The libm psi ratio margins of column t, n_min <= n <= n_max: the
+    correctly rounded terms summed by Neumaier's loop."""
+    zv, theta = zeta(t).value, table.theta_upto(n_max).tolist()
+    total = carry = 0.0
+    margins = []
+    for n, p in enumerate(table.primes[:n_max].tolist(), start=1):
+        q = p ** (t - 1)
+        x = math.log1p((q - 1) / (q * (p - 1)))
+        s = total + x
+        carry += (total - s) + x if abs(total) >= abs(x) else (x - s) + total
+        total = s
+        if n >= n_min:
             lp = math.log(p)
-            scale = math.exp(EULER_GAMMA + 2.0 / p) * (
-                math.log(table.theta_upto(len(table))[n]) + MERTENS_SHIFT / lp
-            )
-            margin = scale / zv - math.exp(total + carry)
-            if margin < worst:
-                worst, worst_at = margin, f"t={t},n={n}"
-    return worst, worst_at
+            scale = math.exp(EULER_GAMMA + 2.0 / p) * (math.log(theta[n]) + MERTENS_SHIFT / lp)
+            margins.append(scale / zv - math.exp(total + carry))
+    return margins
+
+
+def _psi_ratio_oracle(table, ts, n_min, n_max):
+    return _first_minimum(
+        (_psi_ratio_column(table, t, n_min, n_max), lambda i, t=t: f"t={t},n={n_min + i}")
+        for t in ts
+    )
 
 
 @pytest.mark.parametrize(
@@ -921,14 +1003,75 @@ def test_suite_matches_scalar_loop_bit_for_bit(small_table, suite, oracle):
     assert result.worst_at == worst_at
 
 
+# the two t-indexed suites as (run, libm columns, exact inputs) on a table:
+# zeta tail t = 2..10 to n = 3000, psi ratio ts = (7, 3, 5) on [2263, 10596]
+T_INDEXED_SUITES = {
+    "zeta_tail": (
+        lambda tab: zeta_tail_bound_suite(tab, range(2, 11), 3000),
+        lambda tab: [
+            (t, _zeta_tail_column(tab, t, 3000), lambda i, t=t: f"t={t},n={i + 2}")
+            for t in range(2, 11)
+        ],
+        bounds._zeta_tail_margin,
+        lambda tab, t, i: (
+            int(tab.primes[i + 1]), mpmath.zeta(t), bounds.exact_log(tab, "zeta_tail", i + 2, t)
+        ),
+    ),
+    "psi_ratio": (
+        lambda tab: psi_ratio_bound_suite(tab, (7, 3, 5), n_max=10596),
+        lambda tab: [
+            (t, _psi_ratio_column(tab, t, CRITERION_FLOOR, 10596),
+             lambda i, t=t: f"t={t},n={CRITERION_FLOOR + i}")
+            for t in (7, 3, 5)
+        ],
+        bounds._psi_ratio_margin,
+        lambda tab, t, i: (
+            int(tab.primes[CRITERION_FLOOR + i - 1]),
+            bounds.exact_log(tab, "primorial", CRITERION_FLOOR + i),
+            mpmath.zeta(t), bounds.exact_log(tab, "psi_ratio", CRITERION_FLOOR + i, t),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [13, 4096])
+@pytest.mark.parametrize("band", ["plain", "forced"])
+@pytest.mark.parametrize("suite", sorted(T_INDEXED_SUITES))
+def test_t_indexed_suites_match_a_whole_column_libm_sweep(
+    small_table, monkeypatch, suite, band, block
+):
+    # every libm margin of every column by the scalar loops above, certified
+    # where it lies in the band, against the suite's screens, floors and
+    # gathered inputs: the same worst margin bits, worst_at, points and
+    # rechecked.  The forced band holds the 40 margins nearest zero, and
+    # the blocks of 13 and 4096 indices put edges all along the psi walk
+    run, libm_columns, formula, exact = T_INDEXED_SUITES[suite]
+    columns = libm_columns(small_table)
+    if band == "forced":
+        nearest = sorted(abs(m) for _, margins, _ in columns for m in margins)
+        monkeypatch.setattr(bounds, "PRECISION_BAND", nearest[39])
+    width = bounds.PRECISION_BAND
+    rechecked = 0
+    for t, margins, _ in columns:
+        for i, margin in enumerate(margins):
+            if abs(margin) <= width:
+                margins[i], _ = certify(margin, width, formula, partial(exact, small_table, t, i))
+                rechecked += 1
+    assert rechecked == (40 if band == "forced" else 0)
+    monkeypatch.setattr("robinpsi.primes.BLOCK", block)
+    result = run(small_table)
+    worst, worst_at = _first_minimum((margins, where) for _, margins, where in columns)
+    assert (result.worst_margin.hex(), result.worst_at) == (worst.hex(), worst_at)
+    assert (result.points, result.rechecked) == (sum(len(m) for _, m, _ in columns), rechecked)
+
+
 def test_psi_ratio_column_reports_the_first_t_of_a_tie(small_table, monkeypatch, built_columns):
     # with zeta(3) and the terms of t = 3 read for every t, the t = 5 and t = 4
     # columns tie at every n: no floor lies above the other's minimum, both
     # minima are taken and the first t of ts is reported
     alone = psi_ratio_bound_suite(small_table, ts=(3,), n_max=4000)
-    zeta_3, terms, logs = zeta(3), primorial.log_terms, primorial.psi_ratio_logs
+    zeta_3, logs = zeta(3), primorial.psi_ratio_logs
     monkeypatch.setattr(bounds, "zeta", lambda t: zeta_3)
-    monkeypatch.setattr(primorial, "log_terms", lambda p, t: terms(p, 3))
     monkeypatch.setattr(primorial, "psi_ratio_logs", lambda p, t: logs(p, 3))
     n = alone.worst_at.split(",")[1]
     for ts in ((5, 4), (4, 5)):
@@ -972,17 +1115,13 @@ def test_margins_rise_with_t_within_their_error_bounds(small_table):
     # sampled n of every t, the columns the floors skip included
     table = small_table
     n_min, n_max = CRITERION_FLOOR, 10596
-    idx = np.arange(n_max - n_min + 1)
-    psi = {t: bounds._psi_ratio_margins(t, table, n_min, idx) for t in range(3, 11)}
+    psi = {t: np.array(_psi_ratio_column(table, t, n_min, n_max)) for t in range(3, 11)}
     floor = partial(bounds._psi_ratio_floor, table, n_min, n_max)
     for t in range(4, 11):
         floors = np.array([floor(3, m, t) for m in psi[3].tolist()])
         assert (floors > 0.0).all() and (psi[t] >= floors).all()
     tail_max = 3000
-    p = table.primes[:tail_max].astype(np.float64)[1:]
-    tail = {
-        t: bounds._zeta_tail_margins(t, table, p, np.arange(tail_max - 1)) for t in range(2, 65)
-    }
+    tail = {t: np.array(_zeta_tail_column(table, t, tail_max)) for t in range(2, 65)}
     for t in range(3, 65):
         assert (tail[t] >= bounds._zeta_tail_floor(tail_max, 2, tail[2], t)).all()
     # the floors have room: the first factor's gap at p_3001 is about 1e-9
@@ -1013,13 +1152,13 @@ def _suite_screens(monkeypatch, run, floorless=False):
     screened = []
     sweep = bounds._sweep
 
-    def spy(name, columns, recheck, where, floor=None):
+    def spy(name, columns, exact, where, floor=None):
         logged = [
-            (key, lambda key=key, screen=screen: screened.append(key) or screen(), margins)
-            for key, screen, margins in columns
+            (key, lambda key=key, screen=screen: screened.append(key) or screen(), formula)
+            for key, screen, formula in columns
         ]
         floor = (lambda *_: -math.inf) if floorless else floor
-        return sweep(name, logged, recheck, where, floor=floor)
+        return sweep(name, logged, exact, where, floor=floor)
 
     with monkeypatch.context() as patch:
         patch.setattr(bounds, "_sweep", spy)
@@ -1085,15 +1224,16 @@ def test_extended_precision_rechecks_agree(small_table, monkeypatch):
     primes = small_table.primes.tolist()
 
     def suite_recheck(suite):
-        """The 60-digit margin at (key, i) of the recheck(key, i) that suite
-        hands to _sweep, certified with a band of 0 at a margin of 0, and
-        where(key, i)."""
+        """The 60-digit margin at (key, i), the formula of the first column
+        that suite hands to _sweep certified with a band of 0 at a margin of
+        0 from exact(key, i), and where(key, i)."""
         with monkeypatch.context() as patch:
             patch.setattr(
-                bounds, "_sweep", lambda name, columns, recheck, where, **_: (recheck, where)
+                bounds, "_sweep",
+                lambda name, columns, exact, where, **_: (next(iter(columns))[2], exact, where),
             )
-            recheck, where = suite(small_table)
-        return lambda key, i: certify(0.0, 0.0, *recheck(key, i))[0], where
+            formula, exact, where = suite(small_table)
+        return lambda key, i: certify(0.0, 0.0, formula, partial(exact, key, i))[0], where
 
     recheck, where = suite_recheck(mertens_bound_suite)
     mertens = recheck(None, next(i for i in range(64) if where(None, i) == "x=1024"))

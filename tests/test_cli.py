@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import robinpsi
@@ -349,21 +350,35 @@ def test_verify_bounds_golden_at_the_largest_index():
 def test_verify_bounds_builds_one_libm_column_per_suite(capsys, monkeypatch, built_columns):
     # the floors leave zeta tail t = 3..10 and psi ratio t = 4..7 unscreened:
     # one block of zeta tail t = 2 and the 7 blocks of psi ratio t = 3 that
-    # reach n = 2263 are screened, and no other t forms a psi ratio term
-    screens, terms = [], []
-    zeta_tail, psi_ratio, log_terms = (
-        bounds._zeta_tail_screen, bounds._psi_ratio_screen, primorial.log_terms
+    # reach n = 2263 are screened.  Each screen reads the libm sums its
+    # margins take, so every one of the first 100000 primes reaches the psi
+    # ratio terms exactly once, at t = 3, the zeta tail forms its t = 2 libm
+    # terms once, and the numpy log_terms never run
+    screens, terms, tails, numpy_terms = [], [], [], []
+    zeta_tail, psi_ratio, psi_terms, tail_logs, log_terms = (
+        bounds._zeta_tail_screen, bounds._psi_ratio_screen, primorial._psi_ratio_terms,
+        bounds._zeta_tail_logs, primorial.log_terms,
     )
     monkeypatch.setattr(bounds, "_zeta_tail_screen",
-                        lambda t, *a: screens.append(("zeta_tail", t)) or zeta_tail(t, *a))
+                        lambda p, z, h: screens.append(("zeta_tail", z[0])) or zeta_tail(p, z, h))
     monkeypatch.setattr(bounds, "_psi_ratio_screen",
-                        lambda t, *a: screens.append(("psi_ratio", t)) or psi_ratio(t, *a))
-    monkeypatch.setattr(primorial, "log_terms", lambda p, t: terms.append(t) or log_terms(p, t))
+                        lambda *a: screens.append(("psi_ratio", a[2][0])) or psi_ratio(*a))
+    monkeypatch.setattr(primorial, "_psi_ratio_terms",
+                        lambda p, t: terms.append((t, p.copy())) or psi_terms(p, t))
+    monkeypatch.setattr(bounds, "_zeta_tail_logs",
+                        lambda t, n, tab: tails.append((t, n)) or tail_logs(t, n, tab))
+    monkeypatch.setattr(primorial, "log_terms",
+                        lambda p, t: numpy_terms.append(t) or log_terms(p, t))
     code, out = _run(["verify-bounds", "--n-max", "100000", "--t-max", "10"], capsys)
     assert code == 0
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
-    assert screens == [("zeta_tail", 2)] + [("psi_ratio", 3)] * 7
-    assert set(terms) == {3}
+    zetas = {t: bounds.zeta(t).value for t in (2, 3)}
+    assert screens == [("zeta_tail", zetas[2])] + [("psi_ratio", zetas[3])] * 7
+    assert [t for t, _ in terms] == [3] * 7
+    walked = np.concatenate([p for _, p in terms])
+    assert np.array_equal(walked, build_table(1299709).primes)  # p_100000 = 1299709
+    assert tails == [(2, 10**4)]
+    assert numpy_terms == []
     assert built_columns == [
         ("mertens_product", None),
         ("zeta_tail_product", 2),
