@@ -23,7 +23,7 @@ n it keeps from their exact factorization.  `sweep` is the one window
 loop: it bounds the range with `check_sweep` before any sieving, forms the
 plan of the marked primes and their weights once, and yields each window's
 sums and gap; `robin` screens log(sigma(n)/n), `primorial` log(psi_t(n)/n),
-each with a plain function per window.
+each with a plain function per window that cuts through `screen_cut`.
 
 The bridge sigma(n) <= psi_t(n) on t-free n needs no sweep: both sides are
 multiplicative, so `verify_sigma_le_psi` decides it on the local pairs
@@ -62,6 +62,9 @@ MAX_SPAN = 10**9  # most integers one sweep may cover
 # factors, which bounds the float error of its summed weights, and n and
 # sigma(n) < 8n stay exact in float64 for the margins of the exact decisions.
 MAX_SCAN_STOP = 2**50
+# n per block of screen_cut, which cuts each block at its own floor where the
+# window's one floor keeps more than a block of n
+SCREEN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -73,17 +76,26 @@ class Factorization:
 
 
 def factorize(n: int, table: PrimeTable) -> Factorization:
-    """Trial division over the table, read in blocks of primes.BLOCK primes
-    up to the first p with p^2 above what is left of n; certifies a large
-    cofactor prime only when it is below table.limit^2."""
+    """Trial division over the table, read in blocks of primes.BLOCK primes.
+    Once p^3 exceeds what is left of n, m, each prime factor of m is at least
+    p, so m has at most two: a square is split by isqrt and a prime is
+    certified by Miller-Rabin.  Only a product of two distinct primes, or an
+    m past the test's reach, walks on, up to the first p with p^2 above what
+    is left.  A cofactor is certified only when it is below table.limit^2."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     m = n
     out: list[tuple[int, int]] = []
+    walk_on = False  # m was found to need the walk up to p^2 > m
     count = int(np.searchsorted(table.primes, min(math.isqrt(n), table.limit), side="right"))
     for p in chain.from_iterable(table.primes[a:b].tolist() for a, b in blocks(0, count)):
         if p * p > m:
             break
+        if not walk_on and p * p * p > m:
+            r = math.isqrt(m)
+            if r * r == m or _certified_prime(m):
+                break
+            walk_on = True  # m = q r, p <= q < r < q^2: the walk ends past q
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -96,8 +108,38 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
                 f"cofactor {m} exceeds {table.limit}^2 and cannot be certified prime; "
                 f"rebuild the table with limit >= {math.isqrt(m) + 1}"
             )
-        out.append((m, 1))
+        r = math.isqrt(m)
+        out.append((r, 2) if r * r == m else (m, 1))
     return Factorization(value=n, factors=tuple(out))
+
+
+# The least odd composite that passes Miller-Rabin to each of the first nine
+# primes as bases (OEIS A014233): below it, those bases decide every m.
+_MR_REACH = 3825123056546413051
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _certified_prime(m: int) -> bool:
+    """Whether m is prime, decided by Miller-Rabin to the bases _MR_BASES;
+    False from _MR_REACH on, where they decide nothing."""
+    if m < 2 or m >= _MR_REACH:
+        return False
+    for a in _MR_BASES:
+        if m % a == 0:
+            return m == a
+    r = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d 2^r, d odd
+    d = (m - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_sweep(start: int, stop: int) -> None:
@@ -232,6 +274,29 @@ def sweep(
     for lo in range(start, stop + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, stop + 1)
         yield lo, window_weights(lo, hi, plan), window_gap(hi, total)
+
+
+def screen_cut(values: np.ndarray, floor: float, block_floors) -> np.ndarray:
+    """The offsets i of values, ascending, whose values[i] reaches its floor:
+    floor for the whole window or, where that keeps more than SCREEN_BLOCK
+    values, block_floors(heads)[b] for each value of block b, heads holding
+    the offset of each block's first value, every SCREEN_BLOCK-th, the last
+    block perhaps short.  A screen's floor for the window lies at or below
+    each of its block floors, so the blocks keep no more.  They are compared
+    through a reshape: only a bool mask and the offsets kept are formed,
+    however many values the window floor keeps."""
+    keep = values >= floor
+    if np.count_nonzero(keep) > SCREEN_BLOCK:
+        floors = block_floors(np.arange(0, values.size, SCREEN_BLOCK))
+        whole = values.size - values.size % SCREEN_BLOCK
+        rows = whole // SCREEN_BLOCK
+        np.greater_equal(
+            values[:whole].reshape(rows, SCREEN_BLOCK),
+            floors[:rows, None],
+            out=keep[:whole].reshape(rows, SCREEN_BLOCK),
+        )
+        np.greater_equal(values[whole:], floors[-1], out=keep[whole:])
+    return np.flatnonzero(keep)
 
 
 def sigma(f: Factorization) -> int:

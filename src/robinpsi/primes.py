@@ -20,12 +20,12 @@ float64 log is SIMD code that differs from libm in the last bit.  log1p and
 pow run in numpy's float64 scalar loops, which call libm (libm_map): numpy
 skips its SIMD loop where the input's and output's strides differ in sign,
 but not where both are negative, and a canary checks each ufunc against math
-once per process.  log keeps clog: SIMD log differs from libm too rarely
-(124 of 2M draws in [2, 1e6]) for a canary to catch.  Prefix
-sums are accumulated with Neumaier compensated summation
-(compensated_prefix): the absolute error stays within a few ulps
-instead of growing linearly, which keeps log log N_n good to ~1e-12 near
-n = 10^4 where the crossover margins downstream are only ~1e-6.
+once per process.  log keeps clog, under a canary of its own: SIMD log
+differs from libm too rarely (124 of 2M draws in [2, 1e6]) for a canary to
+catch.  Prefix sums are accumulated with Neumaier compensated summation
+(compensated_prefix): the absolute error stays within a few ulps instead
+of growing linearly, which keeps log log N_n good to ~1e-12 near n = 10^4
+where the crossover margins downstream are only ~1e-6.
 
 Passes over a range run in blocks of BLOCK indices (blocks), so their
 temporaries stay block-sized and only their outputs span the range.  Every
@@ -206,23 +206,26 @@ def _scalar_loop(ufunc, xs: np.ndarray, args: tuple) -> np.ndarray:
 
 
 def _twin_passes(fn) -> bool:
-    """Whether fn's ufunc gives math's bits on 1024 fixed inputs, decided on
-    the first call in the process: log1p over (-0.5, 0.5), and pow at
-    integers p in [2, 2^25], log-uniform, 64 to each power -2, -6, ..., -62,
-    one scalar exponent a call as the zeta tail passes it.  The inputs come
-    from a 64-bit Weyl sequence.  On hosts where numpy runs the SIMD loop,
-    about 5% of such inputs differ."""
+    """Whether fn's C twin gives math's bits on 1024 fixed inputs, decided on
+    the first call in the process: log1p over (-0.5, 0.5), and log (libm_log's
+    clog) and pow at integers p in [2, 2^25], log-uniform, pow with 64 to each
+    power -2, -6, ..., -62, one scalar exponent a call as the zeta tail passes
+    it.  The inputs come from a 64-bit Weyl sequence.  On hosts where numpy
+    runs the SIMD loop, about 5% of such inputs differ."""
     if fn not in _TWIN_VERDICTS:
         weyl = np.arange(1, 1025, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         u = (weyl >> np.uint64(11)) * 2.0**-53  # in [0, 1)
+        p = np.rint(np.exp2(1.0 + 24.0 * u))
         if fn is math.log1p:
             parts = [(u - 0.5, ())]
-        else:
-            p = np.rint(np.exp2(1.0 + 24.0 * u))
+        elif fn is math.pow:
             parts = [(p[64 * k :][:64], (-t,)) for k, t in enumerate(range(2, 65, 4))]
-        ufunc = _TWINS[fn]
+        else:
+            parts = [(p, ())]
+        ufunc = _TWINS.get(fn)
         _TWIN_VERDICTS[fn] = all(
-            _scalar_loop(ufunc, x, args).tobytes() == _math_map(fn, x, args).tobytes()
+            (_scalar_loop(ufunc, x, args) if ufunc else _clog(x)).tobytes()
+            == _math_map(fn, x, args).tobytes()
             for x, args in parts
         )
     return _TWIN_VERDICTS[fn]
@@ -241,11 +244,21 @@ def libm_log(xs: np.ndarray) -> np.ndarray:
     s_clog_template.c; hypot(x, 0) = |x| by C11 F.10.4.3), as is numpy's
     own clog fallback for x > 1.73.  Below 2 clog takes log1p branches, and
     above DBL_MAX / 2 it rescales, which moves the last bit.  The log runs
-    in place over one complex copy of xs; the result is its real part."""
+    in place over one complex copy of xs (_clog), once clog has passed its
+    canary (_twin_passes); where it failed, math.log is mapped instead."""
     z = np.asarray(xs).astype(np.complex128)
     lo, hi = z.real.min(initial=2.0), z.real.max(initial=2.0)
     if not (2.0 <= lo and hi <= _LIBM_LOG_MAX):  # a nan fails both
         raise ValueError(f"libm_log needs 2 <= x <= DBL_MAX / 2, got x from {lo} to {hi}")
+    if _twin_passes(math.log):
+        return _clog(z)
+    return _math_map(math.log, z.real.copy(), ())
+
+
+def _clog(xs: np.ndarray) -> np.ndarray:
+    """The real part of numpy's complex128 log of each x in xs, formed in
+    place when xs is already complex128."""
+    z = np.asarray(xs).astype(np.complex128, copy=False)
     return np.log(z, out=z).real
 
 

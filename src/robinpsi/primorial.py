@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .multiplicative import _iroot, check_sweep, factorize, psi_over_n, sweep
+from .multiplicative import _iroot, check_sweep, factorize, psi_over_n, screen_cut, sweep
 from .primes import build_table, libm_map
 
 # log psi_t(n)/n is a sum over the at most 15 distinct primes of n < 2^63 of
@@ -136,14 +136,26 @@ def _champion_screen(logs: np.ndarray, gap: float, top: float) -> tuple[list[int
     """The offsets of the values in logs, lower bounds, whose upper bound
     logs + gap reaches the running maximum of the lower bounds less
     LOG_RATIO_BAND, top being the largest lower bound before logs; and the
-    new top."""
-    # a value below top - gap - LOG_RATIO_BAND is never kept and never lifts
-    # the running maximum past top, so the maxima of the rest decide the same;
-    # the cut sits a second band lower, so its own rounding drops none of them
-    near = np.flatnonzero(logs >= top - gap - 2.0 * LOG_RATIO_BAND)
+    new top.
+
+    A value below head - gap - LOG_RATIO_BAND, head the running maximum at
+    any point before it, is never kept and never lifts the running maximum,
+    so the maxima of the rest decide the same.  The cut sits a second band
+    lower, so its own rounding drops none of them.  Its head is top for the
+    window, or, where that keeps more than a block, as in a scan's first
+    window, where top is -inf, the running maximum at each block's head, the
+    largest of top and the block maxima before it (screen_cut)."""
+
+    def floors(heads):
+        out = np.empty(heads.size)
+        out[0] = top
+        out[1:] = np.maximum.reduceat(logs, heads)[:-1]
+        np.maximum.accumulate(out, out=out)
+        return out - gap - 2.0 * LOG_RATIO_BAND
+
+    near = screen_cut(logs, top - gap - 2.0 * LOG_RATIO_BAND, floors)
     if not near.size:
         return [], top
-    # in place: the first window keeps every value
     bounds = logs[near]
     running = np.maximum.accumulate(bounds)
     top = float(np.maximum(running, top, out=running)[-1])

@@ -29,6 +29,7 @@ from .multiplicative import (
     BridgeReport,
     factorize,
     is_t_free,
+    screen_cut,
     sigma,
     sweep,
     verify_sigma_le_psi,
@@ -37,7 +38,6 @@ from .primes import PrimeTable, certify, mpmath, prefix_at  # noqa: F401, bounds
 from . import primorial
 
 RELATIVE_BAND = 1e-9
-_FLOOR_BLOCK = 1024  # n per floor when the window's one floor clears nothing
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,13 @@ def _sigma_total(p) -> np.ndarray:
     return -np.log1p(-1.0 / np.asarray(p, dtype=np.float64))
 
 
+def _floors(ns) -> np.ndarray:
+    """log(c - 2 RELATIVE_BAND) at each n of ns, c = e^gamma log log n, or
+    -inf where c - 2 RELATIVE_BAND <= 0."""
+    line = EXP_GAMMA * np.log(np.log(np.asarray(ns, dtype=np.float64))) - 2.0 * RELATIVE_BAND
+    return np.log(line, out=np.full_like(line, -np.inf), where=line > 0.0)
+
+
 def _window_violators(lo: int, upper: np.ndarray, table: PrimeTable) -> list[RobinVerdict]:
     """The violators among the n >= 3 of the window from lo, ascending, upper
     holding an upper bound on log(sigma(n)/n) of each n in it, within 1e-13.
@@ -95,18 +102,14 @@ def _window_violators(lo: int, upper: np.ndarray, table: PrimeTable) -> list[Rob
     with exp(upper) < c - 2 RELATIVE_BAND is cleared: sigma(n) < c n by more
     than RELATIVE_BAND n, past every float error here (below 1e-13 c n).
     The window's least c, at its first n, clears most n at once, in log
-    space.  Where it clears none, as in a sweep's first window, where log
-    log n climbs fastest, the least c of each block of _FLOOR_BLOCK n does
-    instead.  Each n left is screened with its own c, and each n still left
-    is decided from its exact sigma, factorized with primes from table."""
+    space.  Where it leaves more than a block, as in a sweep's first window,
+    where log log n climbs fastest, screen_cut clears each block with the
+    least c of that block instead.  Each n left is screened with its own c,
+    and each n still left is decided from its exact sigma, factorized with
+    primes from table."""
     first = max(lo, 3)  # the threshold needs log log n > 0
     upper = upper[first - lo :]
-    least = EXP_GAMMA * math.log(math.log(first)) - 2.0 * RELATIVE_BAND
-    near = np.flatnonzero(upper >= (math.log(least) if least > 0.0 else -math.inf))
-    if near.size == upper.size and least > 0.0:
-        floor = np.arange(first, first + upper.size, _FLOOR_BLOCK, dtype=np.float64)
-        floor = np.log(EXP_GAMMA * np.log(np.log(floor)) - 2.0 * RELATIVE_BAND)
-        near = np.flatnonzero(upper >= np.repeat(floor, _FLOOR_BLOCK)[: upper.size])
+    near = screen_cut(upper, _floors(first), lambda heads: _floors(first + heads))
     # c - 2 RELATIVE_BAND of each n left, formed in place
     line = (first + near).astype(np.float64)  # exact below 2^53
     line = np.log(np.log(line, out=line), out=line)

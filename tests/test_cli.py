@@ -335,6 +335,16 @@ def test_verify_bounds_golden_without_numpy_libm(capsys, monkeypatch):
     assert out == _readme_example("verify-bounds --n-max 100000 --t-max 10")
 
 
+def test_table1_golden_without_clog(capsys, monkeypatch):
+    # the canary of clog failed: theta goes back to the Python map of
+    # math.log over the primes to p_n1(8), and every byte stays the same
+    monkeypatch.setattr("robinpsi.primes._TWIN_VERDICTS", {math.log: False})
+    code, out = _run(["table1", "--t-min", "3", "--t-max", "8"], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6b6b9b136ddbbe91eb12ba024e415da3e9bb2eae479f17a2fcdb86d3d9cd14c1"
+
+
 def test_verify_bounds_golden_at_the_largest_index():
     # the largest --n-max the sieve budget accepts, with every t: the suites'
     # columns cross about 119 block edges each; a fresh interpreter, so the

@@ -19,8 +19,9 @@ from robinpsi import (
     verify_sigma_le_psi,
 )
 from robinpsi import multiplicative
+from robinpsi.primes import BLOCK
 
-from conftest import factor_by_division, factors_from_marks, marked_part
+from conftest import factor_by_division, factors_from_marks, is_prime, marked_part
 
 
 def _sigma_by_enumeration(n):
@@ -64,6 +65,73 @@ def test_factorize_large_prime_cofactor_is_fine():
     # a single prime cofactor below limit^2 is provably prime
     table = build_table(100)
     assert factorize(2 * 9973, table).factors == ((2, 1), (9973, 1))
+
+
+def test_factorize_beyond_table_coverage_after_the_cube_root():
+    # a prime square or a prime past limit^2 is split or certified once p^3
+    # passes it, and still raises, as a cofactor past limit^2
+    table = build_table(100)
+    for n, cofactor in [(101**2, 101**2), (2 * 101**2, 101**2), (10007, 10007), (6 * 10007, 10007)]:
+        with pytest.raises(CoverageError, match=f"^cofactor {cofactor} exceeds 100\\^2 "):
+            factorize(n, table)
+
+
+def _blocks_read(monkeypatch):
+    """The blocks (a, b) of primes that factorize reads, each listed as its
+    walk reaches it."""
+    read = []
+    walk = multiplicative.blocks
+
+    def spy(start, stop):
+        for a, b in walk(start, stop):
+            read.append((a, b))
+            yield a, b
+
+    monkeypatch.setattr(multiplicative, "blocks", spy)
+    return read
+
+
+@pytest.fixture(scope="module")
+def table_to_2_25():
+    return build_table(1 << 25)
+
+
+def test_factorize_walks_no_further_than_two_prime_factors_need(
+    table, table_to_2_25, monkeypatch
+):
+    # once p^3 passes what is left of n, that is a square, a prime or a
+    # product of two distinct primes: the first two end the walk where it
+    # stands, in the first block here, and only the third walks on, to its
+    # lesser prime, as a cube walks on to its prime
+    read = _blocks_read(monkeypatch)
+
+    def blocks_walked(n, tab):
+        read.clear()
+        assert factorize(n, tab).factors == factor_by_division(n)
+        return len(read)
+
+    primes = table.primes.tolist()
+    block = {p: i // BLOCK + 1 for i, p in enumerate(primes)}
+    assert block[primes[-1]] == 7
+    last = primes[-12:]  # just below the limit 1310000
+    square = table.limit * table.limit
+    for p in last:
+        assert blocks_walked(p * p, table) == 1
+        assert blocks_walked(2 * 3 * p * p, table) == 1
+        assert blocks_walked(p**3, table) == block[p]
+    for p in [p for p in range(square - 400, square) if is_prime(p)]:
+        assert blocks_walked(p, table) == 1
+        assert blocks_walked(5 * p, table) == 1
+    for q in (1009, 10007, primes[50_000], last[0]):
+        for r in last[1:4]:
+            assert blocks_walked(q * r, table) == block[q]
+            assert blocks_walked(2 * q * r, table) == block[q]
+    # a table to 2^25 holds 126 blocks, which every n below walked before
+    assert len(table_to_2_25) == 2063689
+    top = int(table_to_2_25.primes[-1])
+    assert top == 2**25 - 39
+    for n in [top * top, 7 * top * top] + [p for p in range(2**50 - 200, 2**50) if is_prime(p)]:
+        assert blocks_walked(n, table_to_2_25) == 1
 
 
 def test_kernel_factorization_matches(small_table):

@@ -377,10 +377,11 @@ def _no_ufunc(*args):
     np.lib.NumpyVersion(np.__version__) < "2.0.0",
     reason="the reversed view's scalar loop was measured on numpy 2; older numpy may keep the map",
 )
-@pytest.mark.parametrize("fn", [math.log1p, math.pow])
+@pytest.mark.parametrize("fn", [math.log1p, math.pow, math.log])
 def test_canary_passes_on_this_numpy(monkeypatch, fn):
-    # a numpy that ran its SIMD loop on the reversed view would fail the
-    # canary, and libm_map would slide back to the Python map unseen
+    # a numpy that ran its SIMD loop on the reversed view, or a clog that
+    # moved the last bit of log, would fail the canary, and libm_map or
+    # libm_log would slide back to the Python map unseen
     monkeypatch.setattr(primes_module, "_TWIN_VERDICTS", {})
     assert primes_module._twin_passes(fn)
 
@@ -400,6 +401,32 @@ def test_canary_fails_a_ufunc_one_ulp_off_at_one_input(monkeypatch, fn, args):
     assert not primes_module._twin_passes(fn)
     x = np.linspace(0.1, 0.4, 5)
     assert _same_bits(libm_map(fn, x, *args), _math_oracle(fn, x, *args))
+
+
+def test_canary_fails_a_clog_one_ulp_off_at_one_input(monkeypatch):
+    # and libm_log then maps math.log
+    clog = primes_module._clog
+
+    def one_ulp_off(xs):
+        out = np.array(clog(xs))
+        out[len(out) // 2] = np.nextafter(out[len(out) // 2], math.inf)
+        return out
+
+    monkeypatch.setattr(primes_module, "_TWIN_VERDICTS", {})
+    monkeypatch.setattr(primes_module, "_clog", one_ulp_off)
+    assert not primes_module._twin_passes(math.log)
+    x = np.linspace(2.0, 40.0, 5)
+    assert _same_bits(libm_log(x), _math_oracle(math.log, x))
+
+
+def test_theta_without_clog_keeps_every_bit(table, monkeypatch):
+    # the canary of clog failed: theta maps math.log over the primes, no
+    # clog runs, and every theta of the 1.31e6 table stays the same
+    want = table.theta_upto(len(table))
+    monkeypatch.setattr(primes_module, "_TWIN_VERDICTS", {math.log: False})
+    monkeypatch.setattr(primes_module, "_clog", _no_ufunc)
+    fresh = PrimeTable(limit=table.limit, primes=table.primes)
+    assert _bits(fresh.theta_upto(len(fresh))) == _bits(want)
 
 
 _SPLIT_TABLE = build_table(10_000)  # 1229 primes

@@ -277,22 +277,37 @@ _levels = st.one_of(
     _levels,
     st.lists(st.lists(_levels, min_size=1, max_size=40), min_size=1, max_size=5),
     st.sampled_from([0.0, 5e-10, 1e-3, 0.5]),
+    st.booleans(),
+    st.sampled_from([4, 1024]),
 )
 # kept by the full window, as log + gap rounds to 1.0 = top - band, while
-# top - gap - band rounds above log
-@example(top=1.000000001, windows=[[0.9999999995]], gap=5e-10)
-def test_screened_champions_match_full_window_maxima(top, windows, gap):
+# top - gap - band rounds above log: at the window's top, and at the head of
+# a block of 4, the first window's first value, with top at -inf
+@example(top=1.000000001, windows=[[0.9999999995]], gap=5e-10, alone=True, block=1024)
+@example(top=1.000000001, windows=[[0.0, 0.5, 1.0, 0.9999999995, 0.0]], gap=5e-10,
+         alone=False, block=4)
+def test_screened_champions_match_full_window_maxima(top, windows, gap, alone, block):
     # champion_scan's screen over given windows of lower bounds, the first of
-    # which sets top, carried from window to window as the scan carries it
-    windows = [np.array([top])] + [np.array(w) for w in windows]
+    # which sets top, alone or at the head of the first drawn window, carried
+    # from window to window as the scan carries it; the offsets a block cut
+    # keeps are among those the window's floor keeps
+    windows = [np.array(w) for w in windows]
+    windows = [np.array([top])] + windows if alone else [np.append(top, windows[0])] + windows[1:]
+    cut = multiplicative.screen_cut
+    kept = []
     top, lo, seen = -math.inf, 1, []
-    for logs in windows:
-        offsets, top = primorial._champion_screen(logs, gap, top)
-        assert all(type(i) is int for i in offsets)
-        seen += [lo + i for i in offsets]
-        lo += logs.size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiplicative, "SCREEN_BLOCK", block)
+        patch.setattr(primorial, "screen_cut", lambda *a: kept.append((a, cut(*a))) or kept[-1][1])
+        for logs in windows:
+            offsets, top = primorial._champion_screen(logs, gap, top)
+            assert all(type(i) is int for i in offsets)
+            seen += [lo + i for i in offsets]
+            lo += logs.size
     assert seen == _flagged_by_full_window(windows, gap)
     assert top == max(np.concatenate(windows))
+    for (values, floor, _), near in kept:
+        assert set(near.tolist()) <= set(np.flatnonzero(values >= floor).tolist())
 
 
 @pytest.mark.parametrize("t", [2, 7])

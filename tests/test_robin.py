@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robinpsi import (
@@ -195,17 +195,29 @@ def robin_windows(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(robin_windows(), st.sampled_from([1e-9, 1e-3, 10.0]), st.sampled_from([0.0, 1e-12, 1e-3]))
-def test_screened_close_matches_full_window_margins(window, band, slack):
+@given(
+    robin_windows(),
+    st.sampled_from([1e-9, 1e-3, 10.0]),
+    st.sampled_from([0.0, 1e-12, 1e-3]),
+    st.sampled_from([4, 1024]),
+)
+# a window from 3 across 16 blocks of 4, where log log n climbs fastest
+@example(window=(3, 67, np.array([max(1, int(EXP_GAMMA * n * math.log(math.log(n))))
+                                   for n in range(3, 67)])),
+         band=1e-9, slack=0.0, block=4)
+def test_screened_close_matches_full_window_margins(window, band, slack, block):
     # from upper bounds on log(sigma(n)/n), as tight as a float allows or
     # looser by slack, the screen may pass more n to the verdicts than the
-    # margins from exact sigma flag, never fewer, and the violators stay the same
+    # margins from exact sigma flag, never fewer, and the violators stay the
+    # same, whether the window's floor cuts or, past a block of n kept, each
+    # block's own
     lo, hi, sig = window
     upper = np.log(sig / np.arange(lo, hi, dtype=np.float64)) + slack
     verdict = robin._verdict_from_sigma
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(robin, "RELATIVE_BAND", band)
+        patch.setattr(multiplicative, "SCREEN_BLOCK", block)
         flagged = _flagged_by_full_window(lo, hi, sig)
         expected = [v for v in (verdict(n, int(sig[n - lo])) for n in flagged) if not v.holds]
         patch.setattr(robin, "_verdict_from_sigma", lambda n, s: seen.append(n) or verdict(n, s))
@@ -217,20 +229,22 @@ def test_screened_close_matches_full_window_margins(window, band, slack):
 
 
 @pytest.mark.parametrize(
-    ("scan", "windows_after_plan"),
+    "scan",
     [
-        (lambda table: robin_scan(5041, 2_000_000, table), 3),
-        (lambda table: champion_scan(2_000_000, 2), 6),
+        lambda table: robin_scan(5041, 2_000_000, table),
+        lambda table: robin_scan(3, 2_000_000, table),
+        lambda table: champion_scan(2_000_000, 2),
     ],
-    ids=["robin_scan", "champion_scan"],
+    ids=["robin_scan", "robin_scan_from_3", "champion_scan"],
 )
-def test_sweep_memory_stays_window_sized(table, scan, windows_after_plan, monkeypatch):
+def test_sweep_memory_stays_window_sized(table, scan, monkeypatch):
     # every temporary of a sweep is a window's, so its peak is a few 8-byte
     # arrays of SEGMENT_SIZE integers however long the range is; a window's
     # arrays must be freed before the next window is summed.  The peak is
     # read again from the moment the KernelPlan is formed, without its
-    # untouched heap block: the Robin scan's screens work within 3 windows,
-    # the others keep 6 as their first window keeps every value.
+    # untouched heap block: each scan works within 3 windows, as a screen
+    # whose window floor keeps every n, as in a first window, cuts each
+    # block at its own floor and forms no window-sized index or gather.
     peaks = []
 
     class Plan(multiplicative.KernelPlan):
@@ -249,7 +263,7 @@ def test_sweep_memory_stays_window_sized(table, scan, windows_after_plan, monkey
     window = multiplicative.SEGMENT_SIZE * 8
     assert len(peaks) == 1
     assert max(peaks[0], after_plan) < 6 * window
-    assert after_plan < windows_after_plan * window
+    assert after_plan < 3 * window
 
 
 def test_serialization_golden(small_table, capsys):
